@@ -78,6 +78,7 @@ from .finite_dim import (
     fd_isotropic_2d,
     fd_scalar_system,
     simulate_fd,
+    simulate_fd_coupled,
     simulate_fd_limit,
     solve_lyapunov,
 )

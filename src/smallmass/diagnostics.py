@@ -101,23 +101,25 @@ class MetricReport:
     """Distances between two trajectories on a common time grid.
 
     All sums are per trailing batch element; scalars for unbatched input.
+    d_x1 / d_x2 are None when the `which` selector did not ask for them.
     """
 
-    d_x1: np.ndarray
-    d_x2: np.ndarray
+    d_x1: np.ndarray | None
+    d_x2: np.ndarray | None
     tail: float  # truncation tail bound 2^-n_max, additive uncertainty
     sup_hm1: np.ndarray  # sup_t ||diff||_{H^-1}
     l2_h: np.ndarray  # (int_0^T ||diff||_H^2 dt)^(1/2)
     n_max: int = N_MAX_METRIC
 
     def value(self, which: str):
-        if which == "x1":
-            return self.d_x1
-        if which == "x2":
-            return self.d_x2
         if which == "plain":
             return self.sup_hm1 + self.l2_h
-        raise ValueError(f"unknown metric selector {which!r}")
+        if which not in ("x1", "x2"):
+            raise ValueError(f"unknown metric selector {which!r}")
+        d = self.d_x1 if which == "x1" else self.d_x2
+        if d is None:
+            raise ValueError(f"metric {which!r} was not computed for this report")
+        return d
 
 
 def metric_distance(
@@ -128,7 +130,11 @@ def metric_distance(
     which: str = "all",
     n_max: int = N_MAX_METRIC,
 ) -> MetricReport:
-    """Distance report between coefficient trajectories of shape (T, ..., N)."""
+    """Distance report between coefficient trajectories of shape (T, ..., N).
+
+    which selects the n_max-term sums computed: "all" both, "x1" or "x2" one,
+    "plain" neither.  sup_hm1 and l2_h are computed for every selector.
+    """
     a = np.asarray(coeffs_a, dtype=float)
     b = np.asarray(coeffs_b, dtype=float)
     if a.shape != b.shape:
@@ -144,13 +150,15 @@ def metric_distance(
         return np.sqrt(diff_sq @ basis.alphas**s)  # (T, ...)
 
     h_t = h_norms(0.0)
-    d_x1 = 0.0
-    d_x2 = 0.0
+    d_x1 = 0.0 if which in ("all", "x1") else None
+    d_x2 = 0.0 if which in ("all", "x2") else None
     for n in range(1, n_max + 1):
         w = 2.0**-n
-        d_x1 = d_x1 + w * np.minimum(np.max(h_norms(-1.0 / n), axis=0), 1.0)
-        ln = (np.trapezoid(h_t**n, times, axis=0)) ** (1.0 / n)
-        d_x2 = d_x2 + w * np.minimum(ln, 1.0)
+        if d_x1 is not None:
+            d_x1 = d_x1 + w * np.minimum(np.max(h_norms(-1.0 / n), axis=0), 1.0)
+        if d_x2 is not None:
+            ln = (np.trapezoid(h_t**n, times, axis=0)) ** (1.0 / n)
+            d_x2 = d_x2 + w * np.minimum(ln, 1.0)
     sup_hm1 = np.max(h_norms(-1.0), axis=0)
     l2_h = np.sqrt(np.trapezoid(h_t**2, times, axis=0))
     return MetricReport(

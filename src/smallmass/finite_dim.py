@@ -19,14 +19,21 @@ Monte Carlo runs are vectorized across paths; the driving increments come
 from a counter-based generator keyed by (seed, step), so the inertial and
 limit integrators consume identical noise when run at the same step size
 (common random numbers), and reruns with the same seed are bit-identical.
+One time loop (`_drive`) advances any set of integrators in lock step on a
+single draw per step; `simulate_fd_coupled` runs the inertial system and the
+limit with and without S together and gives the same bits as three separate
+runs.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .wave import SimulationDiverged, _output_indices
 
 MAX_DIM = 8
 FD_STEP_REL = 1e-5
@@ -128,15 +135,18 @@ def drift_S(system: FDSystem, x: np.ndarray) -> np.ndarray:
     return np.einsum("lij,jl->i", dinv, j)
 
 
-def _drift_S_batch(system: FDSystem, x: np.ndarray) -> np.ndarray:
-    """Vectorized S for scalar systems; falls back to a per-point loop otherwise."""
+def _drift_S_batch(system: FDSystem, x: np.ndarray, gam: np.ndarray) -> np.ndarray:
+    """Vectorized S for scalar systems; falls back to a per-point loop otherwise.
+
+    gam is gamma(x), already evaluated by the caller.
+    """
     if system.dim == 1:
         xs = x[:, 0]
         h = FD_STEP_REL * np.maximum(1.0, np.abs(xs))
         gp = system.gamma((xs + h)[:, None])[:, 0, 0]
         gm = system.gamma((xs - h)[:, None])[:, 0, 0]
         dinv = (1.0 / gp - 1.0 / gm) / (2.0 * h)
-        g = system.gamma(x)[:, 0, 0]
+        g = gam[:, 0, 0]
         sig = system.sigma(x)[:, 0, :]
         j = np.sum(sig * sig, axis=-1) / (2.0 * g)  # scalar Lyapunov closed form
         return (dinv * j)[:, None]
@@ -177,8 +187,89 @@ class FDTrajectory:
     mu: float | None = None
 
 
-def _out_indices(n_steps: int, n_output: int) -> np.ndarray:
-    return np.unique(np.round(np.linspace(0, n_steps, n_output + 1)).astype(int))
+def _initial_state(value, n_paths: int, dim: int) -> np.ndarray:
+    return np.broadcast_to(np.asarray(value, dtype=float), (n_paths, dim)).copy()
+
+
+class _InertialStepper:
+    """Euler-Maruyama for the inertial system in (x, v), or in (x, p) with eta_transform."""
+
+    def __init__(self, system, mu, noise, x0, v0, eta_transform, c_stab):
+        if mu <= 0:
+            raise ValueError("mass must be positive")
+        if noise.dt > c_stab * mu * (1.0 + 1e-12) and not eta_transform:
+            warnings.warn(
+                f"dt = {noise.dt:.3g} exceeds c_stab*mu = {c_stab * mu:.3g} for the inertial system",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        if eta_transform and (system.dim != 1 or system.g_antideriv is None):
+            raise ValueError("eta_transform requires a scalar system with g_antideriv")
+        self.system, self.mu, self.dt, self.eta_transform = system, mu, noise.dt, eta_transform
+        self.x = _initial_state(x0, noise.n_paths, system.dim)
+        self.v = _initial_state(v0, noise.n_paths, system.dim)
+        if eta_transform:
+            self.p = mu * self.v + system.g_antideriv(self.x)
+
+    def step(self, dw: np.ndarray) -> None:
+        system, mu, dt, x = self.system, self.mu, self.dt, self.x
+        if self.eta_transform:
+            gam = system.gamma(x)[:, 0, 0][:, None]
+            x_new = x + dt * (self.p - system.g_antideriv(x)) / mu / (1.0 + dt * gam / mu)
+            self.p = self.p + dt * system.b(x) + np.einsum("pij,pj->pi", system.sigma(x), dw)
+            self.x = x_new
+        else:
+            gam = system.gamma(x)
+            acc = system.b(x) - np.einsum("pij,pj->pi", gam, self.v)
+            forcing = np.einsum("pij,pj->pi", system.sigma(x), dw)
+            self.x = x + dt * self.v
+            self.v = self.v + (dt / mu) * acc + forcing / mu
+
+
+class _LimitStepper:
+    """Euler-Maruyama for the limit SDE; with_S=False ablates the extra drift."""
+
+    mu = None
+
+    def __init__(self, system, noise, x0, with_S):
+        self.system, self.dt, self.with_S = system, noise.dt, with_S
+        self.x = _initial_state(x0, noise.n_paths, system.dim)
+
+    def step(self, dw: np.ndarray) -> None:
+        system, x = self.system, self.x
+        gam = system.gamma(x)
+        # A 1x1 inverse is 1/gamma, bit for bit, at a fraction of np.linalg.inv's cost.
+        ginv = 1.0 / gam if system.dim == 1 else np.linalg.inv(gam)
+        drift = np.einsum("pij,pj->pi", ginv, system.b(x))
+        if self.with_S:
+            drift = drift + _drift_S_batch(system, x, gam)
+        forcing = np.einsum("pij,pjk,pk->pi", ginv, system.sigma(x), dw)
+        self.x = x + self.dt * drift + forcing
+
+
+def _drive(steppers: list, noise: FDNoise, n_output: int) -> list[FDTrajectory]:
+    """Advance the steppers in lock step, all on one draw of each step's increments.
+
+    Records every state on the common output grid and raises SimulationDiverged
+    at the first step that leaves any state non-finite.
+    """
+    dt = noise.dt
+    idx = _output_indices(noise.n_steps, n_output)
+    outs = [np.empty((len(idx),) + s.x.shape) for s in steppers]
+    for out, s in zip(outs, steppers):
+        out[0] = s.x
+    pos = 1
+    for k in range(noise.n_steps):
+        dw = noise.increments(k)
+        for s in steppers:
+            s.step(dw)
+            if not np.all(np.isfinite(s.x)):
+                raise SimulationDiverged(step=k + 1, t=(k + 1) * dt)
+        if pos < len(idx) and k + 1 == idx[pos]:
+            for out, s in zip(outs, steppers):
+                out[pos] = s.x
+            pos += 1
+    return [FDTrajectory(times=idx * dt, x=out, dt=dt, mu=s.mu) for out, s in zip(outs, steppers)]
 
 
 def simulate_fd(
@@ -197,49 +288,8 @@ def simulate_fd(
     p = mu v + G(x), G' = gamma (scalar systems only), treating G implicitly
     through one Newton step in the x-update.
     """
-    if mu <= 0:
-        raise ValueError("mass must be positive")
-    dt = noise.dt
-    if dt > c_stab * mu * (1.0 + 1e-12) and not eta_transform:
-        import warnings
-
-        warnings.warn(
-            f"dt = {dt:.3g} exceeds c_stab*mu = {c_stab * mu:.3g} for the inertial system",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if eta_transform and (system.dim != 1 or system.g_antideriv is None):
-        raise ValueError("eta_transform requires a scalar system with g_antideriv")
-    P, d = noise.n_paths, system.dim
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (P, d)).copy()
-    v = np.broadcast_to(np.asarray(v0, dtype=float), (P, d)).copy()
-    idx = _out_indices(noise.n_steps, n_output)
-    out = np.empty((len(idx), P, d))
-    pos = 0
-    if idx[0] == 0:
-        out[0] = x
-        pos = 1
-    if eta_transform:
-        p = mu * v + system.g_antideriv(x)
-    for k in range(noise.n_steps):
-        dw = noise.increments(k)
-        if eta_transform:
-            gam = system.gamma(x)[:, 0, 0][:, None]
-            x_new = x + dt * (p - system.g_antideriv(x)) / mu / (1.0 + dt * gam / mu)
-            p = p + dt * system.b(x) + np.einsum("pij,pj->pi", system.sigma(x), dw)
-            x = x_new
-        else:
-            gam = system.gamma(x)
-            acc = system.b(x) - np.einsum("pij,pj->pi", gam, v)
-            forcing = np.einsum("pij,pj->pi", system.sigma(x), dw)
-            x = x + dt * v
-            v = v + (dt / mu) * acc + forcing / mu
-        if not np.all(np.isfinite(x)):
-            raise RuntimeError(f"inertial run diverged at step {k + 1}")
-        if pos < len(idx) and k + 1 == idx[pos]:
-            out[pos] = x
-            pos += 1
-    return FDTrajectory(times=idx * dt, x=out, dt=dt, mu=mu)
+    stepper = _InertialStepper(system, mu, noise, x0, v0, eta_transform, c_stab)
+    return _drive([stepper], noise, n_output)[0]
 
 
 def simulate_fd_limit(
@@ -250,32 +300,30 @@ def simulate_fd_limit(
     n_output: int = 200,
 ) -> FDTrajectory:
     """Euler-Maruyama for the limit SDE; with_S=False ablates the extra drift."""
-    dt = noise.dt
-    P, d = noise.n_paths, system.dim
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (P, d)).copy()
-    idx = _out_indices(noise.n_steps, n_output)
-    out = np.empty((len(idx), P, d))
-    pos = 0
-    if idx[0] == 0:
-        out[0] = x
-        pos = 1
-    for k in range(noise.n_steps):
-        dw = noise.increments(k)
-        gam = system.gamma(x)
-        ginv = np.linalg.inv(gam)
-        drift = np.einsum("pij,pj->pi", ginv, system.b(x))
-        if with_S:
-            drift = drift + _drift_S_batch(system, x)
-        forcing = np.einsum(
-            "pij,pjk,pk->pi", ginv, system.sigma(x), dw
-        )
-        x = x + dt * drift + forcing
-        if not np.all(np.isfinite(x)):
-            raise RuntimeError(f"limit run diverged at step {k + 1}")
-        if pos < len(idx) and k + 1 == idx[pos]:
-            out[pos] = x
-            pos += 1
-    return FDTrajectory(times=idx * dt, x=out, dt=dt, mu=None)
+    return _drive([_LimitStepper(system, noise, x0, with_S)], noise, n_output)[0]
+
+
+def simulate_fd_coupled(
+    system: FDSystem,
+    mu: float,
+    noise: FDNoise,
+    x0,
+    v0,
+    n_output: int = 200,
+    eta_transform: bool = False,
+    c_stab: float = 0.5,
+) -> tuple[FDTrajectory, FDTrajectory, FDTrajectory]:
+    """The inertial run, the limit with S and the limit without S, in lock step.
+
+    Each step's increments are drawn once and shared; the three trajectories
+    equal those of separate simulate_fd and simulate_fd_limit runs bit for bit.
+    """
+    steppers = [
+        _InertialStepper(system, mu, noise, x0, v0, eta_transform, c_stab),
+        _LimitStepper(system, noise, x0, with_S=True),
+        _LimitStepper(system, noise, x0, with_S=False),
+    ]
+    return tuple(_drive(steppers, noise, n_output))
 
 
 @dataclass

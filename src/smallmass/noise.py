@@ -63,8 +63,8 @@ class NoisePath:
         return self.dt * self.n_steps
 
 
-def sample_path(seed: int, t_final: float, dt: float, n_modes: int) -> NoisePath:
-    """Generate the level-0 increment table for a fixed (seed, T, dt, N)."""
+def _n_steps(t_final: float, dt: float) -> int:
+    """Number of steps of size dt in t_final; rejects a grid that does not fit exactly."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_final <= 0.0:
@@ -72,6 +72,12 @@ def sample_path(seed: int, t_final: float, dt: float, n_modes: int) -> NoisePath
     n_steps = int(round(t_final / dt))
     if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError(f"t_final = {t_final} is not an integer multiple of dt = {dt}")
+    return n_steps
+
+
+def sample_path(seed: int, t_final: float, dt: float, n_modes: int) -> NoisePath:
+    """Generate the level-0 increment table for a fixed (seed, T, dt, N)."""
+    n_steps = _n_steps(t_final, dt)
     sd = np.sqrt(dt)
     inc = np.empty((n_modes, n_steps))
     for i in range(n_modes):
@@ -111,7 +117,7 @@ def refine_to(path: NoisePath, dt_max: float) -> NoisePath:
 
 def zero_path(t_final: float, dt: float, n_modes: int) -> NoisePath:
     """All-zero increment table, for deterministic runs on the same code path."""
-    n_steps = int(round(t_final / dt))
+    n_steps = _n_steps(t_final, dt)
     return NoisePath(
         seed=0,
         dt=dt,

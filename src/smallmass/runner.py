@@ -19,14 +19,16 @@ import numpy as np
 from . import diagnostics, noise, output
 from .config import config_hash, make_basis, make_initial, make_models
 from .diagnostics import LadderPoint, ScalingAudit
+# simulate_fd and simulate_fd_limit are not called here; bench/spans.py wraps them at this name.
 from .finite_dim import (
     FDNoise,
     compare_endpoints,
     fd_scalar_system,
     simulate_fd,
+    simulate_fd_coupled,
     simulate_fd_limit,
 )
-from .limit import LimitSolver
+from .limit import LimitSolver, LimitTrajectory
 from .resolvent import OperatorA, audit_operator
 from .wave import WaveSolver
 
@@ -38,7 +40,7 @@ class LadderStudy:
     ladder: list[float]
     per_path_distance: np.ndarray  # (n_mu, n_paths): sup_Hm1 + L2(0,T;H)
     ladder_points: list[LadderPoint]
-    limit_traj: object  # LimitTrajectory (batched)
+    limit_traj: LimitTrajectory | None  # batched; None when paths were split over jobs
     wave_trajs: dict  # mu -> WaveTrajectory (batched)
 
 
@@ -79,7 +81,7 @@ def _study_block(cfg: dict, seed0: int, n_paths: int, keep_trajs: bool) -> Ladde
         traj = _simulate_wave(cfg, basis, models, mu, u0, v0, batch)
         if not np.allclose(traj.times, limit_traj.times, atol=1e-12):
             raise RuntimeError("wave and limit output grids are misaligned")
-        rep = diagnostics.metric_distance(traj.times, traj.u, limit_traj.coeffs, basis)
+        rep = diagnostics.metric_distance(traj.times, traj.u, limit_traj.coeffs, basis, "plain")
         per_mu.append(rep.sup_hm1 + rep.l2_h)
         points.append(diagnostics.ladder_point(traj))
         if keep_trajs:
@@ -126,7 +128,7 @@ def run_ladder_study(cfg: dict, keep_trajs: bool = False) -> LadderStudy:
         ladder=blocks[0].ladder,
         per_path_distance=np.concatenate([b.per_path_distance for b in blocks], axis=1),
         ladder_points=_merge_points(blocks),
-        limit_traj=blocks[0].limit_traj,
+        limit_traj=None,
         wave_trajs={},
     )
 
@@ -204,7 +206,7 @@ def run_drift_ablation(cfg: dict, out_dir) -> dict:
     )
 
     def distance(a, b):
-        rep = diagnostics.metric_distance(wave.times, a, b, basis)
+        rep = diagnostics.metric_distance(wave.times, a, b, basis, "plain")
         return rep.sup_hm1 + rep.l2_h
 
     report = diagnostics.drift_necessity_report(
@@ -333,11 +335,9 @@ def run_fd_converge(cfg: dict, out_dir) -> dict:
     fdnoise = FDNoise(
         seed=cfg["seed"], dt=fd["dt"], n_steps=n_steps, n_paths=fd["paths"], r_dim=system.r_dim
     )
-    inertial = simulate_fd(
+    inertial, limit_s, limit_no = simulate_fd_coupled(
         system, fd["mu"], fdnoise, fd["x0"], fd["v0"], eta_transform=fd["eta_transform"]
     )
-    limit_s = simulate_fd_limit(system, fdnoise, fd["x0"], with_S=True)
-    limit_no = simulate_fd_limit(system, fdnoise, fd["x0"], with_S=False)
     rep_s = compare_endpoints(inertial, limit_s, fd["mu"])
     rep_no = compare_endpoints(inertial, limit_no, fd["mu"])
     stats = {

@@ -236,6 +236,9 @@ def test_parallel_jobs_reproduce_sequential(tmp_path):
     assert np.array_equal(seq.per_path_distance, par.per_path_distance)
     for a, b in zip(seq.ladder_points, par.ladder_points):
         assert np.array_equal(a.sup_energy, b.sup_energy)
+    # split runs keep no limit trajectory, as they keep no wave trajectories
+    assert seq.limit_traj is not None
+    assert par.limit_traj is None and par.wave_trajs == {}
 
 
 def test_cli_drift_ablation_small(tmp_path):

@@ -96,6 +96,27 @@ def test_metric_symmetry_and_triangle(basis):
         assert dxy <= dxz + dzy + 1e-12
 
 
+def test_metric_selectors_compute_only_what_they_name(basis):
+    rng = np.random.default_rng(3)
+    times = np.linspace(0, 0.5, 11)
+    x = rng.normal(size=(11, 4, 12)) * 0.1
+    y = rng.normal(size=(11, 4, 12)) * 0.1
+    full = metric_distance(times, x, y, basis)
+    plain = metric_distance(times, x, y, basis, "plain")
+    assert plain.d_x1 is None and plain.d_x2 is None
+    assert np.array_equal(plain.sup_hm1, full.sup_hm1)
+    assert np.array_equal(plain.l2_h, full.l2_h)
+    assert np.array_equal(plain.value("plain"), full.value("plain"))
+    x1 = metric_distance(times, x, y, basis, "x1")
+    x2 = metric_distance(times, x, y, basis, "x2")
+    assert np.array_equal(x1.d_x1, full.d_x1) and x1.d_x2 is None
+    assert np.array_equal(x2.d_x2, full.d_x2) and x2.d_x1 is None
+    with pytest.raises(ValueError, match="not computed"):
+        plain.value("x1")
+    with pytest.raises(ValueError, match="unknown"):
+        metric_distance(times, x, y, basis, "x3")
+
+
 def test_metric_grid_mismatch_rejected(basis):
     with pytest.raises(ValueError):
         metric_distance(np.linspace(0, 1, 4), np.zeros((5, 12)), np.zeros((5, 12)), basis)

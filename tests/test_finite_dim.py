@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_lyapunov as scipy_lyapunov
 
 from smallmass.finite_dim import (
+    FD_STEP_REL,
     FDNoise,
     LyapunovError,
     compare_endpoints,
@@ -12,9 +15,11 @@ from smallmass.finite_dim import (
     fd_scalar_system,
     lyapunov_residual,
     simulate_fd,
+    simulate_fd_coupled,
     simulate_fd_limit,
     solve_lyapunov,
 )
+from smallmass.wave import SimulationDiverged
 
 
 def test_scalar_lyapunov_closed_form():
@@ -151,3 +156,103 @@ def test_eta_transform_requires_scalar_antiderivative():
     with pytest.raises(ValueError):
         noise = FDNoise(seed=0, dt=1e-3, n_steps=2, n_paths=2, r_dim=2)
         simulate_fd(fd_isotropic_2d(), 0.1, noise, 0.0, 0.0, eta_transform=True)
+
+
+def _reference_S(system, x):
+    """S on a batch as computed before the limit step shared gamma(x)."""
+    if system.dim > 1:
+        return np.stack([drift_S(system, xi) for xi in x])
+    xs = x[:, 0]
+    h = FD_STEP_REL * np.maximum(1.0, np.abs(xs))
+    gp = system.gamma((xs + h)[:, None])[:, 0, 0]
+    gm = system.gamma((xs - h)[:, None])[:, 0, 0]
+    dinv = (1.0 / gp - 1.0 / gm) / (2.0 * h)
+    g = system.gamma(x)[:, 0, 0]
+    sig = system.sigma(x)[:, 0, :]
+    j = np.sum(sig * sig, axis=-1) / (2.0 * g)
+    return (dinv * j)[:, None]
+
+
+def _reference_limit(system, noise, x0, with_S, n_output):
+    """The limit loop with np.linalg.inv and einsum forcing, one draw per step."""
+    dt = noise.dt
+    x = np.broadcast_to(np.asarray(x0, dtype=float), (noise.n_paths, system.dim)).copy()
+    idx = np.unique(np.round(np.linspace(0, noise.n_steps, n_output + 1)).astype(int))
+    out = [x]
+    for k in range(noise.n_steps):
+        dw = noise.increments(k)
+        ginv = np.linalg.inv(system.gamma(x))
+        drift = np.einsum("pij,pj->pi", ginv, system.b(x))
+        if with_S:
+            drift = drift + _reference_S(system, x)
+        forcing = np.einsum("pij,pjk,pk->pi", ginv, system.sigma(x), dw)
+        x = x + dt * drift + forcing
+        if k + 1 in idx:
+            out.append(x)
+    return idx * dt, np.stack(out)
+
+
+@pytest.mark.parametrize("with_S", [True, False])
+def test_scalar_limit_matches_inverse_reference(with_S):
+    system = fd_scalar_system()
+    noise = FDNoise(seed=8, dt=1e-3, n_steps=200, n_paths=64, r_dim=1)
+    lim = simulate_fd_limit(system, noise, 0.3, with_S=with_S, n_output=10)
+    times, x = _reference_limit(system, noise, 0.3, with_S, n_output=10)
+    assert np.array_equal(lim.times, times)
+    assert np.array_equal(lim.x, x)
+
+
+def _assert_coupled_equals_separate(system, mu, noise, x0, eta_transform):
+    coupled = simulate_fd_coupled(
+        system, mu, noise, x0, 0.0, n_output=7, eta_transform=eta_transform
+    )
+    separate = (
+        simulate_fd(system, mu, noise, x0, 0.0, n_output=7, eta_transform=eta_transform),
+        simulate_fd_limit(system, noise, x0, with_S=True, n_output=7),
+        simulate_fd_limit(system, noise, x0, with_S=False, n_output=7),
+    )
+    for a, b in zip(coupled, separate):
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.x, b.x)
+        assert a.mu == b.mu
+    assert coupled[0].mu == mu and coupled[1].mu is None
+    return coupled
+
+
+@pytest.mark.parametrize("eta_transform", [False, True])
+def test_coupled_run_matches_separate_runs(eta_transform):
+    noise = FDNoise(seed=13, dt=1e-4, n_steps=300, n_paths=64, r_dim=1)
+    _assert_coupled_equals_separate(fd_scalar_system(), 1e-2, noise, 0.1, eta_transform)
+
+
+def test_2d_isotropic_runs_through_the_shared_loop():
+    # d = 2 keeps np.linalg.inv and the per-point Lyapunov drift.
+    system = fd_isotropic_2d()
+    noise = FDNoise(seed=4, dt=1e-3, n_steps=40, n_paths=4, r_dim=2)
+    _, lim_s, lim_no = _assert_coupled_equals_separate(system, 0.05, noise, 0.2, False)
+    assert np.array_equal(lim_s.x, _reference_limit(system, noise, 0.2, True, 7)[1])
+    assert np.array_equal(lim_no.x, _reference_limit(system, noise, 0.2, False, 7)[1])
+    assert not np.array_equal(lim_s.x, lim_no.x)
+
+
+def test_divergence_raises_simulation_diverged():
+    # b(x) = 1e200 x with constant friction 2 and no noise: the limit state is
+    # 5e197 after one step and overflows at step 2; the inertial state first
+    # overflows at step 4 (x = 1, 1, 1e196, inf).
+    system = dataclasses.replace(
+        fd_scalar_system(friction="constant"),
+        b=lambda x: 1e200 * x,
+        sigma=lambda x: np.zeros((x.shape[0], 1, 1)),
+    )
+    noise = FDNoise(seed=0, dt=1e-2, n_steps=10, n_paths=3, r_dim=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationDiverged) as single_limit:
+            simulate_fd_limit(system, noise, 1.0, n_output=5)
+        with pytest.raises(SimulationDiverged) as single_inertial:
+            simulate_fd(system, 1.0, noise, 1.0, 0.0, n_output=5)
+        with pytest.raises(SimulationDiverged) as coupled:
+            simulate_fd_coupled(system, 1.0, noise, 1.0, 0.0, n_output=5)
+    assert single_limit.value.step == 2 and single_limit.value.t == pytest.approx(0.02)
+    assert single_inertial.value.step == 4 and single_inertial.value.t == pytest.approx(0.04)
+    assert coupled.value.step == 2
+    assert isinstance(coupled.value, RuntimeError)  # callers catching RuntimeError still work

@@ -122,6 +122,15 @@ def test_zero_path_and_batch():
         stack_paths([sample_path(0, 0.2, 0.01, 5), sample_path(0, 0.2, 0.02, 5)])
 
 
+def test_zero_path_validates_like_sample_path():
+    # t_final < dt, non-positive t_final or dt, and a grid that misses t_final
+    for t_final, dt in ((0.05, 0.1), (0.0, 0.1), (0.5, 0.0), (0.25, 0.1)):
+        with pytest.raises(ValueError):
+            zero_path(t_final, dt, 3)
+        with pytest.raises(ValueError):
+            sample_path(0, t_final, dt, 3)
+
+
 def test_binary_dump_round_trip(tmp_path):
     p = sample_path(-17, 0.3, 0.01, 4)
     fn = tmp_path / "path.bin"
