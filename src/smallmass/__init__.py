@@ -46,9 +46,9 @@ from .wave import (
     WaveSolver,
     WaveState,
     WaveTrajectory,
+    drive,
     eta_to_wave,
-    simulate_wave,
-    step_wave,
+    g_coeffs,
     wave_to_eta,
 )
 from .limit import (
@@ -56,9 +56,6 @@ from .limit import (
     LimitStateRho,
     LimitStateU,
     LimitTrajectory,
-    simulate_limit,
-    step_limit_rho,
-    step_limit_u,
     transform_rho_to_u,
     transform_u_to_rho,
 )

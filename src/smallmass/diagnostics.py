@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import SpectralBasis
-from .models import FrictionModel, ModelSet
+from .models import _GL_T, _GL_W, FrictionModel, ModelSet
 from .wave import WaveTrajectory
 
 N_MAX_METRIC = 16
@@ -39,14 +39,9 @@ N_MAX_METRIC = 16
 # Paired standard errors the drift-necessity excess must reach.
 Z_MIN_PAIRED = 3.0
 
-# Gauss-Legendre rule reused for Gamma(r) = r^2 int_0^1 t gamma(r t) dt.
-_GL_T, _GL_W = np.polynomial.legendre.leggauss(32)
-_GL_T = 0.5 * (_GL_T + 1.0)
-_GL_W = 0.5 * _GL_W
-
 
 def friction_energy_density(friction: FrictionModel, r) -> np.ndarray:
-    """Gamma(r) = int_0^r x gamma(x) dx, by a fixed Gauss-Legendre rule."""
+    """Gamma(r) = r^2 int_0^1 t gamma(r t) dt, on the Gauss-Legendre rule of g in models."""
     r = np.asarray(r, dtype=float)
     vals = friction.gamma(r[..., None] * _GL_T) * _GL_T
     return r * r * (vals @ _GL_W)

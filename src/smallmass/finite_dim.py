@@ -19,10 +19,10 @@ Monte Carlo runs are vectorized across paths; the driving increments come
 from a counter-based generator keyed by (seed, step), so the inertial and
 limit integrators consume identical noise when run at the same step size
 (common random numbers), and reruns with the same seed are bit-identical.
-One time loop (`_drive`) advances any set of integrators in lock step on a
-single draw per step; `simulate_fd_coupled` runs the inertial system and the
-limit with and without S together and gives the same bits as three separate
-runs.
+The runs use the package's one time loop, `wave.drive`, which advances any
+set of integrators in lock step on a single draw per step;
+`simulate_fd_coupled` runs the inertial system and the limit with and
+without S together and gives the same bits as three separate runs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .wave import SimulationDiverged, _output_indices
+from .wave import _initial_state, drive
 
 MAX_DIM = 8
 FD_STEP_REL = 1e-5
@@ -187,11 +187,17 @@ class FDTrajectory:
     mu: float | None = None
 
 
-def _initial_state(value, n_paths: int, dim: int) -> np.ndarray:
-    return np.broadcast_to(np.asarray(value, dtype=float), (n_paths, dim)).copy()
+class _FDStepper:
+    """drive() protocol shared by the fd steppers: the position x is checked and recorded."""
+
+    def observe(self) -> None:
+        pass
+
+    def record(self) -> tuple:
+        return (self.x,)
 
 
-class _InertialStepper:
+class _InertialStepper(_FDStepper):
     """Euler-Maruyama for the inertial system in (x, v), or in (x, p) with eta_transform."""
 
     def __init__(self, system, mu, noise, x0, v0, eta_transform, c_stab):
@@ -206,12 +212,12 @@ class _InertialStepper:
         if eta_transform and (system.dim != 1 or system.g_antideriv is None):
             raise ValueError("eta_transform requires a scalar system with g_antideriv")
         self.system, self.mu, self.dt, self.eta_transform = system, mu, noise.dt, eta_transform
-        self.x = _initial_state(x0, noise.n_paths, system.dim)
-        self.v = _initial_state(v0, noise.n_paths, system.dim)
+        self.x = _initial_state(x0, (noise.n_paths, system.dim))
+        self.v = _initial_state(v0, (noise.n_paths, system.dim))
         if eta_transform:
             self.p = mu * self.v + system.g_antideriv(self.x)
 
-    def step(self, dw: np.ndarray) -> None:
+    def step(self, dw: np.ndarray) -> tuple:
         system, mu, dt, x = self.system, self.mu, self.dt, self.x
         if self.eta_transform:
             gam = system.gamma(x)[:, 0, 0][:, None]
@@ -224,18 +230,19 @@ class _InertialStepper:
             forcing = np.einsum("pij,pj->pi", system.sigma(x), dw)
             self.x = x + dt * self.v
             self.v = self.v + (dt / mu) * acc + forcing / mu
+        return (self.x,)
 
 
-class _LimitStepper:
+class _LimitStepper(_FDStepper):
     """Euler-Maruyama for the limit SDE; with_S=False ablates the extra drift."""
 
     mu = None
 
     def __init__(self, system, noise, x0, with_S):
         self.system, self.dt, self.with_S = system, noise.dt, with_S
-        self.x = _initial_state(x0, noise.n_paths, system.dim)
+        self.x = _initial_state(x0, (noise.n_paths, system.dim))
 
-    def step(self, dw: np.ndarray) -> None:
+    def step(self, dw: np.ndarray) -> tuple:
         system, x = self.system, self.x
         gam = system.gamma(x)
         # A 1x1 inverse is 1/gamma, bit for bit, at a fraction of np.linalg.inv's cost.
@@ -245,31 +252,13 @@ class _LimitStepper:
             drift = drift + _drift_S_batch(system, x, gam)
         forcing = np.einsum("pij,pjk,pk->pi", ginv, system.sigma(x), dw)
         self.x = x + self.dt * drift + forcing
+        return (self.x,)
 
 
 def _drive(steppers: list, noise: FDNoise, n_output: int) -> list[FDTrajectory]:
-    """Advance the steppers in lock step, all on one draw of each step's increments.
-
-    Records every state on the common output grid and raises SimulationDiverged
-    at the first step that leaves any state non-finite.
-    """
-    dt = noise.dt
-    idx = _output_indices(noise.n_steps, n_output)
-    outs = [np.empty((len(idx),) + s.x.shape) for s in steppers]
-    for out, s in zip(outs, steppers):
-        out[0] = s.x
-    pos = 1
-    for k in range(noise.n_steps):
-        dw = noise.increments(k)
-        for s in steppers:
-            s.step(dw)
-            if not np.all(np.isfinite(s.x)):
-                raise SimulationDiverged(step=k + 1, t=(k + 1) * dt)
-        if pos < len(idx) and k + 1 == idx[pos]:
-            for out, s in zip(outs, steppers):
-                out[pos] = s.x
-            pos += 1
-    return [FDTrajectory(times=idx * dt, x=out, dt=dt, mu=s.mu) for out, s in zip(outs, steppers)]
+    """drive() the steppers on noise.increments and wrap each recorded x as an FDTrajectory."""
+    times, outs = drive(steppers, noise.n_steps, noise.dt, noise.increments, n_output)
+    return [FDTrajectory(times=times, x=x, dt=noise.dt, mu=s.mu) for (x,), s in zip(outs, steppers)]
 
 
 def simulate_fd(

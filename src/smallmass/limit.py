@@ -22,6 +22,9 @@ using div[b(rho) grad rho] = Lap(g^-1(rho)), with the same b_bar stabilizer:
 implicit b_bar*Lap rho_{n+1} plus explicit (Lap g^-1(rho_n) - b_bar Lap rho_n).
 No drift correction appears here; the quasilinear structure absorbs it, which
 is what the dual-form consistency test exercises.
+
+Both forms run on the time loop `wave.drive` and take their noise forcing
+from `noise.apply_noise`, the u-form with the 1/gamma weight.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .models import ModelSet, noise_induced_drift
-from .noise import NoisePath, PathBatch
-from .wave import SimulationDiverged, _output_indices
+from .noise import NoisePath, PathBatch, apply_noise
+from .wave import _initial_state, drive, g_coeffs
 
 
 @dataclass
@@ -61,8 +64,7 @@ def transform_u_to_rho(
     state: LimitStateU, basis: SpectralBasis, models: ModelSet
 ) -> LimitStateRho:
     """rho = g(u), applied nodally and re-analyzed."""
-    rho = basis.analyze(models.g_map.forward(basis.synthesize(state.u)))
-    return LimitStateRho(rho=rho, t=state.t)
+    return LimitStateRho(rho=g_coeffs(state.u, basis, models), t=state.t)
 
 
 def transform_rho_to_u(
@@ -105,10 +107,7 @@ class LimitSolver:
         explicit = (1.0 / gam - self.b_bar) * lap_nodal + m.reaction.f(u_nodal) / gam
         if self.with_drift and m.diffusion.sigma_sup != 0.0:
             explicit = explicit + noise_induced_drift(u_nodal, m.friction, m.diffusion)
-        rhs = u + dt * b.analyze(explicit)
-        if dbeta is not None and m.diffusion.sigma_sup != 0.0:
-            forced = b.synthesize(m.diffusion.q_spectrum * np.asarray(dbeta, dtype=float))
-            rhs = rhs + b.analyze(m.diffusion.lambda_sigma(u_nodal) / gam * forced)
+        rhs = u + dt * b.analyze(explicit) + apply_noise(u_nodal, dbeta, m.diffusion, b, gam)
         return rhs / (1.0 + dt * self.b_bar * b.alphas)
 
     def _step_rho(self, rho: np.ndarray, dt: float, dbeta) -> np.ndarray:
@@ -117,10 +116,11 @@ class LimitSolver:
         u_inv = m.g_map.inverse(rho_nodal)
         lap_ginv = b.laplacian(b.analyze(u_inv))
         explicit_sp = lap_ginv + self.b_bar * b.alphas * rho  # - b_bar*Lap rho_n
-        rhs = rho + dt * (explicit_sp + b.analyze(m.reaction.f(u_inv)))
-        if dbeta is not None and m.diffusion.sigma_sup != 0.0:
-            forced = b.synthesize(m.diffusion.q_spectrum * np.asarray(dbeta, dtype=float))
-            rhs = rhs + b.analyze(m.diffusion.lambda_sigma(u_inv) * forced)
+        rhs = (
+            rho
+            + dt * (explicit_sp + b.analyze(m.reaction.f(u_inv)))
+            + apply_noise(u_inv, dbeta, m.diffusion, b)
+        )
         return rhs / (1.0 + dt * self.b_bar * b.alphas)
 
     def step_u(self, state: LimitStateU, dt: float, dbeta=None) -> LimitStateU:
@@ -142,56 +142,27 @@ class LimitSolver:
         n_output: int = 200,
     ) -> LimitTrajectory:
         """Integrate over the driving path; `initial` is u0 or rho0 per the form."""
-        b = self.basis
-        dt = path.dt
         inc = path.increments
-        batched = inc.ndim == 3
-        y = np.asarray(initial, dtype=float)
-        if batched:
-            y = np.broadcast_to(y, (inc.shape[0], b.n_modes)).copy()
-        else:
-            y = y.copy()
-        stepper = self._step_u if self.form == "u" else self._step_rho
-
-        idx = _output_indices(path.n_steps, n_output)
-        times = idx * dt
-        out = np.empty((len(idx),) + y.shape)
-        sup_h = b.sobolev_norm(y, 0.0)
-        pos = 0
-        if idx[0] == 0:
-            out[0] = y
-            pos = 1
-        for k in range(path.n_steps):
-            y = stepper(y, dt, inc[..., :, k])
-            if not np.all(np.isfinite(y)):
-                raise SimulationDiverged(step=k + 1, t=(k + 1) * dt)
-            sup_h = np.maximum(sup_h, b.sobolev_norm(y, 0.0))
-            if pos < len(idx) and k + 1 == idx[pos]:
-                out[pos] = y
-                pos += 1
-        return LimitTrajectory(times=times, coeffs=out, form=self.form, dt=dt, sup_h=sup_h)
+        shape = inc.shape[:-2] + (self.basis.n_modes,)
+        run = _SpdeLimitStepper(self, _initial_state(initial, shape), path.dt)
+        times, [(out,)] = drive([run], path.n_steps, path.dt, lambda k: inc[..., :, k], n_output)
+        return LimitTrajectory(times=times, coeffs=out, form=self.form, dt=path.dt, sup_h=run.sup_h)
 
 
-def step_limit_u(
-    state: LimitStateU, dt: float, dbeta, basis: SpectralBasis, models: ModelSet, **kw
-) -> LimitStateU:
-    return LimitSolver(basis, models, form="u", **kw).step_u(state, dt, dbeta)
+class _SpdeLimitStepper:
+    """One limit run for drive(): the state (u or rho) and its running sup of the H-norm."""
 
+    def __init__(self, solver: LimitSolver, y: np.ndarray, dt: float):
+        self.advance = solver._step_u if solver.form == "u" else solver._step_rho
+        self.basis, self.y, self.dt = solver.basis, y, dt
+        self.sup_h = self.basis.sobolev_norm(y, 0.0)
 
-def step_limit_rho(
-    state: LimitStateRho, dt: float, dbeta, basis: SpectralBasis, models: ModelSet
-) -> LimitStateRho:
-    return LimitSolver(basis, models, form="rho").step_rho(state, dt, dbeta)
+    def step(self, dbeta) -> tuple:
+        self.y = self.advance(self.y, self.dt, dbeta)
+        return (self.y,)
 
+    def observe(self) -> None:
+        self.sup_h = np.maximum(self.sup_h, self.basis.sobolev_norm(self.y, 0.0))
 
-def simulate_limit(
-    basis: SpectralBasis,
-    models: ModelSet,
-    initial: np.ndarray,
-    path: NoisePath | PathBatch,
-    form: str = "u",
-    with_drift: bool = True,
-    n_output: int = 200,
-) -> LimitTrajectory:
-    solver = LimitSolver(basis, models, form=form, with_drift=with_drift)
-    return solver.simulate(initial, path, n_output=n_output)
+    def record(self) -> tuple:
+        return (self.y,)

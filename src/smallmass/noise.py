@@ -130,16 +130,26 @@ def zero_path(t_final: float, dt: float, n_modes: int) -> NoisePath:
 
 def apply_noise(
     u_nodal: np.ndarray,
-    dbeta: np.ndarray,
+    dbeta: np.ndarray | None,
     diffusion: DiffusionModel,
     basis: SpectralBasis,
-) -> np.ndarray:
-    """Coefficients of x -> lambda_sigma(u(x)) * sum_i lam_i e_i(x) dbeta_i."""
+    gam: np.ndarray | None = None,
+):
+    """Coefficients of x -> lambda_sigma(u(x)) * sum_i lam_i e_i(x) dbeta_i.
+
+    The noise forcing of every integrator.  With gam, the friction at the
+    nodes, the factor becomes lambda_sigma(u) / gamma(u), as in the limit
+    u-form.  Returns 0.0 when there is no increment (dbeta is None) or no
+    noise (sigma_sup == 0), so callers add the result unconditionally.
+    """
+    if dbeta is None or diffusion.sigma_sup == 0.0:
+        return 0.0
     dbeta = np.asarray(dbeta, dtype=float)
     if dbeta.shape[-1] != basis.n_modes:
         raise ValueError(f"expected {basis.n_modes} mode increments, got {dbeta.shape[-1]}")
     forced = basis.synthesize(diffusion.q_spectrum * dbeta)
-    return basis.analyze(diffusion.lambda_sigma(np.asarray(u_nodal, dtype=float)) * forced)
+    weight = diffusion.lambda_sigma(np.asarray(u_nodal, dtype=float))
+    return basis.analyze((weight if gam is None else weight / gam) * forced)
 
 
 # -- batching across Monte Carlo paths ---------------------------------------
@@ -147,13 +157,14 @@ def apply_noise(
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Stack of equally shaped NoisePaths for vectorized multi-path runs."""
+    """Stack of equally shaped NoisePaths, all at one refinement level, for batched runs."""
 
     seeds: tuple[int, ...]
     dt: float
     n_steps: int
     n_modes: int
     increments: np.ndarray  # (n_paths, n_modes, n_steps)
+    level: int = 0
 
     @property
     def n_paths(self) -> int:
@@ -165,7 +176,7 @@ class PathBatch:
             dt=self.dt,
             n_steps=self.n_steps,
             n_modes=self.n_modes,
-            level=0,
+            level=self.level,
             increments=self.increments[j],
         )
 
@@ -173,16 +184,17 @@ class PathBatch:
 def stack_paths(paths: list[NoisePath]) -> PathBatch:
     if not paths:
         raise ValueError("need at least one path")
-    dt, n_steps, n_modes = paths[0].dt, paths[0].n_steps, paths[0].n_modes
-    for p in paths[1:]:
-        if (p.dt, p.n_steps, p.n_modes) != (dt, n_steps, n_modes):
-            raise ValueError("all paths in a batch must share (dt, n_steps, n_modes)")
+    first = paths[0]
+    shared = (first.dt, first.n_steps, first.n_modes, first.level)
+    if any((p.dt, p.n_steps, p.n_modes, p.level) != shared for p in paths[1:]):
+        raise ValueError("paths in a batch must share dt, n_steps, n_modes and refinement level")
     return PathBatch(
         seeds=tuple(p.seed for p in paths),
-        dt=dt,
-        n_steps=n_steps,
-        n_modes=n_modes,
+        dt=first.dt,
+        n_steps=first.n_steps,
+        n_modes=first.n_modes,
         increments=np.stack([p.increments for p in paths]),
+        level=first.level,
     )
 
 

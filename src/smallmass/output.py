@@ -16,36 +16,31 @@ def _provenance_lines(cfg_hash: str, seed: int) -> list[str]:
     return [f"config_sha256={cfg_hash}", f"seed={seed}"]
 
 
-def write_csv(path, columns: dict[str, np.ndarray], cfg_hash: str, seed: int) -> Path:
+def _write_table(path, columns: dict, cfg_hash: str, seed: int, sep: str, head: str) -> Path:
+    """Provenance comments, a header line of column names, then one line per row."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     names = list(columns)
     arrays = [np.atleast_1d(np.asarray(columns[n])) for n in names]
     n = len(arrays[0])
     if any(len(a) != n for a in arrays):
-        raise ValueError("CSV columns must have equal length")
+        raise ValueError("table columns must have equal length")
     with open(path, "w") as fh:
         for line in _provenance_lines(cfg_hash, seed):
             fh.write(f"# {line}\n")
-        fh.write(",".join(names) + "\n")
+        fh.write(head + sep.join(names) + "\n")
         for k in range(n):
-            fh.write(",".join(repr(float(a[k])) for a in arrays) + "\n")
+            fh.write(sep.join(repr(float(a[k])) for a in arrays) + "\n")
     return path
+
+
+def write_csv(path, columns: dict[str, np.ndarray], cfg_hash: str, seed: int) -> Path:
+    return _write_table(path, columns, cfg_hash, seed, ",", "")
 
 
 def write_gnuplot(path, columns: dict[str, np.ndarray], cfg_hash: str, seed: int) -> Path:
     """Whitespace-separated data block with commented header, gnuplot-ready."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    names = list(columns)
-    arrays = [np.atleast_1d(np.asarray(columns[n])) for n in names]
-    with open(path, "w") as fh:
-        for line in _provenance_lines(cfg_hash, seed):
-            fh.write(f"# {line}\n")
-        fh.write("# " + " ".join(names) + "\n")
-        for k in range(len(arrays[0])):
-            fh.write(" ".join(repr(float(a[k])) for a in arrays) + "\n")
-    return path
+    return _write_table(path, columns, cfg_hash, seed, " ", "# ")
 
 
 def write_json(path, payload: dict, cfg: dict, cfg_hash: str) -> Path:

@@ -111,7 +111,10 @@ def resolvent_apply(
     The iteration is declared converged when the H-norm update drops below
     tol, then polished with one extra sweep so the reported residual is well
     inside the tolerance.  Three consecutive residual increases are treated
-    as loss of contraction and raise ResolventError naming lam.
+    as loss of contraction and raise ResolventError naming lam.  A stacked h
+    (one leading batch axis) is solved row by row, so every row stops on its
+    own residual and equals the same row solved alone; its info is then a
+    list with one SolveInfo per row.
     """
     if not 0.0 < lam < op.lambda_bar:
         raise ResolventError(
@@ -119,8 +122,23 @@ def resolvent_apply(
         )
     tol = op.tol if tol is None else tol
     max_iter = op.max_iter if max_iter is None else max_iter
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    h1, h2 = np.asarray(h[0], dtype=float), np.asarray(h[1], dtype=float)
+    if h1.ndim == 1:
+        u, eta, info = _fixed_point(op, h1, h2, lam, tol, max_iter)
+    else:  # row by row, so every row stops on its own residual
+        pairs = zip(h1, np.broadcast_to(h2, h1.shape))
+        u, eta, info = zip(*(_fixed_point(op, a, b, lam, tol, max_iter) for a, b in pairs))
+        u, eta, info = np.array(u), np.array(eta), list(info)
+    if return_info:
+        return (u, eta), info
+    return u, eta
+
+
+def _fixed_point(op: OperatorA, h1, h2, lam: float, tol: float, max_iter: int):
+    """resolvent_apply for one unstacked h = (h1, h2): returns (u, eta, SolveInfo)."""
     b, m, mu = op.basis, op.models, op.mass
-    h1, h2 = (np.asarray(h[0], dtype=float), np.asarray(h[1], dtype=float))
     denom = 1.0 + (lam * lam / mu) * b.alphas
     const = h1 + lam * h2
     u = h1.copy()
@@ -158,10 +176,7 @@ def resolvent_apply(
         )
     u_nodal = b.synthesize(u)
     eta = h2 + (lam / mu) * (b.laplacian(u) + b.analyze(m.reaction.f(u_nodal)))
-    z = (u, eta)
-    if return_info:
-        return z, SolveInfo(iterations=it, residual=res, contraction_ratios=np.array(ratios))
-    return z
+    return u, eta, SolveInfo(iterations=it, residual=res, contraction_ratios=np.array(ratios))
 
 
 def yosida_apply(op: OperatorA, z: tuple[np.ndarray, np.ndarray], lam: float):
@@ -202,7 +217,7 @@ def implicit_step_via_resolvent(op: OperatorA, state, dt: float, dbeta=None):
         raise ValueError("state mass and operator mass disagree")
     es = wave_to_eta(state, op.basis, op.models)
     eta = es.eta
-    if dbeta is not None and op.models.diffusion.sigma_sup != 0.0:
+    if dbeta is not None and op.models.diffusion.sigma_sup != 0.0:  # spares synthesizing u
         u_nodal = op.basis.synthesize(es.u)
         eta = eta + apply_noise(u_nodal, dbeta, op.models.diffusion, op.basis) / op.mass
     z = resolvent_apply(op, (es.u, eta), dt)

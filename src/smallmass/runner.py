@@ -30,7 +30,7 @@ from .finite_dim import (
 )
 from .limit import LimitSolver, LimitTrajectory
 from .resolvent import OperatorA, audit_operator
-from .wave import WaveSolver
+from .wave import WaveSolver, g_coeffs
 
 
 @dataclass
@@ -148,18 +148,9 @@ def run_converge(cfg: dict, out_dir) -> dict:
     h = config_hash(cfg)
     payload = {"report": report.as_dict(), "scaling_audit": _audit_dict(audit)}
     output.write_json(os.path.join(out_dir, "converge.json"), payload, cfg, h)
-    output.write_csv(
-        os.path.join(out_dir, "distances.csv"),
-        {"mu": np.array(report.ladder), "mean": np.array(report.mean), "se": np.array(report.se)},
-        h,
-        cfg["seed"],
-    )
-    output.write_gnuplot(
-        os.path.join(out_dir, "distances.dat"),
-        {"mu": np.array(report.ladder), "mean": np.array(report.mean), "se": np.array(report.se)},
-        h,
-        cfg["seed"],
-    )
+    cols = {"mu": np.array(report.ladder), "mean": np.array(report.mean), "se": np.array(report.se)}
+    output.write_csv(os.path.join(out_dir, "distances.csv"), cols, h, cfg["seed"])
+    output.write_gnuplot(os.path.join(out_dir, "distances.dat"), cols, h, cfg["seed"])
     base = noise.sample_path(cfg["seed"], cfg["time"]["t_final"], cfg["time"]["dt"], cfg["domain"]["n_modes"])
     noise.save_path(base, os.path.join(out_dir, "noise_path0.bin"))
     ok = report.flags["monotone"] and report.flags["ratio"]
@@ -198,11 +189,9 @@ def run_drift_ablation(cfg: dict, out_dir) -> dict:
     mu = cfg["ablation"]["mu"]
     batch = noise.sample_batch(cfg["seed"], cfg["paths"], t["t_final"], t["dt"], basis.n_modes)
     wave = _simulate_wave(cfg, basis, models, mu, u0, v0, batch)
-    with_h = LimitSolver(basis, models, form="u", with_drift=True).simulate(
-        u0, batch, n_output=t["n_output"]
-    )
-    no_h = LimitSolver(basis, models, form="u", with_drift=False).simulate(
-        u0, batch, n_output=t["n_output"]
+    with_h, no_h = (
+        LimitSolver(basis, models, with_drift=d).simulate(u0, batch, n_output=t["n_output"])
+        for d in (True, False)
     )
 
     def distance(a, b):
@@ -273,9 +262,7 @@ def run_simulate_limit(cfg: dict, out_dir) -> dict:
     t = cfg["time"]
     form = cfg["limit"]["form"]
     path = noise.sample_path(cfg["seed"], t["t_final"], t["dt_limit"], basis.n_modes)
-    initial = u0
-    if form == "rho":
-        initial = basis.analyze(models.g_map.forward(basis.synthesize(u0)))
+    initial = g_coeffs(u0, basis, models) if form == "rho" else u0
     traj = LimitSolver(basis, models, form=form, with_drift=cfg["limit"]["with_drift"]).simulate(
         initial, path, n_output=t["n_output"]
     )
@@ -331,7 +318,7 @@ def run_lyapunov(cfg: dict, out_dir) -> dict:
 def run_fd_converge(cfg: dict, out_dir) -> dict:
     fd = cfg["fd"]
     system = fd_scalar_system(friction=fd["friction"], sigma_value=fd["sigma"])
-    n_steps = int(round(fd["t_final"] / fd["dt"]))
+    n_steps = noise._n_steps(fd["t_final"], fd["dt"])
     fdnoise = FDNoise(
         seed=cfg["seed"], dt=fd["dt"], n_steps=n_steps, n_paths=fd["paths"], r_dim=system.r_dim
     )

@@ -38,6 +38,11 @@ resolvent_implicit
 
 A step policy dt <= c_stab * mu is advisable because the eta drift carries a
 1/mu factor; simulate() warns once when the driving path violates it.
+
+Every integrator of the package, wave, limit and finite-dimensional, runs on
+the one time loop `drive`, defined here; the noise forcing of every scheme is
+`noise.apply_noise`, and `g_coeffs` is the one conversion between u and
+g(u) that links v and eta.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .models import ModelSet
-from .noise import NoisePath, PathBatch
+from .noise import NoisePath, PathBatch, apply_noise
 
 SCHEMES = ("semi_implicit", "eta_form", "resolvent_implicit")
 
@@ -83,14 +88,19 @@ class EtaState:
     t: float = 0.0
 
 
+def g_coeffs(u: np.ndarray, basis: SpectralBasis, models: ModelSet) -> np.ndarray:
+    """Sine coefficients of g(u), the friction antiderivative applied at the nodes."""
+    return basis.analyze(models.g_map.forward(basis.synthesize(u)))
+
+
 def wave_to_eta(state: WaveState, basis: SpectralBasis, models: ModelSet) -> EtaState:
-    g_u = basis.analyze(models.g_map.forward(basis.synthesize(state.u)))
-    return EtaState(u=state.u.copy(), eta=state.v + g_u / state.mu, mu=state.mu, t=state.t)
+    eta = state.v + g_coeffs(state.u, basis, models) / state.mu
+    return EtaState(u=state.u.copy(), eta=eta, mu=state.mu, t=state.t)
 
 
 def eta_to_wave(state: EtaState, basis: SpectralBasis, models: ModelSet) -> WaveState:
-    g_u = basis.analyze(models.g_map.forward(basis.synthesize(state.u)))
-    return WaveState(u=state.u.copy(), v=state.eta - g_u / state.mu, mu=state.mu, t=state.t)
+    v = state.eta - g_coeffs(state.u, basis, models) / state.mu
+    return WaveState(u=state.u.copy(), v=v, mu=state.mu, t=state.t)
 
 
 @dataclass
@@ -111,8 +121,45 @@ class WaveTrajectory:
 
 
 def _output_indices(n_steps: int, n_output: int) -> np.ndarray:
-    idx = np.unique(np.round(np.linspace(0, n_steps, n_output + 1)).astype(int))
-    return idx
+    return np.unique(np.round(np.linspace(0, n_steps, n_output + 1)).astype(int))
+
+
+def drive(steppers: list, n_steps: int, dt: float, draw, n_output: int) -> tuple[np.ndarray, list]:
+    """The time loop: advance the steppers in lock step, all on draw(k) at step k.
+
+    A stepper's step(dbeta) advances its state in place and returns the state
+    arrays, which must stay finite: SimulationDiverged is raised at the first
+    step where one does not.  observe() then updates the stepper's running
+    quantities, and record() returns the arrays kept on the output grid.
+    Returns the output times and, per stepper, one (n_out, ...) array per
+    recorded quantity.
+    """
+    idx = _output_indices(n_steps, n_output)
+    outs = [[np.empty((len(idx),) + np.shape(a)) for a in s.record()] for s in steppers]
+
+    def store(pos: int) -> None:
+        for out, s in zip(outs, steppers):
+            for o, a in zip(out, s.record()):
+                o[pos] = a
+
+    store(0)
+    pos = 1
+    for k in range(n_steps):
+        dbeta = draw(k)
+        for s in steppers:
+            for a in s.step(dbeta):
+                if not np.isfinite(a).all():
+                    raise SimulationDiverged(step=k + 1, t=(k + 1) * dt)
+            s.observe()
+        if pos < len(idx) and k + 1 == idx[pos]:
+            store(pos)
+            pos += 1
+    return idx * dt, outs
+
+
+def _initial_state(value, shape: tuple) -> np.ndarray:
+    """Own copy of an initial state broadcast to shape, e.g. one row per path of a batch."""
+    return np.broadcast_to(np.asarray(value, dtype=float), shape).copy()
 
 
 class WaveSolver:
@@ -148,23 +195,23 @@ class WaveSolver:
             self._op = OperatorA(basis, models, mass=mu)
         else:
             self._op = None
+        # The scheme step on (u, second), second being v, or eta for eta_form.
+        self._advance = {
+            "semi_implicit": self._step_semi_implicit,
+            "eta_form": self._step_eta,
+            "resolvent_implicit": self._step_resolvent,
+        }[scheme]
 
     # -- single steps ---------------------------------------------------------
-
-    def _noise_coeffs(self, u_nodal: np.ndarray, dbeta) -> np.ndarray | None:
-        if dbeta is None or self.models.diffusion.sigma_sup == 0.0:
-            return None
-        b = self.basis
-        forced = b.synthesize(self.models.diffusion.q_spectrum * np.asarray(dbeta, dtype=float))
-        return b.analyze(self.models.diffusion.lambda_sigma(u_nodal) * forced)
 
     def _step_semi_implicit(self, u, v, dt, dbeta):
         b, m, mu = self.basis, self.models, self.mu
         u_nodal = b.synthesize(u)
-        r = mu * v + dt * (b.laplacian(u) + b.analyze(m.reaction.f(u_nodal)))
-        noise = self._noise_coeffs(u_nodal, dbeta)
-        if noise is not None:
-            r = r + noise
+        r = (
+            mu * v
+            + dt * (b.laplacian(u) + b.analyze(m.reaction.f(u_nodal)))
+            + apply_noise(u_nodal, dbeta, m.diffusion, b)
+        )
         w = mu * r / (mu + dt * dt * b.alphas)
         v_new = b.analyze(b.synthesize(w) / (mu + dt * m.friction.gamma(u_nodal)))
         return u + dt * v_new, v_new
@@ -180,30 +227,30 @@ class WaveSolver:
             w = w - phi / (1.0 + (dt / mu) * m.friction.gamma(w))
         u_new = b.analyze(w)
         rhs = b.laplacian(u_new) + b.analyze(m.reaction.f(u_nodal))
-        eta_new = eta + (dt / mu) * rhs
-        noise = self._noise_coeffs(u_nodal, dbeta)
-        if noise is not None:
-            eta_new = eta_new + noise / mu
+        eta_new = eta + (dt / mu) * rhs + apply_noise(u_nodal, dbeta, m.diffusion, b) / mu
         return u_new, eta_new
+
+    def _step_resolvent(self, u, v, dt, dbeta):
+        from .resolvent import implicit_step_via_resolvent
+
+        state = implicit_step_via_resolvent(
+            self._op, WaveState(u=u, v=v, mu=self.mu, t=0.0), dt, dbeta
+        )
+        return state.u, state.v
 
     def step(self, state: WaveState, dt: float, dbeta=None) -> WaveState:
         """Advance one step, accepting and returning the (u, v) representation."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        if self.scheme == "semi_implicit":
-            u, v = self._step_semi_implicit(state.u, state.v, dt, dbeta)
-            return WaveState(u=u, v=v, mu=state.mu, t=state.t + dt)
+        if abs(state.mu - self.mu) > 1e-15 * max(1.0, self.mu):
+            raise ValueError(f"state mass {state.mu} differs from the solver mass {self.mu}")
         if self.scheme == "eta_form":
             es = wave_to_eta(state, self.basis, self.models)
-            es = self.step_eta(es, dt, dbeta)
+            u, eta = self._step_eta(es.u, es.eta, dt, dbeta)
+            es = EtaState(u=u, eta=eta, mu=state.mu, t=state.t + dt)
             return eta_to_wave(es, self.basis, self.models)
-        from .resolvent import implicit_step_via_resolvent
-
-        return implicit_step_via_resolvent(self._op, state, dt, dbeta)
-
-    def step_eta(self, state: EtaState, dt: float, dbeta=None) -> EtaState:
-        u, eta = self._step_eta(state.u, state.eta, dt, dbeta)
-        return EtaState(u=u, eta=eta, mu=state.mu, t=state.t + dt)
+        u, v = self._advance(state.u, state.v, dt, dbeta)
+        return WaveState(u=u, v=v, mu=state.mu, t=state.t + dt)
 
     # -- trajectories ---------------------------------------------------------
 
@@ -220,7 +267,7 @@ class WaveSolver:
         the whole bundle advances in lock step; results are identical to
         running the member paths one at a time.
         """
-        b, m, mu = self.basis, self.models, self.mu
+        b, mu = self.basis, self.mu
         dt = path.dt
         if dt > self.c_stab * mu * (1.0 + 1e-12):
             warnings.warn(
@@ -239,118 +286,50 @@ class WaveSolver:
                     stacklevel=2,
                 )
         inc = path.increments  # (N, K) or (P, N, K)
-        batched = inc.ndim == 3
-        u = np.asarray(u0, dtype=float)
-        v = np.asarray(v0, dtype=float)
-        if batched:
-            shape = (inc.shape[0], b.n_modes)
-            u = np.broadcast_to(u, shape).copy()
-            v = np.broadcast_to(v, shape).copy()
-        else:
-            u = u.copy()
-            v = v.copy()
-
-        eta_mode = self.scheme == "eta_form"
-        if eta_mode:
-            g_u = b.analyze(m.g_map.forward(b.synthesize(u)))
-            second = v + g_u / mu
-            advance = self._step_eta
-        elif self.scheme == "semi_implicit":
-            second = v
-            advance = self._step_semi_implicit
-        else:
-            second = v
-            advance = self._resolvent_step
-
-        idx = _output_indices(path.n_steps, n_output)
-        times = idx * dt
-        out_u = np.empty((len(idx),) + u.shape)
-        out_v = np.empty_like(out_u)
-
-        def velocity(u_c, second_c):
-            if eta_mode:
-                return second_c - b.analyze(m.g_map.forward(b.synthesize(u_c))) / mu
-            return second_c
-
-        sup_u_h = b.sobolev_norm(u, 0.0)
-        sup_u_h1 = b.sobolev_norm(u, 1.0)
-        v_now = velocity(u, second)
-        sup_v_h = b.sobolev_norm(v_now, 0.0)
-        sup_energy = sup_u_h1**2 + mu * sup_v_h**2
-        int_u_h1_sq = np.zeros_like(sup_u_h)
-        int_v_h_sq = np.zeros_like(sup_u_h)
-
-        out_pos = 0
-        if idx[0] == 0:
-            out_u[0], out_v[0] = u, v_now
-            out_pos = 1
-
-        for k in range(path.n_steps):
-            dbeta = inc[..., :, k]
-            u, second = advance(u, second, dt, dbeta)
-            if not np.all(np.isfinite(u)) or not np.all(np.isfinite(second)):
-                raise SimulationDiverged(step=k + 1, t=(k + 1) * dt)
-
-            nu = b.sobolev_norm(u, 0.0)
-            nu1 = b.sobolev_norm(u, 1.0)
-            v_now = velocity(u, second)
-            nv = b.sobolev_norm(v_now, 0.0)
-            sup_u_h = np.maximum(sup_u_h, nu)
-            sup_u_h1 = np.maximum(sup_u_h1, nu1)
-            sup_v_h = np.maximum(sup_v_h, nv)
-            sup_energy = np.maximum(sup_energy, nu1**2 + mu * nv**2)
-            int_u_h1_sq = int_u_h1_sq + dt * nu1**2
-            int_v_h_sq = int_v_h_sq + dt * nv**2
-
-            if out_pos < len(idx) and k + 1 == idx[out_pos]:
-                out_u[out_pos], out_v[out_pos] = u, v_now
-                out_pos += 1
-
-        return WaveTrajectory(
-            times=times,
-            u=out_u,
-            v=out_v,
-            mu=mu,
-            dt=dt,
-            sup_u_h=sup_u_h,
-            sup_u_h1=sup_u_h1,
-            sup_v_h=sup_v_h,
-            sup_energy=sup_energy,
-            int_u_h1_sq=int_u_h1_sq,
-            int_v_h_sq=int_v_h_sq,
-        )
-
-    def _resolvent_step(self, u, v, dt, dbeta):
-        from .resolvent import implicit_step_via_resolvent
-
-        state = implicit_step_via_resolvent(
-            self._op, WaveState(u=u, v=v, mu=self.mu, t=0.0), dt, dbeta
-        )
-        return state.u, state.v
+        shape = inc.shape[:-2] + (b.n_modes,)
+        run = _WaveStepper(self, _initial_state(u0, shape), _initial_state(v0, shape), dt)
+        times, [(u, v)] = drive([run], path.n_steps, dt, lambda k: inc[..., :, k], n_output)
+        return WaveTrajectory(times=times, u=u, v=v, mu=mu, dt=dt, **run.norms)
 
 
-def step_wave(
-    state: WaveState,
-    dt: float,
-    dbeta,
-    scheme: str,
-    basis: SpectralBasis,
-    models: ModelSet,
-    **kw,
-) -> WaveState:
-    """One-shot step without keeping a solver around."""
-    return WaveSolver(basis, models, state.mu, scheme=scheme, **kw).step(state, dt, dbeta)
+class _WaveStepper:
+    """One wave run for drive(): the scheme state, its velocity and the running norms."""
 
+    def __init__(self, solver: WaveSolver, u: np.ndarray, v: np.ndarray, dt: float):
+        self.solver, self.dt, self.u = solver, dt, u
+        self.eta_mode = solver.scheme == "eta_form"
+        self.second = v + self._g_over_mu() if self.eta_mode else v
+        nu, nu1, nv = self._norms()
+        self.norms = {  # the running sups and time integrals of WaveTrajectory
+            "sup_u_h": nu,
+            "sup_u_h1": nu1,
+            "sup_v_h": nv,
+            "sup_energy": nu1**2 + solver.mu * nv**2,
+            "int_u_h1_sq": np.zeros_like(nu),
+            "int_v_h_sq": np.zeros_like(nu),
+        }
 
-def simulate_wave(
-    basis: SpectralBasis,
-    models: ModelSet,
-    mu: float,
-    u0: np.ndarray,
-    v0: np.ndarray,
-    path: NoisePath | PathBatch,
-    scheme: str = "eta_form",
-    n_output: int = 200,
-    **kw,
-) -> WaveTrajectory:
-    return WaveSolver(basis, models, mu, scheme=scheme, **kw).simulate(u0, v0, path, n_output)
+    def _g_over_mu(self) -> np.ndarray:
+        return g_coeffs(self.u, self.solver.basis, self.solver.models) / self.solver.mu
+
+    def _norms(self) -> tuple:
+        """Set v from the state; return ||u||_H, ||u||_H1 and ||v||_H."""
+        self.v = self.second - self._g_over_mu() if self.eta_mode else self.second
+        norm = self.solver.basis.sobolev_norm
+        return norm(self.u, 0.0), norm(self.u, 1.0), norm(self.v, 0.0)
+
+    def step(self, dbeta) -> tuple:
+        self.u, self.second = self.solver._advance(self.u, self.second, self.dt, dbeta)
+        return self.u, self.second
+
+    def observe(self) -> None:
+        nu, nu1, nv = self._norms()
+        n, mu, dt = self.norms, self.solver.mu, self.dt
+        for key, new in (("sup_u_h", nu), ("sup_u_h1", nu1), ("sup_v_h", nv)):
+            n[key] = np.maximum(n[key], new)
+        n["sup_energy"] = np.maximum(n["sup_energy"], nu1**2 + mu * nv**2)
+        n["int_u_h1_sq"] = n["int_u_h1_sq"] + dt * nu1**2
+        n["int_v_h_sq"] = n["int_v_h_sq"] + dt * nv**2
+
+    def record(self) -> tuple:
+        return self.u, self.v

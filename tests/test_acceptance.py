@@ -24,8 +24,7 @@ from smallmass.finite_dim import (
     drift_S,
     fd_scalar_system,
     lyapunov_residual,
-    simulate_fd,
-    simulate_fd_limit,
+    simulate_fd_coupled,
     solve_lyapunov,
 )
 from smallmass.limit import LimitSolver
@@ -122,9 +121,10 @@ def test_criterion_3_finite_dimensional_drift():
     fdnoise = FDNoise(
         seed=42, dt=dt, n_steps=int(round(t_final / dt)), n_paths=n_paths, r_dim=1
     )
-    inertial = simulate_fd(system, mu, fdnoise, 0.0, 0.0, n_output=4, eta_transform=True)
-    lim_s = simulate_fd_limit(system, fdnoise, 0.0, with_S=True, n_output=4)
-    lim_no = simulate_fd_limit(system, fdnoise, 0.0, with_S=False, n_output=4)
+    # The inertial run and the limits with and without S, in lock step on one draw per step.
+    inertial, lim_s, lim_no = simulate_fd_coupled(
+        system, mu, fdnoise, 0.0, 0.0, n_output=4, eta_transform=True
+    )
     xa = inertial.x[-1][:, 0]
 
     def z_scores(xb):

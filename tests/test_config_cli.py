@@ -189,6 +189,19 @@ def test_cli_simulate_wave_and_limit(tmp_path):
     assert np.allclose(coeffs[:, 0], [float(r[1]) for r in rows], atol=0)
 
 
+def test_table_writers_bytes_and_column_check(tmp_path):
+    from smallmass.output import write_csv, write_gnuplot
+
+    cols = {"a": np.array([1.0, 2.0]), "b": np.array([0.5, -1e-20])}
+    csv = write_csv(tmp_path / "x.csv", cols, "h", 3).read_text()
+    dat = write_gnuplot(tmp_path / "x.dat", cols, "h", 3).read_text()
+    assert csv == "# config_sha256=h\n# seed=3\na,b\n1.0,0.5\n2.0,-1e-20\n"
+    assert dat == "# config_sha256=h\n# seed=3\n# a b\n1.0 0.5\n2.0 -1e-20\n"
+    for writer in (write_csv, write_gnuplot):
+        with pytest.raises(ValueError, match="equal length"):
+            writer(tmp_path / "bad", {"a": np.ones(2), "b": np.ones(3)}, "h", 3)
+
+
 def test_trajectory_binary_round_trip(tmp_path):
     from smallmass.output import load_trajectory_bin, save_trajectory_bin
 
@@ -280,6 +293,19 @@ def test_cli_fd_converge_small(tmp_path):
     doc = json.loads((out / "fd_converge.json").read_text())
     assert doc["fd"]["paths"] == 200
     assert (out / "fd_means.csv").exists()
+
+
+def test_fd_time_grid_fails_by_name(tmp_path):
+    # A dt that does not divide t_final, exceeds it, or is zero raises by name
+    # instead of running to the wrong time (0.3 -> t = 0.9), running no step
+    # (2.0) or dividing by zero.
+    from smallmass.runner import run_fd_converge
+
+    for dt in (0.3, 2.0, 0.0):
+        cfg = validate_config({"fd": {"dt": dt, "t_final": 1.0, "paths": 10}})
+        with pytest.raises(ValueError, match="dt"):
+            run_fd_converge(cfg, tmp_path)
+    assert not (tmp_path / "fd_converge.json").exists()
 
 
 def test_cli_scaling_audit_small(tmp_path):

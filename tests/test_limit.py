@@ -6,8 +6,6 @@ from smallmass.limit import (
     LimitSolver,
     LimitStateRho,
     LimitStateU,
-    step_limit_rho,
-    step_limit_u,
     transform_rho_to_u,
     transform_u_to_rho,
 )
@@ -106,9 +104,9 @@ def test_transform_round_trips(basis):
 def test_single_steps_and_validation(basis):
     m = models_for(basis)
     db = np.zeros(16)
-    s1 = step_limit_u(LimitStateU(u=bump(basis)), 1e-3, db, basis, m)
+    s1 = LimitSolver(basis, m, form="u").step_u(LimitStateU(u=bump(basis)), 1e-3, db)
     assert s1.t == 1e-3 and np.all(np.isfinite(s1.u))
-    s2 = step_limit_rho(LimitStateRho(rho=bump(basis)), 1e-3, db, basis, m)
+    s2 = LimitSolver(basis, m, form="rho").step_rho(LimitStateRho(rho=bump(basis)), 1e-3, db)
     assert s2.t == 1e-3 and np.all(np.isfinite(s2.rho))
     with pytest.raises(ValueError):
         LimitSolver(basis, m, form="w")
@@ -158,8 +156,10 @@ def test_batched_matches_per_path(basis):
     m = models_for(basis)
     paths = [sample_path(400 + j, 0.02, 5e-4, 16) for j in range(3)]
     batch = stack_paths(paths)
-    solver = LimitSolver(basis, m, form="u")
-    tb = solver.simulate(bump(basis), batch, n_output=10)
-    for j, p in enumerate(paths):
-        tj = solver.simulate(bump(basis), p, n_output=10)
-        assert np.allclose(tb.coeffs[:, j], tj.coeffs, atol=1e-13)
+    for form in ("u", "rho"):
+        solver = LimitSolver(basis, m, form=form)
+        tb = solver.simulate(bump(basis), batch, n_output=10)
+        for j, p in enumerate(paths):
+            tj = solver.simulate(bump(basis), p, n_output=10)
+            assert np.allclose(tb.coeffs[:, j], tj.coeffs, atol=1e-13)
+            assert np.array_equal(tb.coeffs[:, j], tj.coeffs), form

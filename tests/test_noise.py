@@ -122,6 +122,38 @@ def test_zero_path_and_batch():
         stack_paths([sample_path(0, 0.2, 0.01, 5), sample_path(0, 0.2, 0.02, 5)])
 
 
+def test_batch_keeps_the_refinement_level():
+    # A path taken back out of a refined batch refines like the path itself:
+    # the next bridge level is drawn from fresh streams, not the used ones.
+    p = sample_path(5, 0.2, 0.01, 3)
+    fine = refine(p)
+    batch = stack_paths([fine, refine(sample_path(6, 0.2, 0.01, 3))])
+    assert batch.level == 1 and batch.path(0).level == 1
+    again = refine(batch.path(0))
+    assert again.level == 2
+    assert np.array_equal(again.increments, refine(fine).increments)
+    assert sample_batch(5, 2, 0.2, 0.01, 3).path(1).level == 0
+    with pytest.raises(ValueError, match="refinement level"):
+        stack_paths([fine, refine(refine(sample_path(6, 0.2, 0.02, 3)))])
+    with pytest.raises(ValueError, match="refinement level"):
+        stack_paths([fine, sample_path(6, 0.2, 0.005, 3)])
+
+
+def test_apply_noise_returns_zero_without_noise_and_takes_a_weight():
+    basis = build_basis(DomainSpec(1.0, 8))
+    diff = build_diffusion(basis, factor="cosine", q=1.0)
+    u_nodal = np.sin(np.pi * basis.x)
+    db = np.linspace(-0.3, 0.4, 8)
+    assert apply_noise(u_nodal, None, diff, basis) == 0.0
+    assert apply_noise(u_nodal, db, build_diffusion(basis, factor="zero"), basis) == 0.0
+    gam = 2.0 + np.sin(u_nodal)
+    forced = basis.synthesize(diff.q_spectrum * db)
+    expected = basis.analyze(diff.lambda_sigma(u_nodal) / gam * forced)
+    assert np.array_equal(apply_noise(u_nodal, db, diff, basis, gam), expected)
+    with pytest.raises(ValueError, match="mode increments"):
+        apply_noise(u_nodal, db[:5], diff, basis)
+
+
 def test_zero_path_validates_like_sample_path():
     # t_final < dt, non-positive t_final or dt, and a grid that misses t_final
     for t_final, dt in ((0.05, 0.1), (0.0, 0.1), (0.5, 0.0), (0.25, 0.1)):

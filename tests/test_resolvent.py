@@ -50,6 +50,27 @@ def test_linear_resolvent_closed_form(basis):
     assert abs(z[1][0] - lam * (-basis.alphas[0]) * expected) < 1e-8
 
 
+def test_stacked_resolvent_solves_rows_alone(op, basis):
+    # Every row stops on its own residual, so a stacked solve equals the rows
+    # solved one at a time, bit for bit.
+    rng = np.random.default_rng(4)
+    h1 = rng.normal(size=(3, 16)) / np.arange(1, 17) ** 2
+    h2 = rng.normal(size=(3, 16)) / np.arange(1, 17)
+    h1[1] *= 1e-3  # converges in fewer iterations than its neighbours
+    (u, eta), infos = resolvent_apply(op, (h1, h2), 0.05, return_info=True)
+    assert len(infos) == 3
+    for j in range(3):
+        (uj, etaj), info = resolvent_apply(op, (h1[j], h2[j]), 0.05, return_info=True)
+        assert np.array_equal(u[j], uj) and np.array_equal(eta[j], etaj)
+        assert infos[j].iterations == info.iterations
+    assert len({i.iterations for i in infos}) > 1
+
+
+def test_iteration_cap_must_be_positive(op):
+    with pytest.raises(ValueError, match="max_iter"):
+        resolvent_apply(op, (np.ones(16), np.zeros(16)), 0.05, max_iter=0)
+
+
 def test_resolvent_round_trip(op, basis):
     rng = np.random.default_rng(8)
     lam = 0.05

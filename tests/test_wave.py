@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from smallmass.basis import DomainSpec, build_basis
+from smallmass.limit import LimitSolver
 from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
 from smallmass.noise import refine, sample_path, stack_paths, zero_path
 from smallmass.wave import (
@@ -10,7 +11,6 @@ from smallmass.wave import (
     WaveSolver,
     WaveState,
     eta_to_wave,
-    step_wave,
     wave_to_eta,
 )
 
@@ -41,7 +41,7 @@ def test_single_step_closed_form(basis):
     u0 = np.zeros(16)
     u0[0] = 1.0
     state = WaveState(u=u0, v=np.zeros(16), mu=mu)
-    out = step_wave(state, dt, None, "semi_implicit", basis, lin)
+    out = WaveSolver(basis, lin, mu, scheme="semi_implicit").step(state, dt, None)
     a1 = basis.alphas[0]
     v1 = -dt * a1 * mu / ((mu + dt**2 * a1) * (mu + dt))
     assert abs(out.v[0] - v1) < 1e-15
@@ -158,17 +158,31 @@ def test_eta_state_round_trip(basis):
 
 
 def test_batched_simulation_matches_per_path(basis):
+    # Bit for bit, for every wave scheme and both limit forms (with and
+    # without the drift): a batch row is the same path run alone.
     m = models_for(basis)
     mu = 0.05
     paths = [sample_path(200 + j, 0.05, 5e-4, 16) for j in range(3)]
     batch = stack_paths(paths)
-    solver = WaveSolver(basis, m, mu)
-    tb = solver.simulate(bump(basis), np.zeros(16), batch, n_output=10)
-    for j, p in enumerate(paths):
-        tj = solver.simulate(bump(basis), np.zeros(16), p, n_output=10)
-        assert np.allclose(tb.u[:, j], tj.u, atol=1e-13)
-        assert abs(tb.sup_v_h[j] - tj.sup_v_h) < 1e-12
-        assert abs(tb.int_u_h1_sq[j] - tj.int_u_h1_sq) < 1e-12
+    for scheme in ("eta_form", "semi_implicit", "resolvent_implicit"):
+        solver = WaveSolver(basis, m, mu, scheme=scheme)
+        tb = solver.simulate(bump(basis), np.zeros(16), batch, n_output=10)
+        for j, p in enumerate(paths):
+            tj = solver.simulate(bump(basis), np.zeros(16), p, n_output=10)
+            assert np.allclose(tb.u[:, j], tj.u, atol=1e-13)
+            assert abs(tb.sup_v_h[j] - tj.sup_v_h) < 1e-12
+            assert abs(tb.int_u_h1_sq[j] - tj.int_u_h1_sq) < 1e-12
+            assert np.array_equal(tb.u[:, j], tj.u), scheme
+            assert np.array_equal(tb.v[:, j], tj.v), scheme
+            for f in ("sup_u_h", "sup_u_h1", "sup_v_h", "sup_energy", "int_u_h1_sq", "int_v_h_sq"):
+                assert getattr(tb, f)[j] == getattr(tj, f), (scheme, f)
+    for form, with_drift in (("u", True), ("u", False), ("rho", True)):
+        solver = LimitSolver(basis, m, form=form, with_drift=with_drift)
+        lb = solver.simulate(bump(basis), batch, n_output=10)
+        for j, p in enumerate(paths):
+            lj = solver.simulate(bump(basis), p, n_output=10)
+            assert np.array_equal(lb.coeffs[:, j], lj.coeffs), (form, with_drift)
+            assert lb.sup_h[j] == lj.sup_h, (form, with_drift)
 
 
 def test_divergence_detection(basis):
@@ -202,6 +216,26 @@ def test_scheme_validation(basis):
         WaveSolver(basis, m, -0.1)
     with pytest.raises(ValueError):
         WaveSolver(basis, m, 0.1).step(WaveState(u=np.zeros(16), v=np.zeros(16), mu=0.1), -1e-3)
+
+
+@pytest.mark.parametrize("scheme", ["semi_implicit", "eta_form", "resolvent_implicit"])
+def test_step_rejects_a_state_of_another_mass(basis, scheme):
+    solver = WaveSolver(basis, models_for(basis), 0.1, scheme=scheme)
+    with pytest.raises(ValueError, match="mass"):
+        solver.step(WaveState(u=np.zeros(16), v=np.zeros(16), mu=0.2), 1e-3)
+
+
+def test_step_agrees_with_one_step_of_simulate(basis):
+    # step() and simulate() share each scheme's step function.
+    m = models_for(basis)
+    p = sample_path(91, 1e-3, 1e-3, 16)
+    for scheme in ("semi_implicit", "eta_form", "resolvent_implicit"):
+        solver = WaveSolver(basis, m, 0.05, scheme=scheme)
+        traj = solver.simulate(bump(basis), 0.2 * bump(basis), p, n_output=1)
+        state = WaveState(u=bump(basis), v=0.2 * bump(basis), mu=0.05)
+        st = solver.step(state, p.dt, p.increments[:, 0])
+        assert np.array_equal(st.u, traj.u[-1]), scheme
+        assert np.array_equal(st.v, traj.v[-1]), scheme
 
 
 def test_sup_trackers_record_every_step(basis):
