@@ -11,7 +11,7 @@ a mass ladder) to verify the convergence and the drift formulas, in both the
 infinite-dimensional and the classical finite-dimensional settings.
 """
 
-from .basis import DomainSpec, SpectralBasis, SpectralField, build_basis
+from .basis import DomainSpec, SpectralBasis, build_basis
 from .models import (
     AntiderivativeMap,
     DiffusionModel,
@@ -41,29 +41,18 @@ from .noise import (
     zero_path,
 )
 from .wave import (
-    EtaState,
     SimulationDiverged,
     WaveSolver,
     WaveState,
     WaveTrajectory,
     drive,
-    eta_to_wave,
     g_coeffs,
-    wave_to_eta,
 )
-from .limit import (
-    LimitSolver,
-    LimitStateRho,
-    LimitStateU,
-    LimitTrajectory,
-    transform_rho_to_u,
-    transform_u_to_rho,
-)
+from .limit import LimitSolver, LimitTrajectory
 from .resolvent import (
     OperatorA,
     ResolventError,
     audit_operator,
-    implicit_step_via_resolvent,
     resolvent_apply,
     yosida_apply,
 )

@@ -53,22 +53,6 @@ class DomainSpec:
             )
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """A field represented by its sine coefficients (b_1, ..., b_N)."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-
-
-def _coeffs(f) -> np.ndarray:
-    if isinstance(f, SpectralField):
-        return f.coeffs
-    return np.asarray(f, dtype=float)
-
-
 class SpectralBasis:
     """Eigenpairs, nodal grid, quadrature and transforms for one DomainSpec.
 
@@ -95,7 +79,7 @@ class SpectralBasis:
 
     def synthesize(self, f) -> np.ndarray:
         """Evaluate a coefficient vector on the nodal grid."""
-        c = _coeffs(f)
+        c = np.asarray(f, dtype=float)
         if c.shape[-1] != self.n_modes:
             raise ValueError(f"expected {self.n_modes} coefficients, got {c.shape[-1]}")
         pad = np.zeros(c.shape[:-1] + (self.n_nodes,), dtype=float)
@@ -111,7 +95,7 @@ class SpectralBasis:
 
     def laplacian(self, f) -> np.ndarray:
         """Apply the Dirichlet Laplacian: coefficient-wise multiplication by -alpha_i."""
-        return -self.alphas * _coeffs(f)
+        return -self.alphas * np.asarray(f, dtype=float)
 
     def eigenfunction(self, i: int, x) -> np.ndarray:
         """Evaluate e_i (1-based index) at arbitrary points."""
@@ -124,12 +108,13 @@ class SpectralBasis:
 
     def sobolev_norm(self, f, s: float = 0.0):
         """H^s norm, (sum_i alpha_i^s b_i^2)^(1/2), for any real s."""
-        c = _coeffs(f)
+        c = np.asarray(f, dtype=float)
         return np.sqrt(np.sum(self.alphas**s * c * c, axis=-1))
 
     def inner(self, f, g, s: float = 0.0):
         """H^s inner product of two coefficient vectors."""
-        return np.sum(self.alphas**s * _coeffs(f) * _coeffs(g), axis=-1)
+        f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
+        return np.sum(self.alphas**s * f * g, axis=-1)
 
     def integrate(self, values: np.ndarray):
         """Quadrature of nodal values over the domain."""

@@ -96,7 +96,7 @@ class MetricReport:
     """Distances between two trajectories on a common time grid.
 
     All sums are per trailing batch element; scalars for unbatched input.
-    d_x1 / d_x2 are None when the `which` selector did not ask for them.
+    d_x1 / d_x2 are None for a report computed with which="plain".
     """
 
     d_x1: np.ndarray | None
@@ -127,8 +127,8 @@ def metric_distance(
 ) -> MetricReport:
     """Distance report between coefficient trajectories of shape (T, ..., N).
 
-    which selects the n_max-term sums computed: "all" both, "x1" or "x2" one,
-    "plain" neither.  sup_hm1 and l2_h are computed for every selector.
+    which="all" computes the n_max-term sums d_x1 and d_x2; "plain" skips
+    them.  sup_hm1 and l2_h are computed for both.
     """
     a = np.asarray(coeffs_a, dtype=float)
     b = np.asarray(coeffs_b, dtype=float)
@@ -137,7 +137,7 @@ def metric_distance(
     times = np.asarray(times, dtype=float)
     if len(times) != a.shape[0]:
         raise ValueError("time grid does not match trajectories")
-    if which not in ("all", "x1", "x2", "plain"):
+    if which not in ("all", "plain"):
         raise ValueError(f"unknown metric selector {which!r}")
     diff_sq = (a - b) ** 2  # (T, ..., N)
 
@@ -145,13 +145,12 @@ def metric_distance(
         return np.sqrt(diff_sq @ basis.alphas**s)  # (T, ...)
 
     h_t = h_norms(0.0)
-    d_x1 = 0.0 if which in ("all", "x1") else None
-    d_x2 = 0.0 if which in ("all", "x2") else None
-    for n in range(1, n_max + 1):
-        w = 2.0**-n
-        if d_x1 is not None:
+    d_x1 = d_x2 = None
+    if which == "all":
+        d_x1 = d_x2 = 0.0
+        for n in range(1, n_max + 1):
+            w = 2.0**-n
             d_x1 = d_x1 + w * np.minimum(np.max(h_norms(-1.0 / n), axis=0), 1.0)
-        if d_x2 is not None:
             ln = (np.trapezoid(h_t**n, times, axis=0)) ** (1.0 / n)
             d_x2 = d_x2 + w * np.minimum(ln, 1.0)
     sup_hm1 = np.max(h_norms(-1.0), axis=0)

@@ -23,8 +23,10 @@ implicit b_bar*Lap rho_{n+1} plus explicit (Lap g^-1(rho_n) - b_bar Lap rho_n).
 No drift correction appears here; the quasilinear structure absorbs it, which
 is what the dual-form consistency test exercises.
 
-Both forms run on the time loop `wave.drive` and take their noise forcing
-from `noise.apply_noise`, the u-form with the 1/gamma weight.
+A solver advances the state of its own form, u or rho, in sine
+coefficients; `wave.g_coeffs(u, basis, models)` gives the rho0 that matches
+an initial u0.  Both forms run on the time loop `wave.drive` and take their
+noise forcing from `noise.apply_noise`, the u-form with the 1/gamma weight.
 """
 
 from __future__ import annotations
@@ -36,19 +38,7 @@ import numpy as np
 from .basis import SpectralBasis
 from .models import ModelSet, noise_induced_drift
 from .noise import NoisePath, PathBatch, apply_noise
-from .wave import _initial_state, drive, g_coeffs
-
-
-@dataclass
-class LimitStateU:
-    u: np.ndarray
-    t: float = 0.0
-
-
-@dataclass
-class LimitStateRho:
-    rho: np.ndarray
-    t: float = 0.0
+from .wave import _initial_state, drive
 
 
 @dataclass
@@ -58,21 +48,6 @@ class LimitTrajectory:
     form: str
     dt: float
     sup_h: np.ndarray  # running sup_t ||.||_H over all steps
-
-
-def transform_u_to_rho(
-    state: LimitStateU, basis: SpectralBasis, models: ModelSet
-) -> LimitStateRho:
-    """rho = g(u), applied nodally and re-analyzed."""
-    return LimitStateRho(rho=g_coeffs(state.u, basis, models), t=state.t)
-
-
-def transform_rho_to_u(
-    state: LimitStateRho, basis: SpectralBasis, models: ModelSet
-) -> LimitStateU:
-    """u = g^-1(rho); inversion failures propagate."""
-    u = basis.analyze(models.g_map.inverse(basis.synthesize(state.rho)))
-    return LimitStateU(u=u, t=state.t)
 
 
 class LimitSolver:
@@ -96,10 +71,11 @@ class LimitSolver:
         self.form = form
         self.with_drift = with_drift
         self.b_bar = models.transformed.b_bar
+        self._advance = self._advance_u if form == "u" else self._advance_rho
 
     # -- steps ----------------------------------------------------------------
 
-    def _step_u(self, u: np.ndarray, dt: float, dbeta) -> np.ndarray:
+    def _advance_u(self, u: np.ndarray, dt: float, dbeta) -> np.ndarray:
         b, m = self.basis, self.models
         u_nodal = b.synthesize(u)
         gam = m.friction.gamma(u_nodal)
@@ -110,7 +86,7 @@ class LimitSolver:
         rhs = u + dt * b.analyze(explicit) + apply_noise(u_nodal, dbeta, m.diffusion, b, gam)
         return rhs / (1.0 + dt * self.b_bar * b.alphas)
 
-    def _step_rho(self, rho: np.ndarray, dt: float, dbeta) -> np.ndarray:
+    def _advance_rho(self, rho: np.ndarray, dt: float, dbeta) -> np.ndarray:
         b, m = self.basis, self.models
         rho_nodal = b.synthesize(rho)
         u_inv = m.g_map.inverse(rho_nodal)
@@ -123,15 +99,11 @@ class LimitSolver:
         )
         return rhs / (1.0 + dt * self.b_bar * b.alphas)
 
-    def step_u(self, state: LimitStateU, dt: float, dbeta=None) -> LimitStateU:
+    def step(self, coeffs: np.ndarray, dt: float, dbeta=None) -> np.ndarray:
+        """Advance the coefficients of u (form "u") or rho (form "rho") by one step."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        return LimitStateU(u=self._step_u(state.u, dt, dbeta), t=state.t + dt)
-
-    def step_rho(self, state: LimitStateRho, dt: float, dbeta=None) -> LimitStateRho:
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        return LimitStateRho(rho=self._step_rho(state.rho, dt, dbeta), t=state.t + dt)
+        return self._advance(np.asarray(coeffs, dtype=float), dt, dbeta)
 
     # -- trajectories -----------------------------------------------------------
 
@@ -153,7 +125,7 @@ class _SpdeLimitStepper:
     """One limit run for drive(): the state (u or rho) and its running sup of the H-norm."""
 
     def __init__(self, solver: LimitSolver, y: np.ndarray, dt: float):
-        self.advance = solver._step_u if solver.form == "u" else solver._step_rho
+        self.advance = solver._advance
         self.basis, self.y, self.dt = solver.basis, y, dt
         self.sup_h = self.basis.sobolev_norm(y, 0.0)
 

@@ -24,7 +24,11 @@ import numpy as np
 from .basis import SpectralBasis
 from .models import DiffusionModel
 
-_HEADER = struct.Struct("<qdqq")  # seed, dt, n_steps, n_modes
+# Noise dump header: magic, format version, seed, dt, n_steps, n_modes, refinement level.
+_MAGIC = b"SMNOISE\0"
+_VERSION = 1
+_FORMAT = f"smallmass noise dump (version {_VERSION})"
+_HEADER = struct.Struct("<8sqqdqqq")
 
 
 def _mode_generator(seed: int, mode: int, level: int) -> np.random.Generator:
@@ -209,31 +213,43 @@ def sample_batch(base_seed: int, n_paths: int, t_final: float, dt: float, n_mode
 
 
 def save_path(path: NoisePath, filename) -> None:
-    """Write the increment table as little-endian float64 after a fixed header.
+    """Write the increment table as little-endian float64 after a versioned header.
 
-    Header fields: seed, dt, n_steps, n_modes.  The refinement level is not
-    part of the format; a reloaded path replays identically but restarts its
-    refinement lineage at level 0.
+    The header carries the magic bytes, the format version, seed, dt,
+    n_steps, n_modes and the refinement level, so a reloaded path refines
+    from the streams of its own level.
     """
     with open(filename, "wb") as fh:
-        fh.write(_HEADER.pack(path.seed, path.dt, path.n_steps, path.n_modes))
+        fh.write(
+            _HEADER.pack(
+                _MAGIC, _VERSION, path.seed, path.dt, path.n_steps, path.n_modes, path.level
+            )
+        )
         fh.write(path.increments.astype("<f8").tobytes())
 
 
 def load_path(filename) -> NoisePath:
+    """Read a dump written by save_path; any other or truncated file raises ValueError."""
     with open(filename, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise ValueError(f"truncated noise dump {filename}")
-        seed, dt, n_steps, n_modes = _HEADER.unpack(raw)
-        table = np.frombuffer(fh.read(), dtype="<f8")
-    if table.size != n_modes * n_steps:
-        raise ValueError(f"noise dump {filename} has wrong table size")
+        raw, body = fh.read(_HEADER.size), fh.read()
+    if not raw or not _MAGIC.startswith(raw[: len(_MAGIC)]):
+        raise ValueError(f"{filename} is not a {_FORMAT}: its header is missing")
+    if len(raw) != _HEADER.size:
+        raise ValueError(f"truncated {_FORMAT} {filename}: incomplete header")
+    _, version, seed, dt, n_steps, n_modes, level = _HEADER.unpack(raw)
+    if version != _VERSION:
+        raise ValueError(f"{filename} has noise dump version {version}, expected {_FORMAT}")
+    if len(body) != 8 * n_modes * n_steps:
+        raise ValueError(
+            f"truncated or overlong {_FORMAT} {filename}: "
+            f"{len(body)} table bytes, expected {8 * n_modes * n_steps}"
+        )
+    table = np.frombuffer(body, dtype="<f8")
     return NoisePath(
         seed=seed,
         dt=dt,
         n_steps=n_steps,
         n_modes=n_modes,
-        level=0,
+        level=level,
         increments=table.reshape(n_modes, n_steps).astype(float),
     )

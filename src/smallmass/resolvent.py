@@ -28,6 +28,10 @@ constant kappa_d/(1 - lam kappa_d), and converges to A(z) as lam -> 0.
 
 The calibrated constants (kappa_d, lambda0) are implementation choices and
 are flagged as calibrated in audit reports.
+
+The backward-Euler wave scheme z_{n+1} = J_dt(z_n + noise) is the
+"resolvent_implicit" scheme of `wave.WaveSolver`, which calls
+`resolvent_apply`; this module does not depend on the wave module.
 """
 
 from __future__ import annotations
@@ -198,31 +202,6 @@ def measure_contraction(op: OperatorA, lam: float, seed: int = 0, n_probe: int =
         if info.contraction_ratios.size:
             worst = max(worst, float(np.median(info.contraction_ratios)))
     return worst
-
-
-def implicit_step_via_resolvent(op: OperatorA, state, dt: float, dbeta=None):
-    """Backward Euler z_{n+1} = J_dt(z_n + noise increment) on the wave state.
-
-    The deterministic part is unconditionally stable; the noise enters
-    explicitly in the eta slot.  Requires dt < lambda_bar of the operator.
-    """
-    from .noise import apply_noise
-    from .wave import eta_to_wave, wave_to_eta
-
-    if dt >= op.lambda_bar:
-        raise ResolventError(
-            f"dt = {dt} must be below the resolvent range bound {op.lambda_bar:.6g}"
-        )
-    if abs(state.mu - op.mass) > 1e-15 * max(1.0, op.mass):
-        raise ValueError("state mass and operator mass disagree")
-    es = wave_to_eta(state, op.basis, op.models)
-    eta = es.eta
-    if dbeta is not None and op.models.diffusion.sigma_sup != 0.0:  # spares synthesizing u
-        u_nodal = op.basis.synthesize(es.u)
-        eta = eta + apply_noise(u_nodal, dbeta, op.models.diffusion, op.basis) / op.mass
-    z = resolvent_apply(op, (es.u, eta), dt)
-    es_new = type(es)(u=z[0], eta=z[1], mu=state.mu, t=state.t + dt)
-    return eta_to_wave(es_new, op.basis, op.models)
 
 
 # -- sampled audits ------------------------------------------------------------

@@ -44,6 +44,18 @@ class LadderStudy:
     wave_trajs: dict  # mu -> WaveTrajectory (batched)
 
 
+def _wave_solver(cfg: dict, basis, models, mu: float) -> WaveSolver:
+    """The wave solver at mass mu with the configured scheme, c_stab and Newton count."""
+    return WaveSolver(
+        basis,
+        models,
+        mu,
+        scheme=cfg["wave"]["scheme"],
+        c_stab=cfg["time"]["c_stab"],
+        newton_iters=cfg["wave"]["newton_iters"],
+    )
+
+
 def _simulate_wave(cfg: dict, basis, models, mu: float, u0, v0, batch):
     """Wave run at mass mu on the shared batch, refined to dt <= c_stab * mu."""
     t = cfg["time"]
@@ -52,15 +64,7 @@ def _simulate_wave(cfg: dict, basis, models, mu: float, u0, v0, batch):
         batch = noise.stack_paths(
             [noise.refine_to(batch.path(j), required) for j in range(batch.n_paths)]
         )
-    solver = WaveSolver(
-        basis,
-        models,
-        mu,
-        scheme=cfg["wave"]["scheme"],
-        c_stab=t["c_stab"],
-        newton_iters=cfg["wave"]["newton_iters"],
-    )
-    return solver.simulate(u0, v0, batch, n_output=t["n_output"])
+    return _wave_solver(cfg, basis, models, mu).simulate(u0, v0, batch, n_output=t["n_output"])
 
 
 def _study_block(cfg: dict, seed0: int, n_paths: int, keep_trajs: bool) -> LadderStudy:
@@ -221,9 +225,7 @@ def run_simulate_wave(cfg: dict, out_dir) -> dict:
     path = noise.refine_to(
         noise.sample_path(cfg["seed"], t["t_final"], t["dt"], basis.n_modes), dt
     )
-    traj = WaveSolver(
-        basis, models, mu, scheme=cfg["wave"]["scheme"], c_stab=t["c_stab"]
-    ).simulate(u0, v0, path, n_output=t["n_output"])
+    traj = _wave_solver(cfg, basis, models, mu).simulate(u0, v0, path, n_output=t["n_output"])
     h = config_hash(cfg)
     output.trajectory_csv(os.path.join(out_dir, "wave_u.csv"), traj.times, traj.u, h, cfg["seed"])
     output.trajectory_csv(os.path.join(out_dir, "wave_v.csv"), traj.times, traj.v, h, cfg["seed"])

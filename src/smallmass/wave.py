@@ -33,16 +33,18 @@ eta_form (default)
     inside it.
 
 resolvent_implicit
-    Backward Euler through the nonlinear resolvent, z_{n+1} = J_dt(z_n + noise);
-    see the resolvent module.
+    Backward Euler through the nonlinear resolvent on z = (u, eta),
+    z_{n+1} = J_dt(z_n + noise), with the noise added explicitly to the eta
+    slot; J_dt is `resolvent.resolvent_apply`, which requires
+    dt < lambda_bar of the operator.
 
 A step policy dt <= c_stab * mu is advisable because the eta drift carries a
 1/mu factor; simulate() warns once when the driving path violates it.
 
 Every integrator of the package, wave, limit and finite-dimensional, runs on
 the one time loop `drive`, defined here; the noise forcing of every scheme is
-`noise.apply_noise`, and `g_coeffs` is the one conversion between u and
-g(u) that links v and eta.
+`noise.apply_noise`.  `g_coeffs` is the one conversion from u to g(u), and
+`WaveSolver.g_over_mu` the one shift eta = v + g(u)/mu between v and eta.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import resolvent
 from .basis import SpectralBasis
 from .models import ModelSet
 from .noise import NoisePath, PathBatch, apply_noise
@@ -78,29 +81,9 @@ class WaveState:
     t: float = 0.0
 
 
-@dataclass
-class EtaState:
-    """Transformed pair (u, eta) with eta = v + g(u)/mu."""
-
-    u: np.ndarray
-    eta: np.ndarray
-    mu: float
-    t: float = 0.0
-
-
 def g_coeffs(u: np.ndarray, basis: SpectralBasis, models: ModelSet) -> np.ndarray:
     """Sine coefficients of g(u), the friction antiderivative applied at the nodes."""
     return basis.analyze(models.g_map.forward(basis.synthesize(u)))
-
-
-def wave_to_eta(state: WaveState, basis: SpectralBasis, models: ModelSet) -> EtaState:
-    eta = state.v + g_coeffs(state.u, basis, models) / state.mu
-    return EtaState(u=state.u.copy(), eta=eta, mu=state.mu, t=state.t)
-
-
-def eta_to_wave(state: EtaState, basis: SpectralBasis, models: ModelSet) -> WaveState:
-    v = state.eta - g_coeffs(state.u, basis, models) / state.mu
-    return WaveState(u=state.u.copy(), v=v, mu=state.mu, t=state.t)
 
 
 @dataclass
@@ -189,18 +172,19 @@ class WaveSolver:
         self.scheme = scheme
         self.c_stab = c_stab
         self.newton_iters = newton_iters
+        self._op = None
         if scheme == "resolvent_implicit":
-            from .resolvent import OperatorA  # deferred: avoids import cycle
-
-            self._op = OperatorA(basis, models, mass=mu)
-        else:
-            self._op = None
+            self._op = resolvent.OperatorA(basis, models, mass=mu)
         # The scheme step on (u, second), second being v, or eta for eta_form.
         self._advance = {
             "semi_implicit": self._step_semi_implicit,
             "eta_form": self._step_eta,
             "resolvent_implicit": self._step_resolvent,
         }[scheme]
+
+    def g_over_mu(self, u: np.ndarray) -> np.ndarray:
+        """Coefficients of g(u)/mu, the shift between the velocity and eta = v + g(u)/mu."""
+        return g_coeffs(u, self.basis, self.models) / self.mu
 
     # -- single steps ---------------------------------------------------------
 
@@ -231,12 +215,13 @@ class WaveSolver:
         return u_new, eta_new
 
     def _step_resolvent(self, u, v, dt, dbeta):
-        from .resolvent import implicit_step_via_resolvent
-
-        state = implicit_step_via_resolvent(
-            self._op, WaveState(u=u, v=v, mu=self.mu, t=0.0), dt, dbeta
-        )
-        return state.u, state.v
+        b, m = self.basis, self.models
+        eta = v + self.g_over_mu(u)
+        if dbeta is not None and m.diffusion.sigma_sup != 0.0:  # spares synthesizing u
+            eta = eta + apply_noise(b.synthesize(u), dbeta, m.diffusion, b) / self.mu
+        # Called through the module, so a wrapper installed there (a tracer) sees it.
+        u_new, eta_new = resolvent.resolvent_apply(self._op, (u, eta), dt)
+        return u_new, eta_new - self.g_over_mu(u_new)
 
     def step(self, state: WaveState, dt: float, dbeta=None) -> WaveState:
         """Advance one step, accepting and returning the (u, v) representation."""
@@ -245,11 +230,10 @@ class WaveSolver:
         if abs(state.mu - self.mu) > 1e-15 * max(1.0, self.mu):
             raise ValueError(f"state mass {state.mu} differs from the solver mass {self.mu}")
         if self.scheme == "eta_form":
-            es = wave_to_eta(state, self.basis, self.models)
-            u, eta = self._step_eta(es.u, es.eta, dt, dbeta)
-            es = EtaState(u=u, eta=eta, mu=state.mu, t=state.t + dt)
-            return eta_to_wave(es, self.basis, self.models)
-        u, v = self._advance(state.u, state.v, dt, dbeta)
+            u, eta = self._step_eta(state.u, state.v + self.g_over_mu(state.u), dt, dbeta)
+            v = eta - self.g_over_mu(u)
+        else:
+            u, v = self._advance(state.u, state.v, dt, dbeta)
         return WaveState(u=u, v=v, mu=state.mu, t=state.t + dt)
 
     # -- trajectories ---------------------------------------------------------
@@ -298,7 +282,7 @@ class _WaveStepper:
     def __init__(self, solver: WaveSolver, u: np.ndarray, v: np.ndarray, dt: float):
         self.solver, self.dt, self.u = solver, dt, u
         self.eta_mode = solver.scheme == "eta_form"
-        self.second = v + self._g_over_mu() if self.eta_mode else v
+        self.second = v + solver.g_over_mu(u) if self.eta_mode else v
         nu, nu1, nv = self._norms()
         self.norms = {  # the running sups and time integrals of WaveTrajectory
             "sup_u_h": nu,
@@ -309,12 +293,9 @@ class _WaveStepper:
             "int_v_h_sq": np.zeros_like(nu),
         }
 
-    def _g_over_mu(self) -> np.ndarray:
-        return g_coeffs(self.u, self.solver.basis, self.solver.models) / self.solver.mu
-
     def _norms(self) -> tuple:
         """Set v from the state; return ||u||_H, ||u||_H1 and ||v||_H."""
-        self.v = self.second - self._g_over_mu() if self.eta_mode else self.second
+        self.v = self.second - self.solver.g_over_mu(self.u) if self.eta_mode else self.second
         norm = self.solver.basis.sobolev_norm
         return norm(self.u, 0.0), norm(self.u, 1.0), norm(self.v, 0.0)
 

@@ -337,3 +337,34 @@ def test_cli_resolvent_audit_small(tmp_path):
     assert main(["resolvent-audit", "--config", str(p), "--out", str(out)]) == 0
     doc = json.loads((out / "resolvent_audit.json").read_text())
     assert doc["audit"]["flags"]["diss_A"] is True
+
+
+def test_simulate_wave_uses_the_configured_newton_count(tmp_path):
+    from smallmass import noise, runner
+    from smallmass.output import load_trajectory_bin
+    from smallmass.wave import WaveSolver
+
+    def run(newton_iters):
+        cfg = validate_config(
+            {
+                "domain": {"n_modes": 8, "n_nodes": 16},
+                "time": {"t_final": 0.02, "dt": 5e-4, "n_output": 10},
+                "mu_ladder": [0.01],
+                "wave": {"newton_iters": newton_iters},
+                "seed": 4,
+            }
+        )
+        out = tmp_path / f"newton{newton_iters}"
+        out.mkdir()
+        runner.run_simulate_wave(cfg, out)
+        return cfg, load_trajectory_bin(out / "wave_u.bin")[1]
+
+    cfg, u3 = run(3)
+    _, u1 = run(1)
+    basis = make_basis(cfg)
+    models = make_models(cfg, basis)
+    u0, v0 = make_initial(cfg, basis)
+    path = noise.sample_path(4, 0.02, 5e-4, 8)  # 5e-4 <= c_stab * mu: no refinement
+    solver = WaveSolver(basis, models, 0.01, c_stab=cfg["time"]["c_stab"], newton_iters=3)
+    assert np.array_equal(u3, solver.simulate(u0, v0, path, n_output=10).u)
+    assert not np.array_equal(u3, u1)

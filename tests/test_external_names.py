@@ -1,0 +1,55 @@
+"""Names that code outside the package relies on: the benchmark tracer and the README."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+import numpy as np
+
+from smallmass import resolvent
+from smallmass.basis import DomainSpec, build_basis
+from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
+from smallmass.wave import WaveSolver, WaveState
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_names_exist_where_the_tracer_patches_them():
+    # bench/spans.py replaces each name in its owner's namespace; a name that
+    # moved or became an import elsewhere would leave its layer untraced.
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for owner, attr, _ in spans.patch_points():
+        assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+
+
+def test_resolvent_scheme_calls_resolvent_apply_through_its_module(monkeypatch):
+    basis = build_basis(DomainSpec(1.0, 16))
+    models = build_model_set(
+        basis,
+        friction_preset("two_plus_sin"),
+        reaction_preset("linear_decay"),
+        build_diffusion(basis, factor="cosine"),
+    )
+    seen = []
+    original = resolvent.resolvent_apply
+
+    def spy(op, h, lam, *args, **kwargs):
+        seen.append(lam)
+        return original(op, h, lam, *args, **kwargs)
+
+    monkeypatch.setattr(resolvent, "resolvent_apply", spy)
+    solver = WaveSolver(basis, models, 1.0, scheme="resolvent_implicit")
+    u0 = basis.analyze(4.0 * basis.x * (1 - basis.x))
+    state = WaveState(u=u0, v=np.zeros(16), mu=1.0)
+    state = solver.step(state, 1e-3, np.full(16, 0.01))
+    solver.step(state, 2e-3)
+    assert seen == [1e-3, 2e-3]
+
+
+def test_readme_library_sketch_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library sketch\s+```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) > 0.0  # the coupled pathwise distance

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 from smallmass.basis import DomainSpec, build_basis
-from smallmass.limit import (
-    LimitSolver,
-    LimitStateRho,
-    LimitStateU,
-    transform_rho_to_u,
-    transform_u_to_rho,
-)
+from smallmass.limit import LimitSolver
 from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
 from smallmass.noise import refine, sample_batch, sample_path, stack_paths, zero_path
+from smallmass.wave import g_coeffs
 
 
 @pytest.fixture(scope="module")
@@ -85,33 +80,44 @@ def test_zero_noise_h_norm_monotone(basis):
 
 
 def test_transform_round_trips(basis):
+    # rho = g(u) is g_coeffs; u = g^-1(rho) is the nodal inverse, re-analyzed.
     m = models_for(basis)
-    state = LimitStateU(u=bump(basis), t=0.25)
-    rho = transform_u_to_rho(state, basis, m)
-    assert rho.t == state.t
+    u = bump(basis)
     # nodal round trip is exact to inversion tolerance
-    w = basis.synthesize(state.u)
+    w = basis.synthesize(u)
     assert np.max(np.abs(m.g_map.inverse(m.g_map.forward(w)) - w)) < 10 * m.g_map.tol_inv
-    zero = transform_u_to_rho(LimitStateU(u=np.zeros(16)), basis, m)
-    assert np.max(np.abs(zero.rho)) < 1e-14
+    zero = g_coeffs(np.zeros(16), basis, m)
+    assert np.max(np.abs(zero)) < 1e-14
     const = models_for(basis, friction="constant")
-    r2 = transform_u_to_rho(state, basis, const)
-    assert np.allclose(r2.rho, state.u, atol=1e-12)
-    back = transform_rho_to_u(r2, basis, const)
-    assert np.allclose(back.u, state.u, atol=1e-12)
+    r2 = g_coeffs(u, basis, const)
+    assert np.allclose(r2, u, atol=1e-12)
+    back = basis.analyze(const.g_map.inverse(basis.synthesize(r2)))
+    assert np.allclose(back, u, atol=1e-12)
 
 
 def test_single_steps_and_validation(basis):
     m = models_for(basis)
     db = np.zeros(16)
-    s1 = LimitSolver(basis, m, form="u").step_u(LimitStateU(u=bump(basis)), 1e-3, db)
-    assert s1.t == 1e-3 and np.all(np.isfinite(s1.u))
-    s2 = LimitSolver(basis, m, form="rho").step_rho(LimitStateRho(rho=bump(basis)), 1e-3, db)
-    assert s2.t == 1e-3 and np.all(np.isfinite(s2.rho))
+    s1 = LimitSolver(basis, m, form="u").step(bump(basis), 1e-3, db)
+    assert s1.shape == (16,) and np.all(np.isfinite(s1))
+    s2 = LimitSolver(basis, m, form="rho").step(bump(basis), 1e-3, db)
+    assert s2.shape == (16,) and np.all(np.isfinite(s2))
     with pytest.raises(ValueError):
         LimitSolver(basis, m, form="w")
     with pytest.raises(ValueError):
-        LimitSolver(basis, m).step_u(LimitStateU(u=bump(basis)), -0.1, db)
+        LimitSolver(basis, m).step(bump(basis), -0.1, db)
+
+
+@pytest.mark.parametrize("form", ["u", "rho"])
+@pytest.mark.parametrize("with_drift", [True, False])
+def test_step_agrees_with_one_step_of_simulate(basis, form, with_drift):
+    # step advances the solver's own form with the function simulate runs.
+    m = models_for(basis)
+    path = sample_path(21, 1e-3, 1e-3, 16)
+    solver = LimitSolver(basis, m, form=form, with_drift=with_drift)
+    traj = solver.simulate(bump(basis), path, n_output=1)
+    one = solver.step(bump(basis), path.dt, path.increments[:, 0])
+    assert np.array_equal(one, traj.coeffs[-1])
 
 
 def test_dual_form_consistency_ratio(basis):

@@ -170,13 +170,45 @@ def test_binary_dump_round_trip(tmp_path):
     q = load_path(fn)
     assert q.seed == -17 and q.dt == 0.01 and q.n_steps == 30 and q.n_modes == 4
     assert np.array_equal(q.increments, p.increments)
-    # header is exactly (seed, dt, n_steps, n_modes) as little-endian scalars
+    # header is exactly (magic, version, seed, dt, n_steps, n_modes, level)
+    # as little-endian scalars, followed by the table
     import struct
 
     with open(fn, "rb") as fh:
-        seed, dt, n_steps, n_modes = struct.unpack("<qdqq", fh.read(32))
-    assert (seed, dt, n_steps, n_modes) == (-17, 0.01, 30, 4)
+        header = struct.unpack("<8sqqdqqq", fh.read(56))
+    assert header == (b"SMNOISE\0", 1, -17, 0.01, 30, 4, 0)
+    assert fn.stat().st_size == 56 + 8 * 4 * 30
     truncated = tmp_path / "short.bin"
     truncated.write_bytes(fn.read_bytes()[:40])
     with pytest.raises(ValueError):
         load_path(truncated)
+
+
+def test_reloaded_path_refines_from_its_own_level(tmp_path):
+    # The dump carries the refinement level, so refining a reloaded refined
+    # path draws the next bridge level, not the one it already consumed.
+    p = sample_path(3, 0.2, 0.01, 2)
+    fn = tmp_path / "fine.bin"
+    save_path(refine(p), fn)
+    q = load_path(fn)
+    assert q.level == 1
+    assert np.array_equal(refine(q).increments, refine(refine(p)).increments)
+    assert refine(q).level == 2
+
+
+def test_dump_without_header_or_truncated_is_rejected_by_format(tmp_path):
+    import struct
+
+    p = sample_path(3, 0.2, 0.01, 2)
+    fn = tmp_path / "path.bin"
+    save_path(p, fn)
+    # a table behind the old unversioned header (seed, dt, n_steps, n_modes)
+    old = tmp_path / "old.bin"
+    old.write_bytes(struct.pack("<qdqq", 3, 0.01, 20, 2) + p.increments.astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="noise dump \\(version 1\\).*header is missing"):
+        load_path(old)
+    for cut in (20, 56 + 8 * 39):  # inside the header, inside the table
+        short = tmp_path / f"cut{cut}.bin"
+        short.write_bytes(fn.read_bytes()[:cut])
+        with pytest.raises(ValueError, match="truncated.*noise dump \\(version 1\\)"):
+            load_path(short)

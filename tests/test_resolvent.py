@@ -8,7 +8,6 @@ from smallmass.resolvent import (
     OperatorA,
     ResolventError,
     audit_operator,
-    implicit_step_via_resolvent,
     measure_contraction,
     resolvent_apply,
     sample_states,
@@ -153,13 +152,13 @@ def test_implicit_step_matches_exponential_decay(basis):
     # no noise, g(u) = u, f = 0, mu = 1, single mode: du = (eta - u)dt,
     # deta = Lap u dt; backward Euler tracks the damped oscillation to O(dt).
     m = models_for(basis, friction="constant", reaction="zero")
-    o = OperatorA(basis, m)
+    solver = WaveSolver(basis, m, 1.0, scheme="resolvent_implicit")
     dt = 1e-3
     u = np.zeros(16)
     u[0] = 1.0
     state = WaveState(u=u, v=np.zeros(16), mu=1.0)
     for _ in range(200):
-        state = implicit_step_via_resolvent(o, state, dt)
+        state = solver.step(state, dt)
     # exact solution of u'' = -a1 u - u' from rest
     a1 = basis.alphas[0]
     om = np.sqrt(a1 - 0.25)
@@ -170,14 +169,14 @@ def test_implicit_step_matches_exponential_decay(basis):
 
 def test_implicit_step_agrees_with_semi_implicit(basis):
     m = models_for(basis)  # nonlinear friction, linear reaction, no noise
-    o = OperatorA(basis, m)
+    resolvent_solver = WaveSolver(basis, m, 1.0, scheme="resolvent_implicit")
     dt = 1e-3
     u0 = basis.analyze(4.0 * basis.x * (1 - basis.x))
     s_res = WaveState(u=u0.copy(), v=np.zeros(16), mu=1.0)
     solver = WaveSolver(basis, m, 1.0, scheme="semi_implicit")
     s_semi = WaveState(u=u0.copy(), v=np.zeros(16), mu=1.0)
     for _ in range(100):
-        s_res = implicit_step_via_resolvent(o, s_res, dt)
+        s_res = resolvent_solver.step(s_res, dt)
         s_semi = solver.step(s_semi, dt)
     gap = basis.sobolev_norm(s_res.u - s_semi.u, 0.0)
     assert gap < 50 * dt
@@ -186,10 +185,11 @@ def test_implicit_step_agrees_with_semi_implicit(basis):
 
 def test_dt_above_lambda_bar_rejected(basis):
     m = models_for(basis)
-    o = OperatorA(basis, m)
+    solver = WaveSolver(basis, m, 1.0, scheme="resolvent_implicit")
+    lambda_bar = OperatorA(basis, m, mass=1.0).lambda_bar
     state = WaveState(u=np.zeros(16), v=np.zeros(16), mu=1.0)
     with pytest.raises(ResolventError):
-        implicit_step_via_resolvent(o, state, o.lambda_bar * 1.1)
+        solver.step(state, lambda_bar * 1.1)
 
 
 def test_resolvent_scheme_through_wave_solver(basis):

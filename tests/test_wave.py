@@ -5,14 +5,7 @@ from smallmass.basis import DomainSpec, build_basis
 from smallmass.limit import LimitSolver
 from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
 from smallmass.noise import refine, sample_path, stack_paths, zero_path
-from smallmass.wave import (
-    EtaState,
-    SimulationDiverged,
-    WaveSolver,
-    WaveState,
-    eta_to_wave,
-    wave_to_eta,
-)
+from smallmass.wave import SimulationDiverged, WaveSolver, WaveState, g_coeffs
 
 
 @pytest.fixture(scope="module")
@@ -149,12 +142,14 @@ def test_eta_and_wave_forms_consistent(basis):
 
 
 def test_eta_state_round_trip(basis):
+    # eta = v + g(u)/mu and back, through the solver's one shift g_over_mu.
     m = models_for(basis)
-    state = WaveState(u=bump(basis), v=0.3 * bump(basis), mu=0.07, t=1.5)
-    back = eta_to_wave(wave_to_eta(state, basis, m), basis, m)
-    assert np.max(np.abs(back.u - state.u)) < 1e-13
-    assert np.max(np.abs(back.v - state.v)) < 1e-10
-    assert back.t == state.t and back.mu == state.mu
+    solver = WaveSolver(basis, m, 0.07)
+    u, v = bump(basis), 0.3 * bump(basis)
+    shift = solver.g_over_mu(u)
+    assert np.array_equal(shift, g_coeffs(u, basis, m) / 0.07)
+    back = (v + shift) - solver.g_over_mu(u)
+    assert np.max(np.abs(back - v)) < 1e-10
 
 
 def test_batched_simulation_matches_per_path(basis):
