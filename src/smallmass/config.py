@@ -22,6 +22,7 @@ from .models import (
     load_friction_csv,
     reaction_preset,
 )
+from .wave import C_STAB
 
 
 class ConfigError(ValueError):
@@ -79,7 +80,7 @@ DEFAULTS: dict[str, Any] = {
         "tol_inv": 1e-12,
     },
     "initial": {"kind": "bump", "amplitude": 1.0},
-    "time": {"t_final": 0.5, "dt": 1e-4, "dt_limit": 1e-4, "c_stab": 0.5, "n_output": 200},
+    "time": {"t_final": 0.5, "dt": 1e-4, "dt_limit": 1e-4, "c_stab": C_STAB, "n_output": 200},
     "wave": {"scheme": "eta_form", "newton_iters": 1},
     "limit": {"form": "u", "with_drift": True},
     "fd": {

@@ -33,7 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .wave import _initial_state, drive
+from .models import friction_preset
+from .wave import C_STAB, _initial_state, drive
 
 MAX_DIM = 8
 FD_STEP_REL = 1e-5
@@ -200,12 +201,12 @@ class _FDStepper:
 class _InertialStepper(_FDStepper):
     """Euler-Maruyama for the inertial system in (x, v), or in (x, p) with eta_transform."""
 
-    def __init__(self, system, mu, noise, x0, v0, eta_transform, c_stab):
+    def __init__(self, system, mu, noise, x0, v0, eta_transform):
         if mu <= 0:
             raise ValueError("mass must be positive")
-        if noise.dt > c_stab * mu * (1.0 + 1e-12) and not eta_transform:
+        if noise.dt > C_STAB * mu * (1.0 + 1e-12) and not eta_transform:
             warnings.warn(
-                f"dt = {noise.dt:.3g} exceeds c_stab*mu = {c_stab * mu:.3g} for the inertial system",
+                f"dt = {noise.dt:.3g} exceeds C_STAB*mu = {C_STAB * mu:.3g} for the inertial system",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -269,7 +270,6 @@ def simulate_fd(
     v0,
     n_output: int = 200,
     eta_transform: bool = False,
-    c_stab: float = 0.5,
 ) -> FDTrajectory:
     """Euler-Maruyama for the inertial system, vectorized over paths.
 
@@ -277,7 +277,7 @@ def simulate_fd(
     p = mu v + G(x), G' = gamma (scalar systems only), treating G implicitly
     through one Newton step in the x-update.
     """
-    stepper = _InertialStepper(system, mu, noise, x0, v0, eta_transform, c_stab)
+    stepper = _InertialStepper(system, mu, noise, x0, v0, eta_transform)
     return _drive([stepper], noise, n_output)[0]
 
 
@@ -300,7 +300,6 @@ def simulate_fd_coupled(
     v0,
     n_output: int = 200,
     eta_transform: bool = False,
-    c_stab: float = 0.5,
 ) -> tuple[FDTrajectory, FDTrajectory, FDTrajectory]:
     """The inertial run, the limit with S and the limit without S, in lock step.
 
@@ -308,7 +307,7 @@ def simulate_fd_coupled(
     equal those of separate simulate_fd and simulate_fd_limit runs bit for bit.
     """
     steppers = [
-        _InertialStepper(system, mu, noise, x0, v0, eta_transform, c_stab),
+        _InertialStepper(system, mu, noise, x0, v0, eta_transform),
         _LimitStepper(system, noise, x0, with_S=True),
         _LimitStepper(system, noise, x0, with_S=False),
     ]
@@ -359,31 +358,24 @@ def ellipticity_audit(system: FDSystem, n_samples: int = 200, seed: int = 0) -> 
 # -- presets ---------------------------------------------------------------------
 
 
-def fd_scalar_system(
-    friction: str = "two_plus_sin", sigma_value: float = 1.0, drift_zero: bool = True
-) -> FDSystem:
-    """d = 1 system with gamma(x) = 2 + sin x (or constant) and constant sigma."""
-    if friction == "two_plus_sin":
-        gam = lambda x: (2.0 + np.sin(x[:, 0]))[:, None, None]
-        g_anti = lambda x: 2.0 * x + 1.0 - np.cos(x)
-        g0 = 1.0
-    elif friction == "constant":
-        gam = lambda x: np.ones((x.shape[0], 1, 1)) * 2.0
-        g_anti = lambda x: 2.0 * x
-        g0 = 2.0
-    else:
+# fd_scalar_system friction names and their options in models.friction_preset.
+_FD_FRICTIONS = {"two_plus_sin": {}, "constant": {"value": 2.0}}
+
+
+def fd_scalar_system(friction: str = "two_plus_sin", sigma_value: float = 1.0) -> FDSystem:
+    """d = 1 system with zero drift, gamma(x) = 2 + sin x (or constant 2) and constant sigma."""
+    if friction not in _FD_FRICTIONS:
         raise ValueError(f"unknown scalar friction {friction!r}")
-    if not drift_zero:
-        raise ValueError("only the zero-drift scalar preset is provided")
+    model = friction_preset(friction, **_FD_FRICTIONS[friction])
     return FDSystem(
         dim=1,
         r_dim=1,
         b=lambda x: np.zeros_like(x),
-        gamma=gam,
+        gamma=lambda x: model.gamma(x[:, 0])[:, None, None],
         sigma=lambda x: np.full((x.shape[0], 1, 1), sigma_value),
-        gamma0=g0,
+        gamma0=model.gamma0,
         name=f"scalar_{friction}",
-        g_antideriv=g_anti,
+        g_antideriv=model.g_closed,
     )
 
 

@@ -112,8 +112,14 @@ def refine(path: NoisePath) -> NoisePath:
     )
 
 
-def refine_to(path: NoisePath, dt_max: float) -> NoisePath:
-    """Refine until the path step is no larger than dt_max."""
+def refine_to(path: NoisePath | PathBatch, dt_max: float) -> NoisePath | PathBatch:
+    """Refine until the path step is no larger than dt_max.
+
+    A PathBatch is refined member by member, each from its own streams, so
+    it equals the stack of its refined members.
+    """
+    if isinstance(path, PathBatch) and path.dt > dt_max * (1.0 + 1e-12):
+        return stack_paths([refine_to(path.path(j), dt_max) for j in range(path.n_paths)])
     while path.dt > dt_max * (1.0 + 1e-12):
         path = refine(path)
     return path

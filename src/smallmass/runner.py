@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import diagnostics, noise, output
 from .config import config_hash, make_basis, make_initial, make_models
-from .diagnostics import LadderPoint, ScalingAudit
+from .diagnostics import LadderPoint
 # simulate_fd and simulate_fd_limit are not called here; bench/spans.py wraps them at this name.
 from .finite_dim import (
     FDNoise,
@@ -44,9 +44,12 @@ class LadderStudy:
     wave_trajs: dict  # mu -> WaveTrajectory (batched)
 
 
-def _wave_solver(cfg: dict, basis, models, mu: float) -> WaveSolver:
-    """The wave solver at mass mu with the configured scheme, c_stab and Newton count."""
-    return WaveSolver(
+def _simulate_wave(cfg: dict, basis, models, mu: float, u0, v0, path):
+    """Wave run at mass mu on a NoisePath or PathBatch refined to the solver's max_dt().
+
+    Returns the trajectory and the refined path or batch it ran on.
+    """
+    solver = WaveSolver(
         basis,
         models,
         mu,
@@ -54,17 +57,8 @@ def _wave_solver(cfg: dict, basis, models, mu: float) -> WaveSolver:
         c_stab=cfg["time"]["c_stab"],
         newton_iters=cfg["wave"]["newton_iters"],
     )
-
-
-def _simulate_wave(cfg: dict, basis, models, mu: float, u0, v0, batch):
-    """Wave run at mass mu on the shared batch, refined to dt <= c_stab * mu."""
-    t = cfg["time"]
-    required = min(batch.dt, t["c_stab"] * mu)
-    if required < batch.dt:  # refine the shared batch for this mass only
-        batch = noise.stack_paths(
-            [noise.refine_to(batch.path(j), required) for j in range(batch.n_paths)]
-        )
-    return _wave_solver(cfg, basis, models, mu).simulate(u0, v0, batch, n_output=t["n_output"])
+    path = noise.refine_to(path, solver.max_dt())
+    return solver.simulate(u0, v0, path, n_output=cfg["time"]["n_output"]), path
 
 
 def _study_block(cfg: dict, seed0: int, n_paths: int, keep_trajs: bool) -> LadderStudy:
@@ -82,7 +76,7 @@ def _study_block(cfg: dict, seed0: int, n_paths: int, keep_trajs: bool) -> Ladde
     points = []
     wave_trajs = {}
     for mu in ladder:
-        traj = _simulate_wave(cfg, basis, models, mu, u0, v0, batch)
+        traj, _ = _simulate_wave(cfg, basis, models, mu, u0, v0, batch)
         if not np.allclose(traj.times, limit_traj.times, atol=1e-12):
             raise RuntimeError("wave and limit output grids are misaligned")
         rep = diagnostics.metric_distance(traj.times, traj.u, limit_traj.coeffs, basis, "plain")
@@ -100,18 +94,18 @@ def _study_block(cfg: dict, seed0: int, n_paths: int, keep_trajs: bool) -> Ladde
 
 
 def _merge_points(blocks: list[LadderStudy]) -> list[LadderPoint]:
-    merged = []
-    for k in range(len(blocks[0].ladder_points)):
-        merged.append(
-            LadderPoint(
-                mu=blocks[0].ladder_points[k].mu,
-                sup_energy=np.concatenate([b.ladder_points[k].sup_energy for b in blocks]),
-                sup_v_h=np.concatenate([b.ladder_points[k].sup_v_h for b in blocks]),
-                sup_u_h=np.concatenate([b.ladder_points[k].sup_u_h for b in blocks]),
-                int_u_h1_sq=np.concatenate([b.ladder_points[k].int_u_h1_sq for b in blocks]),
-            )
+    """Per-mass points of the blocks with every per-path array concatenated in block order."""
+    return [
+        LadderPoint(
+            mu=point.mu,
+            **{
+                f.name: np.concatenate([getattr(b.ladder_points[k], f.name) for b in blocks])
+                for f in fields(LadderPoint)
+                if f.name != "mu"
+            },
         )
-    return merged
+        for k, point in enumerate(blocks[0].ladder_points)
+    ]
 
 
 def run_ladder_study(cfg: dict, keep_trajs: bool = False) -> LadderStudy:
@@ -150,7 +144,7 @@ def run_converge(cfg: dict, out_dir) -> dict:
     )
     audit = diagnostics.scaling_audit(study.ladder_points)
     h = config_hash(cfg)
-    payload = {"report": report.as_dict(), "scaling_audit": _audit_dict(audit)}
+    payload = {"report": report.as_dict(), "scaling_audit": asdict(audit)}
     output.write_json(os.path.join(out_dir, "converge.json"), payload, cfg, h)
     cols = {"mu": np.array(report.ladder), "mean": np.array(report.mean), "se": np.array(report.se)}
     output.write_csv(os.path.join(out_dir, "distances.csv"), cols, h, cfg["seed"])
@@ -165,7 +159,7 @@ def run_scaling_audit(cfg: dict, out_dir) -> dict:
     study = run_ladder_study(cfg)
     audit = diagnostics.scaling_audit(study.ladder_points)
     h = config_hash(cfg)
-    payload = {"scaling_audit": _audit_dict(audit)}
+    payload = {"scaling_audit": asdict(audit)}
     output.write_json(os.path.join(out_dir, "scaling_audit.json"), payload, cfg, h)
     output.write_gnuplot(
         os.path.join(out_dir, "scaling.dat"),
@@ -192,7 +186,7 @@ def run_drift_ablation(cfg: dict, out_dir) -> dict:
     t = cfg["time"]
     mu = cfg["ablation"]["mu"]
     batch = noise.sample_batch(cfg["seed"], cfg["paths"], t["t_final"], t["dt"], basis.n_modes)
-    wave = _simulate_wave(cfg, basis, models, mu, u0, v0, batch)
+    wave, _ = _simulate_wave(cfg, basis, models, mu, u0, v0, batch)
     with_h, no_h = (
         LimitSolver(basis, models, with_drift=d).simulate(u0, batch, n_output=t["n_output"])
         for d in (True, False)
@@ -221,11 +215,8 @@ def run_simulate_wave(cfg: dict, out_dir) -> dict:
     u0, v0 = make_initial(cfg, basis)
     t = cfg["time"]
     mu = cfg["mu_ladder"][0]
-    dt = min(t["dt"], t["c_stab"] * mu)
-    path = noise.refine_to(
-        noise.sample_path(cfg["seed"], t["t_final"], t["dt"], basis.n_modes), dt
-    )
-    traj = _wave_solver(cfg, basis, models, mu).simulate(u0, v0, path, n_output=t["n_output"])
+    path = noise.sample_path(cfg["seed"], t["t_final"], t["dt"], basis.n_modes)
+    traj, path = _simulate_wave(cfg, basis, models, mu, u0, v0, path)
     h = config_hash(cfg)
     output.trajectory_csv(os.path.join(out_dir, "wave_u.csv"), traj.times, traj.u, h, cfg["seed"])
     output.trajectory_csv(os.path.join(out_dir, "wave_v.csv"), traj.times, traj.v, h, cfg["seed"])
@@ -249,7 +240,7 @@ def run_simulate_wave(cfg: dict, out_dir) -> dict:
         "ok": True,
         "report": {
             "mu": mu,
-            "dt": dt,
+            "dt": path.dt,
             "sup_u_h": float(traj.sup_u_h),
             "sup_u_h1": float(traj.sup_u_h1),
             "sup_v_h": float(traj.sup_v_h),
@@ -362,17 +353,3 @@ def run_fd_converge(cfg: dict, out_dir) -> dict:
     )
     ok = rep_s.z_score <= 3.0 and rep_no.z_score > 3.0
     return {"ok": bool(ok), "report": stats}
-
-
-def _audit_dict(audit: ScalingAudit) -> dict:
-    return {
-        "mus": audit.mus,
-        "sqrt_mu_sup_energy": audit.sqrt_mu_sup_energy,
-        "mu_sup_v": audit.mu_sup_v,
-        "sup_u_sq": audit.sup_u_sq,
-        "int_u_h1_sq": audit.int_u_h1_sq,
-        "slope_energy": audit.slope_energy,
-        "slope_velocity": audit.slope_velocity,
-        "spread_displacement": audit.spread_displacement,
-        "flags": audit.flags,
-    }

@@ -29,8 +29,7 @@ eta_form (default)
         eta_{n+1} = eta_n + (dt/mu)(Lap u_{n+1} + f(u_n)) + sigma(u_n) dW / mu.
 
     The staggered evaluation is subject to the wave CFL constraint
-    dt <= 2 sqrt(mu / alpha_N); the default step policy keeps runs well
-    inside it.
+    dt <= 2 sqrt(mu / alpha_N).
 
 resolvent_implicit
     Backward Euler through the nonlinear resolvent on z = (u, eta),
@@ -38,8 +37,14 @@ resolvent_implicit
     slot; J_dt is `resolvent.resolvent_apply`, which requires
     dt < lambda_bar of the operator.
 
-A step policy dt <= c_stab * mu is advisable because the eta drift carries a
-1/mu factor; simulate() warns once when the driving path violates it.
+Step policy.  `WaveSolver.max_dt()` is the one place that knows how large a
+step the solver may take.  The eta drift carries a 1/mu factor, so every
+scheme resolves the mass time scale: dt is at most c_stab times mu (C_STAB
+by default, also the config default).  eta_form is further capped at 0.9 of
+the wave CFL 2 sqrt(mu / alpha_N) of its staggered evaluation, and
+resolvent_implicit at RESOLVENT_FRACTION of lambda_bar, where J_dt exists.
+simulate() warns once when the driving path's step exceeds max_dt(); the
+runner refines every wave path to it.
 
 Every integrator of the package, wave, limit and finite-dimensional, runs on
 the one time loop `drive`, defined here; the noise forcing of every scheme is
@@ -60,6 +65,8 @@ from .models import ModelSet
 from .noise import NoisePath, PathBatch, apply_noise
 
 SCHEMES = ("semi_implicit", "eta_form", "resolvent_implicit")
+C_STAB = 0.5  # default c_stab: steps of at most C_STAB times mu resolve the mass time scale
+RESOLVENT_FRACTION = 0.9  # resolvent_implicit steps stay below this fraction of lambda_bar
 
 
 class SimulationDiverged(RuntimeError):
@@ -159,7 +166,7 @@ class WaveSolver:
         models: ModelSet,
         mu: float,
         scheme: str = "eta_form",
-        c_stab: float = 0.5,
+        c_stab: float = C_STAB,
         newton_iters: int = 1,
     ):
         if scheme not in SCHEMES:
@@ -181,6 +188,20 @@ class WaveSolver:
             "eta_form": self._step_eta,
             "resolvent_implicit": self._step_resolvent,
         }[scheme]
+
+    def max_dt(self) -> float:
+        """The largest step this solver should take: c_stab * mu, capped by the scheme.
+
+        eta_form is capped at 0.9 of the wave CFL 2 sqrt(mu / alpha_N), and
+        resolvent_implicit at RESOLVENT_FRACTION of the resolvent range bound
+        lambda_bar.
+        """
+        dt = self.c_stab * self.mu
+        if self.scheme == "eta_form":
+            dt = min(dt, 0.9 * 2.0 * np.sqrt(self.mu / self.basis.alphas[-1]))
+        elif self.scheme == "resolvent_implicit":
+            dt = min(dt, RESOLVENT_FRACTION * self._op.lambda_bar)
+        return float(dt)
 
     def g_over_mu(self, u: np.ndarray) -> np.ndarray:
         """Coefficients of g(u)/mu, the shift between the velocity and eta = v + g(u)/mu."""
@@ -251,24 +272,14 @@ class WaveSolver:
         the whole bundle advances in lock step; results are identical to
         running the member paths one at a time.
         """
-        b, mu = self.basis, self.mu
-        dt = path.dt
-        if dt > self.c_stab * mu * (1.0 + 1e-12):
+        b, mu, dt = self.basis, self.mu, path.dt
+        bound = self.max_dt()
+        if dt > bound * (1.0 + 1e-12):
             warnings.warn(
-                f"dt = {dt:.3g} exceeds c_stab*mu = {self.c_stab * mu:.3g}; "
-                "the mass time scale is not resolved",
+                f"dt = {dt:.3g} exceeds the {self.scheme} step bound max_dt() = {bound:.3g}",
                 RuntimeWarning,
                 stacklevel=2,
             )
-        if self.scheme == "eta_form":
-            cfl = 2.0 * np.sqrt(mu / b.alphas[-1])
-            if dt > 0.9 * cfl:
-                warnings.warn(
-                    f"dt = {dt:.3g} is near or above the staggered-scheme wave CFL "
-                    f"2*sqrt(mu/alpha_N) = {cfl:.3g}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
         inc = path.increments  # (N, K) or (P, N, K)
         shape = inc.shape[:-2] + (b.n_modes,)
         run = _WaveStepper(self, _initial_state(u0, shape), _initial_state(v0, shape), dt)

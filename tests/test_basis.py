@@ -90,6 +90,25 @@ def test_transform_batched_matches_loop():
     assert np.allclose(b.analyze(stacked), batch, atol=1e-12)
 
 
+def test_transform_rows_alone_equal_rows_of_a_batch_at_production_shape():
+    # N = 32, M = 64 as in the default config; a ladder batch stacks 64 paths
+    # and the study transforms up to 320 rows at once.  Batched runs equal
+    # per-path runs bit for bit only if every row is transformed alone
+    # exactly as inside a batch.
+    b = build_basis(DomainSpec(1.0, 32, 64))
+    rng = np.random.default_rng(11)
+    coeffs = rng.normal(size=(320, 32))
+    nodal = rng.normal(size=(320, 64))
+    synth, ana = b.synthesize(coeffs), b.analyze(nodal)
+    for rows in (1, 2, 7, 64):
+        for start in (0, 320 - rows):
+            sl = slice(start, start + rows)
+            assert np.array_equal(b.synthesize(coeffs[sl]), synth[sl]), rows
+            assert np.array_equal(b.analyze(nodal[sl]), ana[sl]), rows
+    assert np.array_equal(b.synthesize(coeffs[5]), synth[5])  # one unbatched row
+    assert np.array_equal(b.analyze(nodal[5]), ana[5])
+
+
 def test_parseval_under_quadrature():
     b = build_basis(DomainSpec(0.7, 10))
     rng = np.random.default_rng(13)

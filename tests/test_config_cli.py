@@ -368,3 +368,48 @@ def test_simulate_wave_uses_the_configured_newton_count(tmp_path):
     solver = WaveSolver(basis, models, 0.01, c_stab=cfg["time"]["c_stab"], newton_iters=3)
     assert np.array_equal(u3, solver.simulate(u0, v0, path, n_output=10).u)
     assert not np.array_equal(u3, u1)
+
+
+def test_simulate_wave_reports_the_step_it_took(tmp_path):
+    from smallmass import noise, runner
+
+    # c_stab * mu = 7.5e-5 is a bound; halving 1e-4 once gives the step 5e-5.
+    cfg = validate_config(
+        {
+            "domain": {"n_modes": 8, "n_nodes": 16},
+            "time": {"t_final": 2e-3, "dt": 1e-4, "n_output": 10},
+            "mu_ladder": [1.5e-4],
+            "seed": 3,
+        }
+    )
+    report = runner.run_simulate_wave(cfg, tmp_path)["report"]
+    saved = noise.load_path(tmp_path / "noise_path.bin")
+    assert (saved.dt, saved.n_steps) == (5e-5, 40)
+    assert report["dt"] == saved.dt
+
+
+def test_resolvent_scheme_refines_below_lambda_bar(tmp_path):
+    # The resolvent exists only for dt < lambda_bar, about 0.3 mu under the
+    # default friction, below the mass bound c_stab * mu = 0.5 mu.
+    from smallmass import noise, runner
+    from smallmass.resolvent import OperatorA
+
+    base = {
+        "domain": {"n_modes": 8, "n_nodes": 16},
+        "time": {"t_final": 0.01, "dt": 5e-4, "n_output": 10},
+        "wave": {"scheme": "resolvent_implicit"},
+        "paths": 3,
+    }
+    cfg = validate_config({**base, "mu_ladder": [1e-3]})
+    basis = make_basis(cfg)
+    lam_bar = OperatorA(basis, make_models(cfg, basis), mass=1e-3).lambda_bar
+    assert lam_bar < 5e-4 <= cfg["time"]["c_stab"] * 1e-3  # the mass bound alone would not refine
+
+    report = runner.run_simulate_wave(cfg, tmp_path)["report"]
+    assert report["dt"] == noise.load_path(tmp_path / "noise_path.bin").dt == 2.5e-4
+    assert report["dt"] < lam_bar
+
+    study = runner.run_ladder_study(validate_config({**base, "mu_ladder": [0.2, 1e-3]}), keep_trajs=True)
+    assert study.wave_trajs[0.2].dt == 5e-4  # no refinement where the bound does not bind
+    assert study.wave_trajs[1e-3].dt == 2.5e-4 < lam_bar
+    assert np.all(np.isfinite(study.per_path_distance))

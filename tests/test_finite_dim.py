@@ -75,6 +75,26 @@ def test_constant_friction_no_drift():
     assert abs(drift_S(system, np.array([0.4]))[0]) < 1e-10
 
 
+def test_scalar_preset_uses_the_friction_registry():
+    from smallmass.models import friction_preset
+
+    x = np.linspace(-3.0, 3.0, 13)[:, None]
+    for name, model in (
+        ("two_plus_sin", friction_preset("two_plus_sin")),
+        ("constant", friction_preset("constant", value=2.0)),
+    ):
+        system = fd_scalar_system(friction=name)
+        assert np.array_equal(system.gamma(x)[:, 0, 0], model.gamma(x[:, 0]))
+        assert np.array_equal(system.g_antideriv(x), model.g_closed(x))
+        assert system.gamma0 == model.gamma0
+    # the same bits as the formulas the preset was written with
+    assert np.array_equal(fd_scalar_system().gamma(x), (2.0 + np.sin(x[:, 0]))[:, None, None])
+    assert np.array_equal(fd_scalar_system("constant").gamma(x), np.full((13, 1, 1), 2.0))
+    for bad in ("bell", "nope"):  # "bell" is a registry preset, not an fd one
+        with pytest.raises(ValueError, match="unknown scalar friction"):
+            fd_scalar_system(friction=bad)
+
+
 def test_2d_isotropic_drift_hand_formula():
     # gamma(x) = (2 + sin x1) I, sigma = I: J = I / (2(2+sin x1)) and
     # S(x) = (-cos x1 / (2 (2+sin x1)^3), 0), derived by hand.

@@ -212,3 +212,12 @@ def test_dump_without_header_or_truncated_is_rejected_by_format(tmp_path):
         short.write_bytes(fn.read_bytes()[:cut])
         with pytest.raises(ValueError, match="truncated.*noise dump \\(version 1\\)"):
             load_path(short)
+
+
+def test_refine_to_refines_a_batch_member_by_member():
+    batch = sample_batch(8, 3, 0.01, 1e-3, 5)
+    fine = refine_to(batch, 3e-4)
+    members = [refine_to(batch.path(j), 3e-4) for j in range(3)]
+    assert (fine.dt, fine.n_steps, fine.level, fine.seeds) == (2.5e-4, 40, 2, batch.seeds)
+    assert np.array_equal(fine.increments, stack_paths(members).increments)
+    assert refine_to(batch, 1e-3) is batch  # nothing to refine: the batch itself

@@ -203,6 +203,44 @@ def test_step_policy_warning(basis):
         solver.simulate(bump(basis), np.zeros(16), p, n_output=2)
 
 
+def test_max_dt_per_scheme(basis):
+    from smallmass.resolvent import OperatorA
+    from smallmass.wave import C_STAB, RESOLVENT_FRACTION
+
+    m = models_for(basis)
+    # semi_implicit: the mass time scale only, with the shared default c_stab
+    assert WaveSolver(basis, m, 0.1, scheme="semi_implicit").max_dt() == C_STAB * 0.1
+    assert WaveSolver(basis, m, 0.1, scheme="semi_implicit", c_stab=0.2).max_dt() == 0.2 * 0.1
+    # eta_form: 0.9 of the wave CFL 2 sqrt(mu / alpha_N) where that is below
+    # c_stab * mu (larger masses), c_stab * mu at small masses
+    cfl = 2.0 * np.sqrt(1e-2 / basis.alphas[-1])
+    assert 0.9 * cfl < C_STAB * 1e-2
+    assert WaveSolver(basis, m, 1e-2).max_dt() == pytest.approx(0.9 * cfl, rel=1e-14)
+    assert WaveSolver(basis, m, 1e-3).max_dt() == C_STAB * 1e-3
+    # resolvent_implicit: RESOLVENT_FRACTION of lambda_bar, which is below c_stab * mu
+    lam_bar = OperatorA(basis, m, mass=1e-3).lambda_bar
+    assert RESOLVENT_FRACTION < 1.0 and lam_bar < C_STAB * 1e-3
+    bound = WaveSolver(basis, m, 1e-3, scheme="resolvent_implicit").max_dt()
+    assert bound == RESOLVENT_FRACTION * lam_bar
+    assert WaveSolver(basis, m, 1e-3, scheme="resolvent_implicit", c_stab=0.1).max_dt() == 0.1 * 1e-3
+
+
+@pytest.mark.parametrize("scheme", ["semi_implicit", "eta_form", "resolvent_implicit"])
+def test_simulate_warns_exactly_above_max_dt(basis, scheme):
+    import warnings
+
+    m = models_for(basis)
+    solver = WaveSolver(basis, m, 1e-3, scheme=scheme)
+    bound = solver.max_dt()
+    for dt, warns in ((bound, False), (0.5 * bound, False), (1.01 * bound, True)):
+        path = zero_path(3 * dt, dt, 16)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solver.simulate(bump(basis), np.zeros(16), path, n_output=3)
+        steps = [w for w in caught if "max_dt()" in str(w.message)]
+        assert len(steps) == (1 if warns else 0), (scheme, dt)
+
+
 def test_scheme_validation(basis):
     m = models_for(basis)
     with pytest.raises(ValueError):
