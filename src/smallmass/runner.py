@@ -61,6 +61,16 @@ def _simulate_wave(cfg: dict, basis, models, mu: float, u0, v0, path):
     return solver.simulate(u0, v0, path, n_output=cfg["time"]["n_output"]), path
 
 
+def _check_grids(wave: np.ndarray, limit: np.ndarray, n_steps: int) -> None:
+    """Raise unless a refined wave run and the limit run output at the same times."""
+    if wave.shape != limit.shape or not np.allclose(wave, limit, atol=1e-12):
+        raise RuntimeError(
+            f"wave and limit output grids are misaligned ({len(wave)} vs "
+            f"{len(limit)} points); choose a time.n_output that divides the "
+            f"coarse step count {n_steps}"
+        )
+
+
 def _study_block(cfg: dict, seed0: int, n_paths: int, keep_trajs: bool) -> LadderStudy:
     basis = make_basis(cfg)
     models = make_models(cfg, basis)
@@ -77,8 +87,7 @@ def _study_block(cfg: dict, seed0: int, n_paths: int, keep_trajs: bool) -> Ladde
     wave_trajs = {}
     for mu in ladder:
         traj, _ = _simulate_wave(cfg, basis, models, mu, u0, v0, batch)
-        if not np.allclose(traj.times, limit_traj.times, atol=1e-12):
-            raise RuntimeError("wave and limit output grids are misaligned")
+        _check_grids(traj.times, limit_traj.times, batch.n_steps)
         rep = diagnostics.metric_distance(traj.times, traj.u, limit_traj.coeffs, basis, "plain")
         per_mu.append(rep.sup_hm1 + rep.l2_h)
         points.append(diagnostics.ladder_point(traj))
@@ -191,6 +200,7 @@ def run_drift_ablation(cfg: dict, out_dir) -> dict:
         LimitSolver(basis, models, with_drift=d).simulate(u0, batch, n_output=t["n_output"])
         for d in (True, False)
     )
+    _check_grids(wave.times, with_h.times, batch.n_steps)
 
     def distance(a, b):
         rep = diagnostics.metric_distance(wave.times, a, b, basis, "plain")

@@ -413,3 +413,54 @@ def test_resolvent_scheme_refines_below_lambda_bar(tmp_path):
     assert study.wave_trajs[0.2].dt == 5e-4  # no refinement where the bound does not bind
     assert study.wave_trajs[1e-3].dt == 2.5e-4 < lam_bar
     assert np.all(np.isfinite(study.per_path_distance))
+
+    # The same ladder at the default n_output = 200, on 200 coarse steps.
+    long = {**base, "time": {"t_final": 0.1, "dt": 5e-4}, "paths": 2, "mu_ladder": [0.2, 1e-3]}
+    study = runner.run_ladder_study(validate_config(long), keep_trajs=True)
+    assert study.wave_trajs[1e-3].dt == 2.5e-4
+    assert len(study.wave_trajs[1e-3].times) == len(study.limit_traj.times) == 201
+    assert np.all(np.isfinite(study.per_path_distance))
+
+
+def test_misaligned_output_grids_fail_by_name(tmp_path):
+    from smallmass import runner
+
+    # 20 coarse steps: the default n_output = 200 gives 21 limit points but 41
+    # wave points at the refined mass; 15 does not divide 20 and shifts them.
+    for n_output in (200, 15):
+        cfg = validate_config(
+            {
+                "domain": {"n_modes": 8, "n_nodes": 16},
+                "time": {"t_final": 0.01, "dt": 5e-4, "n_output": n_output},
+                "wave": {"scheme": "resolvent_implicit"},
+                "paths": 2,
+                "mu_ladder": [0.2, 1e-3],
+                "ablation": {"mu": 1e-3},
+            }
+        )
+        with pytest.raises(RuntimeError, match="misaligned.*divides the coarse step count 20"):
+            runner.run_ladder_study(cfg)
+        with pytest.raises(RuntimeError, match="misaligned.*divides the coarse step count 20"):
+            runner.run_drift_ablation(cfg, tmp_path)
+
+
+def test_eta_form_refines_to_the_wave_cfl(tmp_path):
+    from smallmass import noise, runner
+
+    # N = 16, mu = 0.1: 0.9 of the wave CFL 2 sqrt(mu / alpha_N) is 1.13e-2, below
+    # c_stab * mu = 5e-2, so the CFL alone halves dt = 2e-2 to 1e-2.
+    base = {
+        "domain": {"n_modes": 16, "n_nodes": 32},
+        "time": {"t_final": 0.08, "dt": 2e-2, "n_output": 4},
+        "mu_ladder": [0.1],
+        "paths": 2,
+    }
+    cfg = validate_config(base)
+    basis = make_basis(cfg)
+    cfl = 2.0 * np.sqrt(0.1 / basis.alphas[-1])
+    assert 1e-2 <= 0.9 * cfl < 2e-2 < cfg["time"]["c_stab"] * 0.1
+    report = runner.run_simulate_wave(cfg, tmp_path)["report"]
+    assert report["dt"] == noise.load_path(tmp_path / "noise_path.bin").dt == 1e-2
+    study = runner.run_ladder_study(cfg, keep_trajs=True)
+    assert study.wave_trajs[0.1].dt == 1e-2
+    assert np.all(np.isfinite(study.per_path_distance))

@@ -1,21 +1,21 @@
 """Parent-vs-change equivalence check: every route's arrays and artifacts, bit for bit.
 
-    python tools/equivalence.py PARENT [--parent-dir DIR] [--only TEXT] [--diff-only]
+    python tools/equivalence.py PARENT
 
 PARENT names a commit (for example HEAD before committing a change, or
 HEAD~1 after).  The script extracts that commit with `git archive` into a
 temporary directory, then runs the route catalogue below twice, each time in
 a fresh Python process with one BLAS thread: once on this checkout's `src`,
 once on the parent's.  Both processes run the catalogue of this file, so a
-route must only use names that exist on both sides.  `--parent-dir` uses an
-existing checkout of the parent instead of extracting one.
+route must only use names that exist on both sides.
 
 Every route returns named arrays: trajectories, running norms, the flattened
 report of a `runner.run_*` work function and the bytes of each artifact file
-it writes.  For every item the script prints `equal` (np.array_equal, NaNs
-equal) or the maximum relative deviation; numbers inside differing text
-artifacts are compared as numbers.  A route that raises on one side is
-reported with the exception.  The exit status is 0 when every item of every
+it writes.  An item is equal when np.array_equal holds (NaNs equal); the
+script prints a line for every item that is not, with the maximum relative
+deviation (numbers inside differing text artifacts are compared as numbers),
+then the count of equal and differing items.  A route that raises on one side
+is reported with the exception.  The exit status is 0 when every item of every
 route is bitwise equal on both sides, else 1.
 
 Route groups: the catalogue (3 wave schemes x path/batch x noisy/noise-free,
@@ -309,14 +309,12 @@ def catalogue() -> dict:
     return routes
 
 
-def collect(out_file: str, only: str | None) -> None:
+def collect(out_file: str) -> None:
     import warnings
 
     warnings.simplefilter("ignore")  # step-policy warnings are expected on some routes
     results = {}
     for name, run in catalogue().items():
-        if only and only not in name:
-            continue
         try:
             results[name] = run()
         except Exception:
@@ -359,14 +357,12 @@ def compare_item(a, b) -> str:
     return f"max rel dev {_rel_dev(a, b):.3g}"
 
 
-def compare(change: dict, parent: dict, diff_only: bool) -> int:
+def compare(change: dict, parent: dict) -> int:
     n_equal = n_diff = 0
     for route in sorted(set(change) | set(parent)):
         c, p = change.get(route), parent.get(route)
         if isinstance(c, str) and c == p:  # the same exception on both sides
             n_equal += 1
-            if not diff_only:
-                print(f"same  {route}: both raised {c}")
             continue
         if not isinstance(c, dict) or not isinstance(p, dict):
             n_diff += 1
@@ -380,8 +376,7 @@ def compare(change: dict, parent: dict, diff_only: bool) -> int:
                 n_equal += 1
             else:
                 n_diff += 1
-            if verdict != "equal" or not diff_only:
-                print(f"{'same' if verdict == 'equal' else 'DIFF'}  {route}/{item}: {verdict}")
+                print(f"DIFF  {route}/{item}: {verdict}")
     n_routes = len(set(change) | set(parent))
     print(f"{n_equal} items bitwise equal, {n_diff} differing, over {n_routes} routes")
     return 0 if n_diff == 0 else 1
@@ -397,10 +392,8 @@ def _extract(commit: str, dest: str) -> None:
             archive.extractall(dest, filter="data")
 
 
-def _spawn(src: str, out_file: str, only: str | None) -> subprocess.Popen:
+def _spawn(src: str, out_file: str) -> subprocess.Popen:
     cmd = [sys.executable, os.path.abspath(__file__), "--collect", out_file, "--src", src]
-    if only:
-        cmd += ["--only", only]
     env = {**os.environ, **THREADS, "PYTHONPATH": src}
     return subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
 
@@ -408,29 +401,21 @@ def _spawn(src: str, out_file: str, only: str | None) -> subprocess.Popen:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("parent", nargs="?", help="commit to compare this checkout with")
-    ap.add_argument("--parent-dir", help="existing checkout of the parent, used instead of PARENT")
-    ap.add_argument("--only", help="run only the routes whose name contains this text")
-    ap.add_argument("--diff-only", action="store_true", help="print differing items only")
     ap.add_argument("--collect", help=argparse.SUPPRESS)
     ap.add_argument("--src", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.collect:
         sys.path.insert(0, args.src)
-        collect(args.collect, args.only)
+        collect(args.collect)
         return 0
-    if not args.parent and not args.parent_dir:
-        ap.error("name the parent commit or give --parent-dir")
+    if not args.parent:
+        ap.error("name the parent commit")
     with tempfile.TemporaryDirectory() as tmp:
-        parent_dir = args.parent_dir
-        if parent_dir is None:
-            parent_dir = os.path.join(tmp, "parent")
-            _extract(args.parent, parent_dir)
-        sides = {
-            "change": os.path.join(REPO, "src"),
-            "parent": os.path.join(os.path.abspath(parent_dir), "src"),
-        }
+        parent_dir = os.path.join(tmp, "parent")
+        _extract(args.parent, parent_dir)
+        sides = {"change": os.path.join(REPO, "src"), "parent": os.path.join(parent_dir, "src")}
         procs = {
-            side: _spawn(src, os.path.join(tmp, f"{side}.pkl"), args.only)
+            side: _spawn(src, os.path.join(tmp, f"{side}.pkl"))
             for side, src in sides.items()
         }
         results = {}
@@ -441,7 +426,7 @@ def main(argv=None) -> int:
                 return 2
             with open(os.path.join(tmp, f"{side}.pkl"), "rb") as fh:
                 results[side] = pickle.load(fh)
-    return compare(results["change"], results["parent"], args.diff_only)
+    return compare(results["change"], results["parent"])
 
 
 if __name__ == "__main__":
