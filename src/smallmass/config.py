@@ -151,6 +151,8 @@ def validate_config(raw: dict) -> dict:
     ):
         raise ConfigError("config key 'mu_ladder' must be a list of positive numbers")
     cfg["mu_ladder"] = sorted((float(m) for m in ladder), reverse=True)
+    if cfg["time"]["n_output"] < 1:
+        raise ConfigError("config key 'time.n_output' must be at least 1")
     return cfg
 
 
@@ -177,22 +179,29 @@ def make_basis(cfg: dict) -> SpectralBasis:
     return build_basis(DomainSpec(length=d["length"], n_modes=d["n_modes"], n_nodes=d["n_nodes"]))
 
 
+_FRICTION_OPTIONS = {"friction_value": "value", "gamma0": "gamma0", "gamma1": "gamma1"}
+
+
+def _preset(m: dict, kind: str, build, options: dict):
+    """build(m[kind], ...) on the model keys in options (key -> preset option) that m sets."""
+    given = {key: m[key] for key in options if key in m}
+    try:
+        return build(m[kind], **{options[k]: v for k, v in given.items()})
+    except ValueError as exc:  # the preset rejects an option or a value by its own name
+        named = "".join(f", model.{k} = {v!r}" for k, v in given.items())
+        raise ConfigError(f"model.{kind} = {m[kind]!r}{named}: {exc}") from exc
+
+
 def make_models(cfg: dict, basis: SpectralBasis) -> ModelSet:
     m = cfg["model"]
     if "friction_csv" in m:
+        extra = ", ".join(f"model.{k}" for k in _FRICTION_OPTIONS if k in m)
+        if extra:
+            raise ConfigError(f"model.friction_csv takes no friction options, got {extra}")
         friction = load_friction_csv(m["friction_csv"])
     else:
-        kw = {}
-        if m["friction"] == "constant" and "friction_value" in m:
-            kw["value"] = m["friction_value"]
-        if m["friction"] == "bell":
-            if "gamma0" in m:
-                kw["gamma0"] = m["gamma0"]
-            if "gamma1" in m:
-                kw["gamma1"] = m["gamma1"]
-        friction = friction_preset(m["friction"], **kw)
-    rkw = {"clip_radius": m["clip_radius"]} if m["reaction"] == "cubic_clipped" and "clip_radius" in m else {}
-    reaction = reaction_preset(m["reaction"], **rkw)
+        friction = _preset(m, "friction", friction_preset, _FRICTION_OPTIONS)
+    reaction = _preset(m, "reaction", reaction_preset, {"clip_radius": "clip_radius"})
     diffusion = build_diffusion(basis, factor=m["diffusion"], q=m["q_exponent"])
     return build_model_set(basis, friction, reaction, diffusion, tol_inv=m["tol_inv"])
 

@@ -159,16 +159,8 @@ class TransformedCoefficients:
         return self.reaction.f(self.g_map.inverse(r))
 
     @property
-    def b_min(self) -> float:
-        return 1.0 / self.friction.gamma1
-
-    @property
-    def b_max(self) -> float:
-        return 1.0 / self.friction.gamma0
-
-    @property
     def b_bar(self) -> float:
-        return 0.5 * (self.b_min + self.b_max)
+        return 0.5 * (1.0 / self.friction.gamma1 + 1.0 / self.friction.gamma0)
 
 
 @dataclass(frozen=True)
@@ -248,6 +240,13 @@ def _fd_derivative(fun: Callable, h: float = _FD_STEP) -> Callable:
     return deriv
 
 
+def _options(what: str, kw: dict, defaults: dict) -> list[float]:
+    """A preset's option values in the order of defaults; an option it does not take is an error."""
+    if set(kw) - set(defaults):
+        raise ValueError(f"unknown options for {what}: {sorted(set(kw) - set(defaults))}")
+    return [float(kw.get(k, v)) for k, v in defaults.items()]
+
+
 def friction_preset(name: str, **kw) -> FrictionModel:
     """Built-in friction models.
 
@@ -256,9 +255,7 @@ def friction_preset(name: str, **kw) -> FrictionModel:
     "bell"          gamma(r) = gamma0 + (gamma1 - gamma0)/(1 + r^2)
     """
     if name == "constant":
-        value = float(kw.pop("value", 1.0))
-        if kw:
-            raise ValueError(f"unknown options for constant friction: {sorted(kw)}")
+        (value,) = _options("constant friction", kw, {"value": 1.0})
         return FrictionModel(
             gamma=lambda r: np.full_like(np.asarray(r, dtype=float), value),
             gamma_prime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
@@ -269,8 +266,7 @@ def friction_preset(name: str, **kw) -> FrictionModel:
             g_inverse_closed=lambda y: np.asarray(y, dtype=float) / value,
         )
     if name == "two_plus_sin":
-        if kw:
-            raise ValueError(f"unknown options for two_plus_sin friction: {sorted(kw)}")
+        _options("two_plus_sin friction", kw, {})
         return FrictionModel(
             gamma=lambda r: 2.0 + np.sin(r),
             gamma_prime=lambda r: np.cos(r),
@@ -280,12 +276,7 @@ def friction_preset(name: str, **kw) -> FrictionModel:
             g_closed=lambda r: 2.0 * np.asarray(r, dtype=float) + 1.0 - np.cos(r),
         )
     if name == "bell":
-        g0 = float(kw.pop("gamma0", 1.0))
-        g1 = float(kw.pop("gamma1", 2.0))
-        if kw:
-            raise ValueError(f"unknown options for bell friction: {sorted(kw)}")
-        if not 0.0 < g0 <= g1:
-            raise ValueError("bell friction needs 0 < gamma0 <= gamma1")
+        g0, g1 = _options("bell friction", kw, {"gamma0": 1.0, "gamma1": 2.0})
         return FrictionModel(
             gamma=lambda r: g0 + (g1 - g0) / (1.0 + np.asarray(r, dtype=float) ** 2),
             gamma_prime=lambda r: -2.0
@@ -344,16 +335,14 @@ def reaction_preset(name: str, **kw) -> ReactionModel:
     "cubic_clipped"  f(r) = r - r^3 inside |r| <= clip_radius, linear continuation outside
     """
     if name == "zero":
-        if kw:
-            raise ValueError(f"unknown options for zero reaction: {sorted(kw)}")
+        _options("zero reaction", kw, {})
         return ReactionModel(
             f=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
             lipschitz_const=0.0,
             name="zero",
         )
     if name == "linear_decay":
-        if kw:
-            raise ValueError(f"unknown options for linear_decay reaction: {sorted(kw)}")
+        _options("linear_decay reaction", kw, {})
         return ReactionModel(
             f=lambda r: -np.asarray(r, dtype=float),
             lipschitz_const=1.0,
@@ -363,9 +352,7 @@ def reaction_preset(name: str, **kw) -> ReactionModel:
             name="linear_decay",
         )
     if name == "cubic_clipped":
-        radius = float(kw.pop("clip_radius", 1.5))
-        if kw:
-            raise ValueError(f"unknown options for cubic_clipped reaction: {sorted(kw)}")
+        (radius,) = _options("cubic_clipped reaction", kw, {"clip_radius": 1.5})
         if radius <= 0:
             raise ValueError("clip_radius must be positive")
         edge = radius - radius**3

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import diagnostics, noise, output
-from .config import config_hash, make_basis, make_initial, make_models
-from .diagnostics import LadderPoint
+from .config import ConfigError, config_hash, make_basis, make_initial, make_models
+from .diagnostics import DriftNecessityReport, LadderPoint
 # simulate_fd and simulate_fd_limit are not called here; bench/spans.py wraps them at this name.
 from .finite_dim import (
     FDNoise,
@@ -42,6 +42,7 @@ class LadderStudy:
     ladder_points: list[LadderPoint]
     limit_traj: LimitTrajectory | None  # batched; None when paths were split over jobs
     wave_trajs: dict  # mu -> WaveTrajectory (batched)
+    batch: noise.PathBatch | None = None  # the coupled paths, kept with the trajectories
 
 
 def _simulate_wave(cfg: dict, basis, models, mu: float, u0, v0, path):
@@ -65,22 +66,25 @@ def _check_grids(wave: np.ndarray, limit: np.ndarray, n_steps: int) -> None:
     """Raise unless a refined wave run and the limit run output at the same times."""
     if wave.shape != limit.shape or not np.allclose(wave, limit, atol=1e-12):
         raise RuntimeError(
-            f"wave and limit output grids are misaligned ({len(wave)} vs "
-            f"{len(limit)} points); choose a time.n_output that divides the "
-            f"coarse step count {n_steps}"
+            f"wave and limit output grids are misaligned ({len(wave)} vs {len(limit)} points); "
+            f"choose a time.n_output that divides the coarse step count {n_steps}"
         )
 
 
+def _distance(times: np.ndarray, a: np.ndarray, b: np.ndarray, basis) -> np.ndarray:
+    """Per-path coupled distance sup_t ||a - b||_{H^-1} + ||a - b||_{L^2(0,T;H)}."""
+    return diagnostics.metric_distance(times, a, b, basis, "plain").value("plain")
+
+
 def _study_block(cfg: dict, seed0: int, n_paths: int, keep_trajs: bool) -> LadderStudy:
+    """The ladder's waves against the u-form limit with H, all on one coupled batch."""
     basis = make_basis(cfg)
     models = make_models(cfg, basis)
     u0, v0 = make_initial(cfg, basis)
     t = cfg["time"]
     ladder = cfg["mu_ladder"]
     batch = noise.sample_batch(seed0, n_paths, t["t_final"], t["dt"], basis.n_modes)
-
-    limit_solver = LimitSolver(basis, models, form=cfg["limit"]["form"], with_drift=True)
-    limit_traj = limit_solver.simulate(u0, batch, n_output=t["n_output"])
+    limit_traj = LimitSolver(basis, models).simulate(u0, batch, n_output=t["n_output"])
 
     per_mu = []
     points = []
@@ -88,8 +92,7 @@ def _study_block(cfg: dict, seed0: int, n_paths: int, keep_trajs: bool) -> Ladde
     for mu in ladder:
         traj, _ = _simulate_wave(cfg, basis, models, mu, u0, v0, batch)
         _check_grids(traj.times, limit_traj.times, batch.n_steps)
-        rep = diagnostics.metric_distance(traj.times, traj.u, limit_traj.coeffs, basis, "plain")
-        per_mu.append(rep.sup_hm1 + rep.l2_h)
+        per_mu.append(_distance(traj.times, traj.u, limit_traj.coeffs, basis))
         points.append(diagnostics.ladder_point(traj))
         if keep_trajs:
             wave_trajs[mu] = traj
@@ -99,6 +102,29 @@ def _study_block(cfg: dict, seed0: int, n_paths: int, keep_trajs: bool) -> Ladde
         ladder_points=points,
         limit_traj=limit_traj,
         wave_trajs=wave_trajs,
+        batch=batch if keep_trajs else None,
+    )
+
+
+def drift_necessity(cfg: dict, study: LadderStudy) -> DriftNecessityReport:
+    """`diagnostics.drift_necessity_report` over the study's ladder at ablation.mu.
+
+    Runs the limit without H on the study's coupled batch, so the study must
+    have kept its trajectories (keep_trajs=True in one process).
+    """
+    if study.batch is None:
+        raise ValueError("drift necessity needs a ladder study that kept its trajectories")
+    basis = make_basis(cfg)
+    models = make_models(cfg, basis)
+    u0, _ = make_initial(cfg, basis)
+    no_h = LimitSolver(basis, models, with_drift=False).simulate(
+        u0, study.batch, n_output=cfg["time"]["n_output"]
+    )
+    waves = [study.wave_trajs[mu] for mu in study.ladder]
+    d_no = [_distance(w.times, w.u, no_h.coeffs, basis) for w in waves]
+    d_h = _distance(study.limit_traj.times, study.limit_traj.coeffs, no_h.coeffs, basis)
+    return diagnostics.drift_necessity_report(
+        study.ladder, study.per_path_distance, d_no, d_h, cfg["ablation"]["mu"]
     )
 
 
@@ -185,34 +211,11 @@ def run_scaling_audit(cfg: dict, out_dir) -> dict:
 
 
 def run_drift_ablation(cfg: dict, out_dir) -> dict:
-    """Distances to the limit with and without the noise-induced drift term.
-
-    Passes by `diagnostics.drift_necessity_report` at the mass ablation.mu.
-    """
-    basis = make_basis(cfg)
-    models = make_models(cfg, basis)
-    u0, v0 = make_initial(cfg, basis)
-    t = cfg["time"]
-    mu = cfg["ablation"]["mu"]
-    batch = noise.sample_batch(cfg["seed"], cfg["paths"], t["t_final"], t["dt"], basis.n_modes)
-    wave, _ = _simulate_wave(cfg, basis, models, mu, u0, v0, batch)
-    with_h, no_h = (
-        LimitSolver(basis, models, with_drift=d).simulate(u0, batch, n_output=t["n_output"])
-        for d in (True, False)
-    )
-    _check_grids(wave.times, with_h.times, batch.n_steps)
-
-    def distance(a, b):
-        rep = diagnostics.metric_distance(wave.times, a, b, basis, "plain")
-        return rep.sup_hm1 + rep.l2_h
-
-    report = diagnostics.drift_necessity_report(
-        [mu],
-        distance(wave.u, with_h.coeffs)[None],
-        distance(wave.u, no_h.coeffs)[None],
-        distance(with_h.coeffs, no_h.coeffs),
-        mu,
-    )
+    """The coupled ladder study judged by `drift_necessity`, in one process."""
+    mu, ladder = cfg["ablation"]["mu"], cfg["mu_ladder"]
+    if mu not in ladder:
+        raise ConfigError(f"ablation.mu = {mu} is not on mu_ladder {ladder}")
+    report = drift_necessity(cfg, _study_block(cfg, cfg["seed"], cfg["paths"], keep_trajs=True))
     stats = report.as_dict()
     h = config_hash(cfg)
     output.write_json(os.path.join(out_dir, "drift_ablation.json"), {"ablation": stats}, cfg, h)

@@ -12,13 +12,7 @@ import pytest
 from conftest import record_criterion
 from smallmass import noise
 from smallmass.config import make_basis, make_initial, make_models, validate_config
-from smallmass.diagnostics import (
-    convergence_report,
-    drift_necessity_report,
-    lambda_functional,
-    metric_distance,
-    scaling_audit,
-)
+from smallmass.diagnostics import convergence_report, lambda_functional, scaling_audit
 from smallmass.finite_dim import (
     FDNoise,
     drift_S,
@@ -34,7 +28,7 @@ from smallmass.models import (
     stratonovich_correction,
 )
 from smallmass.resolvent import OperatorA, audit_operator
-from smallmass.runner import run_ladder_study
+from smallmass.runner import drift_necessity, run_ladder_study
 
 
 @pytest.fixture(scope="module")
@@ -76,31 +70,17 @@ def test_criterion_1_small_mass_convergence(headline, study):
     assert report.flags["ratio"], detail
 
 
-def test_criterion_2_drift_necessity(headline, setup, study):
+def test_criterion_2_drift_necessity(headline, study):
     """Dropping H from the limit must move it measurably away from the wave.
 
     The theorem gives convergence without a rate, so no effect size at a
     fixed mass is asserted: the distances are judged on coupled paths by
     interval separation, the paired excess and the ratio's rise down the
-    ladder (see `drift_necessity_report`).
+    ladder (see `drift_necessity_report`).  The CLI's drift-ablation runs the
+    same `runner.drift_necessity`.
     """
-    basis, models, u0, v0 = setup
-    t = headline["time"]
     mu = headline["ablation"]["mu"]
-    batch = noise.sample_batch(
-        headline["seed"], headline["paths"], t["t_final"], t["dt"], basis.n_modes
-    )
-    no_h = LimitSolver(basis, models, form="u", with_drift=False).simulate(
-        u0, batch, n_output=t["n_output"]
-    )
-
-    def distance(a, b):
-        rep = metric_distance(study.limit_traj.times, a, b, basis)
-        return rep.sup_hm1 + rep.l2_h
-
-    d_no = np.stack([distance(study.wave_trajs[m].u, no_h.coeffs) for m in study.ladder])
-    d_h = distance(study.limit_traj.coeffs, no_h.coeffs)
-    rep = drift_necessity_report(study.ladder, study.per_path_distance, d_no, d_h, mu)
+    rep = drift_necessity(headline, study)
     detail = (
         f"mean with-drift {rep.mean_with:.4f}+-{rep.se_with:.4f}, "
         f"without {rep.mean_without:.4f}+-{rep.se_without:.4f}, "

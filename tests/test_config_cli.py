@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,13 @@ def test_type_checking():
         validate_config({"mu_ladder": [0.1, -0.2]})
     with pytest.raises(ConfigError, match="limit.with_drift"):
         validate_config({"limit": {"with_drift": 1}})
+
+
+def test_n_output_below_one_fails_by_name():
+    for n_output in (0, -3):
+        with pytest.raises(ConfigError, match="time.n_output"):
+            validate_config({"time": {"n_output": n_output}})
+    assert validate_config({"time": {"n_output": 1}})["time"]["n_output"] == 1
 
 
 def test_config_hash_stable_and_sensitive():
@@ -108,6 +116,9 @@ def test_make_models_csv(tmp_path):
     models = make_models(cfg, make_basis(cfg))
     assert models.friction.name == "tabulated"
     assert abs(models.friction.gamma(0.5) - (2 + np.sin(0.5))) < 1e-3
+    cfg["model"]["gamma1"] = 4.0
+    with pytest.raises(ConfigError, match="model.friction_csv takes no friction options.*model.gamma1"):
+        make_models(cfg, make_basis(cfg))
 
 
 def test_cli_selftest_exits_zero(capsys):
@@ -254,7 +265,9 @@ def test_parallel_jobs_reproduce_sequential(tmp_path):
     assert par.limit_traj is None and par.wave_trajs == {}
 
 
-def test_cli_drift_ablation_small(tmp_path):
+def test_cli_drift_ablation_small(tmp_path, capsys, monkeypatch):
+    from smallmass import diagnostics
+
     cfg = {
         "domain": {"n_modes": 8, "n_nodes": 16},
         "time": {"t_final": 0.05, "dt": 5e-4, "dt_limit": 5e-4, "n_output": 20},
@@ -278,6 +291,100 @@ def test_cli_drift_ablation_small(tmp_path):
     assert doc["ablation"]["ratio"] <= doc["ablation"]["ratio_bound"] + 1e-12
     assert set(doc["ablation"]["flags"]) == {"separated", "paired", "rising"}
     assert code == (0 if all(doc["ablation"]["flags"].values()) else 1)
+    # The configured ladder is judged, one ratio per mass, and the rise decides `rising`.
+    ladder, ratios = doc["ablation"]["ladder"], doc["ablation"]["ratios"]
+    assert ladder == validate_config(cfg)["mu_ladder"]
+    assert len(ratios) == len(ladder)
+    assert doc["ablation"]["ratio"] == ratios[ladder.index(0.02)]
+    assert doc["ablation"]["flags"]["rising"] == bool(np.all(np.diff(ratios) > 0))
+
+    # The exit code follows each of the three flags.
+    real = diagnostics.drift_necessity_report
+    for flags in (
+        {"separated": True, "paired": True, "rising": True},
+        {"separated": False, "paired": True, "rising": True},
+        {"separated": True, "paired": False, "rising": True},
+        {"separated": True, "paired": True, "rising": False},
+    ):
+
+        def forced(*args, flags=flags):
+            rep = real(*args)
+            rep.flags = dict(flags)
+            return rep
+
+        monkeypatch.setattr(diagnostics, "drift_necessity_report", forced)
+        code = main(["drift-ablation", "--config", str(p), "--out", str(out)])
+        assert code == (0 if all(flags.values()) else 1), flags
+
+    # A judged mass off the ladder fails by name before any run.
+    capsys.readouterr()
+    p.write_text(json.dumps({**cfg, "ablation": {"mu": 0.03}}))
+    assert main(["drift-ablation", "--config", str(p), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config"
+    assert "ablation.mu = 0.03" in err["message"]
+
+
+def test_ladder_study_uses_the_u_form_limit_whatever_limit_form():
+    from smallmass import runner
+
+    base = {
+        "domain": {"n_modes": 8, "n_nodes": 16},
+        "time": {"t_final": 0.02, "dt": 5e-4, "n_output": 10},
+        "mu_ladder": [0.1, 0.02],
+        "paths": 3,
+    }
+    studies = [
+        runner.run_ladder_study(validate_config({**base, "limit": {"form": form}}))
+        for form in ("u", "rho")
+    ]
+    assert np.array_equal(studies[0].per_path_distance, studies[1].per_path_distance)
+
+
+@pytest.mark.parametrize(
+    "model, key",
+    [
+        ({"friction": "two_plus_sin", "gamma1": 5}, "model.gamma1"),
+        ({"friction": "constant", "gamma0": 0.5}, "model.gamma0"),
+        ({"friction": "bell", "friction_value": 3}, "model.friction_value"),
+        ({"reaction": "linear_decay", "clip_radius": 0.5}, "model.clip_radius"),
+        ({"friction": "bell", "gamma0": 3, "gamma1": 1}, "model.gamma0"),
+        ({"friction": "wobbly"}, "model.friction = 'wobbly'"),
+    ],
+    ids=[
+        "two_plus_sin-gamma1",
+        "constant-gamma0",
+        "bell-friction_value",
+        "linear_decay-clip_radius",
+        "bell-gamma0_above_gamma1",
+        "unknown_friction",
+    ],
+)
+def test_preset_options_the_preset_rejects_fail_by_name(model, key):
+    cfg = validate_config({"domain": {"n_modes": 8, "n_nodes": 16}, "model": model})
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        make_models(cfg, make_basis(cfg))
+
+
+def test_preset_options_reach_the_preset():
+    cfg = validate_config(
+        {
+            "domain": {"n_modes": 8, "n_nodes": 16},
+            "model": {
+                "friction": "bell",
+                "gamma0": 0.5,
+                "gamma1": 4,
+                "reaction": "cubic_clipped",
+                "clip_radius": 1.0,
+            },
+        }
+    )
+    models = make_models(cfg, make_basis(cfg))
+    assert (models.friction.gamma0, models.friction.gamma1) == (0.5, 4.0)
+    # radius 1: f(1) = 0 and slope 1 - 3 = -2 beyond it, so f(2) = -2
+    assert models.reaction.f(np.array([2.0]))[0] == -2.0
+    cfg = validate_config({"model": {"friction": "constant", "friction_value": 2.5}})
+    assert make_models(cfg, make_basis(cfg)).friction.gamma0 == 2.5
 
 
 def test_cli_fd_converge_small(tmp_path):

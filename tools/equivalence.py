@@ -257,8 +257,15 @@ def _run_routes() -> dict:
                 "run_simulate_limit", _cfg(short, limit)
             )
     routes["run_scaling_audit"] = _work("run_scaling_audit", _cfg(short))
+    # the coupled study compares the wave with the u-form limit whatever limit.form is
+    routes["run_converge.limit_rho"] = _work("run_converge", _cfg(short, {"limit": {"form": "rho"}}))
     ablation = {"ablation": {"mu": 0.01}}
     routes["run_drift_ablation"] = _work("run_drift_ablation", _cfg(short, ablation))
+    # one mass on the ladder: the judged ladder is the single ablation mass
+    one_mass = {"mu_ladder": [0.01]}
+    routes["run_drift_ablation.one_mass"] = _work(
+        "run_drift_ablation", _cfg(short, ablation, one_mass)
+    )
     for eta in (False, True):
         fd = {"fd": {"t_final": 0.02, "dt": 1e-3, "mu": 1e-2, "paths": 300, "eta_transform": eta}}
         routes[f"run_fd_converge.eta={eta}"] = _work("run_fd_converge", _cfg(fd))
