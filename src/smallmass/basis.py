@@ -6,10 +6,25 @@ Dirichlet boundary conditions is diagonalized by
     e_i(x) = sqrt(2/L) * sin(i*pi*x/L),    alpha_i = (i*pi/L)**2,   i = 1, 2, ...
 
 A field is represented by its first N sine coefficients.  The nodal grid is
-the uniform interior grid x_j = j*L/(M+1), j = 1..M, on which the type-I
-discrete sine transform gives exactly orthogonal analysis/synthesis (the
-quadrature rule with constant weight L/(M+1) reproduces the L2 inner product
-of band-limited fields to machine precision).
+the uniform interior grid x_j = j*L/(M+1), j = 1..M, on which the
+eigenfunctions are exactly orthogonal under the quadrature rule with constant
+weight L/(M+1) (it reproduces the L2 inner product of band-limited fields to
+machine precision).
+
+Transforms.  Synthesis and analysis are one matrix product each, against
+matrices built once per basis from E[j, i] = e_i(x_j) (`mode_matrix`):
+coefficients (..., N) times E^T give nodal values (..., M), and nodal values
+times (L/(M+1)) E give coefficients.  Every input is flattened to rows, so a
+batch of P paths, or a (T, P, N) stack, is one product.  A lone row is padded
+with a zero row before the product: BLAS multiplies one row (gemv) with
+other rounding than a block of rows (gemm), while gemm rows agree bit for bit
+whatever the block size.  With the pad, each row transforms to the same bits
+alone as inside any batch, which keeps batched runs equal to per-path runs
+and parallel runs equal to sequential ones.  Against the type-I discrete
+sine transform (scipy.fft.dst), measured per call with one OpenBLAS thread on
+a 2-CPU Xeon host with M = 2N: at N = 32-128 the products are 2.6-5.7x faster
+for one row and 5.7-18x for 64 rows; at N = 256 they are 0.7-1.1x, so the
+dense form suits the sizes this package runs.
 
 The fractional Sobolev scale is defined directly on coefficients:
 
@@ -24,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst
 
 
 @dataclass(frozen=True)
@@ -72,26 +86,19 @@ class SpectralBasis:
         self.alphas = (i * np.pi / L) ** 2
         self.x = L * np.arange(1, M + 1, dtype=float) / (M + 1)
         self.weight = L / (M + 1)
-        self._synth_scale = np.sqrt(2.0 / L) / 2.0
-        self._ana_scale = self.weight * np.sqrt(2.0 / L) / 2.0
+        modes = self.mode_matrix()
+        self._synth = np.ascontiguousarray(modes.T)  # (N, M)
+        self._ana = self.weight * modes  # (M, N)
 
     # -- transforms ---------------------------------------------------------
 
     def synthesize(self, f) -> np.ndarray:
         """Evaluate a coefficient vector on the nodal grid."""
-        c = np.asarray(f, dtype=float)
-        if c.shape[-1] != self.n_modes:
-            raise ValueError(f"expected {self.n_modes} coefficients, got {c.shape[-1]}")
-        pad = np.zeros(c.shape[:-1] + (self.n_nodes,), dtype=float)
-        pad[..., : self.n_modes] = c
-        return self._synth_scale * dst(pad, type=1, axis=-1)
+        return _rows_times(f, self._synth, "coefficients")
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Project nodal values onto the first N modes (exact for band-limited data)."""
-        v = np.asarray(values, dtype=float)
-        if v.shape[-1] != self.n_nodes:
-            raise ValueError(f"expected {self.n_nodes} nodal values, got {v.shape[-1]}")
-        return (self._ana_scale * dst(v, type=1, axis=-1))[..., : self.n_modes]
+        return _rows_times(values, self._ana, "nodal values")
 
     def laplacian(self, f) -> np.ndarray:
         """Apply the Dirichlet Laplacian: coefficient-wise multiplication by -alpha_i."""
@@ -130,6 +137,19 @@ class SpectralBasis:
         return np.sqrt(2.0 / self.length) * np.sin(
             np.outer(self.x, i) * np.pi / self.length
         )
+
+
+def _rows_times(x, matrix: np.ndarray, what: str) -> np.ndarray:
+    """x (..., n) times matrix (n, m) as one product of contiguous rows, a lone row padded."""
+    a = np.asarray(x, dtype=float)
+    n, m = matrix.shape
+    if a.shape[-1:] != (n,):
+        raise ValueError(f"expected {n} {what}, got {a.shape[-1] if a.ndim else 'a scalar'}")
+    if a.size == n:  # a lone row: multiply it as the first of two, as gemm would
+        pad = np.zeros((2, n))
+        pad[0] = a.reshape(n)
+        return (pad @ matrix)[0].reshape(a.shape[:-1] + (m,))
+    return (np.ascontiguousarray(a.reshape(-1, n)) @ matrix).reshape(a.shape[:-1] + (m,))
 
 
 def build_basis(spec: DomainSpec) -> SpectralBasis:

@@ -142,7 +142,9 @@ def metric_distance(
     diff_sq = (a - b) ** 2  # (T, ..., N)
 
     def h_norms(s: float) -> np.ndarray:
-        return np.sqrt(diff_sq @ basis.alphas**s)  # (T, ...)
+        # an elementwise product and a row sum, not a matrix-vector product:
+        # BLAS rounds a row of a (T, P, N) stack differently for another P
+        return np.sqrt(np.sum(diff_sq * basis.alphas**s, axis=-1))  # (T, ...)
 
     h_t = h_norms(0.0)
     d_x1 = d_x2 = None

@@ -34,11 +34,8 @@ _HEADER = struct.Struct("<8sqqdqqq")
 def _mode_generator(seed: int, mode: int, level: int) -> np.random.Generator:
     if not 0 <= mode < 2**32 or not 0 <= level < 2**32:
         raise ValueError("mode and refinement level must fit in 32 bits")
-    key = np.array(
-        [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), (np.uint64(mode) << np.uint64(32)) | np.uint64(level)],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    key = [int(seed) & 0xFFFF_FFFF_FFFF_FFFF, (int(mode) << 32) | int(level)]
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 @dataclass(frozen=True)

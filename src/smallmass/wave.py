@@ -50,6 +50,10 @@ Every integrator of the package, wave, limit and finite-dimensional, runs on
 the one time loop `drive`, defined here; the noise forcing of every scheme is
 `noise.apply_noise`.  `g_coeffs` is the one conversion from u to g(u), and
 `WaveSolver.g_over_mu` the one shift eta = v + g(u)/mu between v and eta.
+An eta_form run recovers v after every step through u and g(u) at the nodes
+and starts the next step from those values, which its first Newton iterate
+needs, instead of computing them again; `step()` computes them afresh, with
+the same bits.
 """
 
 from __future__ import annotations
@@ -90,7 +94,13 @@ class WaveState:
 
 def g_coeffs(u: np.ndarray, basis: SpectralBasis, models: ModelSet) -> np.ndarray:
     """Sine coefficients of g(u), the friction antiderivative applied at the nodes."""
-    return basis.analyze(models.g_map.forward(basis.synthesize(u)))
+    return basis.analyze(_g_nodal(u, basis, models)[1])
+
+
+def _g_nodal(u: np.ndarray, basis: SpectralBasis, models: ModelSet) -> tuple:
+    """u and g(u) at the nodes, the values g_coeffs analyzes."""
+    u_nodal = basis.synthesize(u)
+    return u_nodal, models.g_map.forward(u_nodal)
 
 
 @dataclass
@@ -221,14 +231,16 @@ class WaveSolver:
         v_new = b.analyze(b.synthesize(w) / (mu + dt * m.friction.gamma(u_nodal)))
         return u + dt * v_new, v_new
 
-    def _step_eta(self, u, eta, dt, dbeta):
+    def _step_eta(self, u, eta, dt, dbeta, nodal=None):
+        """The eta_form step; nodal is _g_nodal(u) when the caller holds it, else computed."""
         b, m, mu = self.basis, self.models, self.mu
-        u_nodal = b.synthesize(u)
-        eta_nodal = b.synthesize(eta)
-        target = u_nodal + dt * eta_nodal
+        u_nodal, g_w = _g_nodal(u, b, m) if nodal is None else nodal
+        target = u_nodal + dt * b.synthesize(eta)
         w = u_nodal
-        for _ in range(self.newton_iters):
-            phi = w + (dt / mu) * m.g_map.forward(w) - target
+        for k in range(self.newton_iters):
+            if k:
+                g_w = m.g_map.forward(w)
+            phi = w + (dt / mu) * g_w - target
             w = w - phi / (1.0 + (dt / mu) * m.friction.gamma(w))
         u_new = b.analyze(w)
         rhs = b.laplacian(u_new) + b.analyze(m.reaction.f(u_nodal))
@@ -305,14 +317,26 @@ class _WaveStepper:
         }
 
     def _norms(self) -> tuple:
-        """Set v from the state; return ||u||_H, ||u||_H1 and ||v||_H."""
-        self.v = self.second - self.solver.g_over_mu(self.u) if self.eta_mode else self.second
-        norm = self.solver.basis.sobolev_norm
+        """Set v, in eta mode keeping u and g(u) at the nodes for the next step.
+
+        Returns ||u||_H, ||u||_H1 and ||v||_H.
+        """
+        s = self.solver
+        if self.eta_mode:
+            self.nodal = _g_nodal(self.u, s.basis, s.models)
+            self.v = self.second - s.basis.analyze(self.nodal[1]) / s.mu
+        else:
+            self.v = self.second
+        norm = s.basis.sobolev_norm
         return norm(self.u, 0.0), norm(self.u, 1.0), norm(self.v, 0.0)
 
     def step(self, dbeta) -> tuple:
-        self.u, self.second = self.solver._advance(self.u, self.second, self.dt, dbeta)
-        return self.u, self.second
+        if self.eta_mode:
+            step = self.solver._step_eta(self.u, self.second, self.dt, dbeta, self.nodal)
+        else:
+            step = self.solver._advance(self.u, self.second, self.dt, dbeta)
+        self.u, self.second = step
+        return step
 
     def observe(self) -> None:
         nu, nu1, nv = self._norms()

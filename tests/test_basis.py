@@ -80,6 +80,29 @@ def test_transform_round_trip_and_pointwise():
     assert abs(bq.synthesize(np.array([0.0, 1.0, 0.0]))[3] - np.sqrt(2.0)) < 1e-12
 
 
+@pytest.mark.parametrize("n_modes, n_nodes", [(8, 16), (32, 64), (32, 70)])
+def test_transforms_agree_with_the_type_one_sine_transform(n_modes, n_nodes):
+    # An independent algorithm: the grid values are a DST-I of the zero-padded
+    # coefficients.  The bound is in units of double eps times the sums of
+    # absolute terms; the sine arguments of the matrix entries reach N*pi,
+    # so an entry itself carries up to ~N*pi eps beside the n-term sum.
+    from scipy.fft import dst
+
+    b = build_basis(DomainSpec(1.3, n_modes, n_nodes))
+    rng = np.random.default_rng(n_modes + n_nodes)
+    coeffs = rng.normal(size=(5, n_modes))
+    nodal = rng.normal(size=(5, n_nodes))
+    pad = np.zeros((5, n_nodes))
+    pad[:, :n_modes] = coeffs
+    scale = np.sqrt(2.0 / 1.3) / 2.0
+    ref_synth = scale * dst(pad, type=1, axis=-1)
+    ref_ana = (b.weight * scale * dst(nodal, type=1, axis=-1))[:, :n_modes]
+    eps = np.finfo(float).eps * (n_nodes + np.pi * n_modes)
+    emat = np.abs(b.mode_matrix())
+    assert np.all(np.abs(b.synthesize(coeffs) - ref_synth) <= eps * (np.abs(coeffs) @ emat.T))
+    assert np.all(np.abs(b.analyze(nodal) - ref_ana) <= eps * b.weight * (np.abs(nodal) @ emat))
+
+
 def test_transform_batched_matches_loop():
     b = build_basis(DomainSpec(1.0, 6))
     rng = np.random.default_rng(5)
@@ -107,6 +130,32 @@ def test_transform_rows_alone_equal_rows_of_a_batch_at_production_shape():
             assert np.array_equal(b.analyze(nodal[sl]), ana[sl]), rows
     assert np.array_equal(b.synthesize(coeffs[5]), synth[5])  # one unbatched row
     assert np.array_equal(b.analyze(nodal[5]), ana[5])
+
+
+@pytest.mark.parametrize("n_modes, n_nodes", [(6, 12), (8, 16), (16, 32), (32, 64)])
+def test_transform_rows_equal_rows_of_a_batch_whatever_the_input_shape(n_modes, n_nodes):
+    # The shapes the tier-1 ladder and wave tests run, and the production one:
+    # a row transforms to the same bits alone (1-D), in a block of rows, and
+    # inside a (n_out, P, N) stack as the study's trajectories are.
+    b = build_basis(DomainSpec(1.0, n_modes, n_nodes))
+    rng = np.random.default_rng(n_modes)
+    coeffs = rng.normal(size=(21, 6, n_modes))
+    nodal = rng.normal(size=(21, 6, n_nodes))
+    synth, ana = b.synthesize(coeffs), b.analyze(nodal)
+    flat_s = b.synthesize(coeffs.reshape(-1, n_modes)).reshape(synth.shape)
+    flat_a = b.analyze(nodal.reshape(-1, n_nodes)).reshape(ana.shape)
+    assert np.array_equal(flat_s, synth) and np.array_equal(flat_a, ana)
+    for t in (0, 20):
+        for rows in (slice(0, 2), slice(2, 5), slice(0, 6)):
+            assert np.array_equal(b.synthesize(coeffs[t, rows]), synth[t, rows])
+            assert np.array_equal(b.analyze(nodal[t, rows]), ana[t, rows])
+        for j in (0, 5):
+            assert np.array_equal(b.synthesize(coeffs[t, j]), synth[t, j])
+            assert np.array_equal(b.analyze(nodal[t, j]), ana[t, j])
+            assert np.array_equal(b.synthesize(coeffs[t, j : j + 1]), synth[t, j : j + 1])
+    # strided views transform as their contiguous copies
+    assert np.array_equal(b.synthesize(coeffs[:, 3]), synth[:, 3])
+    assert np.array_equal(b.analyze(nodal[::4, 1]), ana[::4, 1])
 
 
 def test_parseval_under_quadrature():

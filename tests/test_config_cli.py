@@ -245,7 +245,11 @@ def test_cli_seed_and_paths_overrides(tmp_path):
     assert doc["config"]["paths"] == 9
 
 
-def test_parallel_jobs_reproduce_sequential(tmp_path):
+@pytest.mark.parametrize("seed", [10, 11, 17])
+def test_parallel_jobs_reproduce_sequential(tmp_path, seed):
+    # Split blocks score their paths apart from the others, so this needs
+    # every transform and distance to be row-stable.  Seeds 10 and 11 show a
+    # distance that rounds a path by the number of paths beside it; 17 does not.
     from smallmass.runner import run_ladder_study
 
     raw = {
@@ -253,7 +257,7 @@ def test_parallel_jobs_reproduce_sequential(tmp_path):
         "time": {"t_final": 0.05, "dt": 5e-4, "dt_limit": 5e-4, "n_output": 20},
         "mu_ladder": [0.2, 0.1, 0.05, 0.02],
         "paths": 6,
-        "seed": 17,
+        "seed": seed,
     }
     seq = run_ladder_study(validate_config(raw))
     par = run_ladder_study(validate_config({**raw, "jobs": 3}))

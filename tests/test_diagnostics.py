@@ -71,6 +71,21 @@ def test_metric_identical_and_offset(basis):
     assert rep.tail == 2.0**-16
 
 
+@pytest.mark.parametrize("n_modes", [8, 32])
+def test_metric_rows_of_a_slice_equal_rows_of_the_batch(n_modes):
+    # A split ladder study scores each block of paths on its own; every
+    # per-path distance must be the same bits as in the one-block study.
+    b = build_basis(DomainSpec(1.0, n_modes))
+    rng = np.random.default_rng(5)
+    times = np.linspace(0.0, 0.05, 21)
+    a, c = rng.normal(size=(2, 21, 6, n_modes))
+    whole = metric_distance(times, a, c, b)
+    for sl in (slice(0, 2), slice(2, 4), slice(4, 6)):
+        part = metric_distance(times, a[:, sl], c[:, sl], b)
+        for field in ("d_x1", "d_x2", "sup_hm1", "l2_h"):
+            assert np.array_equal(getattr(part, field), getattr(whole, field)[sl]), (sl, field)
+
+
 def test_metric_cap_and_tail(basis):
     times = np.linspace(0, 1, 5)
     a = np.zeros((5, 12))

@@ -5,6 +5,7 @@ from scipy import stats
 from smallmass.basis import DomainSpec, build_basis
 from smallmass.models import build_diffusion
 from smallmass.noise import (
+    _mode_generator,
     apply_noise,
     load_path,
     refine,
@@ -25,6 +26,23 @@ def test_determinism_and_mode_extension():
     assert np.array_equal(p12.increments[:6], p1.increments)
     q = sample_path(124, 1.0, 0.01, 6)
     assert not np.allclose(q.increments, p1.increments)
+
+
+@pytest.mark.parametrize("seed", [0, 12345, -1, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize(
+    "mode, level", [(1, 0), (7, 3), (2**32 - 1, 0), (1, 2**32 - 1), (2**32 - 1, 2**32 - 1)]
+)
+def test_mode_generator_keys_are_pinned(seed, mode, level):
+    # The Philox key of stream (seed, mode, level), as first built through
+    # numpy uint64 scalars; every stored or published path depends on it.
+    old_mode_level = (np.uint64(mode) << np.uint64(32)) | np.uint64(level)
+    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), old_mode_level], dtype=np.uint64)
+    pinned = np.random.Generator(np.random.Philox(key=key))
+    gen = _mode_generator(seed, mode, level)
+    state, pinned_state = gen.bit_generator.state["state"], pinned.bit_generator.state["state"]
+    assert np.array_equal(state["key"], pinned_state["key"])
+    assert np.array_equal(state["counter"], pinned_state["counter"])
+    assert np.array_equal(gen.normal(size=8), pinned.normal(size=8))
 
 
 def test_invalid_arguments():

@@ -271,6 +271,40 @@ def test_step_agrees_with_one_step_of_simulate(basis):
         assert np.array_equal(st.v, traj.v[-1]), scheme
 
 
+@pytest.mark.parametrize("newton_iters", [1, 3])
+def test_eta_step_from_carried_nodal_values_equals_a_fresh_step(basis, newton_iters):
+    # simulate() starts each eta step from u and g(u) at the nodes, kept from
+    # recovering v after the step before; a step that evaluates them afresh,
+    # as step() does, must give the same bits.
+    m = models_for(basis)
+    mu = 0.05
+    solver = WaveSolver(basis, m, mu, newton_iters=newton_iters)
+    p = stack_paths([sample_path(93 + j, 5e-3, 1e-3, 16) for j in range(3)])
+    u0, v0 = bump(basis), 0.2 * bump(basis)
+    traj = solver.simulate(u0, v0, p, n_output=p.n_steps)
+
+    def newton_u(u, eta, dt):  # Newton on w + (dt/mu) g(w) = u + dt eta at the nodes
+        w = basis.synthesize(u)
+        target = w + dt * basis.synthesize(eta)
+        for _ in range(newton_iters):
+            phi = w + (dt / mu) * m.g_map.forward(w) - target
+            w = w - phi / (1.0 + (dt / mu) * m.friction.gamma(w))
+        return basis.analyze(w)
+
+    u = np.broadcast_to(u0, (3, 16))
+    eta = v0 + solver.g_over_mu(u)
+    for k in range(p.n_steps):
+        dbeta = p.increments[..., k]
+        u_nodal = basis.synthesize(u)
+        carried = solver._step_eta(u, eta, p.dt, dbeta, (u_nodal, m.g_map.forward(u_nodal)))
+        expected_u = newton_u(u, eta, p.dt)
+        u, eta = solver._step_eta(u, eta, p.dt, dbeta)
+        assert np.array_equal(u, expected_u)
+        assert np.array_equal(carried[0], u) and np.array_equal(carried[1], eta)
+        assert np.array_equal(traj.u[k + 1], u)
+        assert np.array_equal(traj.v[k + 1], eta - solver.g_over_mu(u))
+
+
 def test_sup_trackers_record_every_step(basis):
     m = models_for(basis)
     p = sample_path(77, 0.02, 1e-3, 16)

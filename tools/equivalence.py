@@ -10,13 +10,24 @@ once on the parent's.  Both processes run the catalogue of this file, so a
 route must only use names that exist on both sides.
 
 Every route returns named arrays: trajectories, running norms, the flattened
-report of a `runner.run_*` work function and the bytes of each artifact file
-it writes.  An item is equal when np.array_equal holds (NaNs equal); the
-script prints a line for every item that is not, with the maximum relative
-deviation (numbers inside differing text artifacts are compared as numbers),
-then the count of equal and differing items.  A route that raises on one side
-is reported with the exception.  The exit status is 0 when every item of every
-route is bitwise equal on both sides, else 1.
+report of a `runner.run_*` work function and each artifact file it writes (a
+binary trajectory dump as its times and coefficients, any other file as its
+bytes).  An item is equal when np.array_equal holds (NaNs equal); the
+script prints a line for every item that is not, with two deviations (numbers
+inside differing text artifacts are compared as numbers):
+
+    rel dev      max |a - b| / max(|a|, |b|) element by element.  It reads
+                 near 1 or 2 where an element is roundoff on both sides, for
+                 instance a coefficient that is zero analytically.
+    scaled dev   max |a - b| / max(|a|, |b|) over the whole item: the change
+                 against the size of the item, which is what a change that
+                 moves last bits is judged by.
+
+It ends with the count of equal and differing items and a line naming the
+three largest scaled deviations and their items (the runners-up show what a
+residual that is roundoff on both sides would hide).  A route that raises on
+one side is reported with the exception.  The exit status is 0 when every
+item of every route is bitwise equal on both sides, else 1.
 
 Route groups: the catalogue (3 wave schemes x path/batch x noisy/noise-free,
 single wave steps, limit forms x drift x path/batch, single limit steps,
@@ -208,18 +219,25 @@ def _flatten(prefix: str, obj, out: dict) -> None:
         out[prefix] = arr if arr.dtype.kind in "biuf" else np.asarray(str(obj))
 
 
+_TRAJECTORY_DUMP = re.compile(r"(wave|limit)_\w+\.bin")  # written by output.save_trajectory_bin
+
+
 def _work(name: str, cfg: dict):
     """Route: the work function smallmass.runner.<name> on cfg, its report and its artifacts."""
 
     def run():
-        from smallmass import runner
+        from smallmass import output, runner
 
         with tempfile.TemporaryDirectory() as out_dir:
             result = getattr(runner, name)(cfg, out_dir)
             items = {}
             _flatten("result", result, items)
             for fn in sorted(os.listdir(out_dir)):
-                with open(os.path.join(out_dir, fn), "rb") as fh:
+                path = os.path.join(out_dir, fn)
+                if _TRAJECTORY_DUMP.fullmatch(fn):
+                    items[f"{fn}.times"], items[f"{fn}.coeffs"] = output.load_trajectory_bin(path)
+                    continue
+                with open(path, "rb") as fh:
                     items[fn] = fh.read()
         return items
 
@@ -335,37 +353,51 @@ def collect(out_file: str) -> None:
 _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 
-def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
+def _deviations(a, b) -> tuple[float, float]:
+    """Largest element-wise relative deviation, and the largest difference over the item's scale."""
     a, b = np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel()
-    diff = np.abs(a - b)
-    diff[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.finfo(float).tiny)
-    return float(np.max(diff / scale)) if diff.size else 0.0
+    if not a.size:
+        return 0.0, 0.0
+    tiny = np.finfo(float).tiny
+    size = np.maximum(np.abs(a), np.abs(b))
+    finite = size[np.isfinite(size)]
+    with np.errstate(invalid="ignore"):  # inf - inf, inf / inf: NaN, as the deviation should read
+        diff = np.abs(a - b)
+        diff[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
+        moved = diff != 0.0
+        rel = float(np.max(diff[moved] / np.maximum(size[moved], tiny), initial=0.0))
+    return rel, float(np.max(diff) / max(float(np.max(finite, initial=0.0)), tiny))
 
 
-def compare_item(a, b) -> str:
-    """'equal', or what differs and the maximum relative deviation."""
+def _numeric_verdict(a, b) -> tuple[str, float]:
+    rel, scaled = _deviations(a, b)
+    return f"max rel dev {rel:.3g}, scaled dev {scaled:.3g}", scaled
+
+
+def compare_item(a, b) -> tuple[str, float | None]:
+    """'equal', or what differs; with the scaled deviation when both are numbers."""
     if isinstance(a, bytes) and isinstance(b, bytes):
         if a == b:
-            return "equal"
+            return "equal", None
         na, nb = _NUMBER.findall(a), _NUMBER.findall(b)
         if _NUMBER.sub(b"#", a) == _NUMBER.sub(b"#", b) and len(na) == len(nb):
-            return f"max rel dev {_rel_dev([float(x) for x in na], [float(x) for x in nb]):.3g}"
-        return f"bytes differ beyond numbers ({len(a)} vs {len(b)} bytes)"
+            return _numeric_verdict([float(x) for x in na], [float(x) for x in nb])
+        return f"bytes differ beyond numbers ({len(a)} vs {len(b)} bytes)", None
     if isinstance(a, bytes) or isinstance(b, bytes):
-        return "type differs"
+        return "type differs", None
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
-        return f"shape {a.shape} vs {b.shape}"
+        return f"shape {a.shape} vs {b.shape}", None
     if a.dtype.kind not in "biuf" or b.dtype.kind not in "biuf":
-        return "equal" if np.array_equal(a, b) else f"differs: {a} vs {b}"
+        return ("equal" if np.array_equal(a, b) else f"differs: {a} vs {b}"), None
     if np.array_equal(a, b, equal_nan=True):
-        return "equal"
-    return f"max rel dev {_rel_dev(a, b):.3g}"
+        return "equal", None
+    return _numeric_verdict(a, b)
 
 
 def compare(change: dict, parent: dict) -> int:
     n_equal = n_diff = 0
+    scaled_devs = []  # (scaled deviation, route/item) of every numeric difference
     for route in sorted(set(change) | set(parent)):
         c, p = change.get(route), parent.get(route)
         if isinstance(c, str) and c == p:  # the same exception on both sides
@@ -377,15 +409,21 @@ def compare(change: dict, parent: dict) -> int:
                   f"parent {p if isinstance(p, str) else 'ran'}")
             continue
         for item in sorted(set(c) | set(p)):
-            verdict = compare_item(c[item], p[item]) if item in c and item in p else (
-                "only on the change" if item in c else "only on the parent")
+            verdict, scaled = compare_item(c[item], p[item]) if item in c and item in p else (
+                "only on the change" if item in c else "only on the parent", None)
             if verdict == "equal":
                 n_equal += 1
-            else:
-                n_diff += 1
-                print(f"DIFF  {route}/{item}: {verdict}")
+                continue
+            n_diff += 1
+            print(f"DIFF  {route}/{item}: {verdict}")
+            if scaled is not None:
+                scaled_devs.append((scaled, f"{route}/{item}"))
     n_routes = len(set(change) | set(parent))
     print(f"{n_equal} items bitwise equal, {n_diff} differing, over {n_routes} routes")
+    if scaled_devs:
+        scaled_devs.sort(key=lambda d: np.inf if np.isnan(d[0]) else d[0], reverse=True)
+        top = "; ".join(f"{d:.3g} at {item}" for d, item in scaled_devs[:3])
+        print(f"largest scaled deviations: {top}")
     return 0 if n_diff == 0 else 1
 
 
