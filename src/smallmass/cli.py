@@ -51,13 +51,9 @@ def main(argv=None) -> int:
             checks = run_selftest()
             print(format_results(checks))
             return 0 if all(ok for _, ok, _ in checks) else 1
-        cfg = load_config(args.config) if args.config else validate_config({})
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.paths is not None:
-            cfg["paths"] = args.paths
-        if args.jobs is not None:
-            cfg["jobs"] = args.jobs
+        flags = {"seed": args.seed, "paths": args.paths, "jobs": args.jobs}
+        overrides = {key: value for key, value in flags.items() if value is not None}
+        cfg = load_config(args.config, overrides) if args.config else validate_config(overrides)
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         result = _SUBCOMMANDS[args.command](cfg, out_dir)

@@ -104,28 +104,17 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
+_TYPE_NAMES = {
+    float: "a number", int: "an integer", bool: "a boolean", str: "a string", list: "a list"
+}
+
+
 def _check_type(path: str, value, expected) -> Any:
-    if expected is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key '{path}' must be a number, got {value!r}")
-        return float(value)
-    if expected is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config key '{path}' must be an integer, got {value!r}")
-        return value
-    if expected is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key '{path}' must be a boolean, got {value!r}")
-        return value
-    if expected is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"config key '{path}' must be a string, got {value!r}")
-        return value
-    if expected is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"config key '{path}' must be a list, got {value!r}")
-        return value
-    raise ConfigError(f"config key '{path}' has unsupported schema type")
+    """value if it has the schema type (a number comes back as a float; a bool is no number)."""
+    accepted = (int, float) if expected is float else expected
+    if not isinstance(value, accepted) or (isinstance(value, bool) and expected is not bool):
+        raise ConfigError(f"config key '{path}' must be {_TYPE_NAMES[expected]}, got {value!r}")
+    return float(value) if expected is float else value
 
 
 def validate_config(raw: dict) -> dict:
@@ -151,17 +140,22 @@ def validate_config(raw: dict) -> dict:
     ):
         raise ConfigError("config key 'mu_ladder' must be a list of positive numbers")
     cfg["mu_ladder"] = sorted((float(m) for m in ladder), reverse=True)
-    if cfg["time"]["n_output"] < 1:
-        raise ConfigError("config key 'time.n_output' must be at least 1")
+    counts = {"time.n_output": cfg["time"]["n_output"], "paths": cfg["paths"], "jobs": cfg["jobs"]}
+    for key, value in counts.items():
+        if value < 1:
+            raise ConfigError(f"config key '{key}' must be at least 1, got {value}")
     return cfg
 
 
-def load_config(path) -> dict:
+def load_config(path, overrides: dict | None = None) -> dict:
+    """Validate the JSON config file at path with the top-level keys of overrides set over it."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if overrides and isinstance(raw, dict):
+        raw = {**raw, **overrides}
     return validate_config(raw)
 
 

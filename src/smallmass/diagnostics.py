@@ -36,8 +36,16 @@ from .wave import WaveTrajectory
 
 N_MAX_METRIC = 16
 
-# Paired standard errors the drift-necessity excess must reach.
+# Paired standard errors the drift-necessity excess must reach, and the paths a
+# paired standard error needs.
 Z_MIN_PAIRED = 3.0
+MIN_PATHS_PAIRED = 2
+# Scaling audit: the ladder points and paths per point it needs, and its trend bounds.
+AUDIT_MIN_POINTS = 4
+AUDIT_MIN_PATHS = 8
+SLOPE_ENERGY_MIN = -0.05
+SLOPE_VELOCITY_MIN = 0.2
+SPREAD_MAX = 0.25
 
 
 def friction_energy_density(friction: FrictionModel, r) -> np.ndarray:
@@ -199,21 +207,13 @@ class ScalingAudit:
     flags: dict = field(default_factory=dict)
 
 
-def scaling_audit(
-    points: list[LadderPoint],
-    min_paths: int = 8,
-    slope_energy_min: float = -0.05,
-    slope_velocity_min: float = 0.2,
-    spread_max: float = 0.25,
-) -> ScalingAudit:
+def scaling_audit(points: list[LadderPoint]) -> ScalingAudit:
     """Trend tests across a mass ladder; diverged/non-finite input fails all flags."""
-    if len(points) < 4:
-        raise ValueError(f"need at least 4 ladder points, got {len(points)}")
-    for p in points:
-        if p.sup_energy.size < min_paths:
-            raise ValueError(
-                f"need at least {min_paths} paths per ladder point, got {p.sup_energy.size}"
-            )
+    if len(points) < AUDIT_MIN_POINTS:
+        raise ValueError(f"need at least {AUDIT_MIN_POINTS} ladder points, got {len(points)}")
+    n_paths = min(p.sup_energy.size for p in points)
+    if n_paths < AUDIT_MIN_PATHS:
+        raise ValueError(f"need at least {AUDIT_MIN_PATHS} paths per ladder point, got {n_paths}")
     points = sorted(points, key=lambda p: p.mu, reverse=True)
     mus = np.array([p.mu for p in points])
     e = np.array([np.sqrt(p.mu) * np.mean(p.sup_energy) for p in points])
@@ -232,9 +232,9 @@ def scaling_audit(
         slope_v = np.nan
         spread = np.inf
     flags = {
-        "energy_bounded": positive and slope_e >= slope_energy_min,
-        "velocity_decay": positive and slope_v >= slope_velocity_min,
-        "displacement_flat": positive and spread < spread_max,
+        "energy_bounded": positive and slope_e >= SLOPE_ENERGY_MIN,
+        "velocity_decay": positive and slope_v >= SLOPE_VELOCITY_MIN,
+        "displacement_flat": positive and spread < SPREAD_MAX,
     }
     return ScalingAudit(
         mus=list(map(float, mus)),
@@ -395,8 +395,8 @@ def drift_necessity_report(
         raise ValueError("per-path distance matrices do not match the ladder")
     if d_h.shape != d_with.shape[1:]:
         raise ValueError("limit-to-limit distances do not match the paths")
-    if d_with.shape[1] < 2:
-        raise ValueError("a paired standard error needs at least 2 paths")
+    if d_with.shape[1] < MIN_PATHS_PAIRED:
+        raise ValueError(f"a paired standard error needs at least {MIN_PATHS_PAIRED} paths")
     if sorted(ladder, reverse=True) != ladder:
         raise ValueError("ladder must be sorted from largest to smallest mass")
     if mu not in ladder:

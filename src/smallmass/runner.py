@@ -28,21 +28,20 @@ from .finite_dim import (
     simulate_fd_coupled,
     simulate_fd_limit,
 )
-from .limit import LimitSolver, LimitTrajectory
+from .limit import LimitSolver
 from .resolvent import OperatorA, audit_operator
 from .wave import WaveSolver, g_coeffs
 
 
 @dataclass
 class LadderStudy:
-    """Raw material of one coupled mass-ladder run."""
+    """Per-path results of one coupled mass-ladder run; split runs concatenate them by path."""
 
     ladder: list[float]
-    per_path_distance: np.ndarray  # (n_mu, n_paths): sup_Hm1 + L2(0,T;H)
+    per_path_distance: np.ndarray  # (n_mu, n_paths): sup_Hm1 + L2(0,T;H) to the limit with H
     ladder_points: list[LadderPoint]
-    limit_traj: LimitTrajectory | None  # batched; None when paths were split over jobs
-    wave_trajs: dict  # mu -> WaveTrajectory (batched)
-    batch: noise.PathBatch | None = None  # the coupled paths, kept with the trajectories
+    d_no: np.ndarray | None = None  # (n_mu, n_paths): the same to the limit without H
+    d_h: np.ndarray | None = None  # (n_paths,): between the limits with and without H
 
 
 def _simulate_wave(cfg: dict, basis, models, mu: float, u0, v0, path):
@@ -76,55 +75,47 @@ def _distance(times: np.ndarray, a: np.ndarray, b: np.ndarray, basis) -> np.ndar
     return diagnostics.metric_distance(times, a, b, basis, "plain").value("plain")
 
 
-def _study_block(cfg: dict, seed0: int, n_paths: int, keep_trajs: bool) -> LadderStudy:
-    """The ladder's waves against the u-form limit with H, all on one coupled batch."""
+def _study_block(cfg: dict, seed0: int, n_paths: int, ablate_drift: bool) -> LadderStudy:
+    """The ladder's waves against the u-form limit with H, all on one coupled batch.
+
+    With ablate_drift, the limit without H also runs on the batch, and the
+    study scores each wave (d_no) and the limit with H (d_h) against it.
+    """
     basis = make_basis(cfg)
     models = make_models(cfg, basis)
     u0, v0 = make_initial(cfg, basis)
     t = cfg["time"]
     ladder = cfg["mu_ladder"]
     batch = noise.sample_batch(seed0, n_paths, t["t_final"], t["dt"], basis.n_modes)
-    limit_traj = LimitSolver(basis, models).simulate(u0, batch, n_output=t["n_output"])
+    with_h = LimitSolver(basis, models).simulate(u0, batch, n_output=t["n_output"])
+    if ablate_drift:
+        no_h = LimitSolver(basis, models, with_drift=False).simulate(
+            u0, batch, n_output=t["n_output"]
+        ).coeffs
 
-    per_mu = []
-    points = []
-    wave_trajs = {}
+    per_mu, d_no, points = [], [], []
     for mu in ladder:
         traj, _ = _simulate_wave(cfg, basis, models, mu, u0, v0, batch)
-        _check_grids(traj.times, limit_traj.times, batch.n_steps)
-        per_mu.append(_distance(traj.times, traj.u, limit_traj.coeffs, basis))
+        _check_grids(traj.times, with_h.times, batch.n_steps)
+        per_mu.append(_distance(traj.times, traj.u, with_h.coeffs, basis))
+        if ablate_drift:
+            d_no.append(_distance(traj.times, traj.u, no_h, basis))
         points.append(diagnostics.ladder_point(traj))
-        if keep_trajs:
-            wave_trajs[mu] = traj
     return LadderStudy(
         ladder=ladder,
         per_path_distance=np.stack(per_mu),
         ladder_points=points,
-        limit_traj=limit_traj,
-        wave_trajs=wave_trajs,
-        batch=batch if keep_trajs else None,
+        d_no=np.stack(d_no) if ablate_drift else None,
+        d_h=_distance(with_h.times, with_h.coeffs, no_h, basis) if ablate_drift else None,
     )
 
 
 def drift_necessity(cfg: dict, study: LadderStudy) -> DriftNecessityReport:
-    """`diagnostics.drift_necessity_report` over the study's ladder at ablation.mu.
-
-    Runs the limit without H on the study's coupled batch, so the study must
-    have kept its trajectories (keep_trajs=True in one process).
-    """
-    if study.batch is None:
-        raise ValueError("drift necessity needs a ladder study that kept its trajectories")
-    basis = make_basis(cfg)
-    models = make_models(cfg, basis)
-    u0, _ = make_initial(cfg, basis)
-    no_h = LimitSolver(basis, models, with_drift=False).simulate(
-        u0, study.batch, n_output=cfg["time"]["n_output"]
-    )
-    waves = [study.wave_trajs[mu] for mu in study.ladder]
-    d_no = [_distance(w.times, w.u, no_h.coeffs, basis) for w in waves]
-    d_h = _distance(study.limit_traj.times, study.limit_traj.coeffs, no_h.coeffs, basis)
+    """`diagnostics.drift_necessity_report` over the study's ladder at ablation.mu."""
+    if study.d_no is None:
+        raise ValueError("drift necessity needs a ladder study run with ablate_drift=True")
     return diagnostics.drift_necessity_report(
-        study.ladder, study.per_path_distance, d_no, d_h, cfg["ablation"]["mu"]
+        study.ladder, study.per_path_distance, study.d_no, study.d_h, cfg["ablation"]["mu"]
     )
 
 
@@ -143,17 +134,17 @@ def _merge_points(blocks: list[LadderStudy]) -> list[LadderPoint]:
     ]
 
 
-def run_ladder_study(cfg: dict, keep_trajs: bool = False) -> LadderStudy:
-    """Run the coupled study, splitting paths over a process pool when jobs > 1."""
+def run_ladder_study(cfg: dict, ablate_drift: bool = False) -> LadderStudy:
+    """The coupled study of `_study_block`, its paths split over a process pool when jobs > 1."""
     n_paths = cfg["paths"]
     jobs = max(1, min(cfg["jobs"], n_paths, os.cpu_count() or 1))
     if jobs == 1:
-        return _study_block(cfg, cfg["seed"], n_paths, keep_trajs)
+        return _study_block(cfg, cfg["seed"], n_paths, ablate_drift)
     sizes = [n_paths // jobs + (1 if k < n_paths % jobs else 0) for k in range(jobs)]
     starts = np.concatenate([[0], np.cumsum(sizes)])[:-1] + cfg["seed"]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [
-            pool.submit(_study_block, cfg, int(s), int(n), False)
+            pool.submit(_study_block, cfg, int(s), int(n), ablate_drift)
             for s, n in zip(starts, sizes)
         ]
         blocks = [f.result() for f in futures]
@@ -161,15 +152,27 @@ def run_ladder_study(cfg: dict, keep_trajs: bool = False) -> LadderStudy:
         ladder=blocks[0].ladder,
         per_path_distance=np.concatenate([b.per_path_distance for b in blocks], axis=1),
         ladder_points=_merge_points(blocks),
-        limit_traj=None,
-        wave_trajs={},
+        d_no=np.concatenate([b.d_no for b in blocks], axis=1) if ablate_drift else None,
+        d_h=np.concatenate([b.d_h for b in blocks]) if ablate_drift else None,
     )
 
 
 # -- subcommand work functions ---------------------------------------------------
 
 
+def _require_ladder(cfg: dict, min_masses: int, min_paths: int) -> None:
+    """Raise a ConfigError naming the key before a study too small to judge runs."""
+    n_masses = len(cfg["mu_ladder"])
+    if n_masses < min_masses:
+        raise ConfigError(
+            f"config key 'mu_ladder' needs at least {min_masses} masses, got {n_masses}"
+        )
+    if cfg["paths"] < min_paths:
+        raise ConfigError(f"config key 'paths' must be at least {min_paths}, got {cfg['paths']}")
+
+
 def run_converge(cfg: dict, out_dir) -> dict:
+    _require_ladder(cfg, diagnostics.AUDIT_MIN_POINTS, diagnostics.AUDIT_MIN_PATHS)
     study = run_ladder_study(cfg)
     report = diagnostics.convergence_report(
         study.ladder,
@@ -191,6 +194,7 @@ def run_converge(cfg: dict, out_dir) -> dict:
 
 
 def run_scaling_audit(cfg: dict, out_dir) -> dict:
+    _require_ladder(cfg, diagnostics.AUDIT_MIN_POINTS, diagnostics.AUDIT_MIN_PATHS)
     study = run_ladder_study(cfg)
     audit = diagnostics.scaling_audit(study.ladder_points)
     h = config_hash(cfg)
@@ -211,11 +215,12 @@ def run_scaling_audit(cfg: dict, out_dir) -> dict:
 
 
 def run_drift_ablation(cfg: dict, out_dir) -> dict:
-    """The coupled ladder study judged by `drift_necessity`, in one process."""
+    """The coupled ladder study with the drift ablation, judged by `drift_necessity`."""
     mu, ladder = cfg["ablation"]["mu"], cfg["mu_ladder"]
     if mu not in ladder:
         raise ConfigError(f"ablation.mu = {mu} is not on mu_ladder {ladder}")
-    report = drift_necessity(cfg, _study_block(cfg, cfg["seed"], cfg["paths"], keep_trajs=True))
+    _require_ladder(cfg, 1, diagnostics.MIN_PATHS_PAIRED)
+    report = drift_necessity(cfg, run_ladder_study(cfg, ablate_drift=True))
     stats = report.as_dict()
     h = config_hash(cfg)
     output.write_json(os.path.join(out_dir, "drift_ablation.json"), {"ablation": stats}, cfg, h)

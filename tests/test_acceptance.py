@@ -47,8 +47,11 @@ def setup(headline):
 
 @pytest.fixture(scope="module")
 def study(headline):
-    """Coupled 64-path mass-ladder study (criteria 1, 2 and 5 share it)."""
-    return run_ladder_study(headline, keep_trajs=True)
+    """Coupled 64-path mass-ladder study with the drift ablation (criteria 1, 2 and 5 share it).
+
+    Two jobs give the same bits as one (test_parallel_jobs_reproduce_sequential).
+    """
+    return run_ladder_study({**headline, "jobs": 2}, ablate_drift=True)
 
 
 def test_criterion_1_small_mass_convergence(headline, study):
@@ -77,7 +80,7 @@ def test_criterion_2_drift_necessity(headline, study):
     fixed mass is asserted: the distances are judged on coupled paths by
     interval separation, the paired excess and the ratio's rise down the
     ladder (see `drift_necessity_report`).  The CLI's drift-ablation runs the
-    same `runner.drift_necessity`.
+    same `runner.drift_necessity` on the same study.
     """
     mu = headline["ablation"]["mu"]
     rep = drift_necessity(headline, study)

@@ -44,6 +44,13 @@ def test_type_checking():
         validate_config({"mu_ladder": [0.1, -0.2]})
     with pytest.raises(ConfigError, match="limit.with_drift"):
         validate_config({"limit": {"with_drift": 1}})
+    # a bool is neither an integer nor a number; an integer is a number
+    with pytest.raises(ConfigError, match="'paths' must be an integer, got True"):
+        validate_config({"paths": True})
+    with pytest.raises(ConfigError, match="'time.dt' must be a number, got False"):
+        validate_config({"time": {"dt": False}})
+    t_final = validate_config({"time": {"t_final": 1}})["time"]["t_final"]
+    assert isinstance(t_final, float) and t_final == 1.0
 
 
 def test_n_output_below_one_fails_by_name():
@@ -245,12 +252,73 @@ def test_cli_seed_and_paths_overrides(tmp_path):
     assert doc["config"]["paths"] == 9
 
 
+def test_path_and_job_counts_below_one_fail_by_name(tmp_path, capsys):
+    for key in ("paths", "jobs"):
+        for value in (0, -3):
+            with pytest.raises(ConfigError, match=f"'{key}' must be at least 1, got {value}"):
+                validate_config({key: value})
+    # The --seed/--paths/--jobs flags are merged into the file's keys before validation.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"paths": 0, "jobs": 2}))
+    for flags, key in (
+        (["--config", str(bad)], "paths"),
+        (["--config", str(bad), "--paths", "4", "--jobs", "0"], "jobs"),
+        (["--config", str(bad), "--paths", "4", "--jobs", "-3"], "jobs"),
+        (["--paths", "0"], "paths"),
+        (["--jobs", "0"], "jobs"),
+        (["--seed", "5", "--jobs", "-3"], "jobs"),
+    ):
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["lyapunov", "--out", str(out), *flags]) == 2, flags
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "config" and f"config key '{key}'" in err["message"], flags
+        assert not out.exists()
+    # A flag replaces the file's key before it is checked, so a bad key can be overridden.
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({"seed": "x"}))
+    out = tmp_path / "ok"
+    assert main(["lyapunov", "--config", str(typo), "--out", str(out), "--seed", "5"]) == 0
+    assert "# seed=5" in (out / "lyapunov.csv").read_text()
+    assert main(["lyapunov", "--config", str(bad), "--out", str(out), "--paths", "1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, raw, key",
+    [
+        ("converge", {"paths": 7}, "'paths' must be at least 8"),
+        ("converge", {"mu_ladder": [0.2, 0.1, 0.05]}, "'mu_ladder' needs at least 4 masses"),
+        ("scaling-audit", {"paths": 4}, "'paths' must be at least 8"),
+        ("scaling-audit", {"mu_ladder": [0.2]}, "'mu_ladder' needs at least 4 masses"),
+        ("drift-ablation", {"paths": 1}, "'paths' must be at least 2"),
+    ],
+)
+def test_study_too_small_to_judge_fails_before_any_run(
+    tmp_path, capsys, monkeypatch, command, raw, key
+):
+    from smallmass import runner
+
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(runner, "run_ladder_study", no_study)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**raw, "ablation": {"mu": 0.2}}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(p), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and key in err["message"]
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("seed", [10, 11, 17])
 def test_parallel_jobs_reproduce_sequential(tmp_path, seed):
     # Split blocks score their paths apart from the others, so this needs
     # every transform and distance to be row-stable.  Seeds 10 and 11 show a
     # distance that rounds a path by the number of paths beside it; 17 does not.
-    from smallmass.runner import run_ladder_study
+    from dataclasses import replace
+
+    from smallmass.runner import drift_necessity, run_ladder_study
 
     raw = {
         "domain": {"n_modes": 8, "n_nodes": 16},
@@ -259,18 +327,22 @@ def test_parallel_jobs_reproduce_sequential(tmp_path, seed):
         "paths": 6,
         "seed": seed,
     }
-    seq = run_ladder_study(validate_config(raw))
-    par = run_ladder_study(validate_config({**raw, "jobs": 3}))
+    seq = run_ladder_study(validate_config(raw), ablate_drift=True)
+    par = run_ladder_study(validate_config({**raw, "jobs": 3}), ablate_drift=True)
     assert np.array_equal(seq.per_path_distance, par.per_path_distance)
     for a, b in zip(seq.ladder_points, par.ladder_points):
         assert np.array_equal(a.sup_energy, b.sup_energy)
-    # split runs keep no limit trajectory, as they keep no wave trajectories
-    assert seq.limit_traj is not None
-    assert par.limit_traj is None and par.wave_trajs == {}
+    # the drift ablation's distances are per path too, so they split the same way
+    assert seq.d_no.shape == (4, 6) and seq.d_h.shape == (6,)
+    assert np.array_equal(seq.d_no, par.d_no)
+    assert np.array_equal(seq.d_h, par.d_h)
+    # a study run without the ablation cannot be judged
+    with pytest.raises(ValueError, match="ablate_drift"):
+        drift_necessity(validate_config(raw), replace(seq, d_no=None, d_h=None))
 
 
 def test_cli_drift_ablation_small(tmp_path, capsys, monkeypatch):
-    from smallmass import diagnostics
+    from smallmass import diagnostics, runner
 
     cfg = {
         "domain": {"n_modes": 8, "n_nodes": 16},
@@ -301,6 +373,21 @@ def test_cli_drift_ablation_small(tmp_path, capsys, monkeypatch):
     assert len(ratios) == len(ladder)
     assert doc["ablation"]["ratio"] == ratios[ladder.index(0.02)]
     assert doc["ablation"]["flags"]["rising"] == bool(np.all(np.diff(ratios) > 0))
+
+    # --jobs 2 runs the study in two worker processes and writes the same bits.
+    blocks = []
+
+    class Pool(runner.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            blocks.append((fn, args[2]))  # the block function and its path count
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+    out2 = tmp_path / "out2"
+    assert main(["drift-ablation", "--config", str(p), "--out", str(out2), "--jobs", "2"]) == code
+    assert blocks == [(runner._study_block, 3), (runner._study_block, 3)]
+    assert json.loads((out2 / "drift_ablation.json").read_text())["ablation"] == doc["ablation"]
 
     # The exit code follows each of the three flags.
     real = diagnostics.drift_necessity_report
@@ -499,7 +586,23 @@ def test_simulate_wave_reports_the_step_it_took(tmp_path):
     assert report["dt"] == saved.dt
 
 
-def test_resolvent_scheme_refines_below_lambda_bar(tmp_path):
+def _spy_waves(monkeypatch) -> dict:
+    """mu -> the last wave trajectory a ladder study ran at that mass."""
+    from smallmass import runner
+
+    waves = {}
+    real = runner._simulate_wave
+
+    def spy(cfg, basis, models, mu, u0, v0, path):
+        traj, path = real(cfg, basis, models, mu, u0, v0, path)
+        waves[mu] = traj
+        return traj, path
+
+    monkeypatch.setattr(runner, "_simulate_wave", spy)
+    return waves
+
+
+def test_resolvent_scheme_refines_below_lambda_bar(tmp_path, monkeypatch):
     # The resolvent exists only for dt < lambda_bar, about 0.3 mu under the
     # default friction, below the mass bound c_stab * mu = 0.5 mu.
     from smallmass import noise, runner
@@ -520,16 +623,19 @@ def test_resolvent_scheme_refines_below_lambda_bar(tmp_path):
     assert report["dt"] == noise.load_path(tmp_path / "noise_path.bin").dt == 2.5e-4
     assert report["dt"] < lam_bar
 
-    study = runner.run_ladder_study(validate_config({**base, "mu_ladder": [0.2, 1e-3]}), keep_trajs=True)
-    assert study.wave_trajs[0.2].dt == 5e-4  # no refinement where the bound does not bind
-    assert study.wave_trajs[1e-3].dt == 2.5e-4 < lam_bar
+    waves = _spy_waves(monkeypatch)
+    study = runner.run_ladder_study(validate_config({**base, "mu_ladder": [0.2, 1e-3]}))
+    assert waves[0.2].dt == 5e-4  # no refinement where the bound does not bind
+    assert waves[1e-3].dt == 2.5e-4 < lam_bar
     assert np.all(np.isfinite(study.per_path_distance))
 
     # The same ladder at the default n_output = 200, on 200 coarse steps.
     long = {**base, "time": {"t_final": 0.1, "dt": 5e-4}, "paths": 2, "mu_ladder": [0.2, 1e-3]}
-    study = runner.run_ladder_study(validate_config(long), keep_trajs=True)
-    assert study.wave_trajs[1e-3].dt == 2.5e-4
-    assert len(study.wave_trajs[1e-3].times) == len(study.limit_traj.times) == 201
+    study = runner.run_ladder_study(validate_config(long))
+    assert waves[1e-3].dt == 2.5e-4
+    # the unrefined wave at 0.2 outputs on the limit's grid, which _check_grids holds the other to
+    assert waves[0.2].dt == 5e-4
+    assert len(waves[1e-3].times) == len(waves[0.2].times) == 201
     assert np.all(np.isfinite(study.per_path_distance))
 
 
@@ -555,7 +661,7 @@ def test_misaligned_output_grids_fail_by_name(tmp_path):
             runner.run_drift_ablation(cfg, tmp_path)
 
 
-def test_eta_form_refines_to_the_wave_cfl(tmp_path):
+def test_eta_form_refines_to_the_wave_cfl(tmp_path, monkeypatch):
     from smallmass import noise, runner
 
     # N = 16, mu = 0.1: 0.9 of the wave CFL 2 sqrt(mu / alpha_N) is 1.13e-2, below
@@ -572,6 +678,7 @@ def test_eta_form_refines_to_the_wave_cfl(tmp_path):
     assert 1e-2 <= 0.9 * cfl < 2e-2 < cfg["time"]["c_stab"] * 0.1
     report = runner.run_simulate_wave(cfg, tmp_path)["report"]
     assert report["dt"] == noise.load_path(tmp_path / "noise_path.bin").dt == 1e-2
-    study = runner.run_ladder_study(cfg, keep_trajs=True)
-    assert study.wave_trajs[0.1].dt == 1e-2
+    waves = _spy_waves(monkeypatch)
+    study = runner.run_ladder_study(cfg)
+    assert waves[0.1].dt == 1e-2
     assert np.all(np.isfinite(study.per_path_distance))

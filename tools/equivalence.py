@@ -279,6 +279,10 @@ def _run_routes() -> dict:
     routes["run_converge.limit_rho"] = _work("run_converge", _cfg(short, {"limit": {"form": "rho"}}))
     ablation = {"ablation": {"mu": 0.01}}
     routes["run_drift_ablation"] = _work("run_drift_ablation", _cfg(short, ablation))
+    # the study split over two processes (a parent that ignores jobs runs it in one)
+    routes["run_drift_ablation.jobs=2"] = _work(
+        "run_drift_ablation", _cfg(short, ablation, {"jobs": 2})
+    )
     # one mass on the ladder: the judged ladder is the single ablation mass
     one_mass = {"mu_ladder": [0.01]}
     routes["run_drift_ablation.one_mass"] = _work(
