@@ -43,7 +43,6 @@ from .noise import (
 from .wave import (
     SimulationDiverged,
     WaveSolver,
-    WaveState,
     WaveTrajectory,
     drive,
     g_coeffs,

@@ -140,10 +140,19 @@ def validate_config(raw: dict) -> dict:
     ):
         raise ConfigError("config key 'mu_ladder' must be a list of positive numbers")
     cfg["mu_ladder"] = sorted((float(m) for m in ladder), reverse=True)
-    counts = {"time.n_output": cfg["time"]["n_output"], "paths": cfg["paths"], "jobs": cfg["jobs"]}
+    counts = {
+        "time.n_output": cfg["time"]["n_output"],
+        "paths": cfg["paths"],
+        "jobs": cfg["jobs"],
+        "resolvent.n_pairs": cfg["resolvent"]["n_pairs"],
+        "resolvent.n_smooth": cfg["resolvent"]["n_smooth"],
+    }
     for key, value in counts.items():
         if value < 1:
             raise ConfigError(f"config key '{key}' must be at least 1, got {value}")
+    c_stab = cfg["time"]["c_stab"]
+    if not c_stab > 0:  # the step bound c_stab * mu would be no step at all
+        raise ConfigError(f"config key 'time.c_stab' must be positive, got {c_stab}")
     return cfg
 
 

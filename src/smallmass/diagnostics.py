@@ -34,7 +34,7 @@ from .basis import SpectralBasis
 from .models import _GL_T, _GL_W, FrictionModel, ModelSet
 from .wave import WaveTrajectory
 
-N_MAX_METRIC = 16
+N_MAX_METRIC = 16  # terms of the d_X1 and d_X2 sums
 
 # Paired standard errors the drift-necessity excess must reach, and the paths a
 # paired standard error needs.
@@ -109,10 +109,9 @@ class MetricReport:
 
     d_x1: np.ndarray | None
     d_x2: np.ndarray | None
-    tail: float  # truncation tail bound 2^-n_max, additive uncertainty
+    tail: float  # truncation tail bound 2^-N_MAX_METRIC, additive uncertainty
     sup_hm1: np.ndarray  # sup_t ||diff||_{H^-1}
     l2_h: np.ndarray  # (int_0^T ||diff||_H^2 dt)^(1/2)
-    n_max: int = N_MAX_METRIC
 
     def value(self, which: str):
         if which == "plain":
@@ -131,12 +130,11 @@ def metric_distance(
     coeffs_b: np.ndarray,
     basis: SpectralBasis,
     which: str = "all",
-    n_max: int = N_MAX_METRIC,
 ) -> MetricReport:
     """Distance report between coefficient trajectories of shape (T, ..., N).
 
-    which="all" computes the n_max-term sums d_x1 and d_x2; "plain" skips
-    them.  sup_hm1 and l2_h are computed for both.
+    which="all" computes the N_MAX_METRIC-term sums d_x1 and d_x2; "plain"
+    skips them.  sup_hm1 and l2_h are computed for both.
     """
     a = np.asarray(coeffs_a, dtype=float)
     b = np.asarray(coeffs_b, dtype=float)
@@ -158,16 +156,15 @@ def metric_distance(
     d_x1 = d_x2 = None
     if which == "all":
         d_x1 = d_x2 = 0.0
-        for n in range(1, n_max + 1):
+        for n in range(1, N_MAX_METRIC + 1):
             w = 2.0**-n
             d_x1 = d_x1 + w * np.minimum(np.max(h_norms(-1.0 / n), axis=0), 1.0)
             ln = (np.trapezoid(h_t**n, times, axis=0)) ** (1.0 / n)
             d_x2 = d_x2 + w * np.minimum(ln, 1.0)
     sup_hm1 = np.max(h_norms(-1.0), axis=0)
     l2_h = np.sqrt(np.trapezoid(h_t**2, times, axis=0))
-    return MetricReport(
-        d_x1=d_x1, d_x2=d_x2, tail=2.0**-n_max, sup_hm1=sup_hm1, l2_h=l2_h, n_max=n_max
-    )
+    tail = 2.0**-N_MAX_METRIC
+    return MetricReport(d_x1=d_x1, d_x2=d_x2, tail=tail, sup_hm1=sup_hm1, l2_h=l2_h)
 
 
 # -- scaling audit ----------------------------------------------------------------

@@ -24,9 +24,11 @@ No drift correction appears here; the quasilinear structure absorbs it, which
 is what the dual-form consistency test exercises.
 
 A solver advances the state of its own form, u or rho, in sine
-coefficients; `wave.g_coeffs(u, basis, models)` gives the rho0 that matches
-an initial u0.  Both forms run on the time loop `wave.drive` and take their
-noise forcing from `noise.apply_noise`, the u-form with the 1/gamma weight.
+coefficients, through `simulate` only (a single step is simulate on a
+one-step path); `wave.g_coeffs(u, basis, models)` gives the rho0 that
+matches an initial u0.  Both forms run on the time loop `wave.drive` and
+take their noise forcing from `noise.apply_noise`, the u-form with the
+1/gamma weight.
 """
 
 from __future__ import annotations
@@ -98,12 +100,6 @@ class LimitSolver:
             + apply_noise(u_inv, dbeta, m.diffusion, b)
         )
         return rhs / (1.0 + dt * self.b_bar * b.alphas)
-
-    def step(self, coeffs: np.ndarray, dt: float, dbeta=None) -> np.ndarray:
-        """Advance the coefficients of u (form "u") or rho (form "rho") by one step."""
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        return self._advance(np.asarray(coeffs, dtype=float), dt, dbeta)
 
     # -- trajectories -----------------------------------------------------------
 

@@ -113,8 +113,11 @@ def refine_to(path: NoisePath | PathBatch, dt_max: float) -> NoisePath | PathBat
     """Refine until the path step is no larger than dt_max.
 
     A PathBatch is refined member by member, each from its own streams, so
-    it equals the stack of its refined members.
+    it equals the stack of its refined members.  dt_max must be positive:
+    no number of halvings reaches a step of at most 0.
     """
+    if not dt_max > 0:
+        raise ValueError(f"dt_max must be positive, got {dt_max}")
     if isinstance(path, PathBatch) and path.dt > dt_max * (1.0 + 1e-12):
         return stack_paths([refine_to(path.path(j), dt_max) for j in range(path.n_paths)])
     while path.dt > dt_max * (1.0 + 1e-12):

@@ -44,6 +44,10 @@ from .basis import SpectralBasis
 from .models import ModelSet
 
 
+TOL = 1e-10  # the fixed point stops when its H-norm update drops below TOL
+MAX_ITER = 200  # iteration cap of the fixed point
+
+
 class ResolventError(RuntimeError):
     """Fixed-point failure (non-contraction or iteration cap exceeded)."""
 
@@ -58,19 +62,10 @@ class SolveInfo:
 class OperatorA:
     """The drift operator with its dissipativity and resolvent-range constants."""
 
-    def __init__(
-        self,
-        basis: SpectralBasis,
-        models: ModelSet,
-        mass: float = 1.0,
-        tol: float = 1e-10,
-        max_iter: int = 200,
-    ):
+    def __init__(self, basis: SpectralBasis, models: ModelSet, mass: float = 1.0):
         self.basis = basis
         self.models = models
         self.mass = mass
-        self.tol = tol
-        self.max_iter = max_iter
         c_f = models.reaction.lipschitz_const
         g0 = models.friction.gamma0
         a1 = basis.alphas[0]
@@ -106,41 +101,35 @@ def resolvent_apply(
     op: OperatorA,
     h: tuple[np.ndarray, np.ndarray],
     lam: float,
-    tol: float | None = None,
-    max_iter: int | None = None,
     return_info: bool = False,
 ):
     """Solve z - lam A(z) = h by the contraction fixed point.
 
     The iteration is declared converged when the H-norm update drops below
-    tol, then polished with one extra sweep so the reported residual is well
-    inside the tolerance.  Three consecutive residual increases are treated
-    as loss of contraction and raise ResolventError naming lam.  A stacked h
-    (one leading batch axis) is solved row by row, so every row stops on its
-    own residual and equals the same row solved alone; its info is then a
-    list with one SolveInfo per row.
+    TOL within MAX_ITER iterations, then polished with one extra sweep so the
+    reported residual is well inside the tolerance.  Three consecutive
+    residual increases are treated as loss of contraction and raise
+    ResolventError naming lam.  A stacked h (one leading batch axis) is
+    solved row by row, so every row stops on its own residual and equals the
+    same row solved alone; its info is then a list with one SolveInfo per row.
     """
     if not 0.0 < lam < op.lambda_bar:
         raise ResolventError(
             f"lam = {lam} outside the resolvent range (0, {op.lambda_bar:.6g})"
         )
-    tol = op.tol if tol is None else tol
-    max_iter = op.max_iter if max_iter is None else max_iter
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     h1, h2 = np.asarray(h[0], dtype=float), np.asarray(h[1], dtype=float)
     if h1.ndim == 1:
-        u, eta, info = _fixed_point(op, h1, h2, lam, tol, max_iter)
+        u, eta, info = _fixed_point(op, h1, h2, lam)
     else:  # row by row, so every row stops on its own residual
         pairs = zip(h1, np.broadcast_to(h2, h1.shape))
-        u, eta, info = zip(*(_fixed_point(op, a, b, lam, tol, max_iter) for a, b in pairs))
+        u, eta, info = zip(*(_fixed_point(op, a, b, lam) for a, b in pairs))
         u, eta, info = np.array(u), np.array(eta), list(info)
     if return_info:
         return (u, eta), info
     return u, eta
 
 
-def _fixed_point(op: OperatorA, h1, h2, lam: float, tol: float, max_iter: int):
+def _fixed_point(op: OperatorA, h1, h2, lam: float):
     """resolvent_apply for one unstacked h = (h1, h2): returns (u, eta, SolveInfo)."""
     b, m, mu = op.basis, op.models, op.mass
     denom = 1.0 + (lam * lam / mu) * b.alphas
@@ -150,7 +139,7 @@ def _fixed_point(op: OperatorA, h1, h2, lam: float, tol: float, max_iter: int):
     grow = 0
     ratios = []
     converged = False
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         u_nodal = b.synthesize(u)
         rhs = (
             -(lam / mu) * b.analyze(m.g_map.forward(u_nodal))
@@ -170,13 +159,13 @@ def _fixed_point(op: OperatorA, h1, h2, lam: float, tol: float, max_iter: int):
         u = u_next
         if converged:
             break
-        if res <= tol:
+        if res <= TOL:
             converged = True  # one polishing sweep, then exit
         prev = res
     else:
         raise ResolventError(
             f"resolvent fixed point did not converge at lam = {lam} "
-            f"within {max_iter} iterations (residual {res:.3e})"
+            f"within {MAX_ITER} iterations (residual {res:.3e})"
         )
     u_nodal = b.synthesize(u)
     eta = h2 + (lam / mu) * (b.laplacian(u) + b.analyze(m.reaction.f(u_nodal)))
@@ -236,10 +225,14 @@ def audit_operator(
       * the Yosida norm bound ||A^lam(z)|| <= (1 - lam kappa_d)^-1 ||A(z)||,
     plus the exact identity ||J_lam(z) - z|| = lam ||A^lam(z)|| and the
     monotone decrease of ||A^lam(z) - A(z)|| along the lam ladder for smooth
-    samples.
+    samples.  n_pairs and n_smooth must be at least 1: an audit of no samples
+    would pass with every margin at -inf.
     """
+    for name, count in (("n_pairs", n_pairs), ("n_smooth", n_smooth)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     states = sample_states(op.basis, 2 * n_pairs, seed=seed, decay=1.5)
-    tol_pad = 100.0 * op.tol
+    tol_pad = 100.0 * TOL
     kd = op.kappa_d
     lip_bound = 1.0 / (1.0 - lam * kd)
     yosida_kd = kd / (1.0 - lam * kd)

@@ -49,11 +49,14 @@ runner refines every wave path to it.
 Every integrator of the package, wave, limit and finite-dimensional, runs on
 the one time loop `drive`, defined here; the noise forcing of every scheme is
 `noise.apply_noise`.  `g_coeffs` is the one conversion from u to g(u), and
-`WaveSolver.g_over_mu` the one shift eta = v + g(u)/mu between v and eta.
-An eta_form run recovers v after every step through u and g(u) at the nodes
-and starts the next step from those values, which its first Newton iterate
-needs, instead of computing them again; `step()` computes them afresh, with
-the same bits.
+`WaveSolver.simulate` is the only way to step: a single step is simulate on a
+one-step path (`noise.zero_path(dt, dt, N)` without noise).  Its stepper
+carries each scheme's own second variable, v for semi_implicit and eta for
+eta_form and resolvent_implicit, and is the one place v and eta are
+converted: it shifts v0 to eta once through `WaveSolver.g_over_mu`, and
+after every step recovers v through u and g(u) at the nodes.  The next step
+starts from those nodal values: the first Newton iterate of eta_form needs
+them, and the noise forcing of resolvent_implicit is taken at that u.
 """
 
 from __future__ import annotations
@@ -80,16 +83,6 @@ class SimulationDiverged(RuntimeError):
         super().__init__(f"non-finite state at step {step} (t = {t:.6g})")
         self.step = step
         self.t = t
-
-
-@dataclass
-class WaveState:
-    """Displacement/velocity pair in sine coefficients, with mass and clock."""
-
-    u: np.ndarray
-    v: np.ndarray
-    mu: float
-    t: float = 0.0
 
 
 def g_coeffs(u: np.ndarray, basis: SpectralBasis, models: ModelSet) -> np.ndarray:
@@ -192,7 +185,9 @@ class WaveSolver:
         self._op = None
         if scheme == "resolvent_implicit":
             self._op = resolvent.OperatorA(basis, models, mass=mu)
-        # The scheme step on (u, second), second being v, or eta for eta_form.
+        # The scheme step on (u, second, dt, dbeta[, nodal]): second is v for
+        # semi_implicit and eta for the eta schemes, which also take nodal,
+        # the u and g(u) at the nodes that _WaveStepper carries.
         self._advance = {
             "semi_implicit": self._step_semi_implicit,
             "eta_form": self._step_eta,
@@ -231,10 +226,9 @@ class WaveSolver:
         v_new = b.analyze(b.synthesize(w) / (mu + dt * m.friction.gamma(u_nodal)))
         return u + dt * v_new, v_new
 
-    def _step_eta(self, u, eta, dt, dbeta, nodal=None):
-        """The eta_form step; nodal is _g_nodal(u) when the caller holds it, else computed."""
+    def _step_eta(self, u, eta, dt, dbeta, nodal):
         b, m, mu = self.basis, self.models, self.mu
-        u_nodal, g_w = _g_nodal(u, b, m) if nodal is None else nodal
+        u_nodal, g_w = nodal
         target = u_nodal + dt * b.synthesize(eta)
         w = u_nodal
         for k in range(self.newton_iters):
@@ -247,27 +241,10 @@ class WaveSolver:
         eta_new = eta + (dt / mu) * rhs + apply_noise(u_nodal, dbeta, m.diffusion, b) / mu
         return u_new, eta_new
 
-    def _step_resolvent(self, u, v, dt, dbeta):
-        b, m = self.basis, self.models
-        eta = v + self.g_over_mu(u)
-        if dbeta is not None and m.diffusion.sigma_sup != 0.0:  # spares synthesizing u
-            eta = eta + apply_noise(b.synthesize(u), dbeta, m.diffusion, b) / self.mu
+    def _step_resolvent(self, u, eta, dt, dbeta, nodal):
+        forced = eta + apply_noise(nodal[0], dbeta, self.models.diffusion, self.basis) / self.mu
         # Called through the module, so a wrapper installed there (a tracer) sees it.
-        u_new, eta_new = resolvent.resolvent_apply(self._op, (u, eta), dt)
-        return u_new, eta_new - self.g_over_mu(u_new)
-
-    def step(self, state: WaveState, dt: float, dbeta=None) -> WaveState:
-        """Advance one step, accepting and returning the (u, v) representation."""
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        if abs(state.mu - self.mu) > 1e-15 * max(1.0, self.mu):
-            raise ValueError(f"state mass {state.mu} differs from the solver mass {self.mu}")
-        if self.scheme == "eta_form":
-            u, eta = self._step_eta(state.u, state.v + self.g_over_mu(state.u), dt, dbeta)
-            v = eta - self.g_over_mu(u)
-        else:
-            u, v = self._advance(state.u, state.v, dt, dbeta)
-        return WaveState(u=u, v=v, mu=state.mu, t=state.t + dt)
+        return resolvent.resolvent_apply(self._op, (u, forced), dt)
 
     # -- trajectories ---------------------------------------------------------
 
@@ -300,11 +277,15 @@ class WaveSolver:
 
 
 class _WaveStepper:
-    """One wave run for drive(): the scheme state, its velocity and the running norms."""
+    """One wave run for drive(): the scheme state, its velocity and the running norms.
+
+    The state is (u, v) for semi_implicit and (u, eta) for the eta schemes;
+    the shift to eta happens once, here, and v is recovered after every step.
+    """
 
     def __init__(self, solver: WaveSolver, u: np.ndarray, v: np.ndarray, dt: float):
         self.solver, self.dt, self.u = solver, dt, u
-        self.eta_mode = solver.scheme == "eta_form"
+        self.eta_mode = solver.scheme != "semi_implicit"
         self.second = v + solver.g_over_mu(u) if self.eta_mode else v
         nu, nu1, nv = self._norms()
         self.norms = {  # the running sups and time integrals of WaveTrajectory
@@ -332,7 +313,7 @@ class _WaveStepper:
 
     def step(self, dbeta) -> tuple:
         if self.eta_mode:
-            step = self.solver._step_eta(self.u, self.second, self.dt, dbeta, self.nodal)
+            step = self.solver._advance(self.u, self.second, self.dt, dbeta, self.nodal)
         else:
             step = self.solver._advance(self.u, self.second, self.dt, dbeta)
         self.u, self.second = step

@@ -283,6 +283,32 @@ def test_path_and_job_counts_below_one_fail_by_name(tmp_path, capsys):
     assert main(["lyapunov", "--config", str(bad), "--out", str(out), "--paths", "1"]) == 0
 
 
+def test_step_bound_and_audit_sizes_fail_by_name(tmp_path, capsys):
+    # time.c_stab <= 0 makes the step bound c_stab * mu no step at all, and an
+    # audit of no samples passes with every margin at -inf.
+    for raw, key, message in (
+        ({"time": {"c_stab": 0.0}}, "time.c_stab", "must be positive, got 0.0"),
+        ({"time": {"c_stab": -0.02}}, "time.c_stab", "must be positive, got -0.02"),
+        ({"resolvent": {"n_pairs": 0}}, "resolvent.n_pairs", "must be at least 1, got 0"),
+        ({"resolvent": {"n_smooth": 0}}, "resolvent.n_smooth", "must be at least 1, got 0"),
+        ({"resolvent": {"n_smooth": -2}}, "resolvent.n_smooth", "must be at least 1, got -2"),
+    ):
+        with pytest.raises(ConfigError, match=f"'{key}' {message}"):
+            validate_config(raw)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        command = "simulate-wave" if key == "time.c_stab" else "resolvent-audit"
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, raw
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "config" and f"config key '{key}'" in err["message"], raw
+        assert not out.exists()
+    ok = validate_config({"time": {"c_stab": 0.1}, "resolvent": {"n_pairs": 1, "n_smooth": 1}})
+    assert ok["time"]["c_stab"] == 0.1
+    assert ok["resolvent"]["n_pairs"] == ok["resolvent"]["n_smooth"] == 1
+
+
 @pytest.mark.parametrize(
     "command, raw, key",
     [

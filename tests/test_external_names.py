@@ -9,7 +9,8 @@ import numpy as np
 from smallmass import resolvent
 from smallmass.basis import DomainSpec, build_basis
 from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
-from smallmass.wave import WaveSolver, WaveState
+from smallmass.noise import sample_path, zero_path
+from smallmass.wave import WaveSolver
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,9 +43,8 @@ def test_resolvent_scheme_calls_resolvent_apply_through_its_module(monkeypatch):
     monkeypatch.setattr(resolvent, "resolvent_apply", spy)
     solver = WaveSolver(basis, models, 1.0, scheme="resolvent_implicit")
     u0 = basis.analyze(4.0 * basis.x * (1 - basis.x))
-    state = WaveState(u=u0, v=np.zeros(16), mu=1.0)
-    state = solver.step(state, 1e-3, np.full(16, 0.01))
-    solver.step(state, 2e-3)
+    solver.simulate(u0, np.zeros(16), sample_path(3, 1e-3, 1e-3, 16), n_output=1)
+    solver.simulate(u0, np.zeros(16), zero_path(2e-3, 2e-3, 16), n_output=1)
     assert seen == [1e-3, 2e-3]
 
 

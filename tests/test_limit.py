@@ -97,27 +97,12 @@ def test_transform_round_trips(basis):
 
 def test_single_steps_and_validation(basis):
     m = models_for(basis)
-    db = np.zeros(16)
-    s1 = LimitSolver(basis, m, form="u").step(bump(basis), 1e-3, db)
-    assert s1.shape == (16,) and np.all(np.isfinite(s1))
-    s2 = LimitSolver(basis, m, form="rho").step(bump(basis), 1e-3, db)
-    assert s2.shape == (16,) and np.all(np.isfinite(s2))
+    one_step = zero_path(1e-3, 1e-3, 16)
+    for form in ("u", "rho"):
+        traj = LimitSolver(basis, m, form=form).simulate(bump(basis), one_step, n_output=1)
+        assert traj.coeffs.shape == (2, 16) and np.all(np.isfinite(traj.coeffs[-1]))
     with pytest.raises(ValueError):
         LimitSolver(basis, m, form="w")
-    with pytest.raises(ValueError):
-        LimitSolver(basis, m).step(bump(basis), -0.1, db)
-
-
-@pytest.mark.parametrize("form", ["u", "rho"])
-@pytest.mark.parametrize("with_drift", [True, False])
-def test_step_agrees_with_one_step_of_simulate(basis, form, with_drift):
-    # step advances the solver's own form with the function simulate runs.
-    m = models_for(basis)
-    path = sample_path(21, 1e-3, 1e-3, 16)
-    solver = LimitSolver(basis, m, form=form, with_drift=with_drift)
-    traj = solver.simulate(bump(basis), path, n_output=1)
-    one = solver.step(bump(basis), path.dt, path.increments[:, 0])
-    assert np.array_equal(one, traj.coeffs[-1])
 
 
 def test_dual_form_consistency_ratio(basis):

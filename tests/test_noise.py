@@ -107,6 +107,15 @@ def test_refine_to():
     assert refine_to(p, 0.1).dt == 0.1
 
 
+def test_refine_to_a_step_bound_of_zero_or_less_fails():
+    # No number of halvings reaches a step of at most 0; refining would not end.
+    p = sample_path(1, 1.0, 0.1, 2)
+    for target in (p, stack_paths([p, p])):
+        for dt_max in (0.0, -0.01, float("nan")):
+            with pytest.raises(ValueError, match="dt_max must be positive"):
+                refine_to(target, dt_max)
+
+
 def test_apply_noise_single_mode_and_isometry():
     basis = build_basis(DomainSpec(1.0, 8))
     diff = build_diffusion(basis, factor="constant", q=1.0)

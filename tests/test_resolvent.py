@@ -5,6 +5,7 @@ from smallmass.basis import DomainSpec, build_basis
 from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
 from smallmass.noise import zero_path
 from smallmass.resolvent import (
+    TOL,
     OperatorA,
     ResolventError,
     audit_operator,
@@ -13,7 +14,7 @@ from smallmass.resolvent import (
     sample_states,
     yosida_apply,
 )
-from smallmass.wave import WaveSolver, WaveState
+from smallmass.wave import WaveSolver
 
 
 @pytest.fixture(scope="module")
@@ -65,11 +66,6 @@ def test_stacked_resolvent_solves_rows_alone(op, basis):
     assert len({i.iterations for i in infos}) > 1
 
 
-def test_iteration_cap_must_be_positive(op):
-    with pytest.raises(ValueError, match="max_iter"):
-        resolvent_apply(op, (np.ones(16), np.zeros(16)), 0.05, max_iter=0)
-
-
 def test_resolvent_round_trip(op, basis):
     rng = np.random.default_rng(8)
     lam = 0.05
@@ -82,7 +78,7 @@ def test_resolvent_round_trip(op, basis):
         h = (z[0] - lam * az[0], z[1] - lam * az[1])
         z_rec = resolvent_apply(op, h, lam)
         err = op.h_norm((z_rec[0] - z[0], z_rec[1] - z[1]))
-        assert err < 10 * op.tol
+        assert err < 10 * TOL
 
 
 def test_contraction_factor_bound(op):
@@ -148,6 +144,14 @@ def test_audit_runs_and_passes(op):
     assert "calibrated" in result["note"]
 
 
+def test_audit_of_no_samples_is_rejected(op):
+    # With no pairs or no smooth samples every worst margin stays -inf and
+    # every flag would pass without checking anything.
+    for n_pairs, n_smooth, name in ((0, 5, "n_pairs"), (5, 0, "n_smooth"), (-1, 5, "n_pairs")):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            audit_operator(op, n_pairs=n_pairs, n_smooth=n_smooth)
+
+
 def test_implicit_step_matches_exponential_decay(basis):
     # no noise, g(u) = u, f = 0, mu = 1, single mode: du = (eta - u)dt,
     # deta = Lap u dt; backward Euler tracks the damped oscillation to O(dt).
@@ -156,15 +160,14 @@ def test_implicit_step_matches_exponential_decay(basis):
     dt = 1e-3
     u = np.zeros(16)
     u[0] = 1.0
-    state = WaveState(u=u, v=np.zeros(16), mu=1.0)
-    for _ in range(200):
-        state = solver.step(state, dt)
+    traj = solver.simulate(u, np.zeros(16), zero_path(0.2, dt, 16), n_output=1)
     # exact solution of u'' = -a1 u - u' from rest
     a1 = basis.alphas[0]
     om = np.sqrt(a1 - 0.25)
     t = 0.2
     exact = np.exp(-0.5 * t) * (np.cos(om * t) + 0.5 / om * np.sin(om * t))
-    assert abs(state.u[0] - exact) < 30 * dt
+    assert traj.times[-1] == pytest.approx(t, rel=1e-12)
+    assert abs(traj.u[-1][0] - exact) < 30 * dt
 
 
 def test_implicit_step_agrees_with_semi_implicit(basis):
@@ -172,13 +175,11 @@ def test_implicit_step_agrees_with_semi_implicit(basis):
     resolvent_solver = WaveSolver(basis, m, 1.0, scheme="resolvent_implicit")
     dt = 1e-3
     u0 = basis.analyze(4.0 * basis.x * (1 - basis.x))
-    s_res = WaveState(u=u0.copy(), v=np.zeros(16), mu=1.0)
     solver = WaveSolver(basis, m, 1.0, scheme="semi_implicit")
-    s_semi = WaveState(u=u0.copy(), v=np.zeros(16), mu=1.0)
-    for _ in range(100):
-        s_res = resolvent_solver.step(s_res, dt)
-        s_semi = solver.step(s_semi, dt)
-    gap = basis.sobolev_norm(s_res.u - s_semi.u, 0.0)
+    path = zero_path(0.1, dt, 16)
+    t_res = resolvent_solver.simulate(u0, np.zeros(16), path, n_output=1)
+    t_semi = solver.simulate(u0, np.zeros(16), path, n_output=1)
+    gap = basis.sobolev_norm(t_res.u[-1] - t_semi.u[-1], 0.0)
     assert gap < 50 * dt
     assert gap > 0  # genuinely different schemes
 
@@ -186,10 +187,9 @@ def test_implicit_step_agrees_with_semi_implicit(basis):
 def test_dt_above_lambda_bar_rejected(basis):
     m = models_for(basis)
     solver = WaveSolver(basis, m, 1.0, scheme="resolvent_implicit")
-    lambda_bar = OperatorA(basis, m, mass=1.0).lambda_bar
-    state = WaveState(u=np.zeros(16), v=np.zeros(16), mu=1.0)
-    with pytest.raises(ResolventError):
-        solver.step(state, lambda_bar * 1.1)
+    dt = OperatorA(basis, m, mass=1.0).lambda_bar * 1.1
+    with pytest.warns(RuntimeWarning, match="max_dt"), pytest.raises(ResolventError):
+        solver.simulate(np.zeros(16), np.zeros(16), zero_path(dt, dt, 16), n_output=1)
 
 
 def test_resolvent_scheme_through_wave_solver(basis):

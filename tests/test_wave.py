@@ -5,7 +5,7 @@ from smallmass.basis import DomainSpec, build_basis
 from smallmass.limit import LimitSolver
 from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
 from smallmass.noise import refine, sample_path, stack_paths, zero_path
-from smallmass.wave import SimulationDiverged, WaveSolver, WaveState, g_coeffs
+from smallmass.wave import SimulationDiverged, WaveSolver, g_coeffs
 
 
 @pytest.fixture(scope="module")
@@ -33,15 +33,21 @@ def test_single_step_closed_form(basis):
     mu, dt = 0.05, 1e-3
     u0 = np.zeros(16)
     u0[0] = 1.0
-    state = WaveState(u=u0, v=np.zeros(16), mu=mu)
-    out = WaveSolver(basis, lin, mu, scheme="semi_implicit").step(state, dt, None)
+    solver = WaveSolver(basis, lin, mu, scheme="semi_implicit")
+    traj = solver.simulate(u0, np.zeros(16), zero_path(dt, dt, 16), n_output=1)
+    u, v = traj.u[-1], traj.v[-1]
     a1 = basis.alphas[0]
     v1 = -dt * a1 * mu / ((mu + dt**2 * a1) * (mu + dt))
-    assert abs(out.v[0] - v1) < 1e-15
-    assert abs(out.u[0] - (1.0 + dt * v1)) < 1e-15
+    assert abs(v[0] - v1) < 1e-15
+    assert abs(u[0] - (1.0 + dt * v1)) < 1e-15
     # other modes stay at transform roundoff level
-    assert np.max(np.abs(out.u[1:])) < 1e-15 and np.max(np.abs(out.v[1:])) < 1e-15
-    assert out.t == dt
+    assert np.max(np.abs(u[1:])) < 1e-15 and np.max(np.abs(v[1:])) < 1e-15
+    assert traj.times[-1] == dt
+
+
+def energies(basis, traj):
+    """K = ||u||_H1^2 + mu ||v||_H^2 at every output time."""
+    return basis.sobolev_norm(traj.u, 1.0) ** 2 + traj.mu * basis.sobolev_norm(traj.v, 0.0) ** 2
 
 
 def test_zero_noise_energy_decay_semi_implicit(basis):
@@ -49,16 +55,12 @@ def test_zero_noise_energy_decay_semi_implicit(basis):
     # every step of the factorized implicit scheme, for every friction preset.
     for friction in ("constant", "two_plus_sin"):
         m = models_for(basis, friction=friction, reaction="zero", diffusion="zero")
-        mu = 0.05
         path = zero_path(0.5, 0.01, 16)
-        solver = WaveSolver(basis, m, mu, scheme="semi_implicit")
-        u, v = bump(basis), np.zeros(16)
-        energy = basis.sobolev_norm(u, 1.0) ** 2 + mu * basis.sobolev_norm(v, 0.0) ** 2
-        for _ in range(path.n_steps):
-            u, v = solver._step_semi_implicit(u, v, path.dt, None)
-            e_new = basis.sobolev_norm(u, 1.0) ** 2 + mu * basis.sobolev_norm(v, 0.0) ** 2
-            assert e_new <= energy * (1.0 + 1e-12)
-            energy = e_new
+        solver = WaveSolver(basis, m, 0.05, scheme="semi_implicit")
+        traj = solver.simulate(bump(basis), np.zeros(16), path, n_output=path.n_steps)
+        energy = energies(basis, traj)
+        assert len(energy) == path.n_steps + 1
+        assert np.all(energy[1:] <= energy[:-1] * (1.0 + 1e-12))
 
 
 def test_zero_noise_energy_decay_eta_form(basis):
@@ -67,19 +69,14 @@ def test_zero_noise_energy_decay_eta_form(basis):
     # far below the initial energy.
     for friction in ("constant", "two_plus_sin"):
         m = models_for(basis, friction=friction, reaction="zero", diffusion="zero")
-        mu, dt = 0.05, 1e-3
-        solver = WaveSolver(basis, m, mu, scheme="eta_form")
-        u = bump(basis)
-        second = basis.analyze(m.g_map.forward(basis.synthesize(u))) / mu
-        k0 = basis.sobolev_norm(u, 1.0) ** 2
-        energy = k0
-        for _ in range(500):
-            u, second = solver._step_eta(u, second, dt, None)
-            v = second - basis.analyze(m.g_map.forward(basis.synthesize(u))) / mu
-            e_new = basis.sobolev_norm(u, 1.0) ** 2 + mu * basis.sobolev_norm(v, 0.0) ** 2
-            assert e_new <= energy + 2e-3 * k0
-            energy = e_new
-        assert energy < 0.5 * k0
+        path = zero_path(0.5, 1e-3, 16)
+        solver = WaveSolver(basis, m, 0.05, scheme="eta_form")
+        traj = solver.simulate(bump(basis), np.zeros(16), path, n_output=path.n_steps)
+        energy = energies(basis, traj)
+        k0 = energy[0]
+        assert len(energy) == path.n_steps + 1
+        assert np.all(energy[1:] <= energy[:-1] + 2e-3 * k0)
+        assert energy[-1] < 0.5 * k0
 
 
 def test_zero_data_zero_trajectory(basis):
@@ -247,41 +244,26 @@ def test_scheme_validation(basis):
         WaveSolver(basis, m, 0.1, scheme="not_a_scheme")
     with pytest.raises(ValueError):
         WaveSolver(basis, m, -0.1)
-    with pytest.raises(ValueError):
-        WaveSolver(basis, m, 0.1).step(WaveState(u=np.zeros(16), v=np.zeros(16), mu=0.1), -1e-3)
-
-
-@pytest.mark.parametrize("scheme", ["semi_implicit", "eta_form", "resolvent_implicit"])
-def test_step_rejects_a_state_of_another_mass(basis, scheme):
-    solver = WaveSolver(basis, models_for(basis), 0.1, scheme=scheme)
-    with pytest.raises(ValueError, match="mass"):
-        solver.step(WaveState(u=np.zeros(16), v=np.zeros(16), mu=0.2), 1e-3)
-
-
-def test_step_agrees_with_one_step_of_simulate(basis):
-    # step() and simulate() share each scheme's step function.
-    m = models_for(basis)
-    p = sample_path(91, 1e-3, 1e-3, 16)
-    for scheme in ("semi_implicit", "eta_form", "resolvent_implicit"):
-        solver = WaveSolver(basis, m, 0.05, scheme=scheme)
-        traj = solver.simulate(bump(basis), 0.2 * bump(basis), p, n_output=1)
-        state = WaveState(u=bump(basis), v=0.2 * bump(basis), mu=0.05)
-        st = solver.step(state, p.dt, p.increments[:, 0])
-        assert np.array_equal(st.u, traj.u[-1]), scheme
-        assert np.array_equal(st.v, traj.v[-1]), scheme
 
 
 @pytest.mark.parametrize("newton_iters", [1, 3])
-def test_eta_step_from_carried_nodal_values_equals_a_fresh_step(basis, newton_iters):
+def test_eta_step_from_carried_nodal_values_equals_a_fresh_step(basis, newton_iters, monkeypatch):
     # simulate() starts each eta step from u and g(u) at the nodes, kept from
-    # recovering v after the step before; a step that evaluates them afresh,
-    # as step() does, must give the same bits.
+    # recovering v after the step before; they must be the bits a fresh
+    # evaluation gives, and the step must be Newton on the carried (u, eta).
     m = models_for(basis)
     mu = 0.05
     solver = WaveSolver(basis, m, mu, newton_iters=newton_iters)
+    steps = []
+
+    def spy(u, eta, dt, dbeta, nodal):
+        out = WaveSolver._step_eta(solver, u, eta, dt, dbeta, nodal)
+        steps.append((u, eta, nodal, out))
+        return out
+
+    monkeypatch.setattr(solver, "_advance", spy)
     p = stack_paths([sample_path(93 + j, 5e-3, 1e-3, 16) for j in range(3)])
-    u0, v0 = bump(basis), 0.2 * bump(basis)
-    traj = solver.simulate(u0, v0, p, n_output=p.n_steps)
+    traj = solver.simulate(bump(basis), 0.2 * bump(basis), p, n_output=p.n_steps)
 
     def newton_u(u, eta, dt):  # Newton on w + (dt/mu) g(w) = u + dt eta at the nodes
         w = basis.synthesize(u)
@@ -291,18 +273,35 @@ def test_eta_step_from_carried_nodal_values_equals_a_fresh_step(basis, newton_it
             w = w - phi / (1.0 + (dt / mu) * m.friction.gamma(w))
         return basis.analyze(w)
 
-    u = np.broadcast_to(u0, (3, 16))
-    eta = v0 + solver.g_over_mu(u)
-    for k in range(p.n_steps):
-        dbeta = p.increments[..., k]
-        u_nodal = basis.synthesize(u)
-        carried = solver._step_eta(u, eta, p.dt, dbeta, (u_nodal, m.g_map.forward(u_nodal)))
-        expected_u = newton_u(u, eta, p.dt)
-        u, eta = solver._step_eta(u, eta, p.dt, dbeta)
-        assert np.array_equal(u, expected_u)
-        assert np.array_equal(carried[0], u) and np.array_equal(carried[1], eta)
-        assert np.array_equal(traj.u[k + 1], u)
-        assert np.array_equal(traj.v[k + 1], eta - solver.g_over_mu(u))
+    assert len(steps) == p.n_steps
+    for k, (u, eta, (u_nodal, g_nodal), (u_new, eta_new)) in enumerate(steps):
+        assert np.array_equal(u, traj.u[k])
+        assert np.array_equal(u_nodal, basis.synthesize(u))
+        assert np.array_equal(g_nodal, m.g_map.forward(u_nodal))
+        assert np.array_equal(u_new, newton_u(u, eta, p.dt))
+        assert np.array_equal(traj.u[k + 1], u_new)
+        assert np.array_equal(traj.v[k + 1], eta_new - solver.g_over_mu(u_new))
+        if k + 1 < p.n_steps:  # the next step starts from the eta this one produced
+            assert steps[k + 1][1] is eta_new
+
+
+@pytest.mark.parametrize("scheme", ["eta_form", "resolvent_implicit"])
+def test_eta_schemes_shift_between_v_and_eta_once_per_run(basis, scheme, monkeypatch):
+    # Both eta schemes carry eta from step to step: v0 is shifted to eta once,
+    # and v is recovered after each step without another shift.
+    calls = []
+    original = WaveSolver.g_over_mu
+
+    def spy(self, u):
+        calls.append(u.shape)
+        return original(self, u)
+
+    monkeypatch.setattr(WaveSolver, "g_over_mu", spy)
+    solver = WaveSolver(basis, models_for(basis), 0.05, scheme=scheme)
+    path = sample_path(94, 0.01, 1e-3, 16)
+    assert path.n_steps == 10
+    solver.simulate(bump(basis), 0.2 * bump(basis), path, n_output=2)
+    assert calls == [(16,)]
 
 
 def test_sup_trackers_record_every_step(basis):

@@ -30,11 +30,12 @@ one side is reported with the exception.  The exit status is 0 when every
 item of every route is bitwise equal on both sides, else 1.
 
 Route groups: the catalogue (3 wave schemes x path/batch x noisy/noise-free,
-single wave steps, limit forms x drift x path/batch, single limit steps,
-refinement of a path and a batch, fd coupled and single runs, every
+one and two wave steps, limit forms x drift x path/batch, single limit
+steps, refinement of a path and a batch, fd coupled and single runs, every
 `run_*` work function on small configs), the default config of every
 `run_*` work function (about a minute), and the routes of the benchmark's
-workloads (bench/workloads.py).
+workloads (bench/workloads.py).  A step is `simulate` on a one- or two-step
+path, noisy or from `noise.zero_path`.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _fields(obj) -> dict:
 
 def _wave_routes() -> dict:
     from smallmass import noise
-    from smallmass.wave import WaveSolver, WaveState
+    from smallmass.wave import WaveSolver
 
     routes = {}
     for diffusion in ("cosine", "zero"):
@@ -107,13 +108,14 @@ def _wave_routes() -> dict:
             def steps(diffusion=diffusion, scheme=scheme):
                 basis, models, u0, v0 = _setup(diffusion)
                 solver = WaveSolver(basis, models, 0.01, scheme=scheme)
-                dbeta = noise.sample_path(5, 2e-3, 1e-3, basis.n_modes).increments
                 out = {}
-                for label, draws in (("noise", (dbeta[:, 0], dbeta[:, 1])), ("none", (None, None))):
-                    state = WaveState(u=u0, v=v0, mu=0.01)
-                    for k, d in enumerate(draws):
-                        state = solver.step(state, 1e-3, d)
-                        out[f"{label}.{k}.u"], out[f"{label}.{k}.v"] = state.u, state.v
+                for label, path in (
+                    ("noise", noise.sample_path(5, 2e-3, 1e-3, basis.n_modes)),
+                    ("none", noise.zero_path(2e-3, 1e-3, basis.n_modes)),
+                ):
+                    traj = solver.simulate(u0, v0, path, n_output=2)
+                    for k in range(2):
+                        out[f"{label}.{k}.u"], out[f"{label}.{k}.v"] = traj.u[k + 1], traj.v[k + 1]
                 return out
 
             routes[f"wave_step.{scheme}.{diffusion}"] = steps
@@ -146,10 +148,13 @@ def _limit_routes() -> dict:
                 basis, models, u0, _ = _setup()
                 initial = g_coeffs(u0, basis, models) if form == "rho" else u0
                 solver = LimitSolver(basis, models, form=form, with_drift=drift)
-                dbeta = noise.sample_path(6, 1e-3, 1e-3, basis.n_modes).increments[:, 0]
+                paths = {
+                    "noise": noise.sample_path(6, 1e-3, 1e-3, basis.n_modes),
+                    "none": noise.zero_path(1e-3, 1e-3, basis.n_modes),
+                }
                 return {
-                    "noise": solver.step(initial, 1e-3, dbeta),
-                    "none": solver.step(initial, 1e-3),
+                    label: solver.simulate(initial, path, n_output=1).coeffs[-1]
+                    for label, path in paths.items()
                 }
 
             routes[f"limit_step.{form}.drift={drift}"] = step
