@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -110,11 +111,23 @@ _TYPE_NAMES = {
 
 
 def _check_type(path: str, value, expected) -> Any:
-    """value if it has the schema type (a number comes back as a float; a bool is no number)."""
+    """value if it has the schema type (a number comes back as a float; a bool is no number).
+
+    A number must also be finite: JSON readers accept NaN, Infinity and
+    integers beyond the float range.
+    """
     accepted = (int, float) if expected is float else expected
     if not isinstance(value, accepted) or (isinstance(value, bool) and expected is not bool):
         raise ConfigError(f"config key '{path}' must be {_TYPE_NAMES[expected]}, got {value!r}")
-    return float(value) if expected is float else value
+    if expected is not float:
+        return value
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"config key '{path}' must be finite, got {value!r}")
+    return number
 
 
 def validate_config(raw: dict) -> dict:
@@ -134,12 +147,10 @@ def validate_config(raw: dict) -> dict:
             cfg[key] = _check_type(key, value, _TOP_SCALARS[key])
         else:
             raise ConfigError(f"unknown config key '{key}'")
-    ladder = cfg["mu_ladder"]
-    if not ladder or any(
-        isinstance(m, bool) or not isinstance(m, (int, float)) or m <= 0 for m in ladder
-    ):
+    ladder = [_check_type(f"mu_ladder[{k}]", m, float) for k, m in enumerate(cfg["mu_ladder"])]
+    if not ladder or min(ladder) <= 0:
         raise ConfigError("config key 'mu_ladder' must be a list of positive numbers")
-    cfg["mu_ladder"] = sorted((float(m) for m in ladder), reverse=True)
+    cfg["mu_ladder"] = sorted(ladder, reverse=True)
     counts = {
         "time.n_output": cfg["time"]["n_output"],
         "paths": cfg["paths"],

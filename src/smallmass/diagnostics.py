@@ -124,6 +124,32 @@ class MetricReport:
         return d
 
 
+def _h_norms(diff_sq: np.ndarray, basis: SpectralBasis, s: float) -> np.ndarray:
+    """H^s norms over the last axis of squared coefficient differences.
+
+    An elementwise product and a row sum, not a matrix-vector product: BLAS
+    rounds a row of a (T, P, N) stack differently for another P.
+    """
+    return np.sqrt(np.sum(diff_sq * basis.alphas**s, axis=-1))
+
+
+def distance_rows(a: np.ndarray, b: np.ndarray, basis: SpectralBasis) -> tuple:
+    """||a - b||_H and ||a - b||_{H^-1} over the last axis, broadcasting the leading axes.
+
+    At one output time these are the rows the plain distance reduces over
+    time (`plain_parts`); the ladder study scores a (n_mu, P, N) mass batch
+    against the (P, N) limit rows this way as it runs.  Each row depends on
+    its own coefficients only.
+    """
+    diff_sq = (a - b) ** 2
+    return _h_norms(diff_sq, basis, 0.0), _h_norms(diff_sq, basis, -1.0)
+
+
+def plain_parts(times: np.ndarray, h_rows: np.ndarray, hm1_rows: np.ndarray) -> tuple:
+    """sup_t ||diff||_{H^-1} and ||diff||_{L^2(0,T;H)} from distance_rows stacked on axis 0."""
+    return np.max(hm1_rows, axis=0), np.sqrt(np.trapezoid(h_rows**2, times, axis=0))
+
+
 def metric_distance(
     times: np.ndarray,
     coeffs_a: np.ndarray,
@@ -134,7 +160,8 @@ def metric_distance(
     """Distance report between coefficient trajectories of shape (T, ..., N).
 
     which="all" computes the N_MAX_METRIC-term sums d_x1 and d_x2; "plain"
-    skips them.  sup_hm1 and l2_h are computed for both.
+    skips them.  sup_hm1 and l2_h are computed for both, by `distance_rows`
+    and `plain_parts`.
     """
     a = np.asarray(coeffs_a, dtype=float)
     b = np.asarray(coeffs_b, dtype=float)
@@ -145,24 +172,17 @@ def metric_distance(
         raise ValueError("time grid does not match trajectories")
     if which not in ("all", "plain"):
         raise ValueError(f"unknown metric selector {which!r}")
-    diff_sq = (a - b) ** 2  # (T, ..., N)
-
-    def h_norms(s: float) -> np.ndarray:
-        # an elementwise product and a row sum, not a matrix-vector product:
-        # BLAS rounds a row of a (T, P, N) stack differently for another P
-        return np.sqrt(np.sum(diff_sq * basis.alphas**s, axis=-1))  # (T, ...)
-
-    h_t = h_norms(0.0)
+    h_t, hm1_t = distance_rows(a, b, basis)  # (T, ...)
     d_x1 = d_x2 = None
     if which == "all":
+        diff_sq = (a - b) ** 2
         d_x1 = d_x2 = 0.0
         for n in range(1, N_MAX_METRIC + 1):
             w = 2.0**-n
-            d_x1 = d_x1 + w * np.minimum(np.max(h_norms(-1.0 / n), axis=0), 1.0)
+            d_x1 = d_x1 + w * np.minimum(np.max(_h_norms(diff_sq, basis, -1.0 / n), axis=0), 1.0)
             ln = (np.trapezoid(h_t**n, times, axis=0)) ** (1.0 / n)
             d_x2 = d_x2 + w * np.minimum(ln, 1.0)
-    sup_hm1 = np.max(h_norms(-1.0), axis=0)
-    l2_h = np.sqrt(np.trapezoid(h_t**2, times, axis=0))
+    sup_hm1, l2_h = plain_parts(times, h_t, hm1_t)
     tail = 2.0**-N_MAX_METRIC
     return MetricReport(d_x1=d_x1, d_x2=d_x2, tail=tail, sup_hm1=sup_hm1, l2_h=l2_h)
 
@@ -181,13 +201,18 @@ class LadderPoint:
     int_u_h1_sq: np.ndarray
 
 
-def ladder_point(traj: WaveTrajectory) -> LadderPoint:
+def ladder_point(mu: float, norms) -> LadderPoint:
+    """The point of mass mu from the running norms of its run, by name.
+
+    norms maps the names of `WaveTrajectory`'s running norms (`vars(traj)`,
+    or one mass row of a batch's) to per-path values.
+    """
     return LadderPoint(
-        mu=traj.mu,
-        sup_energy=np.atleast_1d(traj.sup_energy),
-        sup_v_h=np.atleast_1d(traj.sup_v_h),
-        sup_u_h=np.atleast_1d(traj.sup_u_h),
-        int_u_h1_sq=np.atleast_1d(traj.int_u_h1_sq),
+        mu=mu,
+        sup_energy=np.atleast_1d(norms["sup_energy"]),
+        sup_v_h=np.atleast_1d(norms["sup_v_h"]),
+        sup_u_h=np.atleast_1d(norms["sup_u_h"]),
+        int_u_h1_sq=np.atleast_1d(norms["int_u_h1_sq"]),
     )
 
 

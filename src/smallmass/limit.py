@@ -28,7 +28,8 @@ coefficients, through `simulate` only (a single step is simulate on a
 one-step path); `wave.g_coeffs(u, basis, models)` gives the rho0 that
 matches an initial u0.  Both forms run on the time loop `wave.drive` and
 take their noise forcing from `noise.apply_noise`, the u-form with the
-1/gamma weight.
+1/gamma weight.  A u-form step evaluates gamma, gamma' and lambda_sigma once
+each at its nodal u and hands the values to the drift H and the noise.
 """
 
 from __future__ import annotations
@@ -80,12 +81,14 @@ class LimitSolver:
     def _advance_u(self, u: np.ndarray, dt: float, dbeta) -> np.ndarray:
         b, m = self.basis, self.models
         u_nodal = b.synthesize(u)
-        gam = m.friction.gamma(u_nodal)
+        gam = m.friction.gamma(u_nodal)  # gamma and lambda_sigma once each, for every term
+        ls = m.diffusion.lambda_sigma(u_nodal)
         lap_nodal = b.synthesize(b.laplacian(u))
         explicit = (1.0 / gam - self.b_bar) * lap_nodal + m.reaction.f(u_nodal) / gam
         if self.with_drift and m.diffusion.sigma_sup != 0.0:
-            explicit = explicit + noise_induced_drift(u_nodal, m.friction, m.diffusion)
-        rhs = u + dt * b.analyze(explicit) + apply_noise(u_nodal, dbeta, m.diffusion, b, gam)
+            gam_prime = m.friction.gamma_prime(u_nodal)
+            explicit = explicit + noise_induced_drift(gam, gam_prime, ls, m.diffusion.kappa)
+        rhs = u + dt * b.analyze(explicit) + apply_noise(ls / gam, dbeta, m.diffusion, b)
         return rhs / (1.0 + dt * self.b_bar * b.alphas)
 
     def _advance_rho(self, rho: np.ndarray, dt: float, dbeta) -> np.ndarray:
@@ -97,7 +100,7 @@ class LimitSolver:
         rhs = (
             rho
             + dt * (explicit_sp + b.analyze(m.reaction.f(u_inv)))
-            + apply_noise(u_inv, dbeta, m.diffusion, b)
+            + apply_noise(m.diffusion.lambda_sigma(u_inv), dbeta, m.diffusion, b)
         )
         return rhs / (1.0 + dt * self.b_bar * b.alphas)
 

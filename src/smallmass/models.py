@@ -185,21 +185,16 @@ class ModelSet:
 
 
 def noise_induced_drift(
-    u_nodal: np.ndarray, friction: FrictionModel, diffusion: DiffusionModel
+    gam: np.ndarray, gam_prime: np.ndarray, ls: np.ndarray, kappa: np.ndarray
 ) -> np.ndarray:
     """Extra drift created by non-constant friction in the small-mass limit.
 
-    H(u)(x) = -gamma'(u)/(2 gamma(u)^3) * lambda_sigma(u)^2 * kappa(x),
-    evaluated pointwise on the nodal grid.
+    H(u)(x) = -gamma'(u)/(2 gamma(u)^3) * lambda_sigma(u)^2 * kappa(x), from
+    gamma, gamma' and lambda_sigma evaluated at the nodal values of u and the
+    kernel kappa = diffusion.kappa.  The limit u-step evaluates each of them
+    once and shares gamma and lambda_sigma with its other terms.
     """
-    u = np.asarray(u_nodal, dtype=float)
-    gam = friction.gamma(u)
-    return (
-        -friction.gamma_prime(u)
-        / (2.0 * gam**3)
-        * diffusion.lambda_sigma(u) ** 2
-        * diffusion.kappa
-    )
+    return -gam_prime / (2.0 * gam**3) * ls**2 * kappa
 
 
 def stratonovich_correction(

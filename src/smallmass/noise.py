@@ -109,18 +109,28 @@ def refine(path: NoisePath) -> NoisePath:
     )
 
 
+def halvings(dt: float, dt_max: float) -> int:
+    """How many halvings bring the step dt to at most dt_max (dt_max must be positive)."""
+    if not dt_max > 0:
+        raise ValueError(f"dt_max must be positive, got {dt_max}")
+    n = 0
+    while dt > dt_max * (1.0 + 1e-12):
+        dt *= 0.5
+        n += 1
+    return n
+
+
 def refine_to(path: NoisePath | PathBatch, dt_max: float) -> NoisePath | PathBatch:
-    """Refine until the path step is no larger than dt_max.
+    """Refine until the path step is no larger than dt_max, `halvings(path.dt, dt_max)` times.
 
     A PathBatch is refined member by member, each from its own streams, so
     it equals the stack of its refined members.  dt_max must be positive:
     no number of halvings reaches a step of at most 0.
     """
-    if not dt_max > 0:
-        raise ValueError(f"dt_max must be positive, got {dt_max}")
-    if isinstance(path, PathBatch) and path.dt > dt_max * (1.0 + 1e-12):
+    n = halvings(path.dt, dt_max)
+    if isinstance(path, PathBatch) and n:
         return stack_paths([refine_to(path.path(j), dt_max) for j in range(path.n_paths)])
-    while path.dt > dt_max * (1.0 + 1e-12):
+    for _ in range(n):
         path = refine(path)
     return path
 
@@ -139,18 +149,19 @@ def zero_path(t_final: float, dt: float, n_modes: int) -> NoisePath:
 
 
 def apply_noise(
-    u_nodal: np.ndarray,
+    weight: np.ndarray,
     dbeta: np.ndarray | None,
     diffusion: DiffusionModel,
     basis: SpectralBasis,
-    gam: np.ndarray | None = None,
 ):
-    """Coefficients of x -> lambda_sigma(u(x)) * sum_i lam_i e_i(x) dbeta_i.
+    """Coefficients of x -> weight(x) * sum_i lam_i e_i(x) dbeta_i.
 
-    The noise forcing of every integrator.  With gam, the friction at the
-    nodes, the factor becomes lambda_sigma(u) / gamma(u), as in the limit
-    u-form.  Returns 0.0 when there is no increment (dbeta is None) or no
-    noise (sigma_sup == 0), so callers add the result unconditionally.
+    The noise forcing of every integrator.  weight is the factor at the
+    nodes: lambda_sigma(u) for the wave and the rho-form, and
+    lambda_sigma(u) / gamma(u) for the limit u-form, whose step evaluates
+    lambda_sigma once for this and the drift H.  Returns 0.0 when there is
+    no increment (dbeta is None) or no noise (sigma_sup == 0), so callers add
+    the result unconditionally.
     """
     if dbeta is None or diffusion.sigma_sup == 0.0:
         return 0.0
@@ -158,8 +169,7 @@ def apply_noise(
     if dbeta.shape[-1] != basis.n_modes:
         raise ValueError(f"expected {basis.n_modes} mode increments, got {dbeta.shape[-1]}")
     forced = basis.synthesize(diffusion.q_spectrum * dbeta)
-    weight = diffusion.lambda_sigma(np.asarray(u_nodal, dtype=float))
-    return basis.analyze((weight if gam is None else weight / gam) * forced)
+    return basis.analyze(weight * forced)
 
 
 # -- batching across Monte Carlo paths ---------------------------------------

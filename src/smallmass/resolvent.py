@@ -109,9 +109,10 @@ def resolvent_apply(
     TOL within MAX_ITER iterations, then polished with one extra sweep so the
     reported residual is well inside the tolerance.  Three consecutive
     residual increases are treated as loss of contraction and raise
-    ResolventError naming lam.  A stacked h (one leading batch axis) is
-    solved row by row, so every row stops on its own residual and equals the
-    same row solved alone; its info is then a list with one SolveInfo per row.
+    ResolventError naming lam.  A stacked h (leading batch axes) is solved
+    row by row, so every row stops on its own residual and equals the same
+    row solved alone; its info is then a list with one SolveInfo per row, in
+    C order.
     """
     if not 0.0 < lam < op.lambda_bar:
         raise ResolventError(
@@ -120,10 +121,11 @@ def resolvent_apply(
     h1, h2 = np.asarray(h[0], dtype=float), np.asarray(h[1], dtype=float)
     if h1.ndim == 1:
         u, eta, info = _fixed_point(op, h1, h2, lam)
-    else:  # row by row, so every row stops on its own residual
-        pairs = zip(h1, np.broadcast_to(h2, h1.shape))
+    else:  # row by row over every leading axis, so every row stops on its own residual
+        rows = h1.reshape(-1, h1.shape[-1])
+        pairs = zip(rows, np.broadcast_to(h2, h1.shape).reshape(rows.shape))
         u, eta, info = zip(*(_fixed_point(op, a, b, lam) for a, b in pairs))
-        u, eta, info = np.array(u), np.array(eta), list(info)
+        u, eta, info = np.array(u).reshape(h1.shape), np.array(eta).reshape(h1.shape), list(info)
     if return_info:
         return (u, eta), info
     return u, eta

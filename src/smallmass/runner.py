@@ -2,10 +2,12 @@
 
 The coupled convergence study drives every mass in the ladder and the limit
 integrator with the same Brownian paths (one seed per path, seeds
-base_seed, base_seed+1, ...).  Paths are advanced as a vectorized batch;
-results are identical to running them one at a time, and a process pool over
-path blocks is available through jobs > 1 with order-independent (sorted)
-aggregation.
+base_seed, base_seed+1, ...).  Paths are advanced as a vectorized batch, and
+the masses that share a refined step as one (n_mu, P, N) batch scored
+against the stored limit at every output time, so no wave trajectory is
+kept; results are identical to running paths and masses one at a time, and
+a process pool over path blocks is available through jobs > 1 with
+order-independent (sorted) aggregation.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .finite_dim import (
 )
 from .limit import LimitSolver
 from .resolvent import OperatorA, audit_operator
-from .wave import WaveSolver, g_coeffs
+from .wave import WaveSolver, drive, g_coeffs, output_times
 
 
 @dataclass
@@ -44,12 +46,9 @@ class LadderStudy:
     d_h: np.ndarray | None = None  # (n_paths,): between the limits with and without H
 
 
-def _simulate_wave(cfg: dict, basis, models, mu: float, u0, v0, path):
-    """Wave run at mass mu on a NoisePath or PathBatch refined to the solver's max_dt().
-
-    Returns the trajectory and the refined path or batch it ran on.
-    """
-    solver = WaveSolver(
+def _wave_solver(cfg: dict, basis, models, mu) -> WaveSolver:
+    """The configured wave solver at mass mu, one mass or a 1-D array of them."""
+    return WaveSolver(
         basis,
         models,
         mu,
@@ -57,8 +56,21 @@ def _simulate_wave(cfg: dict, basis, models, mu: float, u0, v0, path):
         c_stab=cfg["time"]["c_stab"],
         newton_iters=cfg["wave"]["newton_iters"],
     )
-    path = noise.refine_to(path, solver.max_dt())
-    return solver.simulate(u0, v0, path, n_output=cfg["time"]["n_output"]), path
+
+
+def _mass_groups(cfg: dict, basis, models) -> dict:
+    """Ladder indices keyed by how often their step bound halves time.dt, in ladder order.
+
+    The masses of a group share one refined path and advance as one batch.
+    resolvent_implicit keys every mass apart, as its solver holds one
+    OperatorA for one mass.
+    """
+    apart = cfg["wave"]["scheme"] == "resolvent_implicit"
+    groups: dict = {}
+    for k, mu in enumerate(cfg["mu_ladder"]):
+        level = noise.halvings(cfg["time"]["dt"], _wave_solver(cfg, basis, models, mu).max_dt())
+        groups.setdefault((level, k if apart else None), []).append(k)
+    return groups
 
 
 def _check_grids(wave: np.ndarray, limit: np.ndarray, n_steps: int) -> None:
@@ -70,43 +82,99 @@ def _check_grids(wave: np.ndarray, limit: np.ndarray, n_steps: int) -> None:
         )
 
 
-def _distance(times: np.ndarray, a: np.ndarray, b: np.ndarray, basis) -> np.ndarray:
-    """Per-path coupled distance sup_t ||a - b||_{H^-1} + ||a - b||_{L^2(0,T;H)}."""
-    return diagnostics.metric_distance(times, a, b, basis, "plain").value("plain")
+class _ScoredWaves:
+    """A mass batch's stepper for drive() whose records are its distances to the limits.
+
+    At output index pos, record() returns ||u - l[pos]||_H and
+    ||u - l[pos]||_{H^-1} per mass and path for each limit trajectory l;
+    drive() calls it once per index, in order.  No wave trajectory is kept.
+    """
+
+    def __init__(self, run, limits: list, basis):
+        self.run, self.limits, self.basis, self.pos = run, limits, basis, 0
+        self.step, self.observe = run.step, run.observe
+
+    def record(self) -> tuple:
+        u, pos = self.run.u, self.pos
+        self.pos += 1
+        rows = (diagnostics.distance_rows(u, lim[pos], self.basis) for lim in self.limits)
+        return tuple(r for pair in rows for r in pair)
+
+
+@dataclass
+class _WaveGroup:
+    """One mass batch of a ladder study: its step, output grid, distances and norms."""
+
+    mus: list[float]
+    dt: float
+    times: np.ndarray
+    distances: list  # per limit, (n_mu, n_paths): sup_Hm1 + L2(0,T;H)
+    norms: dict  # the running norms of WaveTrajectory, (n_mu, n_paths) each
+
+
+def _simulate_group(cfg: dict, basis, models, mus: list, u0, v0, batch, limits: list):
+    """The masses mus as one batch on batch refined to their step, scored against each limit."""
+    solver = _wave_solver(cfg, basis, models, np.array(mus))
+    path = noise.refine_to(batch, solver.max_dt())
+    run = _ScoredWaves(solver.stepper(u0, v0, path), limits, basis)
+    inc = path.increments
+    n_output = cfg["time"]["n_output"]
+    times, [rows] = drive([run], path.n_steps, path.dt, lambda k: inc[..., :, k], n_output)
+    distances = []
+    for h, hm1 in zip(rows[0::2], rows[1::2]):
+        sup_hm1, l2_h = diagnostics.plain_parts(times, h, hm1)
+        distances.append(sup_hm1 + l2_h)
+    return _WaveGroup(mus=mus, dt=path.dt, times=times, distances=distances, norms=run.run.norms)
 
 
 def _study_block(cfg: dict, seed0: int, n_paths: int, ablate_drift: bool) -> LadderStudy:
     """The ladder's waves against the u-form limit with H, all on one coupled batch.
 
-    With ablate_drift, the limit without H also runs on the batch, and the
-    study scores each wave (d_no) and the limit with H (d_h) against it.
+    The masses run in batches that share a refined step (`_mass_groups`), and
+    are scored against the stored limit trajectory at every output time.  The
+    output grids are checked before anything runs.  With ablate_drift, the
+    limit without H also runs on the batch, and the study scores each wave
+    (d_no) and the limit with H (d_h) against it.
     """
     basis = make_basis(cfg)
     models = make_models(cfg, basis)
     u0, v0 = make_initial(cfg, basis)
     t = cfg["time"]
     ladder = cfg["mu_ladder"]
+    n_steps = noise._n_steps(t["t_final"], t["dt"])
+    groups = _mass_groups(cfg, basis, models)
+    limit_times = output_times(n_steps, t["dt"], t["n_output"])
+    for level, _ in groups:
+        fine = output_times(n_steps << level, t["dt"] * 0.5**level, t["n_output"])
+        _check_grids(fine, limit_times, n_steps)
+
     batch = noise.sample_batch(seed0, n_paths, t["t_final"], t["dt"], basis.n_modes)
     with_h = LimitSolver(basis, models).simulate(u0, batch, n_output=t["n_output"])
+    limits = [with_h.coeffs]
     if ablate_drift:
         no_h = LimitSolver(basis, models, with_drift=False).simulate(
             u0, batch, n_output=t["n_output"]
-        ).coeffs
-
-    per_mu, d_no, points = [], [], []
-    for mu in ladder:
-        traj, _ = _simulate_wave(cfg, basis, models, mu, u0, v0, batch)
-        _check_grids(traj.times, with_h.times, batch.n_steps)
-        per_mu.append(_distance(traj.times, traj.u, with_h.coeffs, basis))
-        if ablate_drift:
-            d_no.append(_distance(traj.times, traj.u, no_h, basis))
-        points.append(diagnostics.ladder_point(traj))
+        )
+        limits.append(no_h.coeffs)
+    d = np.empty((len(limits), len(ladder), n_paths))
+    points = [None] * len(ladder)
+    for idx in groups.values():
+        mus = [ladder[k] for k in idx]
+        group = _simulate_group(cfg, basis, models, mus, u0, v0, batch, limits)
+        d[:, idx] = group.distances
+        for row, k in enumerate(idx):
+            norms = {name: v[row] for name, v in group.norms.items()}
+            points[k] = diagnostics.ladder_point(ladder[k], norms)
+    d_h = None
+    if ablate_drift:
+        gap = diagnostics.metric_distance(with_h.times, with_h.coeffs, no_h.coeffs, basis, "plain")
+        d_h = gap.value("plain")
     return LadderStudy(
         ladder=ladder,
-        per_path_distance=np.stack(per_mu),
+        per_path_distance=d[0],
         ladder_points=points,
-        d_no=np.stack(d_no) if ablate_drift else None,
-        d_h=_distance(with_h.times, with_h.coeffs, no_h, basis) if ablate_drift else None,
+        d_no=d[1] if ablate_drift else None,
+        d_h=d_h,
     )
 
 
@@ -234,7 +302,9 @@ def run_simulate_wave(cfg: dict, out_dir) -> dict:
     t = cfg["time"]
     mu = cfg["mu_ladder"][0]
     path = noise.sample_path(cfg["seed"], t["t_final"], t["dt"], basis.n_modes)
-    traj, path = _simulate_wave(cfg, basis, models, mu, u0, v0, path)
+    solver = _wave_solver(cfg, basis, models, mu)
+    path = noise.refine_to(path, solver.max_dt())
+    traj = solver.simulate(u0, v0, path, n_output=t["n_output"])
     h = config_hash(cfg)
     output.trajectory_csv(os.path.join(out_dir, "wave_u.csv"), traj.times, traj.u, h, cfg["seed"])
     output.trajectory_csv(os.path.join(out_dir, "wave_v.csv"), traj.times, traj.v, h, cfg["seed"])

@@ -39,6 +39,12 @@ def _models(basis, friction="two_plus_sin", reaction="linear_decay", diffusion="
     )
 
 
+def _drift_h(u, models):
+    """noise_induced_drift at nodal values u, from the model set's coefficients evaluated there."""
+    f, d = models.friction, models.diffusion
+    return noise_induced_drift(f.gamma(u), f.gamma_prime(u), d.lambda_sigma(u), d.kappa)
+
+
 def run_selftest() -> list[tuple[str, bool, str]]:
     """Run every check; returns (name, passed, detail) triples."""
     checks: list[tuple[str, bool, str]] = []
@@ -114,28 +120,22 @@ def run_selftest() -> list[tuple[str, bool, str]]:
     models = _models(basis)
     u_nodal = 0.3 * np.sin(basis.x * np.pi)
     const_models = _models(basis, friction="constant")
-    check(
-        "H vanishes for constant friction",
-        np.max(np.abs(noise_induced_drift(u_nodal, const_models.friction, const_models.diffusion)))
-        == 0.0,
-    )
+    h_const = _drift_h(u_nodal, const_models)
+    check("H vanishes for constant friction", np.max(np.abs(h_const)) == 0.0)
     zero_diff = _models(basis, diffusion="zero")
-    check(
-        "H vanishes without noise",
-        np.max(np.abs(noise_induced_drift(u_nodal, zero_diff.friction, zero_diff.diffusion))) == 0.0,
-    )
+    check("H vanishes without noise", np.max(np.abs(_drift_h(u_nodal, zero_diff))) == 0.0)
     check(
         "G vanishes without noise",
         np.max(np.abs(stratonovich_correction(u_nodal, zero_diff.friction, zero_diff.diffusion)))
         == 0.0,
     )
     const_sigma = _models(basis, diffusion="constant")
-    hg = noise_induced_drift(
+    hg = _drift_h(u_nodal, const_sigma) + stratonovich_correction(
         u_nodal, const_sigma.friction, const_sigma.diffusion
-    ) + stratonovich_correction(u_nodal, const_sigma.friction, const_sigma.diffusion)
+    )
     check("H+G = 0 for constant sigma factor", np.max(np.abs(hg)) < 1e-14)
     hgc = (
-        noise_induced_drift(u_nodal, models.friction, models.diffusion)
+        _drift_h(u_nodal, models)
         + stratonovich_correction(u_nodal, models.friction, models.diffusion)
         - combined_drift(u_nodal, models.friction, models.diffusion)
     )
@@ -161,10 +161,10 @@ def run_selftest() -> list[tuple[str, bool, str]]:
     check("double refinement consistent", np.allclose(back2, fine.increments, atol=1e-15))
     db = np.zeros(basis.n_modes)
     db[0] = 0.37
-    forced = apply_noise(np.zeros(basis.n_nodes), db, const_sigma.diffusion, basis)
+    forced = apply_noise(np.ones(basis.n_nodes), db, const_sigma.diffusion, basis)
     expect = const_sigma.diffusion.q_spectrum[0] * 0.37
     check("single-mode forcing", abs(forced[0] - expect) < 1e-12 and np.max(np.abs(forced[1:])) < 1e-12)
-    zd = apply_noise(np.zeros(basis.n_nodes), db, zero_diff.diffusion, basis)
+    zd = apply_noise(np.ones(basis.n_nodes), db, zero_diff.diffusion, basis)
     check("zero factor forces nothing", np.max(np.abs(zd)) == 0.0)
 
     # wave: one-step closed form for the factorized scheme

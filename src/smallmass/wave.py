@@ -49,14 +49,30 @@ runner refines every wave path to it.
 Every integrator of the package, wave, limit and finite-dimensional, runs on
 the one time loop `drive`, defined here; the noise forcing of every scheme is
 `noise.apply_noise`.  `g_coeffs` is the one conversion from u to g(u), and
-`WaveSolver.simulate` is the only way to step: a single step is simulate on a
-one-step path (`noise.zero_path(dt, dt, N)` without noise).  Its stepper
+`WaveSolver.stepper` is the only way to step: `simulate` runs its stepper on
+`drive` and records the trajectory, and the coupled ladder study runs it with
+a record of distances to the limit instead; a single step is simulate on a
+one-step path (`noise.zero_path(dt, dt, N)` without noise).  The stepper
 carries each scheme's own second variable, v for semi_implicit and eta for
 eta_form and resolvent_implicit, and is the one place v and eta are
 converted: it shifts v0 to eta once through `WaveSolver.g_over_mu`, and
 after every step recovers v through u and g(u) at the nodes.  The next step
 starts from those nodal values: the first Newton iterate of eta_form needs
 them, and the noise forcing of resolvent_implicit is taken at that u.
+
+Mass batches.  The mass may be one number or a 1-D array of masses, one per
+row of a (n_mu, P, N) state: the masses of a ladder that share a step then
+advance as one batch on one PathBatch.  The solver holds such a mass as
+shape (n_mu, 1, 1) against coefficient and nodal arrays and (n_mu, 1)
+against per-path norms.  A per-row mass takes the same IEEE operations as a
+scalar one, and every transform is row-stable, so each mass of a batch
+equals its own scalar run bit for bit.
+
+Recording.  `drive` calls a stepper's record() exactly once per output
+index, in order, starting at index 0 before the first step, and allocates
+its outputs from that first record.  So record() may compute what it returns
+from the output index it is at (the study scores the batch against the limit
+rows of the same index); the arrays it returns must keep their shapes.
 """
 
 from __future__ import annotations
@@ -103,7 +119,7 @@ class WaveTrajectory:
     times: np.ndarray  # (n_out,)
     u: np.ndarray  # (n_out, ..., N)
     v: np.ndarray  # (n_out, ..., N)
-    mu: float
+    mu: float | np.ndarray  # (n_mu, 1) for a mass batch
     dt: float
     sup_u_h: np.ndarray  # running sup over every step, shape (...)
     sup_u_h1: np.ndarray
@@ -117,25 +133,30 @@ def _output_indices(n_steps: int, n_output: int) -> np.ndarray:
     return np.unique(np.round(np.linspace(0, n_steps, n_output + 1)).astype(int))
 
 
+def output_times(n_steps: int, dt: float, n_output: int) -> np.ndarray:
+    """The output grid drive() records on for n_steps steps of size dt."""
+    return _output_indices(n_steps, n_output) * dt
+
+
 def drive(steppers: list, n_steps: int, dt: float, draw, n_output: int) -> tuple[np.ndarray, list]:
     """The time loop: advance the steppers in lock step, all on draw(k) at step k.
 
     A stepper's step(dbeta) advances its state in place and returns the state
     arrays, which must stay finite: SimulationDiverged is raised at the first
     step where one does not.  observe() then updates the stepper's running
-    quantities, and record() returns the arrays kept on the output grid.
-    Returns the output times and, per stepper, one (n_out, ...) array per
-    recorded quantity.
+    quantities, and record() returns the arrays kept on the output grid; it
+    is called exactly once per output index, in order, and the outputs are
+    allocated from its first call.  Returns the output times and, per
+    stepper, one (n_out, ...) array per recorded quantity.
     """
     idx = _output_indices(n_steps, n_output)
-    outs = [[np.empty((len(idx),) + np.shape(a)) for a in s.record()] for s in steppers]
+    outs = []
+    for s in steppers:
+        first = s.record()
+        outs.append([np.empty((len(idx),) + np.shape(a)) for a in first])
+        for o, a in zip(outs[-1], first):
+            o[0] = a
 
-    def store(pos: int) -> None:
-        for out, s in zip(outs, steppers):
-            for o, a in zip(out, s.record()):
-                o[pos] = a
-
-    store(0)
     pos = 1
     for k in range(n_steps):
         dbeta = draw(k)
@@ -145,7 +166,9 @@ def drive(steppers: list, n_steps: int, dt: float, draw, n_output: int) -> tuple
                     raise SimulationDiverged(step=k + 1, t=(k + 1) * dt)
             s.observe()
         if pos < len(idx) and k + 1 == idx[pos]:
-            store(pos)
+            for out, s in zip(outs, steppers):
+                for o, a in zip(out, s.record()):
+                    o[pos] = a
             pos += 1
     return idx * dt, outs
 
@@ -156,35 +179,42 @@ def _initial_state(value, shape: tuple) -> np.ndarray:
 
 
 class WaveSolver:
-    """Stepper bound to one basis/model set and one mass value.
+    """Stepper bound to one basis/model set and one mass, or one mass per batch row.
 
     Stateless between calls apart from read-only precomputed arrays, so one
     instance may serve concurrent simulations.  All operations broadcast over
-    leading batch axes of the coefficient arrays.
+    leading batch axes of the coefficient arrays.  A 1-D array of masses runs
+    a (n_mu, P, N) batch, row k at mass mu[k] (see the module docstring);
+    resolvent_implicit takes one mass, as its OperatorA is built for one.
     """
 
     def __init__(
         self,
         basis: SpectralBasis,
         models: ModelSet,
-        mu: float,
+        mu: float | np.ndarray,
         scheme: str = "eta_form",
         c_stab: float = C_STAB,
         newton_iters: int = 1,
     ):
         if scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-        if mu <= 0:
+        masses = np.asarray(mu, dtype=float)
+        if masses.ndim > 1 or masses.size == 0 or not np.all(masses > 0):
             raise ValueError(f"mass must be positive, got {mu}")
+        if scheme == "resolvent_implicit" and masses.size > 1:
+            raise ValueError(f"resolvent_implicit runs one mass at a time, got {masses.size}")
         self.basis = basis
         self.models = models
-        self.mu = mu
+        # the mass against coefficient and nodal arrays, and against per-path norms
+        self.mu = mu if masses.ndim == 0 else masses.reshape(-1, 1, 1)
+        self.mu_paths = mu if masses.ndim == 0 else masses.reshape(-1, 1)
         self.scheme = scheme
         self.c_stab = c_stab
         self.newton_iters = newton_iters
         self._op = None
         if scheme == "resolvent_implicit":
-            self._op = resolvent.OperatorA(basis, models, mass=mu)
+            self._op = resolvent.OperatorA(basis, models, mass=masses.item())
         # The scheme step on (u, second, dt, dbeta[, nodal]): second is v for
         # semi_implicit and eta for the eta schemes, which also take nodal,
         # the u and g(u) at the nodes that _WaveStepper carries.
@@ -199,11 +229,13 @@ class WaveSolver:
 
         eta_form is capped at 0.9 of the wave CFL 2 sqrt(mu / alpha_N), and
         resolvent_implicit at RESOLVENT_FRACTION of the resolvent range bound
-        lambda_bar.
+        lambda_bar.  Every bound grows with mu, so a mass batch takes the
+        bound of its smallest mass.
         """
-        dt = self.c_stab * self.mu
+        mu = np.min(self.mu)
+        dt = self.c_stab * mu
         if self.scheme == "eta_form":
-            dt = min(dt, 0.9 * 2.0 * np.sqrt(self.mu / self.basis.alphas[-1]))
+            dt = min(dt, 0.9 * 2.0 * np.sqrt(mu / self.basis.alphas[-1]))
         elif self.scheme == "resolvent_implicit":
             dt = min(dt, RESOLVENT_FRACTION * self._op.lambda_bar)
         return float(dt)
@@ -220,7 +252,7 @@ class WaveSolver:
         r = (
             mu * v
             + dt * (b.laplacian(u) + b.analyze(m.reaction.f(u_nodal)))
-            + apply_noise(u_nodal, dbeta, m.diffusion, b)
+            + apply_noise(m.diffusion.lambda_sigma(u_nodal), dbeta, m.diffusion, b)
         )
         w = mu * r / (mu + dt * dt * b.alphas)
         v_new = b.analyze(b.synthesize(w) / (mu + dt * m.friction.gamma(u_nodal)))
@@ -238,15 +270,37 @@ class WaveSolver:
             w = w - phi / (1.0 + (dt / mu) * m.friction.gamma(w))
         u_new = b.analyze(w)
         rhs = b.laplacian(u_new) + b.analyze(m.reaction.f(u_nodal))
-        eta_new = eta + (dt / mu) * rhs + apply_noise(u_nodal, dbeta, m.diffusion, b) / mu
+        noise = apply_noise(m.diffusion.lambda_sigma(u_nodal), dbeta, m.diffusion, b)
+        eta_new = eta + (dt / mu) * rhs + noise / mu
         return u_new, eta_new
 
     def _step_resolvent(self, u, eta, dt, dbeta, nodal):
-        forced = eta + apply_noise(nodal[0], dbeta, self.models.diffusion, self.basis) / self.mu
+        m = self.models
+        noise = apply_noise(m.diffusion.lambda_sigma(nodal[0]), dbeta, m.diffusion, self.basis)
+        forced = eta + noise / self.mu
         # Called through the module, so a wrapper installed there (a tracer) sees it.
         return resolvent.resolvent_apply(self._op, (u, forced), dt)
 
     # -- trajectories ---------------------------------------------------------
+
+    def stepper(self, u0: np.ndarray, v0: np.ndarray, path: NoisePath | PathBatch) -> _WaveStepper:
+        """The run from (u0, v0) on path, for drive(): one row per path, and per mass of a batch.
+
+        Warns once when the path's step exceeds max_dt().  A mass batch
+        needs a PathBatch: its state is (n_mu, P, N).
+        """
+        bound = self.max_dt()
+        if path.dt > bound * (1.0 + 1e-12):
+            warnings.warn(
+                f"dt = {path.dt:.3g} exceeds the {self.scheme} step bound max_dt() = {bound:.3g}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        inc = path.increments  # (N, K) or (P, N, K)
+        if np.ndim(self.mu) and inc.ndim != 3:
+            raise ValueError("a batch of masses runs on a PathBatch")
+        shape = np.shape(self.mu)[:1] + inc.shape[:-2] + (self.basis.n_modes,)
+        return _WaveStepper(self, _initial_state(u0, shape), _initial_state(v0, shape), path.dt)
 
     def simulate(
         self,
@@ -259,21 +313,13 @@ class WaveSolver:
 
         For a PathBatch the leading axis of the state is the path index and
         the whole bundle advances in lock step; results are identical to
-        running the member paths one at a time.
+        running the member paths one at a time.  A mass batch adds a leading
+        mass axis, and equals its masses run one at a time.
         """
-        b, mu, dt = self.basis, self.mu, path.dt
-        bound = self.max_dt()
-        if dt > bound * (1.0 + 1e-12):
-            warnings.warn(
-                f"dt = {dt:.3g} exceeds the {self.scheme} step bound max_dt() = {bound:.3g}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        inc = path.increments  # (N, K) or (P, N, K)
-        shape = inc.shape[:-2] + (b.n_modes,)
-        run = _WaveStepper(self, _initial_state(u0, shape), _initial_state(v0, shape), dt)
-        times, [(u, v)] = drive([run], path.n_steps, dt, lambda k: inc[..., :, k], n_output)
-        return WaveTrajectory(times=times, u=u, v=v, mu=mu, dt=dt, **run.norms)
+        run = self.stepper(u0, v0, path)
+        inc = path.increments
+        times, [(u, v)] = drive([run], path.n_steps, path.dt, lambda k: inc[..., :, k], n_output)
+        return WaveTrajectory(times=times, u=u, v=v, mu=self.mu_paths, dt=path.dt, **run.norms)
 
 
 class _WaveStepper:
@@ -292,7 +338,7 @@ class _WaveStepper:
             "sup_u_h": nu,
             "sup_u_h1": nu1,
             "sup_v_h": nv,
-            "sup_energy": nu1**2 + solver.mu * nv**2,
+            "sup_energy": nu1**2 + solver.mu_paths * nv**2,
             "int_u_h1_sq": np.zeros_like(nu),
             "int_v_h_sq": np.zeros_like(nu),
         }
@@ -321,7 +367,7 @@ class _WaveStepper:
 
     def observe(self) -> None:
         nu, nu1, nv = self._norms()
-        n, mu, dt = self.norms, self.solver.mu, self.dt
+        n, mu, dt = self.norms, self.solver.mu_paths, self.dt
         for key, new in (("sup_u_h", nu), ("sup_u_h1", nu1), ("sup_v_h", nv)):
             n[key] = np.maximum(n[key], new)
         n["sup_energy"] = np.maximum(n["sup_energy"], nu1**2 + mu * nv**2)

@@ -238,7 +238,12 @@ def test_criterion_7_exact_identities(setup):
     u_nodal = basis.synthesize(rng.normal(size=basis.n_modes) / np.arange(1, basis.n_modes + 1))
     ident = np.max(
         np.abs(
-            noise_induced_drift(u_nodal, models.friction, models.diffusion)
+            noise_induced_drift(
+                models.friction.gamma(u_nodal),
+                models.friction.gamma_prime(u_nodal),
+                models.diffusion.lambda_sigma(u_nodal),
+                models.diffusion.kappa,
+            )
             + stratonovich_correction(u_nodal, models.friction, models.diffusion)
             - combined_drift(u_nodal, models.friction, models.diffusion)
         )

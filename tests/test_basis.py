@@ -114,17 +114,19 @@ def test_transform_batched_matches_loop():
 
 
 def test_transform_rows_alone_equal_rows_of_a_batch_at_production_shape():
-    # N = 32, M = 64 as in the default config; a ladder batch stacks 64 paths
-    # and the study transforms up to 320 rows at once.  Batched runs equal
-    # per-path runs bit for bit only if every row is transformed alone
-    # exactly as inside a batch.
+    # N = 32, M = 64 as in the default config.  The ladder study transforms
+    # one mass batch of n_mu * P rows at once: 320 rows at the default (5
+    # masses x 64 paths), 160 per block at jobs = 2 and 40 at the benchmark's
+    # tiny size (5 x 8); the limit and a lone mass take P = 64 rows.  Batched
+    # runs equal per-path and per-mass runs bit for bit only if every row is
+    # transformed alone exactly as inside any of these blocks.
     b = build_basis(DomainSpec(1.0, 32, 64))
     rng = np.random.default_rng(11)
-    coeffs = rng.normal(size=(320, 32))
-    nodal = rng.normal(size=(320, 64))
+    coeffs = rng.normal(size=(640, 32))
+    nodal = rng.normal(size=(640, 64))
     synth, ana = b.synthesize(coeffs), b.analyze(nodal)
-    for rows in (1, 2, 7, 64):
-        for start in (0, 320 - rows):
+    for rows in (1, 2, 7, 40, 64, 160, 320):
+        for start in (0, 101, 640 - rows):
             sl = slice(start, start + rows)
             assert np.array_equal(b.synthesize(coeffs[sl]), synth[sl]), rows
             assert np.array_equal(b.analyze(nodal[sl]), ana[sl]), rows

@@ -51,6 +51,37 @@ def test_type_checking():
         validate_config({"time": {"dt": False}})
     t_final = validate_config({"time": {"t_final": 1}})["time"]["t_final"]
     assert isinstance(t_final, float) and t_final == 1.0
+    # an integer beyond the float range is no finite number
+    with pytest.raises(ConfigError, match="'time.dt' must be finite"):
+        validate_config({"time": {"dt": 10**400}})
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"]
+)
+def test_non_finite_numbers_fail_by_name(tmp_path, capsys, bad):
+    # JSON readers accept NaN and Infinity; each used to run on (an infinite
+    # mass gave a NaN sup_energy with "ok": true) or die unnamed in int(NaN).
+    for raw, key in (
+        ({"mu_ladder": [0.2, bad]}, "mu_ladder[1]"),
+        ({"time": {"dt": bad}}, "time.dt"),
+        ({"time": {"t_final": bad}}, "time.t_final"),
+        ({"ablation": {"mu": bad}}, "ablation.mu"),
+        ({"fd": {"mu": bad}}, "fd.mu"),
+        ({"fd": {"dt": bad}}, "fd.dt"),
+        ({"fd": {"sigma": bad}}, "fd.sigma"),
+        ({"domain": {"length": bad}}, "domain.length"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}' must be finite, got {bad!r}")):
+            validate_config(raw)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["simulate-wave", "--config", str(cfg), "--out", str(out)]) == 2, raw
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "config" and f"config key '{key}'" in err["message"], raw
+        assert not out.exists()
 
 
 def test_n_output_below_one_fails_by_name():
@@ -613,18 +644,18 @@ def test_simulate_wave_reports_the_step_it_took(tmp_path):
 
 
 def _spy_waves(monkeypatch) -> dict:
-    """mu -> the last wave trajectory a ladder study ran at that mass."""
+    """mu -> the last mass batch a ladder study ran that mass in, with its dt and output times."""
     from smallmass import runner
 
     waves = {}
-    real = runner._simulate_wave
+    real = runner._simulate_group
 
-    def spy(cfg, basis, models, mu, u0, v0, path):
-        traj, path = real(cfg, basis, models, mu, u0, v0, path)
-        waves[mu] = traj
-        return traj, path
+    def spy(cfg, basis, models, mus, *args):
+        group = real(cfg, basis, models, mus, *args)
+        waves.update(dict.fromkeys(mus, group))
+        return group
 
-    monkeypatch.setattr(runner, "_simulate_wave", spy)
+    monkeypatch.setattr(runner, "_simulate_group", spy)
     return waves
 
 
@@ -708,3 +739,78 @@ def test_eta_form_refines_to_the_wave_cfl(tmp_path, monkeypatch):
     study = runner.run_ladder_study(cfg)
     assert waves[0.1].dt == 1e-2
     assert np.all(np.isfinite(study.per_path_distance))
+
+
+@pytest.mark.parametrize("scheme", ["eta_form", "semi_implicit", "resolvent_implicit"])
+def test_ladder_study_equals_its_masses_run_one_at_a_time(monkeypatch, scheme):
+    # dt = 5e-4 with c_stab = 0.25: 0.2 and 0.05 share the coarse step, 1e-3 is
+    # refined once and 5e-4 twice.  The study batches the masses that share a
+    # step (resolvent_implicit keeps one mass per batch) and scores them as it
+    # runs; each mass must equal its own scalar run scored afterwards.
+    from smallmass import noise, runner
+    from smallmass.diagnostics import metric_distance
+    from smallmass.limit import LimitSolver
+    from smallmass.wave import WaveSolver
+
+    cfg = validate_config(
+        {
+            "domain": {"n_modes": 8, "n_nodes": 16},
+            "time": {"t_final": 0.01, "dt": 5e-4, "n_output": 10, "c_stab": 0.25},
+            "mu_ladder": [0.2, 0.05, 1e-3, 5e-4],
+            "wave": {"scheme": scheme},
+            "paths": 3,
+            "seed": 21,
+        }
+    )
+    waves = _spy_waves(monkeypatch)
+    study = runner.run_ladder_study(cfg, ablate_drift=True)
+    batched = [0.2, 0.05] if scheme != "resolvent_implicit" else []
+    assert [mu for mu in cfg["mu_ladder"] if len(waves[mu].mus) > 1] == batched
+
+    basis = make_basis(cfg)
+    models = make_models(cfg, basis)
+    u0, v0 = make_initial(cfg, basis)
+    batch = noise.sample_batch(21, 3, 0.01, 5e-4, basis.n_modes)
+    limits = [
+        LimitSolver(basis, models, with_drift=drift).simulate(u0, batch, n_output=10).coeffs
+        for drift in (True, False)
+    ]
+    for k, mu in enumerate(cfg["mu_ladder"]):
+        solver = WaveSolver(basis, models, mu, scheme=scheme, c_stab=0.25)
+        traj = solver.simulate(u0, v0, noise.refine_to(batch, solver.max_dt()), n_output=10)
+        assert waves[mu].dt == traj.dt
+        for d, limit in zip((study.per_path_distance, study.d_no), limits):
+            alone = metric_distance(traj.times, traj.u, limit, basis, "plain").value("plain")
+            assert np.array_equal(d[k], alone), (scheme, mu)
+        point = study.ladder_points[k]
+        assert point.mu == mu
+        for f in ("sup_energy", "sup_v_h", "sup_u_h", "int_u_h1_sq"):
+            assert np.array_equal(getattr(point, f), getattr(traj, f)), (scheme, mu, f)
+
+
+def test_study_block_keeps_no_wave_trajectories():
+    # The study scores each mass batch at every output time, so its traced
+    # peak stays below the (n_out, n_mu, P, N) u trajectory of its masses
+    # (0.8 of it here); the per-mass runs it replaced peaked at 1.24 times it.
+    import tracemalloc
+
+    from smallmass import runner
+
+    raw = {
+        "domain": {"n_modes": 16, "n_nodes": 32},
+        "time": {"t_final": 0.02, "dt": 1e-4},
+        "paths": 32,
+    }
+    cfg = validate_config(raw)
+    n_out, n_mu = cfg["time"]["n_output"] + 1, len(cfg["mu_ladder"])
+    trajectory_bytes = 8 * n_out * n_mu * cfg["paths"] * cfg["domain"]["n_modes"]
+    warm = {**raw, "time": {"t_final": 2e-3, "dt": 1e-4, "n_output": 20}, "paths": 2}
+    warm = validate_config(warm)
+    runner._study_block(warm, 1, 2, ablate_drift=False)  # the first call's lazy imports
+    tracemalloc.start()
+    try:
+        runner._study_block(cfg, cfg["seed"], cfg["paths"], ablate_drift=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < trajectory_bytes, (peak, trajectory_bytes)

@@ -209,7 +209,7 @@ def test_scaling_audit_negative_control(basis, models):
         for mu in (0.04, 0.02, 0.01, 0.005):
             solver = WaveSolver(basis, models, mu, scheme="eta_form", c_stab=1e9)
             traj = solver.simulate(u0, np.zeros(12), batch, n_output=20)
-            points.append(ladder_point(traj))
+            points.append(ladder_point(mu, vars(traj)))
     audit = scaling_audit(points)
     assert not all(audit.flags.values()), audit.flags
 

@@ -148,15 +148,21 @@ def test_diffusion_kernel_matches_mode_sum(basis):
     assert abs(diff.sigma_inf - np.sqrt(np.sum(i**-2))) < 1e-12
 
 
+def _drift_h(u, m):
+    """H at nodal values u, from the coefficients of the model set m evaluated there."""
+    f, d = m.friction, m.diffusion
+    return noise_induced_drift(f.gamma(u), f.gamma_prime(u), d.lambda_sigma(u), d.kappa)
+
+
 def test_drift_identity_zero_cases(basis):
     m_const = models_for(basis, friction="constant")
     u = 0.4 * np.sin(np.pi * basis.x)
-    assert np.all(noise_induced_drift(u, m_const.friction, m_const.diffusion) == 0.0)
+    assert np.all(_drift_h(u, m_const) == 0.0)
     m_zero = models_for(basis, diffusion="zero")
-    assert np.all(noise_induced_drift(u, m_zero.friction, m_zero.diffusion) == 0.0)
+    assert np.all(_drift_h(u, m_zero) == 0.0)
     assert np.all(stratonovich_correction(u, m_zero.friction, m_zero.diffusion) == 0.0)
     m_sig = models_for(basis, diffusion="constant")
-    total = noise_induced_drift(u, m_sig.friction, m_sig.diffusion) + stratonovich_correction(
+    total = _drift_h(u, m_sig) + stratonovich_correction(
         u, m_sig.friction, m_sig.diffusion
     )
     assert np.max(np.abs(total)) < 1e-14
@@ -166,7 +172,7 @@ def test_drift_against_mode_by_mode_oracle(basis):
     # direct summation over modes at a single grid point, constant factor
     m = models_for(basis, diffusion="constant")
     u = 0.3 * np.ones(basis.n_nodes)
-    h = noise_induced_drift(u, m.friction, m.diffusion)
+    h = _drift_h(u, m)
     jx = 5
     acc = 0.0
     for i in range(1, basis.n_modes + 1):
@@ -178,7 +184,7 @@ def test_drift_against_mode_by_mode_oracle(basis):
 def test_combined_drift_identity_analytic_and_fd(basis):
     m = models_for(basis)  # cosine factor, 2+sin friction
     u = 0.5 * np.ones(basis.n_nodes)
-    total = noise_induced_drift(u, m.friction, m.diffusion) + stratonovich_correction(
+    total = _drift_h(u, m) + stratonovich_correction(
         u, m.friction, m.diffusion
     )
     closed = combined_drift(u, m.friction, m.diffusion)
@@ -202,7 +208,7 @@ def test_combined_drift_identity_analytic_and_fd(basis):
 
     # identity value at u = 0 for the cosine factor: derivative factor vanishes
     u0 = np.zeros(basis.n_nodes)
-    t0 = noise_induced_drift(u0, m.friction, m.diffusion) + stratonovich_correction(
+    t0 = _drift_h(u0, m) + stratonovich_correction(
         u0, m.friction, m.diffusion
     )
     assert np.max(np.abs(t0)) < 1e-14

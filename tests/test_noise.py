@@ -121,17 +121,18 @@ def test_apply_noise_single_mode_and_isometry():
     diff = build_diffusion(basis, factor="constant", q=1.0)
     db = np.zeros(8)
     db[0] = 0.5
-    out = apply_noise(np.zeros(basis.n_nodes), db, diff, basis)
+    ones = np.ones(basis.n_nodes)  # the constant factor at any u
+    out = apply_noise(ones, db, diff, basis)
     assert abs(out[0] - 0.5) < 1e-12 and np.max(np.abs(out[1:])) < 1e-12
 
     zero_diff = build_diffusion(basis, factor="zero")
-    assert np.all(apply_noise(np.zeros(basis.n_nodes), db, zero_diff, basis) == 0.0)
+    assert np.all(apply_noise(ones, db, zero_diff, basis) == 0.0)
 
     # Ito isometry at the truncation: E ||apply_noise||_H^2 = sum(lam_i^2) dt
     dt = 1e-2
     rng = np.random.default_rng(21)
     draws = rng.normal(0.0, np.sqrt(dt), size=(10_000, 8))
-    fields = apply_noise(np.zeros(basis.n_nodes), draws, diff, basis)
+    fields = apply_noise(ones, draws, diff, basis)
     second_moment = np.mean(np.sum(fields**2, axis=-1))
     expected = float(np.sum(diff.q_spectrum**2)) * dt
     assert abs(second_moment - expected) < 0.05 * expected
@@ -171,14 +172,15 @@ def test_apply_noise_returns_zero_without_noise_and_takes_a_weight():
     diff = build_diffusion(basis, factor="cosine", q=1.0)
     u_nodal = np.sin(np.pi * basis.x)
     db = np.linspace(-0.3, 0.4, 8)
-    assert apply_noise(u_nodal, None, diff, basis) == 0.0
-    assert apply_noise(u_nodal, db, build_diffusion(basis, factor="zero"), basis) == 0.0
+    weight = diff.lambda_sigma(u_nodal)
+    assert apply_noise(weight, None, diff, basis) == 0.0
+    assert apply_noise(weight, db, build_diffusion(basis, factor="zero"), basis) == 0.0
     gam = 2.0 + np.sin(u_nodal)
     forced = basis.synthesize(diff.q_spectrum * db)
     expected = basis.analyze(diff.lambda_sigma(u_nodal) / gam * forced)
-    assert np.array_equal(apply_noise(u_nodal, db, diff, basis, gam), expected)
+    assert np.array_equal(apply_noise(weight / gam, db, diff, basis), expected)
     with pytest.raises(ValueError, match="mode increments"):
-        apply_noise(u_nodal, db[:5], diff, basis)
+        apply_noise(weight, db[:5], diff, basis)
 
 
 def test_zero_path_validates_like_sample_path():

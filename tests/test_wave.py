@@ -244,6 +244,36 @@ def test_scheme_validation(basis):
         WaveSolver(basis, m, 0.1, scheme="not_a_scheme")
     with pytest.raises(ValueError):
         WaveSolver(basis, m, -0.1)
+    # every entry of a mass batch must be positive; NaN compares false both ways
+    for mu in (np.nan, [0.1, np.nan], [0.1, 0.0], [0.1, -0.2], [], [[0.1]]):
+        with pytest.raises(ValueError, match="mass must be positive"):
+            WaveSolver(basis, m, mu)
+    with pytest.raises(ValueError, match="one mass at a time"):
+        WaveSolver(basis, m, [0.1, 0.05], scheme="resolvent_implicit")
+    path = sample_path(1, 0.01, 1e-3, 16)
+    with pytest.raises(ValueError, match="PathBatch"):
+        WaveSolver(basis, m, [0.1, 0.05]).simulate(bump(basis), np.zeros(16), path)
+
+
+@pytest.mark.parametrize("scheme", ["eta_form", "semi_implicit", "resolvent_implicit"])
+def test_mass_batch_rows_equal_their_own_scalar_runs(basis, scheme):
+    # A per-row mass takes the same IEEE operations as a scalar one, and the
+    # transforms are row-stable, so row k of a mass batch is WaveSolver(mu[k])
+    # run alone, bit for bit.  resolvent_implicit batches one mass.
+    m = models_for(basis, diffusion="cosine")
+    batch = stack_paths([sample_path(300 + j, 0.01, 2.5e-4, 16) for j in range(3)])
+    masses = [0.01] if scheme == "resolvent_implicit" else [0.2, 0.05, 0.01]
+    solver = WaveSolver(basis, m, np.array(masses), scheme=scheme)
+    assert solver.max_dt() == WaveSolver(basis, m, min(masses), scheme=scheme).max_dt()
+    tb = solver.simulate(bump(basis), np.zeros(16), batch, n_output=8)
+    assert tb.u.shape == (9, len(masses), 3, 16) and tb.sup_energy.shape == (len(masses), 3)
+    for k, mu in enumerate(masses):
+        alone = WaveSolver(basis, m, mu, scheme=scheme)
+        tk = alone.simulate(bump(basis), np.zeros(16), batch, n_output=8)
+        assert np.array_equal(tb.u[:, k], tk.u), (scheme, mu)
+        assert np.array_equal(tb.v[:, k], tk.v), (scheme, mu)
+        for f in ("sup_u_h", "sup_u_h1", "sup_v_h", "sup_energy", "int_u_h1_sq", "int_v_h_sq"):
+            assert np.array_equal(getattr(tb, f)[k], getattr(tk, f)), (scheme, mu, f)
 
 
 @pytest.mark.parametrize("newton_iters", [1, 3])

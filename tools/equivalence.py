@@ -288,6 +288,11 @@ def _run_routes() -> dict:
     routes["run_drift_ablation.jobs=2"] = _work(
         "run_drift_ablation", _cfg(short, ablation, {"jobs": 2})
     )
+    routes["run_converge.jobs=2"] = _work("run_converge", _cfg(short, {"jobs": 2}))
+    # refined and unrefined masses on one ladder: 0.2 and 0.1 keep dt = 5e-4,
+    # 1e-3 halves it once and 5e-4 twice
+    two_levels = {"mu_ladder": [0.2, 0.1, 1e-3, 5e-4], "time": {"c_stab": 0.25}}
+    routes["run_converge.two_levels"] = _work("run_converge", _cfg(short, two_levels))
     # one mass on the ladder: the judged ladder is the single ablation mass
     one_mass = {"mu_ladder": [0.01]}
     routes["run_drift_ablation.one_mass"] = _work(
