@@ -15,6 +15,7 @@ from typing import Any
 import numpy as np
 
 from .basis import DomainSpec, SpectralBasis, build_basis
+from .diagnostics import MIN_PATHS_PAIRED
 from .models import (
     ModelSet,
     build_diffusion,
@@ -114,11 +115,14 @@ def _check_type(path: str, value, expected) -> Any:
     """value if it has the schema type (a number comes back as a float; a bool is no number).
 
     A number must also be finite: JSON readers accept NaN, Infinity and
-    integers beyond the float range.
+    integers beyond the float range.  Every list key is a list of numbers,
+    and its element k is checked as the number path[k].
     """
     accepted = (int, float) if expected is float else expected
     if not isinstance(value, accepted) or (isinstance(value, bool) and expected is not bool):
         raise ConfigError(f"config key '{path}' must be {_TYPE_NAMES[expected]}, got {value!r}")
+    if expected is list:
+        return [_check_type(f"{path}[{k}]", x, float) for k, x in enumerate(value)]
     if expected is not float:
         return value
     try:
@@ -128,6 +132,18 @@ def _check_type(path: str, value, expected) -> Any:
     if not math.isfinite(number):
         raise ConfigError(f"config key '{path}' must be finite, got {value!r}")
     return number
+
+
+# The least value of each count key: fd_converge's standard errors take ddof=1.
+_COUNTS = {
+    "time.n_output": 1, "paths": 1, "jobs": 1, "resolvent.n_pairs": 1, "resolvent.n_smooth": 1,
+    "fd.paths": MIN_PATHS_PAIRED,
+}
+# Sizes that must be positive; time.c_stab <= 0 would make the step bound c_stab * mu no step.
+_POSITIVE = (
+    "time.t_final", "time.dt", "time.dt_limit", "time.c_stab", "domain.length",
+    "fd.mu", "fd.dt", "fd.t_final",
+)
 
 
 def validate_config(raw: dict) -> dict:
@@ -147,23 +163,17 @@ def validate_config(raw: dict) -> dict:
             cfg[key] = _check_type(key, value, _TOP_SCALARS[key])
         else:
             raise ConfigError(f"unknown config key '{key}'")
-    ladder = [_check_type(f"mu_ladder[{k}]", m, float) for k, m in enumerate(cfg["mu_ladder"])]
+    ladder = cfg["mu_ladder"]
     if not ladder or min(ladder) <= 0:
         raise ConfigError("config key 'mu_ladder' must be a list of positive numbers")
     cfg["mu_ladder"] = sorted(ladder, reverse=True)
-    counts = {
-        "time.n_output": cfg["time"]["n_output"],
-        "paths": cfg["paths"],
-        "jobs": cfg["jobs"],
-        "resolvent.n_pairs": cfg["resolvent"]["n_pairs"],
-        "resolvent.n_smooth": cfg["resolvent"]["n_smooth"],
-    }
-    for key, value in counts.items():
-        if value < 1:
-            raise ConfigError(f"config key '{key}' must be at least 1, got {value}")
-    c_stab = cfg["time"]["c_stab"]
-    if not c_stab > 0:  # the step bound c_stab * mu would be no step at all
-        raise ConfigError(f"config key 'time.c_stab' must be positive, got {c_stab}")
+    flat = {**cfg, **{f"{sec}.{k}": v for sec in _SCHEMA for k, v in cfg[sec].items()}}
+    for key, least in _COUNTS.items():
+        if flat[key] < least:
+            raise ConfigError(f"config key '{key}' must be at least {least}, got {flat[key]}")
+    for key in _POSITIVE:
+        if not flat[key] > 0:
+            raise ConfigError(f"config key '{key}' must be positive, got {flat[key]}")
     return cfg
 
 

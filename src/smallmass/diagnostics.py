@@ -21,7 +21,9 @@ underestimate for time-Hoelder trajectories.
 The scaling audit fits log-log trends across a mass ladder: it checks that
 sqrt(mu) * E sup_t K_mu does not grow as mu decreases, that mu * E sup_t ||v||_H
 decays with a positive exponent, and that E sup_t ||u||_H^2 stays flat.  These
-are trend tests; no sharp constants are asserted.
+are trend tests; no sharp constants are asserted.  Like the convergence and
+drift-necessity reports, it reads per-path rows of a ladder sorted from the
+largest mass down: the waves' running norms by name, each (n_mu, n_paths).
 """
 
 from __future__ import annotations
@@ -145,9 +147,20 @@ def distance_rows(a: np.ndarray, b: np.ndarray, basis: SpectralBasis) -> tuple:
     return _h_norms(diff_sq, basis, 0.0), _h_norms(diff_sq, basis, -1.0)
 
 
+def _time_integral(times: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The trapezoid rule over axis 0, summed in time order for every trailing element.
+
+    np.trapezoid sums a lone row pairwise, so one path alone would round
+    differently from the same path in a batch.
+    """
+    dt = np.diff(times).reshape((-1,) + (1,) * (rows.ndim - 1))
+    terms = dt * (rows[1:] + rows[:-1]) / 2.0
+    return np.cumsum(terms, axis=0)[-1] if len(terms) else np.zeros(rows.shape[1:])
+
+
 def plain_parts(times: np.ndarray, h_rows: np.ndarray, hm1_rows: np.ndarray) -> tuple:
     """sup_t ||diff||_{H^-1} and ||diff||_{L^2(0,T;H)} from distance_rows stacked on axis 0."""
-    return np.max(hm1_rows, axis=0), np.sqrt(np.trapezoid(h_rows**2, times, axis=0))
+    return np.max(hm1_rows, axis=0), np.sqrt(_time_integral(times, h_rows**2))
 
 
 def metric_distance(
@@ -180,7 +193,7 @@ def metric_distance(
         for n in range(1, N_MAX_METRIC + 1):
             w = 2.0**-n
             d_x1 = d_x1 + w * np.minimum(np.max(_h_norms(diff_sq, basis, -1.0 / n), axis=0), 1.0)
-            ln = (np.trapezoid(h_t**n, times, axis=0)) ** (1.0 / n)
+            ln = _time_integral(times, h_t**n) ** (1.0 / n)
             d_x2 = d_x2 + w * np.minimum(ln, 1.0)
     sup_hm1, l2_h = plain_parts(times, h_t, hm1_t)
     tail = 2.0**-N_MAX_METRIC
@@ -188,32 +201,6 @@ def metric_distance(
 
 
 # -- scaling audit ----------------------------------------------------------------
-
-
-@dataclass
-class LadderPoint:
-    """Per-mass Monte Carlo summaries (arrays over paths)."""
-
-    mu: float
-    sup_energy: np.ndarray  # sup_t K_mu per path
-    sup_v_h: np.ndarray
-    sup_u_h: np.ndarray
-    int_u_h1_sq: np.ndarray
-
-
-def ladder_point(mu: float, norms) -> LadderPoint:
-    """The point of mass mu from the running norms of its run, by name.
-
-    norms maps the names of `WaveTrajectory`'s running norms (`vars(traj)`,
-    or one mass row of a batch's) to per-path values.
-    """
-    return LadderPoint(
-        mu=mu,
-        sup_energy=np.atleast_1d(norms["sup_energy"]),
-        sup_v_h=np.atleast_1d(norms["sup_v_h"]),
-        sup_u_h=np.atleast_1d(norms["sup_u_h"]),
-        int_u_h1_sq=np.atleast_1d(norms["int_u_h1_sq"]),
-    )
 
 
 @dataclass
@@ -229,19 +216,29 @@ class ScalingAudit:
     flags: dict = field(default_factory=dict)
 
 
-def scaling_audit(points: list[LadderPoint]) -> ScalingAudit:
-    """Trend tests across a mass ladder; diverged/non-finite input fails all flags."""
-    if len(points) < AUDIT_MIN_POINTS:
-        raise ValueError(f"need at least {AUDIT_MIN_POINTS} ladder points, got {len(points)}")
-    n_paths = min(p.sup_energy.size for p in points)
-    if n_paths < AUDIT_MIN_PATHS:
+def scaling_audit(ladder: list[float], norms: dict) -> ScalingAudit:
+    """Trend tests across a mass ladder; diverged/non-finite input fails all flags.
+
+    norms maps the names of `WaveTrajectory`'s running norms to (n_mu,
+    n_paths) arrays, one row per mass; the ladder must be sorted from the
+    largest mass down.
+    """
+    mus = np.array(ladder, dtype=float)
+    if len(mus) < AUDIT_MIN_POINTS:
+        raise ValueError(f"need at least {AUDIT_MIN_POINTS} ladder points, got {len(mus)}")
+    if sorted(ladder, reverse=True) != list(ladder):
+        raise ValueError("ladder must be sorted from largest to smallest mass")
+    sup_e, sup_v, sup_u, int_u = (
+        np.asarray(norms[k], dtype=float) for k in ("sup_energy", "sup_v_h", "sup_u_h", "int_u_h1_sq")
+    )
+    if sup_e.ndim != 2 or sup_e.shape[0] != len(mus):
+        raise ValueError(f"norm rows {sup_e.shape} do not match a ladder of {len(mus)} masses")
+    if (n_paths := sup_e.shape[1]) < AUDIT_MIN_PATHS:
         raise ValueError(f"need at least {AUDIT_MIN_PATHS} paths per ladder point, got {n_paths}")
-    points = sorted(points, key=lambda p: p.mu, reverse=True)
-    mus = np.array([p.mu for p in points])
-    e = np.array([np.sqrt(p.mu) * np.mean(p.sup_energy) for p in points])
-    v = np.array([p.mu * np.mean(p.sup_v_h) for p in points])
-    u2 = np.array([np.mean(p.sup_u_h**2) for p in points])
-    iu = np.array([np.mean(p.int_u_h1_sq) for p in points])
+    e = np.sqrt(mus) * sup_e.mean(axis=1)
+    v = mus * sup_v.mean(axis=1)
+    u2 = (sup_u**2).mean(axis=1)
+    iu = int_u.mean(axis=1)
 
     finite = np.all(np.isfinite(e)) and np.all(np.isfinite(v)) and np.all(np.isfinite(u2))
     positive = finite and np.all(e > 0) and np.all(v > 0) and np.all(u2 > 0)

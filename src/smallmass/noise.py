@@ -150,7 +150,7 @@ def zero_path(t_final: float, dt: float, n_modes: int) -> NoisePath:
 
 def apply_noise(
     weight: np.ndarray,
-    dbeta: np.ndarray | None,
+    dbeta: np.ndarray,
     diffusion: DiffusionModel,
     basis: SpectralBasis,
 ):
@@ -160,10 +160,9 @@ def apply_noise(
     nodes: lambda_sigma(u) for the wave and the rho-form, and
     lambda_sigma(u) / gamma(u) for the limit u-form, whose step evaluates
     lambda_sigma once for this and the drift H.  Returns 0.0 when there is
-    no increment (dbeta is None) or no noise (sigma_sup == 0), so callers add
-    the result unconditionally.
+    no noise (sigma_sup == 0), so callers add the result unconditionally.
     """
-    if dbeta is None or diffusion.sigma_sup == 0.0:
+    if diffusion.sigma_sup == 0.0:
         return 0.0
     dbeta = np.asarray(dbeta, dtype=float)
     if dbeta.shape[-1] != basis.n_modes:

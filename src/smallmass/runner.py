@@ -5,22 +5,24 @@ integrator with the same Brownian paths (one seed per path, seeds
 base_seed, base_seed+1, ...).  Paths are advanced as a vectorized batch, and
 the masses that share a refined step as one (n_mu, P, N) batch scored
 against the stored limit at every output time, so no wave trajectory is
-kept; results are identical to running paths and masses one at a time, and
-a process pool over path blocks is available through jobs > 1 with
-order-independent (sorted) aggregation.
+kept; results are identical to running paths and masses one at a time.
+Every per-path result of the study (distances and running norms) is an
+array with one row per mass and the path on the last axis, so a study split
+over jobs > 1 processes in path blocks is joined along that axis in one
+place, in block order.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import diagnostics, noise, output
 from .config import ConfigError, config_hash, make_basis, make_initial, make_models
-from .diagnostics import DriftNecessityReport, LadderPoint
+from .diagnostics import DriftNecessityReport
 # simulate_fd and simulate_fd_limit are not called here; bench/spans.py wraps them at this name.
 from .finite_dim import (
     FDNoise,
@@ -37,11 +39,11 @@ from .wave import WaveSolver, drive, g_coeffs, output_times
 
 @dataclass
 class LadderStudy:
-    """Per-path results of one coupled mass-ladder run; split runs concatenate them by path."""
+    """Per-path results of one coupled mass-ladder run, the path on the last axis of each."""
 
     ladder: list[float]
     per_path_distance: np.ndarray  # (n_mu, n_paths): sup_Hm1 + L2(0,T;H) to the limit with H
-    ladder_points: list[LadderPoint]
+    norms: dict  # the running norms of WaveTrajectory by name, (n_mu, n_paths) each
     d_no: np.ndarray | None = None  # (n_mu, n_paths): the same to the limit without H
     d_h: np.ndarray | None = None  # (n_paths,): between the limits with and without H
 
@@ -86,8 +88,9 @@ class _ScoredWaves:
     """A mass batch's stepper for drive() whose records are its distances to the limits.
 
     At output index pos, record() returns ||u - l[pos]||_H and
-    ||u - l[pos]||_{H^-1} per mass and path for each limit trajectory l;
-    drive() calls it once per index, in order.  No wave trajectory is kept.
+    ||u - l[pos]||_{H^-1} per mass and path for each limit trajectory l, as
+    one (n_limits, 2, n_mu, P) array; drive() calls it once per index, in
+    order.  No wave trajectory is kept.
     """
 
     def __init__(self, run, limits: list, basis):
@@ -97,8 +100,8 @@ class _ScoredWaves:
     def record(self) -> tuple:
         u, pos = self.run.u, self.pos
         self.pos += 1
-        rows = (diagnostics.distance_rows(u, lim[pos], self.basis) for lim in self.limits)
-        return tuple(r for pair in rows for r in pair)
+        rows = [diagnostics.distance_rows(u, lim[pos], self.basis) for lim in self.limits]
+        return (np.array(rows),)
 
 
 @dataclass
@@ -108,7 +111,7 @@ class _WaveGroup:
     mus: list[float]
     dt: float
     times: np.ndarray
-    distances: list  # per limit, (n_mu, n_paths): sup_Hm1 + L2(0,T;H)
+    distances: np.ndarray  # (n_limits, n_mu, n_paths): sup_Hm1 + L2(0,T;H)
     norms: dict  # the running norms of WaveTrajectory, (n_mu, n_paths) each
 
 
@@ -119,12 +122,9 @@ def _simulate_group(cfg: dict, basis, models, mus: list, u0, v0, batch, limits: 
     run = _ScoredWaves(solver.stepper(u0, v0, path), limits, basis)
     inc = path.increments
     n_output = cfg["time"]["n_output"]
-    times, [rows] = drive([run], path.n_steps, path.dt, lambda k: inc[..., :, k], n_output)
-    distances = []
-    for h, hm1 in zip(rows[0::2], rows[1::2]):
-        sup_hm1, l2_h = diagnostics.plain_parts(times, h, hm1)
-        distances.append(sup_hm1 + l2_h)
-    return _WaveGroup(mus=mus, dt=path.dt, times=times, distances=distances, norms=run.run.norms)
+    times, [[rows]] = drive([run], path.n_steps, path.dt, lambda k: inc[..., :, k], n_output)
+    sup_hm1, l2_h = diagnostics.plain_parts(times, rows[:, :, 0], rows[:, :, 1])
+    return _WaveGroup(mus, path.dt, times, distances=sup_hm1 + l2_h, norms=run.run.norms)
 
 
 def _study_block(cfg: dict, seed0: int, n_paths: int, ablate_drift: bool) -> LadderStudy:
@@ -149,33 +149,22 @@ def _study_block(cfg: dict, seed0: int, n_paths: int, ablate_drift: bool) -> Lad
         _check_grids(fine, limit_times, n_steps)
 
     batch = noise.sample_batch(seed0, n_paths, t["t_final"], t["dt"], basis.n_modes)
-    with_h = LimitSolver(basis, models).simulate(u0, batch, n_output=t["n_output"])
-    limits = [with_h.coeffs]
-    if ablate_drift:
-        no_h = LimitSolver(basis, models, with_drift=False).simulate(
-            u0, batch, n_output=t["n_output"]
-        )
-        limits.append(no_h.coeffs)
+    limits = [
+        LimitSolver(basis, models, with_drift=h).simulate(u0, batch, n_output=t["n_output"]).coeffs
+        for h in ((True, False) if ablate_drift else (True,))
+    ]
     d = np.empty((len(limits), len(ladder), n_paths))
-    points = [None] * len(ladder)
+    norms: dict = {}
     for idx in groups.values():
         mus = [ladder[k] for k in idx]
         group = _simulate_group(cfg, basis, models, mus, u0, v0, batch, limits)
         d[:, idx] = group.distances
-        for row, k in enumerate(idx):
-            norms = {name: v[row] for name, v in group.norms.items()}
-            points[k] = diagnostics.ladder_point(ladder[k], norms)
-    d_h = None
-    if ablate_drift:
-        gap = diagnostics.metric_distance(with_h.times, with_h.coeffs, no_h.coeffs, basis, "plain")
-        d_h = gap.value("plain")
-    return LadderStudy(
-        ladder=ladder,
-        per_path_distance=d[0],
-        ladder_points=points,
-        d_no=d[1] if ablate_drift else None,
-        d_h=d_h,
-    )
+        for name, rows in group.norms.items():
+            norms.setdefault(name, np.empty((len(ladder), n_paths)))[idx] = rows
+    if not ablate_drift:
+        return LadderStudy(ladder, d[0], norms)
+    d_h = diagnostics.metric_distance(limit_times, *limits, basis, "plain").value("plain")
+    return LadderStudy(ladder, d[0], norms, d_no=d[1], d_h=d_h)
 
 
 def drift_necessity(cfg: dict, study: LadderStudy) -> DriftNecessityReport:
@@ -187,19 +176,16 @@ def drift_necessity(cfg: dict, study: LadderStudy) -> DriftNecessityReport:
     )
 
 
-def _merge_points(blocks: list[LadderStudy]) -> list[LadderPoint]:
-    """Per-mass points of the blocks with every per-path array concatenated in block order."""
-    return [
-        LadderPoint(
-            mu=point.mu,
-            **{
-                f.name: np.concatenate([getattr(b.ladder_points[k], f.name) for b in blocks])
-                for f in fields(LadderPoint)
-                if f.name != "mu"
-            },
-        )
-        for k, point in enumerate(blocks[0].ladder_points)
-    ]
+def _join_paths(parts: list):
+    """The blocks' values of one per-path field joined along the path axis, in block order.
+
+    A dict is joined key by key, and a field that is None stays None.
+    """
+    if parts[0] is None:
+        return None
+    if isinstance(parts[0], dict):
+        return {k: _join_paths([p[k] for p in parts]) for k in parts[0]}
+    return np.concatenate(parts, axis=-1)
 
 
 def run_ladder_study(cfg: dict, ablate_drift: bool = False) -> LadderStudy:
@@ -216,13 +202,9 @@ def run_ladder_study(cfg: dict, ablate_drift: bool = False) -> LadderStudy:
             for s, n in zip(starts, sizes)
         ]
         blocks = [f.result() for f in futures]
-    return LadderStudy(
-        ladder=blocks[0].ladder,
-        per_path_distance=np.concatenate([b.per_path_distance for b in blocks], axis=1),
-        ladder_points=_merge_points(blocks),
-        d_no=np.concatenate([b.d_no for b in blocks], axis=1) if ablate_drift else None,
-        d_h=np.concatenate([b.d_h for b in blocks]) if ablate_drift else None,
-    )
+    per_path = [name for name in vars(blocks[0]) if name != "ladder"]
+    joined = {name: _join_paths([vars(b)[name] for b in blocks]) for name in per_path}
+    return LadderStudy(ladder=blocks[0].ladder, **joined)
 
 
 # -- subcommand work functions ---------------------------------------------------
@@ -248,7 +230,7 @@ def run_converge(cfg: dict, out_dir) -> dict:
         ratio_max=cfg["converge"]["ratio_max"],
         allowed_inversions=cfg["converge"]["allowed_inversions"],
     )
-    audit = diagnostics.scaling_audit(study.ladder_points)
+    audit = diagnostics.scaling_audit(study.ladder, study.norms)
     h = config_hash(cfg)
     payload = {"report": report.as_dict(), "scaling_audit": asdict(audit)}
     output.write_json(os.path.join(out_dir, "converge.json"), payload, cfg, h)
@@ -264,7 +246,7 @@ def run_converge(cfg: dict, out_dir) -> dict:
 def run_scaling_audit(cfg: dict, out_dir) -> dict:
     _require_ladder(cfg, diagnostics.AUDIT_MIN_POINTS, diagnostics.AUDIT_MIN_PATHS)
     study = run_ladder_study(cfg)
-    audit = diagnostics.scaling_audit(study.ladder_points)
+    audit = diagnostics.scaling_audit(study.ladder, study.norms)
     h = config_hash(cfg)
     payload = {"scaling_audit": asdict(audit)}
     output.write_json(os.path.join(out_dir, "scaling_audit.json"), payload, cfg, h)

@@ -168,7 +168,7 @@ def test_criterion_4_resolvent_suite(setup):
 
 
 def test_criterion_5_scaling_audits(study):
-    audit = scaling_audit(study.ladder_points)
+    audit = scaling_audit(study.ladder, study.norms)
     ok = all(audit.flags.values())
     detail = (
         f"energy slope {audit.slope_energy:.3f} (>= -0.05), "

@@ -62,17 +62,24 @@ def test_type_checking():
 def test_non_finite_numbers_fail_by_name(tmp_path, capsys, bad):
     # JSON readers accept NaN and Infinity; each used to run on (an infinite
     # mass gave a NaN sup_energy with "ok": true) or die unnamed in int(NaN).
-    for raw, key in (
-        ({"mu_ladder": [0.2, bad]}, "mu_ladder[1]"),
-        ({"time": {"dt": bad}}, "time.dt"),
-        ({"time": {"t_final": bad}}, "time.t_final"),
-        ({"ablation": {"mu": bad}}, "ablation.mu"),
-        ({"fd": {"mu": bad}}, "fd.mu"),
-        ({"fd": {"dt": bad}}, "fd.dt"),
-        ({"fd": {"sigma": bad}}, "fd.sigma"),
-        ({"domain": {"length": bad}}, "domain.length"),
+    # Every element of a list key is a number checked by its index.
+    finite = f"must be finite, got {bad!r}"
+    for raw, key, message in (
+        ({"mu_ladder": [0.2, bad]}, "mu_ladder[1]", finite),
+        ({"time": {"dt": bad}}, "time.dt", finite),
+        ({"time": {"t_final": bad}}, "time.t_final", finite),
+        ({"ablation": {"mu": bad}}, "ablation.mu", finite),
+        ({"fd": {"mu": bad}}, "fd.mu", finite),
+        ({"fd": {"dt": bad}}, "fd.dt", finite),
+        ({"fd": {"sigma": bad}}, "fd.sigma", finite),
+        ({"domain": {"length": bad}}, "domain.length", finite),
+        ({"initial": {"coeffs": [0.0, bad]}}, "initial.coeffs[1]", finite),
+        ({"initial": {"velocity_coeffs": [bad]}}, "initial.velocity_coeffs[0]", finite),
+        ({"resolvent": {"lam_ladder": [bad, 0.05]}}, "resolvent.lam_ladder[0]", finite),
+        ({"resolvent": {"lam_ladder": ["x", 0.1]}}, "resolvent.lam_ladder[0]", "must be a number"),
+        ({"initial": {"coeffs": ["a"]}}, "initial.coeffs[0]", "must be a number, got 'a'"),
     ):
-        with pytest.raises(ConfigError, match=re.escape(f"'{key}' must be finite, got {bad!r}")):
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}' {message}")):
             validate_config(raw)
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(raw))
@@ -323,20 +330,33 @@ def test_step_bound_and_audit_sizes_fail_by_name(tmp_path, capsys):
         ({"resolvent": {"n_pairs": 0}}, "resolvent.n_pairs", "must be at least 1, got 0"),
         ({"resolvent": {"n_smooth": 0}}, "resolvent.n_smooth", "must be at least 1, got 0"),
         ({"resolvent": {"n_smooth": -2}}, "resolvent.n_smooth", "must be at least 1, got -2"),
+        # non-positive sizes used to run on or fail unnamed, and fd_converge
+        # took a ddof=1 standard error of one path into NaN z-scores
+        ({"fd": {"paths": 1}}, "fd.paths", "must be at least 2, got 1"),
+        ({"fd": {"paths": 0}}, "fd.paths", "must be at least 2, got 0"),
+        ({"fd": {"mu": -1e-3}}, "fd.mu", "must be positive, got -0.001"),
+        ({"fd": {"dt": 0}}, "fd.dt", "must be positive, got 0.0"),
+        ({"fd": {"t_final": -1}}, "fd.t_final", "must be positive, got -1.0"),
+        ({"time": {"dt_limit": 0}}, "time.dt_limit", "must be positive, got 0.0"),
+        ({"time": {"dt": -1e-4}}, "time.dt", "must be positive, got -0.0001"),
+        ({"time": {"t_final": -1}}, "time.t_final", "must be positive, got -1.0"),
+        ({"domain": {"length": 0}}, "domain.length", "must be positive, got 0.0"),
     ):
         with pytest.raises(ConfigError, match=f"'{key}' {message}"):
             validate_config(raw)
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "out"
-        command = "simulate-wave" if key == "time.c_stab" else "resolvent-audit"
+        command = "fd-converge" if key.startswith("fd.") else "simulate-wave"
         capsys.readouterr()
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, raw
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "config" and f"config key '{key}'" in err["message"], raw
         assert not out.exists()
-    ok = validate_config({"time": {"c_stab": 0.1}, "resolvent": {"n_pairs": 1, "n_smooth": 1}})
-    assert ok["time"]["c_stab"] == 0.1
+    ok = validate_config(
+        {"time": {"c_stab": 0.1}, "resolvent": {"n_pairs": 1, "n_smooth": 1}, "fd": {"paths": 2}}
+    )
+    assert ok["time"]["c_stab"] == 0.1 and ok["fd"]["paths"] == 2
     assert ok["resolvent"]["n_pairs"] == ok["resolvent"]["n_smooth"] == 1
 
 
@@ -387,8 +407,9 @@ def test_parallel_jobs_reproduce_sequential(tmp_path, seed):
     seq = run_ladder_study(validate_config(raw), ablate_drift=True)
     par = run_ladder_study(validate_config({**raw, "jobs": 3}), ablate_drift=True)
     assert np.array_equal(seq.per_path_distance, par.per_path_distance)
-    for a, b in zip(seq.ladder_points, par.ladder_points):
-        assert np.array_equal(a.sup_energy, b.sup_energy)
+    assert seq.norms.keys() == par.norms.keys()
+    for name, rows in seq.norms.items():
+        assert rows.shape == (4, 6) and np.array_equal(rows, par.norms[name]), name
     # the drift ablation's distances are per path too, so they split the same way
     assert seq.d_no.shape == (4, 6) and seq.d_h.shape == (6,)
     assert np.array_equal(seq.d_no, par.d_no)
@@ -553,13 +574,15 @@ def test_cli_fd_converge_small(tmp_path):
 def test_fd_time_grid_fails_by_name(tmp_path):
     # A dt that does not divide t_final, exceeds it, or is zero raises by name
     # instead of running to the wrong time (0.3 -> t = 0.9), running no step
-    # (2.0) or dividing by zero.
+    # (2.0) or dividing by zero; zero fails in the config already.
     from smallmass.runner import run_fd_converge
 
-    for dt in (0.3, 2.0, 0.0):
+    for dt in (0.3, 2.0):
         cfg = validate_config({"fd": {"dt": dt, "t_final": 1.0, "paths": 10}})
         with pytest.raises(ValueError, match="dt"):
             run_fd_converge(cfg, tmp_path)
+    with pytest.raises(ConfigError, match="'fd.dt' must be positive"):
+        validate_config({"fd": {"dt": 0.0, "t_final": 1.0, "paths": 10}})
     assert not (tmp_path / "fd_converge.json").exists()
 
 
@@ -782,10 +805,9 @@ def test_ladder_study_equals_its_masses_run_one_at_a_time(monkeypatch, scheme):
         for d, limit in zip((study.per_path_distance, study.d_no), limits):
             alone = metric_distance(traj.times, traj.u, limit, basis, "plain").value("plain")
             assert np.array_equal(d[k], alone), (scheme, mu)
-        point = study.ladder_points[k]
-        assert point.mu == mu
-        for f in ("sup_energy", "sup_v_h", "sup_u_h", "int_u_h1_sq"):
-            assert np.array_equal(getattr(point, f), getattr(traj, f)), (scheme, mu, f)
+        assert set(study.norms) == set(vars(traj)) - {"times", "u", "v", "mu", "dt"}
+        for name, rows in study.norms.items():
+            assert np.array_equal(rows[k], getattr(traj, name)), (scheme, mu, name)
 
 
 def test_study_block_keeps_no_wave_trajectories():

@@ -3,7 +3,6 @@ import pytest
 
 from smallmass.basis import DomainSpec, build_basis
 from smallmass.diagnostics import (
-    LadderPoint,
     convergence_report,
     drift_necessity_report,
     energy_records,
@@ -74,13 +73,14 @@ def test_metric_identical_and_offset(basis):
 @pytest.mark.parametrize("n_modes", [8, 32])
 def test_metric_rows_of_a_slice_equal_rows_of_the_batch(n_modes):
     # A split ladder study scores each block of paths on its own; every
-    # per-path distance must be the same bits as in the one-block study.
+    # per-path distance must be the same bits as in the one-block study,
+    # also for a block of one path, which np.trapezoid would sum pairwise.
     b = build_basis(DomainSpec(1.0, n_modes))
     rng = np.random.default_rng(5)
     times = np.linspace(0.0, 0.05, 21)
     a, c = rng.normal(size=(2, 21, 6, n_modes))
     whole = metric_distance(times, a, c, b)
-    for sl in (slice(0, 2), slice(2, 4), slice(4, 6)):
+    for sl in (slice(0, 2), slice(2, 4), slice(4, 5), slice(5, 6)):
         part = metric_distance(times, a[:, sl], c[:, sl], b)
         for field in ("d_x1", "d_x2", "sup_hm1", "l2_h"):
             assert np.array_equal(getattr(part, field), getattr(whole, field)[sl]), (sl, field)
@@ -139,25 +139,21 @@ def test_metric_grid_mismatch_rejected(basis):
 
 
 def _synthetic_points(c_e=1.0, c_v=1.0, c_u=1.0, exp_v=-0.5, n_paths=8):
-    # sup K ~ c_e (bounded), sup v ~ mu^exp_v, sup u ~ c_u
+    # sup K ~ c_e (bounded), sup v ~ mu^exp_v, sup u ~ c_u; one row per mass
     rng = np.random.default_rng(1)
-    points = []
-    for mu in (0.2, 0.1, 0.05, 0.02, 0.01):
-        jitter = 1.0 + 0.01 * rng.normal(size=n_paths)
-        points.append(
-            LadderPoint(
-                mu=mu,
-                sup_energy=c_e * jitter,
-                sup_v_h=c_v * mu**exp_v * jitter,
-                sup_u_h=np.sqrt(c_u) * jitter,
-                int_u_h1_sq=c_u * jitter,
-            )
-        )
-    return points
+    ladder = np.array([0.2, 0.1, 0.05, 0.02, 0.01])
+    jitter = 1.0 + 0.01 * rng.normal(size=(len(ladder), n_paths))
+    norms = {
+        "sup_energy": c_e * jitter,
+        "sup_v_h": c_v * ladder[:, None] ** exp_v * jitter,
+        "sup_u_h": np.sqrt(c_u) * jitter,
+        "int_u_h1_sq": c_u * jitter,
+    }
+    return ladder.tolist(), norms
 
 
 def test_scaling_audit_flags_pass_on_theoretical_scalings():
-    audit = scaling_audit(_synthetic_points())
+    audit = scaling_audit(*_synthetic_points())
     assert audit.flags["energy_bounded"]  # slope of sqrt(mu)*const is +1/2
     assert audit.flags["velocity_decay"]  # mu * mu^-1/2 decays with exponent 1/2
     assert audit.flags["displacement_flat"]
@@ -167,29 +163,33 @@ def test_scaling_audit_flags_pass_on_theoretical_scalings():
 
 def test_scaling_audit_detects_violations():
     # energy growing like 1/mu breaks the boundedness flag
-    bad = scaling_audit(_synthetic_points(c_e=1.0, exp_v=-0.5, n_paths=8)[:4] + [])
-    assert bad is not None
-    growing = _synthetic_points()
-    for p in growing:
-        p.sup_energy = p.sup_energy / p.mu
-    audit = scaling_audit(growing)
+    ladder, growing = _synthetic_points()
+    growing["sup_energy"] = growing["sup_energy"] / np.array(ladder)[:, None]
+    audit = scaling_audit(ladder, growing)
     assert not audit.flags["energy_bounded"]
     # velocity failing to decay breaks the decay flag
-    sticky = _synthetic_points(exp_v=-1.0)
-    audit2 = scaling_audit(sticky)
+    audit2 = scaling_audit(*_synthetic_points(exp_v=-1.0))
     assert not audit2.flags["velocity_decay"]
     # non-finite summaries fail everything
-    broken = _synthetic_points()
-    broken[2].sup_v_h = broken[2].sup_v_h * np.inf
-    audit3 = scaling_audit(broken)
+    ladder, broken = _synthetic_points()
+    broken["sup_v_h"][2] = broken["sup_v_h"][2] * np.inf
+    audit3 = scaling_audit(ladder, broken)
     assert not any(audit3.flags.values())
 
 
 def test_scaling_audit_preconditions():
-    with pytest.raises(ValueError):
-        scaling_audit(_synthetic_points()[:3])
-    with pytest.raises(ValueError):
-        scaling_audit(_synthetic_points(n_paths=4))
+    ladder, norms = _synthetic_points()
+    # AUDIT_MIN_POINTS masses are judged, one fewer is not
+    first = {name: rows[:4] for name, rows in norms.items()}
+    assert scaling_audit(ladder[:4], first).mus == ladder[:4]
+    with pytest.raises(ValueError, match="ladder points"):
+        scaling_audit(ladder[:3], {name: rows[:3] for name, rows in norms.items()})
+    with pytest.raises(ValueError, match="paths per ladder point"):
+        scaling_audit(*_synthetic_points(n_paths=4))
+    with pytest.raises(ValueError, match="sorted"):
+        scaling_audit(ladder[::-1], {name: rows[::-1] for name, rows in norms.items()})
+    with pytest.raises(ValueError, match="do not match"):
+        scaling_audit(ladder, first)
 
 
 def test_scaling_audit_negative_control(basis, models):
@@ -198,19 +198,20 @@ def test_scaling_audit_negative_control(basis, models):
     # statistics, and the audit must notice.
     import warnings
 
-    from smallmass.diagnostics import ladder_point
     from smallmass.noise import sample_batch
 
-    points = []
+    ladder = [0.04, 0.02, 0.01, 0.005]
+    trajs = []
     u0 = basis.analyze(4.0 * basis.x * (1 - basis.x))
     batch = sample_batch(31, 8, 0.512, 8e-3, 12)  # dt fixed, not mass-resolved
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for mu in (0.04, 0.02, 0.01, 0.005):
+        for mu in ladder:
             solver = WaveSolver(basis, models, mu, scheme="eta_form", c_stab=1e9)
-            traj = solver.simulate(u0, np.zeros(12), batch, n_output=20)
-            points.append(ladder_point(mu, vars(traj)))
-    audit = scaling_audit(points)
+            trajs.append(solver.simulate(u0, np.zeros(12), batch, n_output=20))
+    names = ("sup_energy", "sup_v_h", "sup_u_h", "int_u_h1_sq")
+    norms = {name: np.stack([getattr(t, name) for t in trajs]) for name in names}
+    audit = scaling_audit(ladder, norms)
     assert not all(audit.flags.values()), audit.flags
 
 

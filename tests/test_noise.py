@@ -173,7 +173,6 @@ def test_apply_noise_returns_zero_without_noise_and_takes_a_weight():
     u_nodal = np.sin(np.pi * basis.x)
     db = np.linspace(-0.3, 0.4, 8)
     weight = diff.lambda_sigma(u_nodal)
-    assert apply_noise(weight, None, diff, basis) == 0.0
     assert apply_noise(weight, db, build_diffusion(basis, factor="zero"), basis) == 0.0
     gam = 2.0 + np.sin(u_nodal)
     forced = basis.synthesize(diff.q_spectrum * db)

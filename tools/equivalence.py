@@ -289,6 +289,11 @@ def _run_routes() -> dict:
         "run_drift_ablation", _cfg(short, ablation, {"jobs": 2})
     )
     routes["run_converge.jobs=2"] = _work("run_converge", _cfg(short, {"jobs": 2}))
+    # one-mass groups, each joined across the two processes
+    resolvent_jobs = {"wave": {"scheme": "resolvent_implicit"}, "jobs": 2}
+    routes["run_scaling_audit.resolvent_implicit.jobs=2"] = _work(
+        "run_scaling_audit", _cfg(short, resolvent_jobs)
+    )
     # refined and unrefined masses on one ladder: 0.2 and 0.1 keep dt = 5e-4,
     # 1e-3 halves it once and 5e-4 twice
     two_levels = {"mu_ladder": [0.2, 0.1, 1e-3, 5e-4], "time": {"c_stab": 0.25}}
