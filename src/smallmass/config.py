@@ -146,6 +146,17 @@ _POSITIVE = (
 )
 
 
+def resolvent_lams(cfg: dict) -> dict[str, float]:
+    """The audit's resolvent parameters by config key: resolvent.lam and resolvent.lam_ladder[k].
+
+    The resolvent exists for 0 < lam < lambda_bar; validate_config checks the
+    lower end, run_resolvent_audit the upper end once the operator is built.
+    """
+    r = cfg["resolvent"]
+    ladder = {f"resolvent.lam_ladder[{k}]": lam for k, lam in enumerate(r["lam_ladder"])}
+    return {"resolvent.lam": r["lam"], **ladder}
+
+
 def validate_config(raw: dict) -> dict:
     """Strict-merge a raw dict over the defaults; unknown keys are errors."""
     if not isinstance(raw, dict):
@@ -171,9 +182,9 @@ def validate_config(raw: dict) -> dict:
     for key, least in _COUNTS.items():
         if flat[key] < least:
             raise ConfigError(f"config key '{key}' must be at least {least}, got {flat[key]}")
-    for key in _POSITIVE:
-        if not flat[key] > 0:
-            raise ConfigError(f"config key '{key}' must be positive, got {flat[key]}")
+    for key, value in {**{key: flat[key] for key in _POSITIVE}, **resolvent_lams(cfg)}.items():
+        if not value > 0:
+            raise ConfigError(f"config key '{key}' must be positive, got {value}")
     return cfg
 
 

@@ -12,8 +12,12 @@ where the noise-induced drift is S_i(x) = d/dx_l [ (gamma^-1)_ij(x) ] J_jl(x)
 and J solves the Lyapunov equation J gamma* + gamma J = sigma sigma*.
 
 The Lyapunov solve is a dense Kronecker-product linear system (dimension is
-capped at 8), with the residual checked on every call.  The Jacobian of
-gamma^-1 uses relative central differences with step 1e-5.
+capped at 8), with the residual checked on every call.  At a single point
+the Jacobian of gamma^-1 uses relative central differences with step 1e-5.
+The limit integrator's batched scalar S is closed form: J = sigma^2 / (2 gamma)
+and d(1/gamma)/dx = -gamma' / gamma^2 (the scalar case of Hottovy, McDaniel,
+Volpe and Wehr, CMP 2015), with gamma' from the system's own derivative, or
+the same central difference when the system gives none.
 
 Monte Carlo runs are vectorized across paths; the driving increments come
 from a counter-based generator keyed by (seed, step), so the inertial and
@@ -53,6 +57,9 @@ class FDSystem:
     sigma  -> (P, d, r)
     g_antideriv (optional, d = 1 only): scalar antiderivative of gamma for the
     transformed integrator.
+    gamma_prime (optional, d = 1 only): (P, 1) -> (P,), the derivative of the
+    scalar gamma, read by the limit integrator's drift S; without it S takes
+    gamma' from a relative central difference of gamma.
     """
 
     dim: int
@@ -63,6 +70,7 @@ class FDSystem:
     gamma0: float
     name: str = "custom"
     g_antideriv: Callable[[np.ndarray], np.ndarray] | None = None
+    gamma_prime: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.dim <= MAX_DIM:
@@ -136,20 +144,29 @@ def drift_S(system: FDSystem, x: np.ndarray) -> np.ndarray:
     return np.einsum("lij,jl->i", dinv, j)
 
 
+def _scalar_gamma_prime(system: FDSystem, x: np.ndarray) -> np.ndarray:
+    """gamma' of a scalar system at the (P, 1) states x: its own, else a central difference."""
+    if system.gamma_prime is not None:
+        return system.gamma_prime(x)
+    xs = x[:, 0]
+    h = FD_STEP_REL * np.maximum(1.0, np.abs(xs))
+    gp = system.gamma((xs + h)[:, None])[:, 0, 0]
+    gm = system.gamma((xs - h)[:, None])[:, 0, 0]
+    return (gp - gm) / (2.0 * h)
+
+
 def _drift_S_batch(system: FDSystem, x: np.ndarray, gam: np.ndarray) -> np.ndarray:
     """Vectorized S for scalar systems; falls back to a per-point loop otherwise.
 
-    gam is gamma(x), already evaluated by the caller.
+    gam is gamma(x), already evaluated by the caller.  For d = 1,
+    S = d(1/gamma)/dx * J with d(1/gamma)/dx = -gamma' / gamma^2 and the
+    scalar Lyapunov solution J = sigma sigma^T / (2 gamma).
     """
     if system.dim == 1:
-        xs = x[:, 0]
-        h = FD_STEP_REL * np.maximum(1.0, np.abs(xs))
-        gp = system.gamma((xs + h)[:, None])[:, 0, 0]
-        gm = system.gamma((xs - h)[:, None])[:, 0, 0]
-        dinv = (1.0 / gp - 1.0 / gm) / (2.0 * h)
         g = gam[:, 0, 0]
+        dinv = -_scalar_gamma_prime(system, x) / g**2
         sig = system.sigma(x)[:, 0, :]
-        j = np.sum(sig * sig, axis=-1) / (2.0 * g)  # scalar Lyapunov closed form
+        j = np.sum(sig * sig, axis=-1) / (2.0 * g)
         return (dinv * j)[:, None]
     return np.stack([drift_S(system, xi) for xi in x])
 
@@ -363,7 +380,10 @@ _FD_FRICTIONS = {"two_plus_sin": {}, "constant": {"value": 2.0}}
 
 
 def fd_scalar_system(friction: str = "two_plus_sin", sigma_value: float = 1.0) -> FDSystem:
-    """d = 1 system with zero drift, gamma(x) = 2 + sin x (or constant 2) and constant sigma."""
+    """d = 1 system with zero drift, gamma(x) = 2 + sin x (or constant 2) and constant sigma.
+
+    gamma, its derivative and its antiderivative are the registry preset's.
+    """
     if friction not in _FD_FRICTIONS:
         raise ValueError(f"unknown scalar friction {friction!r}")
     model = friction_preset(friction, **_FD_FRICTIONS[friction])
@@ -376,6 +396,7 @@ def fd_scalar_system(friction: str = "two_plus_sin", sigma_value: float = 1.0) -
         gamma0=model.gamma0,
         name=f"scalar_{friction}",
         g_antideriv=model.g_closed,
+        gamma_prime=lambda x: model.gamma_prime(x[:, 0]),
     )
 
 

@@ -31,11 +31,33 @@ _FORMAT = f"smallmass noise dump (version {_VERSION})"
 _HEADER = struct.Struct("<8sqqdqqq")
 
 
-def _mode_generator(seed: int, mode: int, level: int) -> np.random.Generator:
+def _mode_generator(
+    seed: int, mode: int, level: int, gen: np.random.Generator | None = None
+) -> np.random.Generator:
+    """The Philox generator of stream (seed, mode, level), at the start of the stream.
+
+    Given gen, a Philox generator, re-keys it in place and returns it: its
+    whole state is set (key, zero counter, empty buffer, no cached 32-bit
+    half), so it draws what a freshly built generator would, whatever it drew
+    before.  Re-keying skips the OS entropy a new Philox pulls for a seed its
+    key makes unused; sample_path and refine re-key one generator per call.
+    """
     if not 0 <= mode < 2**32 or not 0 <= level < 2**32:
         raise ValueError("mode and refinement level must fit in 32 bits")
-    key = [int(seed) & 0xFFFF_FFFF_FFFF_FFFF, (int(mode) << 32) | int(level)]
-    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    key = np.array(
+        [int(seed) & 0xFFFF_FFFF_FFFF_FFFF, (int(mode) << 32) | int(level)], dtype=np.uint64
+    )
+    if gen is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 @dataclass(frozen=True)
@@ -81,8 +103,10 @@ def sample_path(seed: int, t_final: float, dt: float, n_modes: int) -> NoisePath
     n_steps = _n_steps(t_final, dt)
     sd = np.sqrt(dt)
     inc = np.empty((n_modes, n_steps))
+    gen = None
     for i in range(n_modes):
-        inc[i] = _mode_generator(seed, i + 1, 0).normal(0.0, sd, n_steps)
+        gen = _mode_generator(seed, i + 1, 0, gen)
+        inc[i] = gen.normal(0.0, sd, n_steps)
     return NoisePath(seed=seed, dt=dt, n_steps=n_steps, n_modes=n_modes, level=0, increments=inc)
 
 
@@ -95,8 +119,10 @@ def refine(path: NoisePath) -> NoisePath:
     """
     half = 0.5 * np.sqrt(path.dt)  # std of the midpoint correction, sqrt(dt/4)
     fine = np.empty((path.n_modes, 2 * path.n_steps))
+    gen = None
     for i in range(path.n_modes):
-        xi = _mode_generator(path.seed, i + 1, path.level + 1).normal(0.0, half, path.n_steps)
+        gen = _mode_generator(path.seed, i + 1, path.level + 1, gen)
+        xi = gen.normal(0.0, half, path.n_steps)
         fine[i, 0::2] = 0.5 * path.increments[i] + xi
         fine[i, 1::2] = 0.5 * path.increments[i] - xi
     return NoisePath(

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import diagnostics, noise, output
-from .config import ConfigError, config_hash, make_basis, make_initial, make_models
+from .config import ConfigError, config_hash, make_basis, make_initial, make_models, resolvent_lams
 from .diagnostics import DriftNecessityReport
 # simulate_fd and simulate_fd_limit are not called here; bench/spans.py wraps them at this name.
 from .finite_dim import (
@@ -342,6 +342,11 @@ def run_resolvent_audit(cfg: dict, out_dir) -> dict:
     models = make_models(cfg, basis)
     r = cfg["resolvent"]
     op = OperatorA(basis, models)
+    for key, lam in resolvent_lams(cfg).items():
+        if lam >= op.lambda_bar:
+            raise ConfigError(
+                f"config key '{key}' must be below lambda_bar = {op.lambda_bar:.6g}, got {lam}"
+            )
     result = audit_operator(
         op,
         n_pairs=r["n_pairs"],

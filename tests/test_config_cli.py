@@ -617,6 +617,59 @@ def test_cli_resolvent_audit_small(tmp_path):
     assert doc["audit"]["flags"]["diss_A"] is True
 
 
+@pytest.mark.parametrize(
+    "resolvent, key, message",
+    [
+        ({"lam": 0}, "resolvent.lam", "must be positive, got 0.0"),
+        ({"lam": -0.05}, "resolvent.lam", "must be positive, got -0.05"),
+        ({"lam_ladder": [0.1, -0.02]}, "resolvent.lam_ladder[1]", "must be positive, got -0.02"),
+        ({"lam_ladder": [0.0]}, "resolvent.lam_ladder[0]", "must be positive, got 0.0"),
+    ],
+)
+def test_non_positive_resolvent_lam_fails_by_key(tmp_path, capsys, resolvent, key, message):
+    # Both used to reach the audit and exit 1 with an unnamed ResolventError.
+    raw = {"domain": {"n_modes": 8, "n_nodes": 16}, "resolvent": resolvent}
+    with pytest.raises(ConfigError, match=re.escape(f"'{key}' {message}")):
+        validate_config(raw)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["resolvent-audit", "--config", str(p), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and f"config key '{key}'" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "resolvent, key",
+    [
+        ({"lam": 0.5}, "resolvent.lam"),
+        ({"lam_ladder": [0.1, 0.05, 3.0]}, "resolvent.lam_ladder[2]"),
+    ],
+)
+def test_resolvent_lam_at_or_above_lambda_bar_fails_by_key(tmp_path, capsys, resolvent, key):
+    from smallmass.resolvent import OperatorA
+
+    raw = {"domain": {"n_modes": 8, "n_nodes": 16}, "resolvent": resolvent}
+    cfg = validate_config(raw)
+    basis = make_basis(cfg)
+    lambda_bar = OperatorA(basis, make_models(cfg, basis)).lambda_bar
+    assert lambda_bar < 0.5  # about 0.27 for the default models
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["resolvent-audit", "--config", str(p), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config"
+    assert f"config key '{key}' must be below lambda_bar = {lambda_bar:.6g}" in err["message"]
+    assert not (out / "resolvent_audit.json").exists()
+    # lambda_bar itself is outside the open range (0, lambda_bar)
+    at_bar = {"domain": {"n_modes": 8, "n_nodes": 16}, "resolvent": {"lam": lambda_bar}}
+    p.write_text(json.dumps(at_bar))
+    assert main(["resolvent-audit", "--config", str(p), "--out", str(out)]) == 2
+    assert "'resolvent.lam' must be below" in capsys.readouterr().err
+
+
 def test_simulate_wave_uses_the_configured_newton_count(tmp_path):
     from smallmass import noise, runner
     from smallmass.output import load_trajectory_bin

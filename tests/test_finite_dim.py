@@ -7,7 +7,9 @@ from scipy.linalg import solve_lyapunov as scipy_lyapunov
 from smallmass.finite_dim import (
     FD_STEP_REL,
     FDNoise,
+    FDSystem,
     LyapunovError,
+    _drift_S_batch,
     compare_endpoints,
     drift_S,
     ellipticity_audit,
@@ -75,6 +77,53 @@ def test_constant_friction_no_drift():
     assert abs(drift_S(system, np.array([0.4]))[0]) < 1e-10
 
 
+def _without_gamma_prime(system):
+    """The same scalar system built without a derivative: S takes the central difference."""
+    return FDSystem(**{f.name: getattr(system, f.name) for f in dataclasses.fields(system)
+                       if f.name != "gamma_prime"})
+
+
+@pytest.mark.parametrize("friction", ["two_plus_sin", "constant"])
+def test_batched_scalar_S_matches_the_pointwise_solve(friction):
+    # The limit step's closed form -gamma'/gamma^2 * sigma^2/(2 gamma) against
+    # drift_S's Lyapunov solve and central-difference Jacobian at every point.
+    system = fd_scalar_system(friction=friction, sigma_value=1.3)
+    x = np.linspace(-3.0, 3.0, 61)[:, None]
+    batched = _drift_S_batch(system, x, system.gamma(x))
+    pointwise = np.stack([drift_S(system, xi) for xi in x])
+    assert batched.shape == (61, 1)
+    assert np.max(np.abs(batched - pointwise)) <= 1e-8
+    fallback = _drift_S_batch(_without_gamma_prime(system), x, system.gamma(x))
+    assert np.max(np.abs(fallback - batched)) <= 1e-8
+    if friction == "constant":
+        assert np.array_equal(batched, np.zeros_like(x))
+        assert np.array_equal(fallback, np.zeros_like(x))
+    else:
+        assert np.min(np.abs(batched)) > 0.0
+
+
+def test_scalar_system_without_gamma_prime_runs_the_central_difference():
+    system = fd_scalar_system()
+    plain = _without_gamma_prime(system)
+    assert system.gamma_prime is not None and plain.gamma_prime is None
+    # the fallback's gamma' is the relative central difference of gamma
+    x = np.linspace(-3.0, 3.0, 13)[:, None]
+    xs = x[:, 0]
+    h = FD_STEP_REL * np.maximum(1.0, np.abs(xs))
+    dgam = ((2.0 + np.sin(xs + h)) - (2.0 + np.sin(xs - h))) / (2.0 * h)
+    g = 2.0 + np.sin(xs)
+    expected = (-dgam / g**2 * (1.0 / (2.0 * g)))[:, None]
+    assert np.array_equal(_drift_S_batch(plain, x, system.gamma(x)), expected)
+    noise = FDNoise(seed=3, dt=1e-3, n_steps=80, n_paths=32, r_dim=1)
+    runs = [simulate_fd_coupled(s, 1e-2, noise, 0.3, 0.1, n_output=8) for s in (system, plain)]
+    for name, a, b in zip(("inertial", "limit_S", "limit_noS"), *runs):
+        if name == "limit_S":  # S moves by the difference error only
+            assert not np.array_equal(a.x, b.x)
+            assert np.allclose(a.x, b.x, rtol=1e-9, atol=1e-12)
+        else:
+            assert np.array_equal(a.x, b.x), name
+
+
 def test_scalar_preset_uses_the_friction_registry():
     from smallmass.models import friction_preset
 
@@ -86,6 +135,7 @@ def test_scalar_preset_uses_the_friction_registry():
         system = fd_scalar_system(friction=name)
         assert np.array_equal(system.gamma(x)[:, 0, 0], model.gamma(x[:, 0]))
         assert np.array_equal(system.g_antideriv(x), model.g_closed(x))
+        assert np.array_equal(system.gamma_prime(x), model.gamma_prime(x[:, 0]))
         assert system.gamma0 == model.gamma0
     # the same bits as the formulas the preset was written with
     assert np.array_equal(fd_scalar_system().gamma(x), (2.0 + np.sin(x[:, 0]))[:, None, None])
@@ -179,18 +229,12 @@ def test_eta_transform_requires_scalar_antiderivative():
 
 
 def _reference_S(system, x):
-    """S on a batch as computed before the limit step shared gamma(x)."""
+    """S on a batch: the hand-written scalar closed form for 2 + sin x, per point otherwise."""
     if system.dim > 1:
         return np.stack([drift_S(system, xi) for xi in x])
+    # -gamma' / gamma^2 * sigma^2 / (2 gamma), gamma = 2 + sin x, sigma = 1
     xs = x[:, 0]
-    h = FD_STEP_REL * np.maximum(1.0, np.abs(xs))
-    gp = system.gamma((xs + h)[:, None])[:, 0, 0]
-    gm = system.gamma((xs - h)[:, None])[:, 0, 0]
-    dinv = (1.0 / gp - 1.0 / gm) / (2.0 * h)
-    g = system.gamma(x)[:, 0, 0]
-    sig = system.sigma(x)[:, 0, :]
-    j = np.sum(sig * sig, axis=-1) / (2.0 * g)
-    return (dinv * j)[:, None]
+    return (-np.cos(xs) / (2.0 + np.sin(xs)) ** 2 * (1.0 / (2.0 * (2.0 + np.sin(xs)))))[:, None]
 
 
 def _reference_limit(system, noise, x0, with_S, n_output):

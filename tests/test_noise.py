@@ -43,6 +43,19 @@ def test_mode_generator_keys_are_pinned(seed, mode, level):
     assert np.array_equal(state["key"], pinned_state["key"])
     assert np.array_equal(state["counter"], pinned_state["counter"])
     assert np.array_equal(gen.normal(size=8), pinned.normal(size=8))
+    # sample_path and refine re-key one generator per call.  A generator
+    # re-keyed after another stream drew an odd number of values (a partly
+    # used Philox buffer and a cached 32-bit half) draws what a fresh one does.
+    used = _mode_generator(seed ^ 1, mode ^ 1, level)
+    used.normal(size=7)
+    used.integers(0, 2**32, size=3, dtype=np.uint32)
+    rekeyed = _mode_generator(seed, mode, level, used)
+    fresh = _mode_generator(seed, mode, level)
+    assert rekeyed is used
+    assert np.array_equal(rekeyed.bit_generator.state["state"]["key"], pinned_state["key"])
+    assert np.array_equal(rekeyed.normal(size=9), fresh.normal(size=9))
+    u32 = {"size": 5, "dtype": np.uint32}
+    assert np.array_equal(rekeyed.integers(0, 2**32, **u32), fresh.integers(0, 2**32, **u32))
 
 
 def test_invalid_arguments():

@@ -31,7 +31,8 @@ item of every route is bitwise equal on both sides, else 1.
 
 Route groups: the catalogue (3 wave schemes x path/batch x noisy/noise-free,
 one and two wave steps, limit forms x drift x path/batch, single limit
-steps, refinement of a path and a batch, fd coupled and single runs, every
+steps, refinement of a path and a batch, fd coupled and single runs (and a
+coupled run of a scalar system that gives no gamma'), every
 `run_*` work function on small configs), the default config of every
 `run_*` work function (about a minute), and the routes of the benchmark's
 workloads (bench/workloads.py).  A step is `simulate` on a one- or two-step
@@ -41,6 +42,7 @@ path, noisy or from `noise.zero_path`.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import pickle
 import re
@@ -171,6 +173,7 @@ def _noise_routes() -> dict:
         return {
             "path": noise.refine_to(path, 3e-4).increments,
             "batch_members": noise.stack_paths(members).increments,
+            "odd_steps": noise.refine_to(noise.sample_path(8, 7e-3, 1e-3, 5), 3e-4).increments,
         }
 
     return {"noise.refine_to": run}
@@ -209,6 +212,18 @@ def _fd_routes() -> dict:
         return out
 
     routes["fd.single"] = single
+
+    def no_gamma_prime():
+        # The scalar preset minus its derivative (older commits have no such field):
+        # S takes gamma' from the relative central difference.
+        preset = fdm.fd_scalar_system(sigma_value=1.2)
+        fields = {f.name: getattr(preset, f.name) for f in dataclasses.fields(preset)}
+        fields.pop("gamma_prime", None)
+        system = fdm.FDSystem(**fields)
+        trajs = fdm.simulate_fd_coupled(system, 1e-2, noise_for(system), 0.3, 0.1, n_output=10)
+        return {name: t.x for name, t in zip(("inertial", "limit_S", "limit_noS"), trajs)}
+
+    routes["fd.coupled.no_gamma_prime"] = no_gamma_prime
     return routes
 
 
