@@ -32,12 +32,13 @@ without S together and gives the same bits as three separate runs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .models import friction_preset
+from .noise import philox_stream
 from .wave import C_STAB, _initial_state, drive
 
 MAX_DIM = 8
@@ -179,8 +180,10 @@ class FDNoise:
     """Per-step standard-normal increments, keyed by (seed, step).
 
     increments(k) returns the same (n_paths, r) table for a given seed no
-    matter which integrator consumes it; prefixes are stable under enlarging
-    n_paths.
+    matter which integrator consumes it, or in which order the steps are
+    drawn; prefixes are stable under enlarging n_paths.  One Philox generator
+    is re-keyed for every step (noise.philox_stream), which draws what a
+    freshly built one would.
     """
 
     seed: int
@@ -188,12 +191,16 @@ class FDNoise:
     n_steps: int
     n_paths: int
     r_dim: int
+    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_gen", np.random.Generator(np.random.Philox()))
 
     def increments(self, k: int) -> np.ndarray:
         key = np.array(
             [np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF), np.uint64(k)], dtype=np.uint64
         )
-        gen = np.random.Generator(np.random.Philox(key=key))
+        gen = philox_stream(key, self._gen)
         return gen.normal(0.0, np.sqrt(self.dt), (self.n_paths, self.r_dim))
 
 

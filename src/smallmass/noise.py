@@ -31,22 +31,15 @@ _FORMAT = f"smallmass noise dump (version {_VERSION})"
 _HEADER = struct.Struct("<8sqqdqqq")
 
 
-def _mode_generator(
-    seed: int, mode: int, level: int, gen: np.random.Generator | None = None
-) -> np.random.Generator:
-    """The Philox generator of stream (seed, mode, level), at the start of the stream.
+def philox_stream(key: np.ndarray, gen: np.random.Generator | None = None) -> np.random.Generator:
+    """The Philox generator keyed by key (two uint64 words), at the start of its stream.
 
     Given gen, a Philox generator, re-keys it in place and returns it: its
     whole state is set (key, zero counter, empty buffer, no cached 32-bit
     half), so it draws what a freshly built generator would, whatever it drew
     before.  Re-keying skips the OS entropy a new Philox pulls for a seed its
-    key makes unused; sample_path and refine re-key one generator per call.
+    key makes unused.
     """
-    if not 0 <= mode < 2**32 or not 0 <= level < 2**32:
-        raise ValueError("mode and refinement level must fit in 32 bits")
-    key = np.array(
-        [int(seed) & 0xFFFF_FFFF_FFFF_FFFF, (int(mode) << 32) | int(level)], dtype=np.uint64
-    )
     if gen is None:
         return np.random.Generator(np.random.Philox(key=key))
     gen.bit_generator.state = {
@@ -58,6 +51,22 @@ def _mode_generator(
         "uinteger": 0,
     }
     return gen
+
+
+def _mode_generator(
+    seed: int, mode: int, level: int, gen: np.random.Generator | None = None
+) -> np.random.Generator:
+    """The Philox generator of stream (seed, mode, level), at the start of the stream.
+
+    Given gen, re-keys it in place (philox_stream); sample_path and refine
+    re-key one generator per call.
+    """
+    if not 0 <= mode < 2**32 or not 0 <= level < 2**32:
+        raise ValueError("mode and refinement level must fit in 32 bits")
+    key = np.array(
+        [int(seed) & 0xFFFF_FFFF_FFFF_FFFF, (int(mode) << 32) | int(level)], dtype=np.uint64
+    )
+    return philox_stream(key, gen)
 
 
 @dataclass(frozen=True)

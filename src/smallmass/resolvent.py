@@ -26,6 +26,14 @@ eta = h2 + (lam/mu)(Lap u + f(u)).  The Yosida approximant is
 A^lam(z) = (J_lam(z) - z)/lam, which is Lipschitz, quasi-dissipative with
 constant kappa_d/(1 - lam kappa_d), and converges to A(z) as lam -> 0.
 
+The fixed point is one loop for every input shape: a stacked h (rows of a
+path batch, or every state of the sampled audit) iterates in lock step, one
+synthesis and one analysis of the stacked g(u), f(u) pair per sweep, while
+each row stops on its own residual and leaves the batch.  So every row gets
+the bits, iteration count and residuals it gets solved alone, since the
+transforms round every row as they would alone.  The audit runs its pairs
+and its smooth samples as stacks and takes every margin as a max over rows.
+
 The calibrated constants (kappa_d, lambda0) are implementation choices and
 are flagged as calibrated in audit reports.
 
@@ -105,73 +113,100 @@ def resolvent_apply(
 ):
     """Solve z - lam A(z) = h by the contraction fixed point.
 
-    The iteration is declared converged when the H-norm update drops below
-    TOL within MAX_ITER iterations, then polished with one extra sweep so the
-    reported residual is well inside the tolerance.  Three consecutive
-    residual increases are treated as loss of contraction and raise
-    ResolventError naming lam.  A stacked h (leading batch axes) is solved
-    row by row, so every row stops on its own residual and equals the same
-    row solved alone; its info is then a list with one SolveInfo per row, in
-    C order.
+    h is a pair of arrays (..., N); every leading axis is a batch of rows,
+    and a lone h is one row.  All rows iterate in lock step, but each stops
+    on its own residual: it is declared converged when its H-norm update
+    drops below TOL within MAX_ITER iterations, then polished with one extra
+    sweep so the reported residual is well inside the tolerance, and leaves
+    the batch.  So every row equals the same row solved alone, bit for bit.
+    Three consecutive residual increases of any row are treated as loss of
+    contraction, and a row still iterating after MAX_ITER sweeps as
+    non-convergence; either raises ResolventError naming lam, and no row is
+    returned.  With return_info the info of a lone h is its SolveInfo, and of
+    a stacked h a list with one SolveInfo per row, in C order.
     """
     if not 0.0 < lam < op.lambda_bar:
         raise ResolventError(
             f"lam = {lam} outside the resolvent range (0, {op.lambda_bar:.6g})"
         )
-    h1, h2 = np.asarray(h[0], dtype=float), np.asarray(h[1], dtype=float)
-    if h1.ndim == 1:
-        u, eta, info = _fixed_point(op, h1, h2, lam)
-    else:  # row by row over every leading axis, so every row stops on its own residual
-        rows = h1.reshape(-1, h1.shape[-1])
-        pairs = zip(rows, np.broadcast_to(h2, h1.shape).reshape(rows.shape))
-        u, eta, info = zip(*(_fixed_point(op, a, b, lam) for a, b in pairs))
-        u, eta, info = np.array(u).reshape(h1.shape), np.array(eta).reshape(h1.shape), list(info)
+    h1 = np.asarray(h[0], dtype=float)
+    h2 = np.broadcast_to(np.asarray(h[1], dtype=float), h1.shape)
+    n = h1.shape[-1]
+    u, eta, info = _fixed_point(op, h1.reshape(-1, n), h2.reshape(-1, n), lam)
+    u, eta = u.reshape(h1.shape), eta.reshape(h1.shape)
     if return_info:
-        return (u, eta), info
+        return (u, eta), (info if h1.ndim > 1 else info[0])
     return u, eta
 
 
-def _fixed_point(op: OperatorA, h1, h2, lam: float):
-    """resolvent_apply for one unstacked h = (h1, h2): returns (u, eta, SolveInfo)."""
+def _fixed_point(op: OperatorA, h1: np.ndarray, h2: np.ndarray, lam: float):
+    """resolvent_apply on rows (R, N): returns (u, eta, one SolveInfo per row).
+
+    The rows still iterating are kept contiguous and compacted only on a
+    sweep where some finish.  g(u) and f(u) are analysed as one stacked
+    product, whose rows round as they would alone.
+    """
     b, m, mu = op.basis, op.models, op.mass
-    denom = 1.0 + (lam * lam / mu) * b.alphas
+    c_g, c_f = -(lam / mu), lam * lam / mu
+    denom = 1.0 + c_f * b.alphas
     const = h1 + lam * h2
     u = h1.copy()
-    prev = np.inf
-    grow = 0
-    ratios = []
-    converged = False
-    for it in range(1, MAX_ITER + 1):
+    u_out = np.empty_like(u)
+    infos: list = [None] * len(u)
+    live = np.arange(len(u))  # input row of every row still iterating
+    prev = np.full(len(u), np.inf)  # each live row's last residual
+    grow = np.zeros(len(u), dtype=int)  # its consecutive residual increases
+    growing = False  # whether any grow is nonzero
+    polish = np.zeros(len(u), dtype=bool)  # converged: the next sweep is its last
+    history = []  # the live rows' residuals, one array per sweep
+    it = 0
+    while live.size:
+        if it == MAX_ITER:
+            raise ResolventError(
+                f"resolvent fixed point did not converge at lam = {lam} "
+                f"within {MAX_ITER} iterations (residual {prev[0]:.3e})"
+            )
+        it += 1
+        k = len(live)
         u_nodal = b.synthesize(u)
-        rhs = (
-            -(lam / mu) * b.analyze(m.g_map.forward(u_nodal))
-            + (lam * lam / mu) * b.analyze(m.reaction.f(u_nodal))
-            + const
-        )
-        u_next = rhs / denom
-        res = float(np.max(b.sobolev_norm(u_next - u, 0.0)))
-        if np.isfinite(prev) and prev > 0:
-            ratios.append(res / prev)
-            grow = grow + 1 if res > prev else 0
-            if grow >= 3:
+        gf = b.analyze(np.concatenate((m.g_map.forward(u_nodal), m.reaction.f(u_nodal))))
+        u_next = (c_g * gf[:k] + c_f * gf[k:] + const) / denom
+        d = u_next - u
+        res = np.sqrt(np.add.reduce(d * d, axis=-1))  # sobolev_norm(d, 0.0), row by row
+        history.append(res)
+        up = res > prev
+        if growing or up.any():  # else every grow stays 0
+            grow = np.where(_counted(prev), (grow + 1) * up, grow)
+            stalled = grow >= 3
+            if stalled.any():
                 raise ResolventError(
                     f"fixed point is not contracting at lam = {lam} "
-                    f"(residual grew over 3 iterations, last = {res:.3e})"
+                    f"(residual grew over 3 iterations, last = {res[np.argmax(stalled)]:.3e})"
                 )
+            growing = grow.any()
         u = u_next
-        if converged:
-            break
-        if res <= TOL:
-            converged = True  # one polishing sweep, then exit
-        prev = res
-    else:
-        raise ResolventError(
-            f"resolvent fixed point did not converge at lam = {lam} "
-            f"within {MAX_ITER} iterations (residual {res:.3e})"
-        )
-    u_nodal = b.synthesize(u)
-    eta = h2 + (lam / mu) * (b.laplacian(u) + b.analyze(m.reaction.f(u_nodal)))
-    return u, eta, SolveInfo(iterations=it, residual=res, contraction_ratios=np.array(ratios))
+        done, polish, prev = polish, res <= TOL, res
+        if done.any():
+            hist = np.array(history)
+            u_out[live[done]] = u[done]
+            prevs, last = hist[:-1, done].T, hist[1:, done].T
+            counted = _counted(prevs)
+            ratios = last / np.where(counted, prevs, 1.0)
+            for row, r, c, q in zip(live[done].tolist(), res[done].tolist(), counted, ratios):
+                infos[row] = SolveInfo(iterations=it, residual=r, contraction_ratios=q[c])
+            keep = ~done
+            live, u, const, prev, grow, polish = (
+                a[keep] for a in (live, u, const, prev, grow, polish)
+            )
+            history = list(hist[:, keep])
+    u_nodal = b.synthesize(u_out)
+    eta = h2 + (lam / mu) * (b.laplacian(u_out) + b.analyze(m.reaction.f(u_nodal)))
+    return u_out, eta, infos
+
+
+def _counted(prev: np.ndarray) -> np.ndarray:
+    """Sweeps after a finite positive residual prev add a ratio res / prev and count increases."""
+    return (prev > 0) & (prev < np.inf)
 
 
 def yosida_apply(op: OperatorA, z: tuple[np.ndarray, np.ndarray], lam: float):
@@ -200,14 +235,15 @@ def measure_contraction(op: OperatorA, lam: float, seed: int = 0, n_probe: int =
 
 def sample_states(
     basis: SpectralBasis, n: int, seed: int = 0, decay: float = 1.5
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Random states with power-law spectra; decay >= 3 gives smooth samples."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """n random states (u, eta), each (n, N), with power-law spectra; decay >= 3 gives smooth samples.
+
+    Row k draws u then eta, so it is the k-th of n states drawn one at a time.
+    """
     rng = np.random.default_rng(seed)
     i = np.arange(1, basis.n_modes + 1, dtype=float)
-    return [
-        (rng.normal(size=basis.n_modes) * i**-decay, rng.normal(size=basis.n_modes) * i**-decay)
-        for _ in range(n)
-    ]
+    z = rng.normal(size=(n, 2, basis.n_modes)) * i**-decay
+    return z[:, 0], z[:, 1]
 
 
 def audit_operator(
@@ -227,61 +263,50 @@ def audit_operator(
       * the Yosida norm bound ||A^lam(z)|| <= (1 - lam kappa_d)^-1 ||A(z)||,
     plus the exact identity ||J_lam(z) - z|| = lam ||A^lam(z)|| and the
     monotone decrease of ||A^lam(z) - A(z)|| along the lam ladder for smooth
-    samples.  n_pairs and n_smooth must be at least 1: an audit of no samples
+    samples.  The 2 n_pairs states (pair j is states 2j and 2j + 1) go
+    through A and J_lam as one stack, and the smooth samples through one
+    stacked J_lv per ladder entry; every margin is the max over the per-pair
+    rows.  n_pairs and n_smooth must be at least 1: an audit of no samples
     would pass with every margin at -inf.
     """
     for name, count in (("n_pairs", n_pairs), ("n_smooth", n_smooth)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")
-    states = sample_states(op.basis, 2 * n_pairs, seed=seed, decay=1.5)
+    z = sample_states(op.basis, 2 * n_pairs, seed=seed, decay=1.5)
     tol_pad = 100.0 * TOL
     kd = op.kappa_d
     lip_bound = 1.0 / (1.0 - lam * kd)
     yosida_kd = kd / (1.0 - lam * kd)
 
-    worst = {"diss_A": -np.inf, "diss_yosida": -np.inf, "lipschitz": -np.inf, "yosida_norm": -np.inf}
-    max_identity_err = 0.0
-    for j in range(n_pairs):
-        z1, z2 = states[2 * j], states[2 * j + 1]
-        dz = (z1[0] - z2[0], z1[1] - z2[1])
-        nd2 = float(op.h_inner(dz, dz))
-        a1, a2 = op.apply(z1), op.apply(z2)
-        da = (a1[0] - a2[0], a1[1] - a2[1])
-        worst["diss_A"] = max(worst["diss_A"], float(op.h_inner(da, dz)) - kd * nd2)
+    def pair_diff(w):  # w1 - w2 for every pair
+        return (w[0][0::2] - w[0][1::2], w[1][0::2] - w[1][1::2])
 
-        j1 = resolvent_apply(op, z1, lam)
-        j2 = resolvent_apply(op, z2, lam)
-        djn = float(op.h_norm((j1[0] - j2[0], j1[1] - j2[1])))
-        worst["lipschitz"] = max(worst["lipschitz"], djn - lip_bound * np.sqrt(nd2) - tol_pad)
+    def first(w):  # the first state's row of every pair
+        return (w[0][0::2], w[1][0::2])
 
-        y1 = ((j1[0] - z1[0]) / lam, (j1[1] - z1[1]) / lam)
-        y2 = ((j2[0] - z2[0]) / lam, (j2[1] - z2[1]) / lam)
-        dy = (y1[0] - y2[0], y1[1] - y2[1])
-        worst["diss_yosida"] = max(
-            worst["diss_yosida"], float(op.h_inner(dy, dz)) - yosida_kd * nd2 - tol_pad
-        )
-
-        worst["yosida_norm"] = max(
-            worst["yosida_norm"],
-            float(op.h_norm(y1)) - lip_bound * float(op.h_norm(op.apply(z1))) - tol_pad,
-        )
-        err = abs(
-            float(op.h_norm((j1[0] - z1[0], j1[1] - z1[1]))) - lam * float(op.h_norm(y1))
-        )
-        max_identity_err = max(max_identity_err, err)
+    jz = resolvent_apply(op, z, lam)
+    dz = pair_diff(z)
+    nd2 = op.h_inner(dz, dz)
+    az = op.apply(z)
+    step = (jz[0] - z[0], jz[1] - z[1])
+    y = (step[0] / lam, step[1] / lam)
+    margins = {
+        "diss_A": op.h_inner(pair_diff(az), dz) - kd * nd2,
+        "diss_yosida": op.h_inner(pair_diff(y), dz) - yosida_kd * nd2 - tol_pad,
+        "lipschitz": op.h_norm(pair_diff(jz)) - lip_bound * np.sqrt(nd2) - tol_pad,
+        "yosida_norm": op.h_norm(first(y)) - lip_bound * op.h_norm(first(az)) - tol_pad,
+    }
+    worst = {name: float(np.max(m)) for name, m in margins.items()}
+    identity = np.abs(op.h_norm(first(step)) - lam * op.h_norm(first(y)))
 
     smooth = sample_states(op.basis, n_smooth, seed=seed + 1, decay=3.0)
+    a_smooth = op.apply(smooth)
     ladder = sorted(lam_ladder, reverse=True)
-    monotone = True
-    ladder_errors = []
-    for z in smooth:
-        az = op.apply(z)
-        errs = []
-        for lv in ladder:
-            y = yosida_apply(op, z, lv)
-            errs.append(float(op.h_norm((y[0] - az[0], y[1] - az[1]))))
-        ladder_errors.append(errs)
-        monotone = monotone and all(e2 < e1 + tol_pad for e1, e2 in zip(errs, errs[1:]))
+    errors = np.empty((n_smooth, len(ladder)))
+    for k, lv in enumerate(ladder):
+        ys = yosida_apply(op, smooth, lv)
+        errors[:, k] = op.h_norm((ys[0] - a_smooth[0], ys[1] - a_smooth[1]))
+    monotone = bool(np.all(errors[:, 1:] < errors[:, :-1] + tol_pad))
 
     flags = {
         "diss_A": worst["diss_A"] <= 0.0,
@@ -297,8 +322,8 @@ def audit_operator(
         "lam": lam,
         "lam_ladder": list(ladder),
         "worst_margins": worst,
-        "identity_error": max_identity_err,
-        "ladder_errors": ladder_errors,
+        "identity_error": float(np.max(identity)),
+        "ladder_errors": errors.tolist(),
         "flags": flags,
         "note": "kappa_d and lambda0 are calibrated implementation constants, not asserted sharp",
     }

@@ -510,6 +510,31 @@ def test_ladder_study_uses_the_u_form_limit_whatever_limit_form():
     assert np.array_equal(studies[0].per_path_distance, studies[1].per_path_distance)
 
 
+def test_drift_necessity_rejects_constant_friction():
+    # Negative control: constant friction has gamma' = 0, so H = 0 and the
+    # limits with and without H take the same steps.  The judge must say no:
+    # the paired excess has a zero standard error and the intervals coincide.
+    from smallmass.runner import drift_necessity, run_ladder_study
+
+    raw = {
+        "domain": {"n_modes": 8, "n_nodes": 16},
+        "model": {"friction": "constant"},
+        "time": {"t_final": 0.02, "dt": 5e-4, "dt_limit": 5e-4, "n_output": 10},
+        "mu_ladder": [0.2, 0.1, 0.05, 0.02],
+        "ablation": {"mu": 0.02},
+        "paths": 8,
+        "seed": 3,
+    }
+    cfg = validate_config(raw)
+    study = run_ladder_study(cfg, ablate_drift=True)
+    assert np.array_equal(study.d_no, study.per_path_distance)
+    assert np.all(study.d_h == 0.0)
+    rep = drift_necessity(cfg, study)
+    assert rep.flags["paired"] is False
+    assert rep.flags["separated"] is False
+    assert not rep.ok
+
+
 @pytest.mark.parametrize(
     "model, key",
     [

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from smallmass.basis import DomainSpec, build_basis
-from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
+from smallmass.models import (
+    FrictionModel,
+    build_diffusion,
+    build_model_set,
+    friction_preset,
+    reaction_preset,
+)
 from smallmass.noise import zero_path
 from smallmass.resolvent import (
     TOL,
@@ -51,19 +57,58 @@ def test_linear_resolvent_closed_form(basis):
 
 
 def test_stacked_resolvent_solves_rows_alone(op, basis):
-    # Every row stops on its own residual, so a stacked solve equals the rows
-    # solved one at a time, bit for bit.
+    # The rows iterate in lock step, but every row stops on its own residual,
+    # so a stacked solve equals the rows solved one at a time, bit for bit,
+    # info included, whatever the leading axes.
     rng = np.random.default_rng(4)
-    h1 = rng.normal(size=(3, 16)) / np.arange(1, 17) ** 2
-    h2 = rng.normal(size=(3, 16)) / np.arange(1, 17)
-    h1[1] *= 1e-3  # converges in fewer iterations than its neighbours
+    h1 = rng.normal(size=(2, 3, 16)) / np.arange(1, 17) ** 2
+    h2 = rng.normal(size=(2, 3, 16)) / np.arange(1, 17)
+    h1[0, 1] *= 1e-3  # converges in fewer iterations than its neighbours
+    h1[1, 0], h2[1, 0] = 0.0, 0.0  # zero residual from the first sweep
+    h1[1, 2] *= 40.0  # more iterations
     (u, eta), infos = resolvent_apply(op, (h1, h2), 0.05, return_info=True)
-    assert len(infos) == 3
-    for j in range(3):
-        (uj, etaj), info = resolvent_apply(op, (h1[j], h2[j]), 0.05, return_info=True)
-        assert np.array_equal(u[j], uj) and np.array_equal(eta[j], etaj)
+    assert u.shape == eta.shape == (2, 3, 16) and len(infos) == 6
+    for j, (a, b) in enumerate(zip(h1.reshape(6, 16), h2.reshape(6, 16))):
+        (uj, etaj), info = resolvent_apply(op, (a, b), 0.05, return_info=True)
+        assert np.array_equal(u.reshape(6, 16)[j], uj)
+        assert np.array_equal(eta.reshape(6, 16)[j], etaj)
         assert infos[j].iterations == info.iterations
-    assert len({i.iterations for i in infos}) > 1
+        assert infos[j].residual == info.residual
+        assert np.array_equal(infos[j].contraction_ratios, info.contraction_ratios)
+    assert len({i.iterations for i in infos}) > 2
+
+
+def _lying_friction_models(basis):
+    # Declares gamma in [0.01, 0.01] while g(u) = 50 u, so lambda_bar admits
+    # a lam at which the fixed point expands every nonzero row.
+    friction = FrictionModel(
+        gamma=lambda r: np.full_like(r, 50.0),
+        gamma_prime=lambda r: np.zeros_like(r),
+        gamma0=0.01,
+        gamma1=0.01,
+        g_closed=lambda r: 50.0 * np.asarray(r, dtype=float),
+    )
+    return build_model_set(
+        basis, friction, reaction_preset("linear_decay"), build_diffusion(basis, factor="zero")
+    )
+
+
+def test_stacked_resolvent_failure_returns_no_row(op, basis):
+    # One bad row in a stack raises ResolventError naming lam: the other rows
+    # converged, but no truncated stack is returned.
+    rng = np.random.default_rng(6)
+    h1 = rng.normal(size=(4, 16)) / np.arange(1, 17) ** 2
+    h2 = rng.normal(size=(4, 16)) / np.arange(1, 17)
+    h1[2, 5] = np.nan
+    with pytest.raises(ResolventError, match=r"did not converge at lam = 0\.05 within 200"):
+        resolvent_apply(op, (h1, h2), 0.05)
+    lying = OperatorA(basis, _lying_friction_models(basis))
+    lam = 0.9 * lying.lambda_bar
+    stack = (np.zeros((3, 16)), np.zeros((3, 16)))
+    stack[0][1, 0] = 1e-3  # the zero rows converge on the first sweeps
+    with pytest.raises(ResolventError, match=f"not contracting at lam = {lam}"):
+        resolvent_apply(lying, stack, lam)
+    assert resolvent_apply(lying, (stack[0][0], stack[1][0]), lam)[0].shape == (16,)
 
 
 def test_resolvent_round_trip(op, basis):
@@ -128,7 +173,7 @@ def test_quasi_dissipativity_sampled(op):
 
 def test_yosida_ladder_monotone(op):
     ladder = (0.1, 0.05, 0.02, 0.01)
-    for z in sample_states(op.basis, 5, seed=23, decay=3.0):
+    for z in zip(*sample_states(op.basis, 5, seed=23, decay=3.0)):
         az = op.apply(z)
         errs = []
         for lam in ladder:
@@ -142,6 +187,58 @@ def test_audit_runs_and_passes(op):
     assert all(result["flags"].values()), result
     assert result["identity_error"] < 1e-8  # ||J z - z|| = lam ||A^lam z|| definitional
     assert "calibrated" in result["note"]
+
+
+def _audit_reference(op, n_pairs, lam, ladder, n_smooth, seed):
+    # The audit pair by pair on lone resolvent_apply calls, states drawn one at a time.
+    def draw(n, seed, decay):
+        rng = np.random.default_rng(seed)
+        i = np.arange(1, 17, dtype=float)
+        return [(rng.normal(size=16) * i**-decay, rng.normal(size=16) * i**-decay) for _ in range(n)]
+
+    def diff(a, b):
+        return (a[0] - b[0], a[1] - b[1])
+
+    kd, pad = op.kappa_d, 100.0 * TOL
+    lip, ykd = 1.0 / (1.0 - lam * kd), kd / (1.0 - lam * kd)
+    states = draw(2 * n_pairs, seed, 1.5)
+    worst = dict.fromkeys(("diss_A", "diss_yosida", "lipschitz", "yosida_norm"), -np.inf)
+    ident = 0.0
+    for z1, z2 in zip(states[0::2], states[1::2]):
+        dz = diff(z1, z2)
+        nd2 = float(op.h_inner(dz, dz))
+        a1 = op.apply(z1)
+        j1, j2 = resolvent_apply(op, z1, lam), resolvent_apply(op, z2, lam)
+        y1 = ((j1[0] - z1[0]) / lam, (j1[1] - z1[1]) / lam)
+        y2 = ((j2[0] - z2[0]) / lam, (j2[1] - z2[1]) / lam)
+        margins = {
+            "diss_A": float(op.h_inner(diff(a1, op.apply(z2)), dz)) - kd * nd2,
+            "diss_yosida": float(op.h_inner(diff(y1, y2), dz)) - ykd * nd2 - pad,
+            "lipschitz": float(op.h_norm(diff(j1, j2))) - lip * np.sqrt(nd2) - pad,
+            "yosida_norm": float(op.h_norm(y1)) - lip * float(op.h_norm(a1)) - pad,
+        }
+        worst = {k: max(worst[k], margins[k]) for k in worst}
+        ident = max(ident, abs(float(op.h_norm(diff(j1, z1))) - lam * float(op.h_norm(y1))))
+    errors = []
+    for z in draw(n_smooth, seed + 1, 3.0):
+        az = op.apply(z)
+        errors.append([float(op.h_norm(diff(yosida_apply(op, z, lv), az))) for lv in ladder])
+    monotone = all(e2 < e1 + pad for errs in errors for e1, e2 in zip(errs, errs[1:]))
+    return worst, ident, errors, monotone
+
+
+@pytest.mark.parametrize("n_pairs, n_smooth, seed", [(1, 1, 0), (7, 3, 3), (25, 5, 2024)])
+def test_audit_equals_a_pair_by_pair_reference(op, n_pairs, n_smooth, seed):
+    # The stacked audit takes every margin as a max over per-pair rows; it must
+    # give the bits of the pairs audited one at a time on lone solves.
+    ladder = (0.1, 0.05, 0.02, 0.01)
+    result = audit_operator(op, n_pairs=n_pairs, lam=0.05, lam_ladder=ladder, n_smooth=n_smooth, seed=seed)
+    worst, ident, errors, monotone = _audit_reference(op, n_pairs, 0.05, ladder, n_smooth, seed)
+    assert result["worst_margins"] == worst
+    assert result["identity_error"] == ident
+    assert result["ladder_errors"] == errors
+    flags = {k: v <= 0.0 for k, v in worst.items()}
+    assert result["flags"] == {**flags, "yosida_converges_monotone": monotone}
 
 
 def test_audit_of_no_samples_is_rejected(op):

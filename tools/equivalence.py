@@ -32,7 +32,8 @@ item of every route is bitwise equal on both sides, else 1.
 Route groups: the catalogue (3 wave schemes x path/batch x noisy/noise-free,
 one and two wave steps, limit forms x drift x path/batch, single limit
 steps, refinement of a path and a batch, fd coupled and single runs (and a
-coupled run of a scalar system that gives no gamma'), every
+coupled run of a scalar system that gives no gamma'), a stacked resolvent
+solve with its per-row info and the resolvent audit at criterion 4's size, every
 `run_*` work function on small configs), the default config of every
 `run_*` work function (about a minute), and the routes of the benchmark's
 workloads (bench/workloads.py).  A step is `simulate` on a one- or two-step
@@ -227,6 +228,42 @@ def _fd_routes() -> dict:
     return routes
 
 
+def _resolvent_routes() -> dict:
+    from smallmass.config import make_basis, make_models, validate_config
+    from smallmass.resolvent import OperatorA, audit_operator, resolvent_apply
+
+    def default_op():
+        cfg = validate_config({})
+        basis = make_basis(cfg)
+        return OperatorA(basis, make_models(cfg, basis))
+
+    def stacked():
+        # rows that stop on different sweeps, one of them zero, on two leading axes
+        basis, models, _, _ = _setup()
+        op = OperatorA(basis, models)
+        rng = np.random.default_rng(5)
+        i = np.arange(1, basis.n_modes + 1)
+        h1 = rng.normal(size=(2, 4, basis.n_modes)) / i**2 * np.array([1e-6, 1e-3, 1.0, 30.0])[:, None]
+        h2 = rng.normal(size=(2, 4, basis.n_modes)) / i
+        h1[1, 1], h2[1, 1] = 0.0, 0.0
+        (u, eta), infos = resolvent_apply(op, (h1, h2), 0.05, return_info=True)
+        out = {"u": u, "eta": eta}
+        for k, info in enumerate(infos):
+            out[f"{k}.iterations"], out[f"{k}.residual"] = info.iterations, info.residual
+            out[f"{k}.contraction_ratios"] = info.contraction_ratios
+        return out
+
+    def audit():
+        # criterion 4 of the acceptance suite
+        result = audit_operator(default_op(), n_pairs=1000, lam=0.05,
+                                lam_ladder=(0.1, 0.05, 0.02, 0.01), n_smooth=20, seed=2024)
+        items = {}
+        _flatten("audit", result, items)
+        return items
+
+    return {"resolvent.stacked_info": stacked, "resolvent.audit.criterion_4": audit}
+
+
 def _flatten(prefix: str, obj, out: dict) -> None:
     if isinstance(obj, dict):
         for k, v in obj.items():
@@ -362,7 +399,7 @@ def _bench_routes() -> dict:
 
 def catalogue() -> dict:
     routes = {}
-    groups = (_wave_routes, _limit_routes, _noise_routes, _fd_routes, _run_routes)
+    groups = (_wave_routes, _limit_routes, _noise_routes, _fd_routes, _resolvent_routes, _run_routes)
     for group in groups + (_default_routes, _bench_routes):
         routes.update(group())
     return routes
