@@ -32,7 +32,7 @@ without S together and gives the same bits as three separate runs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -181,9 +181,7 @@ class FDNoise:
 
     increments(k) returns the same (n_paths, r) table for a given seed no
     matter which integrator consumes it, or in which order the steps are
-    drawn; prefixes are stable under enlarging n_paths.  One Philox generator
-    is re-keyed for every step (noise.philox_stream), which draws what a
-    freshly built one would.
+    drawn; prefixes are stable under enlarging n_paths.
     """
 
     seed: int
@@ -191,17 +189,17 @@ class FDNoise:
     n_steps: int
     n_paths: int
     r_dim: int
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_gen", np.random.Generator(np.random.Philox()))
+    def increments(self, k: int, gen: np.random.Generator | None = None) -> np.ndarray:
+        """Step k's table; given gen, a Philox generator, re-keys it instead of building one.
 
-    def increments(self, k: int) -> np.ndarray:
+        A re-keyed generator draws what a freshly built one would
+        (noise.philox_stream), so the table does not depend on gen.
+        """
         key = np.array(
             [np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF), np.uint64(k)], dtype=np.uint64
         )
-        gen = philox_stream(key, self._gen)
-        return gen.normal(0.0, np.sqrt(self.dt), (self.n_paths, self.r_dim))
+        return philox_stream(key, gen).normal(0.0, np.sqrt(self.dt), (self.n_paths, self.r_dim))
 
 
 @dataclass
@@ -281,8 +279,14 @@ class _LimitStepper(_FDStepper):
 
 
 def _drive(steppers: list, noise: FDNoise, n_output: int) -> list[FDTrajectory]:
-    """drive() the steppers on noise.increments and wrap each recorded x as an FDTrajectory."""
-    times, outs = drive(steppers, noise.n_steps, noise.dt, noise.increments, n_output)
+    """drive() the steppers on noise.increments and wrap each recorded x as an FDTrajectory.
+
+    The run owns one Philox generator, re-keyed for every step.
+    """
+    gen = np.random.Generator(np.random.Philox())
+    times, outs = drive(
+        steppers, noise.n_steps, noise.dt, lambda k: noise.increments(k, gen), n_output
+    )
     return [FDTrajectory(times=times, x=x, dt=noise.dt, mu=s.mu) for (x,), s in zip(outs, steppers)]
 
 

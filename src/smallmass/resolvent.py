@@ -26,13 +26,13 @@ eta = h2 + (lam/mu)(Lap u + f(u)).  The Yosida approximant is
 A^lam(z) = (J_lam(z) - z)/lam, which is Lipschitz, quasi-dissipative with
 constant kappa_d/(1 - lam kappa_d), and converges to A(z) as lam -> 0.
 
-The fixed point is one loop for every input shape: a stacked h (rows of a
-path batch, or every state of the sampled audit) iterates in lock step, one
-synthesis and one analysis of the stacked g(u), f(u) pair per sweep, while
-each row stops on its own residual and leaves the batch.  So every row gets
-the bits, iteration count and residuals it gets solved alone, since the
-transforms round every row as they would alone.  The audit runs its pairs
-and its smooth samples as stacks and takes every margin as a max over rows.
+The fixed point is one loop for every input shape: a stacked h (the rows
+of a path batch) iterates in lock step, one synthesis and one analysis of
+the stacked g(u), f(u) pair per sweep, while each row stops on its own
+residual and leaves the batch.  So every row gets the bits, iteration count
+and residuals it gets solved alone, since the transforms round every row as
+they would alone.  The sampled audit solves its states one at a time and
+keeps running maxima of its margins.
 
 The calibrated constants (kappa_d, lambda0) are implementation choices and
 are flagged as calibrated in audit reports.
@@ -129,8 +129,9 @@ def resolvent_apply(
         raise ResolventError(
             f"lam = {lam} outside the resolvent range (0, {op.lambda_bar:.6g})"
         )
-    h1 = np.asarray(h[0], dtype=float)
-    h2 = np.broadcast_to(np.asarray(h[1], dtype=float), h1.shape)
+    h1, h2 = np.asarray(h[0], dtype=float), np.asarray(h[1], dtype=float)
+    if h2.shape != h1.shape:
+        h2 = np.broadcast_to(h2, h1.shape)
     n = h1.shape[-1]
     u, eta, info = _fixed_point(op, h1.reshape(-1, n), h2.reshape(-1, n), lam)
     u, eta = u.reshape(h1.shape), eta.reshape(h1.shape)
@@ -143,8 +144,8 @@ def _fixed_point(op: OperatorA, h1: np.ndarray, h2: np.ndarray, lam: float):
     """resolvent_apply on rows (R, N): returns (u, eta, one SolveInfo per row).
 
     The rows still iterating are kept contiguous and compacted only on a
-    sweep where some finish.  g(u) and f(u) are analysed as one stacked
-    product, whose rows round as they would alone.
+    sweep where some finish and others go on.  g(u) and f(u) are analysed
+    as one stacked product, whose rows round as they would alone.
     """
     b, m, mu = op.basis, op.models, op.mass
     c_g, c_f = -(lam / mu), lam * lam / mu
@@ -154,19 +155,9 @@ def _fixed_point(op: OperatorA, h1: np.ndarray, h2: np.ndarray, lam: float):
     u_out = np.empty_like(u)
     infos: list = [None] * len(u)
     live = np.arange(len(u))  # input row of every row still iterating
-    prev = np.full(len(u), np.inf)  # each live row's last residual
-    grow = np.zeros(len(u), dtype=int)  # its consecutive residual increases
-    growing = False  # whether any grow is nonzero
     polish = np.zeros(len(u), dtype=bool)  # converged: the next sweep is its last
     history = []  # the live rows' residuals, one array per sweep
-    it = 0
-    while live.size:
-        if it == MAX_ITER:
-            raise ResolventError(
-                f"resolvent fixed point did not converge at lam = {lam} "
-                f"within {MAX_ITER} iterations (residual {prev[0]:.3e})"
-            )
-        it += 1
+    for it in range(1, MAX_ITER + 1):
         k = len(live)
         u_nodal = b.synthesize(u)
         gf = b.analyze(np.concatenate((m.g_map.forward(u_nodal), m.reaction.f(u_nodal))))
@@ -174,31 +165,36 @@ def _fixed_point(op: OperatorA, h1: np.ndarray, h2: np.ndarray, lam: float):
         d = u_next - u
         res = np.sqrt(np.add.reduce(d * d, axis=-1))  # sobolev_norm(d, 0.0), row by row
         history.append(res)
-        up = res > prev
-        if growing or up.any():  # else every grow stays 0
-            grow = np.where(_counted(prev), (grow + 1) * up, grow)
-            stalled = grow >= 3
-            if stalled.any():
+        if len(history) > 3 and np.count_nonzero(res > history[-2]):
+            last4 = np.array(history[-4:])
+            stalled = np.logical_and.reduce(last4[1:] > last4[:-1])  # 3 increases in a row
+            if np.count_nonzero(stalled):
                 raise ResolventError(
                     f"fixed point is not contracting at lam = {lam} "
                     f"(residual grew over 3 iterations, last = {res[np.argmax(stalled)]:.3e})"
                 )
-            growing = grow.any()
         u = u_next
-        done, polish, prev = polish, res <= TOL, res
-        if done.any():
-            hist = np.array(history)
-            u_out[live[done]] = u[done]
-            prevs, last = hist[:-1, done].T, hist[1:, done].T
-            counted = _counted(prevs)
-            ratios = last / np.where(counted, prevs, 1.0)
-            for row, r, c, q in zip(live[done].tolist(), res[done].tolist(), counted, ratios):
-                infos[row] = SolveInfo(iterations=it, residual=r, contraction_ratios=q[c])
-            keep = ~done
-            live, u, const, prev, grow, polish = (
-                a[keep] for a in (live, u, const, prev, grow, polish)
-            )
-            history = list(hist[:, keep])
+        done, polish = polish, res <= TOL
+        n_done = np.count_nonzero(done)
+        if not n_done:
+            continue
+        hist = np.array(history)
+        u_out[live[done]] = u[done]
+        prevs, last = hist[:-1, done].T, hist[1:, done].T
+        counted = _counted(prevs)
+        ratios = last / np.where(counted, prevs, 1.0)
+        for row, r, c, q in zip(live[done].tolist(), res[done].tolist(), counted, ratios):
+            infos[row] = SolveInfo(iterations=it, residual=r, contraction_ratios=q[c])
+        if n_done == k:
+            break
+        keep = ~done
+        live, u, const, polish = live[keep], u[keep], const[keep], polish[keep]
+        history = list(hist[:, keep])
+    else:
+        raise ResolventError(
+            f"resolvent fixed point did not converge at lam = {lam} "
+            f"within {MAX_ITER} iterations (residual {res[0]:.3e})"
+        )
     u_nodal = b.synthesize(u_out)
     eta = h2 + (lam / mu) * (b.laplacian(u_out) + b.analyze(m.reaction.f(u_nodal)))
     return u_out, eta, infos
@@ -242,7 +238,8 @@ def sample_states(
     """
     rng = np.random.default_rng(seed)
     i = np.arange(1, basis.n_modes + 1, dtype=float)
-    z = rng.normal(size=(n, 2, basis.n_modes)) * i**-decay
+    z = rng.normal(size=(n, 2, basis.n_modes))
+    z *= i**-decay
     return z[:, 0], z[:, 1]
 
 
@@ -263,49 +260,53 @@ def audit_operator(
       * the Yosida norm bound ||A^lam(z)|| <= (1 - lam kappa_d)^-1 ||A(z)||,
     plus the exact identity ||J_lam(z) - z|| = lam ||A^lam(z)|| and the
     monotone decrease of ||A^lam(z) - A(z)|| along the lam ladder for smooth
-    samples.  The 2 n_pairs states (pair j is states 2j and 2j + 1) go
-    through A and J_lam as one stack, and the smooth samples through one
-    stacked J_lv per ladder entry; every margin is the max over the per-pair
-    rows.  n_pairs and n_smooth must be at least 1: an audit of no samples
-    would pass with every margin at -inf.
+    samples.  Pair j is states 2j and 2j + 1; every state is solved alone,
+    and the margins are running maxima over the pairs.  n_pairs and n_smooth
+    must be at least 1: an audit of no samples would pass with every margin
+    at -inf.
     """
     for name, count in (("n_pairs", n_pairs), ("n_smooth", n_smooth)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")
-    z = sample_states(op.basis, 2 * n_pairs, seed=seed, decay=1.5)
+    u, eta = sample_states(op.basis, 2 * n_pairs, seed=seed, decay=1.5)
     tol_pad = 100.0 * TOL
     kd = op.kappa_d
     lip_bound = 1.0 / (1.0 - lam * kd)
     yosida_kd = kd / (1.0 - lam * kd)
 
-    def pair_diff(w):  # w1 - w2 for every pair
-        return (w[0][0::2] - w[0][1::2], w[1][0::2] - w[1][1::2])
+    def diff(w1, w2):
+        return (w1[0] - w2[0], w1[1] - w2[1])
 
-    def first(w):  # the first state's row of every pair
-        return (w[0][0::2], w[1][0::2])
+    def yosida(jz, z):  # A^lam(z) from J_lam(z)
+        return ((jz[0] - z[0]) / lam, (jz[1] - z[1]) / lam)
 
-    jz = resolvent_apply(op, z, lam)
-    dz = pair_diff(z)
-    nd2 = op.h_inner(dz, dz)
-    az = op.apply(z)
-    step = (jz[0] - z[0], jz[1] - z[1])
-    y = (step[0] / lam, step[1] / lam)
-    margins = {
-        "diss_A": op.h_inner(pair_diff(az), dz) - kd * nd2,
-        "diss_yosida": op.h_inner(pair_diff(y), dz) - yosida_kd * nd2 - tol_pad,
-        "lipschitz": op.h_norm(pair_diff(jz)) - lip_bound * np.sqrt(nd2) - tol_pad,
-        "yosida_norm": op.h_norm(first(y)) - lip_bound * op.h_norm(first(az)) - tol_pad,
-    }
-    worst = {name: float(np.max(m)) for name, m in margins.items()}
-    identity = np.abs(op.h_norm(first(step)) - lam * op.h_norm(first(y)))
+    worst = dict.fromkeys(("diss_A", "diss_yosida", "lipschitz", "yosida_norm"), -np.inf)
+    identity_error = 0.0
+    for j in range(n_pairs):
+        z1, z2 = (u[2 * j], eta[2 * j]), (u[2 * j + 1], eta[2 * j + 1])
+        dz = diff(z1, z2)
+        nd2 = float(op.h_inner(dz, dz))
+        a1 = op.apply(z1)
+        j1, j2 = resolvent_apply(op, z1, lam), resolvent_apply(op, z2, lam)
+        y1 = yosida(j1, z1)
+        y1_norm = float(op.h_norm(y1))
+        margins = {
+            "diss_A": float(op.h_inner(diff(a1, op.apply(z2)), dz)) - kd * nd2,
+            "diss_yosida": (
+                float(op.h_inner(diff(y1, yosida(j2, z2)), dz)) - yosida_kd * nd2 - tol_pad
+            ),
+            "lipschitz": float(op.h_norm(diff(j1, j2))) - lip_bound * np.sqrt(nd2) - tol_pad,
+            "yosida_norm": y1_norm - lip_bound * float(op.h_norm(a1)) - tol_pad,
+        }
+        worst = {name: max(worst[name], m) for name, m in margins.items()}
+        identity_error = max(identity_error, abs(float(op.h_norm(diff(j1, z1))) - lam * y1_norm))
 
-    smooth = sample_states(op.basis, n_smooth, seed=seed + 1, decay=3.0)
-    a_smooth = op.apply(smooth)
     ladder = sorted(lam_ladder, reverse=True)
     errors = np.empty((n_smooth, len(ladder)))
-    for k, lv in enumerate(ladder):
-        ys = yosida_apply(op, smooth, lv)
-        errors[:, k] = op.h_norm((ys[0] - a_smooth[0], ys[1] - a_smooth[1]))
+    for i, z in enumerate(zip(*sample_states(op.basis, n_smooth, seed=seed + 1, decay=3.0))):
+        az = op.apply(z)
+        for k, lv in enumerate(ladder):
+            errors[i, k] = op.h_norm(diff(yosida_apply(op, z, lv), az))
     monotone = bool(np.all(errors[:, 1:] < errors[:, :-1] + tol_pad))
 
     flags = {
@@ -322,7 +323,7 @@ def audit_operator(
         "lam": lam,
         "lam_ladder": list(ladder),
         "worst_margins": worst,
-        "identity_error": float(np.max(identity)),
+        "identity_error": identity_error,
         "ladder_errors": errors.tolist(),
         "flags": flags,
         "note": "kappa_d and lambda0 are calibrated implementation constants, not asserted sharp",

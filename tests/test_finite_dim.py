@@ -170,12 +170,14 @@ def test_noise_determinism_and_prefix_stability():
 
 
 def test_noise_increments_equal_a_fresh_generator_per_step():
-    # One generator is re-keyed per step; every step must still draw what a
+    # A run re-keys one generator per step; every step must still draw what a
     # Philox built on key (seed, k) draws, whatever steps were drawn before.
     noise = FDNoise(seed=2**64 + 7, dt=0.04, n_steps=50, n_paths=5, r_dim=2)
+    gen = np.random.Generator(np.random.Philox())
     for k in (3, 0, 41, 3, 17, 1, 0):
         key = np.array([7, k], dtype=np.uint64)
         fresh = np.random.Generator(np.random.Philox(key=key)).normal(0.0, np.sqrt(0.04), (5, 2))
+        assert np.array_equal(noise.increments(k, gen), fresh)
         assert np.array_equal(noise.increments(k), fresh)
 
 

@@ -111,6 +111,25 @@ def test_stacked_resolvent_failure_returns_no_row(op, basis):
     assert resolvent_apply(lying, (stack[0][0], stack[1][0]), lam)[0].shape == (16,)
 
 
+@pytest.mark.parametrize("contracting, sweeps_to_raise", [(0.0, 4), (0.1, 6)])
+def test_non_contraction_raises_on_the_third_increase(
+    basis, monkeypatch, contracting, sweeps_to_raise
+):
+    # Mode 1 expands, mode 16 contracts: with mode 16 at 0 the residual rises
+    # on sweeps 2, 3 and 4; at 0.1 it falls until sweep 3 and rises on
+    # sweeps 4, 5 and 6.  The loop synthesizes once per sweep.
+    lying = OperatorA(basis, _lying_friction_models(basis))
+    lam = 0.9 * lying.lambda_bar
+    sweeps = []
+    synthesize = basis.synthesize
+    monkeypatch.setattr(basis, "synthesize", lambda x: sweeps.append(x) or synthesize(x))
+    h = (np.zeros(16), np.zeros(16))
+    h[0][0], h[0][15] = 1e-6, contracting
+    with pytest.raises(ResolventError, match=f"not contracting at lam = {lam}"):
+        resolvent_apply(lying, h, lam)
+    assert len(sweeps) == sweeps_to_raise
+
+
 def test_resolvent_round_trip(op, basis):
     rng = np.random.default_rng(8)
     lam = 0.05
@@ -229,8 +248,8 @@ def _audit_reference(op, n_pairs, lam, ladder, n_smooth, seed):
 
 @pytest.mark.parametrize("n_pairs, n_smooth, seed", [(1, 1, 0), (7, 3, 3), (25, 5, 2024)])
 def test_audit_equals_a_pair_by_pair_reference(op, n_pairs, n_smooth, seed):
-    # The stacked audit takes every margin as a max over per-pair rows; it must
-    # give the bits of the pairs audited one at a time on lone solves.
+    # The audit draws its states as one block; it must give the bits of the
+    # states drawn one at a time and audited pair by pair on lone solves.
     ladder = (0.1, 0.05, 0.02, 0.01)
     result = audit_operator(op, n_pairs=n_pairs, lam=0.05, lam_ladder=ladder, n_smooth=n_smooth, seed=seed)
     worst, ident, errors, monotone = _audit_reference(op, n_pairs, 0.05, ladder, n_smooth, seed)
