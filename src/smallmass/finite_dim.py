@@ -26,7 +26,10 @@ limit integrators consume identical noise when run at the same step size
 The runs use the package's one time loop, `wave.drive`, which advances any
 set of integrators in lock step on a single draw per step;
 `simulate_fd_coupled` runs the inertial system and the limit with and
-without S together and gives the same bits as three separate runs.
+without S together and gives the same bits as three separate runs.  Its
+parts, `coupled_steppers` and `drive_fd`, serve a caller that records
+something else than (n_out, P, d) trajectories: wrapped in a stepper whose
+record() reduces over paths, the same run keeps only what it reports.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .wave import C_STAB, _initial_state, drive
 
 MAX_DIM = 8
 FD_STEP_REL = 1e-5
+FD_N_OUTPUT = 200  # output intervals of an fd run unless the caller names another count
 
 
 class LyapunovError(RuntimeError):
@@ -278,15 +282,31 @@ class _LimitStepper(_FDStepper):
         return (self.x,)
 
 
-def _drive(steppers: list, noise: FDNoise, n_output: int) -> list[FDTrajectory]:
-    """drive() the steppers on noise.increments and wrap each recorded x as an FDTrajectory.
+def coupled_steppers(system: FDSystem, mu: float, noise: FDNoise, x0, v0, eta_transform=False):
+    """The inertial stepper, the limit with S and the limit without S, on one noise.
+
+    drive_fd advances them in lock step; each holds its current (P, d)
+    state as x.
+    """
+    return [
+        _InertialStepper(system, mu, noise, x0, v0, eta_transform),
+        _LimitStepper(system, noise, x0, with_S=True),
+        _LimitStepper(system, noise, x0, with_S=False),
+    ]
+
+
+def drive_fd(steppers: list, noise: FDNoise, n_output: int) -> tuple[np.ndarray, list]:
+    """drive() the steppers on noise.increments: the output times and each stepper's records.
 
     The run owns one Philox generator, re-keyed for every step.
     """
     gen = np.random.Generator(np.random.Philox())
-    times, outs = drive(
-        steppers, noise.n_steps, noise.dt, lambda k: noise.increments(k, gen), n_output
-    )
+    return drive(steppers, noise.n_steps, noise.dt, lambda k: noise.increments(k, gen), n_output)
+
+
+def _trajectories(steppers: list, noise: FDNoise, n_output: int) -> list[FDTrajectory]:
+    """drive_fd the steppers and wrap each recorded x as an FDTrajectory."""
+    times, outs = drive_fd(steppers, noise, n_output)
     return [FDTrajectory(times=times, x=x, dt=noise.dt, mu=s.mu) for (x,), s in zip(outs, steppers)]
 
 
@@ -296,7 +316,7 @@ def simulate_fd(
     noise: FDNoise,
     x0,
     v0,
-    n_output: int = 200,
+    n_output: int = FD_N_OUTPUT,
     eta_transform: bool = False,
 ) -> FDTrajectory:
     """Euler-Maruyama for the inertial system, vectorized over paths.
@@ -306,7 +326,7 @@ def simulate_fd(
     through one Newton step in the x-update.
     """
     stepper = _InertialStepper(system, mu, noise, x0, v0, eta_transform)
-    return _drive([stepper], noise, n_output)[0]
+    return _trajectories([stepper], noise, n_output)[0]
 
 
 def simulate_fd_limit(
@@ -314,10 +334,10 @@ def simulate_fd_limit(
     noise: FDNoise,
     x0,
     with_S: bool = True,
-    n_output: int = 200,
+    n_output: int = FD_N_OUTPUT,
 ) -> FDTrajectory:
     """Euler-Maruyama for the limit SDE; with_S=False ablates the extra drift."""
-    return _drive([_LimitStepper(system, noise, x0, with_S)], noise, n_output)[0]
+    return _trajectories([_LimitStepper(system, noise, x0, with_S)], noise, n_output)[0]
 
 
 def simulate_fd_coupled(
@@ -326,7 +346,7 @@ def simulate_fd_coupled(
     noise: FDNoise,
     x0,
     v0,
-    n_output: int = 200,
+    n_output: int = FD_N_OUTPUT,
     eta_transform: bool = False,
 ) -> tuple[FDTrajectory, FDTrajectory, FDTrajectory]:
     """The inertial run, the limit with S and the limit without S, in lock step.
@@ -334,12 +354,8 @@ def simulate_fd_coupled(
     Each step's increments are drawn once and shared; the three trajectories
     equal those of separate simulate_fd and simulate_fd_limit runs bit for bit.
     """
-    steppers = [
-        _InertialStepper(system, mu, noise, x0, v0, eta_transform),
-        _LimitStepper(system, noise, x0, with_S=True),
-        _LimitStepper(system, noise, x0, with_S=False),
-    ]
-    return tuple(_drive(steppers, noise, n_output))
+    steppers = coupled_steppers(system, mu, noise, x0, v0, eta_transform)
+    return tuple(_trajectories(steppers, noise, n_output))
 
 
 @dataclass
@@ -355,8 +371,8 @@ class FDCompareReport:
     z_score: float  # |diff_mean| / diff_se, worst component
 
 
-def compare_endpoints(a: FDTrajectory, b: FDTrajectory, mu: float) -> FDCompareReport:
-    xa, xb = a.x[-1], b.x[-1]
+def compare_endpoints(xa: np.ndarray, xb: np.ndarray, mu: float) -> FDCompareReport:
+    """Statistics of two coupled runs' (P, d) final states, path by path."""
     diff = xa - xb
     n = diff.shape[0]
     diff_mean = diff.mean(axis=0)

@@ -21,16 +21,16 @@ def _write_table(path, columns: dict, cfg_hash: str, seed: int, sep: str, head: 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     names = list(columns)
-    arrays = [np.atleast_1d(np.asarray(columns[n])) for n in names]
-    n = len(arrays[0])
-    if any(len(a) != n for a in arrays):
+    # Each column as Python floats in one conversion; repr(float) prints them.
+    cols = [np.atleast_1d(np.asarray(columns[n], dtype=float)).tolist() for n in names]
+    if any(len(c) != len(cols[0]) for c in cols):
         raise ValueError("table columns must have equal length")
     with open(path, "w") as fh:
         for line in _provenance_lines(cfg_hash, seed):
             fh.write(f"# {line}\n")
         fh.write(head + sep.join(names) + "\n")
-        for k in range(n):
-            fh.write(sep.join(repr(float(a[k])) for a in arrays) + "\n")
+        for row in zip(*cols):
+            fh.write(sep.join(map(repr, row)) + "\n")
     return path
 
 

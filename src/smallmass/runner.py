@@ -10,6 +10,11 @@ Every per-path result of the study (distances and running norms) is an
 array with one row per mass and the path on the last axis, so a study split
 over jobs > 1 processes in path blocks is joined along that axis in one
 place, in block order.
+
+The finite-dimensional study of `fd-converge` likewise reduces as it runs:
+its three coupled integrators record only the path mean and standard
+deviation at each output time, and the endpoint statistics read their final
+states, so its memory does not grow with outputs x paths.
 """
 
 from __future__ import annotations
@@ -25,11 +30,13 @@ from .config import ConfigError, config_hash, make_basis, make_initial, make_mod
 from .diagnostics import DriftNecessityReport
 # simulate_fd and simulate_fd_limit are not called here; bench/spans.py wraps them at this name.
 from .finite_dim import (
+    FD_N_OUTPUT,
     FDNoise,
     compare_endpoints,
+    coupled_steppers,
+    drive_fd,
     fd_scalar_system,
     simulate_fd,
-    simulate_fd_coupled,
     simulate_fd_limit,
 )
 from .limit import LimitSolver
@@ -383,16 +390,36 @@ def run_lyapunov(cfg: dict, out_dir) -> dict:
     return {"ok": worst <= 1e-10, "report": {"max_residual": worst}}
 
 
+class _PathMoments:
+    """An fd stepper for drive() whose records are its path mean and spread.
+
+    At each output index record() returns the mean and the ddof-1 standard
+    deviation over paths of the stepper's (P, d) state x, (d,) each; no
+    trajectory is kept.
+    """
+
+    def __init__(self, run):
+        self.run = run
+        self.step, self.observe = run.step, run.observe
+
+    def record(self) -> tuple:
+        x = self.run.x
+        return x.mean(axis=0), x.std(axis=0, ddof=1)
+
+
 def run_fd_converge(cfg: dict, out_dir) -> dict:
+    """Criterion 3's coupled fd study, kept as per-output path moments and final states."""
     fd = cfg["fd"]
     system = fd_scalar_system(friction=fd["friction"], sigma_value=fd["sigma"])
     n_steps = noise._n_steps(fd["t_final"], fd["dt"])
     fdnoise = FDNoise(
         seed=cfg["seed"], dt=fd["dt"], n_steps=n_steps, n_paths=fd["paths"], r_dim=system.r_dim
     )
-    inertial, limit_s, limit_no = simulate_fd_coupled(
+    steppers = coupled_steppers(
         system, fd["mu"], fdnoise, fd["x0"], fd["v0"], eta_transform=fd["eta_transform"]
     )
+    times, moments = drive_fd([_PathMoments(s) for s in steppers], fdnoise, FD_N_OUTPUT)
+    inertial, limit_s, limit_no = (s.x for s in steppers)
     rep_s = compare_endpoints(inertial, limit_s, fd["mu"])
     rep_no = compare_endpoints(inertial, limit_no, fd["mu"])
     stats = {
@@ -412,19 +439,9 @@ def run_fd_converge(cfg: dict, out_dir) -> dict:
     h = config_hash(cfg)
     output.write_json(os.path.join(out_dir, "fd_converge.json"), {"fd": stats}, cfg, h)
     root_n = np.sqrt(fd["paths"])
-    output.write_csv(
-        os.path.join(out_dir, "fd_means.csv"),
-        {
-            "t": inertial.times,
-            "mean_inertial": inertial.x.mean(axis=1)[:, 0],
-            "se_inertial": inertial.x.std(axis=1, ddof=1)[:, 0] / root_n,
-            "mean_limit": limit_s.x.mean(axis=1)[:, 0],
-            "se_limit": limit_s.x.std(axis=1, ddof=1)[:, 0] / root_n,
-            "mean_limit_noS": limit_no.x.mean(axis=1)[:, 0],
-            "se_limit_noS": limit_no.x.std(axis=1, ddof=1)[:, 0] / root_n,
-        },
-        h,
-        cfg["seed"],
-    )
+    cols = {"t": times}
+    for name, (mean, std) in zip(("inertial", "limit", "limit_noS"), moments):
+        cols[f"mean_{name}"], cols[f"se_{name}"] = mean[:, 0], std[:, 0] / root_n
+    output.write_csv(os.path.join(out_dir, "fd_means.csv"), cols, h, cfg["seed"])
     ok = rep_s.z_score <= 3.0 and rep_no.z_score > 3.0
     return {"ok": bool(ok), "report": stats}

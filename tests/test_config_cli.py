@@ -258,6 +258,22 @@ def test_table_writers_bytes_and_column_check(tmp_path):
             writer(tmp_path / "bad", {"a": np.ones(2), "b": np.ones(3)}, "h", 3)
 
 
+def test_table_writers_print_each_cell_as_the_repr_of_its_float(tmp_path):
+    from smallmass.output import write_csv, write_gnuplot
+
+    cols = {
+        "int": np.array([3, -2, 0, 7]),
+        "bool": np.array([True, False, True, False]),
+        "special": np.array([-0.0, np.nan, np.inf, -np.inf]),
+        "extreme": np.array([5e-324, 1e16, 0.1, -1e-20]),
+    }
+    for writer, sep, head in ((write_csv, ",", ""), (write_gnuplot, " ", "# ")):
+        text = writer(tmp_path / "t", cols, "h", 3).read_text()
+        rows = [sep.join(repr(float(cols[n][k])) for n in cols) + "\n" for k in range(4)]
+        assert text == "# config_sha256=h\n# seed=3\n" + head + sep.join(cols) + "\n" + "".join(rows)
+        assert text.splitlines()[3] == sep.join(["3.0", "1.0", "-0.0", "5e-324"])
+
+
 def test_trajectory_binary_round_trip(tmp_path):
     from smallmass.output import load_trajectory_bin, save_trajectory_bin
 
@@ -910,6 +926,28 @@ def test_study_block_keeps_no_wave_trajectories():
     tracemalloc.start()
     try:
         runner._study_block(cfg, cfg["seed"], cfg["paths"], ablate_drift=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < trajectory_bytes, (peak, trajectory_bytes)
+
+
+def test_fd_converge_keeps_no_trajectories(tmp_path):
+    # The run records each integrator's path moments at every output time, so
+    # its traced peak stays below one (n_out, P, 1) trajectory; the three
+    # trajectories it kept before peaked at about four times that.
+    import tracemalloc
+
+    from smallmass import runner
+    from smallmass.finite_dim import FD_N_OUTPUT
+
+    cfg = validate_config({"fd": {"t_final": 0.03}})
+    trajectory_bytes = 8 * (FD_N_OUTPUT + 1) * cfg["fd"]["paths"]
+    warm = validate_config({"fd": {"t_final": 0.002, "paths": 200}})
+    runner.run_fd_converge(warm, tmp_path)  # the first call's lazy imports
+    tracemalloc.start()
+    try:
+        runner.run_fd_converge(cfg, tmp_path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -5,13 +5,16 @@ import pytest
 from scipy.linalg import solve_lyapunov as scipy_lyapunov
 
 from smallmass.finite_dim import (
+    FD_N_OUTPUT,
     FD_STEP_REL,
     FDNoise,
     FDSystem,
     LyapunovError,
     _drift_S_batch,
     compare_endpoints,
+    coupled_steppers,
     drift_S,
+    drive_fd,
     ellipticity_audit,
     fd_isotropic_2d,
     fd_scalar_system,
@@ -227,11 +230,55 @@ def test_coupled_comparison_statistics():
     noise = FDNoise(seed=21, dt=dt, n_steps=5000, n_paths=P, r_dim=1)
     inert = simulate_fd(system, mu, noise, 0.0, 0.0, n_output=4, eta_transform=True)
     lim = simulate_fd_limit(system, noise, 0.0, with_S=True, n_output=4)
-    rep = compare_endpoints(inert, lim, mu)
+    rep = compare_endpoints(inert.x[-1], lim.x[-1], mu)
     assert rep.n_paths == P
     # coupling keeps the per-path endpoint gap far below the path spread
     assert np.abs(rep.diff_mean[0]) < 0.1 * np.abs(inert.x[-1]).std()
     assert rep.diff_se[0] < 0.05
+
+
+def _read_table(path) -> dict:
+    """A CSV artifact's columns by name, each cell read back with float()."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    names, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    return {n: np.array([float(r[k]) for r in rows]) for k, n in enumerate(names)}
+
+
+@pytest.mark.parametrize("eta_transform", [False, True])
+def test_fd_converge_streams_the_moments_of_the_trajectories(tmp_path, eta_transform):
+    # 1001 paths: numpy's pairwise sums run whole 128-blocks and a remainder.
+    from smallmass import runner
+    from smallmass.config import validate_config
+    from smallmass.noise import _n_steps
+
+    raw = {"seed": 2007, "fd": {"paths": 1001, "t_final": 0.01, "eta_transform": eta_transform}}
+    cfg = validate_config(raw)
+    fd = cfg["fd"]
+    result = runner.run_fd_converge(cfg, tmp_path)
+
+    system = fd_scalar_system(friction=fd["friction"], sigma_value=fd["sigma"])
+    n_steps = _n_steps(fd["t_final"], fd["dt"])
+    fdnoise = FDNoise(seed=cfg["seed"], dt=fd["dt"], n_steps=n_steps, n_paths=1001, r_dim=1)
+    args = (system, fd["mu"], fdnoise, fd["x0"], fd["v0"])
+    trajs = simulate_fd_coupled(*args, eta_transform=eta_transform)
+    steppers = coupled_steppers(*args, eta_transform)
+    times, moments = drive_fd([runner._PathMoments(s) for s in steppers], fdnoise, FD_N_OUTPUT)
+    for traj, stepper, (mean, std) in zip(trajs, steppers, moments):
+        assert np.array_equal(times, traj.times)
+        assert np.array_equal(mean, traj.x.mean(axis=1))
+        assert np.array_equal(std, traj.x.std(axis=1, ddof=1))
+        assert np.array_equal(stepper.x, traj.x[-1])
+
+    table = _read_table(tmp_path / "fd_means.csv")
+    assert np.array_equal(table["t"], trajs[0].times)
+    for name, traj in zip(("inertial", "limit", "limit_noS"), trajs):
+        assert np.array_equal(table[f"mean_{name}"], traj.x.mean(axis=1)[:, 0])
+        se = traj.x.std(axis=1, ddof=1)[:, 0] / np.sqrt(1001)
+        assert np.array_equal(table[f"se_{name}"], se)
+    for side, lim in (("with_S", trajs[1]), ("without_S", trajs[2])):
+        ref = compare_endpoints(trajs[0].x[-1], lim.x[-1], fd["mu"])
+        expected = {"mean_diff": ref.diff_mean.tolist(), "se": ref.diff_se.tolist(), "z": ref.z_score}
+        assert result["report"][side] == expected
 
 
 def test_eta_transform_requires_scalar_antiderivative():

@@ -34,7 +34,7 @@ one and two wave steps, limit forms x drift x path/batch, single limit
 steps, refinement of a path and a batch, fd coupled and single runs (and a
 coupled run of a scalar system that gives no gamma'), a stacked resolvent
 solve with its per-row info and the resolvent audit at criterion 4's size, every
-`run_*` work function on small configs), the default config of every
+`run_*` work function on small configs, fd-converge also at 1001 paths), the default config of every
 `run_*` work function (about a minute), and the routes of the benchmark's
 workloads (bench/workloads.py).  A step is `simulate` on a one- or two-step
 path, noisy or from `noise.zero_path`.
@@ -358,6 +358,10 @@ def _run_routes() -> dict:
     for eta in (False, True):
         fd = {"fd": {"t_final": 0.02, "dt": 1e-3, "mu": 1e-2, "paths": 300, "eta_transform": eta}}
         routes[f"run_fd_converge.eta={eta}"] = _work("run_fd_converge", _cfg(fd))
+        # an odd path count past numpy's 128-element pairwise-summation blocks
+        routes[f"run_fd_converge.eta={eta}.paths=1001"] = _work(
+            "run_fd_converge", _cfg(fd, {"fd": {"paths": 1001}})
+        )
     for friction in ("two_plus_sin", "constant"):
         routes[f"run_lyapunov.{friction}"] = _work(
             "run_lyapunov", _cfg({"fd": {"friction": friction}})
