@@ -60,7 +60,6 @@ from .finite_dim import (
     FDSystem,
     compare_endpoints,
     drift_S,
-    fd_isotropic_2d,
     fd_scalar_system,
     simulate_fd,
     simulate_fd_coupled,

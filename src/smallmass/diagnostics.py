@@ -76,26 +76,27 @@ class EnergyRecord:
 def energy_records(
     basis: SpectralBasis, models: ModelSet, traj: WaveTrajectory
 ) -> list[EnergyRecord]:
-    """Per-output-time energy diagnostics of a single-path trajectory."""
+    """Per-output-time energy diagnostics of a single-path trajectory.
+
+    The norms are taken once on the (T, N) trajectory, whose rows reduce as
+    they would alone; Lambda is taken output by output.
+    """
     if traj.u.ndim != 2:
         raise ValueError("energy_records expects an unbatched trajectory")
-    recs = []
-    for k, t in enumerate(traj.times):
-        u, v = traj.u[k], traj.v[k]
-        uh = float(basis.sobolev_norm(u, 0.0))
-        uh1 = float(basis.sobolev_norm(u, 1.0))
-        vh = float(basis.sobolev_norm(v, 0.0))
-        recs.append(
-            EnergyRecord(
-                t=float(t),
-                energy=uh1**2 + traj.mu * vh**2,
-                lam=float(lambda_functional(basis, models.friction, u)),
-                u_h=uh,
-                u_h1=uh1,
-                v_h=vh,
-            )
+    uh, uh1, vh = (
+        basis.sobolev_norm(a, s).tolist() for a, s in ((traj.u, 0.0), (traj.u, 1.0), (traj.v, 0.0))
+    )
+    return [
+        EnergyRecord(
+            t=t,
+            energy=b**2 + traj.mu * c**2,
+            lam=float(lambda_functional(basis, models.friction, u)),
+            u_h=a,
+            u_h1=b,
+            v_h=c,
         )
-    return recs
+        for t, u, a, b, c in zip(traj.times.tolist(), traj.u, uh, uh1, vh)
+    ]
 
 
 # -- metrics --------------------------------------------------------------------

@@ -1,35 +1,37 @@
 """Finite-dimensional small-mass theory: Lyapunov drift and coupled SDE runs.
 
-For the inertial system
+For the scalar inertial system
 
     dx = v dt,        mu dv = [b(x) - gamma(x) v] dt + sigma(x) dW,
 
-with uniformly elliptic matrix friction gamma, the small-mass limit is
+with friction gamma >= gamma0 > 0, the small-mass limit is
 
-    dx = [ gamma^-1(x) b(x) + S(x) ] dt + gamma^-1(x) sigma(x) dW,
+    dx = [ b(x) / gamma(x) + S(x) ] dt + sigma(x) / gamma(x) dW,
 
-where the noise-induced drift is S_i(x) = d/dx_l [ (gamma^-1)_ij(x) ] J_jl(x)
-and J solves the Lyapunov equation J gamma* + gamma J = sigma sigma*.
+where the noise-induced drift is S(x) = d/dx[ 1/gamma(x) ] J(x) and J
+solves the Lyapunov equation J gamma + gamma J = sigma^2, so
+J = sigma^2 / (2 gamma) and S = -gamma' sigma^2 / (2 gamma^3) (the scalar
+case of Hottovy, McDaniel, Volpe and Wehr, CMP 2015).
 
-The Lyapunov solve is a dense Kronecker-product linear system (dimension is
-capped at 8), with the residual checked on every call.  At a single point
-the Jacobian of gamma^-1 uses relative central differences with step 1e-5.
-The limit integrator's batched scalar S is closed form: J = sigma^2 / (2 gamma)
-and d(1/gamma)/dx = -gamma' / gamma^2 (the scalar case of Hottovy, McDaniel,
-Volpe and Wehr, CMP 2015), with gamma' from the system's own derivative, or
-the same central difference when the system gives none.
+The Lyapunov solve itself is the general dense Kronecker-product linear
+system J gamma^T + gamma J = sigma sigma^T (dimension capped at 8), with the
+residual checked on every call.  At a single point, drift_S runs it on the
+1x1 matrices and differences 1/gamma by a relative central difference with
+step 1e-5.  The limit integrator's S is closed form, with gamma' from the
+system's own derivative, or the same central difference when the system
+gives none.
 
-Monte Carlo runs are vectorized across paths; the driving increments come
-from a counter-based generator keyed by (seed, step), so the inertial and
-limit integrators consume identical noise when run at the same step size
-(common random numbers), and reruns with the same seed are bit-identical.
-The runs use the package's one time loop, `wave.drive`, which advances any
-set of integrators in lock step on a single draw per step;
-`simulate_fd_coupled` runs the inertial system and the limit with and
-without S together and gives the same bits as three separate runs.  Its
-parts, `coupled_steppers` and `drive_fd`, serve a caller that records
-something else than (n_out, P, d) trajectories: wrapped in a stepper whose
-record() reduces over paths, the same run keeps only what it reports.
+Monte Carlo runs step a (P,) state, one value per path, with elementwise
+products; the driving increments come from a counter-based generator keyed
+by (seed, step), so the inertial and limit integrators consume identical
+noise when run at the same step size (common random numbers), and reruns
+with the same seed are bit-identical.  The runs use the package's one time
+loop, `wave.drive`, which advances any set of integrators in lock step on a
+single draw per step; `simulate_fd_coupled` runs the inertial system and the
+limit with and without S together and gives the same bits as three separate
+runs.  Its parts, `coupled_steppers` and `drive_fd`, serve a caller that
+records something else than (n_out, P, 1) trajectories: wrapped in a stepper
+whose record() reduces over paths, the same run keeps only what it reports.
 """
 
 from __future__ import annotations
@@ -55,31 +57,26 @@ class LyapunovError(RuntimeError):
 
 @dataclass(frozen=True)
 class FDSystem:
-    """Batched system coefficients; callables map (P, d) states to batched values.
+    """A scalar system; each callable maps a (P,) state to values that broadcast against it.
 
-    b      -> (P, d)
-    gamma  -> (P, d, d), uniformly elliptic with constant gamma0
-    sigma  -> (P, d, r)
-    g_antideriv (optional, d = 1 only): scalar antiderivative of gamma for the
-    transformed integrator.
-    gamma_prime (optional, d = 1 only): (P, 1) -> (P,), the derivative of the
-    scalar gamma, read by the limit integrator's drift S; without it S takes
-    gamma' from a relative central difference of gamma.
+    b and sigma are the drift and noise coefficients, gamma the friction,
+    bounded below by gamma0 > 0.
+    g_antideriv (optional): an antiderivative G of gamma, for the
+    transformed inertial integrator.
+    gamma_prime (optional): the derivative of gamma, read by the limit
+    integrator's drift S; without it S takes gamma' from a relative central
+    difference of gamma.
     """
 
-    dim: int
-    r_dim: int
-    b: Callable[[np.ndarray], np.ndarray]
+    b: Callable[[np.ndarray], np.ndarray | float]
     gamma: Callable[[np.ndarray], np.ndarray]
-    sigma: Callable[[np.ndarray], np.ndarray]
+    sigma: Callable[[np.ndarray], np.ndarray | float]
     gamma0: float
     name: str = "custom"
     g_antideriv: Callable[[np.ndarray], np.ndarray] | None = None
     gamma_prime: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.dim <= MAX_DIM:
-            raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {self.dim}")
         if self.gamma0 <= 0:
             raise ValueError("ellipticity constant gamma0 must be positive")
 
@@ -123,57 +120,42 @@ def lyapunov_residual(gamma_x: np.ndarray, j: np.ndarray, rhs: np.ndarray) -> fl
     )
 
 
-def _inv_gamma_jacobian(system: FDSystem, x: np.ndarray) -> np.ndarray:
-    """D[l, i, j] = d/dx_l (gamma^-1)_ij by relative central differences."""
-    d = system.dim
-    out = np.empty((d, d, d))
-    for l in range(d):
-        h = FD_STEP_REL * max(1.0, abs(float(x[l])))
-        xp = x.copy()
-        xm = x.copy()
-        xp[l] += h
-        xm[l] -= h
-        gp = np.linalg.inv(system.gamma(xp[None])[0])
-        gm = np.linalg.inv(system.gamma(xm[None])[0])
-        out[l] = (gp - gm) / (2.0 * h)
-    return out
+def point_coefficients(system: FDSystem, x) -> tuple[np.ndarray, np.ndarray]:
+    """gamma and sigma sigma^T at one state x, as the 1x1 matrices solve_lyapunov takes."""
+    x = np.asarray(x, dtype=float).reshape(1)
+    sig = system.sigma(x)
+    return np.reshape(system.gamma(x), (1, 1)), np.reshape(sig * sig, (1, 1))
 
 
-def drift_S(system: FDSystem, x: np.ndarray) -> np.ndarray:
-    """Noise-induced drift S_i(x) = d_l[(gamma^-1)_ij] J_jl at a single point."""
-    x = np.asarray(x, dtype=float).reshape(system.dim)
-    g = system.gamma(x[None])[0]
-    sig = system.sigma(x[None])[0]
-    j = solve_lyapunov(g, sig @ sig.T)
-    dinv = _inv_gamma_jacobian(system, x)
-    return np.einsum("lij,jl->i", dinv, j)
+def drift_S(system: FDSystem, x) -> np.ndarray:
+    """Noise-induced drift S = d/dx[1/gamma] J at a single point x, as a (1,) array.
+
+    J comes from the 1x1 Lyapunov solve, d/dx[1/gamma] from a relative
+    central difference.
+    """
+    x = np.asarray(x, dtype=float).reshape(1)
+    j = solve_lyapunov(*point_coefficients(system, x))
+    h = FD_STEP_REL * max(1.0, abs(float(x[0])))
+    dinv = (1.0 / system.gamma(x + h) - 1.0 / system.gamma(x - h)) / (2.0 * h)
+    return dinv * j[0]
 
 
 def _scalar_gamma_prime(system: FDSystem, x: np.ndarray) -> np.ndarray:
-    """gamma' of a scalar system at the (P, 1) states x: its own, else a central difference."""
+    """gamma' at the (P,) states x: the system's own, else a relative central difference."""
     if system.gamma_prime is not None:
         return system.gamma_prime(x)
-    xs = x[:, 0]
-    h = FD_STEP_REL * np.maximum(1.0, np.abs(xs))
-    gp = system.gamma((xs + h)[:, None])[:, 0, 0]
-    gm = system.gamma((xs - h)[:, None])[:, 0, 0]
-    return (gp - gm) / (2.0 * h)
+    h = FD_STEP_REL * np.maximum(1.0, np.abs(x))
+    return (system.gamma(x + h) - system.gamma(x - h)) / (2.0 * h)
 
 
-def _drift_S_batch(system: FDSystem, x: np.ndarray, gam: np.ndarray) -> np.ndarray:
-    """Vectorized S for scalar systems; falls back to a per-point loop otherwise.
+def _drift_S_batch(system: FDSystem, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """S at the (P,) states x, given g = gamma(x).
 
-    gam is gamma(x), already evaluated by the caller.  For d = 1,
     S = d(1/gamma)/dx * J with d(1/gamma)/dx = -gamma' / gamma^2 and the
-    scalar Lyapunov solution J = sigma sigma^T / (2 gamma).
+    scalar Lyapunov solution J = sigma^2 / (2 gamma).
     """
-    if system.dim == 1:
-        g = gam[:, 0, 0]
-        dinv = -_scalar_gamma_prime(system, x) / g**2
-        sig = system.sigma(x)[:, 0, :]
-        j = np.sum(sig * sig, axis=-1) / (2.0 * g)
-        return (dinv * j)[:, None]
-    return np.stack([drift_S(system, xi) for xi in x])
+    sig = system.sigma(x)
+    return (-_scalar_gamma_prime(system, x) / g**2) * ((sig * sig) / (2.0 * g))
 
 
 # -- noise ---------------------------------------------------------------------
@@ -209,19 +191,19 @@ class FDNoise:
 @dataclass
 class FDTrajectory:
     times: np.ndarray  # (n_out,)
-    x: np.ndarray  # (n_out, P, d)
+    x: np.ndarray  # (n_out, P, 1)
     dt: float
     mu: float | None = None
 
 
 class _FDStepper:
-    """drive() protocol shared by the fd steppers: the position x is checked and recorded."""
+    """drive() protocol shared by the fd steppers: the (P,) position x is checked and recorded."""
 
     def observe(self) -> None:
         pass
 
     def record(self) -> tuple:
-        return (self.x,)
+        return (self.x[:, None],)
 
 
 class _InertialStepper(_FDStepper):
@@ -236,25 +218,24 @@ class _InertialStepper(_FDStepper):
                 RuntimeWarning,
                 stacklevel=3,
             )
-        if eta_transform and (system.dim != 1 or system.g_antideriv is None):
-            raise ValueError("eta_transform requires a scalar system with g_antideriv")
+        if eta_transform and system.g_antideriv is None:
+            raise ValueError("eta_transform requires a system with g_antideriv")
         self.system, self.mu, self.dt, self.eta_transform = system, mu, noise.dt, eta_transform
-        self.x = _initial_state(x0, (noise.n_paths, system.dim))
-        self.v = _initial_state(v0, (noise.n_paths, system.dim))
+        self.x = _initial_state(x0, (noise.n_paths,))
+        self.v = _initial_state(v0, (noise.n_paths,))
         if eta_transform:
             self.p = mu * self.v + system.g_antideriv(self.x)
 
     def step(self, dw: np.ndarray) -> tuple:
-        system, mu, dt, x = self.system, self.mu, self.dt, self.x
+        system, mu, dt, x, dw = self.system, self.mu, self.dt, self.x, dw[:, 0]
         if self.eta_transform:
-            gam = system.gamma(x)[:, 0, 0][:, None]
+            gam = system.gamma(x)
             x_new = x + dt * (self.p - system.g_antideriv(x)) / mu / (1.0 + dt * gam / mu)
-            self.p = self.p + dt * system.b(x) + np.einsum("pij,pj->pi", system.sigma(x), dw)
+            self.p = self.p + dt * system.b(x) + system.sigma(x) * dw
             self.x = x_new
         else:
-            gam = system.gamma(x)
-            acc = system.b(x) - np.einsum("pij,pj->pi", gam, self.v)
-            forcing = np.einsum("pij,pj->pi", system.sigma(x), dw)
+            acc = system.b(x) - system.gamma(x) * self.v
+            forcing = system.sigma(x) * dw
             self.x = x + dt * self.v
             self.v = self.v + (dt / mu) * acc + forcing / mu
         return (self.x,)
@@ -267,17 +248,16 @@ class _LimitStepper(_FDStepper):
 
     def __init__(self, system, noise, x0, with_S):
         self.system, self.dt, self.with_S = system, noise.dt, with_S
-        self.x = _initial_state(x0, (noise.n_paths, system.dim))
+        self.x = _initial_state(x0, (noise.n_paths,))
 
     def step(self, dw: np.ndarray) -> tuple:
         system, x = self.system, self.x
-        gam = system.gamma(x)
-        # A 1x1 inverse is 1/gamma, bit for bit, at a fraction of np.linalg.inv's cost.
-        ginv = 1.0 / gam if system.dim == 1 else np.linalg.inv(gam)
-        drift = np.einsum("pij,pj->pi", ginv, system.b(x))
+        g = system.gamma(x)
+        ginv = 1.0 / g
+        drift = ginv * system.b(x)
         if self.with_S:
-            drift = drift + _drift_S_batch(system, x, gam)
-        forcing = np.einsum("pij,pjk,pk->pi", ginv, system.sigma(x), dw)
+            drift = drift + _drift_S_batch(system, x, g)
+        forcing = ginv * system.sigma(x) * dw[:, 0]
         self.x = x + self.dt * drift + forcing
         return (self.x,)
 
@@ -285,7 +265,7 @@ class _LimitStepper(_FDStepper):
 def coupled_steppers(system: FDSystem, mu: float, noise: FDNoise, x0, v0, eta_transform=False):
     """The inertial stepper, the limit with S and the limit without S, on one noise.
 
-    drive_fd advances them in lock step; each holds its current (P, d)
+    drive_fd advances them in lock step; each holds its current (P,)
     state as x.
     """
     return [
@@ -322,7 +302,7 @@ def simulate_fd(
     """Euler-Maruyama for the inertial system, vectorized over paths.
 
     eta_transform=True integrates the non-stiff pair (x, p) with
-    p = mu v + G(x), G' = gamma (scalar systems only), treating G implicitly
+    p = mu v + G(x), G' = gamma (a system with g_antideriv), treating G implicitly
     through one Newton step in the x-update.
     """
     stepper = _InertialStepper(system, mu, noise, x0, v0, eta_transform)
@@ -372,7 +352,7 @@ class FDCompareReport:
 
 
 def compare_endpoints(xa: np.ndarray, xb: np.ndarray, mu: float) -> FDCompareReport:
-    """Statistics of two coupled runs' (P, d) final states, path by path."""
+    """Statistics of two coupled runs' (P, 1) final states, path by path."""
     diff = xa - xb
     n = diff.shape[0]
     diff_mean = diff.mean(axis=0)
@@ -389,16 +369,6 @@ def compare_endpoints(xa: np.ndarray, xb: np.ndarray, mu: float) -> FDCompareRep
     )
 
 
-def ellipticity_audit(system: FDSystem, n_samples: int = 200, seed: int = 0) -> float:
-    """Smallest sampled Rayleigh quotient xi^T gamma(x) xi / |xi|^2."""
-    rng = np.random.default_rng(seed)
-    xs = rng.normal(size=(n_samples, system.dim), scale=2.0)
-    xis = rng.normal(size=(n_samples, system.dim))
-    gams = system.gamma(xs)
-    quad = np.einsum("pi,pij,pj->p", xis, gams, xis) / np.sum(xis * xis, axis=-1)
-    return float(np.min(quad))
-
-
 # -- presets ---------------------------------------------------------------------
 
 
@@ -407,39 +377,20 @@ _FD_FRICTIONS = {"two_plus_sin": {}, "constant": {"value": 2.0}}
 
 
 def fd_scalar_system(friction: str = "two_plus_sin", sigma_value: float = 1.0) -> FDSystem:
-    """d = 1 system with zero drift, gamma(x) = 2 + sin x (or constant 2) and constant sigma.
+    """The system with zero drift, gamma(x) = 2 + sin x (or constant 2) and constant sigma.
 
     gamma, its derivative and its antiderivative are the registry preset's.
     """
     if friction not in _FD_FRICTIONS:
         raise ValueError(f"unknown scalar friction {friction!r}")
     model = friction_preset(friction, **_FD_FRICTIONS[friction])
+    sigma_value = float(sigma_value)
     return FDSystem(
-        dim=1,
-        r_dim=1,
-        b=lambda x: np.zeros_like(x),
-        gamma=lambda x: model.gamma(x[:, 0])[:, None, None],
-        sigma=lambda x: np.full((x.shape[0], 1, 1), sigma_value),
+        b=lambda x: 0.0,
+        gamma=model.gamma,
+        sigma=lambda x: sigma_value,
         gamma0=model.gamma0,
         name=f"scalar_{friction}",
         g_antideriv=model.g_closed,
-        gamma_prime=lambda x: model.gamma_prime(x[:, 0]),
-    )
-
-
-def fd_isotropic_2d() -> FDSystem:
-    """d = 2 preset gamma(x) = (2 + sin x_1) * I, sigma = I, b = 0."""
-
-    def gam(x):
-        s = 2.0 + np.sin(x[:, 0])
-        return s[:, None, None] * np.eye(2)[None]
-
-    return FDSystem(
-        dim=2,
-        r_dim=2,
-        b=lambda x: np.zeros_like(x),
-        gamma=gam,
-        sigma=lambda x: np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy(),
-        gamma0=1.0,
-        name="isotropic_2d",
+        gamma_prime=model.gamma_prime,
     )

@@ -133,19 +133,20 @@ def resolvent_apply(
     if h2.shape != h1.shape:
         h2 = np.broadcast_to(h2, h1.shape)
     n = h1.shape[-1]
-    u, eta, info = _fixed_point(op, h1.reshape(-1, n), h2.reshape(-1, n), lam)
+    u, eta, info = _fixed_point(op, h1.reshape(-1, n), h2.reshape(-1, n), lam, return_info)
     u, eta = u.reshape(h1.shape), eta.reshape(h1.shape)
     if return_info:
         return (u, eta), (info if h1.ndim > 1 else info[0])
     return u, eta
 
 
-def _fixed_point(op: OperatorA, h1: np.ndarray, h2: np.ndarray, lam: float):
-    """resolvent_apply on rows (R, N): returns (u, eta, one SolveInfo per row).
+def _fixed_point(op: OperatorA, h1: np.ndarray, h2: np.ndarray, lam: float, with_info: bool):
+    """resolvent_apply on rows (R, N): returns (u, eta, infos).
 
-    The rows still iterating are kept contiguous and compacted only on a
-    sweep where some finish and others go on.  g(u) and f(u) are analysed
-    as one stacked product, whose rows round as they would alone.
+    infos holds one SolveInfo per row with_info, else None.  The rows still
+    iterating are kept contiguous and compacted only on a sweep where some
+    finish and others go on.  g(u) and f(u) are analysed as one stacked
+    product, whose rows round as they would alone.
     """
     b, m, mu = op.basis, op.models, op.mass
     c_g, c_f = -(lam / mu), lam * lam / mu
@@ -153,7 +154,7 @@ def _fixed_point(op: OperatorA, h1: np.ndarray, h2: np.ndarray, lam: float):
     const = h1 + lam * h2
     u = h1.copy()
     u_out = np.empty_like(u)
-    infos: list = [None] * len(u)
+    infos: list | None = [None] * len(u) if with_info else None
     live = np.arange(len(u))  # input row of every row still iterating
     polish = np.zeros(len(u), dtype=bool)  # converged: the next sweep is its last
     history = []  # the live rows' residuals, one array per sweep
@@ -178,18 +179,19 @@ def _fixed_point(op: OperatorA, h1: np.ndarray, h2: np.ndarray, lam: float):
         n_done = np.count_nonzero(done)
         if not n_done:
             continue
-        hist = np.array(history)
         u_out[live[done]] = u[done]
-        prevs, last = hist[:-1, done].T, hist[1:, done].T
-        counted = _counted(prevs)
-        ratios = last / np.where(counted, prevs, 1.0)
-        for row, r, c, q in zip(live[done].tolist(), res[done].tolist(), counted, ratios):
-            infos[row] = SolveInfo(iterations=it, residual=r, contraction_ratios=q[c])
+        if with_info:
+            hist = np.array(history)
+            prevs, last = hist[:-1, done].T, hist[1:, done].T
+            counted = _counted(prevs)
+            ratios = last / np.where(counted, prevs, 1.0)
+            for row, r, c, q in zip(live[done].tolist(), res[done].tolist(), counted, ratios):
+                infos[row] = SolveInfo(iterations=it, residual=r, contraction_ratios=q[c])
         if n_done == k:
             break
         keep = ~done
         live, u, const, polish = live[keep], u[keep], const[keep], polish[keep]
-        history = list(hist[:, keep])
+        history = [r[keep] for r in history]
     else:
         raise ResolventError(
             f"resolvent fixed point did not converge at lam = {lam} "
@@ -209,21 +211,6 @@ def yosida_apply(op: OperatorA, z: tuple[np.ndarray, np.ndarray], lam: float):
     """A^lam(z) = (J_lam(z) - z) / lam."""
     jz = resolvent_apply(op, z, lam)
     return ((jz[0] - z[0]) / lam, (jz[1] - z[1]) / lam)
-
-
-def measure_contraction(op: OperatorA, lam: float, seed: int = 0, n_probe: int = 4) -> float:
-    """Empirical contraction factor of Gamma_lam from iterate ratios."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_probe):
-        h = (
-            rng.normal(size=op.basis.n_modes) / np.arange(1, op.basis.n_modes + 1),
-            rng.normal(size=op.basis.n_modes),
-        )
-        _, info = resolvent_apply(op, h, lam, return_info=True)
-        if info.contraction_ratios.size:
-            worst = max(worst, float(np.median(info.contraction_ratios)))
-    return worst
 
 
 # -- sampled audits ------------------------------------------------------------

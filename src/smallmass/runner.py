@@ -369,20 +369,18 @@ def run_resolvent_audit(cfg: dict, out_dir) -> dict:
 
 def run_lyapunov(cfg: dict, out_dir) -> dict:
     """Solve the Lyapunov equation along sampled states of the fd preset."""
-    from .finite_dim import drift_S, lyapunov_residual, solve_lyapunov
+    from .finite_dim import drift_S, lyapunov_residual, point_coefficients, solve_lyapunov
 
     fd = cfg["fd"]
     system = fd_scalar_system(friction=fd["friction"], sigma_value=fd["sigma"])
     xs = np.linspace(-3.0, 3.0, 25)
     rows = {"x": xs, "J": [], "residual": [], "S": []}
     for xv in xs:
-        x = np.array([xv])
-        g = system.gamma(x[None])[0]
-        sig = system.sigma(x[None])[0]
-        j = solve_lyapunov(g, sig @ sig.T)
+        g, rhs = point_coefficients(system, xv)
+        j = solve_lyapunov(g, rhs)
         rows["J"].append(j[0, 0])
-        rows["residual"].append(lyapunov_residual(g, j, sig @ sig.T))
-        rows["S"].append(drift_S(system, x)[0])
+        rows["residual"].append(lyapunov_residual(g, j, rhs))
+        rows["S"].append(drift_S(system, xv)[0])
     h = config_hash(cfg)
     rows = {k: np.asarray(v) for k, v in rows.items()}
     output.write_csv(os.path.join(out_dir, "lyapunov.csv"), rows, h, cfg["seed"])
@@ -394,7 +392,7 @@ class _PathMoments:
     """An fd stepper for drive() whose records are its path mean and spread.
 
     At each output index record() returns the mean and the ddof-1 standard
-    deviation over paths of the stepper's (P, d) state x, (d,) each; no
+    deviation over paths of the stepper's (P, 1) record, (1,) each; no
     trajectory is kept.
     """
 
@@ -403,7 +401,7 @@ class _PathMoments:
         self.step, self.observe = run.step, run.observe
 
     def record(self) -> tuple:
-        x = self.run.x
+        (x,) = self.run.record()
         return x.mean(axis=0), x.std(axis=0, ddof=1)
 
 
@@ -413,13 +411,13 @@ def run_fd_converge(cfg: dict, out_dir) -> dict:
     system = fd_scalar_system(friction=fd["friction"], sigma_value=fd["sigma"])
     n_steps = noise._n_steps(fd["t_final"], fd["dt"])
     fdnoise = FDNoise(
-        seed=cfg["seed"], dt=fd["dt"], n_steps=n_steps, n_paths=fd["paths"], r_dim=system.r_dim
+        seed=cfg["seed"], dt=fd["dt"], n_steps=n_steps, n_paths=fd["paths"], r_dim=1
     )
     steppers = coupled_steppers(
         system, fd["mu"], fdnoise, fd["x0"], fd["v0"], eta_transform=fd["eta_transform"]
     )
     times, moments = drive_fd([_PathMoments(s) for s in steppers], fdnoise, FD_N_OUTPUT)
-    inertial, limit_s, limit_no = (s.x for s in steppers)
+    inertial, limit_s, limit_no = (s.x[:, None] for s in steppers)
     rep_s = compare_endpoints(inertial, limit_s, fd["mu"])
     rep_no = compare_endpoints(inertial, limit_no, fd["mu"])
     stats = {

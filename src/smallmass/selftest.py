@@ -269,7 +269,7 @@ def run_selftest() -> list[tuple[str, bool, str]]:
         np.allclose(j_diag, np.diag([0.5, 0.125]), atol=1e-12),
     )
     const_sys = fd_scalar_system(friction="constant")
-    check("constant friction has no drift", abs(drift_S(const_sys, np.array([0.3]))[0]) < 1e-10)
+    check("constant friction has no drift", abs(drift_S(const_sys, 0.3)[0]) < 1e-10)
 
     # diagnostics: metric conventions and energy bounds
     times = np.linspace(0, 0.5, 6)

@@ -18,6 +18,7 @@ from smallmass.finite_dim import (
     drift_S,
     fd_scalar_system,
     lyapunov_residual,
+    point_coefficients,
     simulate_fd_coupled,
     solve_lyapunov,
 )
@@ -124,13 +125,11 @@ def test_criterion_3_finite_dimensional_drift():
     worst_resid = 0.0
     worst_drift = 0.0
     for xv in np.linspace(-1.5, 1.5, 61):
-        x = np.array([xv])
-        g = system.gamma(x[None])[0]
-        sig = system.sigma(x[None])[0]
-        j = solve_lyapunov(g, sig @ sig.T)
-        worst_resid = max(worst_resid, lyapunov_residual(g, j, sig @ sig.T))
+        g, rhs = point_coefficients(system, xv)
+        j = solve_lyapunov(g, rhs)
+        worst_resid = max(worst_resid, lyapunov_residual(g, j, rhs))
         closed = -np.cos(xv) / (2.0 * (2.0 + np.sin(xv)) ** 3)
-        worst_drift = max(worst_drift, abs(drift_S(system, x)[0] - closed))
+        worst_drift = max(worst_drift, abs(drift_S(system, xv)[0] - closed))
 
     ok = z_with <= 3.0 and z_no > 3.0 and worst_resid <= 1e-10 and z_with_coupled <= 3.0
     detail = (

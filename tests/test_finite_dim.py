@@ -15,8 +15,6 @@ from smallmass.finite_dim import (
     coupled_steppers,
     drift_S,
     drive_fd,
-    ellipticity_audit,
-    fd_isotropic_2d,
     fd_scalar_system,
     lyapunov_residual,
     simulate_fd,
@@ -70,14 +68,14 @@ def test_scalar_drift_closed_form():
     # d = 1, gamma = 2 + sin x, sigma = s: S(x) = -gamma' s^2 / (2 gamma^3)
     system = fd_scalar_system(sigma_value=1.5)
     for xv in (-1.2, 0.0, 0.7, 2.3):
-        s = drift_S(system, np.array([xv]))[0]
+        s = drift_S(system, xv)[0]
         exact = -np.cos(xv) * 1.5**2 / (2.0 * (2.0 + np.sin(xv)) ** 3)
         assert abs(s - exact) < 1e-8
 
 
 def test_constant_friction_no_drift():
     system = fd_scalar_system(friction="constant")
-    assert abs(drift_S(system, np.array([0.4]))[0]) < 1e-10
+    assert abs(drift_S(system, 0.4)[0]) < 1e-10
 
 
 def _without_gamma_prime(system):
@@ -91,10 +89,10 @@ def test_batched_scalar_S_matches_the_pointwise_solve(friction):
     # The limit step's closed form -gamma'/gamma^2 * sigma^2/(2 gamma) against
     # drift_S's Lyapunov solve and central-difference Jacobian at every point.
     system = fd_scalar_system(friction=friction, sigma_value=1.3)
-    x = np.linspace(-3.0, 3.0, 61)[:, None]
+    x = np.linspace(-3.0, 3.0, 61)
     batched = _drift_S_batch(system, x, system.gamma(x))
-    pointwise = np.stack([drift_S(system, xi) for xi in x])
-    assert batched.shape == (61, 1)
+    pointwise = np.concatenate([drift_S(system, xi) for xi in x])
+    assert batched.shape == (61,)
     assert np.max(np.abs(batched - pointwise)) <= 1e-8
     fallback = _drift_S_batch(_without_gamma_prime(system), x, system.gamma(x))
     assert np.max(np.abs(fallback - batched)) <= 1e-8
@@ -110,12 +108,11 @@ def test_scalar_system_without_gamma_prime_runs_the_central_difference():
     plain = _without_gamma_prime(system)
     assert system.gamma_prime is not None and plain.gamma_prime is None
     # the fallback's gamma' is the relative central difference of gamma
-    x = np.linspace(-3.0, 3.0, 13)[:, None]
-    xs = x[:, 0]
-    h = FD_STEP_REL * np.maximum(1.0, np.abs(xs))
-    dgam = ((2.0 + np.sin(xs + h)) - (2.0 + np.sin(xs - h))) / (2.0 * h)
-    g = 2.0 + np.sin(xs)
-    expected = (-dgam / g**2 * (1.0 / (2.0 * g)))[:, None]
+    x = np.linspace(-3.0, 3.0, 13)
+    h = FD_STEP_REL * np.maximum(1.0, np.abs(x))
+    dgam = ((2.0 + np.sin(x + h)) - (2.0 + np.sin(x - h))) / (2.0 * h)
+    g = 2.0 + np.sin(x)
+    expected = -dgam / g**2 * (1.0 / (2.0 * g))
     assert np.array_equal(_drift_S_batch(plain, x, system.gamma(x)), expected)
     noise = FDNoise(seed=3, dt=1e-3, n_steps=80, n_paths=32, r_dim=1)
     runs = [simulate_fd_coupled(s, 1e-2, noise, 0.3, 0.1, n_output=8) for s in (system, plain)]
@@ -130,38 +127,23 @@ def test_scalar_system_without_gamma_prime_runs_the_central_difference():
 def test_scalar_preset_uses_the_friction_registry():
     from smallmass.models import friction_preset
 
-    x = np.linspace(-3.0, 3.0, 13)[:, None]
+    x = np.linspace(-3.0, 3.0, 13)
     for name, model in (
         ("two_plus_sin", friction_preset("two_plus_sin")),
         ("constant", friction_preset("constant", value=2.0)),
     ):
-        system = fd_scalar_system(friction=name)
-        assert np.array_equal(system.gamma(x)[:, 0, 0], model.gamma(x[:, 0]))
+        system = fd_scalar_system(friction=name, sigma_value=1.5)
+        assert np.array_equal(system.gamma(x), model.gamma(x))
         assert np.array_equal(system.g_antideriv(x), model.g_closed(x))
-        assert np.array_equal(system.gamma_prime(x), model.gamma_prime(x[:, 0]))
+        assert np.array_equal(system.gamma_prime(x), model.gamma_prime(x))
         assert system.gamma0 == model.gamma0
+        assert system.b(x) == 0.0 and system.sigma(x) == 1.5
     # the same bits as the formulas the preset was written with
-    assert np.array_equal(fd_scalar_system().gamma(x), (2.0 + np.sin(x[:, 0]))[:, None, None])
-    assert np.array_equal(fd_scalar_system("constant").gamma(x), np.full((13, 1, 1), 2.0))
+    assert np.array_equal(fd_scalar_system().gamma(x), 2.0 + np.sin(x))
+    assert np.array_equal(fd_scalar_system("constant").gamma(x), np.full(13, 2.0))
     for bad in ("bell", "nope"):  # "bell" is a registry preset, not an fd one
         with pytest.raises(ValueError, match="unknown scalar friction"):
             fd_scalar_system(friction=bad)
-
-
-def test_2d_isotropic_drift_hand_formula():
-    # gamma(x) = (2 + sin x1) I, sigma = I: J = I / (2(2+sin x1)) and
-    # S(x) = (-cos x1 / (2 (2+sin x1)^3), 0), derived by hand.
-    system = fd_isotropic_2d()
-    for x1 in (-0.8, 0.3, 1.9):
-        x = np.array([x1, 0.77])
-        s = drift_S(system, x)
-        expected = np.array([-np.cos(x1) / (2.0 * (2.0 + np.sin(x1)) ** 3), 0.0])
-        assert np.allclose(s, expected, atol=1e-7)
-
-
-def test_ellipticity_audit():
-    assert ellipticity_audit(fd_scalar_system()) >= 1.0 - 1e-9
-    assert ellipticity_audit(fd_isotropic_2d()) >= 1.0 - 1e-9
 
 
 def test_noise_determinism_and_prefix_stability():
@@ -187,16 +169,7 @@ def test_noise_increments_equal_a_fresh_generator_per_step():
 def test_zero_noise_relaxation():
     # sigma == 0, b == 0: the inertial system relaxes to a constant, the limit
     # stays put.
-    system = fd_scalar_system()
-    zero_sigma = type(system)(
-        dim=1,
-        r_dim=1,
-        b=system.b,
-        gamma=system.gamma,
-        sigma=lambda x: np.zeros((x.shape[0], 1, 1)),
-        gamma0=system.gamma0,
-        g_antideriv=system.g_antideriv,
-    )
+    zero_sigma = dataclasses.replace(fd_scalar_system(), sigma=lambda x: 0.0, gamma_prime=None)
     noise = FDNoise(seed=0, dt=1e-4, n_steps=2000, n_paths=3, r_dim=1)
     inert = simulate_fd(zero_sigma, 1e-3, noise, 0.5, 2.0, n_output=10)
     lim = simulate_fd_limit(zero_sigma, noise, 0.5, n_output=10)
@@ -267,7 +240,7 @@ def test_fd_converge_streams_the_moments_of_the_trajectories(tmp_path, eta_trans
         assert np.array_equal(times, traj.times)
         assert np.array_equal(mean, traj.x.mean(axis=1))
         assert np.array_equal(std, traj.x.std(axis=1, ddof=1))
-        assert np.array_equal(stepper.x, traj.x[-1])
+        assert np.array_equal(stepper.x, traj.x[-1, :, 0])
 
     table = _read_table(tmp_path / "fd_means.csv")
     assert np.array_equal(table["t"], trajs[0].times)
@@ -282,37 +255,86 @@ def test_fd_converge_streams_the_moments_of_the_trajectories(tmp_path, eta_trans
 
 
 def test_eta_transform_requires_scalar_antiderivative():
-    with pytest.raises(ValueError):
-        noise = FDNoise(seed=0, dt=1e-3, n_steps=2, n_paths=2, r_dim=2)
-        simulate_fd(fd_isotropic_2d(), 0.1, noise, 0.0, 0.0, eta_transform=True)
+    system = dataclasses.replace(fd_scalar_system(), g_antideriv=None)
+    noise = FDNoise(seed=0, dt=1e-3, n_steps=2, n_paths=2, r_dim=1)
+    with pytest.raises(ValueError, match="g_antideriv"):
+        simulate_fd(system, 0.1, noise, 0.0, 0.0, eta_transform=True)
 
 
-def _reference_S(system, x):
-    """S on a batch: the hand-written scalar closed form for 2 + sin x, per point otherwise."""
-    if system.dim > 1:
-        return np.stack([drift_S(system, xi) for xi in x])
-    # -gamma' / gamma^2 * sigma^2 / (2 gamma), gamma = 2 + sin x, sigma = 1
-    xs = x[:, 0]
-    return (-np.cos(xs) / (2.0 + np.sin(xs)) ** 2 * (1.0 / (2.0 * (2.0 + np.sin(xs)))))[:, None]
+def _scalar_preset(system):
+    """gamma, gamma' and G of a scalar preset, written out for one state."""
+    if system.name == "scalar_constant":
+        return (lambda x: 2.0), (lambda x: 0.0), (lambda x: 2.0 * x)
+    return (lambda x: 2.0 + np.sin(x)), np.cos, (lambda x: 2.0 * x + 1.0 - np.cos(x))
+
+
+def _reference_paths(noise, n_output, step):
+    """Run step(state, dw) path by path over the scalar draws; keep the first state entry."""
+    idx = np.unique(np.round(np.linspace(0, noise.n_steps, n_output + 1)).astype(int))
+    dws = [noise.increments(k)[:, 0] for k in range(noise.n_steps)]
+    x = np.empty((len(idx), noise.n_paths, 1))
+    for i in range(noise.n_paths):
+        state, pos = step(None, None), 1
+        x[0, i, 0] = state[0]
+        for k in range(noise.n_steps):
+            state = step(state, dws[k][i])
+            if k + 1 == idx[pos]:
+                x[pos, i, 0], pos = state[0], pos + 1
+    return idx * noise.dt, x
 
 
 def _reference_limit(system, noise, x0, with_S, n_output):
-    """The limit loop with np.linalg.inv and einsum forcing, one draw per step."""
-    dt = noise.dt
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (noise.n_paths, system.dim)).copy()
-    idx = np.unique(np.round(np.linspace(0, noise.n_steps, n_output + 1)).astype(int))
-    out = [x]
-    for k in range(noise.n_steps):
-        dw = noise.increments(k)
-        ginv = np.linalg.inv(system.gamma(x))
-        drift = np.einsum("pij,pj->pi", ginv, system.b(x))
+    """The limit step as a hand-written loop over one scalar state, one draw per step.
+
+    b = 0 and a constant sigma, with every operation in the order of the
+    stepper: drift = b / gamma (+ S), forcing = (1 / gamma) sigma dw.
+    """
+    gamma, gamma_prime, _ = _scalar_preset(system)
+    dt, sig = noise.dt, system.sigma(0.0)
+
+    def step(state, dw):
+        if state is None:
+            return (np.float64(x0),)
+        (x,) = state
+        g = gamma(x)
+        ginv = 1.0 / g
+        drift = ginv * 0.0
         if with_S:
-            drift = drift + _reference_S(system, x)
-        forcing = np.einsum("pij,pjk,pk->pi", ginv, system.sigma(x), dw)
-        x = x + dt * drift + forcing
-        if k + 1 in idx:
-            out.append(x)
-    return idx * dt, np.stack(out)
+            drift = drift + (-gamma_prime(x) / g**2) * ((sig * sig) / (2.0 * g))
+        return (x + dt * drift + ginv * sig * dw,)
+
+    return _reference_paths(noise, n_output, step)
+
+
+def _reference_inertial(system, mu, noise, x0, v0, eta_transform, n_output):
+    """The inertial step, in (x, v) or in (x, p = mu v + G(x)), as a hand-written scalar loop."""
+    gamma, _, antideriv = _scalar_preset(system)
+    dt, sig = noise.dt, system.sigma(0.0)
+
+    def step(state, dw):
+        if state is None:
+            x, v = np.float64(x0), np.float64(v0)
+            return (x, mu * v + antideriv(x)) if eta_transform else (x, v)
+        x, w = state
+        if eta_transform:  # w is p
+            x_new = x + dt * (w - antideriv(x)) / mu / (1.0 + dt * gamma(x) / mu)
+            return x_new, w + dt * 0.0 + sig * dw
+        acc = 0.0 - gamma(x) * w  # w is v
+        return x + dt * w, w + (dt / mu) * acc + sig * dw / mu
+
+    return _reference_paths(noise, n_output, step)
+
+
+@pytest.mark.parametrize("friction", ["two_plus_sin", "constant"])
+@pytest.mark.parametrize("eta_transform", [False, True])
+def test_inertial_steppers_equal_a_scalar_hand_loop(eta_transform, friction):
+    # The stepper is elementwise over paths: path by path, it is the scalar loop, bit for bit.
+    system = fd_scalar_system(friction=friction, sigma_value=1.2)
+    noise = FDNoise(seed=8, dt=1e-3, n_steps=150, n_paths=5, r_dim=1)
+    run = simulate_fd(system, 1e-2, noise, 0.3, 0.1, n_output=6, eta_transform=eta_transform)
+    times, x = _reference_inertial(system, 1e-2, noise, 0.3, 0.1, eta_transform, 6)
+    assert np.array_equal(run.times, times)
+    assert np.array_equal(run.x, x)
 
 
 @pytest.mark.parametrize("with_S", [True, False])
@@ -348,16 +370,6 @@ def test_coupled_run_matches_separate_runs(eta_transform):
     _assert_coupled_equals_separate(fd_scalar_system(), 1e-2, noise, 0.1, eta_transform)
 
 
-def test_2d_isotropic_runs_through_the_shared_loop():
-    # d = 2 keeps np.linalg.inv and the per-point Lyapunov drift.
-    system = fd_isotropic_2d()
-    noise = FDNoise(seed=4, dt=1e-3, n_steps=40, n_paths=4, r_dim=2)
-    _, lim_s, lim_no = _assert_coupled_equals_separate(system, 0.05, noise, 0.2, False)
-    assert np.array_equal(lim_s.x, _reference_limit(system, noise, 0.2, True, 7)[1])
-    assert np.array_equal(lim_no.x, _reference_limit(system, noise, 0.2, False, 7)[1])
-    assert not np.array_equal(lim_s.x, lim_no.x)
-
-
 def test_divergence_raises_simulation_diverged():
     # b(x) = 1e200 x with constant friction 2 and no noise: the limit state is
     # 5e197 after one step and overflows at step 2; the inertial state first
@@ -365,7 +377,7 @@ def test_divergence_raises_simulation_diverged():
     system = dataclasses.replace(
         fd_scalar_system(friction="constant"),
         b=lambda x: 1e200 * x,
-        sigma=lambda x: np.zeros((x.shape[0], 1, 1)),
+        sigma=lambda x: 0.0,
     )
     noise = FDNoise(seed=0, dt=1e-2, n_steps=10, n_paths=3, r_dim=1)
     with np.errstate(over="ignore", invalid="ignore"):

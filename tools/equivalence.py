@@ -183,8 +183,8 @@ def _noise_routes() -> dict:
 def _fd_routes() -> dict:
     from smallmass import finite_dim as fdm
 
-    def noise_for(system, paths=200):
-        return fdm.FDNoise(seed=9, dt=1e-3, n_steps=60, n_paths=paths, r_dim=system.r_dim)
+    def noise_for(paths=200):
+        return fdm.FDNoise(seed=9, dt=1e-3, n_steps=60, n_paths=paths, r_dim=1)
 
     routes = {}
     for eta in (False, True):
@@ -193,23 +193,20 @@ def _fd_routes() -> dict:
             def coupled(eta=eta, friction=friction):
                 system = fdm.fd_scalar_system(friction=friction, sigma_value=1.2)
                 trajs = fdm.simulate_fd_coupled(
-                    system, 1e-2, noise_for(system), 0.3, 0.1, n_output=10, eta_transform=eta
+                    system, 1e-2, noise_for(), 0.3, 0.1, n_output=10, eta_transform=eta
                 )
                 return {name: t.x for name, t in zip(("inertial", "limit_S", "limit_noS"), trajs)}
 
             routes[f"fd.coupled.{friction}.eta={eta}"] = coupled
 
     def single():
-        out = {}
-        for system in (fdm.fd_scalar_system(), fdm.fd_isotropic_2d()):
-            nz = noise_for(system, 50)
-            inertial = fdm.simulate_fd(system, 1e-2, nz, 0.3, 0.1, n_output=10)
-            out[f"{system.name}.inertial"] = inertial.x
-            for with_s in (True, False):
-                out[f"{system.name}.limit_S={with_s}"] = fdm.simulate_fd_limit(
-                    system, nz, 0.3, with_S=with_s, n_output=10
-                ).x
-            out[f"{system.name}.drift_S"] = fdm.drift_S(system, np.full(system.dim, 0.4))
+        system, nz = fdm.fd_scalar_system(), noise_for(50)
+        out = {f"{system.name}.inertial": fdm.simulate_fd(system, 1e-2, nz, 0.3, 0.1, n_output=10).x}
+        for with_s in (True, False):
+            out[f"{system.name}.limit_S={with_s}"] = fdm.simulate_fd_limit(
+                system, nz, 0.3, with_S=with_s, n_output=10
+            ).x
+        out[f"{system.name}.drift_S"] = fdm.drift_S(system, np.array([0.4]))
         return out
 
     routes["fd.single"] = single
@@ -221,7 +218,7 @@ def _fd_routes() -> dict:
         fields = {f.name: getattr(preset, f.name) for f in dataclasses.fields(preset)}
         fields.pop("gamma_prime", None)
         system = fdm.FDSystem(**fields)
-        trajs = fdm.simulate_fd_coupled(system, 1e-2, noise_for(system), 0.3, 0.1, n_output=10)
+        trajs = fdm.simulate_fd_coupled(system, 1e-2, noise_for(), 0.3, 0.1, n_output=10)
         return {name: t.x for name, t in zip(("inertial", "limit_S", "limit_noS"), trajs)}
 
     routes["fd.coupled.no_gamma_prime"] = no_gamma_prime
