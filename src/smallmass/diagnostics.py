@@ -107,24 +107,14 @@ class MetricReport:
     """Distances between two trajectories on a common time grid.
 
     All sums are per trailing batch element; scalars for unbatched input.
-    d_x1 / d_x2 are None for a report computed with which="plain".
+    The plain distance is sup_hm1 + l2_h.
     """
 
-    d_x1: np.ndarray | None
-    d_x2: np.ndarray | None
+    d_x1: np.ndarray
+    d_x2: np.ndarray
     tail: float  # truncation tail bound 2^-N_MAX_METRIC, additive uncertainty
     sup_hm1: np.ndarray  # sup_t ||diff||_{H^-1}
     l2_h: np.ndarray  # (int_0^T ||diff||_H^2 dt)^(1/2)
-
-    def value(self, which: str):
-        if which == "plain":
-            return self.sup_hm1 + self.l2_h
-        if which not in ("x1", "x2"):
-            raise ValueError(f"unknown metric selector {which!r}")
-        d = self.d_x1 if which == "x1" else self.d_x2
-        if d is None:
-            raise ValueError(f"metric {which!r} was not computed for this report")
-        return d
 
 
 def _h_norms(diff_sq: np.ndarray, basis: SpectralBasis, s: float) -> np.ndarray:
@@ -169,13 +159,12 @@ def metric_distance(
     coeffs_a: np.ndarray,
     coeffs_b: np.ndarray,
     basis: SpectralBasis,
-    which: str = "all",
 ) -> MetricReport:
     """Distance report between coefficient trajectories of shape (T, ..., N).
 
-    which="all" computes the N_MAX_METRIC-term sums d_x1 and d_x2; "plain"
-    skips them.  sup_hm1 and l2_h are computed for both, by `distance_rows`
-    and `plain_parts`.
+    d_x1 and d_x2 are the N_MAX_METRIC-term sums; sup_hm1 and l2_h come from
+    `distance_rows` and `plain_parts`, which a caller that needs only the
+    plain distance runs on its own.
     """
     a = np.asarray(coeffs_a, dtype=float)
     b = np.asarray(coeffs_b, dtype=float)
@@ -184,18 +173,14 @@ def metric_distance(
     times = np.asarray(times, dtype=float)
     if len(times) != a.shape[0]:
         raise ValueError("time grid does not match trajectories")
-    if which not in ("all", "plain"):
-        raise ValueError(f"unknown metric selector {which!r}")
     h_t, hm1_t = distance_rows(a, b, basis)  # (T, ...)
-    d_x1 = d_x2 = None
-    if which == "all":
-        diff_sq = (a - b) ** 2
-        d_x1 = d_x2 = 0.0
-        for n in range(1, N_MAX_METRIC + 1):
-            w = 2.0**-n
-            d_x1 = d_x1 + w * np.minimum(np.max(_h_norms(diff_sq, basis, -1.0 / n), axis=0), 1.0)
-            ln = _time_integral(times, h_t**n) ** (1.0 / n)
-            d_x2 = d_x2 + w * np.minimum(ln, 1.0)
+    diff_sq = (a - b) ** 2
+    d_x1 = d_x2 = 0.0
+    for n in range(1, N_MAX_METRIC + 1):
+        w = 2.0**-n
+        d_x1 = d_x1 + w * np.minimum(np.max(_h_norms(diff_sq, basis, -1.0 / n), axis=0), 1.0)
+        ln = _time_integral(times, h_t**n) ** (1.0 / n)
+        d_x2 = d_x2 + w * np.minimum(ln, 1.0)
     sup_hm1, l2_h = plain_parts(times, h_t, hm1_t)
     tail = 2.0**-N_MAX_METRIC
     return MetricReport(d_x1=d_x1, d_x2=d_x2, tail=tail, sup_hm1=sup_hm1, l2_h=l2_h)

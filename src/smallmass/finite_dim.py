@@ -13,24 +13,25 @@ solves the Lyapunov equation J gamma + gamma J = sigma^2, so
 J = sigma^2 / (2 gamma) and S = -gamma' sigma^2 / (2 gamma^3) (the scalar
 case of Hottovy, McDaniel, Volpe and Wehr, CMP 2015).
 
-The Lyapunov solve itself is the general dense Kronecker-product linear
-system J gamma^T + gamma J = sigma sigma^T (dimension capped at 8), with the
+The friction is a `models.FrictionModel`: it gives gamma, gamma' and, through
+`models.AntiderivativeMap`, the antiderivative G of gamma.  The Lyapunov
+solve itself is the general dense Kronecker-product linear system
+J gamma^T + gamma J = sigma sigma^T (dimension capped at 8), with the
 residual checked on every call.  At a single point, drift_S runs it on the
 1x1 matrices and differences 1/gamma by a relative central difference with
-step 1e-5.  The limit integrator's S is closed form, with gamma' from the
-system's own derivative, or the same central difference when the system
-gives none.
+step 1e-5.  The limit integrator's S is closed form in gamma and gamma'.
 
 Monte Carlo runs step a (P,) state, one value per path, with elementwise
-products; the driving increments come from a counter-based generator keyed
-by (seed, step), so the inertial and limit integrators consume identical
-noise when run at the same step size (common random numbers), and reruns
-with the same seed are bit-identical.  The runs use the package's one time
+products: each step draws (P,) increments and the runs record (n_out, P)
+trajectories.  The increments come from a counter-based generator keyed by
+(seed, step), so the inertial and limit integrators consume identical noise
+when run at the same step size (common random numbers), and reruns with the
+same seed are bit-identical.  The runs use the package's one time
 loop, `wave.drive`, which advances any set of integrators in lock step on a
 single draw per step; `simulate_fd_coupled` runs the inertial system and the
 limit with and without S together and gives the same bits as three separate
 runs.  Its parts, `coupled_steppers` and `drive_fd`, serve a caller that
-records something else than (n_out, P, 1) trajectories: wrapped in a stepper
+records something else than (n_out, P) trajectories: wrapped in a stepper
 whose record() reduces over paths, the same run keeps only what it reports.
 """
 
@@ -42,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .models import friction_preset
+from .models import AntiderivativeMap, FrictionModel, friction_preset
 from .noise import philox_stream
 from .wave import C_STAB, _initial_state, drive
 
@@ -57,28 +58,17 @@ class LyapunovError(RuntimeError):
 
 @dataclass(frozen=True)
 class FDSystem:
-    """A scalar system; each callable maps a (P,) state to values that broadcast against it.
+    """A scalar system: the drift b and noise sigma, and the friction model.
 
-    b and sigma are the drift and noise coefficients, gamma the friction,
-    bounded below by gamma0 > 0.
-    g_antideriv (optional): an antiderivative G of gamma, for the
-    transformed inertial integrator.
-    gamma_prime (optional): the derivative of gamma, read by the limit
-    integrator's drift S; without it S takes gamma' from a relative central
-    difference of gamma.
+    b and sigma map a (P,) state to values that broadcast against it; the
+    friction's gamma and gamma' do the same, and its antiderivative G
+    (models.AntiderivativeMap) drives the transformed inertial integrator.
     """
 
     b: Callable[[np.ndarray], np.ndarray | float]
-    gamma: Callable[[np.ndarray], np.ndarray]
+    friction: FrictionModel
     sigma: Callable[[np.ndarray], np.ndarray | float]
-    gamma0: float
     name: str = "custom"
-    g_antideriv: Callable[[np.ndarray], np.ndarray] | None = None
-    gamma_prime: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self) -> None:
-        if self.gamma0 <= 0:
-            raise ValueError("ellipticity constant gamma0 must be positive")
 
 
 def solve_lyapunov(gamma_x: np.ndarray, rhs: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
@@ -124,7 +114,7 @@ def point_coefficients(system: FDSystem, x) -> tuple[np.ndarray, np.ndarray]:
     """gamma and sigma sigma^T at one state x, as the 1x1 matrices solve_lyapunov takes."""
     x = np.asarray(x, dtype=float).reshape(1)
     sig = system.sigma(x)
-    return np.reshape(system.gamma(x), (1, 1)), np.reshape(sig * sig, (1, 1))
+    return np.reshape(system.friction.gamma(x), (1, 1)), np.reshape(sig * sig, (1, 1))
 
 
 def drift_S(system: FDSystem, x) -> np.ndarray:
@@ -136,16 +126,9 @@ def drift_S(system: FDSystem, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(1)
     j = solve_lyapunov(*point_coefficients(system, x))
     h = FD_STEP_REL * max(1.0, abs(float(x[0])))
-    dinv = (1.0 / system.gamma(x + h) - 1.0 / system.gamma(x - h)) / (2.0 * h)
+    gamma = system.friction.gamma
+    dinv = (1.0 / gamma(x + h) - 1.0 / gamma(x - h)) / (2.0 * h)
     return dinv * j[0]
-
-
-def _scalar_gamma_prime(system: FDSystem, x: np.ndarray) -> np.ndarray:
-    """gamma' at the (P,) states x: the system's own, else a relative central difference."""
-    if system.gamma_prime is not None:
-        return system.gamma_prime(x)
-    h = FD_STEP_REL * np.maximum(1.0, np.abs(x))
-    return (system.gamma(x + h) - system.gamma(x - h)) / (2.0 * h)
 
 
 def _drift_S_batch(system: FDSystem, x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -155,7 +138,7 @@ def _drift_S_batch(system: FDSystem, x: np.ndarray, g: np.ndarray) -> np.ndarray
     scalar Lyapunov solution J = sigma^2 / (2 gamma).
     """
     sig = system.sigma(x)
-    return (-_scalar_gamma_prime(system, x) / g**2) * ((sig * sig) / (2.0 * g))
+    return (-system.friction.gamma_prime(x) / g**2) * ((sig * sig) / (2.0 * g))
 
 
 # -- noise ---------------------------------------------------------------------
@@ -165,7 +148,7 @@ def _drift_S_batch(system: FDSystem, x: np.ndarray, g: np.ndarray) -> np.ndarray
 class FDNoise:
     """Per-step standard-normal increments, keyed by (seed, step).
 
-    increments(k) returns the same (n_paths, r) table for a given seed no
+    increments(k) returns the same (n_paths,) draw for a given seed no
     matter which integrator consumes it, or in which order the steps are
     drawn; prefixes are stable under enlarging n_paths.
     """
@@ -174,24 +157,23 @@ class FDNoise:
     dt: float
     n_steps: int
     n_paths: int
-    r_dim: int
 
     def increments(self, k: int, gen: np.random.Generator | None = None) -> np.ndarray:
-        """Step k's table; given gen, a Philox generator, re-keys it instead of building one.
+        """Step k's draw; given gen, a Philox generator, re-keys it instead of building one.
 
         A re-keyed generator draws what a freshly built one would
-        (noise.philox_stream), so the table does not depend on gen.
+        (noise.philox_stream), so the draw does not depend on gen.
         """
         key = np.array(
             [np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF), np.uint64(k)], dtype=np.uint64
         )
-        return philox_stream(key, gen).normal(0.0, np.sqrt(self.dt), (self.n_paths, self.r_dim))
+        return philox_stream(key, gen).normal(0.0, np.sqrt(self.dt), self.n_paths)
 
 
 @dataclass
 class FDTrajectory:
     times: np.ndarray  # (n_out,)
-    x: np.ndarray  # (n_out, P, 1)
+    x: np.ndarray  # (n_out, P)
     dt: float
     mu: float | None = None
 
@@ -203,7 +185,7 @@ class _FDStepper:
         pass
 
     def record(self) -> tuple:
-        return (self.x[:, None],)
+        return (self.x,)
 
 
 class _InertialStepper(_FDStepper):
@@ -218,23 +200,22 @@ class _InertialStepper(_FDStepper):
                 RuntimeWarning,
                 stacklevel=3,
             )
-        if eta_transform and system.g_antideriv is None:
-            raise ValueError("eta_transform requires a system with g_antideriv")
         self.system, self.mu, self.dt, self.eta_transform = system, mu, noise.dt, eta_transform
         self.x = _initial_state(x0, (noise.n_paths,))
         self.v = _initial_state(v0, (noise.n_paths,))
         if eta_transform:
-            self.p = mu * self.v + system.g_antideriv(self.x)
+            self.g_antideriv = AntiderivativeMap(system.friction).forward
+            self.p = mu * self.v + self.g_antideriv(self.x)
 
     def step(self, dw: np.ndarray) -> tuple:
-        system, mu, dt, x, dw = self.system, self.mu, self.dt, self.x, dw[:, 0]
+        system, mu, dt, x = self.system, self.mu, self.dt, self.x
         if self.eta_transform:
-            gam = system.gamma(x)
-            x_new = x + dt * (self.p - system.g_antideriv(x)) / mu / (1.0 + dt * gam / mu)
+            gam = system.friction.gamma(x)
+            x_new = x + dt * (self.p - self.g_antideriv(x)) / mu / (1.0 + dt * gam / mu)
             self.p = self.p + dt * system.b(x) + system.sigma(x) * dw
             self.x = x_new
         else:
-            acc = system.b(x) - system.gamma(x) * self.v
+            acc = system.b(x) - system.friction.gamma(x) * self.v
             forcing = system.sigma(x) * dw
             self.x = x + dt * self.v
             self.v = self.v + (dt / mu) * acc + forcing / mu
@@ -252,12 +233,12 @@ class _LimitStepper(_FDStepper):
 
     def step(self, dw: np.ndarray) -> tuple:
         system, x = self.system, self.x
-        g = system.gamma(x)
+        g = system.friction.gamma(x)
         ginv = 1.0 / g
         drift = ginv * system.b(x)
         if self.with_S:
             drift = drift + _drift_S_batch(system, x, g)
-        forcing = ginv * system.sigma(x) * dw[:, 0]
+        forcing = ginv * system.sigma(x) * dw
         self.x = x + self.dt * drift + forcing
         return (self.x,)
 
@@ -302,7 +283,7 @@ def simulate_fd(
     """Euler-Maruyama for the inertial system, vectorized over paths.
 
     eta_transform=True integrates the non-stiff pair (x, p) with
-    p = mu v + G(x), G' = gamma (a system with g_antideriv), treating G implicitly
+    p = mu v + G(x), G' = gamma (models.AntiderivativeMap), treating G implicitly
     through one Newton step in the x-update.
     """
     stepper = _InertialStepper(system, mu, noise, x0, v0, eta_transform)
@@ -342,31 +323,20 @@ def simulate_fd_coupled(
 class FDCompareReport:
     """Endpoint statistics of a coupled inertial-vs-limit study."""
 
-    mu: float
     n_paths: int
-    mean_inertial: np.ndarray
-    mean_limit: np.ndarray
-    diff_mean: np.ndarray  # mean of per-path differences
-    diff_se: np.ndarray  # standard error of that mean (coupled)
-    z_score: float  # |diff_mean| / diff_se, worst component
+    diff_mean: float  # mean of per-path differences
+    diff_se: float  # standard error of that mean (coupled)
+    z_score: float  # |diff_mean| / diff_se
 
 
-def compare_endpoints(xa: np.ndarray, xb: np.ndarray, mu: float) -> FDCompareReport:
-    """Statistics of two coupled runs' (P, 1) final states, path by path."""
+def compare_endpoints(xa: np.ndarray, xb: np.ndarray) -> FDCompareReport:
+    """Statistics of two coupled runs' (P,) final states, path by path."""
     diff = xa - xb
     n = diff.shape[0]
-    diff_mean = diff.mean(axis=0)
-    diff_se = diff.std(axis=0, ddof=1) / np.sqrt(n)
-    z = float(np.max(np.abs(diff_mean) / np.maximum(diff_se, 1e-300)))
-    return FDCompareReport(
-        mu=mu,
-        n_paths=n,
-        mean_inertial=xa.mean(axis=0),
-        mean_limit=xb.mean(axis=0),
-        diff_mean=diff_mean,
-        diff_se=diff_se,
-        z_score=z,
-    )
+    diff_mean = float(diff.mean())
+    diff_se = float(diff.std(ddof=1) / np.sqrt(n))
+    z = abs(diff_mean) / max(diff_se, 1e-300)
+    return FDCompareReport(n_paths=n, diff_mean=diff_mean, diff_se=diff_se, z_score=z)
 
 
 # -- presets ---------------------------------------------------------------------
@@ -379,18 +349,12 @@ _FD_FRICTIONS = {"two_plus_sin": {}, "constant": {"value": 2.0}}
 def fd_scalar_system(friction: str = "two_plus_sin", sigma_value: float = 1.0) -> FDSystem:
     """The system with zero drift, gamma(x) = 2 + sin x (or constant 2) and constant sigma.
 
-    gamma, its derivative and its antiderivative are the registry preset's.
+    The friction is the registry preset's model (models.friction_preset).
     """
     if friction not in _FD_FRICTIONS:
         raise ValueError(f"unknown scalar friction {friction!r}")
     model = friction_preset(friction, **_FD_FRICTIONS[friction])
     sigma_value = float(sigma_value)
     return FDSystem(
-        b=lambda x: 0.0,
-        gamma=model.gamma,
-        sigma=lambda x: sigma_value,
-        gamma0=model.gamma0,
-        name=f"scalar_{friction}",
-        g_antideriv=model.g_closed,
-        gamma_prime=model.gamma_prime,
+        b=lambda x: 0.0, friction=model, sigma=lambda x: sigma_value, name=f"scalar_{friction}"
     )

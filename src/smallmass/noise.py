@@ -279,7 +279,11 @@ def save_path(path: NoisePath, filename) -> None:
 
 
 def load_path(filename) -> NoisePath:
-    """Read a dump written by save_path; any other or truncated file raises ValueError."""
+    """Read a dump written by save_path; any other, truncated or forged file raises ValueError.
+
+    A header whose dt is not positive and finite, whose counts are not
+    positive or whose level is negative is rejected by field name.
+    """
     with open(filename, "rb") as fh:
         raw, body = fh.read(_HEADER.size), fh.read()
     if not raw or not _MAGIC.startswith(raw[: len(_MAGIC)]):
@@ -289,6 +293,14 @@ def load_path(filename) -> NoisePath:
     _, version, seed, dt, n_steps, n_modes, level = _HEADER.unpack(raw)
     if version != _VERSION:
         raise ValueError(f"{filename} has noise dump version {version}, expected {_FORMAT}")
+    for field, value, ok in (
+        ("dt", dt, np.isfinite(dt) and dt > 0.0),
+        ("n_steps", n_steps, n_steps >= 1),
+        ("n_modes", n_modes, n_modes >= 1),
+        ("level", level, level >= 0),
+    ):
+        if not ok:
+            raise ValueError(f"{_FORMAT} {filename}: invalid header field {field} = {value}")
     if len(body) != 8 * n_modes * n_steps:
         raise ValueError(
             f"truncated or overlong {_FORMAT} {filename}: "

@@ -101,6 +101,9 @@ def load_trajectory_bin(path):
             raise ValueError(f"truncated trajectory dump {path}")
         n_times, n_modes = struct.unpack(_TRAJ_HEADER, head)
         data = np.frombuffer(fh.read(), dtype="<f8")
+    for field, value in (("n_times", n_times), ("n_modes", n_modes)):
+        if value < 0:
+            raise ValueError(f"trajectory dump {path}: negative header field {field} = {value}")
     if data.size != n_times * (1 + n_modes):
         raise ValueError(f"trajectory dump {path} has wrong table size")
     times = data[:n_times].astype(float)

@@ -170,7 +170,8 @@ def _study_block(cfg: dict, seed0: int, n_paths: int, ablate_drift: bool) -> Lad
             norms.setdefault(name, np.empty((len(ladder), n_paths)))[idx] = rows
     if not ablate_drift:
         return LadderStudy(ladder, d[0], norms)
-    d_h = diagnostics.metric_distance(limit_times, *limits, basis, "plain").value("plain")
+    sup_hm1, l2_h = diagnostics.plain_parts(limit_times, *diagnostics.distance_rows(*limits, basis))
+    d_h = sup_hm1 + l2_h
     return LadderStudy(ladder, d[0], norms, d_no=d[1], d_h=d_h)
 
 
@@ -392,8 +393,7 @@ class _PathMoments:
     """An fd stepper for drive() whose records are its path mean and spread.
 
     At each output index record() returns the mean and the ddof-1 standard
-    deviation over paths of the stepper's (P, 1) record, (1,) each; no
-    trajectory is kept.
+    deviation over paths of the stepper's (P,) record; no trajectory is kept.
     """
 
     def __init__(self, run):
@@ -410,27 +410,25 @@ def run_fd_converge(cfg: dict, out_dir) -> dict:
     fd = cfg["fd"]
     system = fd_scalar_system(friction=fd["friction"], sigma_value=fd["sigma"])
     n_steps = noise._n_steps(fd["t_final"], fd["dt"])
-    fdnoise = FDNoise(
-        seed=cfg["seed"], dt=fd["dt"], n_steps=n_steps, n_paths=fd["paths"], r_dim=1
-    )
+    fdnoise = FDNoise(seed=cfg["seed"], dt=fd["dt"], n_steps=n_steps, n_paths=fd["paths"])
     steppers = coupled_steppers(
         system, fd["mu"], fdnoise, fd["x0"], fd["v0"], eta_transform=fd["eta_transform"]
     )
     times, moments = drive_fd([_PathMoments(s) for s in steppers], fdnoise, FD_N_OUTPUT)
-    inertial, limit_s, limit_no = (s.x[:, None] for s in steppers)
-    rep_s = compare_endpoints(inertial, limit_s, fd["mu"])
-    rep_no = compare_endpoints(inertial, limit_no, fd["mu"])
+    inertial, limit_s, limit_no = (s.x for s in steppers)
+    rep_s = compare_endpoints(inertial, limit_s)
+    rep_no = compare_endpoints(inertial, limit_no)
     stats = {
         "mu": fd["mu"],
         "paths": fd["paths"],
         "with_S": {
-            "mean_diff": rep_s.diff_mean.tolist(),
-            "se": rep_s.diff_se.tolist(),
+            "mean_diff": [rep_s.diff_mean],
+            "se": [rep_s.diff_se],
             "z": rep_s.z_score,
         },
         "without_S": {
-            "mean_diff": rep_no.diff_mean.tolist(),
-            "se": rep_no.diff_se.tolist(),
+            "mean_diff": [rep_no.diff_mean],
+            "se": [rep_no.diff_se],
             "z": rep_no.z_score,
         },
     }
@@ -439,7 +437,7 @@ def run_fd_converge(cfg: dict, out_dir) -> dict:
     root_n = np.sqrt(fd["paths"])
     cols = {"t": times}
     for name, (mean, std) in zip(("inertial", "limit", "limit_noS"), moments):
-        cols[f"mean_{name}"], cols[f"se_{name}"] = mean[:, 0], std[:, 0] / root_n
+        cols[f"mean_{name}"], cols[f"se_{name}"] = mean, std / root_n
     output.write_csv(os.path.join(out_dir, "fd_means.csv"), cols, h, cfg["seed"])
     ok = rep_s.z_score <= 3.0 and rep_no.z_score > 3.0
     return {"ok": bool(ok), "report": stats}

@@ -275,7 +275,8 @@ def run_selftest() -> list[tuple[str, bool, str]]:
     times = np.linspace(0, 0.5, 6)
     traj_a = np.zeros((6, 3))
     rep0 = metric_distance(times, traj_a, traj_a, b1)
-    check("identical trajectories at distance 0", rep0.value("plain") == 0.0 and rep0.d_x1 == 0.0)
+    plain0 = rep0.sup_hm1 + rep0.l2_h
+    check("identical trajectories at distance 0", plain0 == 0.0 and rep0.d_x1 == 0.0)
     eps = 0.25
     traj_b = np.zeros((6, 3))
     traj_b[:, 0] = eps

@@ -102,14 +102,12 @@ def test_criterion_2_drift_necessity(headline, study):
 def test_criterion_3_finite_dimensional_drift():
     system = fd_scalar_system(sigma_value=1.0)
     mu, t_final, dt, n_paths = 1e-3, 1.0, 5e-5, 10_000
-    fdnoise = FDNoise(
-        seed=42, dt=dt, n_steps=int(round(t_final / dt)), n_paths=n_paths, r_dim=1
-    )
+    fdnoise = FDNoise(seed=42, dt=dt, n_steps=int(round(t_final / dt)), n_paths=n_paths)
     # The inertial run and the limits with and without S, in lock step on one draw per step.
     inertial, lim_s, lim_no = simulate_fd_coupled(
         system, mu, fdnoise, 0.0, 0.0, n_output=4, eta_transform=True
     )
-    xa = inertial.x[-1][:, 0]
+    xa = inertial.x[-1]
 
     def z_scores(xb):
         d = xa - xb
@@ -117,8 +115,8 @@ def test_criterion_3_finite_dimensional_drift():
         se_combined = np.sqrt(xa.var(ddof=1) / n_paths + xb.var(ddof=1) / n_paths)
         return abs(d.mean()) / se_combined, abs(d.mean()) / se_coupled
 
-    z_with, z_with_coupled = z_scores(lim_s.x[-1][:, 0])
-    z_no, z_no_coupled = z_scores(lim_no.x[-1][:, 0])
+    z_with, z_with_coupled = z_scores(lim_s.x[-1])
+    z_no, z_no_coupled = z_scores(lim_no.x[-1])
 
     # Lyapunov residual on every solve along the visited range, plus the
     # pipeline-vs-closed-form drift identity.

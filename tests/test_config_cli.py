@@ -897,7 +897,8 @@ def test_ladder_study_equals_its_masses_run_one_at_a_time(monkeypatch, scheme):
         traj = solver.simulate(u0, v0, noise.refine_to(batch, solver.max_dt()), n_output=10)
         assert waves[mu].dt == traj.dt
         for d, limit in zip((study.per_path_distance, study.d_no), limits):
-            alone = metric_distance(traj.times, traj.u, limit, basis, "plain").value("plain")
+            rep = metric_distance(traj.times, traj.u, limit, basis)
+            alone = rep.sup_hm1 + rep.l2_h
             assert np.array_equal(d[k], alone), (scheme, mu)
         assert set(study.norms) == set(vars(traj)) - {"times", "u", "v", "mu", "dt"}
         for name, rows in study.norms.items():
@@ -934,7 +935,7 @@ def test_study_block_keeps_no_wave_trajectories():
 
 def test_fd_converge_keeps_no_trajectories(tmp_path):
     # The run records each integrator's path moments at every output time, so
-    # its traced peak stays below one (n_out, P, 1) trajectory; the three
+    # its traced peak stays below one (n_out, P) trajectory; the three
     # trajectories it kept before peaked at about four times that.
     import tracemalloc
 

@@ -61,7 +61,7 @@ def test_metric_identical_and_offset(basis):
     times = np.linspace(0, 1, 9)
     a = np.zeros((9, 12))
     rep0 = metric_distance(times, a, a, basis)
-    assert rep0.d_x1 == 0.0 and rep0.d_x2 == 0.0 and rep0.value("plain") == 0.0
+    assert rep0.d_x1 == 0.0 and rep0.d_x2 == 0.0 and rep0.sup_hm1 + rep0.l2_h == 0.0
     b = a.copy()
     b[:, 0] = 0.3
     rep = metric_distance(times, a, b, basis)
@@ -102,33 +102,18 @@ def test_metric_symmetry_and_triangle(basis):
     x = rng.normal(size=(11, 12)) * 0.1
     y = rng.normal(size=(11, 12)) * 0.1
     z = rng.normal(size=(11, 12)) * 0.1
-    for which in ("x1", "x2", "plain"):
-        dxy = metric_distance(times, x, y, basis).value(which)
-        dyx = metric_distance(times, y, x, basis).value(which)
-        dxz = metric_distance(times, x, z, basis).value(which)
-        dzy = metric_distance(times, z, y, basis).value(which)
-        assert abs(dxy - dyx) < 1e-14
-        assert dxy <= dxz + dzy + 1e-12
-
-
-def test_metric_selectors_compute_only_what_they_name(basis):
-    rng = np.random.default_rng(3)
-    times = np.linspace(0, 0.5, 11)
-    x = rng.normal(size=(11, 4, 12)) * 0.1
-    y = rng.normal(size=(11, 4, 12)) * 0.1
-    full = metric_distance(times, x, y, basis)
-    plain = metric_distance(times, x, y, basis, "plain")
-    assert plain.d_x1 is None and plain.d_x2 is None
-    assert np.array_equal(plain.sup_hm1, full.sup_hm1)
-    assert np.array_equal(plain.l2_h, full.l2_h)
-    assert np.array_equal(plain.value("plain"), full.value("plain"))
-    assert np.array_equal(full.value("x1"), full.d_x1)
-    assert np.array_equal(full.value("x2"), full.d_x2)
-    with pytest.raises(ValueError, match="not computed"):
-        plain.value("x1")
-    for which in ("x1", "x3"):
-        with pytest.raises(ValueError, match="unknown"):
-            metric_distance(times, x, y, basis, which)
+    distances = {
+        "x1": lambda rep: rep.d_x1,
+        "x2": lambda rep: rep.d_x2,
+        "plain": lambda rep: rep.sup_hm1 + rep.l2_h,
+    }
+    for name, dist in distances.items():
+        dxy = dist(metric_distance(times, x, y, basis))
+        dyx = dist(metric_distance(times, y, x, basis))
+        dxz = dist(metric_distance(times, x, z, basis))
+        dzy = dist(metric_distance(times, z, y, basis))
+        assert abs(dxy - dyx) < 1e-14, name
+        assert dxy <= dxz + dzy + 1e-12, name
 
 
 def test_metric_grid_mismatch_rejected(basis):

@@ -6,7 +6,6 @@ from scipy.linalg import solve_lyapunov as scipy_lyapunov
 
 from smallmass.finite_dim import (
     FD_N_OUTPUT,
-    FD_STEP_REL,
     FDNoise,
     FDSystem,
     LyapunovError,
@@ -78,90 +77,64 @@ def test_constant_friction_no_drift():
     assert abs(drift_S(system, 0.4)[0]) < 1e-10
 
 
-def _without_gamma_prime(system):
-    """The same scalar system built without a derivative: S takes the central difference."""
-    return FDSystem(**{f.name: getattr(system, f.name) for f in dataclasses.fields(system)
-                       if f.name != "gamma_prime"})
-
-
 @pytest.mark.parametrize("friction", ["two_plus_sin", "constant"])
 def test_batched_scalar_S_matches_the_pointwise_solve(friction):
     # The limit step's closed form -gamma'/gamma^2 * sigma^2/(2 gamma) against
     # drift_S's Lyapunov solve and central-difference Jacobian at every point.
     system = fd_scalar_system(friction=friction, sigma_value=1.3)
     x = np.linspace(-3.0, 3.0, 61)
-    batched = _drift_S_batch(system, x, system.gamma(x))
+    batched = _drift_S_batch(system, x, system.friction.gamma(x))
     pointwise = np.concatenate([drift_S(system, xi) for xi in x])
     assert batched.shape == (61,)
     assert np.max(np.abs(batched - pointwise)) <= 1e-8
-    fallback = _drift_S_batch(_without_gamma_prime(system), x, system.gamma(x))
-    assert np.max(np.abs(fallback - batched)) <= 1e-8
     if friction == "constant":
         assert np.array_equal(batched, np.zeros_like(x))
-        assert np.array_equal(fallback, np.zeros_like(x))
     else:
         assert np.min(np.abs(batched)) > 0.0
 
 
-def test_scalar_system_without_gamma_prime_runs_the_central_difference():
-    system = fd_scalar_system()
-    plain = _without_gamma_prime(system)
-    assert system.gamma_prime is not None and plain.gamma_prime is None
-    # the fallback's gamma' is the relative central difference of gamma
-    x = np.linspace(-3.0, 3.0, 13)
-    h = FD_STEP_REL * np.maximum(1.0, np.abs(x))
-    dgam = ((2.0 + np.sin(x + h)) - (2.0 + np.sin(x - h))) / (2.0 * h)
-    g = 2.0 + np.sin(x)
-    expected = -dgam / g**2 * (1.0 / (2.0 * g))
-    assert np.array_equal(_drift_S_batch(plain, x, system.gamma(x)), expected)
-    noise = FDNoise(seed=3, dt=1e-3, n_steps=80, n_paths=32, r_dim=1)
-    runs = [simulate_fd_coupled(s, 1e-2, noise, 0.3, 0.1, n_output=8) for s in (system, plain)]
-    for name, a, b in zip(("inertial", "limit_S", "limit_noS"), *runs):
-        if name == "limit_S":  # S moves by the difference error only
-            assert not np.array_equal(a.x, b.x)
-            assert np.allclose(a.x, b.x, rtol=1e-9, atol=1e-12)
-        else:
-            assert np.array_equal(a.x, b.x), name
-
-
 def test_scalar_preset_uses_the_friction_registry():
-    from smallmass.models import friction_preset
+    from smallmass.models import AntiderivativeMap, friction_preset
 
     x = np.linspace(-3.0, 3.0, 13)
     for name, model in (
         ("two_plus_sin", friction_preset("two_plus_sin")),
         ("constant", friction_preset("constant", value=2.0)),
     ):
+        friction = fd_scalar_system(friction=name, sigma_value=1.5).friction
+        assert friction.name == model.name
+        assert (friction.gamma0, friction.gamma1) == (model.gamma0, model.gamma1)
+        assert np.array_equal(friction.gamma(x), model.gamma(x))
+        assert np.array_equal(friction.gamma_prime(x), model.gamma_prime(x))
+        # the G of the transformed integrator is the preset's closed form, unchanged
+        assert np.array_equal(AntiderivativeMap(friction).forward(x), model.g_closed(x))
         system = fd_scalar_system(friction=name, sigma_value=1.5)
-        assert np.array_equal(system.gamma(x), model.gamma(x))
-        assert np.array_equal(system.g_antideriv(x), model.g_closed(x))
-        assert np.array_equal(system.gamma_prime(x), model.gamma_prime(x))
-        assert system.gamma0 == model.gamma0
         assert system.b(x) == 0.0 and system.sigma(x) == 1.5
     # the same bits as the formulas the preset was written with
-    assert np.array_equal(fd_scalar_system().gamma(x), 2.0 + np.sin(x))
-    assert np.array_equal(fd_scalar_system("constant").gamma(x), np.full(13, 2.0))
+    assert np.array_equal(fd_scalar_system().friction.gamma(x), 2.0 + np.sin(x))
+    assert np.array_equal(fd_scalar_system("constant").friction.gamma(x), np.full(13, 2.0))
     for bad in ("bell", "nope"):  # "bell" is a registry preset, not an fd one
         with pytest.raises(ValueError, match="unknown scalar friction"):
             fd_scalar_system(friction=bad)
 
 
 def test_noise_determinism_and_prefix_stability():
-    a = FDNoise(seed=5, dt=0.01, n_steps=3, n_paths=6, r_dim=2)
-    b = FDNoise(seed=5, dt=0.01, n_steps=3, n_paths=6, r_dim=2)
+    a = FDNoise(seed=5, dt=0.01, n_steps=3, n_paths=6)
+    b = FDNoise(seed=5, dt=0.01, n_steps=3, n_paths=6)
+    assert a.increments(1).shape == (6,)
     assert np.array_equal(a.increments(1), b.increments(1))
-    wide = FDNoise(seed=5, dt=0.01, n_steps=3, n_paths=9, r_dim=2)
+    wide = FDNoise(seed=5, dt=0.01, n_steps=3, n_paths=9)
     assert np.allclose(wide.increments(1)[:6], a.increments(1))
 
 
 def test_noise_increments_equal_a_fresh_generator_per_step():
     # A run re-keys one generator per step; every step must still draw what a
     # Philox built on key (seed, k) draws, whatever steps were drawn before.
-    noise = FDNoise(seed=2**64 + 7, dt=0.04, n_steps=50, n_paths=5, r_dim=2)
+    noise = FDNoise(seed=2**64 + 7, dt=0.04, n_steps=50, n_paths=5)
     gen = np.random.Generator(np.random.Philox())
     for k in (3, 0, 41, 3, 17, 1, 0):
         key = np.array([7, k], dtype=np.uint64)
-        fresh = np.random.Generator(np.random.Philox(key=key)).normal(0.0, np.sqrt(0.04), (5, 2))
+        fresh = np.random.Generator(np.random.Philox(key=key)).normal(0.0, np.sqrt(0.04), 5)
         assert np.array_equal(noise.increments(k, gen), fresh)
         assert np.array_equal(noise.increments(k), fresh)
 
@@ -169,18 +142,18 @@ def test_noise_increments_equal_a_fresh_generator_per_step():
 def test_zero_noise_relaxation():
     # sigma == 0, b == 0: the inertial system relaxes to a constant, the limit
     # stays put.
-    zero_sigma = dataclasses.replace(fd_scalar_system(), sigma=lambda x: 0.0, gamma_prime=None)
-    noise = FDNoise(seed=0, dt=1e-4, n_steps=2000, n_paths=3, r_dim=1)
+    zero_sigma = dataclasses.replace(fd_scalar_system(), sigma=lambda x: 0.0)
+    noise = FDNoise(seed=0, dt=1e-4, n_steps=2000, n_paths=3)
     inert = simulate_fd(zero_sigma, 1e-3, noise, 0.5, 2.0, n_output=10)
     lim = simulate_fd_limit(zero_sigma, noise, 0.5, n_output=10)
-    v_effective = np.abs(np.diff(inert.x[-2:, :, 0], axis=0))
+    v_effective = np.abs(np.diff(inert.x[-2:], axis=0))
     assert np.max(v_effective) < 1e-5  # velocity has relaxed away
     assert np.allclose(lim.x[-1], 0.5, atol=1e-12)
 
 
 def test_simulation_determinism():
     system = fd_scalar_system()
-    noise = FDNoise(seed=11, dt=1e-4, n_steps=500, n_paths=16, r_dim=1)
+    noise = FDNoise(seed=11, dt=1e-4, n_steps=500, n_paths=16)
     a = simulate_fd(system, 1e-2, noise, 0.0, 0.0, n_output=5)
     b = simulate_fd(system, 1e-2, noise, 0.0, 0.0, n_output=5)
     assert np.array_equal(a.x, b.x)
@@ -189,7 +162,7 @@ def test_simulation_determinism():
 def test_eta_transform_matches_plain_integrator():
     system = fd_scalar_system()
     dt, n, mu = 2e-5, 2000, 1e-2
-    noise = FDNoise(seed=3, dt=dt, n_steps=n, n_paths=32, r_dim=1)
+    noise = FDNoise(seed=3, dt=dt, n_steps=n, n_paths=32)
     plain = simulate_fd(system, mu, noise, 0.0, 0.0, n_output=4)
     eta = simulate_fd(system, mu, noise, 0.0, 0.0, n_output=4, eta_transform=True)
     gap = np.abs(plain.x[-1] - eta.x[-1])
@@ -200,14 +173,14 @@ def test_eta_transform_matches_plain_integrator():
 def test_coupled_comparison_statistics():
     system = fd_scalar_system()
     mu, dt, P = 2e-3, 1e-4, 400
-    noise = FDNoise(seed=21, dt=dt, n_steps=5000, n_paths=P, r_dim=1)
+    noise = FDNoise(seed=21, dt=dt, n_steps=5000, n_paths=P)
     inert = simulate_fd(system, mu, noise, 0.0, 0.0, n_output=4, eta_transform=True)
     lim = simulate_fd_limit(system, noise, 0.0, with_S=True, n_output=4)
-    rep = compare_endpoints(inert.x[-1], lim.x[-1], mu)
+    rep = compare_endpoints(inert.x[-1], lim.x[-1])
     assert rep.n_paths == P
     # coupling keeps the per-path endpoint gap far below the path spread
-    assert np.abs(rep.diff_mean[0]) < 0.1 * np.abs(inert.x[-1]).std()
-    assert rep.diff_se[0] < 0.05
+    assert abs(rep.diff_mean) < 0.1 * np.abs(inert.x[-1]).std()
+    assert rep.diff_se < 0.05
 
 
 def _read_table(path) -> dict:
@@ -231,7 +204,7 @@ def test_fd_converge_streams_the_moments_of_the_trajectories(tmp_path, eta_trans
 
     system = fd_scalar_system(friction=fd["friction"], sigma_value=fd["sigma"])
     n_steps = _n_steps(fd["t_final"], fd["dt"])
-    fdnoise = FDNoise(seed=cfg["seed"], dt=fd["dt"], n_steps=n_steps, n_paths=1001, r_dim=1)
+    fdnoise = FDNoise(seed=cfg["seed"], dt=fd["dt"], n_steps=n_steps, n_paths=1001)
     args = (system, fd["mu"], fdnoise, fd["x0"], fd["v0"])
     trajs = simulate_fd_coupled(*args, eta_transform=eta_transform)
     steppers = coupled_steppers(*args, eta_transform)
@@ -240,25 +213,18 @@ def test_fd_converge_streams_the_moments_of_the_trajectories(tmp_path, eta_trans
         assert np.array_equal(times, traj.times)
         assert np.array_equal(mean, traj.x.mean(axis=1))
         assert np.array_equal(std, traj.x.std(axis=1, ddof=1))
-        assert np.array_equal(stepper.x, traj.x[-1, :, 0])
+        assert np.array_equal(stepper.x, traj.x[-1])
 
     table = _read_table(tmp_path / "fd_means.csv")
     assert np.array_equal(table["t"], trajs[0].times)
     for name, traj in zip(("inertial", "limit", "limit_noS"), trajs):
-        assert np.array_equal(table[f"mean_{name}"], traj.x.mean(axis=1)[:, 0])
-        se = traj.x.std(axis=1, ddof=1)[:, 0] / np.sqrt(1001)
+        assert np.array_equal(table[f"mean_{name}"], traj.x.mean(axis=1))
+        se = traj.x.std(axis=1, ddof=1) / np.sqrt(1001)
         assert np.array_equal(table[f"se_{name}"], se)
     for side, lim in (("with_S", trajs[1]), ("without_S", trajs[2])):
-        ref = compare_endpoints(trajs[0].x[-1], lim.x[-1], fd["mu"])
-        expected = {"mean_diff": ref.diff_mean.tolist(), "se": ref.diff_se.tolist(), "z": ref.z_score}
+        ref = compare_endpoints(trajs[0].x[-1], lim.x[-1])
+        expected = {"mean_diff": [ref.diff_mean], "se": [ref.diff_se], "z": ref.z_score}
         assert result["report"][side] == expected
-
-
-def test_eta_transform_requires_scalar_antiderivative():
-    system = dataclasses.replace(fd_scalar_system(), g_antideriv=None)
-    noise = FDNoise(seed=0, dt=1e-3, n_steps=2, n_paths=2, r_dim=1)
-    with pytest.raises(ValueError, match="g_antideriv"):
-        simulate_fd(system, 0.1, noise, 0.0, 0.0, eta_transform=True)
 
 
 def _scalar_preset(system):
@@ -271,15 +237,15 @@ def _scalar_preset(system):
 def _reference_paths(noise, n_output, step):
     """Run step(state, dw) path by path over the scalar draws; keep the first state entry."""
     idx = np.unique(np.round(np.linspace(0, noise.n_steps, n_output + 1)).astype(int))
-    dws = [noise.increments(k)[:, 0] for k in range(noise.n_steps)]
-    x = np.empty((len(idx), noise.n_paths, 1))
+    dws = [noise.increments(k) for k in range(noise.n_steps)]
+    x = np.empty((len(idx), noise.n_paths))
     for i in range(noise.n_paths):
         state, pos = step(None, None), 1
-        x[0, i, 0] = state[0]
+        x[0, i] = state[0]
         for k in range(noise.n_steps):
             state = step(state, dws[k][i])
             if k + 1 == idx[pos]:
-                x[pos, i, 0], pos = state[0], pos + 1
+                x[pos, i], pos = state[0], pos + 1
     return idx * noise.dt, x
 
 
@@ -330,7 +296,7 @@ def _reference_inertial(system, mu, noise, x0, v0, eta_transform, n_output):
 def test_inertial_steppers_equal_a_scalar_hand_loop(eta_transform, friction):
     # The stepper is elementwise over paths: path by path, it is the scalar loop, bit for bit.
     system = fd_scalar_system(friction=friction, sigma_value=1.2)
-    noise = FDNoise(seed=8, dt=1e-3, n_steps=150, n_paths=5, r_dim=1)
+    noise = FDNoise(seed=8, dt=1e-3, n_steps=150, n_paths=5)
     run = simulate_fd(system, 1e-2, noise, 0.3, 0.1, n_output=6, eta_transform=eta_transform)
     times, x = _reference_inertial(system, 1e-2, noise, 0.3, 0.1, eta_transform, 6)
     assert np.array_equal(run.times, times)
@@ -340,7 +306,7 @@ def test_inertial_steppers_equal_a_scalar_hand_loop(eta_transform, friction):
 @pytest.mark.parametrize("with_S", [True, False])
 def test_scalar_limit_matches_inverse_reference(with_S):
     system = fd_scalar_system()
-    noise = FDNoise(seed=8, dt=1e-3, n_steps=200, n_paths=64, r_dim=1)
+    noise = FDNoise(seed=8, dt=1e-3, n_steps=200, n_paths=64)
     lim = simulate_fd_limit(system, noise, 0.3, with_S=with_S, n_output=10)
     times, x = _reference_limit(system, noise, 0.3, with_S, n_output=10)
     assert np.array_equal(lim.times, times)
@@ -366,8 +332,30 @@ def _assert_coupled_equals_separate(system, mu, noise, x0, eta_transform):
 
 @pytest.mark.parametrize("eta_transform", [False, True])
 def test_coupled_run_matches_separate_runs(eta_transform):
-    noise = FDNoise(seed=13, dt=1e-4, n_steps=300, n_paths=64, r_dim=1)
+    noise = FDNoise(seed=13, dt=1e-4, n_steps=300, n_paths=64)
     _assert_coupled_equals_separate(fd_scalar_system(), 1e-2, noise, 0.1, eta_transform)
+
+
+@pytest.mark.parametrize("eta_transform", [False, True])
+def test_tabulated_friction_runs_the_coupled_route(eta_transform):
+    # A table has neither a closed G nor a closed gamma': the models layer
+    # supplies both (quadrature in AntiderivativeMap, a central difference of
+    # the interpolant for gamma'), and the fd route runs on them as given.
+    from smallmass.models import friction_from_table
+
+    r = np.linspace(-4.0, 4.0, 161)
+    friction = friction_from_table(r, 2.0 + np.sin(r))
+    assert friction.g_closed is None
+    system = FDSystem(b=lambda x: 0.0, friction=friction, sigma=lambda x: 1.2, name="tabulated")
+    x = np.linspace(-3.0, 3.0, 61)
+    S = _drift_S_batch(system, x, friction.gamma(x))
+    assert np.all(np.isfinite(S)) and np.max(np.abs(S)) > 0.01
+    noise = FDNoise(seed=13, dt=1e-3, n_steps=120, n_paths=32)
+    inertial, limit_S, limit_noS = _assert_coupled_equals_separate(
+        system, 1e-2, noise, 0.3, eta_transform
+    )
+    assert not np.array_equal(limit_S.x, limit_noS.x)
+    assert np.all(np.isfinite(inertial.x))
 
 
 def test_divergence_raises_simulation_diverged():
@@ -379,7 +367,7 @@ def test_divergence_raises_simulation_diverged():
         b=lambda x: 1e200 * x,
         sigma=lambda x: 0.0,
     )
-    noise = FDNoise(seed=0, dt=1e-2, n_steps=10, n_paths=3, r_dim=1)
+    noise = FDNoise(seed=0, dt=1e-2, n_steps=10, n_paths=3)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SimulationDiverged) as single_limit:
             simulate_fd_limit(system, noise, 1.0, n_output=5)

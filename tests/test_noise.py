@@ -255,6 +255,48 @@ def test_dump_without_header_or_truncated_is_rejected_by_format(tmp_path):
             load_path(short)
 
 
+@pytest.mark.parametrize(
+    "forged, field",
+    [
+        ({"level": -1}, "level"),
+        ({"n_modes": 0}, "n_modes"),
+        ({"n_steps": 0}, "n_steps"),
+        ({"n_modes": -2}, "n_modes"),
+        ({"n_steps": -30, "n_modes": -2}, "n_steps"),  # a table size numpy cannot reshape to
+        ({"dt": float("nan")}, "dt"),
+        ({"dt": -0.01}, "dt"),
+        ({"dt": 0.0}, "dt"),
+    ],
+)
+def test_dump_with_a_forged_header_is_rejected_by_field(tmp_path, forged, field):
+    # A header claiming level -1 would refine from the level-0 streams that
+    # made the coarse increments (every odd fine increment exactly 0); empty
+    # or negative counts and a non-positive dt would load or fail in numpy.
+    import struct
+
+    p = sample_path(3, 0.3, 0.01, 2)
+    head = {"seed": 3, "dt": 0.01, "n_steps": 30, "n_modes": 2, "level": 0, **forged}
+    n = head["n_steps"] * head["n_modes"]  # the table size the forged header declares
+    table = np.resize(p.increments.ravel(), max(n, 0)).astype("<f8").tobytes()
+    fn = tmp_path / "forged.bin"
+    fn.write_bytes(struct.pack("<8sqqdqqq", b"SMNOISE\0", 1, *head.values()) + table)
+    with pytest.raises(ValueError, match=f"noise dump \\(version 1\\).*header field {field} ="):
+        load_path(fn)
+
+
+@pytest.mark.parametrize("n_times, n_modes", [(3, -1), (-2, -1), (-1, 4)])
+def test_trajectory_dump_with_negative_counts_is_rejected_by_field(tmp_path, n_times, n_modes):
+    import struct
+
+    from smallmass.output import load_trajectory_bin
+
+    fn = tmp_path / "forged.bin"
+    fn.write_bytes(struct.pack("<qq", n_times, n_modes))  # declares an empty table
+    field = "n_times" if n_times < 0 else "n_modes"
+    with pytest.raises(ValueError, match=f"trajectory dump .*negative header field {field} ="):
+        load_trajectory_bin(fn)
+
+
 def test_refine_to_refines_a_batch_member_by_member():
     batch = sample_batch(8, 3, 0.01, 1e-3, 5)
     fine = refine_to(batch, 3e-4)

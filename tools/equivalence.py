@@ -31,9 +31,8 @@ item of every route is bitwise equal on both sides, else 1.
 
 Route groups: the catalogue (3 wave schemes x path/batch x noisy/noise-free,
 one and two wave steps, limit forms x drift x path/batch, single limit
-steps, refinement of a path and a batch, fd coupled and single runs (and a
-coupled run of a scalar system that gives no gamma'), a stacked resolvent
-solve with its per-row info and the resolvent audit at criterion 4's size, every
+steps, refinement of a path and a batch, fd coupled and single runs, a
+stacked resolvent solve with its per-row info and the resolvent audit at criterion 4's size, every
 `run_*` work function on small configs, fd-converge also at 1001 paths), the default config of every
 `run_*` work function (about a minute), and the routes of the benchmark's
 workloads (bench/workloads.py).  A step is `simulate` on a one- or two-step
@@ -183,8 +182,16 @@ def _noise_routes() -> dict:
 def _fd_routes() -> dict:
     from smallmass import finite_dim as fdm
 
+    # Older commits draw (P, r_dim) increments and record (n_out, P, 1) trajectories.
+    noise_fields = {f.name for f in dataclasses.fields(fdm.FDNoise)}
+    r_dim = {"r_dim": 1} if "r_dim" in noise_fields else {}
+
     def noise_for(paths=200):
-        return fdm.FDNoise(seed=9, dt=1e-3, n_steps=60, n_paths=paths, r_dim=1)
+        return fdm.FDNoise(seed=9, dt=1e-3, n_steps=60, n_paths=paths, **r_dim)
+
+    def x_of(traj):
+        """The (n_out, P) trajectory, whichever shape the side records."""
+        return traj.x.reshape(traj.x.shape[:2])
 
     routes = {}
     for eta in (False, True):
@@ -195,33 +202,23 @@ def _fd_routes() -> dict:
                 trajs = fdm.simulate_fd_coupled(
                     system, 1e-2, noise_for(), 0.3, 0.1, n_output=10, eta_transform=eta
                 )
-                return {name: t.x for name, t in zip(("inertial", "limit_S", "limit_noS"), trajs)}
+                names = ("inertial", "limit_S", "limit_noS")
+                return {name: x_of(t) for name, t in zip(names, trajs)}
 
             routes[f"fd.coupled.{friction}.eta={eta}"] = coupled
 
     def single():
         system, nz = fdm.fd_scalar_system(), noise_for(50)
-        out = {f"{system.name}.inertial": fdm.simulate_fd(system, 1e-2, nz, 0.3, 0.1, n_output=10).x}
+        inertial = fdm.simulate_fd(system, 1e-2, nz, 0.3, 0.1, n_output=10)
+        out = {f"{system.name}.inertial": x_of(inertial)}
         for with_s in (True, False):
-            out[f"{system.name}.limit_S={with_s}"] = fdm.simulate_fd_limit(
-                system, nz, 0.3, with_S=with_s, n_output=10
-            ).x
+            out[f"{system.name}.limit_S={with_s}"] = x_of(
+                fdm.simulate_fd_limit(system, nz, 0.3, with_S=with_s, n_output=10)
+            )
         out[f"{system.name}.drift_S"] = fdm.drift_S(system, np.array([0.4]))
         return out
 
     routes["fd.single"] = single
-
-    def no_gamma_prime():
-        # The scalar preset minus its derivative (older commits have no such field):
-        # S takes gamma' from the relative central difference.
-        preset = fdm.fd_scalar_system(sigma_value=1.2)
-        fields = {f.name: getattr(preset, f.name) for f in dataclasses.fields(preset)}
-        fields.pop("gamma_prime", None)
-        system = fdm.FDSystem(**fields)
-        trajs = fdm.simulate_fd_coupled(system, 1e-2, noise_for(), 0.3, 0.1, n_output=10)
-        return {name: t.x for name, t in zip(("inertial", "limit_S", "limit_noS"), trajs)}
-
-    routes["fd.coupled.no_gamma_prime"] = no_gamma_prime
     return routes
 
 
