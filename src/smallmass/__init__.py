@@ -29,7 +29,6 @@ from .models import (
 )
 from .noise import (
     NoisePath,
-    PathBatch,
     apply_noise,
     load_path,
     refine,
@@ -37,7 +36,6 @@ from .noise import (
     sample_batch,
     sample_path,
     save_path,
-    stack_paths,
     zero_path,
 )
 from .wave import (

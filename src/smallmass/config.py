@@ -178,6 +178,8 @@ def validate_config(raw: dict) -> dict:
     if not ladder or min(ladder) <= 0:
         raise ConfigError("config key 'mu_ladder' must be a list of positive numbers")
     cfg["mu_ladder"] = sorted(ladder, reverse=True)
+    if len(set(ladder)) < len(ladder):
+        raise ConfigError(f"config key 'mu_ladder' repeats a mass: {cfg['mu_ladder']}")
     flat = {**cfg, **{f"{sec}.{k}": v for sec in _SCHEMA for k, v in cfg[sec].items()}}
     for key, least in _COUNTS.items():
         if flat[key] < least:

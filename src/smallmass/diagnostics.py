@@ -63,40 +63,27 @@ def lambda_functional(basis: SpectralBasis, friction: FrictionModel, u_coeffs) -
     return basis.integrate(friction_energy_density(friction, u_nodal))
 
 
-@dataclass(frozen=True)
-class EnergyRecord:
-    t: float
-    energy: float  # K_mu
-    lam: float  # Lambda(u)
-    u_h: float
-    u_h1: float
-    v_h: float
+def energy_records(basis: SpectralBasis, models: ModelSet, traj: WaveTrajectory) -> dict:
+    """Per-output-time energy diagnostics of a single-path trajectory, one array per column.
 
-
-def energy_records(
-    basis: SpectralBasis, models: ModelSet, traj: WaveTrajectory
-) -> list[EnergyRecord]:
-    """Per-output-time energy diagnostics of a single-path trajectory.
-
+    The columns are t, energy (K_mu), lambda (Lambda(u)), u_h, u_h1 and v_h.
     The norms are taken once on the (T, N) trajectory, whose rows reduce as
     they would alone; Lambda is taken output by output.
     """
     if traj.u.ndim != 2:
         raise ValueError("energy_records expects an unbatched trajectory")
-    uh, uh1, vh = (
-        basis.sobolev_norm(a, s).tolist() for a, s in ((traj.u, 0.0), (traj.u, 1.0), (traj.v, 0.0))
-    )
-    return [
-        EnergyRecord(
-            t=t,
-            energy=b**2 + traj.mu * c**2,
-            lam=float(lambda_functional(basis, models.friction, u)),
-            u_h=a,
-            u_h1=b,
-            v_h=c,
-        )
-        for t, u, a, b, c in zip(traj.times.tolist(), traj.u, uh, uh1, vh)
-    ]
+    norm = basis.sobolev_norm
+    uh, uh1, vh = norm(traj.u, 0.0), norm(traj.u, 1.0), norm(traj.v, 0.0)
+    # A Python float's ** 2 is libm pow, which can round apart from numpy's x * x.
+    energy = [b**2 + traj.mu * c**2 for b, c in zip(uh1.tolist(), vh.tolist())]
+    return {
+        "t": traj.times,
+        "energy": np.array(energy),
+        "lambda": np.array([lambda_functional(basis, models.friction, u) for u in traj.u]),
+        "u_h": uh,
+        "u_h1": uh1,
+        "v_h": vh,
+    }
 
 
 # -- metrics --------------------------------------------------------------------
@@ -184,6 +171,11 @@ def metric_distance(
     sup_hm1, l2_h = plain_parts(times, h_t, hm1_t)
     tail = 2.0**-N_MAX_METRIC
     return MetricReport(d_x1=d_x1, d_x2=d_x2, tail=tail, sup_hm1=sup_hm1, l2_h=l2_h)
+
+
+def mean_se(x: np.ndarray) -> tuple:
+    """The mean over the paths of x's last axis and its ddof-1 standard error std / sqrt(n)."""
+    return x.mean(axis=-1), x.std(axis=-1, ddof=1) / np.sqrt(x.shape[-1])
 
 
 # -- scaling audit ----------------------------------------------------------------
@@ -297,8 +289,7 @@ def convergence_report(
         raise ValueError("per-path matrix does not match the ladder")
     if sorted(ladder, reverse=True) != list(ladder):
         raise ValueError("ladder must be sorted from largest to smallest mass")
-    mean = per_path.mean(axis=1)
-    se = per_path.std(axis=1, ddof=1) / np.sqrt(per_path.shape[1])
+    mean, se = mean_se(per_path)
     inversions = 0
     hard_violation = False
     for k in range(len(ladder) - 1):
@@ -407,14 +398,9 @@ def drift_necessity_report(
     if mu not in ladder:
         raise ValueError(f"judged mass mu = {mu} is not on the ladder {ladder}")
     row = ladder.index(mu)
-    n = d_with.shape[1]
-
-    def mean_se(x: np.ndarray) -> tuple[float, float]:
-        return float(x.mean()), float(x.std(ddof=1) / np.sqrt(n))
-
-    mean_with, se_with = mean_se(d_with[row])
-    mean_without, se_without = mean_se(d_no[row])
-    excess_mean, excess_se = mean_se(d_no[row] - d_with[row])
+    mean_with, se_with = map(float, mean_se(d_with[row]))
+    mean_without, se_without = map(float, mean_se(d_no[row]))
+    excess_mean, excess_se = map(float, mean_se(d_no[row] - d_with[row]))
     z = excess_mean / excess_se if excess_se > 0 else 0.0
     ratios = (d_no.mean(axis=1) / d_with.mean(axis=1)).tolist()
     d_h_mean = float(d_h.mean())
@@ -426,7 +412,7 @@ def drift_necessity_report(
     return DriftNecessityReport(
         ladder=ladder,
         mu=float(mu),
-        paths=n,
+        paths=d_with.shape[1],
         mean_with=mean_with,
         se_with=se_with,
         mean_without=mean_without,

@@ -43,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 
+from .diagnostics import mean_se
 from .models import AntiderivativeMap, FrictionModel, friction_preset
 from .noise import philox_stream
 from .wave import C_STAB, _initial_state, drive
@@ -332,11 +333,9 @@ class FDCompareReport:
 def compare_endpoints(xa: np.ndarray, xb: np.ndarray) -> FDCompareReport:
     """Statistics of two coupled runs' (P,) final states, path by path."""
     diff = xa - xb
-    n = diff.shape[0]
-    diff_mean = float(diff.mean())
-    diff_se = float(diff.std(ddof=1) / np.sqrt(n))
+    diff_mean, diff_se = map(float, mean_se(diff))
     z = abs(diff_mean) / max(diff_se, 1e-300)
-    return FDCompareReport(n_paths=n, diff_mean=diff_mean, diff_se=diff_se, z_score=z)
+    return FDCompareReport(n_paths=diff.shape[0], diff_mean=diff_mean, diff_se=diff_se, z_score=z)
 
 
 # -- presets ---------------------------------------------------------------------

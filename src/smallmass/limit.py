@@ -40,7 +40,7 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .models import ModelSet, noise_induced_drift
-from .noise import NoisePath, PathBatch, apply_noise
+from .noise import NoisePath, apply_noise
 from .wave import _initial_state, drive
 
 
@@ -109,7 +109,7 @@ class LimitSolver:
     def simulate(
         self,
         initial: np.ndarray,
-        path: NoisePath | PathBatch,
+        path: NoisePath,
         n_output: int = 200,
     ) -> LimitTrajectory:
         """Integrate over the driving path; `initial` is u0 or rho0 per the form."""

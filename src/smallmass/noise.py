@@ -11,7 +11,9 @@ Each mode carries its own counter-based random stream keyed by
 
 The same path object can therefore drive a whole mass ladder and the limit
 integrator; pathwise distances between runs estimate convergence in
-probability by common random numbers.
+probability by common random numbers.  A batch of Monte Carlo paths is a
+NoisePath whose seed is a tuple, one seed per row of its (P, N, K) table;
+it is sampled and refined from the same streams as its seeds' lone paths.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ def _mode_generator(
 ) -> np.random.Generator:
     """The Philox generator of stream (seed, mode, level), at the start of the stream.
 
-    Given gen, re-keys it in place (philox_stream); sample_path and refine
-    re-key one generator per call.
+    Given gen, re-keys it in place (philox_stream); _stream_normals re-keys
+    one generator per call.
     """
     if not 0 <= mode < 2**32 or not 0 <= level < 2**32:
         raise ValueError("mode and refinement level must fit in 32 bits")
@@ -71,21 +73,26 @@ def _mode_generator(
 
 @dataclass(frozen=True)
 class NoisePath:
-    """Increment table Delta beta_i(k) ~ N(0, dt) for modes i = 1..N."""
+    """Increment table Delta beta_i(k) ~ N(0, dt) for modes i = 1..N.
 
-    seed: int
+    One path has an int seed and an (n_modes, n_steps) table; a batch has a
+    tuple of seeds, one per row of its (n_paths, n_modes, n_steps) table.
+    """
+
+    seed: int | tuple[int, ...]
     dt: float
     n_steps: int
     n_modes: int
     level: int
-    increments: np.ndarray  # shape (n_modes, n_steps), read-only
+    increments: np.ndarray  # np.shape(seed) + (n_modes, n_steps), read-only
 
     def __post_init__(self) -> None:
+        if np.size(self.seed) == 0:
+            raise ValueError("a batch of paths needs at least one seed")
         inc = np.asarray(self.increments, dtype=float)
-        if inc.shape != (self.n_modes, self.n_steps):
-            raise ValueError(
-                f"increment table shape {inc.shape} != ({self.n_modes}, {self.n_steps})"
-            )
+        shape = np.shape(self.seed) + (self.n_modes, self.n_steps)
+        if inc.shape != shape:
+            raise ValueError(f"increment table shape {inc.shape} != {shape}")
         inc = inc.copy()
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
@@ -107,16 +114,36 @@ def _n_steps(t_final: float, dt: float) -> int:
     return n_steps
 
 
-def sample_path(seed: int, t_final: float, dt: float, n_modes: int) -> NoisePath:
-    """Generate the level-0 increment table for a fixed (seed, T, dt, N)."""
-    n_steps = _n_steps(t_final, dt)
-    sd = np.sqrt(dt)
-    inc = np.empty((n_modes, n_steps))
+def _stream_normals(seed, level: int, n_modes: int, n: int, scale: float) -> np.ndarray:
+    """n normals of standard deviation scale from each stream (seed, mode, level).
+
+    The one loop over the (path, mode) streams of a path or a batch; it
+    re-keys one Philox generator.  Returns np.shape(seed) + (n_modes, n).
+    """
+    out = np.empty(np.shape(seed) + (n_modes, n))
     gen = None
-    for i in range(n_modes):
-        gen = _mode_generator(seed, i + 1, 0, gen)
-        inc[i] = gen.normal(0.0, sd, n_steps)
+    for row, s in zip(out.reshape(-1, n_modes, n), seed if np.ndim(seed) else (seed,)):
+        for i in range(n_modes):
+            gen = _mode_generator(s, i + 1, level, gen)
+            row[i] = gen.normal(0.0, scale, n)
+    return out
+
+
+def sample_path(seed: int | tuple[int, ...], t_final: float, dt: float, n_modes: int) -> NoisePath:
+    """Generate the level-0 increment table for a fixed (seed, T, dt, N).
+
+    A tuple of seeds gives a batch, one row per seed.
+    """
+    n_steps = _n_steps(t_final, dt)
+    inc = _stream_normals(seed, 0, n_modes, n_steps, np.sqrt(dt))
     return NoisePath(seed=seed, dt=dt, n_steps=n_steps, n_modes=n_modes, level=0, increments=inc)
+
+
+def sample_batch(
+    base_seed: int, n_paths: int, t_final: float, dt: float, n_modes: int
+) -> NoisePath:
+    """Independent paths seeded base_seed, base_seed+1, ..., as one batch."""
+    return sample_path(tuple(range(base_seed, base_seed + n_paths)), t_final, dt, n_modes)
 
 
 def refine(path: NoisePath) -> NoisePath:
@@ -124,16 +151,14 @@ def refine(path: NoisePath) -> NoisePath:
 
     The midpoint noise comes from the streams of the next refinement level,
     so fine[2k] + fine[2k+1] == coarse[k] exactly and already-generated
-    randomness is preserved.
+    randomness is preserved.  A batch is refined row by row from its seeds'
+    streams, so it equals the stack of its refined rows.
     """
     half = 0.5 * np.sqrt(path.dt)  # std of the midpoint correction, sqrt(dt/4)
-    fine = np.empty((path.n_modes, 2 * path.n_steps))
-    gen = None
-    for i in range(path.n_modes):
-        gen = _mode_generator(path.seed, i + 1, path.level + 1, gen)
-        xi = gen.normal(0.0, half, path.n_steps)
-        fine[i, 0::2] = 0.5 * path.increments[i] + xi
-        fine[i, 1::2] = 0.5 * path.increments[i] - xi
+    xi = _stream_normals(path.seed, path.level + 1, path.n_modes, path.n_steps, half)
+    fine = np.empty(path.increments.shape[:-1] + (2 * path.n_steps,))
+    fine[..., 0::2] = 0.5 * path.increments + xi
+    fine[..., 1::2] = 0.5 * path.increments - xi
     return NoisePath(
         seed=path.seed,
         dt=0.5 * path.dt,
@@ -155,17 +180,12 @@ def halvings(dt: float, dt_max: float) -> int:
     return n
 
 
-def refine_to(path: NoisePath | PathBatch, dt_max: float) -> NoisePath | PathBatch:
+def refine_to(path: NoisePath, dt_max: float) -> NoisePath:
     """Refine until the path step is no larger than dt_max, `halvings(path.dt, dt_max)` times.
 
-    A PathBatch is refined member by member, each from its own streams, so
-    it equals the stack of its refined members.  dt_max must be positive:
-    no number of halvings reaches a step of at most 0.
+    dt_max must be positive: no number of halvings reaches a step of at most 0.
     """
-    n = halvings(path.dt, dt_max)
-    if isinstance(path, PathBatch) and n:
-        return stack_paths([refine_to(path.path(j), dt_max) for j in range(path.n_paths)])
-    for _ in range(n):
+    for _ in range(halvings(path.dt, dt_max)):
         path = refine(path)
     return path
 
@@ -206,59 +226,6 @@ def apply_noise(
     return basis.analyze(weight * forced)
 
 
-# -- batching across Monte Carlo paths ---------------------------------------
-
-
-@dataclass(frozen=True)
-class PathBatch:
-    """Stack of equally shaped NoisePaths, all at one refinement level, for batched runs."""
-
-    seeds: tuple[int, ...]
-    dt: float
-    n_steps: int
-    n_modes: int
-    increments: np.ndarray  # (n_paths, n_modes, n_steps)
-    level: int = 0
-
-    @property
-    def n_paths(self) -> int:
-        return len(self.seeds)
-
-    def path(self, j: int) -> NoisePath:
-        return NoisePath(
-            seed=self.seeds[j],
-            dt=self.dt,
-            n_steps=self.n_steps,
-            n_modes=self.n_modes,
-            level=self.level,
-            increments=self.increments[j],
-        )
-
-
-def stack_paths(paths: list[NoisePath]) -> PathBatch:
-    if not paths:
-        raise ValueError("need at least one path")
-    first = paths[0]
-    shared = (first.dt, first.n_steps, first.n_modes, first.level)
-    if any((p.dt, p.n_steps, p.n_modes, p.level) != shared for p in paths[1:]):
-        raise ValueError("paths in a batch must share dt, n_steps, n_modes and refinement level")
-    return PathBatch(
-        seeds=tuple(p.seed for p in paths),
-        dt=first.dt,
-        n_steps=first.n_steps,
-        n_modes=first.n_modes,
-        increments=np.stack([p.increments for p in paths]),
-        level=first.level,
-    )
-
-
-def sample_batch(base_seed: int, n_paths: int, t_final: float, dt: float, n_modes: int) -> PathBatch:
-    """Independent paths seeded base_seed, base_seed+1, ..."""
-    return stack_paths(
-        [sample_path(base_seed + j, t_final, dt, n_modes) for j in range(n_paths)]
-    )
-
-
 # -- binary dump/load ---------------------------------------------------------
 
 
@@ -267,8 +234,11 @@ def save_path(path: NoisePath, filename) -> None:
 
     The header carries the magic bytes, the format version, seed, dt,
     n_steps, n_modes and the refinement level, so a reloaded path refines
-    from the streams of its own level.
+    from the streams of its own level.  The format holds one path, so a
+    batch is rejected.
     """
+    if np.ndim(path.seed):
+        raise ValueError(f"a {_FORMAT} holds one path, got a batch of {len(path.seed)}")
     with open(filename, "wb") as fh:
         fh.write(
             _HEADER.pack(

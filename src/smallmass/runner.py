@@ -12,8 +12,8 @@ over jobs > 1 processes in path blocks is joined along that axis in one
 place, in block order.
 
 The finite-dimensional study of `fd-converge` likewise reduces as it runs:
-its three coupled integrators record only the path mean and standard
-deviation at each output time, and the endpoint statistics read their final
+its three coupled integrators record only the path mean and its standard
+error at each output time, and the endpoint statistics read their final
 states, so its memory does not grow with outputs x paths.
 """
 
@@ -299,17 +299,9 @@ def run_simulate_wave(cfg: dict, out_dir) -> dict:
     output.trajectory_csv(os.path.join(out_dir, "wave_u.csv"), traj.times, traj.u, h, cfg["seed"])
     output.trajectory_csv(os.path.join(out_dir, "wave_v.csv"), traj.times, traj.v, h, cfg["seed"])
     output.save_trajectory_bin(os.path.join(out_dir, "wave_u.bin"), traj.times, traj.u)
-    recs = diagnostics.energy_records(basis, models, traj)
     output.write_csv(
         os.path.join(out_dir, "wave_energy.csv"),
-        {
-            "t": np.array([r.t for r in recs]),
-            "energy": np.array([r.energy for r in recs]),
-            "lambda": np.array([r.lam for r in recs]),
-            "u_h": np.array([r.u_h for r in recs]),
-            "u_h1": np.array([r.u_h1 for r in recs]),
-            "v_h": np.array([r.v_h for r in recs]),
-        },
+        diagnostics.energy_records(basis, models, traj),
         h,
         cfg["seed"],
     )
@@ -390,10 +382,10 @@ def run_lyapunov(cfg: dict, out_dir) -> dict:
 
 
 class _PathMoments:
-    """An fd stepper for drive() whose records are its path mean and spread.
+    """An fd stepper for drive() whose records are its path mean and standard error.
 
-    At each output index record() returns the mean and the ddof-1 standard
-    deviation over paths of the stepper's (P,) record; no trajectory is kept.
+    At each output index record() returns the mean over paths of the
+    stepper's (P,) record and its standard error; no trajectory is kept.
     """
 
     def __init__(self, run):
@@ -402,7 +394,7 @@ class _PathMoments:
 
     def record(self) -> tuple:
         (x,) = self.run.record()
-        return x.mean(axis=0), x.std(axis=0, ddof=1)
+        return diagnostics.mean_se(x)
 
 
 def run_fd_converge(cfg: dict, out_dir) -> dict:
@@ -434,10 +426,9 @@ def run_fd_converge(cfg: dict, out_dir) -> dict:
     }
     h = config_hash(cfg)
     output.write_json(os.path.join(out_dir, "fd_converge.json"), {"fd": stats}, cfg, h)
-    root_n = np.sqrt(fd["paths"])
     cols = {"t": times}
-    for name, (mean, std) in zip(("inertial", "limit", "limit_noS"), moments):
-        cols[f"mean_{name}"], cols[f"se_{name}"] = mean, std / root_n
+    for name, (mean, se) in zip(("inertial", "limit", "limit_noS"), moments):
+        cols[f"mean_{name}"], cols[f"se_{name}"] = mean, se
     output.write_csv(os.path.join(out_dir, "fd_means.csv"), cols, h, cfg["seed"])
     ok = rep_s.z_score <= 3.0 and rep_no.z_score > 3.0
     return {"ok": bool(ok), "report": stats}

@@ -62,7 +62,8 @@ them, and the noise forcing of resolvent_implicit is taken at that u.
 
 Mass batches.  The mass may be one number or a 1-D array of masses, one per
 row of a (n_mu, P, N) state: the masses of a ladder that share a step then
-advance as one batch on one PathBatch.  The solver holds such a mass as
+advance together on one batch of paths, a NoisePath with a tuple of seeds
+whose increments are (P, N, K).  The solver holds such a mass as
 shape (n_mu, 1, 1) against coefficient and nodal arrays and (n_mu, 1)
 against per-path norms.  A per-row mass takes the same IEEE operations as a
 scalar one, and every transform is row-stable, so each mass of a batch
@@ -85,7 +86,7 @@ import numpy as np
 from . import resolvent
 from .basis import SpectralBasis
 from .models import ModelSet
-from .noise import NoisePath, PathBatch, apply_noise
+from .noise import NoisePath, apply_noise
 
 SCHEMES = ("semi_implicit", "eta_form", "resolvent_implicit")
 C_STAB = 0.5  # default c_stab: steps of at most C_STAB times mu resolve the mass time scale
@@ -283,11 +284,11 @@ class WaveSolver:
 
     # -- trajectories ---------------------------------------------------------
 
-    def stepper(self, u0: np.ndarray, v0: np.ndarray, path: NoisePath | PathBatch) -> _WaveStepper:
+    def stepper(self, u0: np.ndarray, v0: np.ndarray, path: NoisePath) -> _WaveStepper:
         """The run from (u0, v0) on path, for drive(): one row per path, and per mass of a batch.
 
         Warns once when the path's step exceeds max_dt().  A mass batch
-        needs a PathBatch: its state is (n_mu, P, N).
+        needs a batch of paths (a tuple seed): its state is (n_mu, P, N).
         """
         bound = self.max_dt()
         if path.dt > bound * (1.0 + 1e-12):
@@ -298,7 +299,7 @@ class WaveSolver:
             )
         inc = path.increments  # (N, K) or (P, N, K)
         if np.ndim(self.mu) and inc.ndim != 3:
-            raise ValueError("a batch of masses runs on a PathBatch")
+            raise ValueError("a batch of masses runs on a batch of paths, one seed per row")
         shape = np.shape(self.mu)[:1] + inc.shape[:-2] + (self.basis.n_modes,)
         return _WaveStepper(self, _initial_state(u0, shape), _initial_state(v0, shape), path.dt)
 
@@ -306,15 +307,15 @@ class WaveSolver:
         self,
         u0: np.ndarray,
         v0: np.ndarray,
-        path: NoisePath | PathBatch,
+        path: NoisePath,
         n_output: int = 200,
     ) -> WaveTrajectory:
         """Integrate over the full driving path, recording an output grid.
 
-        For a PathBatch the leading axis of the state is the path index and
-        the whole bundle advances in lock step; results are identical to
-        running the member paths one at a time.  A mass batch adds a leading
-        mass axis, and equals its masses run one at a time.
+        On a batch of paths (a tuple seed) the leading axis of the state is
+        the path index and the whole bundle advances in lock step; results
+        are identical to running each seed's path on its own.  A mass batch
+        adds a leading mass axis, and equals its masses run one at a time.
         """
         run = self.stepper(u0, v0, path)
         inc = path.increments

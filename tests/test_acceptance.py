@@ -191,7 +191,7 @@ def test_criterion_6_dual_form_consistency(setup):
         return np.sqrt(((gu - rt.coeffs) ** 2).sum(axis=-1)).max(axis=0)
 
     coarse = noise.sample_batch(12345, n_paths, t_final, dt0, basis.n_modes)
-    fine = noise.stack_paths([noise.refine(coarse.path(j)) for j in range(n_paths)])
+    fine = noise.refine(coarse)
     d1 = sup_gap(coarse)
     d2 = sup_gap(fine)
     ratio = d1.mean() / d2.mean()

@@ -404,6 +404,35 @@ def test_study_too_small_to_judge_fails_before_any_run(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command, ladder",
+    [
+        ("converge", [0.2, 0.1, 0.1, 0.05, 0.05]),
+        ("drift-ablation", [0.2, 0.01, 0.01]),
+        ("scaling-audit", [0.2, 0.1, 0.05, 0.02, 0.2]),
+    ],
+)
+def test_ladder_with_a_repeated_mass_fails_by_key_before_any_run(
+    tmp_path, capsys, monkeypatch, command, ladder
+):
+    # Equal rows would count as inversions of the ladder and give flat ratios.
+    from smallmass import runner
+
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(runner, "run_ladder_study", no_study)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"mu_ladder": ladder, "ablation": {"mu": 0.2}}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(p), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and "config key 'mu_ladder' repeats a mass" in err["message"]
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="'mu_ladder' repeats a mass"):
+        validate_config({"mu_ladder": ladder})
+
+
 @pytest.mark.parametrize("seed", [10, 11, 17])
 def test_parallel_jobs_reproduce_sequential(tmp_path, seed):
     # Split blocks score their paths apart from the others, so this needs

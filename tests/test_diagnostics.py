@@ -52,9 +52,12 @@ def test_lambda_pinching_along_trajectory(basis, models):
     path = sample_path(5, 0.02, 1e-3, 12)
     u0 = basis.analyze(4.0 * basis.x * (1 - basis.x))
     traj = WaveSolver(basis, models, 0.05).simulate(u0, np.zeros(12), path, n_output=10)
-    for rec in energy_records(basis, models, traj):
-        assert 0.5 * 1.0 * rec.u_h**2 - 1e-8 <= rec.lam <= 0.5 * 3.0 * rec.u_h**2 + 1e-8
-        assert abs(rec.energy - (rec.u_h1**2 + 0.05 * rec.v_h**2)) < 1e-10
+    rec = energy_records(basis, models, traj)
+    assert list(rec) == ["t", "energy", "lambda", "u_h", "u_h1", "v_h"]
+    assert all(col.shape == traj.times.shape for col in rec.values())
+    assert np.all(0.5 * 1.0 * rec["u_h"] ** 2 - 1e-8 <= rec["lambda"])
+    assert np.all(rec["lambda"] <= 0.5 * 3.0 * rec["u_h"] ** 2 + 1e-8)
+    assert np.max(np.abs(rec["energy"] - (rec["u_h1"] ** 2 + 0.05 * rec["v_h"] ** 2))) < 1e-10
 
 
 def test_metric_identical_and_offset(basis):

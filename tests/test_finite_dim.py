@@ -209,10 +209,10 @@ def test_fd_converge_streams_the_moments_of_the_trajectories(tmp_path, eta_trans
     trajs = simulate_fd_coupled(*args, eta_transform=eta_transform)
     steppers = coupled_steppers(*args, eta_transform)
     times, moments = drive_fd([runner._PathMoments(s) for s in steppers], fdnoise, FD_N_OUTPUT)
-    for traj, stepper, (mean, std) in zip(trajs, steppers, moments):
+    for traj, stepper, (mean, se) in zip(trajs, steppers, moments):
         assert np.array_equal(times, traj.times)
         assert np.array_equal(mean, traj.x.mean(axis=1))
-        assert np.array_equal(std, traj.x.std(axis=1, ddof=1))
+        assert np.array_equal(se, traj.x.std(axis=1, ddof=1) / np.sqrt(1001))
         assert np.array_equal(stepper.x, traj.x[-1])
 
     table = _read_table(tmp_path / "fd_means.csv")

@@ -4,7 +4,7 @@ import pytest
 from smallmass.basis import DomainSpec, build_basis
 from smallmass.limit import LimitSolver
 from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
-from smallmass.noise import refine, sample_batch, sample_path, stack_paths, zero_path
+from smallmass.noise import refine, sample_batch, sample_path, zero_path
 from smallmass.wave import g_coeffs
 
 
@@ -120,7 +120,7 @@ def test_dual_form_consistency_ratio(basis):
         return np.sqrt(((gu - rt.coeffs) ** 2).sum(axis=-1)).max(axis=0)
 
     b1 = sample_batch(1234, 8, 0.256, 4e-3, 16)
-    b2 = stack_paths([refine(b1.path(j)) for j in range(8)])
+    b2 = refine(b1)
     d1, d2 = sup_gap(b1), sup_gap(b2)
     ratio = d1.mean() / d2.mean()
     assert 1.6 <= ratio <= 2.6, f"dual-form ratio {ratio}"
@@ -146,7 +146,7 @@ def test_drift_ablation_guard(basis):
 def test_batched_matches_per_path(basis):
     m = models_for(basis)
     paths = [sample_path(400 + j, 0.02, 5e-4, 16) for j in range(3)]
-    batch = stack_paths(paths)
+    batch = sample_batch(400, 3, 0.02, 5e-4, 16)
     for form in ("u", "rho"):
         solver = LimitSolver(basis, m, form=form)
         tb = solver.simulate(bump(basis), batch, n_output=10)

@@ -5,6 +5,7 @@ from scipy import stats
 from smallmass.basis import DomainSpec, build_basis
 from smallmass.models import build_diffusion
 from smallmass.noise import (
+    NoisePath,
     _mode_generator,
     apply_noise,
     load_path,
@@ -13,7 +14,6 @@ from smallmass.noise import (
     sample_batch,
     sample_path,
     save_path,
-    stack_paths,
     zero_path,
 )
 
@@ -123,7 +123,7 @@ def test_refine_to():
 def test_refine_to_a_step_bound_of_zero_or_less_fails():
     # No number of halvings reaches a step of at most 0; refining would not end.
     p = sample_path(1, 1.0, 0.1, 2)
-    for target in (p, stack_paths([p, p])):
+    for target in (p, sample_batch(1, 2, 1.0, 0.1, 2)):
         for dt_max in (0.0, -0.01, float("nan")):
             with pytest.raises(ValueError, match="dt_max must be positive"):
                 refine_to(target, dt_max)
@@ -155,29 +155,41 @@ def test_zero_path_and_batch():
     zp = zero_path(0.5, 0.1, 3)
     assert zp.n_steps == 5 and np.all(zp.increments == 0.0)
     batch = sample_batch(50, 4, 0.2, 0.01, 5)
-    assert batch.n_paths == 4
+    assert batch.seed == (50, 51, 52, 53) and batch.level == 0
     assert batch.increments.shape == (4, 5, 20)
     for j in range(4):
-        assert np.array_equal(batch.path(j).increments, sample_path(50 + j, 0.2, 0.01, 5).increments)
-    with pytest.raises(ValueError):
-        stack_paths([sample_path(0, 0.2, 0.01, 5), sample_path(0, 0.2, 0.02, 5)])
+        assert np.array_equal(batch.increments[j], sample_path(50 + j, 0.2, 0.01, 5).increments)
+    same = sample_path((50, 51, 52, 53), 0.2, 0.01, 5)
+    assert same.seed == batch.seed and np.array_equal(same.increments, batch.increments)
 
 
-def test_batch_keeps_the_refinement_level():
-    # A path taken back out of a refined batch refines like the path itself:
-    # the next bridge level is drawn from fresh streams, not the used ones.
-    p = sample_path(5, 0.2, 0.01, 3)
-    fine = refine(p)
-    batch = stack_paths([fine, refine(sample_path(6, 0.2, 0.01, 3))])
-    assert batch.level == 1 and batch.path(0).level == 1
-    again = refine(batch.path(0))
-    assert again.level == 2
-    assert np.array_equal(again.increments, refine(fine).increments)
-    assert sample_batch(5, 2, 0.2, 0.01, 3).path(1).level == 0
-    with pytest.raises(ValueError, match="refinement level"):
-        stack_paths([fine, refine(refine(sample_path(6, 0.2, 0.02, 3)))])
-    with pytest.raises(ValueError, match="refinement level"):
-        stack_paths([fine, sample_path(6, 0.2, 0.005, 3)])
+def test_a_table_whose_shape_disagrees_with_the_seed_is_rejected():
+    table = sample_batch(1, 3, 0.02, 0.01, 4).increments  # (3, 4, 2)
+    with pytest.raises(ValueError, match=r"\(3, 4, 2\) != \(4, 2\)"):
+        NoisePath(seed=1, dt=0.01, n_steps=2, n_modes=4, level=0, increments=table)
+    with pytest.raises(ValueError, match=r"\(3, 4, 2\) != \(2, 4, 2\)"):
+        NoisePath(seed=(1, 2), dt=0.01, n_steps=2, n_modes=4, level=0, increments=table)
+    with pytest.raises(ValueError, match=r"\(4, 2\) != \(1, 4, 2\)"):
+        NoisePath(seed=(1,), dt=0.01, n_steps=2, n_modes=4, level=0, increments=table[0])
+
+
+def test_an_empty_batch_is_rejected():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least one seed"):
+            sample_batch(5, n, 0.2, 0.01, 3)
+    with pytest.raises(ValueError, match="at least one seed"):
+        sample_path((), 0.2, 0.01, 3)
+    with pytest.raises(ValueError, match="at least one seed"):
+        NoisePath(seed=(), dt=0.01, n_steps=2, n_modes=3, level=0, increments=np.zeros((0, 3, 2)))
+
+
+def test_save_path_rejects_a_batch_by_format(tmp_path):
+    # The dump holds one path; a batch, even of one seed, is not written.
+    fn = tmp_path / "batch.bin"
+    for n in (1, 2):
+        with pytest.raises(ValueError, match=r"smallmass noise dump \(version 1\) holds one path"):
+            save_path(sample_batch(5, n, 0.2, 0.01, 3), fn)
+    assert not fn.exists()
 
 
 def test_apply_noise_returns_zero_without_noise_and_takes_a_weight():
@@ -298,9 +310,14 @@ def test_trajectory_dump_with_negative_counts_is_rejected_by_field(tmp_path, n_t
 
 
 def test_refine_to_refines_a_batch_member_by_member():
+    # A batch refined twice equals each seed's path refined twice, and refines
+    # on from its own level: the next bridge level is drawn from fresh streams.
     batch = sample_batch(8, 3, 0.01, 1e-3, 5)
     fine = refine_to(batch, 3e-4)
-    members = [refine_to(batch.path(j), 3e-4) for j in range(3)]
-    assert (fine.dt, fine.n_steps, fine.level, fine.seeds) == (2.5e-4, 40, 2, batch.seeds)
-    assert np.array_equal(fine.increments, stack_paths(members).increments)
+    members = [refine_to(sample_path(8 + j, 0.01, 1e-3, 5), 3e-4) for j in range(3)]
+    assert (fine.dt, fine.n_steps, fine.level, fine.seed) == (2.5e-4, 40, 2, batch.seed)
+    assert np.array_equal(fine.increments, np.stack([m.increments for m in members]))
+    again = refine(fine)
+    assert again.level == 3
+    assert np.array_equal(again.increments, np.stack([refine(m).increments for m in members]))
     assert refine_to(batch, 1e-3) is batch  # nothing to refine: the batch itself

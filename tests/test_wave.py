@@ -4,7 +4,7 @@ import pytest
 from smallmass.basis import DomainSpec, build_basis
 from smallmass.limit import LimitSolver
 from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
-from smallmass.noise import refine, sample_path, stack_paths, zero_path
+from smallmass.noise import refine, sample_batch, sample_path, zero_path
 from smallmass.wave import SimulationDiverged, WaveSolver, g_coeffs
 
 
@@ -155,7 +155,7 @@ def test_batched_simulation_matches_per_path(basis):
     m = models_for(basis)
     mu = 0.05
     paths = [sample_path(200 + j, 0.05, 5e-4, 16) for j in range(3)]
-    batch = stack_paths(paths)
+    batch = sample_batch(200, 3, 0.05, 5e-4, 16)
     for scheme in ("eta_form", "semi_implicit", "resolvent_implicit"):
         solver = WaveSolver(basis, m, mu, scheme=scheme)
         tb = solver.simulate(bump(basis), np.zeros(16), batch, n_output=10)
@@ -251,7 +251,7 @@ def test_scheme_validation(basis):
     with pytest.raises(ValueError, match="one mass at a time"):
         WaveSolver(basis, m, [0.1, 0.05], scheme="resolvent_implicit")
     path = sample_path(1, 0.01, 1e-3, 16)
-    with pytest.raises(ValueError, match="PathBatch"):
+    with pytest.raises(ValueError, match="a batch of masses runs on a batch of paths"):
         WaveSolver(basis, m, [0.1, 0.05]).simulate(bump(basis), np.zeros(16), path)
 
 
@@ -261,7 +261,7 @@ def test_mass_batch_rows_equal_their_own_scalar_runs(basis, scheme):
     # transforms are row-stable, so row k of a mass batch is WaveSolver(mu[k])
     # run alone, bit for bit.  resolvent_implicit batches one mass.
     m = models_for(basis, diffusion="cosine")
-    batch = stack_paths([sample_path(300 + j, 0.01, 2.5e-4, 16) for j in range(3)])
+    batch = sample_batch(300, 3, 0.01, 2.5e-4, 16)
     masses = [0.01] if scheme == "resolvent_implicit" else [0.2, 0.05, 0.01]
     solver = WaveSolver(basis, m, np.array(masses), scheme=scheme)
     assert solver.max_dt() == WaveSolver(basis, m, min(masses), scheme=scheme).max_dt()
@@ -292,7 +292,7 @@ def test_eta_step_from_carried_nodal_values_equals_a_fresh_step(basis, newton_it
         return out
 
     monkeypatch.setattr(solver, "_advance", spy)
-    p = stack_paths([sample_path(93 + j, 5e-3, 1e-3, 16) for j in range(3)])
+    p = sample_batch(93, 3, 5e-3, 1e-3, 16)
     traj = solver.simulate(bump(basis), 0.2 * bump(basis), p, n_output=p.n_steps)
 
     def newton_u(u, eta, dt):  # Newton on w + (dt/mu) g(w) = u + dt eta at the nodes

@@ -169,10 +169,11 @@ def _noise_routes() -> dict:
     def run():
         path = noise.sample_path(8, 0.01, 1e-3, 5)
         batch = noise.sample_batch(8, 3, 0.01, 1e-3, 5)
-        members = [noise.refine_to(batch.path(j), 3e-4) for j in range(batch.n_paths)]
+        members = [noise.sample_path(8 + j, 0.01, 1e-3, 5) for j in range(3)]
         return {
             "path": noise.refine_to(path, 3e-4).increments,
-            "batch_members": noise.stack_paths(members).increments,
+            "batch": noise.refine_to(batch, 3e-4).increments,
+            "batch_members": np.stack([noise.refine_to(m, 3e-4).increments for m in members]),
             "odd_steps": noise.refine_to(noise.sample_path(8, 7e-3, 1e-3, 5), 3e-4).increments,
         }
 
