@@ -17,6 +17,7 @@ from .models import (
     DiffusionModel,
     FrictionModel,
     ModelSet,
+    Nodal,
     ReactionModel,
     build_diffusion,
     build_model_set,

@@ -24,6 +24,7 @@ from .models import (
     load_friction_csv,
     reaction_preset,
 )
+from .noise import SEED_RANGE
 from .wave import C_STAB
 
 
@@ -187,6 +188,13 @@ def validate_config(raw: dict) -> dict:
     for key, value in {**{key: flat[key] for key in _POSITIVE}, **resolvent_lams(cfg)}.items():
         if not value > 0:
             raise ConfigError(f"config key '{key}' must be positive, got {value}")
+    # Path k of a study runs on seed + k, and a noise dump stores its seed signed in 64 bits.
+    last = cfg["seed"] + cfg["paths"] - 1
+    if not (SEED_RANGE[0] <= cfg["seed"] and last <= SEED_RANGE[1]):
+        raise ConfigError(
+            f"config key 'seed' must keep the path seeds seed .. seed + paths - 1 in "
+            f"[{SEED_RANGE[0]}, {SEED_RANGE[1]}], got {cfg['seed']} .. {last}"
+        )
     return cfg
 
 

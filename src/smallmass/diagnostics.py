@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import SpectralBasis
-from .models import _GL_T, _GL_W, FrictionModel, ModelSet
+from .models import _GL_T, _GL_W, FrictionModel, ModelSet, Nodal
 from .wave import WaveTrajectory
 
 N_MAX_METRIC = 16  # terms of the d_X1 and d_X2 sums
@@ -53,7 +53,7 @@ SPREAD_MAX = 0.25
 def friction_energy_density(friction: FrictionModel, r) -> np.ndarray:
     """Gamma(r) = r^2 int_0^1 t gamma(r t) dt, on the Gauss-Legendre rule of g in models."""
     r = np.asarray(r, dtype=float)
-    vals = friction.gamma(r[..., None] * _GL_T) * _GL_T
+    vals = friction.gamma(Nodal(r[..., None] * _GL_T)) * _GL_T
     return r * r * (vals @ _GL_W)
 
 

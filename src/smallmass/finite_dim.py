@@ -14,7 +14,8 @@ J = sigma^2 / (2 gamma) and S = -gamma' sigma^2 / (2 gamma^3) (the scalar
 case of Hottovy, McDaniel, Volpe and Wehr, CMP 2015).
 
 The friction is a `models.FrictionModel`: it gives gamma, gamma' and, through
-`models.AntiderivativeMap`, the antiderivative G of gamma.  The Lyapunov
+`models.AntiderivativeMap`, the antiderivative G of gamma, all taken on one
+`models.Nodal` of the state per step.  The Lyapunov
 solve itself is the general dense Kronecker-product linear system
 J gamma^T + gamma J = sigma sigma^T (dimension capped at 8), with the
 residual checked on every call.  At a single point, drift_S runs it on the
@@ -44,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import mean_se
-from .models import AntiderivativeMap, FrictionModel, friction_preset
+from .models import AntiderivativeMap, FrictionModel, Nodal, friction_preset, nodal
 from .noise import philox_stream
 from .wave import C_STAB, _initial_state, drive
 
@@ -115,7 +116,7 @@ def point_coefficients(system: FDSystem, x) -> tuple[np.ndarray, np.ndarray]:
     """gamma and sigma sigma^T at one state x, as the 1x1 matrices solve_lyapunov takes."""
     x = np.asarray(x, dtype=float).reshape(1)
     sig = system.sigma(x)
-    return np.reshape(system.friction.gamma(x), (1, 1)), np.reshape(sig * sig, (1, 1))
+    return np.reshape(system.friction.gamma(Nodal(x)), (1, 1)), np.reshape(sig * sig, (1, 1))
 
 
 def drift_S(system: FDSystem, x) -> np.ndarray:
@@ -128,18 +129,19 @@ def drift_S(system: FDSystem, x) -> np.ndarray:
     j = solve_lyapunov(*point_coefficients(system, x))
     h = FD_STEP_REL * max(1.0, abs(float(x[0])))
     gamma = system.friction.gamma
-    dinv = (1.0 / gamma(x + h) - 1.0 / gamma(x - h)) / (2.0 * h)
+    dinv = (1.0 / gamma(Nodal(x + h)) - 1.0 / gamma(Nodal(x - h))) / (2.0 * h)
     return dinv * j[0]
 
 
-def _drift_S_batch(system: FDSystem, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """S at the (P,) states x, given g = gamma(x).
+def _drift_S_batch(system: FDSystem, x, g: np.ndarray) -> np.ndarray:
+    """S at the (P,) states x (a Nodal or its values), given g = gamma(x).
 
     S = d(1/gamma)/dx * J with d(1/gamma)/dx = -gamma' / gamma^2 and the
     scalar Lyapunov solution J = sigma^2 / (2 gamma).
     """
-    sig = system.sigma(x)
-    return (-system.friction.gamma_prime(x) / g**2) * ((sig * sig) / (2.0 * g))
+    s = nodal(x)
+    sig = system.sigma(s.u)
+    return (-system.friction.gamma_prime(s) / g**2) * ((sig * sig) / (2.0 * g))
 
 
 # -- noise ---------------------------------------------------------------------
@@ -210,13 +212,14 @@ class _InertialStepper(_FDStepper):
 
     def step(self, dw: np.ndarray) -> tuple:
         system, mu, dt, x = self.system, self.mu, self.dt, self.x
+        s = Nodal(x)
         if self.eta_transform:
-            gam = system.friction.gamma(x)
-            x_new = x + dt * (self.p - self.g_antideriv(x)) / mu / (1.0 + dt * gam / mu)
+            gam = system.friction.gamma(s)
+            x_new = x + dt * (self.p - self.g_antideriv(s)) / mu / (1.0 + dt * gam / mu)
             self.p = self.p + dt * system.b(x) + system.sigma(x) * dw
             self.x = x_new
         else:
-            acc = system.b(x) - system.friction.gamma(x) * self.v
+            acc = system.b(x) - system.friction.gamma(s) * self.v
             forcing = system.sigma(x) * dw
             self.x = x + dt * self.v
             self.v = self.v + (dt / mu) * acc + forcing / mu
@@ -234,11 +237,12 @@ class _LimitStepper(_FDStepper):
 
     def step(self, dw: np.ndarray) -> tuple:
         system, x = self.system, self.x
-        g = system.friction.gamma(x)
+        s = Nodal(x)
+        g = system.friction.gamma(s)
         ginv = 1.0 / g
         drift = ginv * system.b(x)
         if self.with_S:
-            drift = drift + _drift_S_batch(system, x, g)
+            drift = drift + _drift_S_batch(system, s, g)
         forcing = ginv * system.sigma(x) * dw
         self.x = x + self.dt * drift + forcing
         return (self.x,)

@@ -29,7 +29,10 @@ one-step path); `wave.g_coeffs(u, basis, models)` gives the rho0 that
 matches an initial u0.  Both forms run on the time loop `wave.drive` and
 take their noise forcing from `noise.apply_noise`, the u-form with the
 1/gamma weight.  A u-form step evaluates gamma, gamma' and lambda_sigma once
-each at its nodal u and hands the values to the drift H and the noise.
+each on one nodal state of u (`models.Nodal`, so gamma' and lambda_sigma
+share a cos where the presets do) and hands the values to the drift H and
+the noise; a rho-form step takes f and lambda_sigma on the nodal state of
+g^-1(rho).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SpectralBasis
-from .models import ModelSet, noise_induced_drift
+from .models import ModelSet, Nodal, noise_induced_drift
 from .noise import NoisePath, apply_noise
 from .wave import _initial_state, drive
 
@@ -80,13 +83,13 @@ class LimitSolver:
 
     def _advance_u(self, u: np.ndarray, dt: float, dbeta) -> np.ndarray:
         b, m = self.basis, self.models
-        u_nodal = b.synthesize(u)
-        gam = m.friction.gamma(u_nodal)  # gamma and lambda_sigma once each, for every term
-        ls = m.diffusion.lambda_sigma(u_nodal)
+        s = Nodal(b.synthesize(u))
+        gam = m.friction.gamma(s)  # gamma and lambda_sigma once each, for every term
+        ls = m.diffusion.lambda_sigma(s)
         lap_nodal = b.synthesize(b.laplacian(u))
-        explicit = (1.0 / gam - self.b_bar) * lap_nodal + m.reaction.f(u_nodal) / gam
+        explicit = (1.0 / gam - self.b_bar) * lap_nodal + m.reaction.f(s) / gam
         if self.with_drift and m.diffusion.sigma_sup != 0.0:
-            gam_prime = m.friction.gamma_prime(u_nodal)
+            gam_prime = m.friction.gamma_prime(s)
             explicit = explicit + noise_induced_drift(gam, gam_prime, ls, m.diffusion.kappa)
         rhs = u + dt * b.analyze(explicit) + apply_noise(ls / gam, dbeta, m.diffusion, b)
         return rhs / (1.0 + dt * self.b_bar * b.alphas)
@@ -94,13 +97,13 @@ class LimitSolver:
     def _advance_rho(self, rho: np.ndarray, dt: float, dbeta) -> np.ndarray:
         b, m = self.basis, self.models
         rho_nodal = b.synthesize(rho)
-        u_inv = m.g_map.inverse(rho_nodal)
-        lap_ginv = b.laplacian(b.analyze(u_inv))
+        s = Nodal(m.g_map.inverse(rho_nodal))
+        lap_ginv = b.laplacian(b.analyze(s.u))
         explicit_sp = lap_ginv + self.b_bar * b.alphas * rho  # - b_bar*Lap rho_n
         rhs = (
             rho
-            + dt * (explicit_sp + b.analyze(m.reaction.f(u_inv)))
-            + apply_noise(m.diffusion.lambda_sigma(u_inv), dbeta, m.diffusion, b)
+            + dt * (explicit_sp + b.analyze(m.reaction.f(s)))
+            + apply_noise(m.diffusion.lambda_sigma(s), dbeta, m.diffusion, b)
         )
         return rhs / (1.0 + dt * self.b_bar * b.alphas)
 

@@ -19,6 +19,23 @@ the small-mass limit computable in closed form:
 
 The Ito-to-Stratonovich correction G(u) is available for the consistency
 identity H + G = -(1 / (2 gamma^2)) sum_i (sigma(u)Qe_i) d/du (sigma(u)Qe_i).
+
+Nodal states.  Every coefficient, gamma, gamma', g (and g^-1 where closed),
+f, lambda_sigma and lambda_sigma', is a function of one `Nodal`: the nodal
+values u of a state, read as `s.u`, with `s.sin` and `s.cos`, the sin and cos
+of u, taken on first use and kept.  An integrator builds one Nodal per state
+and hands it to every coefficient it evaluates there, so coefficients that
+share a transcendental take it once: for the default presets g(u) =
+2u + 1 - cos u, gamma'(u) = cos u and lambda_sigma(u) = cos u share one cos,
+and gamma(u) = 2 + sin u and lambda_sigma'(u) = -sin u one sin.  Only the
+presets below know which values they share; a new state (a Newton iterate,
+quadrature points r t) is a new Nodal, so nothing is reused across states.
+
+A custom model follows the same contract: each callable takes a Nodal and
+returns the values at s.u, reading s.sin or s.cos where it needs them (a
+callable that ignores them just reads s.u).  The model classes accept a
+Nodal or plain nodal values at every call: values are wrapped in a Nodal
+first, so both run the one definition.
 """
 
 from __future__ import annotations
@@ -43,23 +60,63 @@ class InversionError(RuntimeError):
     """Raised when the monotone inversion of g fails to converge."""
 
 
+class Nodal:
+    """One state's nodal values u, with the sin and cos of u its coefficients share.
+
+    u is a float array (or scalar) that the caller does not change while the
+    Nodal is in use; sin and cos are taken on first use and kept.
+    """
+
+    __slots__ = ("u", "_sin", "_cos")
+
+    def __init__(self, u):
+        self.u = u
+        self._sin = self._cos = None
+
+    @property
+    def sin(self):
+        if self._sin is None:
+            self._sin = np.sin(self.u)
+        return self._sin
+
+    @property
+    def cos(self):
+        if self._cos is None:
+            self._cos = np.cos(self.u)
+        return self._cos
+
+
+def nodal(x) -> Nodal:
+    """x if it is a Nodal, else the Nodal of the nodal values x."""
+    return x if type(x) is Nodal else Nodal(np.asarray(x, dtype=float))
+
+
+def _coefficients(model, names: tuple) -> None:
+    """Let the named coefficients of a frozen model, functions of a Nodal, take nodal values too."""
+    for name in names:
+        fn = getattr(model, name)
+        if fn is not None:
+            object.__setattr__(model, name, lambda s, fn=fn: fn(nodal(s)))
+
+
 @dataclass(frozen=True)
 class FrictionModel:
     """State-dependent friction coefficient with certified bounds."""
 
-    gamma: Callable[[np.ndarray], np.ndarray]
-    gamma_prime: Callable[[np.ndarray], np.ndarray]
+    gamma: Callable[[Nodal], np.ndarray]
+    gamma_prime: Callable[[Nodal], np.ndarray]
     gamma0: float
     gamma1: float
     name: str = "custom"
-    g_closed: Callable[[np.ndarray], np.ndarray] | None = None
-    g_inverse_closed: Callable[[np.ndarray], np.ndarray] | None = None
+    g_closed: Callable[[Nodal], np.ndarray] | None = None
+    g_inverse_closed: Callable[[Nodal], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma0 <= self.gamma1:
             raise ValueError(
                 f"need 0 < gamma0 <= gamma1, got ({self.gamma0}, {self.gamma1})"
             )
+        _coefficients(self, ("gamma", "gamma_prime", "g_closed", "g_inverse_closed"))
 
 
 @dataclass(frozen=True)
@@ -71,39 +128,41 @@ class AntiderivativeMap:
     max_iter: int = 100
 
     def forward(self, r) -> np.ndarray:
-        """g(r), via closed form when the model supplies one, else quadrature."""
-        r = np.asarray(r, dtype=float)
+        """g at the nodal state r (a Nodal or nodal values), closed form or quadrature."""
+        s = nodal(r)
         if self.friction.g_closed is not None:
-            return self.friction.g_closed(r)
+            return self.friction.g_closed(s)
         # g(r) = r * int_0^1 gamma(r t) dt on a fixed Gauss-Legendre rule.
-        vals = self.friction.gamma(r[..., None] * _GL_T)
-        return r * (vals @ _GL_W)
+        vals = self.friction.gamma(Nodal(s.u[..., None] * _GL_T))
+        return s.u * (vals @ _GL_W)
 
     def inverse(self, y) -> np.ndarray:
         """Solve g(x) = y by safeguarded Newton with a bisection fallback.
 
+        Every iterate x is one nodal state, at which g and gamma are taken.
         Raises InversionError instead of returning a truncated value when the
         residual tolerance is not met within max_iter iterations.
         """
         y = np.asarray(y, dtype=float)
         if self.friction.g_inverse_closed is not None:
-            return self.friction.g_inverse_closed(y)
+            return self.friction.g_inverse_closed(Nodal(y))
         g0, g1 = self.friction.gamma0, self.friction.gamma1
         # gamma0 <= g(r)/r <= gamma1 brackets the root.
         lo = np.minimum(y / g0, y / g1)
         hi = np.maximum(y / g0, y / g1)
-        x = y / (0.5 * (g0 + g1))
-        res = self.forward(x) - y
+        s = Nodal(y / (0.5 * (g0 + g1)))
+        res = self.forward(s) - y
         for _ in range(self.max_iter):
+            x = s.u
             if np.all(np.abs(res) <= self.tol_inv):
                 return x
             hi = np.where(res > 0.0, np.minimum(hi, x), hi)
             lo = np.where(res < 0.0, np.maximum(lo, x), lo)
-            step = res / self.friction.gamma(x)
+            step = res / self.friction.gamma(s)
             x_new = x - step
             bad = ~np.isfinite(x_new) | (x_new < lo) | (x_new > hi)
-            x = np.where(bad, 0.5 * (lo + hi), x_new)
-            res = self.forward(x) - y
+            s = Nodal(np.where(bad, 0.5 * (lo + hi), x_new))
+            res = self.forward(s) - y
         raise InversionError(
             f"g-inversion did not reach |residual| <= {self.tol_inv} "
             f"within {self.max_iter} iterations (max residual {np.max(np.abs(res)):.3e})"
@@ -117,26 +176,32 @@ class ReactionModel:
     The certificate states f(r)*r <= growth_lambda*r^2 + growth_c*(1 + |r|^(1+growth_delta)).
     """
 
-    f: Callable[[np.ndarray], np.ndarray]
+    f: Callable[[Nodal], np.ndarray]
     lipschitz_const: float
     growth_lambda: float = 0.0
     growth_delta: float = 0.0
     growth_c: float = 0.0
     name: str = "custom"
 
+    def __post_init__(self) -> None:
+        _coefficients(self, ("f",))
+
 
 @dataclass(frozen=True)
 class DiffusionModel:
     """Diagonal multiplicative diffusion: pointwise factor times a mode spectrum."""
 
-    lambda_sigma: Callable[[np.ndarray], np.ndarray]
-    lambda_sigma_prime: Callable[[np.ndarray], np.ndarray]
+    lambda_sigma: Callable[[Nodal], np.ndarray]
+    lambda_sigma_prime: Callable[[Nodal], np.ndarray]
     q_spectrum: np.ndarray  # lam_i, one entry per retained mode
     kappa: np.ndarray  # sum_i lam_i^2 e_i(x)^2 on the nodal grid
     sigma_sup: float  # sup_r |lambda_sigma(r)|
     sigma_inf: float  # Hilbert-Schmidt bound at the truncation
     q: float = 1.0
     name: str = "custom"
+
+    def __post_init__(self) -> None:
+        _coefficients(self, ("lambda_sigma", "lambda_sigma_prime"))
 
 
 @dataclass(frozen=True)
@@ -190,7 +255,7 @@ def noise_induced_drift(
     """Extra drift created by non-constant friction in the small-mass limit.
 
     H(u)(x) = -gamma'(u)/(2 gamma(u)^3) * lambda_sigma(u)^2 * kappa(x), from
-    gamma, gamma' and lambda_sigma evaluated at the nodal values of u and the
+    gamma, gamma' and lambda_sigma evaluated at one nodal state of u and the
     kernel kappa = diffusion.kappa.  The limit u-step evaluates each of them
     once and shares gamma and lambda_sigma with its other terms.
     """
@@ -206,21 +271,21 @@ def stratonovich_correction(
     which under the diagonal diffusion structure collapses to
     -(lambda_sigma' gamma - lambda_sigma gamma') * lambda_sigma / (2 gamma^3) * kappa.
     """
-    u = np.asarray(u_nodal, dtype=float)
-    gam = friction.gamma(u)
-    ls = diffusion.lambda_sigma(u)
-    lsp = diffusion.lambda_sigma_prime(u)
-    return -(lsp * gam - ls * friction.gamma_prime(u)) * ls / (2.0 * gam**3) * diffusion.kappa
+    s = nodal(u_nodal)
+    gam = friction.gamma(s)
+    ls = diffusion.lambda_sigma(s)
+    lsp = diffusion.lambda_sigma_prime(s)
+    return -(lsp * gam - ls * friction.gamma_prime(s)) * ls / (2.0 * gam**3) * diffusion.kappa
 
 
 def combined_drift(
     u_nodal: np.ndarray, friction: FrictionModel, diffusion: DiffusionModel
 ) -> np.ndarray:
     """The closed form of H + G: -(1/(2 gamma^2)) sum_i (sigma Q e_i) d/du (sigma Q e_i)."""
-    u = np.asarray(u_nodal, dtype=float)
-    gam = friction.gamma(u)
-    ls = diffusion.lambda_sigma(u)
-    lsp = diffusion.lambda_sigma_prime(u)
+    s = nodal(u_nodal)
+    gam = friction.gamma(s)
+    ls = diffusion.lambda_sigma(s)
+    lsp = diffusion.lambda_sigma_prime(s)
     return -ls * lsp / (2.0 * gam**2) * diffusion.kappa
 
 
@@ -228,9 +293,10 @@ def combined_drift(
 
 
 def _fd_derivative(fun: Callable, h: float = _FD_STEP) -> Callable:
-    def deriv(r):
-        r = np.asarray(r, dtype=float)
-        return (fun(r + h) - fun(r - h)) / (2.0 * h)
+    """The central difference of the coefficient fun, at the new states u + h and u - h."""
+
+    def deriv(s):
+        return (fun(Nodal(s.u + h)) - fun(Nodal(s.u - h))) / (2.0 * h)
 
     return deriv
 
@@ -246,43 +312,39 @@ def friction_preset(name: str, **kw) -> FrictionModel:
     """Built-in friction models.
 
     "constant"      gamma == value (default 1.0)
-    "two_plus_sin"  gamma(r) = 2 + sin r
+    "two_plus_sin"  gamma(r) = 2 + sin r; g(r) = 2r + 1 - cos r and gamma'(r) = cos r share cos
     "bell"          gamma(r) = gamma0 + (gamma1 - gamma0)/(1 + r^2)
     """
     if name == "constant":
         (value,) = _options("constant friction", kw, {"value": 1.0})
         return FrictionModel(
-            gamma=lambda r: np.full_like(np.asarray(r, dtype=float), value),
-            gamma_prime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+            gamma=lambda s: np.full_like(s.u, value),
+            gamma_prime=lambda s: np.zeros_like(s.u),
             gamma0=value,
             gamma1=value,
             name="constant",
-            g_closed=lambda r: value * np.asarray(r, dtype=float),
-            g_inverse_closed=lambda y: np.asarray(y, dtype=float) / value,
+            g_closed=lambda s: value * s.u,
+            g_inverse_closed=lambda s: s.u / value,
         )
     if name == "two_plus_sin":
         _options("two_plus_sin friction", kw, {})
         return FrictionModel(
-            gamma=lambda r: 2.0 + np.sin(r),
-            gamma_prime=lambda r: np.cos(r),
+            gamma=lambda s: 2.0 + s.sin,
+            gamma_prime=lambda s: s.cos,
             gamma0=1.0,
             gamma1=3.0,
             name="two_plus_sin",
-            g_closed=lambda r: 2.0 * np.asarray(r, dtype=float) + 1.0 - np.cos(r),
+            g_closed=lambda s: 2.0 * s.u + 1.0 - s.cos,
         )
     if name == "bell":
         g0, g1 = _options("bell friction", kw, {"gamma0": 1.0, "gamma1": 2.0})
         return FrictionModel(
-            gamma=lambda r: g0 + (g1 - g0) / (1.0 + np.asarray(r, dtype=float) ** 2),
-            gamma_prime=lambda r: -2.0
-            * np.asarray(r, dtype=float)
-            * (g1 - g0)
-            / (1.0 + np.asarray(r, dtype=float) ** 2) ** 2,
+            gamma=lambda s: g0 + (g1 - g0) / (1.0 + s.u**2),
+            gamma_prime=lambda s: -2.0 * s.u * (g1 - g0) / (1.0 + s.u**2) ** 2,
             gamma0=g0,
             gamma1=g1,
             name="bell",
-            g_closed=lambda r: g0 * np.asarray(r, dtype=float)
-            + (g1 - g0) * np.arctan(r),
+            g_closed=lambda s: g0 * s.u + (g1 - g0) * np.arctan(s.u),
         )
     raise ValueError(f"unknown friction preset {name!r}")
 
@@ -302,8 +364,8 @@ def friction_from_table(r: np.ndarray, gamma_vals: np.ndarray) -> FrictionModel:
     if np.any(gv <= 0):
         raise ValueError("tabulated gamma values must be positive")
 
-    def gamma(x):
-        return np.interp(np.asarray(x, dtype=float), r, gv)
+    def gamma(s):
+        return np.interp(s.u, r, gv)
 
     return FrictionModel(
         gamma=gamma,
@@ -332,14 +394,14 @@ def reaction_preset(name: str, **kw) -> ReactionModel:
     if name == "zero":
         _options("zero reaction", kw, {})
         return ReactionModel(
-            f=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+            f=lambda s: np.zeros_like(s.u),
             lipschitz_const=0.0,
             name="zero",
         )
     if name == "linear_decay":
         _options("linear_decay reaction", kw, {})
         return ReactionModel(
-            f=lambda r: -np.asarray(r, dtype=float),
+            f=lambda s: -s.u,
             lipschitz_const=1.0,
             growth_lambda=0.0,
             growth_delta=0.0,
@@ -353,8 +415,8 @@ def reaction_preset(name: str, **kw) -> ReactionModel:
         edge = radius - radius**3
         slope = 1.0 - 3.0 * radius**2
 
-        def f(r):
-            r = np.asarray(r, dtype=float)
+        def f(s):
+            r = s.u
             inside = r - r**3
             outside = np.sign(r) * edge + slope * (r - np.sign(r) * radius)
             return np.where(np.abs(r) <= radius, inside, outside)
@@ -363,7 +425,7 @@ def reaction_preset(name: str, **kw) -> ReactionModel:
         # Certificate constants: with clipping the product f(r)r is bounded
         # above, so growth_lambda = 0 and growth_c is its numerical maximum.
         grid = np.linspace(-10.0 * radius - 10.0, 10.0 * radius + 10.0, 20001)
-        c = float(np.max(f(grid) * grid))
+        c = float(np.max(f(Nodal(grid)) * grid))
         return ReactionModel(
             f=f,
             lipschitz_const=lip,
@@ -375,18 +437,12 @@ def reaction_preset(name: str, **kw) -> ReactionModel:
     raise ValueError(f"unknown reaction preset {name!r}")
 
 
+# lambda_sigma, lambda_sigma' and sup |lambda_sigma| of each factor; "cosine"
+# shares its cos with the two_plus_sin friction's g and gamma'.
 _DIFFUSION_FACTORS = {
-    "constant": (
-        lambda r: np.ones_like(np.asarray(r, dtype=float)),
-        lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        1.0,
-    ),
-    "cosine": (np.cos, lambda r: -np.sin(r), 1.0),
-    "zero": (
-        lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        0.0,
-    ),
+    "constant": (lambda s: np.ones_like(s.u), lambda s: np.zeros_like(s.u), 1.0),
+    "cosine": (lambda s: s.cos, lambda s: -s.sin, 1.0),
+    "zero": (lambda s: np.zeros_like(s.u), lambda s: np.zeros_like(s.u), 0.0),
 }
 
 

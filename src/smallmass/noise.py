@@ -31,6 +31,7 @@ _MAGIC = b"SMNOISE\0"
 _VERSION = 1
 _FORMAT = f"smallmass noise dump (version {_VERSION})"
 _HEADER = struct.Struct("<8sqqdqqq")
+SEED_RANGE = (-(2**63), 2**63 - 1)  # the seeds the dump's signed 64-bit seed field holds
 
 
 def philox_stream(key: np.ndarray, gen: np.random.Generator | None = None) -> np.random.Generator:
@@ -239,12 +240,14 @@ def save_path(path: NoisePath, filename) -> None:
     """
     if np.ndim(path.seed):
         raise ValueError(f"a {_FORMAT} holds one path, got a batch of {len(path.seed)}")
+    if not SEED_RANGE[0] <= path.seed <= SEED_RANGE[1]:
+        raise ValueError(f"a {_FORMAT} holds a signed 64-bit seed, got {path.seed}")
+    # packed before the file is opened, so a header that cannot be written leaves no file
+    header = _HEADER.pack(
+        _MAGIC, _VERSION, path.seed, path.dt, path.n_steps, path.n_modes, path.level
+    )
     with open(filename, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                _MAGIC, _VERSION, path.seed, path.dt, path.n_steps, path.n_modes, path.level
-            )
-        )
+        fh.write(header)
         fh.write(path.increments.astype("<f8").tobytes())
 
 

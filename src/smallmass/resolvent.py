@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SpectralBasis
-from .models import ModelSet
+from .models import ModelSet, Nodal
 
 
 TOL = 1e-10  # the fixed point stops when its H-norm update drops below TOL
@@ -92,9 +92,9 @@ class OperatorA:
         """Evaluate A(z) in coefficients."""
         u, eta = z
         b, m = self.basis, self.models
-        u_nodal = b.synthesize(u)
-        first = -b.analyze(m.g_map.forward(u_nodal)) / self.mass + eta
-        second = (b.laplacian(u) + b.analyze(m.reaction.f(u_nodal))) / self.mass
+        s = Nodal(b.synthesize(u))
+        first = -b.analyze(m.g_map.forward(s)) / self.mass + eta
+        second = (b.laplacian(u) + b.analyze(m.reaction.f(s))) / self.mass
         return first, second
 
     def h_inner(self, z1, z2):
@@ -146,7 +146,8 @@ def _fixed_point(op: OperatorA, h1: np.ndarray, h2: np.ndarray, lam: float, with
     infos holds one SolveInfo per row with_info, else None.  The rows still
     iterating are kept contiguous and compacted only on a sweep where some
     finish and others go on.  g(u) and f(u) are analysed as one stacked
-    product, whose rows round as they would alone.
+    product, whose rows round as they would alone; both are taken on one
+    nodal state per sweep.
     """
     b, m, mu = op.basis, op.models, op.mass
     c_g, c_f = -(lam / mu), lam * lam / mu
@@ -160,8 +161,8 @@ def _fixed_point(op: OperatorA, h1: np.ndarray, h2: np.ndarray, lam: float, with
     history = []  # the live rows' residuals, one array per sweep
     for it in range(1, MAX_ITER + 1):
         k = len(live)
-        u_nodal = b.synthesize(u)
-        gf = b.analyze(np.concatenate((m.g_map.forward(u_nodal), m.reaction.f(u_nodal))))
+        s = Nodal(b.synthesize(u))
+        gf = b.analyze(np.concatenate((m.g_map.forward(s), m.reaction.f(s))))
         u_next = (c_g * gf[:k] + c_f * gf[k:] + const) / denom
         d = u_next - u
         res = np.sqrt(np.add.reduce(d * d, axis=-1))  # sobolev_norm(d, 0.0), row by row
@@ -197,8 +198,8 @@ def _fixed_point(op: OperatorA, h1: np.ndarray, h2: np.ndarray, lam: float, with
             f"resolvent fixed point did not converge at lam = {lam} "
             f"within {MAX_ITER} iterations (residual {res[0]:.3e})"
         )
-    u_nodal = b.synthesize(u_out)
-    eta = h2 + (lam / mu) * (b.laplacian(u_out) + b.analyze(m.reaction.f(u_nodal)))
+    f_out = m.reaction.f(Nodal(b.synthesize(u_out)))
+    eta = h2 + (lam / mu) * (b.laplacian(u_out) + b.analyze(f_out))
     return u_out, eta, infos
 
 

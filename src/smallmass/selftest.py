@@ -21,6 +21,7 @@ from .models import (
     build_model_set,
     combined_drift,
     friction_preset,
+    nodal,
     noise_induced_drift,
     reaction_preset,
     stratonovich_correction,
@@ -41,8 +42,8 @@ def _models(basis, friction="two_plus_sin", reaction="linear_decay", diffusion="
 
 def _drift_h(u, models):
     """noise_induced_drift at nodal values u, from the model set's coefficients evaluated there."""
-    f, d = models.friction, models.diffusion
-    return noise_induced_drift(f.gamma(u), f.gamma_prime(u), d.lambda_sigma(u), d.kappa)
+    f, d, s = models.friction, models.diffusion, nodal(u)
+    return noise_induced_drift(f.gamma(s), f.gamma_prime(s), d.lambda_sigma(s), d.kappa)
 
 
 def run_selftest() -> list[tuple[str, bool, str]]:

@@ -57,8 +57,11 @@ carries each scheme's own second variable, v for semi_implicit and eta for
 eta_form and resolvent_implicit, and is the one place v and eta are
 converted: it shifts v0 to eta once through `WaveSolver.g_over_mu`, and
 after every step recovers v through u and g(u) at the nodes.  The next step
-starts from those nodal values: the first Newton iterate of eta_form needs
-them, and the noise forcing of resolvent_implicit is taken at that u.
+starts from that nodal state (a `models.Nodal`) and its g: the first Newton
+iterate of eta_form needs them, and both eta schemes take the noise factor
+lambda_sigma on that state, so it reuses the cos that g took where the
+presets share one.  Every scheme evaluates each coefficient once per nodal
+state; a Newton iterate is a new state.
 
 Mass batches.  The mass may be one number or a 1-D array of masses, one per
 row of a (n_mu, P, N) state: the masses of a ladder that share a step then
@@ -85,7 +88,7 @@ import numpy as np
 
 from . import resolvent
 from .basis import SpectralBasis
-from .models import ModelSet
+from .models import ModelSet, Nodal
 from .noise import NoisePath, apply_noise
 
 SCHEMES = ("semi_implicit", "eta_form", "resolvent_implicit")
@@ -108,9 +111,9 @@ def g_coeffs(u: np.ndarray, basis: SpectralBasis, models: ModelSet) -> np.ndarra
 
 
 def _g_nodal(u: np.ndarray, basis: SpectralBasis, models: ModelSet) -> tuple:
-    """u and g(u) at the nodes, the values g_coeffs analyzes."""
-    u_nodal = basis.synthesize(u)
-    return u_nodal, models.g_map.forward(u_nodal)
+    """The nodal state of u (a Nodal) and g(u) at the nodes, the values g_coeffs analyzes."""
+    s = Nodal(basis.synthesize(u))
+    return s, models.g_map.forward(s)
 
 
 @dataclass
@@ -218,7 +221,7 @@ class WaveSolver:
             self._op = resolvent.OperatorA(basis, models, mass=masses.item())
         # The scheme step on (u, second, dt, dbeta[, nodal]): second is v for
         # semi_implicit and eta for the eta schemes, which also take nodal,
-        # the u and g(u) at the nodes that _WaveStepper carries.
+        # the nodal state of u and g(u) that _WaveStepper carries.
         self._advance = {
             "semi_implicit": self._step_semi_implicit,
             "eta_form": self._step_eta,
@@ -249,29 +252,29 @@ class WaveSolver:
 
     def _step_semi_implicit(self, u, v, dt, dbeta):
         b, m, mu = self.basis, self.models, self.mu
-        u_nodal = b.synthesize(u)
+        s = Nodal(b.synthesize(u))
         r = (
             mu * v
-            + dt * (b.laplacian(u) + b.analyze(m.reaction.f(u_nodal)))
-            + apply_noise(m.diffusion.lambda_sigma(u_nodal), dbeta, m.diffusion, b)
+            + dt * (b.laplacian(u) + b.analyze(m.reaction.f(s)))
+            + apply_noise(m.diffusion.lambda_sigma(s), dbeta, m.diffusion, b)
         )
         w = mu * r / (mu + dt * dt * b.alphas)
-        v_new = b.analyze(b.synthesize(w) / (mu + dt * m.friction.gamma(u_nodal)))
+        v_new = b.analyze(b.synthesize(w) / (mu + dt * m.friction.gamma(s)))
         return u + dt * v_new, v_new
 
     def _step_eta(self, u, eta, dt, dbeta, nodal):
         b, m, mu = self.basis, self.models, self.mu
-        u_nodal, g_w = nodal
-        target = u_nodal + dt * b.synthesize(eta)
-        w = u_nodal
+        s, g_w = nodal
+        target = s.u + dt * b.synthesize(eta)
+        w = s  # the Newton iterate; every iterate after the first is a new nodal state
         for k in range(self.newton_iters):
             if k:
                 g_w = m.g_map.forward(w)
-            phi = w + (dt / mu) * g_w - target
-            w = w - phi / (1.0 + (dt / mu) * m.friction.gamma(w))
-        u_new = b.analyze(w)
-        rhs = b.laplacian(u_new) + b.analyze(m.reaction.f(u_nodal))
-        noise = apply_noise(m.diffusion.lambda_sigma(u_nodal), dbeta, m.diffusion, b)
+            phi = w.u + (dt / mu) * g_w - target
+            w = Nodal(w.u - phi / (1.0 + (dt / mu) * m.friction.gamma(w)))
+        u_new = b.analyze(w.u)
+        rhs = b.laplacian(u_new) + b.analyze(m.reaction.f(s))
+        noise = apply_noise(m.diffusion.lambda_sigma(s), dbeta, m.diffusion, b)
         eta_new = eta + (dt / mu) * rhs + noise / mu
         return u_new, eta_new
 
@@ -345,7 +348,7 @@ class _WaveStepper:
         }
 
     def _norms(self) -> tuple:
-        """Set v, in eta mode keeping u and g(u) at the nodes for the next step.
+        """Set v, in eta mode keeping the nodal state of u and g(u) for the next step.
 
         Returns ||u||_H, ||u||_H1 and ||v||_H.
         """
@@ -361,6 +364,7 @@ class _WaveStepper:
     def step(self, dbeta) -> tuple:
         if self.eta_mode:
             step = self.solver._advance(self.u, self.second, self.dt, dbeta, self.nodal)
+            self.nodal = None  # spent: its u, g, sin and cos go before observe() builds the next
         else:
             step = self.solver._advance(self.u, self.second, self.dt, dbeta)
         self.u, self.second = step

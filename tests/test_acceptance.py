@@ -12,7 +12,13 @@ import pytest
 from conftest import record_criterion
 from smallmass import noise
 from smallmass.config import make_basis, make_initial, make_models, validate_config
-from smallmass.diagnostics import convergence_report, lambda_functional, scaling_audit
+from smallmass.diagnostics import (
+    convergence_report,
+    distance_rows,
+    lambda_functional,
+    plain_parts,
+    scaling_audit,
+)
 from smallmass.finite_dim import (
     FDNoise,
     drift_S,
@@ -30,6 +36,7 @@ from smallmass.models import (
 )
 from smallmass.resolvent import OperatorA, audit_operator
 from smallmass.runner import drift_necessity, run_ladder_study
+from smallmass.wave import WaveSolver
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +104,58 @@ def test_criterion_2_drift_necessity(headline, study):
     assert rep.flags["separated"], detail
     assert rep.flags["paired"], detail
     assert rep.flags["rising"], detail
+
+
+def test_resolution_audit_at_the_ablation_mass():
+    """Criteria 1 and 2 do not depend on the truncation N or the step dt.
+
+    On 16 coupled paths at the ablation mass, the wave and the limit with H
+    move by less than D_H / 10 when N doubles (a 2N-mode path's first N rows
+    are the N-mode path) or dt halves (the refined path is its Brownian
+    bridge), where D_H is the mean distance between the limits with and
+    without H on the same paths.  The horizon is half the headline's, to fit
+    the run in a few seconds; D_H grows with it faster than the gaps do.
+    """
+    short = {"time": {"t_final": 0.25, "n_output": 100}}
+    coarse = validate_config(short)
+    fine_n = validate_config({**short, "domain": {"n_modes": 64, "n_nodes": 128}})
+    mu, paths = coarse["ablation"]["mu"], 16
+
+    def runs(cfg, halve_dt=False, drifts=(True,)):
+        basis = make_basis(cfg)
+        models = make_models(cfg, basis)
+        u0, v0 = make_initial(cfg, basis)
+        t = cfg["time"]
+        batch = noise.sample_batch(cfg["seed"], paths, t["t_final"], t["dt"], basis.n_modes)
+        if halve_dt:
+            batch = noise.refine(batch)
+        wave = WaveSolver(basis, models, mu).simulate(u0, v0, batch, n_output=t["n_output"])
+        limits = [
+            LimitSolver(basis, models, with_drift=h).simulate(u0, batch, n_output=t["n_output"])
+            for h in drifts
+        ]
+        return basis, wave.times, [wave.u] + [lim.coeffs for lim in limits]
+
+    def distance(times, a, b, basis):
+        """Mean plain distance over the paths, the coarser run padded with zero modes."""
+        n = basis.n_modes
+        a, b = (np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, n - x.shape[-1])]) for x in (a, b))
+        sup_hm1, l2_h = plain_parts(times, *distance_rows(a, b, basis))
+        return float(np.mean(sup_hm1 + l2_h))
+
+    basis, times, (wave, limit, limit_no_h) = runs(coarse, drifts=(True, False))
+    basis_n, times_n, (wave_n, limit_n) = runs(fine_n)
+    _, times_dt, (wave_dt, limit_dt) = runs(coarse, halve_dt=True)
+    assert np.array_equal(times_n, times) and np.allclose(times_dt, times, rtol=0, atol=1e-12)
+    d_h = distance(times, limit, limit_no_h, basis)
+    gaps = {
+        "wave, N = 32 vs 64": distance(times, wave, wave_n, basis_n),
+        "limit, N = 32 vs 64": distance(times, limit, limit_n, basis_n),
+        "wave, dt vs dt/2": distance(times, wave, wave_dt, basis),
+        "limit, dt vs dt/2": distance(times, limit, limit_dt, basis),
+    }
+    detail = f"D_H = {d_h:.4g}; " + ", ".join(f"{k}: {v:.3g}" for k, v in gaps.items())
+    assert all(gap < d_h / 10 for gap in gaps.values()), detail
 
 
 def test_criterion_3_finite_dimensional_drift():

@@ -337,6 +337,28 @@ def test_path_and_job_counts_below_one_fail_by_name(tmp_path, capsys):
     assert main(["lyapunov", "--config", str(bad), "--out", str(out), "--paths", "1"]) == 0
 
 
+def test_seed_the_noise_dump_cannot_hold_fails_by_key_before_any_run(tmp_path, capsys):
+    # The noise dump stores a path's seed as a signed 64-bit integer, and
+    # path k of a study runs on seed + k: a seed past that range used to write
+    # every other artifact, then fail unnamed and leave an empty noise_path.bin.
+    top, bottom = 2**63 - 1, -(2**63)
+    assert validate_config({"seed": top, "paths": 1})["seed"] == top
+    assert validate_config({"seed": top - 63, "paths": 64})["seed"] == top - 63
+    assert validate_config({"seed": bottom})["seed"] == bottom
+    for raw in ({"seed": top + 1, "paths": 1}, {"seed": top - 62, "paths": 64}, {"seed": bottom - 1}):
+        with pytest.raises(ConfigError, match="config key 'seed' must keep the path seeds"):
+            validate_config(raw)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": {"n_modes": 8, "n_nodes": 16}, "mu_ladder": [0.05]}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    argv = ["simulate-wave", "--config", str(cfg), "--out", str(out), "--seed", "9223372036854775813"]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and "config key 'seed'" in err["message"]
+    assert not out.exists()
+
+
 def test_step_bound_and_audit_sizes_fail_by_name(tmp_path, capsys):
     # time.c_stab <= 0 makes the step bound c_stab * mu no step at all, and an
     # audit of no samples passes with every margin at -inf.

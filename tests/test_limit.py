@@ -154,3 +154,11 @@ def test_batched_matches_per_path(basis):
             tj = solver.simulate(bump(basis), p, n_output=10)
             assert np.allclose(tb.coeffs[:, j], tj.coeffs, atol=1e-13)
             assert np.array_equal(tb.coeffs[:, j], tj.coeffs), form
+
+
+def test_limit_u_step_takes_cos_once_per_nodal_state(basis, cos_per_state):
+    # gamma'(u) = cos u and lambda_sigma(u) = cos u of the default presets
+    # share one cos on the step's nodal state.
+    solver = LimitSolver(basis, models_for(basis), form="u")
+    solver.simulate(bump(basis), sample_batch(3, 2, 1e-3, 1e-3, 16), n_output=1)
+    assert cos_per_state() == [1]

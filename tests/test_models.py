@@ -5,6 +5,7 @@ from smallmass.basis import DomainSpec, build_basis
 from smallmass.models import (
     AntiderivativeMap,
     FrictionModel,
+    Nodal,
     build_diffusion,
     build_model_set,
     combined_drift,
@@ -28,6 +29,82 @@ def models_for(basis, friction="two_plus_sin", reaction="linear_decay", diffusio
         reaction_preset(reaction),
         build_diffusion(basis, factor=diffusion, q=q),
     )
+
+
+# -- the nodal route -------------------------------------------------------------
+
+_T, _W = np.polynomial.legendre.leggauss(32)
+_T, _W = 0.5 * (_T + 1.0), 0.5 * _W  # the 32-point Gauss-Legendre rule of g on [0, 1]
+_TABLE_R = np.linspace(-4.0, 4.0, 81)
+_TABLE_G = 1.5 + np.cos(_TABLE_R) ** 2
+
+
+def _table(x):
+    return np.interp(x, _TABLE_R, _TABLE_G)
+
+
+# Each friction model by name, with its gamma, gamma' and g as plain array formulas.
+_FRICTIONS = {
+    "constant": (
+        lambda: friction_preset("constant", value=1.7),
+        lambda r: np.full_like(r, 1.7),
+        lambda r: np.zeros_like(r),
+        lambda r: 1.7 * r,
+    ),
+    "two_plus_sin": (
+        lambda: friction_preset("two_plus_sin"),
+        lambda r: 2.0 + np.sin(r),
+        np.cos,
+        lambda r: 2.0 * r + 1.0 - np.cos(r),
+    ),
+    "bell": (
+        lambda: friction_preset("bell", gamma0=0.5, gamma1=2.5),
+        lambda r: 0.5 + 2.0 / (1.0 + r**2),
+        lambda r: -2.0 * r * 2.0 / (1.0 + r**2) ** 2,
+        lambda r: 0.5 * r + 2.0 * np.arctan(r),
+    ),
+    "tabulated": (
+        lambda: friction_from_table(_TABLE_R, _TABLE_G),
+        _table,
+        lambda r: (_table(r + 1e-6) - _table(r - 1e-6)) / 2e-6,
+        lambda r: r * (_table(r[..., None] * _T) @ _W),
+    ),
+}
+# lambda_sigma and lambda_sigma' of each diffusion factor as plain array formulas.
+_FACTORS = {
+    "constant": (np.ones_like, np.zeros_like),
+    "cosine": (np.cos, lambda r: -np.sin(r)),
+    "zero": (np.zeros_like, np.zeros_like),
+}
+
+
+@pytest.mark.parametrize("factor", sorted(_FACTORS))
+@pytest.mark.parametrize("friction", sorted(_FRICTIONS))
+def test_coefficients_on_one_nodal_state_equal_the_array_formulas(basis, friction, factor):
+    # Every coefficient read through one shared Nodal, in either order, through
+    # a Nodal of its own and on the plain nodal values is the array formula bit
+    # for bit: a value one coefficient took is the value another would take.
+    build, gamma, gamma_prime, g = _FRICTIONS[friction]
+    ls, ls_prime = _FACTORS[factor]
+    fr, diff = build(), build_diffusion(basis, factor=factor)
+    g_map = AntiderivativeMap(fr)
+    r = np.random.default_rng(11).normal(scale=2.0, size=(3, 5, basis.n_nodes))
+    expected = {
+        "gamma": gamma(r), "gamma_prime": gamma_prime(r), "g": g(r),
+        "lambda_sigma": ls(r), "lambda_sigma_prime": ls_prime(r),
+    }
+    coefficient = {
+        "gamma": fr.gamma, "gamma_prime": fr.gamma_prime, "g": g_map.forward,
+        "lambda_sigma": diff.lambda_sigma, "lambda_sigma_prime": diff.lambda_sigma_prime,
+    }
+    for order in (list(coefficient), list(coefficient)[::-1]):
+        shared = Nodal(r)
+        for name in order:
+            got = coefficient[name](shared)
+            assert got.shape == r.shape and np.array_equal(got, expected[name]), (name, order)
+    for name, fn in coefficient.items():
+        assert np.array_equal(fn(Nodal(r)), expected[name]), name
+        assert np.array_equal(fn(r), expected[name]), name
 
 
 # -- g and its inverse ---------------------------------------------------------

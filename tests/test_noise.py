@@ -192,6 +192,18 @@ def test_save_path_rejects_a_batch_by_format(tmp_path):
     assert not fn.exists()
 
 
+def test_save_path_of_a_seed_past_64_bits_writes_no_file(tmp_path):
+    # The seed is stored signed in 64 bits; a wider seed samples fine (its
+    # streams take it modulo 2^64) but fails by name before the file is opened.
+    fn = tmp_path / "wide.bin"
+    for seed in (2**63, -(2**63) - 1):
+        with pytest.raises(ValueError, match=f"holds a signed 64-bit seed, got {seed}"):
+            save_path(sample_path(seed, 0.02, 0.01, 3), fn)
+        assert not fn.exists()
+    save_path(sample_path(2**63 - 1, 0.02, 0.01, 3), fn)
+    assert load_path(fn).seed == 2**63 - 1
+
+
 def test_apply_noise_returns_zero_without_noise_and_takes_a_weight():
     basis = build_basis(DomainSpec(1.0, 8))
     diff = build_diffusion(basis, factor="cosine", q=1.0)

@@ -81,11 +81,11 @@ def _lying_friction_models(basis):
     # Declares gamma in [0.01, 0.01] while g(u) = 50 u, so lambda_bar admits
     # a lam at which the fixed point expands every nonzero row.
     friction = FrictionModel(
-        gamma=lambda r: np.full_like(r, 50.0),
-        gamma_prime=lambda r: np.zeros_like(r),
+        gamma=lambda s: np.full_like(s.u, 50.0),
+        gamma_prime=lambda s: np.zeros_like(s.u),
         gamma0=0.01,
         gamma1=0.01,
-        g_closed=lambda r: 50.0 * np.asarray(r, dtype=float),
+        g_closed=lambda s: 50.0 * s.u,
     )
     return build_model_set(
         basis, friction, reaction_preset("linear_decay"), build_diffusion(basis, factor="zero")

@@ -304,10 +304,10 @@ def test_eta_step_from_carried_nodal_values_equals_a_fresh_step(basis, newton_it
         return basis.analyze(w)
 
     assert len(steps) == p.n_steps
-    for k, (u, eta, (u_nodal, g_nodal), (u_new, eta_new)) in enumerate(steps):
+    for k, (u, eta, (state, g_nodal), (u_new, eta_new)) in enumerate(steps):
         assert np.array_equal(u, traj.u[k])
-        assert np.array_equal(u_nodal, basis.synthesize(u))
-        assert np.array_equal(g_nodal, m.g_map.forward(u_nodal))
+        assert np.array_equal(state.u, basis.synthesize(u))
+        assert np.array_equal(g_nodal, m.g_map.forward(state.u))
         assert np.array_equal(u_new, newton_u(u, eta, p.dt))
         assert np.array_equal(traj.u[k + 1], u_new)
         assert np.array_equal(traj.v[k + 1], eta_new - solver.g_over_mu(u_new))
@@ -342,3 +342,13 @@ def test_sup_trackers_record_every_step(basis):
     assert traj.sup_u_h >= np.max(np.sqrt((traj.u**2).sum(axis=-1))) - 1e-12
     assert traj.sup_v_h >= np.max(np.sqrt((traj.v**2).sum(axis=-1))) - 1e-12
     assert traj.int_v_h_sq > 0.0
+
+
+def test_default_eta_step_takes_cos_once_per_nodal_state(basis, cos_per_state):
+    # With the default presets g(u) = 2u + 1 - cos u and lambda_sigma(u) = cos u
+    # share one cos: the step forces at the nodal state whose g recovered v.
+    m = models_for(basis, diffusion="cosine")
+    solver = WaveSolver(basis, m, 0.05, scheme="eta_form")
+    solver.simulate(bump(basis), np.zeros(16), sample_batch(3, 2, 1e-3, 1e-3, 16), n_output=1)
+    # the state shifted to eta, the state the step starts from, the state after it
+    assert cos_per_state() == [1, 1, 1]

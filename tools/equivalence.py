@@ -31,7 +31,9 @@ item of every route is bitwise equal on both sides, else 1.
 
 Route groups: the catalogue (3 wave schemes x path/batch x noisy/noise-free,
 one and two wave steps, limit forms x drift x path/batch, single limit
-steps, refinement of a path and a batch, fd coupled and single runs, a
+steps, every friction model x diffusion factor through two steps of each
+wave scheme and one step of each limit form, eta_form with two Newton
+iterations per friction model, refinement of a path and a batch, fd coupled and single runs, a
 stacked resolvent solve with its per-row info and the resolvent audit at criterion 4's size, every
 `run_*` work function on small configs, fd-converge also at 1001 paths), the default config of every
 `run_*` work function (about a minute), and the routes of the benchmark's
@@ -160,6 +162,65 @@ def _limit_routes() -> dict:
                 }
 
             routes[f"limit_step.{form}.drift={drift}"] = step
+    return routes
+
+
+def _model_routes() -> dict:
+    """Each friction model crossed with each diffusion factor: two steps of every wave scheme, a
+    limit u-step and rho-step; and an eta_form run with two Newton iterations per friction."""
+    from smallmass import noise
+    from smallmass.config import make_basis, make_initial
+    from smallmass.limit import LimitSolver
+    from smallmass.models import (
+        build_diffusion, build_model_set, friction_from_table, friction_preset, reaction_preset,
+    )
+    from smallmass.wave import SCHEMES, WaveSolver, g_coeffs
+
+    table = np.linspace(-4.0, 4.0, 81)
+    frictions = {
+        "constant": lambda: friction_preset("constant", value=1.5),
+        "two_plus_sin": lambda: friction_preset("two_plus_sin"),
+        "bell": lambda: friction_preset("bell"),
+        "tabulated": lambda: friction_from_table(table, 1.5 + np.cos(table) ** 2),
+    }
+
+    def setup(friction, diffusion):
+        cfg = _cfg()
+        basis = make_basis(cfg)
+        u0, _ = make_initial(cfg, basis)
+        models = build_model_set(
+            basis, frictions[friction](), reaction_preset("linear_decay"),
+            build_diffusion(basis, factor=diffusion),
+        )
+        return basis, models, u0, 0.3 * u0
+
+    routes = {}
+    for friction in frictions:
+        for diffusion in ("constant", "cosine", "zero"):
+
+            def steps(friction=friction, diffusion=diffusion):
+                basis, models, u0, v0 = setup(friction, diffusion)
+                out = {}
+                two = noise.sample_path(5, 2e-3, 1e-3, basis.n_modes)
+                for scheme in SCHEMES:
+                    traj = WaveSolver(basis, models, 0.01, scheme=scheme).simulate(u0, v0, two, n_output=2)
+                    out[f"wave.{scheme}.u"], out[f"wave.{scheme}.v"] = traj.u, traj.v
+                one = noise.sample_path(6, 1e-3, 1e-3, basis.n_modes)
+                for form in ("u", "rho"):
+                    initial = g_coeffs(u0, basis, models) if form == "rho" else u0
+                    limit = LimitSolver(basis, models, form=form).simulate(initial, one, n_output=1)
+                    out[f"limit.{form}"] = limit.coeffs[-1]
+                return out
+
+            routes[f"model_step.{friction}.{diffusion}"] = steps
+
+        def newton(friction=friction):
+            basis, models, u0, v0 = setup(friction, "cosine")
+            batch = noise.sample_batch(3, 3, 0.01, 1e-3, basis.n_modes)
+            solver = WaveSolver(basis, models, 0.01, scheme="eta_form", newton_iters=2)
+            return _fields(solver.simulate(u0, v0, batch, n_output=5))
+
+        routes[f"wave.eta_form.newton_iters=2.{friction}"] = newton
     return routes
 
 
@@ -398,7 +459,10 @@ def _bench_routes() -> dict:
 
 def catalogue() -> dict:
     routes = {}
-    groups = (_wave_routes, _limit_routes, _noise_routes, _fd_routes, _resolvent_routes, _run_routes)
+    groups = (
+        _wave_routes, _limit_routes, _model_routes, _noise_routes, _fd_routes, _resolvent_routes,
+        _run_routes,
+    )
     for group in groups + (_default_routes, _bench_routes):
         routes.update(group())
     return routes
