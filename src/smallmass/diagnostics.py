@@ -116,29 +116,64 @@ def _h_norms(diff_sq: np.ndarray, basis: SpectralBasis, s: float) -> np.ndarray:
 def distance_rows(a: np.ndarray, b: np.ndarray, basis: SpectralBasis) -> tuple:
     """||a - b||_H and ||a - b||_{H^-1} over the last axis, broadcasting the leading axes.
 
-    At one output time these are the rows the plain distance reduces over
-    time (`plain_parts`); the ladder study scores a (n_mu, P, N) mass batch
-    against the (P, N) limit rows this way as it runs.  Each row depends on
+    At one output time these are the rows the plain distance folds over time
+    (`DistanceFold`); the ladder study scores a (n_mu, P, N) mass batch
+    against the (P, N) limit state this way as it runs.  Each row depends on
     its own coefficients only.
     """
     diff_sq = (a - b) ** 2
     return _h_norms(diff_sq, basis, 0.0), _h_norms(diff_sq, basis, -1.0)
 
 
-def _time_integral(times: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The trapezoid rule over axis 0, summed in time order for every trailing element.
+def _trapezoid(integral, dt, row, prev) -> np.ndarray:
+    """integral plus the trapezoid dt * (row + prev) / 2: one step of a time-ordered sum.
 
-    np.trapezoid sums a lone row pairwise, so one path alone would round
-    differently from the same path in a batch.
+    Summed step by step in time order, for every element alike: np.trapezoid
+    sums a lone row pairwise, so one path alone would round differently from
+    the same path in a batch.
     """
-    dt = np.diff(times).reshape((-1,) + (1,) * (rows.ndim - 1))
-    terms = dt * (rows[1:] + rows[:-1]) / 2.0
-    return np.cumsum(terms, axis=0)[-1] if len(terms) else np.zeros(rows.shape[1:])
+    return integral + dt * (row + prev) / 2.0
+
+
+class DistanceFold:
+    """The plain distance's two parts, folded from `distance_rows` one output time at a time.
+
+    add(t, h, hm1) takes the rows at output time t, in time order; parts()
+    returns sup_t ||diff||_{H^-1} and ||diff||_{L^2(0,T;H)} by the trapezoid
+    rule over the times added so far.  Only the running sup, the running sum
+    and the last squared H row are kept.
+    """
+
+    def __init__(self):
+        self.t = None
+
+    def add(self, t: float, h: np.ndarray, hm1: np.ndarray) -> None:
+        sq = h**2
+        if self.t is None:
+            self.sup, self.integral = hm1, np.zeros(np.shape(sq))
+        else:
+            self.sup = np.maximum(self.sup, hm1)
+            self.integral = _trapezoid(self.integral, t - self.t, sq, self.sq)
+        self.t, self.sq = t, sq
+
+    def parts(self) -> tuple:
+        return self.sup, np.sqrt(self.integral)
+
+
+def _time_integral(times: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The trapezoid rule over axis 0, summed in time order for every trailing element."""
+    integral = np.zeros(rows.shape[1:])
+    for k in range(1, len(rows)):
+        integral = _trapezoid(integral, times[k] - times[k - 1], rows[k], rows[k - 1])
+    return integral
 
 
 def plain_parts(times: np.ndarray, h_rows: np.ndarray, hm1_rows: np.ndarray) -> tuple:
-    """sup_t ||diff||_{H^-1} and ||diff||_{L^2(0,T;H)} from distance_rows stacked on axis 0."""
-    return np.max(hm1_rows, axis=0), np.sqrt(_time_integral(times, h_rows**2))
+    """sup_t ||diff||_{H^-1} and ||diff||_{L^2(0,T;H)}: `DistanceFold` over rows stacked on axis 0."""
+    fold = DistanceFold()
+    for t, h, hm1 in zip(times, h_rows, hm1_rows):
+        fold.add(t, h, hm1)
+    return fold.parts()
 
 
 def metric_distance(
@@ -174,8 +209,16 @@ def metric_distance(
 
 
 def mean_se(x: np.ndarray) -> tuple:
-    """The mean over the paths of x's last axis and its ddof-1 standard error std / sqrt(n)."""
-    return x.mean(axis=-1), x.std(axis=-1, ddof=1) / np.sqrt(x.shape[-1])
+    """The mean over the paths of x's last axis and its ddof-1 standard error std / sqrt(n).
+
+    One sum over the paths serves both, in the operations np.mean and
+    np.std(ddof=1) take, so each is bit for bit theirs.
+    """
+    n = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1) / n
+    dev = x - mean[..., None]
+    var = np.add.reduce(np.square(dev), axis=-1) / (n - 1)
+    return mean, np.sqrt(var) / np.sqrt(n)
 
 
 # -- scaling audit ----------------------------------------------------------------

@@ -24,15 +24,17 @@ No drift correction appears here; the quasilinear structure absorbs it, which
 is what the dual-form consistency test exercises.
 
 A solver advances the state of its own form, u or rho, in sine
-coefficients, through `simulate` only (a single step is simulate on a
-one-step path); `wave.g_coeffs(u, basis, models)` gives the rho0 that
-matches an initial u0.  Both forms run on the time loop `wave.drive` and
-take their noise forcing from `noise.apply_noise`, the u-form with the
-1/gamma weight.  A u-form step evaluates gamma, gamma' and lambda_sigma once
-each on one nodal state of u (`models.Nodal`, so gamma' and lambda_sigma
-share a cos where the presets do) and hands the values to the drift H and
-the noise; a rho-form step takes f and lambda_sigma on the nodal state of
-g^-1(rho).
+coefficients, through its `stepper` only: `simulate` runs it on
+`wave.drive` and records the trajectory, and the coupled ladder study runs
+it in the same drive as the waves, scoring them against its current state
+(a single step is simulate on a one-step path).  `wave.g_coeffs(u, basis,
+models)` gives the rho0 that matches an initial u0.  Both forms run on the
+time loop `wave.drive` and take their noise forcing from
+`noise.apply_noise`, the u-form with the 1/gamma weight.  A u-form step
+evaluates gamma, gamma' and lambda_sigma once each on one nodal state of u
+(`models.Nodal`, so gamma' and lambda_sigma share a cos where the presets
+do) and hands the values to the drift H and the noise; a rho-form step
+takes f and lambda_sigma on the nodal state of g^-1(rho).
 """
 
 from __future__ import annotations
@@ -109,6 +111,11 @@ class LimitSolver:
 
     # -- trajectories -----------------------------------------------------------
 
+    def stepper(self, initial: np.ndarray, path: NoisePath) -> _SpdeLimitStepper:
+        """The run from `initial` (u0 or rho0 per the form) on path, for drive(): one row per path."""
+        shape = path.increments.shape[:-2] + (self.basis.n_modes,)
+        return _SpdeLimitStepper(self, _initial_state(initial, shape), path.dt)
+
     def simulate(
         self,
         initial: np.ndarray,
@@ -116,9 +123,8 @@ class LimitSolver:
         n_output: int = 200,
     ) -> LimitTrajectory:
         """Integrate over the driving path; `initial` is u0 or rho0 per the form."""
+        run = self.stepper(initial, path)
         inc = path.increments
-        shape = inc.shape[:-2] + (self.basis.n_modes,)
-        run = _SpdeLimitStepper(self, _initial_state(initial, shape), path.dt)
         times, [(out,)] = drive([run], path.n_steps, path.dt, lambda k: inc[..., :, k], n_output)
         return LimitTrajectory(times=times, coeffs=out, form=self.form, dt=path.dt, sup_h=run.sup_h)
 

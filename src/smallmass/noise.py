@@ -14,6 +14,9 @@ integrator; pathwise distances between runs estimate convergence in
 probability by common random numbers.  A batch of Monte Carlo paths is a
 NoisePath whose seed is a tuple, one seed per row of its (P, N, K) table;
 it is sampled and refined from the same streams as its seeds' lone paths.
+The ladder study keeps the batch and its refinement at every level its
+masses need alive at once, as they all run in one drive, so each table is
+built once, in place, and handed to its NoisePath without a copy.
 """
 
 from __future__ import annotations
@@ -78,6 +81,9 @@ class NoisePath:
 
     One path has an int seed and an (n_modes, n_steps) table; a batch has a
     tuple of seeds, one per row of its (n_paths, n_modes, n_steps) table.
+    The path keeps a read-only copy of a table it is given writeable, or as
+    a view; a read-only table that owns its data, as every constructor of
+    this module hands over the one it just built, is kept as it is.
     """
 
     seed: int | tuple[int, ...]
@@ -94,13 +100,19 @@ class NoisePath:
         shape = np.shape(self.seed) + (self.n_modes, self.n_steps)
         if inc.shape != shape:
             raise ValueError(f"increment table shape {inc.shape} != {shape}")
-        inc = inc.copy()
-        inc.setflags(write=False)
+        if inc.flags.writeable or not inc.flags.owndata:
+            inc = _frozen(inc.copy())
         object.__setattr__(self, "increments", inc)
 
     @property
     def t_final(self) -> float:
         return self.dt * self.n_steps
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    """table made read-only, so a NoisePath keeps it without a copy."""
+    table.setflags(write=False)
+    return table
 
 
 def _n_steps(t_final: float, dt: float) -> int:
@@ -136,7 +148,7 @@ def sample_path(seed: int | tuple[int, ...], t_final: float, dt: float, n_modes:
     A tuple of seeds gives a batch, one row per seed.
     """
     n_steps = _n_steps(t_final, dt)
-    inc = _stream_normals(seed, 0, n_modes, n_steps, np.sqrt(dt))
+    inc = _frozen(_stream_normals(seed, 0, n_modes, n_steps, np.sqrt(dt)))
     return NoisePath(seed=seed, dt=dt, n_steps=n_steps, n_modes=n_modes, level=0, increments=inc)
 
 
@@ -158,15 +170,16 @@ def refine(path: NoisePath) -> NoisePath:
     half = 0.5 * np.sqrt(path.dt)  # std of the midpoint correction, sqrt(dt/4)
     xi = _stream_normals(path.seed, path.level + 1, path.n_modes, path.n_steps, half)
     fine = np.empty(path.increments.shape[:-1] + (2 * path.n_steps,))
-    fine[..., 0::2] = 0.5 * path.increments + xi
-    fine[..., 1::2] = 0.5 * path.increments - xi
+    even = np.multiply(0.5, path.increments, out=fine[..., 0::2])  # in place: no temporaries
+    np.subtract(even, xi, out=fine[..., 1::2])
+    even += xi
     return NoisePath(
         seed=path.seed,
         dt=0.5 * path.dt,
         n_steps=2 * path.n_steps,
         n_modes=path.n_modes,
         level=path.level + 1,
-        increments=fine,
+        increments=_frozen(fine),
     )
 
 
@@ -200,7 +213,7 @@ def zero_path(t_final: float, dt: float, n_modes: int) -> NoisePath:
         n_steps=n_steps,
         n_modes=n_modes,
         level=0,
-        increments=np.zeros((n_modes, n_steps)),
+        increments=_frozen(np.zeros((n_modes, n_steps))),
     )
 
 
@@ -286,5 +299,5 @@ def load_path(filename) -> NoisePath:
         n_steps=n_steps,
         n_modes=n_modes,
         level=level,
-        increments=table.reshape(n_modes, n_steps).astype(float),
+        increments=_frozen(table.reshape(n_modes, n_steps).astype(float)),
     )

@@ -3,9 +3,13 @@
 The coupled convergence study drives every mass in the ladder and the limit
 integrator with the same Brownian paths (one seed per path, seeds
 base_seed, base_seed+1, ...).  Paths are advanced as a vectorized batch, and
-the masses that share a refined step as one (n_mu, P, N) batch scored
-against the stored limit at every output time, so no wave trajectory is
-kept; results are identical to running paths and masses one at a time.
+the masses that share a refined step as one (n_mu, P, N) batch.  The limit
+and every mass batch run in one `wave.drive` on the coarse clock, a batch
+refined L times taking 2**L steps of its refined path per coarse step, and
+each batch is scored against the limit's current state at every output
+time; the distances are folded as they come (`diagnostics.DistanceFold`),
+so no trajectory of the waves or the limit is kept.  Results are identical
+to running paths and masses one at a time.
 Every per-path result of the study (distances and running norms) is an
 array with one row per mass and the path on the last axis, so a study split
 over jobs > 1 processes in path blocks is joined along that axis in one
@@ -20,7 +24,6 @@ states, so its memory does not grow with outputs x paths.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -41,7 +44,7 @@ from .finite_dim import (
 )
 from .limit import LimitSolver
 from .resolvent import OperatorA, audit_operator
-from .wave import WaveSolver, drive, g_coeffs, output_times
+from .wave import WaveSolver, check_finite, drive, g_coeffs, output_times
 
 
 @dataclass
@@ -91,57 +94,63 @@ def _check_grids(wave: np.ndarray, limit: np.ndarray, n_steps: int) -> None:
         )
 
 
-class _ScoredWaves:
-    """A mass batch's stepper for drive() whose records are its distances to the limits.
+class _ScoredRun:
+    """One run of the ladder study, a stepper of its drive() on the coarse clock.
 
-    At output index pos, record() returns ||u - l[pos]||_H and
-    ||u - l[pos]||_{H^-1} per mass and path for each limit trajectory l, as
-    one (n_limits, 2, n_mu, P) array; drive() calls it once per index, in
-    order.  No wave trajectory is kept.
+    run is a wave or limit stepper on path, the study's batch refined
+    path.level times.  Each coarse step takes the path's 2**level fine
+    steps, observing after each one, and raises SimulationDiverged with the
+    fine step and time where the state stops being finite.  At each output
+    index, record() folds the distance of the run's u (its first record) to
+    each target run's current u into a `diagnostics.DistanceFold`, and
+    returns nothing for drive() to keep.  mus names a wave run's masses.
     """
 
-    def __init__(self, run, limits: list, basis):
-        self.run, self.limits, self.basis, self.pos = run, limits, basis, 0
-        self.step, self.observe = run.step, run.observe
+    def __init__(self, run, path, times: np.ndarray, targets: list, basis, mus=None):
+        self.run, self.inc, self.dt, self.per_step = run, path.increments, path.dt, 1 << path.level
+        self.times, self.targets, self.basis, self.mus = times, targets, basis, mus
+        self.folds = [diagnostics.DistanceFold() for _ in targets]
+        self.k = self.pos = 0
+
+    def step(self, _dbeta) -> tuple:
+        for k in range(self.k, self.k + self.per_step):
+            check_finite(self.run.step(self.inc[..., :, k]), k + 1, self.dt)
+            self.run.observe()
+        self.k += self.per_step
+        return ()
+
+    def observe(self) -> None:
+        pass
 
     def record(self) -> tuple:
-        u, pos = self.run.u, self.pos
+        u, t = self.run.record()[0], self.times[self.pos]
         self.pos += 1
-        rows = [diagnostics.distance_rows(u, lim[pos], self.basis) for lim in self.limits]
-        return (np.array(rows),)
+        for fold, target in zip(self.folds, self.targets):
+            fold.add(t, *diagnostics.distance_rows(u, target.run.record()[0], self.basis))
+        return ()
+
+    def distances(self) -> np.ndarray:
+        """sup_Hm1 + L2(0,T;H) to each target, one row per target."""
+        return np.array([np.add(*fold.parts()) for fold in self.folds])
 
 
-@dataclass
-class _WaveGroup:
-    """One mass batch of a ladder study: its step, output grid, distances and norms."""
-
-    mus: list[float]
-    dt: float
-    times: np.ndarray
-    distances: np.ndarray  # (n_limits, n_mu, n_paths): sup_Hm1 + L2(0,T;H)
-    norms: dict  # the running norms of WaveTrajectory, (n_mu, n_paths) each
-
-
-def _simulate_group(cfg: dict, basis, models, mus: list, u0, v0, batch, limits: list):
-    """The masses mus as one batch on batch refined to their step, scored against each limit."""
-    solver = _wave_solver(cfg, basis, models, np.array(mus))
-    path = noise.refine_to(batch, solver.max_dt())
-    run = _ScoredWaves(solver.stepper(u0, v0, path), limits, basis)
-    inc = path.increments
-    n_output = cfg["time"]["n_output"]
-    times, [[rows]] = drive([run], path.n_steps, path.dt, lambda k: inc[..., :, k], n_output)
-    sup_hm1, l2_h = diagnostics.plain_parts(times, rows[:, :, 0], rows[:, :, 1])
-    return _WaveGroup(mus, path.dt, times, distances=sup_hm1 + l2_h, norms=run.run.norms)
+def _mass_group(cfg: dict, basis, models, mus: list, u0, v0, path, times, limits: list):
+    """The masses mus as one batch on path, their refined batch, scored against each limit run."""
+    run = _wave_solver(cfg, basis, models, np.array(mus)).stepper(u0, v0, path)
+    return _ScoredRun(run, path, times, limits, basis, mus=mus)
 
 
 def _study_block(cfg: dict, seed0: int, n_paths: int, ablate_drift: bool) -> LadderStudy:
     """The ladder's waves against the u-form limit with H, all on one coupled batch.
 
-    The masses run in batches that share a refined step (`_mass_groups`), and
-    are scored against the stored limit trajectory at every output time.  The
-    output grids are checked before anything runs.  With ablate_drift, the
-    limit without H also runs on the batch, and the study scores each wave
-    (d_no) and the limit with H (d_h) against it.
+    The masses run in batches that share a refined step (`_mass_groups`).
+    Every batch and the limit advance in one drive() on the coarse clock, a
+    batch refined L times taking 2**L fine steps per coarse step, and each
+    batch is scored against the limit's current state at every output time,
+    so no trajectory is kept.  The output grids are checked before anything
+    runs.  With ablate_drift, the limit without H runs in the same drive,
+    and the study scores each wave (d_no) and the limit with H (d_h)
+    against it.
     """
     basis = make_basis(cfg)
     models = make_models(cfg, basis)
@@ -151,28 +160,38 @@ def _study_block(cfg: dict, seed0: int, n_paths: int, ablate_drift: bool) -> Lad
     n_steps = noise._n_steps(t["t_final"], t["dt"])
     groups = _mass_groups(cfg, basis, models)
     limit_times = output_times(n_steps, t["dt"], t["n_output"])
+    times = {}
     for level, _ in groups:
-        fine = output_times(n_steps << level, t["dt"] * 0.5**level, t["n_output"])
-        _check_grids(fine, limit_times, n_steps)
+        times[level] = output_times(n_steps << level, t["dt"] * 0.5**level, t["n_output"])
+        _check_grids(times[level], limit_times, n_steps)
 
     batch = noise.sample_batch(seed0, n_paths, t["t_final"], t["dt"], basis.n_modes)
-    limits = [
-        LimitSolver(basis, models, with_drift=h).simulate(u0, batch, n_output=t["n_output"]).coeffs
-        for h in ((True, False) if ablate_drift else (True,))
+    limits = []
+    for h in (True, False) if ablate_drift else (True,):
+        run = LimitSolver(basis, models, with_drift=h).stepper(u0, batch)
+        # the limit without H is scored against the one with H: d_h
+        limits.append(_ScoredRun(run, batch, limit_times, limits[:1], basis))
+    paths, path = {}, batch
+    for level in sorted(times):  # each refinement taken once; every level's path runs at once
+        while path.level < level:
+            path = noise.refine(path)
+        paths[level] = path
+    waves = [
+        _mass_group(cfg, basis, models, [ladder[k] for k in idx], u0, v0, paths[level],
+                    times[level], limits)
+        for (level, _), idx in groups.items()
     ]
+    drive(limits + waves, n_steps, t["dt"], lambda k: None, t["n_output"])
+
     d = np.empty((len(limits), len(ladder), n_paths))
     norms: dict = {}
-    for idx in groups.values():
-        mus = [ladder[k] for k in idx]
-        group = _simulate_group(cfg, basis, models, mus, u0, v0, batch, limits)
-        d[:, idx] = group.distances
-        for name, rows in group.norms.items():
+    for idx, wave in zip(groups.values(), waves):
+        d[:, idx] = wave.distances()
+        for name, rows in wave.run.norms.items():
             norms.setdefault(name, np.empty((len(ladder), n_paths)))[idx] = rows
     if not ablate_drift:
         return LadderStudy(ladder, d[0], norms)
-    sup_hm1, l2_h = diagnostics.plain_parts(limit_times, *diagnostics.distance_rows(*limits, basis))
-    d_h = sup_hm1 + l2_h
-    return LadderStudy(ladder, d[0], norms, d_no=d[1], d_h=d_h)
+    return LadderStudy(ladder, d[0], norms, d_no=d[1], d_h=limits[1].distances()[0])
 
 
 def drift_necessity(cfg: dict, study: LadderStudy) -> DriftNecessityReport:
@@ -202,6 +221,9 @@ def run_ladder_study(cfg: dict, ablate_drift: bool = False) -> LadderStudy:
     jobs = max(1, min(cfg["jobs"], n_paths, os.cpu_count() or 1))
     if jobs == 1:
         return _study_block(cfg, cfg["seed"], n_paths, ablate_drift)
+    # imported here: multiprocessing and its imports cost every other run about 15 ms
+    from concurrent.futures import ProcessPoolExecutor
+
     sizes = [n_paths // jobs + (1 if k < n_paths % jobs else 0) for k in range(jobs)]
     starts = np.concatenate([[0], np.cumsum(sizes)])[:-1] + cfg["seed"]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

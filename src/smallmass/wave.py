@@ -50,9 +50,10 @@ Every integrator of the package, wave, limit and finite-dimensional, runs on
 the one time loop `drive`, defined here; the noise forcing of every scheme is
 `noise.apply_noise`.  `g_coeffs` is the one conversion from u to g(u), and
 `WaveSolver.stepper` is the only way to step: `simulate` runs its stepper on
-`drive` and records the trajectory, and the coupled ladder study runs it with
-a record of distances to the limit instead; a single step is simulate on a
-one-step path (`noise.zero_path(dt, dt, N)` without noise).  The stepper
+`drive` and records the trajectory, and the coupled ladder study runs it in
+one drive with the limit, scoring it against the limit's state as it goes;
+a single step is simulate on a one-step path (`noise.zero_path(dt, dt, N)`
+without noise).  The stepper
 carries each scheme's own second variable, v for semi_implicit and eta for
 eta_form and resolvent_implicit, and is the one place v and eta are
 converted: it shifts v0 to eta once through `WaveSolver.g_over_mu`, and
@@ -73,10 +74,14 @@ scalar one, and every transform is row-stable, so each mass of a batch
 equals its own scalar run bit for bit.
 
 Recording.  `drive` calls a stepper's record() exactly once per output
-index, in order, starting at index 0 before the first step, and allocates
-its outputs from that first record.  So record() may compute what it returns
-from the output index it is at (the study scores the batch against the limit
-rows of the same index); the arrays it returns must keep their shapes.
+index, in order, starting at index 0 before the first step and after every
+stepper has taken the step of that index, and allocates its outputs from
+that first record.  So record() may compute what it returns from the output
+index it is at and from the other steppers' current state (the study folds
+each batch's distance to the limit there and returns nothing to keep); the
+arrays it returns must keep their shapes.  `check_finite` is the one
+divergence test: drive applies it to what step() returns, and a stepper
+that takes several finer steps per step of drive applies it to each.
 """
 
 from __future__ import annotations
@@ -134,12 +139,27 @@ class WaveTrajectory:
 
 
 def _output_indices(n_steps: int, n_output: int) -> np.ndarray:
-    return np.unique(np.round(np.linspace(0, n_steps, n_output + 1)).astype(int))
+    """The steps drive() records after: n_output + 1 rounded even points of 0..n_steps, once each.
+
+    The rounded grid never decreases, so keeping each index that differs from
+    the one before it removes the repeats (np.unique would import numpy.ma).
+    """
+    idx = np.round(np.linspace(0, n_steps, n_output + 1)).astype(int)
+    keep = np.ones(len(idx), dtype=bool)
+    keep[1:] = idx[1:] != idx[:-1]
+    return idx[keep]
 
 
 def output_times(n_steps: int, dt: float, n_output: int) -> np.ndarray:
     """The output grid drive() records on for n_steps steps of size dt."""
     return _output_indices(n_steps, n_output) * dt
+
+
+def check_finite(arrays, step: int, dt: float) -> None:
+    """Raise SimulationDiverged at step (time step * dt) unless every array is finite."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise SimulationDiverged(step=step, t=step * dt)
 
 
 def drive(steppers: list, n_steps: int, dt: float, draw, n_output: int) -> tuple[np.ndarray, list]:
@@ -165,9 +185,7 @@ def drive(steppers: list, n_steps: int, dt: float, draw, n_output: int) -> tuple
     for k in range(n_steps):
         dbeta = draw(k)
         for s in steppers:
-            for a in s.step(dbeta):
-                if not np.isfinite(a).all():
-                    raise SimulationDiverged(step=k + 1, t=(k + 1) * dt)
+            check_finite(s.step(dbeta), k + 1, dt)
             s.observe()
         if pos < len(idx) and k + 1 == idx[pos]:
             for out, s in zip(outs, steppers):

@@ -487,6 +487,8 @@ def test_parallel_jobs_reproduce_sequential(tmp_path, seed):
 
 
 def test_cli_drift_ablation_small(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
     from smallmass import diagnostics, runner
 
     cfg = {
@@ -522,12 +524,13 @@ def test_cli_drift_ablation_small(tmp_path, capsys, monkeypatch):
     # --jobs 2 runs the study in two worker processes and writes the same bits.
     blocks = []
 
-    class Pool(runner.ProcessPoolExecutor):
+    class Pool(concurrent.futures.ProcessPoolExecutor):
         def submit(self, fn, *args):
             blocks.append((fn, args[2]))  # the block function and its path count
             return super().submit(fn, *args)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", Pool)
+    # the runner imports the pool from concurrent.futures when jobs > 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
     out2 = tmp_path / "out2"
     assert main(["drift-ablation", "--config", str(p), "--out", str(out2), "--jobs", "2"]) == code
@@ -816,14 +819,14 @@ def _spy_waves(monkeypatch) -> dict:
     from smallmass import runner
 
     waves = {}
-    real = runner._simulate_group
+    real = runner._mass_group
 
     def spy(cfg, basis, models, mus, *args):
         group = real(cfg, basis, models, mus, *args)
         waves.update(dict.fromkeys(mus, group))
         return group
 
-    monkeypatch.setattr(runner, "_simulate_group", spy)
+    monkeypatch.setattr(runner, "_mass_group", spy)
     return waves
 
 
@@ -957,9 +960,12 @@ def test_ladder_study_equals_its_masses_run_one_at_a_time(monkeypatch, scheme):
 
 
 def test_study_block_keeps_no_wave_trajectories():
-    # The study scores each mass batch at every output time, so its traced
-    # peak stays below the (n_out, n_mu, P, N) u trajectory of its masses
-    # (0.8 of it here); the per-mass runs it replaced peaked at 1.24 times it.
+    # The study runs the limit and each mass batch in one drive and scores the
+    # batch against the limit's current state at every output time, so its
+    # traced peak stays below the (n_out, n_mu, P, N) u trajectory of its masses
+    # (the per-mass runs it replaced peaked at 1.24 times it), and below the
+    # noise table plus one (n_out, P, N) limit trajectory (0.82 of it here;
+    # storing the limit trajectory and the distance rows peaked at 1.96 times it).
     import tracemalloc
 
     from smallmass import runner
@@ -970,18 +976,52 @@ def test_study_block_keeps_no_wave_trajectories():
         "paths": 32,
     }
     cfg = validate_config(raw)
-    n_out, n_mu = cfg["time"]["n_output"] + 1, len(cfg["mu_ladder"])
-    trajectory_bytes = 8 * n_out * n_mu * cfg["paths"] * cfg["domain"]["n_modes"]
+    t, n_paths, n_modes = cfg["time"], cfg["paths"], cfg["domain"]["n_modes"]
+    n_out, n_mu = t["n_output"] + 1, len(cfg["mu_ladder"])
+    trajectory_bytes = 8 * n_out * n_mu * n_paths * n_modes
+    table_bytes = 8 * n_paths * n_modes * round(t["t_final"] / t["dt"])
+    limit_bytes = 8 * n_out * n_paths * n_modes
     warm = {**raw, "time": {"t_final": 2e-3, "dt": 1e-4, "n_output": 20}, "paths": 2}
     warm = validate_config(warm)
     runner._study_block(warm, 1, 2, ablate_drift=False)  # the first call's lazy imports
     tracemalloc.start()
     try:
-        runner._study_block(cfg, cfg["seed"], cfg["paths"], ablate_drift=False)
+        runner._study_block(cfg, cfg["seed"], n_paths, ablate_drift=False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < trajectory_bytes, (peak, trajectory_bytes)
+    assert peak < table_bytes + limit_bytes, (peak, table_bytes + limit_bytes)
+
+
+def test_study_reports_a_diverged_refined_batch_at_its_fine_step(monkeypatch):
+    # A mass batch refined once takes two fine steps per coarse step; a state that
+    # stops being finite is reported at the fine step and time where it happened.
+    from smallmass import runner
+    from smallmass.wave import SimulationDiverged, WaveSolver
+
+    calls = []
+    real = WaveSolver._step_semi_implicit
+
+    def blows_up(self, u, v, dt, dbeta):
+        calls.append(dt)
+        u, v = real(self, u, v, dt, dbeta)
+        return (np.full_like(u, np.nan) if len(calls) == 3 else u), v
+
+    monkeypatch.setattr(WaveSolver, "_step_semi_implicit", blows_up)
+    cfg = validate_config(
+        {
+            "domain": {"n_modes": 8, "n_nodes": 16},
+            "time": {"t_final": 0.01, "dt": 5e-4, "n_output": 10, "c_stab": 0.25},
+            "mu_ladder": [1e-3],
+            "wave": {"scheme": "semi_implicit"},
+            "paths": 2,
+        }
+    )
+    with pytest.raises(SimulationDiverged) as err:
+        runner.run_ladder_study(cfg)
+    assert calls == [2.5e-4] * 3
+    assert (err.value.step, err.value.t) == (3, 3 * 2.5e-4)
 
 
 def test_fd_converge_keeps_no_trajectories(tmp_path):

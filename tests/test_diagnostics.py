@@ -4,11 +4,14 @@ import pytest
 from smallmass.basis import DomainSpec, build_basis
 from smallmass.diagnostics import (
     convergence_report,
+    distance_rows,
     drift_necessity_report,
     energy_records,
     friction_energy_density,
     lambda_functional,
+    mean_se,
     metric_distance,
+    plain_parts,
     scaling_audit,
 )
 from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
@@ -254,3 +257,32 @@ def test_drift_necessity_report_rule():
         drift_necessity_report(ladder, d_with, d_with + 0.8 * d_h, d_h, 0.03)
     with pytest.raises(ValueError):
         drift_necessity_report(ladder[::-1], d_with, d_with, d_h, 0.01)
+
+
+@pytest.mark.parametrize(
+    "shape", [(2,), (7,), (10000,), (10001,), (201, 2), (21, 7), (5, 10000), (3, 10001), (2, 3, 129)]
+)
+def test_mean_se_is_numpy_mean_and_std_bit_for_bit(shape):
+    # One sum over the paths serves the mean and the standard error.
+    x = np.random.default_rng(shape[-1]).normal(0.3, 2.0, size=shape)
+    for arr in (x, np.ascontiguousarray(x.T).T):  # contiguous and strided along the paths
+        mean, se = mean_se(arr)
+        assert np.array_equal(mean, np.mean(arr, axis=-1))
+        assert np.array_equal(se, np.std(arr, axis=-1, ddof=1) / np.sqrt(shape[-1]))
+        assert np.shape(mean) == np.shape(se) == shape[:-1]
+        assert type(mean) is type(np.mean(arr, axis=-1))
+
+
+def test_plain_parts_fold_equals_the_stacked_reductions(basis):
+    # plain_parts folds the rows in time order; on stacked rows that is the max
+    # over time and the cumulative trapezoid sum, bit for bit.
+    rng = np.random.default_rng(4)
+    times = np.cumsum(rng.uniform(0.5, 1.5, 31)) * 1e-3
+    a, b = rng.normal(size=(2, 31, 5, basis.n_modes))
+    h, hm1 = distance_rows(a, b, basis)
+    sup_hm1, l2_h = plain_parts(times, h, hm1)
+    terms = np.diff(times)[:, None] * (h[1:] ** 2 + h[:-1] ** 2) / 2.0
+    assert np.array_equal(sup_hm1, np.max(hm1, axis=0))
+    assert np.array_equal(l2_h, np.sqrt(np.cumsum(terms, axis=0)[-1]))
+    one = plain_parts(times[:1], h[:1], hm1[:1])
+    assert np.array_equal(one[0], hm1[0]) and np.array_equal(one[1], np.zeros(5))

@@ -333,3 +333,41 @@ def test_refine_to_refines_a_batch_member_by_member():
     assert again.level == 3
     assert np.array_equal(again.increments, np.stack([refine(m).increments for m in members]))
     assert refine_to(batch, 1e-3) is batch  # nothing to refine: the batch itself
+
+
+def test_path_keeps_the_table_it_is_handed_and_copies_one_it_is_lent():
+    # sample_path, refine and zero_path hand over the table they just built, read-only;
+    # a writeable table, or a read-only view of one, is copied so that its owner
+    # cannot change the path.
+    for path in (sample_path(3, 0.01, 1e-3, 4), refine(sample_batch(3, 2, 0.01, 1e-3, 4)),
+                 zero_path(0.01, 1e-3, 4)):
+        assert path.increments.flags.owndata and not path.increments.flags.writeable
+    table = np.zeros((4, 10))
+    view = table[:, :]
+    view.setflags(write=False)
+    for lent in (table, view):
+        path = NoisePath(seed=0, dt=1e-3, n_steps=10, n_modes=4, level=0, increments=lent)
+        table[0, 0] += 1.0
+        assert path.increments[0, 0] == 0.0 and not path.increments.flags.writeable
+        table[0, 0] = 0.0
+
+
+def test_sampling_and_refining_build_each_table_once():
+    # sample_path allocates its table and nothing else of its size; refine its
+    # fine table and the midpoint draws, coarse-sized (a copy would add one more each).
+    import tracemalloc
+
+    refine(sample_batch(1, 2, 0.01, 1e-3, 4))  # the first call's lazy imports
+    tracemalloc.start()
+    try:
+        batch = sample_batch(5, 16, 0.1, 1e-4, 16)
+        _, sampled = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        refine(batch)
+        _, refined = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = batch.increments.nbytes
+    assert sampled < 1.1 * table, sampled / table
+    assert refined - before < 3.1 * table, (refined - before) / table

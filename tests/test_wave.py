@@ -5,7 +5,7 @@ from smallmass.basis import DomainSpec, build_basis
 from smallmass.limit import LimitSolver
 from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
 from smallmass.noise import refine, sample_batch, sample_path, zero_path
-from smallmass.wave import SimulationDiverged, WaveSolver, g_coeffs
+from smallmass.wave import SimulationDiverged, WaveSolver, _output_indices, g_coeffs
 
 
 @pytest.fixture(scope="module")
@@ -352,3 +352,14 @@ def test_default_eta_step_takes_cos_once_per_nodal_state(basis, cos_per_state):
     solver.simulate(bump(basis), np.zeros(16), sample_batch(3, 2, 1e-3, 1e-3, 16), n_output=1)
     # the state shifted to eta, the state the step starts from, the state after it
     assert cos_per_state() == [1, 1, 1]
+
+
+def test_output_indices_drop_repeats_as_unique_does():
+    # The rounded grid never decreases, so dropping each index equal to the one
+    # before it is np.unique, also where n_output exceeds n_steps and repeats.
+    pairs = [(n, m) for n in range(1, 41) for m in range(1, 101)]
+    pairs += [(200, 200), (400, 200), (800, 200), (20000, 200), (199, 200), (3, 1000), (7919, 61)]
+    for n_steps, n_output in pairs:
+        idx = _output_indices(n_steps, n_output)
+        ref = np.unique(np.round(np.linspace(0, n_steps, n_output + 1)).astype(int))
+        assert idx.dtype == ref.dtype and np.array_equal(idx, ref), (n_steps, n_output)

@@ -35,7 +35,9 @@ steps, every friction model x diffusion factor through two steps of each
 wave scheme and one step of each limit form, eta_form with two Newton
 iterations per friction model, refinement of a path and a batch, fd coupled and single runs, a
 stacked resolvent solve with its per-row info and the resolvent audit at criterion 4's size, every
-`run_*` work function on small configs, fd-converge also at 1001 paths), the default config of every
+`run_*` work function on small configs, the ladder study also with masses on three refinement
+levels (converge with n_output below the step count, and the drift ablation), fd-converge also
+at 1001 paths), the default config of every
 `run_*` work function (about a minute), and the routes of the benchmark's
 workloads (bench/workloads.py).  A step is `simulate` on a one- or two-step
 path, noisy or from `noise.zero_path`.
@@ -406,6 +408,15 @@ def _run_routes() -> dict:
     # 1e-3 halves it once and 5e-4 twice
     two_levels = {"mu_ladder": [0.2, 0.1, 1e-3, 5e-4], "time": {"c_stab": 0.25}}
     routes["run_converge.two_levels"] = _work("run_converge", _cfg(short, two_levels))
+    # records every fourth coarse step, so each record follows several refined sub-steps
+    sparse = {"time": {"n_output": 5}}
+    routes["run_converge.two_levels.n_output=5"] = _work(
+        "run_converge", _cfg(short, two_levels, sparse)
+    )
+    # refined sub-steps scored against both limits, and the limits against each other
+    routes["run_drift_ablation.two_levels"] = _work(
+        "run_drift_ablation", _cfg(short, two_levels, {"ablation": {"mu": 1e-3}})
+    )
     # one mass on the ladder: the judged ladder is the single ablation mass
     one_mass = {"mu_ladder": [0.01]}
     routes["run_drift_ablation.one_mass"] = _work(
