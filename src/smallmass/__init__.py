@@ -61,7 +61,6 @@ from .finite_dim import (
     drift_S,
     fd_scalar_system,
     simulate_fd,
-    simulate_fd_coupled,
     simulate_fd_limit,
     solve_lyapunov,
 )

@@ -17,6 +17,7 @@ import numpy as np
 from .basis import DomainSpec, SpectralBasis, build_basis
 from .diagnostics import MIN_PATHS_PAIRED
 from .models import (
+    Q_MIN,
     ModelSet,
     build_diffusion,
     build_model_set,
@@ -135,10 +136,11 @@ def _check_type(path: str, value, expected) -> Any:
     return number
 
 
-# The least value of each count key: fd_converge's standard errors take ddof=1.
+# The least value of each count key: fd_converge's standard errors take ddof=1, and an
+# eta_form step with no Newton iteration would leave u where it is.
 _COUNTS = {
     "time.n_output": 1, "paths": 1, "jobs": 1, "resolvent.n_pairs": 1, "resolvent.n_smooth": 1,
-    "fd.paths": MIN_PATHS_PAIRED,
+    "fd.paths": MIN_PATHS_PAIRED, "wave.newton_iters": 1,
 }
 # Sizes that must be positive; time.c_stab <= 0 would make the step bound c_stab * mu no step.
 _POSITIVE = (
@@ -188,6 +190,10 @@ def validate_config(raw: dict) -> dict:
     for key, value in {**{key: flat[key] for key in _POSITIVE}, **resolvent_lams(cfg)}.items():
         if not value > 0:
             raise ConfigError(f"config key '{key}' must be positive, got {value}")
+    if not flat["model.q_exponent"] > Q_MIN:
+        raise ConfigError(
+            f"config key 'model.q_exponent' must exceed {Q_MIN}, got {flat['model.q_exponent']}"
+        )
     # Path k of a study runs on seed + k, and a noise dump stores its seed signed in 64 bits.
     last = cfg["seed"] + cfg["paths"] - 1
     if not (SEED_RANGE[0] <= cfg["seed"] and last <= SEED_RANGE[1]):

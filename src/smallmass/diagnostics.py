@@ -68,17 +68,16 @@ def energy_records(basis: SpectralBasis, models: ModelSet, traj: WaveTrajectory)
 
     The columns are t, energy (K_mu), lambda (Lambda(u)), u_h, u_h1 and v_h.
     The norms are taken once on the (T, N) trajectory, whose rows reduce as
-    they would alone; Lambda is taken output by output.
+    they would alone, and the energy from them as the running sup_energy
+    takes it; Lambda is taken output by output.
     """
     if traj.u.ndim != 2:
         raise ValueError("energy_records expects an unbatched trajectory")
     norm = basis.sobolev_norm
     uh, uh1, vh = norm(traj.u, 0.0), norm(traj.u, 1.0), norm(traj.v, 0.0)
-    # A Python float's ** 2 is libm pow, which can round apart from numpy's x * x.
-    energy = [b**2 + traj.mu * c**2 for b, c in zip(uh1.tolist(), vh.tolist())]
     return {
         "t": traj.times,
-        "energy": np.array(energy),
+        "energy": uh1**2 + traj.mu * vh**2,
         "lambda": np.array([lambda_functional(basis, models.friction, u) for u in traj.u]),
         "u_h": uh,
         "u_h1": uh1,

@@ -23,17 +23,17 @@ residual checked on every call.  At a single point, drift_S runs it on the
 step 1e-5.  The limit integrator's S is closed form in gamma and gamma'.
 
 Monte Carlo runs step a (P,) state, one value per path, with elementwise
-products: each step draws (P,) increments and the runs record (n_out, P)
-trajectories.  The increments come from a counter-based generator keyed by
-(seed, step), so the inertial and limit integrators consume identical noise
-when run at the same step size (common random numbers), and reruns with the
-same seed are bit-identical.  The runs use the package's one time
-loop, `wave.drive`, which advances any set of integrators in lock step on a
-single draw per step; `simulate_fd_coupled` runs the inertial system and the
-limit with and without S together and gives the same bits as three separate
-runs.  Its parts, `coupled_steppers` and `drive_fd`, serve a caller that
-records something else than (n_out, P) trajectories: wrapped in a stepper
-whose record() reduces over paths, the same run keeps only what it reports.
+products, on (P,) increments from a counter-based generator keyed by (seed,
+step): the inertial and limit integrators consume identical noise at the
+same step size (common random numbers), and reruns are bit-identical.  The
+one coupled route is `coupled_steppers` (the inertial system and the limit
+with and without S) advanced in lock step on one draw per step by
+`drive_fd`, through the package's one time loop `wave.drive`; wrapped in
+steppers whose record() reduces over paths, as in `runner.run_fd_converge`,
+the run keeps only what it reports, and `compare_endpoints` turns the final
+states into the z-scores criterion 3 and `fd-converge` read.
+`simulate_fd` and `simulate_fd_limit` run one integrator alone and return
+its (n_out, P) trajectory.
 """
 
 from __future__ import annotations
@@ -229,8 +229,6 @@ class _InertialStepper(_FDStepper):
 class _LimitStepper(_FDStepper):
     """Euler-Maruyama for the limit SDE; with_S=False ablates the extra drift."""
 
-    mu = None
-
     def __init__(self, system, noise, x0, with_S):
         self.system, self.dt, self.with_S = system, noise.dt, with_S
         self.x = _initial_state(x0, (noise.n_paths,))
@@ -270,12 +268,6 @@ def drive_fd(steppers: list, noise: FDNoise, n_output: int) -> tuple[np.ndarray,
     return drive(steppers, noise.n_steps, noise.dt, lambda k: noise.increments(k, gen), n_output)
 
 
-def _trajectories(steppers: list, noise: FDNoise, n_output: int) -> list[FDTrajectory]:
-    """drive_fd the steppers and wrap each recorded x as an FDTrajectory."""
-    times, outs = drive_fd(steppers, noise, n_output)
-    return [FDTrajectory(times=times, x=x, dt=noise.dt, mu=s.mu) for (x,), s in zip(outs, steppers)]
-
-
 def simulate_fd(
     system: FDSystem,
     mu: float,
@@ -292,7 +284,8 @@ def simulate_fd(
     through one Newton step in the x-update.
     """
     stepper = _InertialStepper(system, mu, noise, x0, v0, eta_transform)
-    return _trajectories([stepper], noise, n_output)[0]
+    times, [(x,)] = drive_fd([stepper], noise, n_output)
+    return FDTrajectory(times=times, x=x, dt=noise.dt, mu=mu)
 
 
 def simulate_fd_limit(
@@ -303,25 +296,8 @@ def simulate_fd_limit(
     n_output: int = FD_N_OUTPUT,
 ) -> FDTrajectory:
     """Euler-Maruyama for the limit SDE; with_S=False ablates the extra drift."""
-    return _trajectories([_LimitStepper(system, noise, x0, with_S)], noise, n_output)[0]
-
-
-def simulate_fd_coupled(
-    system: FDSystem,
-    mu: float,
-    noise: FDNoise,
-    x0,
-    v0,
-    n_output: int = FD_N_OUTPUT,
-    eta_transform: bool = False,
-) -> tuple[FDTrajectory, FDTrajectory, FDTrajectory]:
-    """The inertial run, the limit with S and the limit without S, in lock step.
-
-    Each step's increments are drawn once and shared; the three trajectories
-    equal those of separate simulate_fd and simulate_fd_limit runs bit for bit.
-    """
-    steppers = coupled_steppers(system, mu, noise, x0, v0, eta_transform)
-    return tuple(_trajectories(steppers, noise, n_output))
+    times, [(x,)] = drive_fd([_LimitStepper(system, noise, x0, with_S)], noise, n_output)
+    return FDTrajectory(times=times, x=x, dt=noise.dt)
 
 
 @dataclass
@@ -332,14 +308,22 @@ class FDCompareReport:
     diff_mean: float  # mean of per-path differences
     diff_se: float  # standard error of that mean (coupled)
     z_score: float  # |diff_mean| / diff_se
+    z_combined: float  # |diff_mean| / sqrt(var_a/n + var_b/n), as if the runs were independent
 
 
 def compare_endpoints(xa: np.ndarray, xb: np.ndarray) -> FDCompareReport:
-    """Statistics of two coupled runs' (P,) final states, path by path."""
+    """Statistics of two coupled runs' (P,) final states, path by path and as two samples."""
     diff = xa - xb
+    n = diff.shape[0]
     diff_mean, diff_se = map(float, mean_se(diff))
-    z = abs(diff_mean) / max(diff_se, 1e-300)
-    return FDCompareReport(n_paths=diff.shape[0], diff_mean=diff_mean, diff_se=diff_se, z_score=z)
+    se_combined = float(np.sqrt(xa.var(ddof=1) / n + xb.var(ddof=1) / n))
+    return FDCompareReport(
+        n_paths=n,
+        diff_mean=diff_mean,
+        diff_se=diff_se,
+        z_score=abs(diff_mean) / max(diff_se, 1e-300),
+        z_combined=abs(diff_mean) / max(se_combined, 1e-300),
+    )
 
 
 # -- presets ---------------------------------------------------------------------

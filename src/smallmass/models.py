@@ -444,16 +444,20 @@ _DIFFUSION_FACTORS = {
     "cosine": (lambda s: s.cos, lambda s: -s.sin, 1.0),
     "zero": (lambda s: np.zeros_like(s.u), lambda s: np.zeros_like(s.u), 0.0),
 }
+Q_MIN = 0.5  # the noise spectrum i^-q is square-summable only for q above this
 
 
 def build_diffusion(basis: SpectralBasis, factor: str = "constant", q: float = 1.0) -> DiffusionModel:
     """Assemble the diagonal diffusion model with spectrum lam_i = i^-q.
 
     q > 1/2 keeps sum_i lam_i^2 finite; the default q = 1 satisfies that with
-    a comfortable margin on the equi-bounded 1-d eigenfunctions.
+    a comfortable margin on the equi-bounded 1-d eigenfunctions.  Any other q
+    is rejected: kappa and sigma_inf would grow without bound in N.
     """
     if factor not in _DIFFUSION_FACTORS:
         raise ValueError(f"unknown diffusion factor {factor!r}")
+    if not q > Q_MIN:
+        raise ValueError(f"noise spectrum exponent q must exceed {Q_MIN}, got {q}")
     ls, lsp, sup = _DIFFUSION_FACTORS[factor]
     i = np.arange(1, basis.n_modes + 1, dtype=float)
     lam = i ** (-q)

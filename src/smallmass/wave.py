@@ -226,6 +226,8 @@ class WaveSolver:
             raise ValueError(f"mass must be positive, got {mu}")
         if scheme == "resolvent_implicit" and masses.size > 1:
             raise ValueError(f"resolvent_implicit runs one mass at a time, got {masses.size}")
+        if newton_iters < 1:
+            raise ValueError(f"newton_iters must be at least 1, got {newton_iters}")
         self.basis = basis
         self.models = models
         # the mass against coefficient and nodal arrays, and against per-path norms

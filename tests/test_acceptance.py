@@ -20,12 +20,10 @@ from smallmass.diagnostics import (
     scaling_audit,
 )
 from smallmass.finite_dim import (
-    FDNoise,
     drift_S,
     fd_scalar_system,
     lyapunov_residual,
     point_coefficients,
-    simulate_fd_coupled,
     solve_lyapunov,
 )
 from smallmass.limit import LimitSolver
@@ -35,7 +33,7 @@ from smallmass.models import (
     stratonovich_correction,
 )
 from smallmass.resolvent import OperatorA, audit_operator
-from smallmass.runner import drift_necessity, run_ladder_study
+from smallmass.runner import drift_necessity, run_fd_converge, run_ladder_study
 from smallmass.wave import WaveSolver
 
 
@@ -158,24 +156,15 @@ def test_resolution_audit_at_the_ablation_mass():
     assert all(gap < d_h / 10 for gap in gaps.values()), detail
 
 
-def test_criterion_3_finite_dimensional_drift():
+def test_criterion_3_finite_dimensional_drift(tmp_path):
+    # fd-converge's run: 10,000 coupled paths at mu = 1e-3 to t = 1, the
+    # inertial run and the limits with and without S in lock step on one draw per step.
+    cfg = validate_config({"seed": 42, "fd": {"dt": 5e-5, "eta_transform": True}})
+    report = run_fd_converge(cfg, tmp_path)["report"]
     system = fd_scalar_system(sigma_value=1.0)
-    mu, t_final, dt, n_paths = 1e-3, 1.0, 5e-5, 10_000
-    fdnoise = FDNoise(seed=42, dt=dt, n_steps=int(round(t_final / dt)), n_paths=n_paths)
-    # The inertial run and the limits with and without S, in lock step on one draw per step.
-    inertial, lim_s, lim_no = simulate_fd_coupled(
-        system, mu, fdnoise, 0.0, 0.0, n_output=4, eta_transform=True
-    )
-    xa = inertial.x[-1]
-
-    def z_scores(xb):
-        d = xa - xb
-        se_coupled = d.std(ddof=1) / np.sqrt(n_paths)
-        se_combined = np.sqrt(xa.var(ddof=1) / n_paths + xb.var(ddof=1) / n_paths)
-        return abs(d.mean()) / se_combined, abs(d.mean()) / se_coupled
-
-    z_with, z_with_coupled = z_scores(lim_s.x[-1])
-    z_no, z_no_coupled = z_scores(lim_no.x[-1])
+    with_s, without_s = report["with_S"], report["without_S"]
+    z_with, z_with_coupled = with_s["z_combined"], with_s["z"]
+    z_no, z_no_coupled = without_s["z_combined"], without_s["z"]
 
     # Lyapunov residual on every solve along the visited range, plus the
     # pipeline-vs-closed-form drift identity.

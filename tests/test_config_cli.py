@@ -379,6 +379,13 @@ def test_step_bound_and_audit_sizes_fail_by_name(tmp_path, capsys):
         ({"time": {"dt": -1e-4}}, "time.dt", "must be positive, got -0.0001"),
         ({"time": {"t_final": -1}}, "time.t_final", "must be positive, got -1.0"),
         ({"domain": {"length": 0}}, "domain.length", "must be positive, got 0.0"),
+        # an eta_form step without a Newton iteration never moved u, and simulate-wave said ok
+        ({"wave": {"newton_iters": 0}}, "wave.newton_iters", "must be at least 1, got 0"),
+        ({"wave": {"newton_iters": -2}}, "wave.newton_iters", "must be at least 1, got -2"),
+        # for q <= 1/2 the noise spectrum is not square-summable: kappa grows with N
+        ({"model": {"q_exponent": 0.5}}, "model.q_exponent", "must exceed 0.5, got 0.5"),
+        ({"model": {"q_exponent": 0}}, "model.q_exponent", "must exceed 0.5, got 0.0"),
+        ({"model": {"q_exponent": -1}}, "model.q_exponent", "must exceed 0.5, got -1.0"),
     ):
         with pytest.raises(ConfigError, match=f"'{key}' {message}"):
             validate_config(raw)
@@ -396,6 +403,17 @@ def test_step_bound_and_audit_sizes_fail_by_name(tmp_path, capsys):
     )
     assert ok["time"]["c_stab"] == 0.1 and ok["fd"]["paths"] == 2
     assert ok["resolvent"]["n_pairs"] == ok["resolvent"]["n_smooth"] == 1
+    assert validate_config({"model": {"q_exponent": 0.75}})["model"]["q_exponent"] == 0.75
+    assert validate_config({})["model"]["q_exponent"] == 1.0
+    # the library routes a config does not reach fail by name too
+    from smallmass.models import build_diffusion
+    from smallmass.wave import WaveSolver
+
+    basis = make_basis(ok)
+    with pytest.raises(ValueError, match="exponent q must exceed 0.5, got 0.5"):
+        build_diffusion(basis, q=0.5)
+    with pytest.raises(ValueError, match="newton_iters must be at least 1, got 0"):
+        WaveSolver(basis, make_models(ok, basis), 0.01, newton_iters=0)
 
 
 @pytest.mark.parametrize(
@@ -812,6 +830,27 @@ def test_simulate_wave_reports_the_step_it_took(tmp_path):
     saved = noise.load_path(tmp_path / "noise_path.bin")
     assert (saved.dt, saved.n_steps) == (5e-5, 40)
     assert report["dt"] == saved.dt
+
+
+def test_wave_energy_column_is_the_running_sup_expression(tmp_path):
+    # The benchmark's single_path wave_resolvent route: taken in Python floats
+    # (libm pow), the column rounded apart from uh1**2 + mu * vh**2 at t = 0.003425.
+    from smallmass import runner
+
+    cfg = validate_config(
+        {
+            "mu_ladder": [1e-4],
+            "time": {"t_final": 0.005, "c_stab": 0.25},
+            "wave": {"scheme": "resolvent_implicit"},
+            "seed": 3000,
+        }
+    )
+    runner.run_simulate_wave(cfg, tmp_path)
+    lines = (tmp_path / "wave_energy.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    col = {name: np.array([float(r[k]) for r in rows[1:]]) for k, name in enumerate(rows[0])}
+    uh1, vh = col["u_h1"], col["v_h"]
+    assert np.array_equal(col["energy"], uh1**2 + 1e-4 * vh**2)
 
 
 def _spy_waves(monkeypatch) -> dict:
