@@ -25,7 +25,7 @@ from .models import (
     load_friction_csv,
     reaction_preset,
 )
-from .noise import SEED_RANGE
+from .noise import SEED_RANGE, _n_steps
 from .wave import C_STAB
 
 
@@ -194,6 +194,15 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError(
             f"config key 'model.q_exponent' must exceed {Q_MIN}, got {flat['model.q_exponent']}"
         )
+    for horizon, step in (("time.t_final", "time.dt"), ("time.t_final", "time.dt_limit"),
+                          ("fd.t_final", "fd.dt")):
+        try:  # the rule every run's path applies, checked here before any run
+            _n_steps(flat[horizon], flat[step])
+        except ValueError:
+            raise ConfigError(
+                f"config key '{horizon}' must be a positive whole number of steps of "
+                f"config key '{step}', got {flat[horizon]} and {flat[step]}"
+            ) from None
     # Path k of a study runs on seed + k, and a noise dump stores its seed signed in 64 bits.
     last = cfg["seed"] + cfg["paths"] - 1
     if not (SEED_RANGE[0] <= cfg["seed"] and last <= SEED_RANGE[1]):
@@ -249,7 +258,11 @@ def make_models(cfg: dict, basis: SpectralBasis) -> ModelSet:
         extra = ", ".join(f"model.{k}" for k in _FRICTION_OPTIONS if k in m)
         if extra:
             raise ConfigError(f"model.friction_csv takes no friction options, got {extra}")
-        friction = load_friction_csv(m["friction_csv"])
+        path = m["friction_csv"]
+        try:
+            friction = load_friction_csv(path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config key 'model.friction_csv' = {path!r}: {exc}") from exc
     else:
         friction = _preset(m, "friction", friction_preset, _FRICTION_OPTIONS)
     reaction = _preset(m, "reaction", reaction_preset, {"clip_radius": "clip_radius"})

@@ -44,7 +44,7 @@ from .finite_dim import (
 )
 from .limit import LimitSolver
 from .resolvent import OperatorA, audit_operator
-from .wave import WaveSolver, check_finite, drive, g_coeffs, output_times
+from .wave import WaveSolver, check_finite, drive, g_coeffs
 
 
 @dataclass
@@ -85,15 +85,6 @@ def _mass_groups(cfg: dict, basis, models) -> dict:
     return groups
 
 
-def _check_grids(wave: np.ndarray, limit: np.ndarray, n_steps: int) -> None:
-    """Raise unless a refined wave run and the limit run output at the same times."""
-    if wave.shape != limit.shape or not np.allclose(wave, limit, atol=1e-12):
-        raise RuntimeError(
-            f"wave and limit output grids are misaligned ({len(wave)} vs {len(limit)} points); "
-            f"choose a time.n_output that divides the coarse step count {n_steps}"
-        )
-
-
 class _ScoredRun:
     """One run of the ladder study, a stepper of its drive() on the coarse clock.
 
@@ -102,15 +93,17 @@ class _ScoredRun:
     steps, observing after each one, and raises SimulationDiverged with the
     fine step and time where the state stops being finite.  At each output
     index, record() folds the distance of the run's u (its first record) to
-    each target run's current u into a `diagnostics.DistanceFold`, and
-    returns nothing for drive() to keep.  mus names a wave run's masses.
+    each target run's current u into a `diagnostics.DistanceFold`, at the
+    time k * dt of the fine steps taken, and returns nothing for drive() to
+    keep.  Halving dt doubles k, so every run of the study reads the same
+    coarse output time, bit for bit.  mus names a wave run's masses.
     """
 
-    def __init__(self, run, path, times: np.ndarray, targets: list, basis, mus=None):
+    def __init__(self, run, path, targets: list, basis, mus=None):
         self.run, self.inc, self.dt, self.per_step = run, path.increments, path.dt, 1 << path.level
-        self.times, self.targets, self.basis, self.mus = times, targets, basis, mus
+        self.targets, self.basis, self.mus = targets, basis, mus
         self.folds = [diagnostics.DistanceFold() for _ in targets]
-        self.k = self.pos = 0
+        self.k = 0
 
     def step(self, _dbeta) -> tuple:
         for k in range(self.k, self.k + self.per_step):
@@ -123,8 +116,7 @@ class _ScoredRun:
         pass
 
     def record(self) -> tuple:
-        u, t = self.run.record()[0], self.times[self.pos]
-        self.pos += 1
+        u, t = self.run.record()[0], self.k * self.dt
         for fold, target in zip(self.folds, self.targets):
             fold.add(t, *diagnostics.distance_rows(u, target.run.record()[0], self.basis))
         return ()
@@ -134,10 +126,10 @@ class _ScoredRun:
         return np.array([np.add(*fold.parts()) for fold in self.folds])
 
 
-def _mass_group(cfg: dict, basis, models, mus: list, u0, v0, path, times, limits: list):
+def _mass_group(cfg: dict, basis, models, mus: list, u0, v0, path, limits: list):
     """The masses mus as one batch on path, their refined batch, scored against each limit run."""
     run = _wave_solver(cfg, basis, models, np.array(mus)).stepper(u0, v0, path)
-    return _ScoredRun(run, path, times, limits, basis, mus=mus)
+    return _ScoredRun(run, path, limits, basis, mus=mus)
 
 
 def _study_block(cfg: dict, seed0: int, n_paths: int, ablate_drift: bool) -> LadderStudy:
@@ -146,11 +138,10 @@ def _study_block(cfg: dict, seed0: int, n_paths: int, ablate_drift: bool) -> Lad
     The masses run in batches that share a refined step (`_mass_groups`).
     Every batch and the limit advance in one drive() on the coarse clock, a
     batch refined L times taking 2**L fine steps per coarse step, and each
-    batch is scored against the limit's current state at every output time,
-    so no trajectory is kept.  The output grids are checked before anything
-    runs.  With ablate_drift, the limit without H runs in the same drive,
-    and the study scores each wave (d_no) and the limit with H (d_h)
-    against it.
+    batch is scored against the limit's current state at every coarse
+    output time, at any refinement level, so no trajectory is kept.  With
+    ablate_drift, the limit without H runs in the same drive, and the study
+    scores each wave (d_no) and the limit with H (d_h) against it.
     """
     basis = make_basis(cfg)
     models = make_models(cfg, basis)
@@ -159,26 +150,20 @@ def _study_block(cfg: dict, seed0: int, n_paths: int, ablate_drift: bool) -> Lad
     ladder = cfg["mu_ladder"]
     n_steps = noise._n_steps(t["t_final"], t["dt"])
     groups = _mass_groups(cfg, basis, models)
-    limit_times = output_times(n_steps, t["dt"], t["n_output"])
-    times = {}
-    for level, _ in groups:
-        times[level] = output_times(n_steps << level, t["dt"] * 0.5**level, t["n_output"])
-        _check_grids(times[level], limit_times, n_steps)
-
     batch = noise.sample_batch(seed0, n_paths, t["t_final"], t["dt"], basis.n_modes)
     limits = []
     for h in (True, False) if ablate_drift else (True,):
         run = LimitSolver(basis, models, with_drift=h).stepper(u0, batch)
         # the limit without H is scored against the one with H: d_h
-        limits.append(_ScoredRun(run, batch, limit_times, limits[:1], basis))
+        limits.append(_ScoredRun(run, batch, limits[:1], basis))
     paths, path = {}, batch
-    for level in sorted(times):  # each refinement taken once; every level's path runs at once
+    # each refinement taken once; every level's path runs at once
+    for level in sorted({level for level, _ in groups}):
         while path.level < level:
             path = noise.refine(path)
         paths[level] = path
     waves = [
-        _mass_group(cfg, basis, models, [ladder[k] for k in idx], u0, v0, paths[level],
-                    times[level], limits)
+        _mass_group(cfg, basis, models, [ladder[k] for k in idx], u0, v0, paths[level], limits)
         for (level, _), idx in groups.items()
     ]
     drive(limits + waves, n_steps, t["dt"], lambda k: None, t["n_output"])

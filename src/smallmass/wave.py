@@ -150,11 +150,6 @@ def _output_indices(n_steps: int, n_output: int) -> np.ndarray:
     return idx[keep]
 
 
-def output_times(n_steps: int, dt: float, n_output: int) -> np.ndarray:
-    """The output grid drive() records on for n_steps steps of size dt."""
-    return _output_indices(n_steps, n_output) * dt
-
-
 def check_finite(arrays, step: int, dt: float) -> None:
     """Raise SimulationDiverged at step (time step * dt) unless every array is finite."""
     for a in arrays:

@@ -166,6 +166,34 @@ def test_make_models_csv(tmp_path):
         make_models(cfg, make_basis(cfg))
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (None, "fric.csv not found"),
+        ([[0.0, 2.0]], "need matching 1-d arrays with at least two samples"),
+        ([[-1.0, 2.0], [0.0, 0.0], [1.0, 2.0]], "tabulated gamma values must be positive"),
+    ],
+)
+def test_bad_friction_table_fails_by_key(tmp_path, capsys, rows, message):
+    # A missing or unusable table used to exit 1 with the loader's error and no key.
+    csv = tmp_path / "fric.csv"
+    if rows is not None:
+        np.savetxt(csv, np.array(rows), delimiter=",")
+    raw = {"domain": {"n_modes": 8, "n_nodes": 16}, "model": {"friction_csv": str(csv)}}
+    cfg = validate_config(raw)
+    with pytest.raises(ConfigError, match=re.escape(f"'model.friction_csv' = '{csv}': ")):
+        make_models(cfg, make_basis(cfg))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["simulate-wave", "--config", str(p), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and "config key 'model.friction_csv'" in err["message"]
+    assert str(csv) in err["message"] and message in err["message"]
+    assert list(out.iterdir()) == []  # the table is read before anything is written
+
+
 def test_cli_selftest_exits_zero(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
@@ -362,6 +390,7 @@ def test_seed_the_noise_dump_cannot_hold_fails_by_key_before_any_run(tmp_path, c
 def test_step_bound_and_audit_sizes_fail_by_name(tmp_path, capsys):
     # time.c_stab <= 0 makes the step bound c_stab * mu no step at all, and an
     # audit of no samples passes with every margin at -inf.
+    steps = "must be a positive whole number of steps of config key"
     for raw, key, message in (
         ({"time": {"c_stab": 0.0}}, "time.c_stab", "must be positive, got 0.0"),
         ({"time": {"c_stab": -0.02}}, "time.c_stab", "must be positive, got -0.02"),
@@ -386,6 +415,11 @@ def test_step_bound_and_audit_sizes_fail_by_name(tmp_path, capsys):
         ({"model": {"q_exponent": 0.5}}, "model.q_exponent", "must exceed 0.5, got 0.5"),
         ({"model": {"q_exponent": 0}}, "model.q_exponent", "must exceed 0.5, got 0.0"),
         ({"model": {"q_exponent": -1}}, "model.q_exponent", "must exceed 0.5, got -1.0"),
+        # a step that does not divide its horizon used to fail unnamed after set-up
+        ({"time": {"t_final": 1.5e-4}}, "time.t_final", f"{steps} 'time.dt', got 0.00015 and 0.0001"),
+        ({"time": {"t_final": 1e-4, "dt": 2e-4}}, "time.t_final", f"{steps} 'time.dt', got 0.0001"),
+        ({"time": {"dt_limit": 3e-4}}, "time.t_final", f"{steps} 'time.dt_limit', got 0.5 and 0.0003"),
+        ({"fd": {"dt": 0.3}}, "fd.t_final", f"{steps} 'fd.dt', got 1.0 and 0.3"),
     ):
         with pytest.raises(ConfigError, match=f"'{key}' {message}"):
             validate_config(raw)
@@ -684,19 +718,16 @@ def test_cli_fd_converge_small(tmp_path):
     assert (out / "fd_means.csv").exists()
 
 
-def test_fd_time_grid_fails_by_name(tmp_path):
-    # A dt that does not divide t_final, exceeds it, or is zero raises by name
-    # instead of running to the wrong time (0.3 -> t = 0.9), running no step
-    # (2.0) or dividing by zero; zero fails in the config already.
-    from smallmass.runner import run_fd_converge
-
+def test_fd_time_grid_fails_by_name():
+    # A dt that does not divide t_final, exceeds it, or is zero fails by key
+    # before any run, instead of running to the wrong time (0.3 -> t = 0.9),
+    # running no step (2.0) or dividing by zero.
     for dt in (0.3, 2.0):
-        cfg = validate_config({"fd": {"dt": dt, "t_final": 1.0, "paths": 10}})
-        with pytest.raises(ValueError, match="dt"):
-            run_fd_converge(cfg, tmp_path)
+        with pytest.raises(ConfigError, match="'fd.t_final' must be a positive whole number"):
+            validate_config({"fd": {"dt": dt, "t_final": 1.0, "paths": 10}})
     with pytest.raises(ConfigError, match="'fd.dt' must be positive"):
         validate_config({"fd": {"dt": 0.0, "t_final": 1.0, "paths": 10}})
-    assert not (tmp_path / "fd_converge.json").exists()
+    assert validate_config({"fd": {"dt": 0.25, "t_final": 1.0}})["fd"]["dt"] == 0.25
 
 
 def test_cli_scaling_audit_small(tmp_path):
@@ -854,7 +885,7 @@ def test_wave_energy_column_is_the_running_sup_expression(tmp_path):
 
 
 def _spy_waves(monkeypatch) -> dict:
-    """mu -> the last mass batch a ladder study ran that mass in, with its dt and output times."""
+    """mu -> the last mass batch a ladder study ran that mass in, with its dt and its folds."""
     from smallmass import runner
 
     waves = {}
@@ -897,20 +928,34 @@ def test_resolvent_scheme_refines_below_lambda_bar(tmp_path, monkeypatch):
     assert np.all(np.isfinite(study.per_path_distance))
 
     # The same ladder at the default n_output = 200, on 200 coarse steps.
+    from smallmass import diagnostics
+
+    real_add = diagnostics.DistanceFold.add
+
+    def add(fold, t, *rows):
+        vars(fold).setdefault("times", []).append(t)
+        real_add(fold, t, *rows)
+
+    monkeypatch.setattr(diagnostics.DistanceFold, "add", add)
     long = {**base, "time": {"t_final": 0.1, "dt": 5e-4}, "paths": 2, "mu_ladder": [0.2, 1e-3]}
     study = runner.run_ladder_study(validate_config(long))
     assert waves[1e-3].dt == 2.5e-4
-    # the unrefined wave at 0.2 outputs on the limit's grid, which _check_grids holds the other to
     assert waves[0.2].dt == 5e-4
-    assert len(waves[1e-3].times) == len(waves[0.2].times) == 201
+    # the refined and the unrefined batch both fold at the limit's 201 output times
+    limit_times = np.arange(201) * 5e-4
+    for mu in (0.2, 1e-3):
+        assert np.array_equal(waves[mu].folds[0].times, limit_times)
     assert np.all(np.isfinite(study.per_path_distance))
 
 
-def test_misaligned_output_grids_fail_by_name(tmp_path):
-    from smallmass import runner
+def test_refined_and_unrefined_masses_score_on_the_coarse_clock(tmp_path):
+    # 20 coarse steps, and 40 fine ones at the refined mass 1e-3: n_output = 200
+    # records every coarse step, and 15 does not divide 20.  Every run is scored
+    # at the coarse output times, whatever its refinement level.
+    from smallmass import diagnostics, noise, runner
+    from smallmass.limit import LimitSolver
+    from smallmass.wave import WaveSolver
 
-    # 20 coarse steps: the default n_output = 200 gives 21 limit points but 41
-    # wave points at the refined mass; 15 does not divide 20 and shifts them.
     for n_output in (200, 15):
         cfg = validate_config(
             {
@@ -922,10 +967,33 @@ def test_misaligned_output_grids_fail_by_name(tmp_path):
                 "ablation": {"mu": 1e-3},
             }
         )
-        with pytest.raises(RuntimeError, match="misaligned.*divides the coarse step count 20"):
-            runner.run_ladder_study(cfg)
-        with pytest.raises(RuntimeError, match="misaligned.*divides the coarse step count 20"):
-            runner.run_drift_ablation(cfg, tmp_path)
+        study = runner.run_ladder_study(cfg, ablate_drift=True)
+        assert runner.run_drift_ablation(cfg, tmp_path)["report"]["mu"] == 1e-3
+
+        # the reconstruction: every run recorded on its own, the waves at every fine step
+        basis = make_basis(cfg)
+        models = make_models(cfg, basis)
+        u0, v0 = make_initial(cfg, basis)
+        batch = noise.sample_batch(cfg["seed"], 2, 0.01, 5e-4, basis.n_modes)
+        limits = [
+            LimitSolver(basis, models, with_drift=h).simulate(u0, batch, n_output=n_output)
+            for h in (True, False)
+        ]
+        times = limits[0].times  # the coarse output times
+        coarse = np.rint(times / 5e-4).astype(int)
+        assert len(times) == (21 if n_output == 200 else 16)
+
+        def distance(a, b):
+            return np.add(*diagnostics.plain_parts(times, *diagnostics.distance_rows(a, b, basis)))
+
+        for k, mu in enumerate(cfg["mu_ladder"]):
+            solver = WaveSolver(basis, models, mu, scheme="resolvent_implicit")
+            fine = noise.refine_to(batch, solver.max_dt())
+            assert fine.level == (0 if mu == 0.2 else 1)
+            u = solver.simulate(u0, v0, fine, n_output=fine.n_steps).u[coarse << fine.level]
+            assert np.array_equal(study.per_path_distance[k], distance(u, limits[0].coeffs))
+            assert np.array_equal(study.d_no[k], distance(u, limits[1].coeffs))
+        assert np.array_equal(study.d_h, distance(limits[1].coeffs, limits[0].coeffs))
 
 
 def test_eta_form_refines_to_the_wave_cfl(tmp_path, monkeypatch):

@@ -21,7 +21,11 @@ inside differing text artifacts are compared as numbers):
                  instance a coefficient that is zero analytically.
     scaled dev   max |a - b| / max(|a|, |b|) over the whole item: the change
                  against the size of the item, which is what a change that
-                 moves last bits is judged by.
+                 moves last bits is judged by.  A text artifact's size is
+                 taken from its numbers outside the provenance (the `#`
+                 lines of a CSV or .dat table, the config and config_sha256
+                 entries of a JSON report), so a seed in a header sets no
+                 scale.
 
 It ends with the count of equal and differing items and a line naming the
 three largest scaled deviations and their items (the runners-up show what a
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import os
 import pickle
 import re
@@ -503,14 +508,28 @@ def collect(out_file: str) -> None:
 _NUMBER = re.compile(rb"(?<![\w.])(?:[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)(?![\w.])")
 
 
-def _deviations(a, b) -> tuple[float, float]:
-    """Largest element-wise relative deviation, and the largest difference over the item's scale."""
+def _body(name: str, text: bytes) -> bytes:
+    """A text artifact without its provenance: a table's # lines, a JSON report's config entries."""
+    if name.endswith(".json"):
+        doc = {k: v for k, v in json.loads(text).items() if k not in ("config", "config_sha256")}
+        return json.dumps(doc).encode()
+    if name.endswith((".csv", ".dat")):
+        return b"\n".join(line for line in text.splitlines() if not line.startswith(b"#"))
+    return text
+
+
+def _deviations(a, b, body=None) -> tuple[float, float]:
+    """Largest element-wise relative deviation, and the largest difference over the item's scale.
+
+    The scale is the largest finite magnitude in body, by default in a and b.
+    """
     a, b = np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel()
     if not a.size:
         return 0.0, 0.0
     tiny = np.finfo(float).tiny
     size = np.maximum(np.abs(a), np.abs(b))
-    finite = size[np.isfinite(size)]
+    scale = size if body is None else np.abs(np.asarray(body, dtype=float))
+    finite = scale[np.isfinite(scale)]
     with np.errstate(invalid="ignore"):  # inf - inf, inf / inf: NaN, as the deviation should read
         diff = np.abs(a - b)
         diff[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
@@ -519,19 +538,24 @@ def _deviations(a, b) -> tuple[float, float]:
     return rel, float(np.max(diff) / max(float(np.max(finite, initial=0.0)), tiny))
 
 
-def _numeric_verdict(a, b) -> tuple[str, float]:
-    rel, scaled = _deviations(a, b)
+def _numeric_verdict(a, b, body=None) -> tuple[str, float]:
+    rel, scaled = _deviations(a, b, body)
     return f"max rel dev {rel:.3g}, scaled dev {scaled:.3g}", scaled
 
 
-def compare_item(a, b) -> tuple[str, float | None]:
-    """'equal', or what differs; with the scaled deviation when both are numbers."""
+def compare_item(a, b, name: str = "") -> tuple[str, float | None]:
+    """'equal', or what differs; with the scaled deviation when both are numbers.
+
+    name is the item's name; a text artifact's suffix says where its provenance is.
+    """
     if isinstance(a, bytes) and isinstance(b, bytes):
         if a == b:
             return "equal", None
         na, nb = _NUMBER.findall(a), _NUMBER.findall(b)
         if _NUMBER.sub(b"#", a) == _NUMBER.sub(b"#", b) and len(na) == len(nb):
-            return _numeric_verdict([float(x) for x in na], [float(x) for x in nb])
+            body = _NUMBER.findall(_body(name, a)) + _NUMBER.findall(_body(name, b))
+            return _numeric_verdict([float(x) for x in na], [float(x) for x in nb],
+                                    [float(x) for x in body])
         return f"bytes differ beyond numbers ({len(a)} vs {len(b)} bytes)", None
     if isinstance(a, bytes) or isinstance(b, bytes):
         return "type differs", None
@@ -559,8 +583,10 @@ def compare(change: dict, parent: dict) -> int:
                   f"parent {p if isinstance(p, str) else 'ran'}")
             continue
         for item in sorted(set(c) | set(p)):
-            verdict, scaled = compare_item(c[item], p[item]) if item in c and item in p else (
-                "only on the change" if item in c else "only on the parent", None)
+            if item in c and item in p:
+                verdict, scaled = compare_item(c[item], p[item], item)
+            else:
+                verdict, scaled = "only on the change" if item in c else "only on the parent", None
             if verdict == "equal":
                 n_equal += 1
                 continue
