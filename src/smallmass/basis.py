@@ -114,14 +114,14 @@ class SpectralBasis:
     # -- norms and quadrature -----------------------------------------------
 
     def sobolev_norm(self, f, s: float = 0.0):
-        """H^s norm, (sum_i alpha_i^s b_i^2)^(1/2), for any real s."""
+        """H^s norm, (sum_i alpha_i^s b_i^2)^(1/2), for any real s; s = 0 skips its unit weights."""
         c = np.asarray(f, dtype=float)
-        return np.sqrt(np.sum(self.alphas**s * c * c, axis=-1))
+        return np.sqrt(np.sum(c * c if s == 0 else self.alphas**s * c * c, axis=-1))
 
     def inner(self, f, g, s: float = 0.0):
-        """H^s inner product of two coefficient vectors."""
+        """H^s inner product of two coefficient vectors; s = 0 skips its unit weights."""
         f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
-        return np.sum(self.alphas**s * f * g, axis=-1)
+        return np.sum(f * g if s == 0 else self.alphas**s * f * g, axis=-1)
 
     def integrate(self, values: np.ndarray):
         """Quadrature of nodal values over the domain."""

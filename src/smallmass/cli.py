@@ -1,8 +1,9 @@
 """Command line entry points.
 
 Every subcommand takes --config/--seed/--out/--paths/--jobs, validates the
-configuration strictly, and writes its artifacts under the output directory.
-Failures exit nonzero with a machine-readable JSON error on stderr.
+configuration strictly, and writes its artifacts under the output directory,
+which the first artifact written makes: a run that fails at set-up leaves
+none.  Failures exit nonzero with a machine-readable JSON error on stderr.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ def main(argv=None) -> int:
         overrides = {key: value for key, value in flags.items() if value is not None}
         cfg = load_config(args.config, overrides) if args.config else validate_config(overrides)
         out_dir = args.out
-        out_dir.mkdir(parents=True, exist_ok=True)
         result = _SUBCOMMANDS[args.command](cfg, out_dir)
         print(
             json.dumps(

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import SpectralBasis
-from .models import _GL_T, _GL_W, FrictionModel, ModelSet, Nodal
+from .models import FrictionModel, ModelSet, Nodal, _gauss_legendre
 from .wave import WaveTrajectory
 
 N_MAX_METRIC = 16  # terms of the d_X1 and d_X2 sums
@@ -53,8 +53,9 @@ SPREAD_MAX = 0.25
 def friction_energy_density(friction: FrictionModel, r) -> np.ndarray:
     """Gamma(r) = r^2 int_0^1 t gamma(r t) dt, on the Gauss-Legendre rule of g in models."""
     r = np.asarray(r, dtype=float)
-    vals = friction.gamma(Nodal(r[..., None] * _GL_T)) * _GL_T
-    return r * r * (vals @ _GL_W)
+    t, w = _gauss_legendre()
+    vals = friction.gamma(Nodal(r[..., None] * t)) * t
+    return r * r * (vals @ w)
 
 
 def lambda_functional(basis: SpectralBasis, friction: FrictionModel, u_coeffs) -> np.ndarray:
@@ -107,9 +108,10 @@ def _h_norms(diff_sq: np.ndarray, basis: SpectralBasis, s: float) -> np.ndarray:
     """H^s norms over the last axis of squared coefficient differences.
 
     An elementwise product and a row sum, not a matrix-vector product: BLAS
-    rounds a row of a (T, P, N) stack differently for another P.
+    rounds a row of a (T, P, N) stack differently for another P.  At s = 0
+    the weights are all 1.0, so the product is skipped with the same bits.
     """
-    return np.sqrt(np.sum(diff_sq * basis.alphas**s, axis=-1))
+    return np.sqrt(np.sum(diff_sq if s == 0 else diff_sq * basis.alphas**s, axis=-1))
 
 
 def distance_rows(a: np.ndarray, b: np.ndarray, basis: SpectralBasis) -> tuple:

@@ -3,7 +3,10 @@
 The friction gamma is a strictly positive bounded C^1 function with
 0 < gamma0 <= gamma(r) <= gamma1.  Its antiderivative g(r) = int_0^r gamma
 is strictly increasing with (g(r1)-g(r2))(r1-r2) >= gamma0*(r1-r2)^2, and is
-inverted numerically by a safeguarded Newton iteration.
+inverted numerically by a safeguarded Newton iteration.  g is the closed
+form a preset gives, or else r int_0^1 gamma(r t) dt on a 32-point
+Gauss-Legendre rule.  The rule is built on first use (`_gauss_legendre`):
+importing the package, or a run on closed-form frictions, never builds it.
 
 The diffusion operator has the diagonal multiplicative form
 
@@ -40,6 +43,7 @@ first, so both run the one definition.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -49,11 +53,21 @@ from .basis import SpectralBasis
 
 _FD_STEP = 1e-6  # central-difference step for derivative fallbacks
 
-# 32-point Gauss-Legendre rule on [0, 1]; exact to machine precision for the
-# smooth coefficient functions used here.
-_GL_T, _GL_W = np.polynomial.legendre.leggauss(32)
-_GL_T = 0.5 * (_GL_T + 1.0)
-_GL_W = 0.5 * _GL_W
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 32-point Gauss-Legendre rule on [0, 1], built on first use.
+
+    Exact to machine precision for the smooth coefficient functions used
+    here.  Only g of a friction without a closed form and the energy density
+    Gamma read it, so a run on closed-form frictions never builds it (nor
+    imports numpy.polynomial).  The arrays are shared and read-only.
+    """
+    t, w = np.polynomial.legendre.leggauss(32)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 class InversionError(RuntimeError):
@@ -133,8 +147,9 @@ class AntiderivativeMap:
         if self.friction.g_closed is not None:
             return self.friction.g_closed(s)
         # g(r) = r * int_0^1 gamma(r t) dt on a fixed Gauss-Legendre rule.
-        vals = self.friction.gamma(Nodal(s.u[..., None] * _GL_T))
-        return s.u * (vals @ _GL_W)
+        t, w = _gauss_legendre()
+        vals = self.friction.gamma(Nodal(s.u[..., None] * t))
+        return s.u * (vals @ w)
 
     def inverse(self, y) -> np.ndarray:
         """Solve g(x) = y by safeguarded Newton with a bisection fallback.

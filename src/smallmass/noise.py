@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -37,26 +38,44 @@ _HEADER = struct.Struct("<8sqqdqqq")
 SEED_RANGE = (-(2**63), 2**63 - 1)  # the seeds the dump's signed 64-bit seed field holds
 
 
-def philox_stream(key: np.ndarray, gen: np.random.Generator | None = None) -> np.random.Generator:
-    """The Philox generator keyed by key (two uint64 words), at the start of its stream.
+_WORD = 0xFFFF_FFFF_FFFF_FFFF  # a Philox key word: 64 bits
 
-    Given gen, a Philox generator, re-keys it in place and returns it: its
-    whole state is set (key, zero counter, empty buffer, no cached 32-bit
-    half), so it draws what a freshly built generator would, whatever it drew
-    before.  Re-keying skips the OS entropy a new Philox pulls for a seed its
-    key makes unused.
+
+def _start_state(key) -> dict:
+    """The Philox state at the start of the stream keyed by key (two 64-bit words).
+
+    Its whole state: key, zero counter, empty buffer, no cached 32-bit half.
+    The words are read when the state is set, so a caller may rewrite key
+    in place and set the same dict again for the next stream.
     """
-    if gen is None:
-        return np.random.Generator(np.random.Philox(key=key))
-    gen.bit_generator.state = {
+    return {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def philox_stream(key: np.ndarray, gen: np.random.Generator | None = None) -> np.random.Generator:
+    """The Philox generator keyed by key (two uint64 words), at the start of its stream.
+
+    Given gen, a Philox generator, re-keys it in place and returns it: its
+    whole state is set (`_start_state`), so it draws what a freshly built
+    generator would, whatever it drew before.  Re-keying skips the OS
+    entropy a new Philox pulls for a seed its key makes unused.
+    """
+    if gen is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    gen.bit_generator.state = _start_state(key)
     return gen
+
+
+def _check_stream(mode: int, level: int) -> None:
+    """Mode and level share the second key word, 32 bits each."""
+    if not 0 <= mode < 2**32 or not 0 <= level < 2**32:
+        raise ValueError("mode and refinement level must fit in 32 bits")
 
 
 def _mode_generator(
@@ -64,14 +83,11 @@ def _mode_generator(
 ) -> np.random.Generator:
     """The Philox generator of stream (seed, mode, level), at the start of the stream.
 
-    Given gen, re-keys it in place (philox_stream); _stream_normals re-keys
-    one generator per call.
+    Its key is (seed mod 2^64, mode * 2^32 + level).  Given gen, re-keys it
+    in place (philox_stream).  _stream_normals writes the same key words.
     """
-    if not 0 <= mode < 2**32 or not 0 <= level < 2**32:
-        raise ValueError("mode and refinement level must fit in 32 bits")
-    key = np.array(
-        [int(seed) & 0xFFFF_FFFF_FFFF_FFFF, (int(mode) << 32) | int(level)], dtype=np.uint64
-    )
+    _check_stream(mode, level)
+    key = np.array([int(seed) & _WORD, (int(mode) << 32) | int(level)], dtype=np.uint64)
     return philox_stream(key, gen)
 
 
@@ -130,15 +146,25 @@ def _n_steps(t_final: float, dt: float) -> int:
 def _stream_normals(seed, level: int, n_modes: int, n: int, scale: float) -> np.ndarray:
     """n normals of standard deviation scale from each stream (seed, mode, level).
 
-    The one loop over the (path, mode) streams of a path or a batch; it
-    re-keys one Philox generator.  Returns np.shape(seed) + (n_modes, n).
+    The one loop over the (path, mode) streams of a path or a batch.  One
+    Philox generator and one start state serve the table; per stream only
+    the key words `_mode_generator` gives it are rewritten, so each row is
+    what that stream's fresh generator draws.  Returns
+    np.shape(seed) + (n_modes, n).
     """
+    _check_stream(n_modes, level)  # modes run 1..n_modes
+    mode_words = [(mode << 32) | int(level) for mode in range(1, n_modes + 1)]
     out = np.empty(np.shape(seed) + (n_modes, n))
-    gen = None
+    key = [0, 0]
+    state = _start_state(key)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
     for row, s in zip(out.reshape(-1, n_modes, n), seed if np.ndim(seed) else (seed,)):
-        for i in range(n_modes):
-            gen = _mode_generator(s, i + 1, level, gen)
-            row[i] = gen.normal(0.0, scale, n)
+        key[0] = int(s) & _WORD
+        for normals, word in zip(row, mode_words):
+            key[1] = word
+            bitgen.state = state
+            normals[:] = gen.normal(0.0, scale, n)
     return out
 
 
@@ -249,7 +275,8 @@ def save_path(path: NoisePath, filename) -> None:
     The header carries the magic bytes, the format version, seed, dt,
     n_steps, n_modes and the refinement level, so a reloaded path refines
     from the streams of its own level.  The format holds one path, so a
-    batch is rejected.
+    batch is rejected.  The file's directory is made if it is missing, as
+    the writers of `output` make theirs.
     """
     if np.ndim(path.seed):
         raise ValueError(f"a {_FORMAT} holds one path, got a batch of {len(path.seed)}")
@@ -259,6 +286,7 @@ def save_path(path: NoisePath, filename) -> None:
     header = _HEADER.pack(
         _MAGIC, _VERSION, path.seed, path.dt, path.n_steps, path.n_modes, path.level
     )
+    Path(filename).parent.mkdir(parents=True, exist_ok=True)
     with open(filename, "wb") as fh:
         fh.write(header)
         fh.write(path.increments.astype("<f8").tobytes())

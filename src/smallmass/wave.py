@@ -53,16 +53,16 @@ the one time loop `drive`, defined here; the noise forcing of every scheme is
 `drive` and records the trajectory, and the coupled ladder study runs it in
 one drive with the limit, scoring it against the limit's state as it goes;
 a single step is simulate on a one-step path (`noise.zero_path(dt, dt, N)`
-without noise).  The stepper
-carries each scheme's own second variable, v for semi_implicit and eta for
-eta_form and resolvent_implicit, and is the one place v and eta are
-converted: it shifts v0 to eta once through `WaveSolver.g_over_mu`, and
-after every step recovers v through u and g(u) at the nodes.  The next step
-starts from that nodal state (a `models.Nodal`) and its g: the first Newton
-iterate of eta_form needs them, and both eta schemes take the noise factor
-lambda_sigma on that state, so it reuses the cos that g took where the
-presets share one.  Every scheme evaluates each coefficient once per nodal
-state; a Newton iterate is a new state.
+without noise).  The stepper carries each scheme's own second variable, v
+for semi_implicit and eta for eta_form and resolvent_implicit, and is the
+one place v and eta are converted: it takes one nodal state of u0 and its
+g, shifts v0 to eta by g(u0)/mu once, and after every step recovers v
+through u and g(u) at the nodes.  Each step starts from the nodal state
+(a `models.Nodal`) and g of its u: the first Newton iterate of eta_form
+needs them, and both eta schemes take the noise factor lambda_sigma on that
+state, so it reuses the cos that g took where the presets share one.  Every
+scheme evaluates each coefficient once per nodal state; a Newton iterate is
+a new state.
 
 Mass batches.  The mass may be one number or a 1-D array of masses, one per
 row of a (n_mu, P, N) state: the masses of a ladder that share a step then
@@ -259,10 +259,6 @@ class WaveSolver:
             dt = min(dt, RESOLVENT_FRACTION * self._op.lambda_bar)
         return float(dt)
 
-    def g_over_mu(self, u: np.ndarray) -> np.ndarray:
-        """Coefficients of g(u)/mu, the shift between the velocity and eta = v + g(u)/mu."""
-        return g_coeffs(u, self.basis, self.models) / self.mu
-
     # -- single steps ---------------------------------------------------------
 
     def _step_semi_implicit(self, u, v, dt, dbeta):
@@ -345,13 +341,19 @@ class _WaveStepper:
     """One wave run for drive(): the scheme state, its velocity and the running norms.
 
     The state is (u, v) for semi_implicit and (u, eta) for the eta schemes;
-    the shift to eta happens once, here, and v is recovered after every step.
+    the shift to eta happens once, here, from the g(u) that also recovers
+    the initial v, and v is recovered after every step.
     """
 
     def __init__(self, solver: WaveSolver, u: np.ndarray, v: np.ndarray, dt: float):
         self.solver, self.dt, self.u = solver, dt, u
         self.eta_mode = solver.scheme != "semi_implicit"
-        self.second = v + solver.g_over_mu(u) if self.eta_mode else v
+        if self.eta_mode:  # eta = v + g(u)/mu, and v back through that one g(u)
+            shift = self._shift()
+            self.second = v + shift
+            self.v = self.second - shift
+        else:
+            self.second = self.v = v
         nu, nu1, nv = self._norms()
         self.norms = {  # the running sups and time integrals of WaveTrajectory
             "sup_u_h": nu,
@@ -362,18 +364,15 @@ class _WaveStepper:
             "int_v_h_sq": np.zeros_like(nu),
         }
 
-    def _norms(self) -> tuple:
-        """Set v, in eta mode keeping the nodal state of u and g(u) for the next step.
-
-        Returns ||u||_H, ||u||_H1 and ||v||_H.
-        """
+    def _shift(self) -> np.ndarray:
+        """Coefficients of g(u)/mu, keeping the nodal state of u and g(u) for the next step."""
         s = self.solver
-        if self.eta_mode:
-            self.nodal = _g_nodal(self.u, s.basis, s.models)
-            self.v = self.second - s.basis.analyze(self.nodal[1]) / s.mu
-        else:
-            self.v = self.second
-        norm = s.basis.sobolev_norm
+        self.nodal = _g_nodal(self.u, s.basis, s.models)
+        return s.basis.analyze(self.nodal[1]) / s.mu
+
+    def _norms(self) -> tuple:
+        """||u||_H, ||u||_H1 and ||v||_H."""
+        norm = self.solver.basis.sobolev_norm
         return norm(self.u, 0.0), norm(self.u, 1.0), norm(self.v, 0.0)
 
     def step(self, dbeta) -> tuple:
@@ -386,6 +385,7 @@ class _WaveStepper:
         return step
 
     def observe(self) -> None:
+        self.v = self.second - self._shift() if self.eta_mode else self.second
         nu, nu1, nv = self._norms()
         n, mu, dt = self.norms, self.solver.mu_paths, self.dt
         for key, new in (("sup_u_h", nu), ("sup_u_h1", nu1), ("sup_v_h", nv)):

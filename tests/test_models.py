@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import smallmass
 from smallmass.basis import DomainSpec, build_basis
+from smallmass.diagnostics import lambda_functional
 from smallmass.models import (
     AntiderivativeMap,
     FrictionModel,
     Nodal,
+    _gauss_legendre,
     build_diffusion,
     build_model_set,
     combined_drift,
@@ -138,6 +146,54 @@ def test_quadrature_forward_matches_closed_form():
     r = np.linspace(-6, 6, 41)
     assert np.max(np.abs(opaque.forward(r) - closed.forward(r))) < 1e-12
     assert np.max(np.abs(opaque.forward(opaque.inverse(r)) - r)) < 1e-11
+
+
+# The quadrature rule: imports, a tiny ladder study and a tiny fd Monte Carlo on
+# the default presets (closed-form g), then g of a tabulated friction.
+_FIRST_USE = """
+import sys
+from smallmass import config, models, runner
+print("numpy.polynomial" in sys.modules)
+cfg = config.validate_config({"time": {"t_final": 0.002}, "paths": 8})
+runner.run_converge(cfg, sys.argv[1])
+cfg = config.validate_config({"fd": {"t_final": 0.002, "paths": 200}})
+runner.run_fd_converge(cfg, sys.argv[1])
+print("numpy.polynomial" in sys.modules)
+table = models.friction_from_table([0.0, 1.0], [1.0, 2.0])
+models.AntiderivativeMap(table).forward([0.5])
+print("numpy.polynomial" in sys.modules)
+"""
+
+
+def test_quadrature_rule_is_built_on_first_use(tmp_path):
+    # Only g of a friction without a closed form and the energy density read
+    # the rule, so a run on closed-form frictions never builds it: in a fresh
+    # interpreter numpy.polynomial stays unimported until such a g is taken.
+    src = str(Path(smallmass.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run(
+        [sys.executable, "-c", _FIRST_USE, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "False", "True"]
+    assert (tmp_path / "converge.json").exists() and (tmp_path / "fd_converge.json").exists()
+
+
+def test_quadrature_rule_is_the_rule_built_here(basis):
+    # The rule built on first use is _T, _W bit for bit, and so are g and
+    # Lambda of a tabulated friction taken on it.
+    t, w = _gauss_legendre()
+    assert np.array_equal(t, _T) and np.array_equal(w, _W)
+    assert _gauss_legendre()[0] is t and not t.flags.writeable and not w.flags.writeable
+    friction = friction_from_table(_TABLE_R, _TABLE_G)
+    r = np.linspace(-5.0, 5.0, 41)
+    assert np.array_equal(AntiderivativeMap(friction).forward(r), r * (_table(r[..., None] * _T) @ _W))
+    u = basis.analyze(3.0 * np.sin(2.0 * np.pi * basis.x))
+    x = basis.synthesize(u)
+    density = x * x * ((_table(x[..., None] * _T) * _T) @ _W)
+    assert np.array_equal(lambda_functional(basis, friction, u), basis.integrate(density))
 
 
 def test_monotonicity_certificate():

@@ -7,6 +7,7 @@ from smallmass.models import build_diffusion
 from smallmass.noise import (
     NoisePath,
     _mode_generator,
+    _stream_normals,
     apply_noise,
     load_path,
     refine,
@@ -56,6 +57,24 @@ def test_mode_generator_keys_are_pinned(seed, mode, level):
     assert np.array_equal(rekeyed.normal(size=9), fresh.normal(size=9))
     u32 = {"size": 5, "dtype": np.uint32}
     assert np.array_equal(rekeyed.integers(0, 2**32, **u32), fresh.integers(0, 2**32, **u32))
+
+
+def test_a_table_draws_each_stream_as_its_fresh_generator_does():
+    # _stream_normals keeps one generator and one start state per table and
+    # rewrites only the key words per stream: row (j, i) is what a fresh
+    # generator of stream (seed_j, i + 1, level) draws, for seeds that the
+    # key masks to 64 bits too.
+    seeds = (0, -1, 2**63 + 5, 2**64 - 1, 12345)
+    for level, scale in ((0, 0.1), (3, 0.25), (2**32 - 1, 1.0)):
+        table = _stream_normals(seeds, level, 5, 7, scale)
+        for j, seed in enumerate(seeds):
+            for i in range(5):
+                fresh = _mode_generator(seed, i + 1, level).normal(0.0, scale, 7)
+                assert np.array_equal(table[j, i], fresh), (seed, i, level)
+    assert np.array_equal(_stream_normals(7, 1, 3, 4, 1.0), _stream_normals((7,), 1, 3, 4, 1.0)[0])
+    for n_modes, level in ((3, 2**32), (3, -1)):
+        with pytest.raises(ValueError, match="must fit in 32 bits"):
+            _stream_normals(1, level, n_modes, 0, 1.0)
 
 
 def test_invalid_arguments():

@@ -139,14 +139,15 @@ def test_eta_and_wave_forms_consistent(basis):
 
 
 def test_eta_state_round_trip(basis):
-    # eta = v + g(u)/mu and back, through the solver's one shift g_over_mu.
+    # The stepper shifts v0 to eta = v0 + g(u0)/mu and takes v0 back as
+    # eta - g(u0)/mu, both through the one g(u0) it takes.
     m = models_for(basis)
-    solver = WaveSolver(basis, m, 0.07)
     u, v = bump(basis), 0.3 * bump(basis)
-    shift = solver.g_over_mu(u)
-    assert np.array_equal(shift, g_coeffs(u, basis, m) / 0.07)
-    back = (v + shift) - solver.g_over_mu(u)
-    assert np.max(np.abs(back - v)) < 1e-10
+    run = WaveSolver(basis, m, 0.07).stepper(u, v, zero_path(1e-3, 1e-3, 16))
+    shift = g_coeffs(u, basis, m) / 0.07
+    assert np.array_equal(run.second, v + shift)
+    assert np.array_equal(run.v, (v + shift) - shift)
+    assert np.max(np.abs(run.v - v)) < 1e-10
 
 
 def test_batched_simulation_matches_per_path(basis):
@@ -310,7 +311,7 @@ def test_eta_step_from_carried_nodal_values_equals_a_fresh_step(basis, newton_it
         assert np.array_equal(g_nodal, m.g_map.forward(state.u))
         assert np.array_equal(u_new, newton_u(u, eta, p.dt))
         assert np.array_equal(traj.u[k + 1], u_new)
-        assert np.array_equal(traj.v[k + 1], eta_new - solver.g_over_mu(u_new))
+        assert np.array_equal(traj.v[k + 1], eta_new - g_coeffs(u_new, basis, m) / mu)
         if k + 1 < p.n_steps:  # the next step starts from the eta this one produced
             assert steps[k + 1][1] is eta_new
 
@@ -318,20 +319,24 @@ def test_eta_step_from_carried_nodal_values_equals_a_fresh_step(basis, newton_it
 @pytest.mark.parametrize("scheme", ["eta_form", "resolvent_implicit"])
 def test_eta_schemes_shift_between_v_and_eta_once_per_run(basis, scheme, monkeypatch):
     # Both eta schemes carry eta from step to step: v0 is shifted to eta once,
-    # and v is recovered after each step without another shift.
+    # by the g(u0) that also recovers v0, and v is recovered after each step
+    # without another shift.  So g is taken once per state of u: before the
+    # first step and after each.
+    from smallmass import wave
+
     calls = []
-    original = WaveSolver.g_over_mu
+    original = wave._g_nodal
 
-    def spy(self, u):
+    def spy(u, basis, models):
         calls.append(u.shape)
-        return original(self, u)
+        return original(u, basis, models)
 
-    monkeypatch.setattr(WaveSolver, "g_over_mu", spy)
+    monkeypatch.setattr(wave, "_g_nodal", spy)
     solver = WaveSolver(basis, models_for(basis), 0.05, scheme=scheme)
     path = sample_path(94, 0.01, 1e-3, 16)
     assert path.n_steps == 10
     solver.simulate(bump(basis), 0.2 * bump(basis), path, n_output=2)
-    assert calls == [(16,)]
+    assert calls == [(16,)] * (1 + path.n_steps)
 
 
 def test_sup_trackers_record_every_step(basis):
@@ -350,8 +355,17 @@ def test_default_eta_step_takes_cos_once_per_nodal_state(basis, cos_per_state):
     m = models_for(basis, diffusion="cosine")
     solver = WaveSolver(basis, m, 0.05, scheme="eta_form")
     solver.simulate(bump(basis), np.zeros(16), sample_batch(3, 2, 1e-3, 1e-3, 16), n_output=1)
-    # the state shifted to eta, the state the step starts from, the state after it
-    assert cos_per_state() == [1, 1, 1]
+    # the state shifted to eta, which the step starts from, and the state after it
+    assert cos_per_state() == [1, 1]
+
+
+@pytest.mark.parametrize("scheme", ["eta_form", "resolvent_implicit"])
+def test_eta_stepper_takes_one_nodal_state_before_its_first_step(basis, scheme, cos_per_state):
+    # Shifting v0 to eta and recovering v0 share one nodal state of u0 and one cos.
+    m = models_for(basis, diffusion="cosine")
+    solver = WaveSolver(basis, m, 0.05, scheme=scheme)
+    solver.stepper(bump(basis), np.zeros(16), sample_batch(3, 2, 1e-3, 1e-3, 16))
+    assert cos_per_state() == [1]
 
 
 def test_output_indices_drop_repeats_as_unique_does():
