@@ -16,7 +16,10 @@ import numpy as np
 
 from .basis import DomainSpec, SpectralBasis, build_basis
 from .diagnostics import MIN_PATHS_PAIRED
+from .finite_dim import _FD_FRICTIONS
+from .limit import FORMS
 from .models import (
+    _DIFFUSION_FACTORS,
     Q_MIN,
     ModelSet,
     build_diffusion,
@@ -26,7 +29,7 @@ from .models import (
     reaction_preset,
 )
 from .noise import SEED_RANGE, _n_steps
-from .wave import C_STAB
+from .wave import C_STAB, SCHEMES
 
 
 class ConfigError(ValueError):
@@ -142,6 +145,11 @@ _COUNTS = {
     "time.n_output": 1, "paths": 1, "jobs": 1, "resolvent.n_pairs": 1, "resolvent.n_smooth": 1,
     "fd.paths": MIN_PATHS_PAIRED, "wave.newton_iters": 1,
 }
+# The keys that name one of a registry's choices, checked before any run reads them.
+_CHOICES = {
+    "wave.scheme": SCHEMES, "limit.form": FORMS,
+    "model.diffusion": tuple(_DIFFUSION_FACTORS), "fd.friction": tuple(_FD_FRICTIONS),
+}
 # Sizes that must be positive; time.c_stab <= 0 would make the step bound c_stab * mu no step.
 _POSITIVE = (
     "time.t_final", "time.dt", "time.dt_limit", "time.c_stab", "domain.length",
@@ -184,6 +192,9 @@ def validate_config(raw: dict) -> dict:
     if len(set(ladder)) < len(ladder):
         raise ConfigError(f"config key 'mu_ladder' repeats a mass: {cfg['mu_ladder']}")
     flat = {**cfg, **{f"{sec}.{k}": v for sec in _SCHEMA for k, v in cfg[sec].items()}}
+    for key, choices in _CHOICES.items():
+        if flat[key] not in choices:
+            raise ConfigError(f"config key '{key}' must be one of {choices}, got {flat[key]!r}")
     for key, least in _COUNTS.items():
         if flat[key] < least:
             raise ConfigError(f"config key '{key}' must be at least {least}, got {flat[key]}")

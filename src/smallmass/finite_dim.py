@@ -184,9 +184,6 @@ class FDTrajectory:
 class _FDStepper:
     """drive() protocol shared by the fd steppers: the (P,) position x is checked and recorded."""
 
-    def observe(self) -> None:
-        pass
-
     def record(self) -> tuple:
         return (self.x,)
 

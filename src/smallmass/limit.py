@@ -48,6 +48,8 @@ from .models import ModelSet, Nodal, noise_induced_drift
 from .noise import NoisePath, apply_noise
 from .wave import _initial_state, drive
 
+FORMS = ("u", "rho")  # the state a solver advances: u itself, or rho = g(u)
+
 
 @dataclass
 class LimitTrajectory:
@@ -72,8 +74,8 @@ class LimitSolver:
         form: str = "u",
         with_drift: bool = True,
     ):
-        if form not in ("u", "rho"):
-            raise ValueError(f"form must be 'u' or 'rho', got {form!r}")
+        if form not in FORMS:
+            raise ValueError(f"form must be one of {FORMS}, got {form!r}")
         self.basis = basis
         self.models = models
         self.form = form
@@ -139,10 +141,8 @@ class _SpdeLimitStepper:
 
     def step(self, dbeta) -> tuple:
         self.y = self.advance(self.y, self.dt, dbeta)
-        return (self.y,)
-
-    def observe(self) -> None:
         self.sup_h = np.maximum(self.sup_h, self.basis.sobolev_norm(self.y, 0.0))
+        return (self.y,)
 
     def record(self) -> tuple:
         return (self.y,)

@@ -90,8 +90,8 @@ class _ScoredRun:
 
     run is a wave or limit stepper on path, the study's batch refined
     path.level times.  Each coarse step takes the path's 2**level fine
-    steps, observing after each one, and raises SimulationDiverged with the
-    fine step and time where the state stops being finite.  At each output
+    steps, each a whole step of the run, and raises SimulationDiverged with
+    the fine step and time where the state stops being finite.  At each output
     index, record() folds the distance of the run's u (its first record) to
     each target run's current u into a `diagnostics.DistanceFold`, at the
     time k * dt of the fine steps taken, and returns nothing for drive() to
@@ -108,12 +108,8 @@ class _ScoredRun:
     def step(self, _dbeta) -> tuple:
         for k in range(self.k, self.k + self.per_step):
             check_finite(self.run.step(self.inc[..., :, k]), k + 1, self.dt)
-            self.run.observe()
         self.k += self.per_step
         return ()
-
-    def observe(self) -> None:
-        pass
 
     def record(self) -> tuple:
         u, t = self.run.record()[0], self.k * self.dt
@@ -396,8 +392,7 @@ class _PathMoments:
     """
 
     def __init__(self, run):
-        self.run = run
-        self.step, self.observe = run.step, run.observe
+        self.run, self.step = run, run.step
 
     def record(self) -> tuple:
         (x,) = self.run.record()

@@ -73,15 +73,15 @@ against per-path norms.  A per-row mass takes the same IEEE operations as a
 scalar one, and every transform is row-stable, so each mass of a batch
 equals its own scalar run bit for bit.
 
-Recording.  `drive` calls a stepper's record() exactly once per output
-index, in order, starting at index 0 before the first step and after every
-stepper has taken the step of that index, and allocates its outputs from
-that first record.  So record() may compute what it returns from the output
-index it is at and from the other steppers' current state (the study folds
-each batch's distance to the limit there and returns nothing to keep); the
-arrays it returns must keep their shapes.  `check_finite` is the one
-divergence test: drive applies it to what step() returns, and a stepper
-that takes several finer steps per step of drive applies it to each.
+Recording.  A stepper is two methods: step() takes the whole step (it
+advances the state, recovers v, updates the running norms and returns the
+state), and `drive` calls record() once per output index, in order, from
+index 0 before the first step, after every stepper has taken the step of
+that index, allocating its outputs from that first record.  So record() may
+read the other steppers' current state (the study folds each batch's
+distance to the limit there and returns nothing to keep); its arrays must
+keep their shapes.  `check_finite` is the one divergence test: drive applies
+it to what step() returns, and a stepper of finer steps applies it to each.
 """
 
 from __future__ import annotations
@@ -160,13 +160,11 @@ def check_finite(arrays, step: int, dt: float) -> None:
 def drive(steppers: list, n_steps: int, dt: float, draw, n_output: int) -> tuple[np.ndarray, list]:
     """The time loop: advance the steppers in lock step, all on draw(k) at step k.
 
-    A stepper's step(dbeta) advances its state in place and returns the state
-    arrays, which must stay finite: SimulationDiverged is raised at the first
-    step where one does not.  observe() then updates the stepper's running
-    quantities, and record() returns the arrays kept on the output grid; it
-    is called exactly once per output index, in order, and the outputs are
-    allocated from its first call.  Returns the output times and, per
-    stepper, one (n_out, ...) array per recorded quantity.
+    A stepper's step(dbeta) takes the whole step and returns its state arrays:
+    SimulationDiverged is raised at the first step where one is not finite.
+    record() returns the arrays kept on the output grid (see "Recording" in
+    the module docstring).  Returns the output times and, per stepper, one
+    (n_out, ...) array per recorded quantity.
     """
     idx = _output_indices(n_steps, n_output)
     outs = []
@@ -181,7 +179,6 @@ def drive(steppers: list, n_steps: int, dt: float, draw, n_output: int) -> tuple
         dbeta = draw(k)
         for s in steppers:
             check_finite(s.step(dbeta), k + 1, dt)
-            s.observe()
         if pos < len(idx) and k + 1 == idx[pos]:
             for out, s in zip(outs, steppers):
                 for o, a in zip(out, s.record()):
@@ -378,13 +375,10 @@ class _WaveStepper:
     def step(self, dbeta) -> tuple:
         if self.eta_mode:
             step = self.solver._advance(self.u, self.second, self.dt, dbeta, self.nodal)
-            self.nodal = None  # spent: its u, g, sin and cos go before observe() builds the next
+            self.nodal = None  # spent: its u, g, sin and cos go before _shift() builds the next
         else:
             step = self.solver._advance(self.u, self.second, self.dt, dbeta)
         self.u, self.second = step
-        return step
-
-    def observe(self) -> None:
         self.v = self.second - self._shift() if self.eta_mode else self.second
         nu, nu1, nv = self._norms()
         n, mu, dt = self.norms, self.solver.mu_paths, self.dt
@@ -393,6 +387,7 @@ class _WaveStepper:
         n["sup_energy"] = np.maximum(n["sup_energy"], nu1**2 + mu * nv**2)
         n["int_u_h1_sq"] = n["int_u_h1_sq"] + dt * nu1**2
         n["int_v_h_sq"] = n["int_v_h_sq"] + dt * nv**2
+        return step
 
     def record(self) -> tuple:
         return self.u, self.v

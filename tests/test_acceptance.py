@@ -104,7 +104,8 @@ def test_criterion_2_drift_necessity(headline, study):
     assert rep.flags["rising"], detail
 
 
-def test_resolution_audit_at_the_ablation_mass():
+@pytest.mark.parametrize("q", [1.0, 0.75])
+def test_resolution_audit_at_the_ablation_mass(q):
     """Criteria 1 and 2 do not depend on the truncation N or the step dt.
 
     On 16 coupled paths at the ablation mass, the wave and the limit with H
@@ -113,8 +114,10 @@ def test_resolution_audit_at_the_ablation_mass():
     bridge), where D_H is the mean distance between the limits with and
     without H on the same paths.  The horizon is half the headline's, to fit
     the run in a few seconds; D_H grows with it faster than the gaps do.
+    It holds for the default noise spectrum lam_i = i^-1 and for i^-0.75,
+    whose kappa converges more slowly in N.
     """
-    short = {"time": {"t_final": 0.25, "n_output": 100}}
+    short = {"time": {"t_final": 0.25, "n_output": 100}, "model": {"q_exponent": q}}
     coarse = validate_config(short)
     fine_n = validate_config({**short, "domain": {"n_modes": 64, "n_nodes": 128}})
     mu, paths = coarse["ablation"]["mu"], 16
@@ -152,7 +155,7 @@ def test_resolution_audit_at_the_ablation_mass():
         "wave, dt vs dt/2": distance(times, wave, wave_dt, basis),
         "limit, dt vs dt/2": distance(times, limit, limit_dt, basis),
     }
-    detail = f"D_H = {d_h:.4g}; " + ", ".join(f"{k}: {v:.3g}" for k, v in gaps.items())
+    detail = f"q = {q}, D_H = {d_h:.4g}; " + ", ".join(f"{k}: {v:.3g}" for k, v in gaps.items())
     assert all(gap < d_h / 10 for gap in gaps.values()), detail
 
 

@@ -420,8 +420,17 @@ def test_step_bound_and_audit_sizes_fail_by_name(tmp_path, capsys):
         ({"time": {"t_final": 1e-4, "dt": 2e-4}}, "time.t_final", f"{steps} 'time.dt', got 0.0001"),
         ({"time": {"dt_limit": 3e-4}}, "time.t_final", f"{steps} 'time.dt_limit', got 0.5 and 0.0003"),
         ({"fd": {"dt": 0.3}}, "fd.t_final", f"{steps} 'fd.dt', got 1.0 and 0.3"),
+        # an unknown choice failed unnamed once a run reached it, and not at all in a
+        # subcommand that never reads the key (limit.form here)
+        ({"wave": {"scheme": "nope"}}, "wave.scheme",
+         "must be one of ('semi_implicit', 'eta_form', 'resolvent_implicit'), got 'nope'"),
+        ({"limit": {"form": "v"}}, "limit.form", "must be one of ('u', 'rho'), got 'v'"),
+        ({"model": {"diffusion": "nope"}}, "model.diffusion",
+         "must be one of ('constant', 'cosine', 'zero'), got 'nope'"),
+        ({"fd": {"friction": "bell"}}, "fd.friction",
+         "must be one of ('two_plus_sin', 'constant'), got 'bell'"),
     ):
-        with pytest.raises(ConfigError, match=f"'{key}' {message}"):
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}' {message}")):
             validate_config(raw)
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(raw))

@@ -162,3 +162,25 @@ def test_limit_u_step_takes_cos_once_per_nodal_state(basis, cos_per_state):
     solver = LimitSolver(basis, models_for(basis), form="u")
     solver.simulate(bump(basis), sample_batch(3, 2, 1e-3, 1e-3, 16), n_output=1)
     assert cos_per_state() == [1]
+
+
+@pytest.mark.parametrize("form", ["u", "rho"])
+def test_limit_divergence_is_reported_at_its_step(basis, monkeypatch, form):
+    # A state that stops being finite on the 3rd step raises at step 3, t = 3 dt,
+    # whatever the running sup of the H-norm does with it first.
+    from smallmass.wave import SimulationDiverged
+
+    name = f"_advance_{form}"
+    real, calls = getattr(LimitSolver, name), []
+
+    def blows_up(self, y, dt, dbeta):
+        calls.append(dt)
+        y = real(self, y, dt, dbeta)
+        return np.full_like(y, np.nan) if len(calls) == 3 else y
+
+    monkeypatch.setattr(LimitSolver, name, blows_up)
+    solver = LimitSolver(basis, models_for(basis), form=form)
+    with pytest.raises(SimulationDiverged) as err:
+        solver.simulate(bump(basis), sample_batch(5, 2, 0.01, 1e-3, 16), n_output=5)
+    assert calls == [1e-3] * 3
+    assert (err.value.step, err.value.t) == (3, 3 * 1e-3)

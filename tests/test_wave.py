@@ -190,7 +190,7 @@ def test_divergence_detection(basis):
         warnings.simplefilter("ignore")
         with pytest.raises(SimulationDiverged) as exc:
             solver.simulate(u0, np.zeros(16), bad, n_output=5)
-    assert exc.value.step >= 1
+    assert (exc.value.step, exc.value.t) == (95, 95.0)
 
 
 def test_step_policy_warning(basis):

@@ -41,7 +41,9 @@ iterations per friction model, refinement of a path and a batch, fd coupled and 
 stacked resolvent solve with its per-row info and the resolvent audit at criterion 4's size, every
 `run_*` work function on small configs, the ladder study also with masses on three refinement
 levels (converge with n_output below the step count, and the drift ablation), fd-converge also
-at 1001 paths and at criterion 3's config), the default config of every
+at 1001 paths and at criterion 3's config, three runs that diverge (an eta_form wave past its
+CFL, an fd coupled run that overflows, a refined ladder batch given a NaN), each compared by
+its SimulationDiverged message, which names the step and time), the default config of every
 `run_*` work function (about a minute), and the routes of the benchmark's
 workloads (bench/workloads.py).  A step is `simulate` on a one- or two-step
 path, noisy or from `noise.zero_path`.
@@ -326,6 +328,63 @@ def _resolvent_routes() -> dict:
     return {"resolvent.stacked_info": stacked, "resolvent.audit.criterion_4": audit}
 
 
+def _divergence_routes() -> dict:
+    """Runs that raise SimulationDiverged: the same message on both sides means the same step
+    and time."""
+    from smallmass import finite_dim as fdm, runner
+    from smallmass.basis import DomainSpec, build_basis
+    from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
+    from smallmass.noise import zero_path
+    from smallmass.wave import WaveSolver
+
+    def eta_form():
+        # the highest mode far above the staggered scheme's CFL
+        basis = build_basis(DomainSpec(1.0, 16))
+        models = build_model_set(
+            basis, friction_preset("two_plus_sin"), reaction_preset("zero"),
+            build_diffusion(basis, factor="zero"),
+        )
+        u0 = np.zeros(16)
+        u0[-1] = 1.0
+        solver = WaveSolver(basis, models, 1e-8, scheme="eta_form", c_stab=1e12)
+        solver.simulate(u0, np.zeros(16), zero_path(200.0, 1.0, 16), n_output=5)
+
+    def fd_coupled():
+        # b(x) = 1e200 x overflows the limit state at step 2
+        system = dataclasses.replace(
+            fdm.fd_scalar_system(friction="constant"), b=lambda x: 1e200 * x, sigma=lambda x: 0.0
+        )
+        nz = fdm.FDNoise(seed=0, dt=1e-2, n_steps=10, n_paths=3)
+        fdm.drive_fd(fdm.coupled_steppers(system, 1.0, nz, 1.0, 0.0), nz, 5)
+
+    def ladder_refined():
+        # a NaN u on the 3rd fine step of a batch refined once
+        real = WaveSolver._step_semi_implicit
+        calls = []
+
+        def blows_up(self, u, v, dt, dbeta):
+            calls.append(dt)
+            u, v = real(self, u, v, dt, dbeta)
+            return (np.full_like(u, np.nan) if len(calls) == 3 else u), v
+
+        cfg = _cfg({
+            "domain": {"n_modes": 8, "n_nodes": 16},
+            "time": {"t_final": 0.01, "dt": 5e-4, "n_output": 10, "c_stab": 0.25},
+            "mu_ladder": [1e-3], "wave": {"scheme": "semi_implicit"}, "paths": 2,
+        })
+        WaveSolver._step_semi_implicit = blows_up
+        try:
+            runner.run_ladder_study(cfg)
+        finally:
+            WaveSolver._step_semi_implicit = real
+
+    return {
+        "diverged.wave.eta_form": eta_form,
+        "diverged.fd.coupled": fd_coupled,
+        "diverged.ladder.refined": ladder_refined,
+    }
+
+
 def _flatten(prefix: str, obj, out: dict) -> None:
     if isinstance(obj, dict):
         for k, v in obj.items():
@@ -481,7 +540,7 @@ def catalogue() -> dict:
     routes = {}
     groups = (
         _wave_routes, _limit_routes, _model_routes, _noise_routes, _fd_routes, _resolvent_routes,
-        _run_routes,
+        _run_routes, _divergence_routes,
     )
     for group in groups + (_default_routes, _bench_routes):
         routes.update(group())
