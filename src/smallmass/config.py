@@ -1,8 +1,10 @@
-"""Experiment configuration: JSON schema, validation, defaults, hashing.
+"""Experiment configuration: defaults, validation, hashing and assembly.
 
-Configs are plain JSON.  Validation is strict: unknown keys are rejected by
-name, types are checked, and the validated config is echoed (with its hash)
-into every output artifact for provenance.
+Configs are plain JSON.  DEFAULTS lists every key with its default, whose
+type is the key's type; NO_DEFAULT lists the keys without one.  Validation is
+strict: unknown keys are rejected by name, types are checked, every rule the
+config alone decides is checked before any run, and the validated config is
+echoed (with its hash) into every output artifact for provenance.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from .finite_dim import _FD_FRICTIONS
 from .limit import FORMS
 from .models import (
     _DIFFUSION_FACTORS,
+    FRICTIONS,
     Q_MIN,
+    REACTIONS,
     ModelSet,
     build_diffusion,
     build_model_set,
@@ -35,47 +39,6 @@ from .wave import C_STAB, SCHEMES
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
-
-_SCHEMA: dict[str, dict[str, type | tuple]] = {
-    "domain": {"length": float, "n_modes": int, "n_nodes": int},
-    "model": {
-        "friction": str,
-        "friction_csv": str,
-        "friction_value": float,
-        "gamma0": float,
-        "gamma1": float,
-        "reaction": str,
-        "clip_radius": float,
-        "diffusion": str,
-        "q_exponent": float,
-        "tol_inv": float,
-    },
-    "initial": {"kind": str, "amplitude": float, "coeffs": list, "velocity_coeffs": list},
-    "time": {"t_final": float, "dt": float, "dt_limit": float, "c_stab": float, "n_output": int},
-    "wave": {"scheme": str, "newton_iters": int},
-    "limit": {"form": str, "with_drift": bool},
-    "fd": {
-        "friction": str,
-        "sigma": float,
-        "mu": float,
-        "dt": float,
-        "t_final": float,
-        "paths": int,
-        "x0": float,
-        "v0": float,
-        "eta_transform": bool,
-    },
-    "resolvent": {"n_pairs": int, "lam": float, "lam_ladder": list, "n_smooth": int},
-    "ablation": {"mu": float},
-    "converge": {"ratio_max": float, "allowed_inversions": int},
-}
-
-_TOP_SCALARS: dict[str, type] = {
-    "mu_ladder": list,
-    "paths": int,
-    "seed": int,
-    "jobs": int,
-}
 
 DEFAULTS: dict[str, Any] = {
     "domain": {"length": 1.0, "n_modes": 32, "n_nodes": 64},
@@ -109,6 +72,12 @@ DEFAULTS: dict[str, Any] = {
     "seed": 12345,
     "jobs": 1,
 }
+# The keys without a default, and their types; every other key's type is its default's.
+NO_DEFAULT: dict[str, type] = {
+    "model.friction_csv": str, "model.friction_value": float, "model.gamma0": float,
+    "model.gamma1": float, "model.clip_radius": float,
+    "initial.coeffs": list, "initial.velocity_coeffs": list,
+}
 
 
 _TYPE_NAMES = {
@@ -117,7 +86,7 @@ _TYPE_NAMES = {
 
 
 def _check_type(path: str, value, expected) -> Any:
-    """value if it has the schema type (a number comes back as a float; a bool is no number).
+    """value if it has the key's type (a number comes back as a float; a bool is no number).
 
     A number must also be finite: JSON readers accept NaN, Infinity and
     integers beyond the float range.  Every list key is a list of numbers,
@@ -143,12 +112,14 @@ def _check_type(path: str, value, expected) -> Any:
 # eta_form step with no Newton iteration would leave u where it is.
 _COUNTS = {
     "time.n_output": 1, "paths": 1, "jobs": 1, "resolvent.n_pairs": 1, "resolvent.n_smooth": 1,
-    "fd.paths": MIN_PATHS_PAIRED, "wave.newton_iters": 1,
+    "fd.paths": MIN_PATHS_PAIRED, "wave.newton_iters": 1, "domain.n_modes": 1,
 }
+INITIAL_KINDS = ("coeffs", "zero", "mode1", "bump")  # the initial states make_initial builds
 # The keys that name one of a registry's choices, checked before any run reads them.
 _CHOICES = {
-    "wave.scheme": SCHEMES, "limit.form": FORMS,
-    "model.diffusion": tuple(_DIFFUSION_FACTORS), "fd.friction": tuple(_FD_FRICTIONS),
+    "wave.scheme": SCHEMES, "limit.form": FORMS, "model.friction": FRICTIONS,
+    "model.reaction": REACTIONS, "model.diffusion": tuple(_DIFFUSION_FACTORS),
+    "initial.kind": INITIAL_KINDS, "fd.friction": tuple(_FD_FRICTIONS),
 }
 # Sizes that must be positive; time.c_stab <= 0 would make the step bound c_stab * mu no step.
 _POSITIVE = (
@@ -169,35 +140,61 @@ def resolvent_lams(cfg: dict) -> dict[str, float]:
 
 
 def validate_config(raw: dict) -> dict:
-    """Strict-merge a raw dict over the defaults; unknown keys are errors."""
+    """Strict-merge a raw dict over the defaults; unknown keys are errors.
+
+    Every rule that the config alone decides fails here by key, so that
+    make_basis, make_models and make_initial build from what this returns.
+    A preset option that the chosen preset does not take is the preset's to
+    reject, when make_models builds it.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
     for key, value in raw.items():
-        if key in _SCHEMA:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key '{key}' must be an object")
-            for sub, sval in value.items():
-                if sub not in _SCHEMA[key]:
-                    raise ConfigError(f"unknown config key '{key}.{sub}'")
-                cfg.setdefault(key, {})[sub] = _check_type(f"{key}.{sub}", sval, _SCHEMA[key][sub])
-        elif key in _TOP_SCALARS:
-            cfg[key] = _check_type(key, value, _TOP_SCALARS[key])
-        else:
+        if key not in DEFAULTS:
             raise ConfigError(f"unknown config key '{key}'")
+        if not isinstance(DEFAULTS[key], dict):
+            cfg[key] = _check_type(key, value, type(DEFAULTS[key]))
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"config key '{key}' must be an object")
+        for sub, sval in value.items():
+            path = f"{key}.{sub}"
+            expected = type(DEFAULTS[key][sub]) if sub in DEFAULTS[key] else NO_DEFAULT.get(path)
+            if expected is None:
+                raise ConfigError(f"unknown config key '{path}'")
+            cfg[key][sub] = _check_type(path, sval, expected)
     ladder = cfg["mu_ladder"]
     if not ladder or min(ladder) <= 0:
         raise ConfigError("config key 'mu_ladder' must be a list of positive numbers")
     cfg["mu_ladder"] = sorted(ladder, reverse=True)
     if len(set(ladder)) < len(ladder):
         raise ConfigError(f"config key 'mu_ladder' repeats a mass: {cfg['mu_ladder']}")
-    flat = {**cfg, **{f"{sec}.{k}": v for sec in _SCHEMA for k, v in cfg[sec].items()}}
+    sections = {sec: d for sec, d in cfg.items() if isinstance(d, dict)}
+    flat = {**cfg, **{f"{sec}.{k}": v for sec, d in sections.items() for k, v in d.items()}}
     for key, choices in _CHOICES.items():
         if flat[key] not in choices:
             raise ConfigError(f"config key '{key}' must be one of {choices}, got {flat[key]!r}")
     for key, least in _COUNTS.items():
         if flat[key] < least:
             raise ConfigError(f"config key '{key}' must be at least {least}, got {flat[key]}")
+    n_modes = flat["domain.n_modes"]
+    if flat["domain.n_nodes"] < 2 * n_modes:  # the least grid that keeps analysis alias-controlled
+        raise ConfigError(
+            f"config key 'domain.n_nodes' must be at least 2 * domain.n_modes = {2 * n_modes}, "
+            f"got {flat['domain.n_nodes']}"
+        )
+    if flat["initial.kind"] == "coeffs" and "initial.coeffs" not in flat:
+        raise ConfigError("config key 'initial.coeffs' must be set when initial.kind is 'coeffs'")
+    for key in ("initial.coeffs", "initial.velocity_coeffs"):
+        if key in flat and len(flat[key]) != n_modes:
+            raise ConfigError(
+                f"config key '{key}' must have length domain.n_modes = {n_modes}, "
+                f"got {len(flat[key])}"
+            )
+    extra = ", ".join(f"model.{k}" for k in _FRICTION_OPTIONS if k in cfg["model"])
+    if "model.friction_csv" in flat and extra:
+        raise ConfigError(f"config key 'model.friction_csv' takes no friction options, got {extra}")
     for key, value in {**{key: flat[key] for key in _POSITIVE}, **resolvent_lams(cfg)}.items():
         if not value > 0:
             raise ConfigError(f"config key '{key}' must be positive, got {value}")
@@ -266,9 +263,6 @@ def _preset(m: dict, kind: str, build, options: dict):
 def make_models(cfg: dict, basis: SpectralBasis) -> ModelSet:
     m = cfg["model"]
     if "friction_csv" in m:
-        extra = ", ".join(f"model.{k}" for k in _FRICTION_OPTIONS if k in m)
-        if extra:
-            raise ConfigError(f"model.friction_csv takes no friction options, got {extra}")
         path = m["friction_csv"]
         try:
             friction = load_friction_csv(path)
@@ -282,34 +276,19 @@ def make_models(cfg: dict, basis: SpectralBasis) -> ModelSet:
 
 
 def make_initial(cfg: dict, basis: SpectralBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Initial (u0, v0) coefficient vectors from the preset or explicit lists."""
+    """Initial (u0, v0) coefficient vectors of a validated config: a preset or explicit lists."""
     ic = cfg["initial"]
-    kind = ic["kind"]
-    amp = float(ic.get("amplitude", 1.0))
+    kind, amp = ic["kind"], ic["amplitude"]
+    if kind not in INITIAL_KINDS:
+        raise ValueError(f"initial.kind must be one of {INITIAL_KINDS}, got {kind!r}")
+    u0 = np.zeros(basis.n_modes)
     if kind == "coeffs":
-        coeffs = np.asarray(ic.get("coeffs", []), dtype=float)
-        if coeffs.shape != (basis.n_modes,):
-            raise ConfigError(
-                f"initial.coeffs must have length n_modes = {basis.n_modes}"
-            )
-        u0 = amp * coeffs
-    elif kind == "zero":
-        u0 = np.zeros(basis.n_modes)
+        u0 = amp * np.asarray(ic["coeffs"], dtype=float)
     elif kind == "mode1":
-        u0 = np.zeros(basis.n_modes)
         u0[0] = amp
     elif kind == "bump":
         x, L = basis.x, basis.length
         profile = 4.0 * x * (L - x) / L**2  # parabolic bump, peak 1 at midpoint
         u0 = amp * basis.analyze(profile)
-    else:
-        raise ConfigError(f"unknown initial.kind '{kind}'")
-    if "velocity_coeffs" in ic:
-        v0 = np.asarray(ic["velocity_coeffs"], dtype=float)
-        if v0.shape != (basis.n_modes,):
-            raise ConfigError(
-                f"initial.velocity_coeffs must have length n_modes = {basis.n_modes}"
-            )
-    else:
-        v0 = np.zeros(basis.n_modes)
+    v0 = np.asarray(ic.get("velocity_coeffs", np.zeros(basis.n_modes)), dtype=float)
     return u0, v0

@@ -323,13 +323,18 @@ def _options(what: str, kw: dict, defaults: dict) -> list[float]:
     return [float(kw.get(k, v)) for k, v in defaults.items()]
 
 
+FRICTIONS = ("constant", "two_plus_sin", "bell")
+
+
 def friction_preset(name: str, **kw) -> FrictionModel:
-    """Built-in friction models.
+    """Built-in friction models, one of FRICTIONS.
 
     "constant"      gamma == value (default 1.0)
     "two_plus_sin"  gamma(r) = 2 + sin r; g(r) = 2r + 1 - cos r and gamma'(r) = cos r share cos
     "bell"          gamma(r) = gamma0 + (gamma1 - gamma0)/(1 + r^2)
     """
+    if name not in FRICTIONS:
+        raise ValueError(f"friction preset must be one of {FRICTIONS}, got {name!r}")
     if name == "constant":
         (value,) = _options("constant friction", kw, {"value": 1.0})
         return FrictionModel(
@@ -351,17 +356,15 @@ def friction_preset(name: str, **kw) -> FrictionModel:
             name="two_plus_sin",
             g_closed=lambda s: 2.0 * s.u + 1.0 - s.cos,
         )
-    if name == "bell":
-        g0, g1 = _options("bell friction", kw, {"gamma0": 1.0, "gamma1": 2.0})
-        return FrictionModel(
-            gamma=lambda s: g0 + (g1 - g0) / (1.0 + s.u**2),
-            gamma_prime=lambda s: -2.0 * s.u * (g1 - g0) / (1.0 + s.u**2) ** 2,
-            gamma0=g0,
-            gamma1=g1,
-            name="bell",
-            g_closed=lambda s: g0 * s.u + (g1 - g0) * np.arctan(s.u),
-        )
-    raise ValueError(f"unknown friction preset {name!r}")
+    g0, g1 = _options("bell friction", kw, {"gamma0": 1.0, "gamma1": 2.0})
+    return FrictionModel(
+        gamma=lambda s: g0 + (g1 - g0) / (1.0 + s.u**2),
+        gamma_prime=lambda s: -2.0 * s.u * (g1 - g0) / (1.0 + s.u**2) ** 2,
+        gamma0=g0,
+        gamma1=g1,
+        name="bell",
+        g_closed=lambda s: g0 * s.u + (g1 - g0) * np.arctan(s.u),
+    )
 
 
 def friction_from_table(r: np.ndarray, gamma_vals: np.ndarray) -> FrictionModel:
@@ -399,13 +402,18 @@ def load_friction_csv(path) -> FrictionModel:
     return friction_from_table(data[:, 0], data[:, 1])
 
 
+REACTIONS = ("zero", "linear_decay", "cubic_clipped")
+
+
 def reaction_preset(name: str, **kw) -> ReactionModel:
-    """Built-in reaction terms.
+    """Built-in reaction terms, one of REACTIONS.
 
     "zero"           f == 0
     "linear_decay"   f(r) = -r
     "cubic_clipped"  f(r) = r - r^3 inside |r| <= clip_radius, linear continuation outside
     """
+    if name not in REACTIONS:
+        raise ValueError(f"reaction preset must be one of {REACTIONS}, got {name!r}")
     if name == "zero":
         _options("zero reaction", kw, {})
         return ReactionModel(
@@ -423,33 +431,31 @@ def reaction_preset(name: str, **kw) -> ReactionModel:
             growth_c=0.0,
             name="linear_decay",
         )
-    if name == "cubic_clipped":
-        (radius,) = _options("cubic_clipped reaction", kw, {"clip_radius": 1.5})
-        if radius <= 0:
-            raise ValueError("clip_radius must be positive")
-        edge = radius - radius**3
-        slope = 1.0 - 3.0 * radius**2
+    (radius,) = _options("cubic_clipped reaction", kw, {"clip_radius": 1.5})
+    if radius <= 0:
+        raise ValueError("clip_radius must be positive")
+    edge = radius - radius**3
+    slope = 1.0 - 3.0 * radius**2
 
-        def f(s):
-            r = s.u
-            inside = r - r**3
-            outside = np.sign(r) * edge + slope * (r - np.sign(r) * radius)
-            return np.where(np.abs(r) <= radius, inside, outside)
+    def f(s):
+        r = s.u
+        inside = r - r**3
+        outside = np.sign(r) * edge + slope * (r - np.sign(r) * radius)
+        return np.where(np.abs(r) <= radius, inside, outside)
 
-        lip = max(1.0, abs(slope))
-        # Certificate constants: with clipping the product f(r)r is bounded
-        # above, so growth_lambda = 0 and growth_c is its numerical maximum.
-        grid = np.linspace(-10.0 * radius - 10.0, 10.0 * radius + 10.0, 20001)
-        c = float(np.max(f(Nodal(grid)) * grid))
-        return ReactionModel(
-            f=f,
-            lipschitz_const=lip,
-            growth_lambda=0.0,
-            growth_delta=0.0,
-            growth_c=max(c, 0.0) + 1e-9,
-            name="cubic_clipped",
-        )
-    raise ValueError(f"unknown reaction preset {name!r}")
+    lip = max(1.0, abs(slope))
+    # Certificate constants: with clipping the product f(r)r is bounded
+    # above, so growth_lambda = 0 and growth_c is its numerical maximum.
+    grid = np.linspace(-10.0 * radius - 10.0, 10.0 * radius + 10.0, 20001)
+    c = float(np.max(f(Nodal(grid)) * grid))
+    return ReactionModel(
+        f=f,
+        lipschitz_const=lip,
+        growth_lambda=0.0,
+        growth_delta=0.0,
+        growth_c=max(c, 0.0) + 1e-9,
+        name="cubic_clipped",
+    )
 
 
 # lambda_sigma, lambda_sigma' and sup |lambda_sigma| of each factor; "cosine"

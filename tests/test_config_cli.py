@@ -6,6 +6,7 @@ import pytest
 
 from smallmass.cli import main
 from smallmass.config import (
+    DEFAULTS,
     ConfigError,
     config_hash,
     load_config,
@@ -22,6 +23,12 @@ def test_defaults_are_valid_and_ladder_sorted():
     assert cfg["time"]["dt"] == 1e-4
     cfg2 = validate_config({"mu_ladder": [0.01, 0.2, 0.05]})
     assert cfg2["mu_ladder"] == [0.2, 0.05, 0.01]
+
+
+def test_defaults_are_pinned():
+    # Each key's type is its default's, so the defaults are the schema: pin them and their hash.
+    assert validate_config({}) == DEFAULTS
+    assert config_hash(validate_config({})) == "1340955d5e243a20"
 
 
 def test_unknown_keys_rejected_by_name():
@@ -137,18 +144,19 @@ def test_make_initial_variants():
     u0c, _ = make_initial(cfg_c, basis)
     assert u0c[0] == 1.0 and u0c[-1] == 0.5
 
-    with pytest.raises(ConfigError):
-        make_initial(
-            validate_config(
-                {"domain": {"n_modes": 8, "n_nodes": 16}, "initial": {"kind": "coeffs", "coeffs": [1.0]}}
-            ),
-            basis,
-        )
-    with pytest.raises(ConfigError):
-        make_initial(
-            validate_config({"domain": {"n_modes": 8, "n_nodes": 16}, "initial": {"kind": "wiggle"}}),
-            basis,
-        )
+    domain = {"n_modes": 8, "n_nodes": 16}
+    cfg_v = validate_config({"domain": domain, "initial": {"velocity_coeffs": [0.5] * 8}})
+    _, v0 = make_initial(cfg_v, basis)
+    assert np.all(v0 == 0.5)
+
+    # a wrong length or an unknown kind fails in validation, before any basis exists
+    with pytest.raises(ConfigError, match="'initial.coeffs' must have length domain.n_modes = 8"):
+        validate_config({"domain": domain, "initial": {"kind": "coeffs", "coeffs": [1.0]}})
+    with pytest.raises(ConfigError, match="'initial.kind' must be one of .*, got 'wiggle'"):
+        validate_config({"domain": domain, "initial": {"kind": "wiggle"}})
+    # a library caller that skips validation still gets the kind named
+    with pytest.raises(ValueError, match="initial.kind must be one of .*, got 'wiggle'"):
+        make_initial({"initial": {"kind": "wiggle", "amplitude": 1.0}}, basis)
 
 
 def test_make_models_csv(tmp_path):
@@ -161,9 +169,8 @@ def test_make_models_csv(tmp_path):
     models = make_models(cfg, make_basis(cfg))
     assert models.friction.name == "tabulated"
     assert abs(models.friction.gamma(0.5) - (2 + np.sin(0.5))) < 1e-3
-    cfg["model"]["gamma1"] = 4.0
-    with pytest.raises(ConfigError, match="model.friction_csv takes no friction options.*model.gamma1"):
-        make_models(cfg, make_basis(cfg))
+    with pytest.raises(ConfigError, match="'model.friction_csv' takes no friction options, got model.gamma1"):
+        validate_config({"model": {"friction_csv": str(csv), "gamma1": 4.0}})
 
 
 @pytest.mark.parametrize(
@@ -429,18 +436,43 @@ def test_step_bound_and_audit_sizes_fail_by_name(tmp_path, capsys):
          "must be one of ('constant', 'cosine', 'zero'), got 'nope'"),
         ({"fd": {"friction": "bell"}}, "fd.friction",
          "must be one of ('two_plus_sin', 'constant'), got 'bell'"),
+        # model.friction, model.reaction and initial.kind were checked only when a run built
+        # its models or initial state: lyapunov, which builds neither, said ok
+        ({"model": {"friction": "wobbly"}}, "model.friction",
+         "must be one of ('constant', 'two_plus_sin', 'bell'), got 'wobbly'"),
+        ({"model": {"reaction": "nope"}}, "model.reaction",
+         "must be one of ('zero', 'linear_decay', 'cubic_clipped'), got 'nope'"),
+        ({"initial": {"kind": "wiggle"}}, "initial.kind",
+         "must be one of ('coeffs', 'zero', 'mode1', 'bump'), got 'wiggle'"),
+        ({"model": {"friction_csv": "fric.csv", "gamma0": 1.0}}, "model.friction_csv",
+         "takes no friction options, got model.gamma0"),
+        # a domain the basis rejects used to fail unnamed in converge, and not in lyapunov
+        ({"domain": {"n_modes": 0}}, "domain.n_modes", "must be at least 1, got 0"),
+        ({"domain": {"n_modes": -4, "n_nodes": 8}}, "domain.n_modes", "must be at least 1, got -4"),
+        ({"domain": {"n_modes": 8, "n_nodes": 10}}, "domain.n_nodes",
+         "must be at least 2 * domain.n_modes = 16, got 10"),
+        ({"domain": {"n_modes": 40}}, "domain.n_nodes",
+         "must be at least 2 * domain.n_modes = 80, got 64"),
+        # so did initial lists of the wrong length, once the initial state was built
+        ({"domain": {"n_modes": 4, "n_nodes": 8}, "initial": {"kind": "coeffs", "coeffs": [1.0]}},
+         "initial.coeffs", "must have length domain.n_modes = 4, got 1"),
+        ({"initial": {"kind": "coeffs"}}, "initial.coeffs",
+         "must be set when initial.kind is 'coeffs'"),
+        ({"initial": {"velocity_coeffs": [0.0, 1.0]}}, "initial.velocity_coeffs",
+         "must have length domain.n_modes = 32, got 2"),
     ):
         with pytest.raises(ConfigError, match=re.escape(f"'{key}' {message}")):
             validate_config(raw)
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "out"
-        command = "fd-converge" if key.startswith("fd.") else "simulate-wave"
-        capsys.readouterr()
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, raw
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert err["type"] == "config" and f"config key '{key}'" in err["message"], raw
-        assert not out.exists()
+        fd = key.startswith("fd.")
+        for command in ["fd-converge"] if fd else ["simulate-wave", "lyapunov", "converge"]:
+            capsys.readouterr()
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, (command, raw)
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert err["type"] == "config" and f"config key '{key}'" in err["message"], (command, raw)
+            assert not out.exists()
     ok = validate_config(
         {"time": {"c_stab": 0.1}, "resolvent": {"n_pairs": 1, "n_smooth": 1}, "fd": {"paths": 2}}
     )
@@ -449,9 +481,16 @@ def test_step_bound_and_audit_sizes_fail_by_name(tmp_path, capsys):
     assert validate_config({"model": {"q_exponent": 0.75}})["model"]["q_exponent"] == 0.75
     assert validate_config({})["model"]["q_exponent"] == 1.0
     # the library routes a config does not reach fail by name too
-    from smallmass.models import build_diffusion
+    from smallmass.basis import DomainSpec
+    from smallmass.models import build_diffusion, friction_preset, reaction_preset
     from smallmass.wave import WaveSolver
 
+    with pytest.raises(ValueError, match=re.escape("n_nodes must be >= 2*n_modes = 16, got 10")):
+        DomainSpec(1.0, 8, 10)
+    with pytest.raises(ValueError, match="friction preset must be one of .*, got 'wobbly'"):
+        friction_preset("wobbly")
+    with pytest.raises(ValueError, match="reaction preset must be one of .*, got 'nope'"):
+        reaction_preset("nope")
     basis = make_basis(ok)
     with pytest.raises(ValueError, match="exponent q must exceed 0.5, got 0.5"):
         build_diffusion(basis, q=0.5)
@@ -674,7 +713,8 @@ def test_drift_necessity_rejects_constant_friction():
         ({"friction": "bell", "friction_value": 3}, "model.friction_value"),
         ({"reaction": "linear_decay", "clip_radius": 0.5}, "model.clip_radius"),
         ({"friction": "bell", "gamma0": 3, "gamma1": 1}, "model.gamma0"),
-        ({"friction": "wobbly"}, "model.friction = 'wobbly'"),
+        # an unknown preset is named already by validate_config, before any model is built
+        ({"friction": "wobbly"}, "'model.friction' must be one of ('constant', 'two_plus_sin', 'bell'), got 'wobbly'"),
     ],
     ids=[
         "two_plus_sin-gamma1",
@@ -686,8 +726,8 @@ def test_drift_necessity_rejects_constant_friction():
     ],
 )
 def test_preset_options_the_preset_rejects_fail_by_name(model, key):
-    cfg = validate_config({"domain": {"n_modes": 8, "n_nodes": 16}, "model": model})
     with pytest.raises(ConfigError, match=re.escape(key)):
+        cfg = validate_config({"domain": {"n_modes": 8, "n_nodes": 16}, "model": model})
         make_models(cfg, make_basis(cfg))
 
 

@@ -1,5 +1,6 @@
 """Names that code outside the package relies on: the benchmark tracer and the README."""
 
+import importlib
 import importlib.util
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 
 from smallmass import resolvent
 from smallmass.basis import DomainSpec, build_basis
+from smallmass.config import DEFAULTS, NO_DEFAULT
 from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
 from smallmass.noise import sample_path, zero_path
 from smallmass.wave import WaveSolver
@@ -53,3 +55,24 @@ def test_readme_library_sketch_runs(capsys):
     block = re.search(r"## Library sketch\s+```python\n(.*?)```", readme, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
     assert float(capsys.readouterr().out) > 0.0  # the coupled pathwise distance
+
+
+def test_readme_config_names_exist():
+    # A backticked `section.key` or `section.key[k]` whose section is a config
+    # section and whose key is lowercase names a config key, or a name in the
+    # smallmass module of that name (`wave.drive`, `resolvent.resolvent_apply`).
+    sections = {sec for sec, value in DEFAULTS.items() if isinstance(value, dict)}
+    keys = {f"{sec}.{key}" for sec in sections for key in DEFAULTS[sec]} | set(NO_DEFAULT)
+    modules = {
+        sec: importlib.import_module(f"smallmass.{sec}")
+        for sec in sections
+        if importlib.util.find_spec(f"smallmass.{sec}")
+    }
+    named = re.findall(r"`([a-z_]+)\.(\w+)(?:\[\w+\])?`", (ROOT / "README.md").read_text())
+    stale = [
+        f"{sec}.{key}"
+        for sec, key in named
+        if sec in sections and key == key.lower()
+        and f"{sec}.{key}" not in keys and not hasattr(modules.get(sec), key)
+    ]
+    assert named and not stale
