@@ -144,8 +144,9 @@ def validate_config(raw: dict) -> dict:
 
     Every rule that the config alone decides fails here by key, so that
     make_basis, make_models and make_initial build from what this returns.
-    A preset option that the chosen preset does not take is the preset's to
-    reject, when make_models builds it.
+    A friction or reaction preset given options is built here once, so that
+    an option or option value the chosen preset rejects fails here too,
+    named by its key.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -195,6 +196,12 @@ def validate_config(raw: dict) -> dict:
     extra = ", ".join(f"model.{k}" for k in _FRICTION_OPTIONS if k in cfg["model"])
     if "model.friction_csv" in flat and extra:
         raise ConfigError(f"config key 'model.friction_csv' takes no friction options, got {extra}")
+    # A preset given options is built once to check them; with its default options every
+    # preset builds.
+    if extra:
+        _preset(cfg["model"], "friction", friction_preset, _FRICTION_OPTIONS)
+    if "model.clip_radius" in flat:
+        _preset(cfg["model"], "reaction", reaction_preset, _REACTION_OPTIONS)
     for key, value in {**{key: flat[key] for key in _POSITIVE}, **resolvent_lams(cfg)}.items():
         if not value > 0:
             raise ConfigError(f"config key '{key}' must be positive, got {value}")
@@ -248,6 +255,7 @@ def make_basis(cfg: dict) -> SpectralBasis:
 
 
 _FRICTION_OPTIONS = {"friction_value": "value", "gamma0": "gamma0", "gamma1": "gamma1"}
+_REACTION_OPTIONS = {"clip_radius": "clip_radius"}
 
 
 def _preset(m: dict, kind: str, build, options: dict):
@@ -270,7 +278,7 @@ def make_models(cfg: dict, basis: SpectralBasis) -> ModelSet:
             raise ConfigError(f"config key 'model.friction_csv' = {path!r}: {exc}") from exc
     else:
         friction = _preset(m, "friction", friction_preset, _FRICTION_OPTIONS)
-    reaction = _preset(m, "reaction", reaction_preset, {"clip_radius": "clip_radius"})
+    reaction = _preset(m, "reaction", reaction_preset, _REACTION_OPTIONS)
     diffusion = build_diffusion(basis, factor=m["diffusion"], q=m["q_exponent"])
     return build_model_set(basis, friction, reaction, diffusion, tol_inv=m["tol_inv"])
 

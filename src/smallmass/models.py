@@ -143,9 +143,10 @@ class AntiderivativeMap:
 
     def forward(self, r) -> np.ndarray:
         """g at the nodal state r (a Nodal or nodal values), closed form or quadrature."""
+        closed = self.friction.g_closed
+        if closed is not None:
+            return closed(r)  # wraps r in a Nodal itself
         s = nodal(r)
-        if self.friction.g_closed is not None:
-            return self.friction.g_closed(s)
         # g(r) = r * int_0^1 gamma(r t) dt on a fixed Gauss-Legendre rule.
         t, w = _gauss_legendre()
         vals = self.friction.gamma(Nodal(s.u[..., None] * t))

@@ -26,13 +26,16 @@ eta = h2 + (lam/mu)(Lap u + f(u)).  The Yosida approximant is
 A^lam(z) = (J_lam(z) - z)/lam, which is Lipschitz, quasi-dissipative with
 constant kappa_d/(1 - lam kappa_d), and converges to A(z) as lam -> 0.
 
-The fixed point is one loop for every input shape: a stacked h (the rows
-of a path batch) iterates in lock step, one synthesis and one analysis of
-the stacked g(u), f(u) pair per sweep, while each row stops on its own
-residual and leaves the batch.  So every row gets the bits, iteration count
-and residuals it gets solved alone, since the transforms round every row as
-they would alone.  The sampled audit solves its states one at a time and
-keeps running maxima of its margins.
+Every sweep of the fixed point is one synthesis of u and one analysis of
+the g(u), f(u) pair.  The loop around it depends on the input's shape.  A
+lone h (N,) iterates on 1-D arrays and keeps its residuals, stall test and
+polish flag as Python floats, so a sweep costs little beyond its arithmetic.
+A stacked h (the rows of a path batch) iterates in lock step, while each
+row stops on its own residual and leaves the batch.  Both loops take the
+same steps, and the transforms round every row as they would alone, so
+every row gets the bits, iteration count and residuals it gets solved
+alone.  The sampled audit solves its states one at a time and keeps running
+maxima of its margins.
 
 The calibrated constants (kappa_d, lambda0) are implementation choices and
 are flagged as calibrated in audit reports.
@@ -44,6 +47,7 @@ The backward-Euler wave scheme z_{n+1} = J_dt(z_n + noise) is the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,16 +118,17 @@ def resolvent_apply(
     """Solve z - lam A(z) = h by the contraction fixed point.
 
     h is a pair of arrays (..., N); every leading axis is a batch of rows,
-    and a lone h is one row.  All rows iterate in lock step, but each stops
-    on its own residual: it is declared converged when its H-norm update
-    drops below TOL within MAX_ITER iterations, then polished with one extra
-    sweep so the reported residual is well inside the tolerance, and leaves
-    the batch.  So every row equals the same row solved alone, bit for bit.
-    Three consecutive residual increases of any row are treated as loss of
-    contraction, and a row still iterating after MAX_ITER sweeps as
-    non-convergence; either raises ResolventError naming lam, and no row is
-    returned.  With return_info the info of a lone h is its SolveInfo, and of
-    a stacked h a list with one SolveInfo per row, in C order.
+    and a lone h (N,) is one row.  Each row stops on its own residual: it is
+    declared converged when its H-norm update drops below TOL within
+    MAX_ITER iterations, then polished with one extra sweep so the reported
+    residual is well inside the tolerance.  Stacked rows iterate in lock
+    step and leave the batch as they finish, so every row equals the same
+    row solved alone, bit for bit.  Three consecutive residual increases of
+    any row are treated as loss of contraction, and a row still iterating
+    after MAX_ITER sweeps as non-convergence; either raises ResolventError
+    naming lam, and no row is returned.  With return_info the info of a lone
+    h is its SolveInfo, and of a stacked h a list with one SolveInfo per
+    row, in C order.
     """
     if not 0.0 < lam < op.lambda_bar:
         raise ResolventError(
@@ -132,38 +137,77 @@ def resolvent_apply(
     h1, h2 = np.asarray(h[0], dtype=float), np.asarray(h[1], dtype=float)
     if h2.shape != h1.shape:
         h2 = np.broadcast_to(h2, h1.shape)
-    n = h1.shape[-1]
-    u, eta, info = _fixed_point(op, h1.reshape(-1, n), h2.reshape(-1, n), lam, return_info)
-    u, eta = u.reshape(h1.shape), eta.reshape(h1.shape)
-    if return_info:
-        return (u, eta), (info if h1.ndim > 1 else info[0])
-    return u, eta
+    if h1.ndim == 1:
+        u, eta, info = _fixed_point(op, h1, h2, lam, return_info)
+    else:
+        n = h1.shape[-1]
+        u, eta, info = _fixed_point(op, h1.reshape(-1, n), h2.reshape(-1, n), lam, return_info)
+        u, eta = u.reshape(h1.shape), eta.reshape(h1.shape)
+    return ((u, eta), info) if return_info else (u, eta)
 
 
 def _fixed_point(op: OperatorA, h1: np.ndarray, h2: np.ndarray, lam: float, with_info: bool):
-    """resolvent_apply on rows (R, N): returns (u, eta, infos).
+    """resolvent_apply on a lone row (N,) or on rows (R, N): returns (u, eta, info).
 
-    infos holds one SolveInfo per row with_info, else None.  The rows still
-    iterating are kept contiguous and compacted only on a sweep where some
-    finish and others go on.  g(u) and f(u) are analysed as one stacked
-    product, whose rows round as they would alone; both are taken on one
-    nodal state per sweep.
+    info is None unless with_info: then the SolveInfo of a lone row, or a
+    list with one per row.  Each sweep takes g(u) and f(u) on one nodal
+    state and analyses them as one two-row (lone) or stacked product, whose
+    rows round as they would alone.  A lone row iterates on 1-D arrays and
+    keeps its residuals, stall test and polish flag as Python floats.  Rows
+    iterate in lock step: the rows still iterating are kept contiguous and
+    compacted only on a sweep where some finish and others go on.
     """
-    b, m, mu = op.basis, op.models, op.mass
+    b, mu = op.basis, op.mass
+    g, f = op.models.g_map.forward, op.models.reaction.f
     c_g, c_f = -(lam / mu), lam * lam / mu
     denom = 1.0 + c_f * b.alphas
+
+    def sweep(u, const):  # Gamma_lam(u)
+        s = Nodal(b.synthesize(u))
+        g_u, f_u = b.analyze(np.concatenate((g(s), f(s))).reshape((2,) + s.u.shape))
+        return (c_g * g_u + c_f * f_u + const) / denom
+
     const = h1 + lam * h2
-    u = h1.copy()
+    if h1.ndim == 1:
+        u, info = _lone_sweeps(sweep, h1, const, lam, with_info)
+    else:
+        u, info = _lock_step_sweeps(sweep, h1, const, lam, with_info)
+    eta = h2 + (lam / mu) * (b.laplacian(u) + b.analyze(f(Nodal(b.synthesize(u)))))
+    return u, eta, info
+
+
+def _lone_sweeps(sweep, u, const, lam, with_info):
+    """The fixed point of a lone row u (N,) on floats: returns (u, its SolveInfo or None)."""
+    history = []  # the residual of every sweep
+    polish = False  # the last sweep converged: this one is the polish
+    for it in range(1, MAX_ITER + 1):
+        u_next = sweep(u, const)
+        d = u_next - u
+        res = math.sqrt(np.add.reduce(d * d))  # sobolev_norm(d, 0.0)
+        history.append(res)
+        if len(history) > 3 and res > history[-2] > history[-3] > history[-4]:
+            raise _not_contracting(lam, res)
+        u = u_next
+        if polish:
+            break
+        polish = res <= TOL
+    else:
+        raise _not_converged(lam, res)
+    if not with_info:
+        return u, None
+    ratios, counted = _ratios(np.array(history))
+    return u, SolveInfo(iterations=it, residual=res, contraction_ratios=ratios[counted])
+
+
+def _lock_step_sweeps(sweep, u, const, lam, with_info):
+    """The fixed point of rows u (R, N) in lock step: returns (u, a SolveInfo per row or None)."""
     u_out = np.empty_like(u)
     infos: list | None = [None] * len(u) if with_info else None
     live = np.arange(len(u))  # input row of every row still iterating
     polish = np.zeros(len(u), dtype=bool)  # converged: the next sweep is its last
     history = []  # the live rows' residuals, one array per sweep
     for it in range(1, MAX_ITER + 1):
-        k = len(live)
-        s = Nodal(b.synthesize(u))
-        gf = b.analyze(np.concatenate((m.g_map.forward(s), m.reaction.f(s))))
-        u_next = (c_g * gf[:k] + c_f * gf[k:] + const) / denom
+        u_next = sweep(u, const)
         d = u_next - u
         res = np.sqrt(np.add.reduce(d * d, axis=-1))  # sobolev_norm(d, 0.0), row by row
         history.append(res)
@@ -171,10 +215,7 @@ def _fixed_point(op: OperatorA, h1: np.ndarray, h2: np.ndarray, lam: float, with
             last4 = np.array(history[-4:])
             stalled = np.logical_and.reduce(last4[1:] > last4[:-1])  # 3 increases in a row
             if np.count_nonzero(stalled):
-                raise ResolventError(
-                    f"fixed point is not contracting at lam = {lam} "
-                    f"(residual grew over 3 iterations, last = {res[np.argmax(stalled)]:.3e})"
-                )
+                raise _not_contracting(lam, res[np.argmax(stalled)])
         u = u_next
         done, polish = polish, res <= TOL
         n_done = np.count_nonzero(done)
@@ -182,30 +223,43 @@ def _fixed_point(op: OperatorA, h1: np.ndarray, h2: np.ndarray, lam: float, with
             continue
         u_out[live[done]] = u[done]
         if with_info:
-            hist = np.array(history)
-            prevs, last = hist[:-1, done].T, hist[1:, done].T
-            counted = _counted(prevs)
-            ratios = last / np.where(counted, prevs, 1.0)
-            for row, r, c, q in zip(live[done].tolist(), res[done].tolist(), counted, ratios):
-                infos[row] = SolveInfo(iterations=it, residual=r, contraction_ratios=q[c])
-        if n_done == k:
+            ratios, counted = _ratios(np.array(history)[:, done])
+            for j, (row, r) in enumerate(zip(live[done].tolist(), res[done].tolist())):
+                infos[row] = SolveInfo(
+                    iterations=it, residual=r, contraction_ratios=ratios[:, j][counted[:, j]]
+                )
+        if n_done == len(live):
             break
         keep = ~done
         live, u, const, polish = live[keep], u[keep], const[keep], polish[keep]
         history = [r[keep] for r in history]
     else:
-        raise ResolventError(
-            f"resolvent fixed point did not converge at lam = {lam} "
-            f"within {MAX_ITER} iterations (residual {res[0]:.3e})"
-        )
-    f_out = m.reaction.f(Nodal(b.synthesize(u_out)))
-    eta = h2 + (lam / mu) * (b.laplacian(u_out) + b.analyze(f_out))
-    return u_out, eta, infos
+        raise _not_converged(lam, res[0])
+    return u_out, infos
 
 
-def _counted(prev: np.ndarray) -> np.ndarray:
-    """Sweeps after a finite positive residual prev add a ratio res / prev and count increases."""
-    return (prev > 0) & (prev < np.inf)
+def _ratios(history: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Contraction ratios res / prev of residual histories (sweeps, ...), and which count.
+
+    A sweep after a finite positive residual prev adds a ratio.
+    """
+    prev, last = history[:-1], history[1:]
+    counted = (prev > 0) & (prev < np.inf)
+    return last / np.where(counted, prev, 1.0), counted
+
+
+def _not_contracting(lam: float, res: float) -> ResolventError:
+    return ResolventError(
+        f"fixed point is not contracting at lam = {lam} "
+        f"(residual grew over 3 iterations, last = {res:.3e})"
+    )
+
+
+def _not_converged(lam: float, res: float) -> ResolventError:
+    return ResolventError(
+        f"resolvent fixed point did not converge at lam = {lam} "
+        f"within {MAX_ITER} iterations (residual {res:.3e})"
+    )
 
 
 def yosida_apply(op: OperatorA, z: tuple[np.ndarray, np.ndarray], lam: float):

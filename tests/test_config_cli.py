@@ -473,6 +473,32 @@ def test_step_bound_and_audit_sizes_fail_by_name(tmp_path, capsys):
             err = json.loads(capsys.readouterr().err)["error"]
             assert err["type"] == "config" and f"config key '{key}'" in err["message"], (command, raw)
             assert not out.exists()
+    # a preset option value the preset rejects was checked only when a run built its
+    # models: lyapunov and fd-converge, which build none, said ok
+    for model, key, message in (
+        ({"friction": "constant", "friction_value": -1}, "model.friction_value",
+         "model.friction = 'constant', model.friction_value = -1.0: "
+         "need 0 < gamma0 <= gamma1, got (-1.0, -1.0)"),
+        ({"reaction": "cubic_clipped", "clip_radius": -1}, "model.clip_radius",
+         "model.reaction = 'cubic_clipped', model.clip_radius = -1.0: clip_radius must be positive"),
+        ({"friction": "bell", "gamma0": 3, "gamma1": 1}, "model.gamma0",
+         "model.friction = 'bell', model.gamma0 = 3.0, model.gamma1 = 1.0: "
+         "need 0 < gamma0 <= gamma1, got (3.0, 1.0)"),
+        ({"reaction": "linear_decay", "clip_radius": 0.5}, "model.clip_radius",
+         "model.reaction = 'linear_decay', model.clip_radius = 0.5: "
+         "unknown options for linear_decay reaction: ['clip_radius']"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            validate_config({"model": model})
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"model": model}))
+        out = tmp_path / "out"
+        for command in ("lyapunov", "fd-converge"):
+            capsys.readouterr()
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, (command, model)
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert err["type"] == "config" and err["message"] == message, (command, model)
+            assert key in err["message"] and not out.exists()
     ok = validate_config(
         {"time": {"c_stab": 0.1}, "resolvent": {"n_pairs": 1, "n_smooth": 1}, "fd": {"paths": 2}}
     )
@@ -726,9 +752,9 @@ def test_drift_necessity_rejects_constant_friction():
     ],
 )
 def test_preset_options_the_preset_rejects_fail_by_name(model, key):
+    # validate_config builds the chosen presets, so no model or basis is needed
     with pytest.raises(ConfigError, match=re.escape(key)):
-        cfg = validate_config({"domain": {"n_modes": 8, "n_nodes": 16}, "model": model})
-        make_models(cfg, make_basis(cfg))
+        validate_config({"domain": {"n_modes": 8, "n_nodes": 16}, "model": model})
 
 
 def test_preset_options_reach_the_preset():

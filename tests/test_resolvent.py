@@ -55,6 +55,22 @@ def test_linear_resolvent_closed_form(basis):
     assert abs(z[1][0] - lam * (-basis.alphas[0]) * expected) < 1e-8
 
 
+def _solves_rows_alone(op, h1, h2, lam):
+    """The infos of a stacked solve, after checking each row against its lone solve, bit for bit."""
+    (u, eta), infos = resolvent_apply(op, (h1, h2), lam, return_info=True)
+    n = h1.shape[-1]
+    rows = h1.size // n
+    assert u.shape == eta.shape == h1.shape and len(infos) == rows
+    for j, (a, b) in enumerate(zip(h1.reshape(rows, n), h2.reshape(rows, n))):
+        (uj, etaj), info = resolvent_apply(op, (a, b), lam, return_info=True)
+        assert np.array_equal(u.reshape(rows, n)[j], uj)
+        assert np.array_equal(eta.reshape(rows, n)[j], etaj)
+        assert infos[j].iterations == info.iterations
+        assert infos[j].residual == info.residual
+        assert np.array_equal(infos[j].contraction_ratios, info.contraction_ratios)
+    return infos
+
+
 def test_stacked_resolvent_solves_rows_alone(op, basis):
     # The rows iterate in lock step, but every row stops on its own residual,
     # so a stacked solve equals the rows solved one at a time, bit for bit,
@@ -65,16 +81,20 @@ def test_stacked_resolvent_solves_rows_alone(op, basis):
     h1[0, 1] *= 1e-3  # converges in fewer iterations than its neighbours
     h1[1, 0], h2[1, 0] = 0.0, 0.0  # zero residual from the first sweep
     h1[1, 2] *= 40.0  # more iterations
-    (u, eta), infos = resolvent_apply(op, (h1, h2), 0.05, return_info=True)
-    assert u.shape == eta.shape == (2, 3, 16) and len(infos) == 6
-    for j, (a, b) in enumerate(zip(h1.reshape(6, 16), h2.reshape(6, 16))):
-        (uj, etaj), info = resolvent_apply(op, (a, b), 0.05, return_info=True)
-        assert np.array_equal(u.reshape(6, 16)[j], uj)
-        assert np.array_equal(eta.reshape(6, 16)[j], etaj)
-        assert infos[j].iterations == info.iterations
-        assert infos[j].residual == info.residual
-        assert np.array_equal(infos[j].contraction_ratios, info.contraction_ratios)
+    infos = _solves_rows_alone(op, h1, h2, 0.05)
     assert len({i.iterations for i in infos}) > 2
+
+
+def test_stacked_resolvent_solves_rows_alone_at_production_shape():
+    # single_path's resolvent scheme: N = 32 on 64 nodes, mass 1e-4 and lam
+    # 2.5e-5, where the contraction factor is about 0.75 and a solve takes about
+    # 47 sweeps.  The lone rows iterate on floats, the stack in lock step.
+    basis = build_basis(DomainSpec(1.0, 32))
+    op = OperatorA(basis, models_for(basis), mass=1e-4)
+    h1, h2 = sample_states(basis, 64, seed=1)
+    infos = _solves_rows_alone(op, h1, h2, 2.5e-5)
+    assert 40 <= np.median([i.iterations for i in infos]) <= 55
+    assert 0.7 < max(float(i.contraction_ratios.max()) for i in infos) < 0.8
 
 
 def _lying_friction_models(basis):
@@ -99,8 +119,11 @@ def test_stacked_resolvent_failure_returns_no_row(op, basis):
     h1 = rng.normal(size=(4, 16)) / np.arange(1, 17) ** 2
     h2 = rng.normal(size=(4, 16)) / np.arange(1, 17)
     h1[2, 5] = np.nan
-    with pytest.raises(ResolventError, match=r"did not converge at lam = 0\.05 within 200"):
+    with pytest.raises(ResolventError, match=r"did not converge at lam = 0\.05 within 200") as stacked:
         resolvent_apply(op, (h1, h2), 0.05)
+    with pytest.raises(ResolventError) as lone:  # the NaN row alone
+        resolvent_apply(op, (h1[2], h2[2]), 0.05)
+    assert str(lone.value) == str(stacked.value)
     lying = OperatorA(basis, _lying_friction_models(basis))
     lam = 0.9 * lying.lambda_bar
     stack = (np.zeros((3, 16)), np.zeros((3, 16)))

@@ -38,7 +38,9 @@ one and two wave steps, limit forms x drift x path/batch, single limit
 steps, every friction model x diffusion factor through two steps of each
 wave scheme and one step of each limit form, eta_form with two Newton
 iterations per friction model, refinement of a path and a batch, fd coupled and single runs, a
-stacked resolvent solve with its per-row info and the resolvent audit at criterion 4's size, every
+stacked resolvent solve with its per-row info, two lone solves that raise ResolventError (one
+that stops contracting, one on a NaN row that never converges; each compared by its message,
+which names lam and the last residual), the resolvent audit at criterion 4's size, every
 `run_*` work function on small configs, the ladder study also with masses on three refinement
 levels (converge with n_output below the step count, and the drift ablation), fd-converge also
 at 1001 paths and at criterion 3's config, three runs that diverge (an eta_form wave past its
@@ -325,7 +327,37 @@ def _resolvent_routes() -> dict:
         _flatten("audit", result, items)
         return items
 
-    return {"resolvent.stacked_info": stacked, "resolvent.audit.criterion_4": audit}
+    def lone_not_contracting():
+        # g(u) = 50 u under a friction that declares gamma in [0.01, 0.01], so lambda_bar
+        # admits a lam at which the fixed point expands: mode 1 grows, mode 16 first shrinks
+        from smallmass.models import FrictionModel, build_diffusion, build_model_set, reaction_preset
+
+        basis, _, _, _ = _setup()
+        lying = FrictionModel(
+            gamma=lambda s: np.full_like(s.u, 50.0), gamma_prime=lambda s: np.zeros_like(s.u),
+            gamma0=0.01, gamma1=0.01, g_closed=lambda s: 50.0 * s.u,
+        )
+        models = build_model_set(
+            basis, lying, reaction_preset("linear_decay"), build_diffusion(basis, factor="zero")
+        )
+        op = OperatorA(basis, models)
+        h1 = np.zeros(basis.n_modes)
+        h1[0], h1[-1] = 1e-6, 0.1
+        resolvent_apply(op, (h1, np.zeros(basis.n_modes)), 0.9 * op.lambda_bar)
+
+    def lone_not_converging():
+        basis, models, u0, v0 = _setup()
+        h1 = u0.copy()
+        h1[5] = np.nan
+        resolvent_apply(OperatorA(basis, models), (h1, v0), 0.05)
+
+    return {
+        "resolvent.stacked_info": stacked,
+        "resolvent.audit.criterion_4": audit,
+        # each raises ResolventError: the same message on both sides means the same sweep
+        "resolvent.lone.not_contracting": lone_not_contracting,
+        "resolvent.lone.not_converging": lone_not_converging,
+    }
 
 
 def _divergence_routes() -> dict:
