@@ -32,6 +32,12 @@ The fractional Sobolev scale is defined directly on coefficients:
 
 so s = 1, 0, -1 give the H^1, L^2 and H^-1 norms, and any real s (for
 instance s = -1/n) is available for the weak-space metrics.
+
+Geometry.  Only this module knows that the domain is an interval.  The basis
+owns the mode index `wavenumbers` (k_i = i), behind `alphas` (read by their
+min and max, whatever their order), the mode matrix E (built once, read-only)
+and every spectrum |k_i|^-q; the unit bump 4x(L-x)/L^2 on the nodes (`bump`);
+and Q_MIN = d/2, above which sum_k |k|^-2q is finite.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+Q_MIN = 0.5  # d/2 in d = 1: a noise spectrum |k|^-q is square-summable only above it
 
 
 @dataclass(frozen=True)
@@ -82,13 +90,15 @@ class SpectralBasis:
         self.n_modes = N
         self.n_nodes = M
         self.length = L
-        i = np.arange(1, N + 1, dtype=float)
-        self.alphas = (i * np.pi / L) ** 2
+        self.wavenumbers = np.arange(1, N + 1, dtype=float)
+        self.alphas = (self.wavenumbers * np.pi / L) ** 2
         self.x = L * np.arange(1, M + 1, dtype=float) / (M + 1)
         self.weight = L / (M + 1)
-        modes = self.mode_matrix()
-        self._synth = np.ascontiguousarray(modes.T)  # (N, M)
-        self._ana = self.weight * modes  # (M, N)
+        self.bump = 4.0 * self.x * (L - self.x) / L**2
+        self._modes = np.sqrt(2.0 / L) * np.sin(np.outer(self.x, self.wavenumbers) * np.pi / L)
+        self._modes.flags.writeable = False
+        self._synth = np.ascontiguousarray(self._modes.T)  # (N, M)
+        self._ana = self.weight * self._modes  # (M, N)
 
     # -- transforms ---------------------------------------------------------
 
@@ -132,11 +142,8 @@ class SpectralBasis:
         return self.integrate(np.asarray(a) * np.asarray(b))
 
     def mode_matrix(self) -> np.ndarray:
-        """Matrix E[j, i] = e_{i+1}(x_j) of eigenfunction values on the grid."""
-        i = np.arange(1, self.n_modes + 1, dtype=float)
-        return np.sqrt(2.0 / self.length) * np.sin(
-            np.outer(self.x, i) * np.pi / self.length
-        )
+        """E[j, i] = e_{i+1}(x_j), the eigenfunctions on the grid: built once, read-only."""
+        return self._modes
 
 
 def _rows_times(x, matrix: np.ndarray, what: str) -> np.ndarray:

@@ -16,14 +16,13 @@ from typing import Any
 
 import numpy as np
 
-from .basis import DomainSpec, SpectralBasis, build_basis
+from .basis import Q_MIN, DomainSpec, SpectralBasis, build_basis
 from .diagnostics import MIN_PATHS_PAIRED
 from .finite_dim import _FD_FRICTIONS
 from .limit import FORMS
 from .models import (
     _DIFFUSION_FACTORS,
     FRICTIONS,
-    Q_MIN,
     REACTIONS,
     ModelSet,
     build_diffusion,
@@ -295,8 +294,6 @@ def make_initial(cfg: dict, basis: SpectralBasis) -> tuple[np.ndarray, np.ndarra
     elif kind == "mode1":
         u0[0] = amp
     elif kind == "bump":
-        x, L = basis.x, basis.length
-        profile = 4.0 * x * (L - x) / L**2  # parabolic bump, peak 1 at midpoint
-        u0 = amp * basis.analyze(profile)
+        u0 = amp * basis.analyze(basis.bump)
     v0 = np.asarray(ic.get("velocity_coeffs", np.zeros(basis.n_modes)), dtype=float)
     return u0, v0

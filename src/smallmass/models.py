@@ -12,9 +12,9 @@ The diffusion operator has the diagonal multiplicative form
 
     [sigma(h) Q e_i](x) = lambda_sigma(h(x)) * lam_i * e_i(x),
 
-with Q diagonal in the sine basis (Qe_i = lam_i e_i, lam_i = i^-q by
-default).  The mode sum sum_i (sigma(u) Q e_i)^2 then collapses to
-lambda_sigma(u(x))^2 * kappa(x) with the precomputed kernel
+with Q diagonal in the sine basis: Qe_i = lam_i e_i, lam_i = |k_i|^-q on the
+basis's wavenumbers k_i, q > Q_MIN = d/2.  The mode sum sum_i (sigma(u) Q e_i)^2
+then collapses to lambda_sigma(u(x))^2 * kappa(x) with the precomputed kernel
 kappa(x) = sum_i lam_i^2 e_i(x)^2, which makes the noise-induced drift of
 the small-mass limit computable in closed form:
 
@@ -49,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import SpectralBasis
+from .basis import Q_MIN, SpectralBasis
 
 _FD_STEP = 1e-6  # central-difference step for derivative fallbacks
 
@@ -444,17 +444,16 @@ def reaction_preset(name: str, **kw) -> ReactionModel:
         outside = np.sign(r) * edge + slope * (r - np.sign(r) * radius)
         return np.where(np.abs(r) <= radius, inside, outside)
 
-    lip = max(1.0, abs(slope))
-    # Certificate constants: with clipping the product f(r)r is bounded
-    # above, so growth_lambda = 0 and growth_c is its numerical maximum.
-    grid = np.linspace(-10.0 * radius - 10.0, 10.0 * radius + 10.0, 20001)
-    c = float(np.max(f(Nodal(grid)) * grid))
+    # Certificate in closed form: f(r)r = r^2 - r^4 <= 1/4 on |r| <= R and slope r^2 + 2R^3|r|
+    # outside.  Once R^2 >= 1/2 the outside part peaks at |r| = R, so f(r)r <= 1/4; below,
+    # the outside part is at most max(slope, 0) r^2 + 2R^3|r|.
+    bounded = radius**2 >= 0.5
     return ReactionModel(
         f=f,
-        lipschitz_const=lip,
-        growth_lambda=0.0,
+        lipschitz_const=max(1.0, abs(slope)),
+        growth_lambda=0.0 if bounded else max(slope, 0.0),
         growth_delta=0.0,
-        growth_c=max(c, 0.0) + 1e-9,
+        growth_c=0.25 if bounded else max(2.0 * radius**3, 0.25),
         name="cubic_clipped",
     )
 
@@ -466,25 +465,22 @@ _DIFFUSION_FACTORS = {
     "cosine": (lambda s: s.cos, lambda s: -s.sin, 1.0),
     "zero": (lambda s: np.zeros_like(s.u), lambda s: np.zeros_like(s.u), 0.0),
 }
-Q_MIN = 0.5  # the noise spectrum i^-q is square-summable only for q above this
 
 
 def build_diffusion(basis: SpectralBasis, factor: str = "constant", q: float = 1.0) -> DiffusionModel:
-    """Assemble the diagonal diffusion model with spectrum lam_i = i^-q.
+    """Assemble the diagonal diffusion model with spectrum lam_i = |k_i|^-q, k the wavenumbers.
 
-    q > 1/2 keeps sum_i lam_i^2 finite; the default q = 1 satisfies that with
-    a comfortable margin on the equi-bounded 1-d eigenfunctions.  Any other q
-    is rejected: kappa and sigma_inf would grow without bound in N.
+    q > Q_MIN = d/2 keeps sum_i lam_i^2 finite; the default q = 1 satisfies
+    that with a comfortable margin on the equi-bounded 1-d eigenfunctions.
+    Any other q is rejected: kappa and sigma_inf would grow without bound in N.
     """
     if factor not in _DIFFUSION_FACTORS:
         raise ValueError(f"unknown diffusion factor {factor!r}")
     if not q > Q_MIN:
         raise ValueError(f"noise spectrum exponent q must exceed {Q_MIN}, got {q}")
     ls, lsp, sup = _DIFFUSION_FACTORS[factor]
-    i = np.arange(1, basis.n_modes + 1, dtype=float)
-    lam = i ** (-q)
-    emat = basis.mode_matrix()  # (M, N)
-    kappa = emat**2 @ lam**2
+    lam = basis.wavenumbers ** (-q)
+    kappa = basis.mode_matrix() ** 2 @ lam**2
     sigma_inf = sup * float(np.sqrt(np.sum(lam**2)))
     return DiffusionModel(
         lambda_sigma=ls,

@@ -80,7 +80,7 @@ class OperatorA:
         self.mass = mass
         c_f = models.reaction.lipschitz_const
         g0 = models.friction.gamma0
-        a1 = basis.alphas[0]
+        a1 = basis.alphas.min()
         self.kappa_d = c_f**2 / (4.0 * g0 * a1) + c_f / np.sqrt(a1)
         # Contraction threshold of Gamma_lam from the Lipschitz constants of g
         # and f: (lam/mu)(gamma1 + lam c_f) < 1.  lambda0 keeps a 10% margin.
@@ -279,9 +279,8 @@ def sample_states(
     Row k draws u then eta, so it is the k-th of n states drawn one at a time.
     """
     rng = np.random.default_rng(seed)
-    i = np.arange(1, basis.n_modes + 1, dtype=float)
     z = rng.normal(size=(n, 2, basis.n_modes))
-    z *= i**-decay
+    z *= basis.wavenumbers**-decay
     return z[:, 0], z[:, 1]
 
 

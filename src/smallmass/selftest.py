@@ -239,8 +239,8 @@ def run_selftest() -> list[tuple[str, bool, str]]:
     )
     op = OperatorA(basis, models)
     z0 = (
-        rng.normal(size=basis.n_modes) / np.arange(1, basis.n_modes + 1) ** 2,
-        rng.normal(size=basis.n_modes) / np.arange(1, basis.n_modes + 1),
+        rng.normal(size=basis.n_modes) / basis.wavenumbers**2,
+        rng.normal(size=basis.n_modes) / basis.wavenumbers,
     )
     az = op.apply(z0)
     h_round = (z0[0] - lam * az[0], z0[1] - lam * az[1])

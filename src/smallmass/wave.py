@@ -251,7 +251,7 @@ class WaveSolver:
         mu = np.min(self.mu)
         dt = self.c_stab * mu
         if self.scheme == "eta_form":
-            dt = min(dt, 0.9 * 2.0 * np.sqrt(mu / self.basis.alphas[-1]))
+            dt = min(dt, 0.9 * 2.0 * np.sqrt(mu / self.basis.alphas.max()))
         elif self.scheme == "resolvent_implicit":
             dt = min(dt, RESOLVENT_FRACTION * self._op.lambda_bar)
         return float(dt)

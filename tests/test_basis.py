@@ -28,6 +28,24 @@ def test_closed_form_spectra():
     b2 = build_basis(DomainSpec(2.0, 2))
     assert np.allclose(b2.alphas, [np.pi**2 / 4, np.pi**2], atol=1e-13)
 
+    # the geometry each basis owns: mode index, eigenvalue range, mode matrix, bump
+    odd = build_basis(DomainSpec(np.pi, 5, 11))  # node 6 of 11 is the midpoint
+    for basis in (b, bpi, b2, odd):
+        n = basis.n_modes
+        assert np.array_equal(basis.wavenumbers, np.arange(1, n + 1, dtype=float))
+        assert basis.alphas.min() == basis.alphas[0] and basis.alphas.max() == basis.alphas[-1]
+        emat = basis.mode_matrix()
+        assert emat is basis.mode_matrix() and not emat.flags.writeable
+        assert emat.shape == (basis.n_nodes, n)
+        with pytest.raises(ValueError):
+            emat[0, 0] = 0.0
+        # the bump is the parabola through its nodal values with 0 at the ends, 1 at the midpoint
+        if basis.n_nodes >= 3:
+            parabola = np.polyfit(basis.x, basis.bump, 2)
+            ends_mid = np.polyval(parabola, [0.0, basis.length / 2, basis.length])
+            assert np.allclose(ends_mid, [0.0, 1.0, 0.0], atol=1e-12)
+    assert odd.bump[5] == 1.0
+
 
 def test_quadrature_orthonormality_machine_precision():
     b = build_basis(DomainSpec(1.3, 12, 30))

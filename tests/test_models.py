@@ -252,13 +252,17 @@ def test_reaction_lipschitz_audit():
 
 
 def test_reaction_growth_certificate():
+    # R <= 1/sqrt(3) leaves a non-negative outer slope, so f(r)r grows like r^2 far out
     rng = np.random.default_rng(2)
-    for name in ("linear_decay", "cubic_clipped", "zero"):
-        model = reaction_preset(name)
-        r = rng.uniform(-30, 30, 20_000)
+    r = np.concatenate([rng.uniform(-30, 30, 20_000), np.geomspace(1.0, 1e4, 2_000)])
+    r = np.concatenate([r, -r])
+    presets = [(name, {}) for name in ("linear_decay", "cubic_clipped", "zero")]
+    presets += [("cubic_clipped", {"clip_radius": radius}) for radius in (0.3, 0.5, 1.5)]
+    for name, options in presets:
+        model = reaction_preset(name, **options)
         lhs = model.f(r) * r
         rhs = model.growth_lambda * r**2 + model.growth_c * (1 + np.abs(r) ** (1 + model.growth_delta))
-        assert np.all(lhs <= rhs + 1e-9)
+        assert np.all(lhs <= rhs + 1e-9), (name, options)
 
 
 def test_cubic_clipped_continuity():

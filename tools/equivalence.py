@@ -46,9 +46,12 @@ levels (converge with n_output below the step count, and the drift ablation), fd
 at 1001 paths and at criterion 3's config, three runs that diverge (an eta_form wave past its
 CFL, an fd coupled run that overflows, a refined ladder batch given a NaN), each compared by
 its SimulationDiverged message, which names the step and time), the default config of every
-`run_*` work function (about a minute), and the routes of the benchmark's
-workloads (bench/workloads.py).  A step is `simulate` on a one- or two-step
-path, noisy or from `noise.zero_path`.
+`run_*` work function (about a minute), the routes of the benchmark's
+workloads (bench/workloads.py), and the basis's geometry: every initial kind and
+the resolvent's constants at L = 1, 2 and pi, each scheme's max_dt where each of
+its caps binds, the resolvent audit's states at decay 1.5 and 3, and the wave
+schemes and u-form limit at L = 2, L = pi, q = 0.75 and N = 16 on 40 nodes.  A
+step is `simulate` on a one- or two-step path, noisy or from `noise.zero_path`.
 """
 
 from __future__ import annotations
@@ -417,6 +420,85 @@ def _divergence_routes() -> dict:
     }
 
 
+def _geometry_routes() -> dict:
+    """What the basis's geometry feeds: initial states, step caps, the resolvent's constants and
+    smooth states, and runs at other lengths, noise exponents and node counts."""
+    from smallmass.config import make_basis, make_initial, make_models
+    from smallmass.resolvent import OperatorA, sample_states
+    from smallmass.wave import SCHEMES, WaveSolver
+
+    lengths = (1.0, 2.0, np.pi)
+
+    def setup(length):
+        cfg = _cfg({"domain": {"length": length}})
+        basis = make_basis(cfg)
+        return basis, make_models(cfg, basis)
+
+    def initial():
+        out = {}
+        for length in lengths:
+            for kind in ("coeffs", "zero", "mode1", "bump"):
+                ic = {"kind": kind, "amplitude": 0.7, "coeffs": list(np.linspace(1.0, -1.0, 16))}
+                cfg = _cfg({"domain": {"length": length}, "initial": ic})
+                out[f"L={length:.4g}.{kind}.u"], out[f"L={length:.4g}.{kind}.v"] = make_initial(
+                    cfg, make_basis(cfg)
+                )
+        return out
+
+    def max_dt():
+        # c_stab binds at mu = 1e-3 and c_stab = 0.1, the wave CFL for eta_form at mu = 20, and
+        # for resolvent_implicit lambda0 at c_stab = 0.5 and 1 / kappa_d at mu = 20 (L = 2, pi)
+        out = {}
+        for length in lengths:
+            basis, models = setup(length)
+            for scheme in SCHEMES:
+                for mu in (1e-3, 0.05, 20.0):
+                    for c_stab in (0.1, 0.5):
+                        solver = WaveSolver(basis, models, mu, scheme=scheme, c_stab=c_stab)
+                        out[f"L={length:.4g}.{scheme}.mu={mu}.c_stab={c_stab}"] = solver.max_dt()
+        return out
+
+    def operator():
+        out = {}
+        for length in lengths:
+            basis, models = setup(length)
+            for mass in (1e-3, 1.0, 20.0):
+                op = OperatorA(basis, models, mass=mass)
+                for name in ("kappa_d", "lambda0", "lambda_bar"):
+                    out[f"L={length:.4g}.mass={mass}.{name}"] = getattr(op, name)
+        return out
+
+    def states():
+        basis, _ = setup(1.0)
+        return {f"decay={d}.{k}": z for d in (1.5, 3.0)
+                for k, z in zip("ue", sample_states(basis, 5, seed=3, decay=d))}
+
+    short = {"time": {"t_final": 0.01, "dt": 5e-4, "dt_limit": 5e-4, "n_output": 10}, "paths": 4,
+             "mu_ladder": [0.05]}
+    domains = {f"L={length:.4g}": {"domain": {"length": length}} for length in lengths[1:]}
+    domains["q=0.75"] = {"model": {"q_exponent": 0.75}}
+    domains["N=16.M=40"] = {"domain": {"n_modes": 16, "n_nodes": 40}}
+    routes = {
+        "geometry.make_initial": initial,
+        "geometry.max_dt": max_dt,
+        "geometry.operator_a": operator,
+        "geometry.sample_states": states,
+    }
+    for label, domain in domains.items():
+        for scheme in SCHEMES:
+            routes[f"geometry.{label}.run_simulate_wave.{scheme}"] = _work(
+                "run_simulate_wave", _cfg(short, domain, {"wave": {"scheme": scheme}})
+            )
+        routes[f"geometry.{label}.run_simulate_limit"] = _work(
+            "run_simulate_limit", _cfg(short, domain)
+        )
+    audit = {"resolvent": {"n_pairs": 30, "n_smooth": 4}}
+    routes["geometry.L=3.142.run_resolvent_audit"] = _work(
+        "run_resolvent_audit", _cfg(audit, domains["L=3.142"])
+    )
+    return routes
+
+
 def _flatten(prefix: str, obj, out: dict) -> None:
     if isinstance(obj, dict):
         for k, v in obj.items():
@@ -572,7 +654,7 @@ def catalogue() -> dict:
     routes = {}
     groups = (
         _wave_routes, _limit_routes, _model_routes, _noise_routes, _fd_routes, _resolvent_routes,
-        _run_routes, _divergence_routes,
+        _run_routes, _divergence_routes, _geometry_routes,
     )
     for group in groups + (_default_routes, _bench_routes):
         routes.update(group())
