@@ -80,7 +80,7 @@ class LimitSolver:
         self.models = models
         self.form = form
         self.with_drift = with_drift
-        self.b_bar = models.transformed.b_bar
+        self.b_bar = 0.5 * (1.0 / models.friction.gamma1 + 1.0 / models.friction.gamma0)
         self._advance = self._advance_u if form == "u" else self._advance_rho
 
     # -- steps ----------------------------------------------------------------

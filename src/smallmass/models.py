@@ -34,17 +34,20 @@ and gamma(u) = 2 + sin u and lambda_sigma'(u) = -sin u one sin.  Only the
 presets below know which values they share; a new state (a Newton iterate,
 quadrature points r t) is a new Nodal, so nothing is reused across states.
 
-A custom model follows the same contract: each callable takes a Nodal and
-returns the values at s.u, reading s.sin or s.cos where it needs them (a
-callable that ignores them just reads s.u).  The model classes accept a
-Nodal or plain nodal values at every call: values are wrapped in a Nodal
-first, so both run the one definition.
+One contract: a coefficient is a function of one Nodal, called directly.
+Each callable a model holds (`friction.gamma` is the one the preset or the
+user gave) takes a Nodal and returns the values at s.u, reading s.sin or
+s.cos where it needs them; a callable that ignores them just reads s.u.
+The functions of nodal values wrap plain values once, at entry:
+g_map.forward, stratonovich_correction and combined_drift take a Nodal or
+its values, and g_map.inverse and diagnostics.friction_energy_density take
+values and build the Nodal of every state they evaluate a coefficient at.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -105,14 +108,6 @@ def nodal(x) -> Nodal:
     return x if type(x) is Nodal else Nodal(np.asarray(x, dtype=float))
 
 
-def _coefficients(model, names: tuple) -> None:
-    """Let the named coefficients of a frozen model, functions of a Nodal, take nodal values too."""
-    for name in names:
-        fn = getattr(model, name)
-        if fn is not None:
-            object.__setattr__(model, name, lambda s, fn=fn: fn(nodal(s)))
-
-
 @dataclass(frozen=True)
 class FrictionModel:
     """State-dependent friction coefficient with certified bounds."""
@@ -130,7 +125,6 @@ class FrictionModel:
             raise ValueError(
                 f"need 0 < gamma0 <= gamma1, got ({self.gamma0}, {self.gamma1})"
             )
-        _coefficients(self, ("gamma", "gamma_prime", "g_closed", "g_inverse_closed"))
 
 
 @dataclass(frozen=True)
@@ -142,11 +136,10 @@ class AntiderivativeMap:
     max_iter: int = 100
 
     def forward(self, r) -> np.ndarray:
-        """g at the nodal state r (a Nodal or nodal values), closed form or quadrature."""
-        closed = self.friction.g_closed
-        if closed is not None:
-            return closed(r)  # wraps r in a Nodal itself
+        """g at the nodal state r (a Nodal or its values), closed form or quadrature."""
         s = nodal(r)
+        if self.friction.g_closed is not None:
+            return self.friction.g_closed(s)
         # g(r) = r * int_0^1 gamma(r t) dt on a fixed Gauss-Legendre rule.
         t, w = _gauss_legendre()
         vals = self.friction.gamma(Nodal(s.u[..., None] * t))
@@ -199,9 +192,6 @@ class ReactionModel:
     growth_c: float = 0.0
     name: str = "custom"
 
-    def __post_init__(self) -> None:
-        _coefficients(self, ("f",))
-
 
 @dataclass(frozen=True)
 class DiffusionModel:
@@ -216,33 +206,6 @@ class DiffusionModel:
     q: float = 1.0
     name: str = "custom"
 
-    def __post_init__(self) -> None:
-        _coefficients(self, ("lambda_sigma", "lambda_sigma_prime"))
-
-
-@dataclass(frozen=True)
-class TransformedCoefficients:
-    """Coefficients of the divergence-form rewrite rho = g(u).
-
-    b(r) = 1/gamma(g^-1(r)) is pinched between 1/gamma1 and 1/gamma0; the
-    stabilizer b_bar is the midpoint of that range, so the explicit remainder
-    in the splitting has coefficient magnitude strictly below b_bar.
-    """
-
-    friction: FrictionModel
-    g_map: AntiderivativeMap
-    reaction: ReactionModel
-
-    def b(self, r) -> np.ndarray:
-        return 1.0 / self.friction.gamma(self.g_map.inverse(r))
-
-    def F(self, r) -> np.ndarray:
-        return self.reaction.f(self.g_map.inverse(r))
-
-    @property
-    def b_bar(self) -> float:
-        return 0.5 * (1.0 / self.friction.gamma1 + 1.0 / self.friction.gamma0)
-
 
 @dataclass(frozen=True)
 class ModelSet:
@@ -252,14 +215,6 @@ class ModelSet:
     g_map: AntiderivativeMap
     reaction: ReactionModel
     diffusion: DiffusionModel
-    transformed: TransformedCoefficients = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "transformed",
-            TransformedCoefficients(self.friction, self.g_map, self.reaction),
-        )
 
 
 # -- drift terms -------------------------------------------------------------

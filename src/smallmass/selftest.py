@@ -17,6 +17,7 @@ from .finite_dim import drift_S, fd_scalar_system, solve_lyapunov
 from .limit import LimitSolver
 from .models import (
     AntiderivativeMap,
+    Nodal,
     build_diffusion,
     build_model_set,
     combined_drift,
@@ -142,7 +143,7 @@ def run_selftest() -> list[tuple[str, bool, str]]:
     )
     check("combined drift identity (analytic)", np.max(np.abs(hgc)) < 1e-12)
     rs = rng.normal(size=1000) * 3
-    bvals = models.transformed.b(rs)
+    bvals = 1.0 / models.friction.gamma(Nodal(models.g_map.inverse(rs)))  # b = 1/gamma(g^-1)
     check(
         "b range [1/gamma1, 1/gamma0]",
         np.all(bvals >= 1 / 3 - 1e-12) and np.all(bvals <= 1.0 + 1e-12),

@@ -28,6 +28,7 @@ from smallmass.finite_dim import (
 )
 from smallmass.limit import LimitSolver
 from smallmass.models import (
+    Nodal,
     combined_drift,
     noise_induced_drift,
     stratonovich_correction,
@@ -102,6 +103,53 @@ def test_criterion_2_drift_necessity(headline, study):
     assert rep.flags["separated"], detail
     assert rep.flags["paired"], detail
     assert rep.flags["rising"], detail
+
+
+def test_criterion_2_fails_with_twice_the_drift(headline, monkeypatch):
+    """Negative control: the judge of criterion 2 says no to a limit with 2 H.
+
+    The limit's H is doubled where the u-step takes it, and the ablated
+    study runs in this process (jobs = 1) so that the patch reaches it.
+    """
+    import smallmass.limit
+
+    real = smallmass.limit.noise_induced_drift
+    monkeypatch.setattr(smallmass.limit, "noise_induced_drift", lambda *a: 2.0 * real(*a))
+    cfg = {**headline, "jobs": 1}
+    rep = drift_necessity(cfg, run_ladder_study(cfg, ablate_drift=True))
+    detail = f"z = {rep.z:.2f}, ratios {['%.3f' % r for r in rep.ratios]}, flags {rep.flags}"
+    assert not rep.flags["separated"], detail
+    assert not rep.flags["paired"], detail
+    assert not rep.flags["rising"], detail
+
+
+def test_semi_implicit_steps_longer_than_the_mass_land_nearer_the_limit_without_h():
+    """Negative control of the step policy: semi_implicit bounded only by c_stab * mu.
+
+    At c_stab = 1e6 the step at mu = 5e-4 is the coarse dt = 1e-3, twice the
+    mass, and the wave sits nearer the limit without H (paired excess
+    d_no - d_with at most -3 paired SE); at c_stab = 0.5 (a step of at most
+    mu / 2) it sits nearer the limit with H (at least +3 paired SE).
+    """
+    short = {
+        "wave": {"scheme": "semi_implicit"},
+        "time": {"dt": 1e-3, "t_final": 0.25},
+        "paths": 32,
+        "seed": 12345,
+        "mu_ladder": [1e-3, 5e-4],
+        "ablation": {"mu": 5e-4},
+    }
+    z, detail = {}, []
+    for c_stab in (1e6, 0.5):
+        cfg = validate_config({**short, "time": {**short["time"], "c_stab": c_stab}})
+        rep = drift_necessity(cfg, run_ladder_study(cfg, ablate_drift=True))
+        z[c_stab] = rep.z
+        detail.append(
+            f"c_stab {c_stab:g}: excess {rep.excess_mean:.5f}+-{rep.excess_se:.5f}, z = {rep.z:.1f}"
+        )
+    detail = "; ".join(detail)
+    assert z[1e6] <= -3.0, detail
+    assert z[0.5] >= 3.0, detail
 
 
 @pytest.mark.parametrize("q", [1.0, 0.75])
@@ -287,9 +335,9 @@ def test_criterion_7_exact_identities(setup):
     ident = np.max(
         np.abs(
             noise_induced_drift(
-                models.friction.gamma(u_nodal),
-                models.friction.gamma_prime(u_nodal),
-                models.diffusion.lambda_sigma(u_nodal),
+                models.friction.gamma(Nodal(u_nodal)),
+                models.friction.gamma_prime(Nodal(u_nodal)),
+                models.diffusion.lambda_sigma(Nodal(u_nodal)),
                 models.diffusion.kappa,
             )
             + stratonovich_correction(u_nodal, models.friction, models.diffusion)

@@ -15,6 +15,7 @@ from smallmass.config import (
     make_models,
     validate_config,
 )
+from smallmass.models import Nodal
 
 
 def test_defaults_are_valid_and_ladder_sorted():
@@ -168,7 +169,7 @@ def test_make_models_csv(tmp_path):
     )
     models = make_models(cfg, make_basis(cfg))
     assert models.friction.name == "tabulated"
-    assert abs(models.friction.gamma(0.5) - (2 + np.sin(0.5))) < 1e-3
+    assert abs(models.friction.gamma(Nodal(0.5)) - (2 + np.sin(0.5))) < 1e-3
     with pytest.raises(ConfigError, match="'model.friction_csv' takes no friction options, got model.gamma1"):
         validate_config({"model": {"friction_csv": str(csv), "gamma1": 4.0}})
 
@@ -773,7 +774,7 @@ def test_preset_options_reach_the_preset():
     models = make_models(cfg, make_basis(cfg))
     assert (models.friction.gamma0, models.friction.gamma1) == (0.5, 4.0)
     # radius 1: f(1) = 0 and slope 1 - 3 = -2 beyond it, so f(2) = -2
-    assert models.reaction.f(np.array([2.0]))[0] == -2.0
+    assert models.reaction.f(Nodal(np.array([2.0])))[0] == -2.0
     cfg = validate_config({"model": {"friction": "constant", "friction_value": 2.5}})
     assert make_models(cfg, make_basis(cfg)).friction.gamma0 == 2.5
 

@@ -53,8 +53,14 @@ def test_resolvent_scheme_calls_resolvent_apply_through_its_module(monkeypatch):
 def test_readme_library_sketch_runs(capsys):
     readme = (ROOT / "README.md").read_text()
     block = re.search(r"## Library sketch\s+```python\n(.*?)```", readme, re.S).group(1)
-    exec(compile(block, "README.md", "exec"), {})
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
     assert float(capsys.readouterr().out) > 0.0  # the coupled pathwise distance
+    # the custom-coefficient block runs on the sketch's basis and state
+    custom = re.search(
+        r"A custom coefficient is a function of one nodal state.*?```python\n(.*?)```", readme, re.S
+    ).group(1)
+    exec(compile(custom, "README.md", "exec"), namespace)
 
 
 def test_readme_config_names_exist():

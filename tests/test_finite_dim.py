@@ -20,6 +20,7 @@ from smallmass.finite_dim import (
     simulate_fd_limit,
     solve_lyapunov,
 )
+from smallmass.models import Nodal
 from smallmass.wave import SimulationDiverged
 
 
@@ -82,7 +83,7 @@ def test_batched_scalar_S_matches_the_pointwise_solve(friction):
     # drift_S's Lyapunov solve and central-difference Jacobian at every point.
     system = fd_scalar_system(friction=friction, sigma_value=1.3)
     x = np.linspace(-3.0, 3.0, 61)
-    batched = _drift_S_batch(system, x, system.friction.gamma(x))
+    batched = _drift_S_batch(system, x, system.friction.gamma(Nodal(x)))
     pointwise = np.concatenate([drift_S(system, xi) for xi in x])
     assert batched.shape == (61,)
     assert np.max(np.abs(batched - pointwise)) <= 1e-8
@@ -103,15 +104,15 @@ def test_scalar_preset_uses_the_friction_registry():
         friction = fd_scalar_system(friction=name, sigma_value=1.5).friction
         assert friction.name == model.name
         assert (friction.gamma0, friction.gamma1) == (model.gamma0, model.gamma1)
-        assert np.array_equal(friction.gamma(x), model.gamma(x))
-        assert np.array_equal(friction.gamma_prime(x), model.gamma_prime(x))
+        assert np.array_equal(friction.gamma(Nodal(x)), model.gamma(Nodal(x)))
+        assert np.array_equal(friction.gamma_prime(Nodal(x)), model.gamma_prime(Nodal(x)))
         # the G of the transformed integrator is the preset's closed form, unchanged
-        assert np.array_equal(AntiderivativeMap(friction).forward(x), model.g_closed(x))
+        assert np.array_equal(AntiderivativeMap(friction).forward(x), model.g_closed(Nodal(x)))
         system = fd_scalar_system(friction=name, sigma_value=1.5)
         assert system.b(x) == 0.0 and system.sigma(x) == 1.5
     # the same bits as the formulas the preset was written with
-    assert np.array_equal(fd_scalar_system().friction.gamma(x), 2.0 + np.sin(x))
-    assert np.array_equal(fd_scalar_system("constant").friction.gamma(x), np.full(13, 2.0))
+    assert np.array_equal(fd_scalar_system().friction.gamma(Nodal(x)), 2.0 + np.sin(x))
+    assert np.array_equal(fd_scalar_system("constant").friction.gamma(Nodal(x)), np.full(13, 2.0))
     for bad in ("bell", "nope"):  # "bell" is a registry preset, not an fd one
         with pytest.raises(ValueError, match="unknown scalar friction"):
             fd_scalar_system(friction=bad)
@@ -358,7 +359,7 @@ def test_tabulated_friction_runs_the_coupled_route(eta_transform):
     assert friction.g_closed is None
     system = FDSystem(b=lambda x: 0.0, friction=friction, sigma=lambda x: 1.2, name="tabulated")
     x = np.linspace(-3.0, 3.0, 61)
-    S = _drift_S_batch(system, x, friction.gamma(x))
+    S = _drift_S_batch(system, x, friction.gamma(Nodal(x)))
     assert np.all(np.isfinite(S)) and np.max(np.abs(S)) > 0.01
     noise = FDNoise(seed=13, dt=1e-3, n_steps=120, n_paths=32)
     inertial, limit_S, limit_noS = _assert_coupled_equals_separate(

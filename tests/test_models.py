@@ -9,6 +9,7 @@ import pytest
 import smallmass
 from smallmass.basis import DomainSpec, build_basis
 from smallmass.diagnostics import lambda_functional
+from smallmass.limit import LimitSolver
 from smallmass.models import (
     AntiderivativeMap,
     FrictionModel,
@@ -89,9 +90,10 @@ _FACTORS = {
 @pytest.mark.parametrize("factor", sorted(_FACTORS))
 @pytest.mark.parametrize("friction", sorted(_FRICTIONS))
 def test_coefficients_on_one_nodal_state_equal_the_array_formulas(basis, friction, factor):
-    # Every coefficient read through one shared Nodal, in either order, through
-    # a Nodal of its own and on the plain nodal values is the array formula bit
-    # for bit: a value one coefficient took is the value another would take.
+    # Every coefficient read through one shared Nodal, in either order, and
+    # through a Nodal of its own is the array formula bit for bit: a value one
+    # coefficient took is the value another would take.  g, a function of nodal
+    # values, also takes the plain values and wraps them once.
     build, gamma, gamma_prime, g = _FRICTIONS[friction]
     ls, ls_prime = _FACTORS[factor]
     fr, diff = build(), build_diffusion(basis, factor=factor)
@@ -112,7 +114,7 @@ def test_coefficients_on_one_nodal_state_equal_the_array_formulas(basis, frictio
             assert got.shape == r.shape and np.array_equal(got, expected[name]), (name, order)
     for name, fn in coefficient.items():
         assert np.array_equal(fn(Nodal(r)), expected[name]), name
-        assert np.array_equal(fn(r), expected[name]), name
+    assert np.array_equal(g_map.forward(r), expected["g"])
 
 
 # -- g and its inverse ---------------------------------------------------------
@@ -208,19 +210,19 @@ def test_monotonicity_certificate():
 def test_bell_friction_bounds_and_derivative():
     fr = friction_preset("bell", gamma0=0.5, gamma1=2.5)
     r = np.linspace(-20, 20, 2001)
-    g = fr.gamma(r)
+    g = fr.gamma(Nodal(r))
     assert np.all(g >= 0.5 - 1e-12) and np.all(g <= 2.5 + 1e-12)
-    fd = (fr.gamma(r + 1e-6) - fr.gamma(r - 1e-6)) / 2e-6
-    assert np.max(np.abs(fd - fr.gamma_prime(r))) < 1e-5
+    fd = (fr.gamma(Nodal(r + 1e-6)) - fr.gamma(Nodal(r - 1e-6))) / 2e-6
+    assert np.max(np.abs(fd - fr.gamma_prime(Nodal(r)))) < 1e-5
 
 
 def test_tabulated_friction():
     r = np.linspace(-5, 5, 201)
     table = friction_from_table(r, 2.0 + np.sin(r))
-    assert abs(table.gamma(0.3) - (2 + np.sin(0.3))) < 1e-3
+    assert abs(table.gamma(Nodal(0.3)) - (2 + np.sin(0.3))) < 1e-3
     assert table.gamma0 >= 1.0 - 1e-6 and table.gamma1 <= 3.0 + 1e-6
     # clamped outside the table
-    assert table.gamma(99.0) == table.gamma(5.0)
+    assert table.gamma(Nodal(99.0)) == table.gamma(Nodal(5.0))
     with pytest.raises(ValueError):
         friction_from_table(r[::-1], 2.0 + np.sin(r))
 
@@ -232,7 +234,7 @@ def test_friction_csv_loader(tmp_path):
     path = tmp_path / "gamma.csv"
     np.savetxt(path, np.column_stack([r, 1.5 + 0.5 * np.tanh(r)]), delimiter=",")
     fr = load_friction_csv(path)
-    assert abs(fr.gamma(0.0) - 1.5) < 1e-9
+    assert abs(fr.gamma(Nodal(0.0)) - 1.5) < 1e-9
     g = AntiderivativeMap(fr)
     y = g.forward(1.3)
     assert abs(g.inverse(y) - 1.3) < 1e-9
@@ -247,7 +249,7 @@ def test_reaction_lipschitz_audit():
         model = reaction_preset(name)
         r1 = rng.uniform(-8, 8, 5000)
         r2 = rng.uniform(-8, 8, 5000)
-        quot = np.abs(model.f(r1) - model.f(r2)) / np.abs(r1 - r2)
+        quot = np.abs(model.f(Nodal(r1)) - model.f(Nodal(r2))) / np.abs(r1 - r2)
         assert np.max(quot) <= model.lipschitz_const + 1e-9
 
 
@@ -260,7 +262,7 @@ def test_reaction_growth_certificate():
     presets += [("cubic_clipped", {"clip_radius": radius}) for radius in (0.3, 0.5, 1.5)]
     for name, options in presets:
         model = reaction_preset(name, **options)
-        lhs = model.f(r) * r
+        lhs = model.f(Nodal(r)) * r
         rhs = model.growth_lambda * r**2 + model.growth_c * (1 + np.abs(r) ** (1 + model.growth_delta))
         assert np.all(lhs <= rhs + 1e-9), (name, options)
 
@@ -268,8 +270,8 @@ def test_reaction_growth_certificate():
 def test_cubic_clipped_continuity():
     model = reaction_preset("cubic_clipped", clip_radius=1.5)
     eps = 1e-9
-    assert abs(model.f(1.5 - eps) - model.f(1.5 + eps)) < 1e-6
-    assert model.f(0.5) == 0.5 - 0.125
+    assert abs(model.f(Nodal(1.5 - eps)) - model.f(Nodal(1.5 + eps))) < 1e-6
+    assert model.f(Nodal(0.5)) == 0.5 - 0.125
 
 
 # -- diffusion and drift terms ----------------------------------------------------
@@ -287,8 +289,8 @@ def test_diffusion_kernel_matches_mode_sum(basis):
 
 def _drift_h(u, m):
     """H at nodal values u, from the coefficients of the model set m evaluated there."""
-    f, d = m.friction, m.diffusion
-    return noise_induced_drift(f.gamma(u), f.gamma_prime(u), d.lambda_sigma(u), d.kappa)
+    f, d, s = m.friction, m.diffusion, Nodal(u)
+    return noise_induced_drift(f.gamma(s), f.gamma_prime(s), d.lambda_sigma(s), d.kappa)
 
 
 def test_drift_identity_zero_cases(basis):
@@ -351,16 +353,26 @@ def test_combined_drift_identity_analytic_and_fd(basis):
     assert np.max(np.abs(t0)) < 1e-14
 
 
+def _b(m, r):
+    """b(r) = 1/gamma(g^-1(r)), the rho-form's diffusion coefficient."""
+    return 1.0 / m.friction.gamma(Nodal(m.g_map.inverse(r)))
+
+
+def _F(m, r):
+    """F(r) = f(g^-1(r)), the rho-form's reaction."""
+    return m.reaction.f(Nodal(m.g_map.inverse(r)))
+
+
 def test_transformed_coefficients_range(basis):
     m = models_for(basis)
     rng = np.random.default_rng(4)
     r = rng.uniform(-12, 12, 4000)
-    b = m.transformed.b(r)
+    b = _b(m, r)
     assert np.all(b >= 1 / 3 - 1e-12) and np.all(b <= 1.0 + 1e-12)
-    assert abs(m.transformed.b_bar - (1 / 3 + 1.0) / 2) < 1e-15
+    assert abs(LimitSolver(basis, m, form="rho").b_bar - (1 / 3 + 1.0) / 2) < 1e-15
     # F = f o g^-1 audit against direct composition
     y = m.g_map.forward(r)
-    assert np.max(np.abs(m.transformed.F(y) - m.reaction.f(r))) < 1e-9
+    assert np.max(np.abs(_F(m, y) - m.reaction.f(Nodal(r)))) < 1e-9
 
 
 def test_lipschitz_audit_of_b_and_F(basis):
@@ -370,10 +382,10 @@ def test_lipschitz_audit_of_b_and_F(basis):
     r2 = rng.uniform(-9, 9, 4000)
     # b = 1/(gamma o g^-1) is Lipschitz with constant sup|gamma'| / gamma0^3
     lip_b = 1.0 / 1.0**3
-    qb = np.abs(m.transformed.b(r1) - m.transformed.b(r2)) / np.abs(r1 - r2)
+    qb = np.abs(_b(m, r1) - _b(m, r2)) / np.abs(r1 - r2)
     assert np.max(qb) <= lip_b + 1e-9
     lip_f = m.reaction.lipschitz_const / m.friction.gamma0
-    qf = np.abs(m.transformed.F(r1) - m.transformed.F(r2)) / np.abs(r1 - r2)
+    qf = np.abs(_F(m, r1) - _F(m, r2)) / np.abs(r1 - r2)
     assert np.max(qf) <= lip_f + 1e-9
 
 
@@ -382,7 +394,8 @@ def test_diffusion_factor_lipschitz_audit(basis):
     rng = np.random.default_rng(12)
     r1 = rng.uniform(-9, 9, 4000)
     r2 = rng.uniform(-9, 9, 4000)
-    quot = np.abs(m.diffusion.lambda_sigma(r1) - m.diffusion.lambda_sigma(r2)) / np.abs(r1 - r2)
+    quot = np.abs(m.diffusion.lambda_sigma(Nodal(r1)) - m.diffusion.lambda_sigma(Nodal(r2)))
+    quot /= np.abs(r1 - r2)
     assert np.max(quot) <= 1.0 + 1e-9
 
 
@@ -392,7 +405,7 @@ def test_hilbert_schmidt_norm_bounded(basis):
     rng = np.random.default_rng(14)
     for _ in range(20):
         h_nodal = basis.synthesize(rng.normal(size=basis.n_modes))
-        hs_sq = basis.integrate(m.diffusion.lambda_sigma(h_nodal) ** 2 * m.diffusion.kappa)
+        hs_sq = basis.integrate(m.diffusion.lambda_sigma(Nodal(h_nodal)) ** 2 * m.diffusion.kappa)
         assert hs_sq <= m.diffusion.sigma_inf**2 + 1e-12
 
 

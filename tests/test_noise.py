@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from smallmass.basis import DomainSpec, build_basis
-from smallmass.models import build_diffusion
+from smallmass.models import Nodal, build_diffusion
 from smallmass.noise import (
     NoisePath,
     _mode_generator,
@@ -228,11 +228,11 @@ def test_apply_noise_returns_zero_without_noise_and_takes_a_weight():
     diff = build_diffusion(basis, factor="cosine", q=1.0)
     u_nodal = np.sin(np.pi * basis.x)
     db = np.linspace(-0.3, 0.4, 8)
-    weight = diff.lambda_sigma(u_nodal)
+    weight = diff.lambda_sigma(Nodal(u_nodal))
     assert apply_noise(weight, db, build_diffusion(basis, factor="zero"), basis) == 0.0
     gam = 2.0 + np.sin(u_nodal)
     forced = basis.synthesize(diff.q_spectrum * db)
-    expected = basis.analyze(diff.lambda_sigma(u_nodal) / gam * forced)
+    expected = basis.analyze(diff.lambda_sigma(Nodal(u_nodal)) / gam * forced)
     assert np.array_equal(apply_noise(weight / gam, db, diff, basis), expected)
     with pytest.raises(ValueError, match="mode increments"):
         apply_noise(weight, db[:5], diff, basis)

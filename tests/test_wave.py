@@ -3,7 +3,9 @@ import pytest
 
 from smallmass.basis import DomainSpec, build_basis
 from smallmass.limit import LimitSolver
-from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
+from smallmass.models import (
+    Nodal, build_diffusion, build_model_set, friction_preset, reaction_preset,
+)
 from smallmass.noise import refine, sample_batch, sample_path, zero_path
 from smallmass.wave import SimulationDiverged, WaveSolver, _output_indices, g_coeffs
 
@@ -301,7 +303,7 @@ def test_eta_step_from_carried_nodal_values_equals_a_fresh_step(basis, newton_it
         target = w + dt * basis.synthesize(eta)
         for _ in range(newton_iters):
             phi = w + (dt / mu) * m.g_map.forward(w) - target
-            w = w - phi / (1.0 + (dt / mu) * m.friction.gamma(w))
+            w = w - phi / (1.0 + (dt / mu) * m.friction.gamma(Nodal(w)))
         return basis.analyze(w)
 
     assert len(steps) == p.n_steps

@@ -37,10 +37,14 @@ Route groups: the catalogue (3 wave schemes x path/batch x noisy/noise-free,
 one and two wave steps, limit forms x drift x path/batch, single limit
 steps, every friction model x diffusion factor through two steps of each
 wave scheme and one step of each limit form, eta_form with two Newton
-iterations per friction model, refinement of a path and a batch, fd coupled and single runs, a
-stacked resolvent solve with its per-row info, two lone solves that raise ResolventError (one
-that stops contracting, one on a NaN row that never converges; each compared by its message,
-which names lam and the last residual), the resolvent audit at criterion 4's size, every
+iterations per friction model, every coefficient of each friction preset, a
+tabulated friction, each reaction and each diffusion factor on fixed nodal
+values (gamma, gamma', g, g^-1 on its closed, Newton and bisection branches,
+f, lambda_sigma, lambda_sigma', kappa and the limit's b_bar; the models.* routes),
+refinement of a path and a batch, fd coupled and single runs, a stacked resolvent solve with
+its per-row info, two lone solves that raise ResolventError (one that stops contracting, one
+on a NaN row that never converges; each compared by its message, which names lam and the
+last residual), the resolvent audit at criterion 4's size, every
 `run_*` work function on small configs, the ladder study also with masses on three refinement
 levels (converge with n_output below the step count, and the drift ablation), fd-converge also
 at 1001 paths and at criterion 3's config, three runs that diverge (an eta_form wave past its
@@ -235,6 +239,87 @@ def _model_routes() -> dict:
             return _fields(solver.simulate(u0, v0, batch, n_output=5))
 
         routes[f"wave.eta_form.newton_iters=2.{friction}"] = newton
+    return routes
+
+
+def _coefficient_routes() -> dict:
+    """Every coefficient of each friction, reaction and diffusion factor on fixed nodal values.
+
+    Each model's coefficients are read through one Nodal of the values, as the
+    integrators read them; g^-1 is taken at values that take its closed form,
+    its Newton iteration and (where a Newton step leaves the bracket) its
+    bisection fallback.
+    """
+    from smallmass.basis import DomainSpec, build_basis
+    from smallmass.limit import LimitSolver
+    from smallmass.models import (
+        AntiderivativeMap, Nodal, build_diffusion, build_model_set, combined_drift,
+        friction_from_table, friction_preset, reaction_preset, stratonovich_correction,
+    )
+
+    r = np.random.default_rng(21).normal(scale=3.0, size=(2, 33))
+    table = np.linspace(-4.0, 4.0, 81)
+    frictions = {
+        "constant": (lambda: friction_preset("constant", value=1.5), {"closed": r}),
+        "two_plus_sin": (lambda: friction_preset("two_plus_sin"),
+                         {"newton": [0.3, -2.0, 40.0, -100.0], "bisection": [7.5]}),
+        "bell": (lambda: friction_preset("bell"), {"newton": [0.3, -2.0, 7.5, 40.0]}),
+        "bell_wide": (lambda: friction_preset("bell", gamma0=0.2, gamma1=5.0),
+                      {"newton": [7.5, 40.0, -100.0], "bisection": [0.3, -2.0]}),
+        "tabulated": (lambda: friction_from_table(table, 1.5 + np.cos(table) ** 2),
+                      {"newton": [0.3, -2.0, 7.5, 40.0]}),
+    }
+    basis = build_basis(DomainSpec(1.0, 16, 32))
+
+    def friction_route(build, inverse_at):
+        def run():
+            friction = build()
+            g_map = AntiderivativeMap(friction)
+            s = Nodal(r)
+            out = {
+                "gamma": friction.gamma(s), "gamma_prime": friction.gamma_prime(s),
+                "g": g_map.forward(s), "g.values": g_map.forward(r),
+            }
+            for branch, y in inverse_at.items():
+                out[f"g_inverse.{branch}"] = g_map.inverse(y)
+            models = build_model_set(
+                basis, friction, reaction_preset("zero"), build_diffusion(basis, factor="cosine")
+            )
+            out["b_bar"] = LimitSolver(basis, models, form="rho").b_bar
+            u = basis.synthesize(np.linspace(1.0, -0.5, 16))
+            out["G"] = stratonovich_correction(u, friction, models.diffusion)
+            out["H+G"] = combined_drift(Nodal(u), friction, models.diffusion)
+            return out
+
+        return run
+
+    def reaction_route(name, options):
+        def run():
+            return {"f": reaction_preset(name, **options).f(Nodal(r))}
+
+        return run
+
+    def diffusion_route(factor, q):
+        def run():
+            diffusion = build_diffusion(basis, factor=factor, q=q)
+            s = Nodal(r)
+            out = {"lambda_sigma": diffusion.lambda_sigma(s),
+                   "lambda_sigma_prime": diffusion.lambda_sigma_prime(s)}
+            for name in ("kappa", "q_spectrum", "sigma_sup", "sigma_inf"):
+                out[name] = getattr(diffusion, name)
+            return out
+
+        return run
+
+    routes = {f"models.friction.{name}": friction_route(*spec) for name, spec in frictions.items()}
+    reactions = (("zero", {}), ("linear_decay", {}), ("cubic_clipped", {}),
+                 ("cubic_clipped", {"clip_radius": 0.3}))
+    for name, options in reactions:
+        label = name + "".join(f".{k}={v}" for k, v in options.items())
+        routes[f"models.reaction.{label}"] = reaction_route(name, options)
+    for factor in ("constant", "cosine", "zero"):
+        for q in (1.0, 0.75):
+            routes[f"models.diffusion.{factor}.q={q}"] = diffusion_route(factor, q)
     return routes
 
 
@@ -653,8 +738,8 @@ def _bench_routes() -> dict:
 def catalogue() -> dict:
     routes = {}
     groups = (
-        _wave_routes, _limit_routes, _model_routes, _noise_routes, _fd_routes, _resolvent_routes,
-        _run_routes, _divergence_routes, _geometry_routes,
+        _wave_routes, _limit_routes, _model_routes, _coefficient_routes, _noise_routes, _fd_routes,
+        _resolvent_routes, _run_routes, _divergence_routes, _geometry_routes,
     )
     for group in groups + (_default_routes, _bench_routes):
         routes.update(group())
