@@ -137,10 +137,6 @@ class SpectralBasis:
         """Quadrature of nodal values over the domain."""
         return self.weight * np.sum(np.asarray(values, dtype=float), axis=-1)
 
-    def nodal_inner(self, a: np.ndarray, b: np.ndarray):
-        """L2 inner product of two nodal-value arrays under the quadrature rule."""
-        return self.integrate(np.asarray(a) * np.asarray(b))
-
     def mode_matrix(self) -> np.ndarray:
         """E[j, i] = e_{i+1}(x_j), the eigenfunctions on the grid: built once, read-only."""
         return self._modes

@@ -120,10 +120,10 @@ _CHOICES = {
     "model.reaction": REACTIONS, "model.diffusion": tuple(_DIFFUSION_FACTORS),
     "initial.kind": INITIAL_KINDS, "fd.friction": tuple(_FD_FRICTIONS),
 }
-# Sizes that must be positive; time.c_stab <= 0 would make the step bound c_stab * mu no step.
+# Values that must be positive; time.c_stab <= 0 would make the step bound c_stab * mu no step.
 _POSITIVE = (
     "time.t_final", "time.dt", "time.dt_limit", "time.c_stab", "domain.length",
-    "fd.mu", "fd.dt", "fd.t_final",
+    "fd.mu", "fd.dt", "fd.t_final", "model.tol_inv",
 )
 
 

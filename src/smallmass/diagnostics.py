@@ -222,6 +222,12 @@ def mean_se(x: np.ndarray) -> tuple:
     return mean, np.sqrt(var) / np.sqrt(n)
 
 
+def _check_descending(ladder) -> None:
+    """Raise ValueError unless the ladder runs from its largest mass down."""
+    if sorted(ladder, reverse=True) != list(ladder):
+        raise ValueError("ladder must be sorted from largest to smallest mass")
+
+
 # -- scaling audit ----------------------------------------------------------------
 
 
@@ -248,8 +254,7 @@ def scaling_audit(ladder: list[float], norms: dict) -> ScalingAudit:
     mus = np.array(ladder, dtype=float)
     if len(mus) < AUDIT_MIN_POINTS:
         raise ValueError(f"need at least {AUDIT_MIN_POINTS} ladder points, got {len(mus)}")
-    if sorted(ladder, reverse=True) != list(ladder):
-        raise ValueError("ladder must be sorted from largest to smallest mass")
+    _check_descending(ladder)
     sup_e, sup_v, sup_u, int_u = (
         np.asarray(norms[k], dtype=float) for k in ("sup_energy", "sup_v_h", "sup_u_h", "int_u_h1_sq")
     )
@@ -331,8 +336,7 @@ def convergence_report(
     per_path = np.asarray(per_path, dtype=float)
     if per_path.shape[0] != len(ladder):
         raise ValueError("per-path matrix does not match the ladder")
-    if sorted(ladder, reverse=True) != list(ladder):
-        raise ValueError("ladder must be sorted from largest to smallest mass")
+    _check_descending(ladder)
     mean, se = mean_se(per_path)
     inversions = 0
     hard_violation = False
@@ -437,8 +441,7 @@ def drift_necessity_report(
         raise ValueError("limit-to-limit distances do not match the paths")
     if d_with.shape[1] < MIN_PATHS_PAIRED:
         raise ValueError(f"a paired standard error needs at least {MIN_PATHS_PAIRED} paths")
-    if sorted(ladder, reverse=True) != ladder:
-        raise ValueError("ladder must be sorted from largest to smallest mass")
+    _check_descending(ladder)
     if mu not in ladder:
         raise ValueError(f"judged mass mu = {mu} is not on the ladder {ladder}")
     row = ladder.index(mu)

@@ -52,6 +52,7 @@ from .wave import C_STAB, _initial_state, drive
 MAX_DIM = 8
 FD_STEP_REL = 1e-5
 FD_N_OUTPUT = 200  # output intervals of an fd run unless the caller names another count
+LYAPUNOV_RTOL = 1e-10  # bound on solve_lyapunov's relative Frobenius residual
 
 
 class LyapunovError(RuntimeError):
@@ -73,12 +74,12 @@ class FDSystem:
     name: str = "custom"
 
 
-def solve_lyapunov(gamma_x: np.ndarray, rhs: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+def solve_lyapunov(gamma_x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve J gamma^T + gamma J = rhs by a dense Kronecker linear solve.
 
     Requires the spectrum of gamma in the open right half plane (guaranteed by
     ellipticity); a singular Kronecker system signals a violation.  The
-    Frobenius residual is checked against rtol * ||rhs||_F on every call.
+    Frobenius residual is checked against LYAPUNOV_RTOL * ||rhs||_F on every call.
     """
     g = np.asarray(gamma_x, dtype=float)
     c = np.asarray(rhs, dtype=float)
@@ -99,8 +100,8 @@ def solve_lyapunov(gamma_x: np.ndarray, rhs: np.ndarray, rtol: float = 1e-10) ->
     j = vec.reshape(d, d)
     scale = max(np.linalg.norm(c), 1e-300)
     residual = np.linalg.norm(j @ g.T + g @ j - c) / scale
-    if residual > rtol:
-        raise LyapunovError(f"Lyapunov residual {residual:.3e} exceeds {rtol:.1e}")
+    if residual > LYAPUNOV_RTOL:
+        raise LyapunovError(f"Lyapunov residual {residual:.3e} exceeds {LYAPUNOV_RTOL:.1e}")
     return j
 
 

@@ -55,6 +55,7 @@ import numpy as np
 from .basis import Q_MIN, SpectralBasis
 
 _FD_STEP = 1e-6  # central-difference step for derivative fallbacks
+MAX_ITER_INV = 100  # iteration cap of AntiderivativeMap.inverse
 
 
 @functools.cache
@@ -133,7 +134,6 @@ class AntiderivativeMap:
 
     friction: FrictionModel
     tol_inv: float = 1e-12
-    max_iter: int = 100
 
     def forward(self, r) -> np.ndarray:
         """g at the nodal state r (a Nodal or its values), closed form or quadrature."""
@@ -150,7 +150,7 @@ class AntiderivativeMap:
 
         Every iterate x is one nodal state, at which g and gamma are taken.
         Raises InversionError instead of returning a truncated value when the
-        residual tolerance is not met within max_iter iterations.
+        residual tolerance is not met within MAX_ITER_INV iterations.
         """
         y = np.asarray(y, dtype=float)
         if self.friction.g_inverse_closed is not None:
@@ -161,7 +161,7 @@ class AntiderivativeMap:
         hi = np.maximum(y / g0, y / g1)
         s = Nodal(y / (0.5 * (g0 + g1)))
         res = self.forward(s) - y
-        for _ in range(self.max_iter):
+        for _ in range(MAX_ITER_INV):
             x = s.u
             if np.all(np.abs(res) <= self.tol_inv):
                 return x
@@ -174,7 +174,7 @@ class AntiderivativeMap:
             res = self.forward(s) - y
         raise InversionError(
             f"g-inversion did not reach |residual| <= {self.tol_inv} "
-            f"within {self.max_iter} iterations (max residual {np.max(np.abs(res)):.3e})"
+            f"within {MAX_ITER_INV} iterations (max residual {np.max(np.abs(res)):.3e})"
         )
 
 

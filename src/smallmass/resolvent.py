@@ -30,12 +30,14 @@ Every sweep of the fixed point is one synthesis of u and one analysis of
 the g(u), f(u) pair.  The loop around it depends on the input's shape.  A
 lone h (N,) iterates on 1-D arrays and keeps its residuals, stall test and
 polish flag as Python floats, so a sweep costs little beyond its arithmetic.
-A stacked h (the rows of a path batch) iterates in lock step, while each
-row stops on its own residual and leaves the batch.  Both loops take the
-same steps, and the transforms round every row as they would alone, so
-every row gets the bits, iteration count and residuals it gets solved
-alone.  The sampled audit solves its states one at a time and keeps running
-maxima of its margins.
+A stacked h (the rows of a path or mass batch) iterates in lock step, and
+each row stops on its own residual and leaves the batch with its sweep
+coefficients, which hold its own mass when the mass of `OperatorA` is the
+(n_mu, 1, 1) column of a mass batch.  Both loops take the same steps, and
+the transforms round every row as they would alone, so every row gets the
+bits, iteration count and residuals it gets solved alone.  lambda_bar is
+that of the smallest mass.  The sampled audit solves its states one at a
+time and keeps running maxima of its margins.
 
 The calibrated constants (kappa_d, lambda0) are implementation choices and
 are flagged as calibrated in audit reports.
@@ -74,7 +76,7 @@ class SolveInfo:
 class OperatorA:
     """The drift operator with its dissipativity and resolvent-range constants."""
 
-    def __init__(self, basis: SpectralBasis, models: ModelSet, mass: float = 1.0):
+    def __init__(self, basis: SpectralBasis, models: ModelSet, mass: float | np.ndarray = 1.0):
         self.basis = basis
         self.models = models
         self.mass = mass
@@ -82,11 +84,11 @@ class OperatorA:
         g0 = models.friction.gamma0
         a1 = basis.alphas.min()
         self.kappa_d = c_f**2 / (4.0 * g0 * a1) + c_f / np.sqrt(a1)
-        # Contraction threshold of Gamma_lam from the Lipschitz constants of g
-        # and f: (lam/mu)(gamma1 + lam c_f) < 1.  lambda0 keeps a 10% margin.
-        g1 = models.friction.gamma1
-        disc = np.sqrt(g1**2 + 4.0 * c_f * mass) if c_f > 0 else g1
-        lam_star = (2.0 * mass / (g1 + disc)) if c_f > 0 else mass / g1
+        # Contraction threshold of Gamma_lam from the Lipschitz constants of g and f,
+        # (lam/mu)(gamma1 + lam c_f) < 1, at the smallest mass; lambda0 keeps a 10% margin.
+        g1, mu = models.friction.gamma1, float(np.min(mass))
+        disc = np.sqrt(g1**2 + 4.0 * c_f * mu) if c_f > 0 else g1
+        lam_star = (2.0 * mu / (g1 + disc)) if c_f > 0 else mu / g1
         self.lambda0 = 0.9 * lam_star
         self.lambda_bar = min(self.lambda0, 1.0 / self.kappa_d) if self.kappa_d > 0 else self.lambda0
 
@@ -117,13 +119,14 @@ def resolvent_apply(
 ):
     """Solve z - lam A(z) = h by the contraction fixed point.
 
-    h is a pair of arrays (..., N); every leading axis is a batch of rows,
-    and a lone h (N,) is one row.  Each row stops on its own residual: it is
-    declared converged when its H-norm update drops below TOL within
-    MAX_ITER iterations, then polished with one extra sweep so the reported
-    residual is well inside the tolerance.  Stacked rows iterate in lock
-    step and leave the batch as they finish, so every row equals the same
-    row solved alone, bit for bit.  Three consecutive residual increases of
+    h is a pair of arrays (..., N), which the operator's mass broadcasts
+    against; every leading axis is a batch of rows, and a lone h (N,) is one
+    row.  Each row stops on its own residual: it is declared converged when
+    its H-norm update drops below TOL within MAX_ITER iterations, then
+    polished with one extra sweep so the reported residual is well inside
+    the tolerance.  Stacked rows iterate in lock step and leave the batch as
+    they finish, so every row equals the same row solved alone at its own
+    mass, bit for bit.  Three consecutive residual increases of
     any row are treated as loss of contraction, and a row still iterating
     after MAX_ITER sweeps as non-convergence; either raises ResolventError
     naming lam, and no row is returned.  With return_info the info of a lone
@@ -138,50 +141,49 @@ def resolvent_apply(
     if h2.shape != h1.shape:
         h2 = np.broadcast_to(h2, h1.shape)
     if h1.ndim == 1:
-        u, eta, info = _fixed_point(op, h1, h2, lam, return_info)
-    else:
-        n = h1.shape[-1]
-        u, eta, info = _fixed_point(op, h1.reshape(-1, n), h2.reshape(-1, n), lam, return_info)
+        u, eta, info = _fixed_point(op, op.mass, h1, h2, lam, return_info)
+    else:  # rows (R, N), each with its own mass (R, 1)
+        n, mu = h1.shape[-1], np.broadcast_to(op.mass, h1.shape[:-1] + (1,)).reshape(-1, 1)
+        u, eta, info = _fixed_point(op, mu, h1.reshape(-1, n), h2.reshape(-1, n), lam, return_info)
         u, eta = u.reshape(h1.shape), eta.reshape(h1.shape)
     return ((u, eta), info) if return_info else (u, eta)
 
 
-def _fixed_point(op: OperatorA, h1: np.ndarray, h2: np.ndarray, lam: float, with_info: bool):
-    """resolvent_apply on a lone row (N,) or on rows (R, N): returns (u, eta, info).
+def _fixed_point(op: OperatorA, mu, h1: np.ndarray, h2: np.ndarray, lam: float, with_info: bool):
+    """resolvent_apply on a lone row (N,) or on rows (R, N) of masses mu (R, 1): (u, eta, info).
 
     info is None unless with_info: then the SolveInfo of a lone row, or a
     list with one per row.  Each sweep takes g(u) and f(u) on one nodal
     state and analyses them as one two-row (lone) or stacked product, whose
     rows round as they would alone.  A lone row iterates on 1-D arrays and
     keeps its residuals, stall test and polish flag as Python floats.  Rows
-    iterate in lock step: the rows still iterating are kept contiguous and
-    compacted only on a sweep where some finish and others go on.
+    iterate in lock step: the rows still iterating and their coef rows are
+    kept contiguous and compacted only on a sweep where some finish and others go on.
     """
-    b, mu = op.basis, op.mass
-    g, f = op.models.g_map.forward, op.models.reaction.f
-    c_g, c_f = -(lam / mu), lam * lam / mu
-    denom = 1.0 + c_f * b.alphas
+    b, g, f = op.basis, op.models.g_map.forward, op.models.reaction.f
 
-    def sweep(u, const):  # Gamma_lam(u)
+    def sweep(u, coef):  # Gamma_lam(u)
+        const, c_g, c_f, denom = coef
         s = Nodal(b.synthesize(u))
         g_u, f_u = b.analyze(np.concatenate((g(s), f(s))).reshape((2,) + s.u.shape))
         return (c_g * g_u + c_f * f_u + const) / denom
 
-    const = h1 + lam * h2
+    c_f = lam * lam / mu
+    coef = (h1 + lam * h2, -(lam / mu), c_f, 1.0 + c_f * b.alphas)  # per row of stacked h1
     if h1.ndim == 1:
-        u, info = _lone_sweeps(sweep, h1, const, lam, with_info)
+        u, info = _lone_sweeps(sweep, h1, coef, lam, with_info)
     else:
-        u, info = _lock_step_sweeps(sweep, h1, const, lam, with_info)
+        u, info = _lock_step_sweeps(sweep, h1, coef, lam, with_info)
     eta = h2 + (lam / mu) * (b.laplacian(u) + b.analyze(f(Nodal(b.synthesize(u)))))
     return u, eta, info
 
 
-def _lone_sweeps(sweep, u, const, lam, with_info):
+def _lone_sweeps(sweep, u, coef, lam, with_info):
     """The fixed point of a lone row u (N,) on floats: returns (u, its SolveInfo or None)."""
     history = []  # the residual of every sweep
     polish = False  # the last sweep converged: this one is the polish
     for it in range(1, MAX_ITER + 1):
-        u_next = sweep(u, const)
+        u_next = sweep(u, coef)
         d = u_next - u
         res = math.sqrt(np.add.reduce(d * d))  # sobolev_norm(d, 0.0)
         history.append(res)
@@ -199,7 +201,7 @@ def _lone_sweeps(sweep, u, const, lam, with_info):
     return u, SolveInfo(iterations=it, residual=res, contraction_ratios=ratios[counted])
 
 
-def _lock_step_sweeps(sweep, u, const, lam, with_info):
+def _lock_step_sweeps(sweep, u, coef, lam, with_info):
     """The fixed point of rows u (R, N) in lock step: returns (u, a SolveInfo per row or None)."""
     u_out = np.empty_like(u)
     infos: list | None = [None] * len(u) if with_info else None
@@ -207,7 +209,7 @@ def _lock_step_sweeps(sweep, u, const, lam, with_info):
     polish = np.zeros(len(u), dtype=bool)  # converged: the next sweep is its last
     history = []  # the live rows' residuals, one array per sweep
     for it in range(1, MAX_ITER + 1):
-        u_next = sweep(u, const)
+        u_next = sweep(u, coef)
         d = u_next - u
         res = np.sqrt(np.add.reduce(d * d, axis=-1))  # sobolev_norm(d, 0.0), row by row
         history.append(res)
@@ -231,7 +233,7 @@ def _lock_step_sweeps(sweep, u, const, lam, with_info):
         if n_done == len(live):
             break
         keep = ~done
-        live, u, const, polish = live[keep], u[keep], const[keep], polish[keep]
+        live, u, polish, coef = live[keep], u[keep], polish[keep], tuple(c[keep] for c in coef)
         history = [r[keep] for r in history]
     else:
         raise _not_converged(lam, res[0])

@@ -3,7 +3,8 @@
 The coupled convergence study drives every mass in the ladder and the limit
 integrator with the same Brownian paths (one seed per path, seeds
 base_seed, base_seed+1, ...).  Paths are advanced as a vectorized batch, and
-the masses that share a refined step as one (n_mu, P, N) batch.  The limit
+the masses that share a refined step as one (n_mu, P, N) batch, under every
+scheme.  The limit
 and every mass batch run in one `wave.drive` on the coarse clock, a batch
 refined L times taking 2**L steps of its refined path per coarse step, and
 each batch is scored against the limit's current state at every output
@@ -73,15 +74,13 @@ def _wave_solver(cfg: dict, basis, models, mu) -> WaveSolver:
 def _mass_groups(cfg: dict, basis, models) -> dict:
     """Ladder indices keyed by how often their step bound halves time.dt, in ladder order.
 
-    The masses of a group share one refined path and advance as one batch.
-    resolvent_implicit keys every mass apart, as its solver holds one
-    OperatorA for one mass.
+    The masses of a group share one refined path and advance as one batch,
+    under every scheme.
     """
-    apart = cfg["wave"]["scheme"] == "resolvent_implicit"
     groups: dict = {}
     for k, mu in enumerate(cfg["mu_ladder"]):
         level = noise.halvings(cfg["time"]["dt"], _wave_solver(cfg, basis, models, mu).max_dt())
-        groups.setdefault((level, k if apart else None), []).append(k)
+        groups.setdefault(level, []).append(k)
     return groups
 
 
@@ -154,13 +153,13 @@ def _study_block(cfg: dict, seed0: int, n_paths: int, ablate_drift: bool) -> Lad
         limits.append(_ScoredRun(run, batch, limits[:1], basis))
     paths, path = {}, batch
     # each refinement taken once; every level's path runs at once
-    for level in sorted({level for level, _ in groups}):
+    for level in sorted(groups):
         while path.level < level:
             path = noise.refine(path)
         paths[level] = path
     waves = [
         _mass_group(cfg, basis, models, [ladder[k] for k in idx], u0, v0, paths[level], limits)
-        for (level, _), idx in groups.items()
+        for level, idx in groups.items()
     ]
     drive(limits + waves, n_steps, t["dt"], lambda k: None, t["n_output"])
 

@@ -67,11 +67,11 @@ a new state.
 Mass batches.  The mass may be one number or a 1-D array of masses, one per
 row of a (n_mu, P, N) state: the masses of a ladder that share a step then
 advance together on one batch of paths, a NoisePath with a tuple of seeds
-whose increments are (P, N, K).  The solver holds such a mass as
-shape (n_mu, 1, 1) against coefficient and nodal arrays and (n_mu, 1)
-against per-path norms.  A per-row mass takes the same IEEE operations as a
-scalar one, and every transform is row-stable, so each mass of a batch
-equals its own scalar run bit for bit.
+whose increments are (P, N, K).  The solver (and resolvent_implicit's
+OperatorA) holds such a mass as shape (n_mu, 1, 1) against coefficient and
+nodal arrays, and as (n_mu, 1) against per-path norms.  Under every scheme a
+per-row mass takes a scalar's IEEE operations and every transform is
+row-stable, so each mass of a batch equals its own scalar run bit for bit.
 
 Recording.  A stepper is two methods: step() takes the whole step (it
 advances the state, recovers v, updates the running norms and returns the
@@ -198,8 +198,8 @@ class WaveSolver:
     Stateless between calls apart from read-only precomputed arrays, so one
     instance may serve concurrent simulations.  All operations broadcast over
     leading batch axes of the coefficient arrays.  A 1-D array of masses runs
-    a (n_mu, P, N) batch, row k at mass mu[k] (see the module docstring);
-    resolvent_implicit takes one mass, as its OperatorA is built for one.
+    a (n_mu, P, N) batch, row k at mass mu[k], under every scheme (see the
+    module docstring).
     """
 
     def __init__(
@@ -216,8 +216,6 @@ class WaveSolver:
         masses = np.asarray(mu, dtype=float)
         if masses.ndim > 1 or masses.size == 0 or not np.all(masses > 0):
             raise ValueError(f"mass must be positive, got {mu}")
-        if scheme == "resolvent_implicit" and masses.size > 1:
-            raise ValueError(f"resolvent_implicit runs one mass at a time, got {masses.size}")
         if newton_iters < 1:
             raise ValueError(f"newton_iters must be at least 1, got {newton_iters}")
         self.basis = basis
@@ -230,7 +228,7 @@ class WaveSolver:
         self.newton_iters = newton_iters
         self._op = None
         if scheme == "resolvent_implicit":
-            self._op = resolvent.OperatorA(basis, models, mass=masses.item())
+            self._op = resolvent.OperatorA(basis, models, mass=self.mu)
         # The scheme step on (u, second, dt, dbeta[, nodal]): second is v for
         # semi_implicit and eta for the eta schemes, which also take nodal,
         # the nodal state of u and g(u) that _WaveStepper carries.

@@ -183,7 +183,7 @@ def test_parseval_under_quadrature():
     rng = np.random.default_rng(13)
     u = rng.normal(size=10)
     v = rng.normal(size=10)
-    nodal = b.nodal_inner(b.synthesize(u), b.synthesize(v))
+    nodal = b.integrate(b.synthesize(u) * b.synthesize(v))
     assert abs(nodal - b.inner(u, v, 0.0)) < 1e-10
 
 

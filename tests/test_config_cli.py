@@ -416,6 +416,9 @@ def test_step_bound_and_audit_sizes_fail_by_name(tmp_path, capsys):
         ({"time": {"dt": -1e-4}}, "time.dt", "must be positive, got -0.0001"),
         ({"time": {"t_final": -1}}, "time.t_final", "must be positive, got -1.0"),
         ({"domain": {"length": 0}}, "domain.length", "must be positive, got 0.0"),
+        # a g-inversion tolerance of 0 failed unnamed in the rho-form limit, and -1 ran on
+        ({"model": {"tol_inv": 0.0}}, "model.tol_inv", "must be positive, got 0.0"),
+        ({"model": {"tol_inv": -1}}, "model.tol_inv", "must be positive, got -1.0"),
         # an eta_form step without a Newton iteration never moved u, and simulate-wave said ok
         ({"wave": {"newton_iters": 0}}, "wave.newton_iters", "must be at least 1, got 0"),
         ({"wave": {"newton_iters": -2}}, "wave.newton_iters", "must be at least 1, got -2"),
@@ -1099,8 +1102,8 @@ def test_eta_form_refines_to_the_wave_cfl(tmp_path, monkeypatch):
 def test_ladder_study_equals_its_masses_run_one_at_a_time(monkeypatch, scheme):
     # dt = 5e-4 with c_stab = 0.25: 0.2 and 0.05 share the coarse step, 1e-3 is
     # refined once and 5e-4 twice.  The study batches the masses that share a
-    # step (resolvent_implicit keeps one mass per batch) and scores them as it
-    # runs; each mass must equal its own scalar run scored afterwards.
+    # step, under every scheme, and scores them as it runs; each mass must
+    # equal its own scalar run scored afterwards.
     from smallmass import noise, runner
     from smallmass.diagnostics import metric_distance
     from smallmass.limit import LimitSolver
@@ -1118,8 +1121,7 @@ def test_ladder_study_equals_its_masses_run_one_at_a_time(monkeypatch, scheme):
     )
     waves = _spy_waves(monkeypatch)
     study = runner.run_ladder_study(cfg, ablate_drift=True)
-    batched = [0.2, 0.05] if scheme != "resolvent_implicit" else []
-    assert [mu for mu in cfg["mu_ladder"] if len(waves[mu].mus) > 1] == batched
+    assert [mu for mu in cfg["mu_ladder"] if len(waves[mu].mus) > 1] == [0.2, 0.05]
 
     basis = make_basis(cfg)
     models = make_models(cfg, basis)

@@ -13,6 +13,7 @@ from smallmass.limit import LimitSolver
 from smallmass.models import (
     AntiderivativeMap,
     FrictionModel,
+    InversionError,
     Nodal,
     _gauss_legendre,
     build_diffusion,
@@ -148,6 +149,21 @@ def test_quadrature_forward_matches_closed_form():
     r = np.linspace(-6, 6, 41)
     assert np.max(np.abs(opaque.forward(r) - closed.forward(r))) < 1e-12
     assert np.max(np.abs(opaque.forward(opaque.inverse(r)) - r)) < 1e-11
+
+
+@pytest.mark.parametrize("closed_g", [True, False])
+def test_inverse_raises_instead_of_returning_a_truncated_value(closed_g):
+    # two_plus_sin has a closed-form g and a Newton inverse; the opaque copy
+    # takes g by quadrature.  A NaN target never meets the tolerance, and
+    # tol_inv = 0 asks for an exact zero residual that roundoff does not give.
+    fr = friction_preset("two_plus_sin")
+    if not closed_g:
+        fr = FrictionModel(fr.gamma, fr.gamma_prime, fr.gamma0, fr.gamma1, name="no-closed-form")
+    cap = "within 100 iterations"
+    with pytest.raises(InversionError, match=cap):
+        AntiderivativeMap(fr).inverse(np.array([0.3, np.nan, -1.2]))
+    with pytest.raises(InversionError, match=r"<= 0\.0 " + cap):
+        AntiderivativeMap(fr, tol_inv=0.0).inverse(np.linspace(-6, 6, 41))
 
 
 # The quadrature rule: imports, a tiny ladder study and a tiny fd Monte Carlo on

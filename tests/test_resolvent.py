@@ -97,6 +97,30 @@ def test_stacked_resolvent_solves_rows_alone_at_production_shape():
     assert 0.7 < max(float(i.contraction_ratios.max()) for i in infos) < 0.8
 
 
+def test_mass_column_solves_each_row_at_its_own_mass(basis):
+    # An (n_mu, P, N) stack under OperatorA(mass=column) carries each row's
+    # own coefficients through the lock step, so every (mass, path) row
+    # equals its lone solve under a scalar-mass OperatorA, bit for bit.  At
+    # lam = lambda_bar(1e-4) / 2 the rows finish at different sweeps, so the
+    # coefficient rows are compacted as they leave.
+    m = models_for(basis)
+    masses = [1e-2, 1e-3, 1e-4]
+    column = OperatorA(basis, m, mass=np.array(masses).reshape(-1, 1, 1))
+    alone = [OperatorA(basis, m, mass=mu) for mu in masses]
+    assert column.lambda_bar == alone[-1].lambda_bar
+    lam = alone[-1].lambda_bar / 2
+    h1, h2 = (x.reshape(3, 4, 16) for x in sample_states(basis, 12, seed=3))
+    (u, eta), infos = resolvent_apply(column, (h1, h2), lam, return_info=True)
+    for k, op in enumerate(alone):
+        for p in range(4):
+            (uk, etak), info = resolvent_apply(op, (h1[k, p], h2[k, p]), lam, return_info=True)
+            assert np.array_equal(u[k, p], uk) and np.array_equal(eta[k, p], etak), (k, p)
+            row = infos[4 * k + p]
+            assert (row.iterations, row.residual) == (info.iterations, info.residual), (k, p)
+            assert np.array_equal(row.contraction_ratios, info.contraction_ratios), (k, p)
+    assert len({i.iterations for i in infos}) > 2
+
+
 def _lying_friction_models(basis):
     # Declares gamma in [0.01, 0.01] while g(u) = 50 u, so lambda_bar admits
     # a lam at which the fixed point expands every nonzero row.

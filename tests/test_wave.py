@@ -251,8 +251,6 @@ def test_scheme_validation(basis):
     for mu in (np.nan, [0.1, np.nan], [0.1, 0.0], [0.1, -0.2], [], [[0.1]]):
         with pytest.raises(ValueError, match="mass must be positive"):
             WaveSolver(basis, m, mu)
-    with pytest.raises(ValueError, match="one mass at a time"):
-        WaveSolver(basis, m, [0.1, 0.05], scheme="resolvent_implicit")
     path = sample_path(1, 0.01, 1e-3, 16)
     with pytest.raises(ValueError, match="a batch of masses runs on a batch of paths"):
         WaveSolver(basis, m, [0.1, 0.05]).simulate(bump(basis), np.zeros(16), path)
@@ -262,10 +260,10 @@ def test_scheme_validation(basis):
 def test_mass_batch_rows_equal_their_own_scalar_runs(basis, scheme):
     # A per-row mass takes the same IEEE operations as a scalar one, and the
     # transforms are row-stable, so row k of a mass batch is WaveSolver(mu[k])
-    # run alone, bit for bit.  resolvent_implicit batches one mass.
+    # run alone, bit for bit, under every scheme.
     m = models_for(basis, diffusion="cosine")
     batch = sample_batch(300, 3, 0.01, 2.5e-4, 16)
-    masses = [0.01] if scheme == "resolvent_implicit" else [0.2, 0.05, 0.01]
+    masses = [0.2, 0.05, 0.01]
     solver = WaveSolver(basis, m, np.array(masses), scheme=scheme)
     assert solver.max_dt() == WaveSolver(basis, m, min(masses), scheme=scheme).max_dt()
     tb = solver.simulate(bump(basis), np.zeros(16), batch, n_output=8)

@@ -46,7 +46,9 @@ its per-row info, two lone solves that raise ResolventError (one that stops cont
 on a NaN row that never converges; each compared by its message, which names lam and the
 last residual), the resolvent audit at criterion 4's size, every
 `run_*` work function on small configs, the ladder study also with masses on three refinement
-levels (converge with n_output below the step count, and the drift ablation), fd-converge also
+levels (converge with n_output below the step count, and the drift ablation), resolvent_implicit
+ladders run one batch per level (the drift ablation on those levels, converge on the default
+five masses, which share one level), fd-converge also
 at 1001 paths and at criterion 3's config, three runs that diverge (an eta_form wave past its
 CFL, an fd coupled run that overflows, a refined ladder batch given a NaN), each compared by
 its SimulationDiverged message, which names the step and time), the default config of every
@@ -663,7 +665,7 @@ def _run_routes() -> dict:
         "run_drift_ablation", _cfg(short, ablation, {"jobs": 2})
     )
     routes["run_converge.jobs=2"] = _work("run_converge", _cfg(short, {"jobs": 2}))
-    # one-mass groups, each joined across the two processes
+    # resolvent_implicit mass batches, each joined across the two processes
     resolvent_jobs = {"wave": {"scheme": "resolvent_implicit"}, "jobs": 2}
     routes["run_scaling_audit.resolvent_implicit.jobs=2"] = _work(
         "run_scaling_audit", _cfg(short, resolvent_jobs)
@@ -671,6 +673,7 @@ def _run_routes() -> dict:
     # refined and unrefined masses on one ladder: 0.2 and 0.1 keep dt = 5e-4,
     # 1e-3 halves it once and 5e-4 twice
     two_levels = {"mu_ladder": [0.2, 0.1, 1e-3, 5e-4], "time": {"c_stab": 0.25}}
+    resolvent_scheme = {"wave": {"scheme": "resolvent_implicit"}}
     routes["run_converge.two_levels"] = _work("run_converge", _cfg(short, two_levels))
     # records every fourth coarse step, so each record follows several refined sub-steps
     sparse = {"time": {"n_output": 5}}
@@ -680,6 +683,15 @@ def _run_routes() -> dict:
     # refined sub-steps scored against both limits, and the limits against each other
     routes["run_drift_ablation.two_levels"] = _work(
         "run_drift_ablation", _cfg(short, two_levels, {"ablation": {"mu": 1e-3}})
+    )
+    # resolvent_implicit ladders batched by level: 0.2 and 0.1 share one batch here,
+    # and the default five masses share the coarse step on short
+    routes["run_drift_ablation.resolvent_implicit.two_levels"] = _work(
+        "run_drift_ablation",
+        _cfg(short, two_levels, {"ablation": {"mu": 1e-3}}, resolvent_scheme),
+    )
+    routes["run_converge.resolvent_implicit.one_level"] = _work(
+        "run_converge", _cfg(short, resolvent_scheme)
     )
     # one mass on the ladder: the judged ladder is the single ablation mass
     one_mass = {"mu_ladder": [0.01]}
