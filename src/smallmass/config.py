@@ -107,11 +107,12 @@ def _check_type(path: str, value, expected) -> Any:
     return number
 
 
-# The least value of each count key: fd_converge's standard errors take ddof=1, and an
-# eta_form step with no Newton iteration would leave u where it is.
+# The least value of each count key: fd_converge's standard errors take ddof=1, an eta_form
+# step with no Newton iteration would leave u where it is, and no ladder has < 0 inversions.
 _COUNTS = {
     "time.n_output": 1, "paths": 1, "jobs": 1, "resolvent.n_pairs": 1, "resolvent.n_smooth": 1,
     "fd.paths": MIN_PATHS_PAIRED, "wave.newton_iters": 1, "domain.n_modes": 1,
+    "converge.allowed_inversions": 0,
 }
 INITIAL_KINDS = ("coeffs", "zero", "mode1", "bump")  # the initial states make_initial builds
 # The keys that name one of a registry's choices, checked before any run reads them.
@@ -123,7 +124,7 @@ _CHOICES = {
 # Values that must be positive; time.c_stab <= 0 would make the step bound c_stab * mu no step.
 _POSITIVE = (
     "time.t_final", "time.dt", "time.dt_limit", "time.c_stab", "domain.length",
-    "fd.mu", "fd.dt", "fd.t_final", "model.tol_inv",
+    "fd.mu", "fd.dt", "fd.t_final", "model.tol_inv", "converge.ratio_max",
 )
 
 
@@ -204,6 +205,11 @@ def validate_config(raw: dict) -> dict:
     for key, value in {**{key: flat[key] for key in _POSITIVE}, **resolvent_lams(cfg)}.items():
         if not value > 0:
             raise ConfigError(f"config key '{key}' must be positive, got {value}")
+    lams = cfg["resolvent"]["lam_ladder"]
+    if len(set(lams)) < 2:  # else the audit's monotone check compares nothing
+        raise ConfigError(
+            f"config key 'resolvent.lam_ladder' needs at least 2 distinct values, got {lams}"
+        )
     if not flat["model.q_exponent"] > Q_MIN:
         raise ConfigError(
             f"config key 'model.q_exponent' must exceed {Q_MIN}, got {flat['model.q_exponent']}"

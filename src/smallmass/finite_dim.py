@@ -15,10 +15,9 @@ case of Hottovy, McDaniel, Volpe and Wehr, CMP 2015).
 
 The friction is a `models.FrictionModel`: it gives gamma, gamma' and, through
 `models.AntiderivativeMap`, the antiderivative G of gamma, all taken on one
-`models.Nodal` of the state per step.  The Lyapunov
-solve itself is the general dense Kronecker-product linear system
-J gamma^T + gamma J = sigma sigma^T (dimension capped at 8), with the
-residual checked on every call.  At a single point, drift_S runs it on the
+`models.Nodal` of the state per step.  The Lyapunov solve takes a symmetric
+positive definite gamma of any dimension through one eigendecomposition, with
+the residual checked on every call.  At a single point, drift_S runs it on the
 1x1 matrices and differences 1/gamma by a relative central difference with
 step 1e-5.  The limit integrator's S is closed form in gamma and gamma'.
 
@@ -49,14 +48,13 @@ from .models import AntiderivativeMap, FrictionModel, Nodal, friction_preset, no
 from .noise import philox_stream
 from .wave import C_STAB, _initial_state, drive
 
-MAX_DIM = 8
 FD_STEP_REL = 1e-5
 FD_N_OUTPUT = 200  # output intervals of an fd run unless the caller names another count
-LYAPUNOV_RTOL = 1e-10  # bound on solve_lyapunov's relative Frobenius residual
+LYAPUNOV_RTOL = 1e-10  # bound on solve_lyapunov's relative residual and gamma's asymmetry
 
 
 class LyapunovError(RuntimeError):
-    """Raised when the Kronecker system is singular or the residual check fails."""
+    """Raised when gamma's spectrum is not positive or the residual check fails."""
 
 
 @dataclass(frozen=True)
@@ -75,31 +73,24 @@ class FDSystem:
 
 
 def solve_lyapunov(gamma_x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve J gamma^T + gamma J = rhs by a dense Kronecker linear solve.
+    """Solve J gamma + gamma J = rhs at any dimension: J = V [(V^T rhs V)_ij / (l_i + l_j)] V^T.
 
-    Requires the spectrum of gamma in the open right half plane (guaranteed by
-    ellipticity); a singular Kronecker system signals a violation.  The
-    Frobenius residual is checked against LYAPUNOV_RTOL * ||rhs||_F on every call.
+    gamma = V diag(l) V^T must be symmetric to LYAPUNOV_RTOL (relative Frobenius norm), else a
+    ValueError; a spectrum that is not positive or a residual above it is a LyapunovError.
     """
     g = np.asarray(gamma_x, dtype=float)
     c = np.asarray(rhs, dtype=float)
     d = g.shape[0]
     if g.shape != (d, d) or c.shape != (d, d):
         raise ValueError("gamma and rhs must be square matrices of equal size")
-    if d > MAX_DIM:
-        raise ValueError(f"dense Kronecker solve is capped at dimension {MAX_DIM}")
-    eye = np.eye(d)
-    # Row-major vec: vec(gamma J) = kron(gamma, I) vec(J), vec(J gamma^T) = kron(I, gamma) vec(J).
-    mat = np.kron(g, eye) + np.kron(eye, g)
-    try:
-        vec = np.linalg.solve(mat, c.reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise LyapunovError(
-            "singular Kronecker system: gamma spectrum not in the right half plane"
-        ) from exc
-    j = vec.reshape(d, d)
-    scale = max(np.linalg.norm(c), 1e-300)
-    residual = np.linalg.norm(j @ g.T + g @ j - c) / scale
+    asym = np.linalg.norm(g - g.T) / max(np.linalg.norm(g), 1e-300)
+    if asym > LYAPUNOV_RTOL:
+        raise ValueError(f"gamma must be symmetric: relative asymmetry {asym:.3e}")
+    lam, v = np.linalg.eigh(g)
+    if not lam.min() > 0:
+        raise LyapunovError(f"gamma spectrum not positive: least eigenvalue {lam.min():.3e}")
+    j = v @ ((v.T @ c @ v) / (lam[:, None] + lam[None, :])) @ v.T
+    residual = lyapunov_residual(g, j, c)
     if residual > LYAPUNOV_RTOL:
         raise LyapunovError(f"Lyapunov residual {residual:.3e} exceeds {LYAPUNOV_RTOL:.1e}")
     return j

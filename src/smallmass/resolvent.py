@@ -305,12 +305,15 @@ def audit_operator(
     monotone decrease of ||A^lam(z) - A(z)|| along the lam ladder for smooth
     samples.  Pair j is states 2j and 2j + 1; every state is solved alone,
     and the margins are running maxima over the pairs.  n_pairs and n_smooth
-    must be at least 1: an audit of no samples would pass with every margin
-    at -inf.
+    must be at least 1, and lam_ladder hold 2 distinct values: an audit of no
+    samples passes with every margin at -inf, and a ladder of one value
+    passes the monotone check comparing nothing.
     """
     for name, count in (("n_pairs", n_pairs), ("n_smooth", n_smooth)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")
+    if len(set(lam_ladder)) < 2:
+        raise ValueError(f"lam_ladder needs at least 2 distinct values, got {list(lam_ladder)}")
     u, eta = sample_states(op.basis, 2 * n_pairs, seed=seed, decay=1.5)
     tol_pad = 100.0 * TOL
     kd = op.kappa_d

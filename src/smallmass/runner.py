@@ -95,12 +95,12 @@ class _ScoredRun:
     each target run's current u into a `diagnostics.DistanceFold`, at the
     time k * dt of the fine steps taken, and returns nothing for drive() to
     keep.  Halving dt doubles k, so every run of the study reads the same
-    coarse output time, bit for bit.  mus names a wave run's masses.
+    coarse output time, bit for bit.
     """
 
-    def __init__(self, run, path, targets: list, basis, mus=None):
+    def __init__(self, run, path, targets: list, basis):
         self.run, self.inc, self.dt, self.per_step = run, path.increments, path.dt, 1 << path.level
-        self.targets, self.basis, self.mus = targets, basis, mus
+        self.targets, self.basis = targets, basis
         self.folds = [diagnostics.DistanceFold() for _ in targets]
         self.k = 0
 
@@ -124,7 +124,7 @@ class _ScoredRun:
 def _mass_group(cfg: dict, basis, models, mus: list, u0, v0, path, limits: list):
     """The masses mus as one batch on path, their refined batch, scored against each limit run."""
     run = _wave_solver(cfg, basis, models, np.array(mus)).stepper(u0, v0, path)
-    return _ScoredRun(run, path, limits, basis, mus=mus)
+    return _ScoredRun(run, path, limits, basis)
 
 
 def _study_block(cfg: dict, seed0: int, n_paths: int, ablate_drift: bool) -> LadderStudy:
@@ -364,7 +364,9 @@ def run_resolvent_audit(cfg: dict, out_dir) -> dict:
 
 def run_lyapunov(cfg: dict, out_dir) -> dict:
     """Solve the Lyapunov equation along sampled states of the fd preset."""
-    from .finite_dim import drift_S, lyapunov_residual, point_coefficients, solve_lyapunov
+    from .finite_dim import (
+        LYAPUNOV_RTOL, drift_S, lyapunov_residual, point_coefficients, solve_lyapunov,
+    )
 
     fd = cfg["fd"]
     system = fd_scalar_system(friction=fd["friction"], sigma_value=fd["sigma"])
@@ -380,7 +382,7 @@ def run_lyapunov(cfg: dict, out_dir) -> dict:
     rows = {k: np.asarray(v) for k, v in rows.items()}
     output.write_csv(os.path.join(out_dir, "lyapunov.csv"), rows, h, cfg["seed"])
     worst = float(np.max(rows["residual"]))
-    return {"ok": worst <= 1e-10, "report": {"max_residual": worst}}
+    return {"ok": worst <= LYAPUNOV_RTOL, "report": {"max_residual": worst}}
 
 
 class _PathMoments:

@@ -135,7 +135,6 @@ class WaveTrajectory:
     sup_v_h: np.ndarray
     sup_energy: np.ndarray  # sup_t ( ||u||_{H1}^2 + mu ||v||_H^2 )
     int_u_h1_sq: np.ndarray  # int_0^T ||u||_{H1}^2 dt
-    int_v_h_sq: np.ndarray  # int_0^T ||v||_H^2 dt
 
 
 def _output_indices(n_steps: int, n_output: int) -> np.ndarray:
@@ -356,7 +355,6 @@ class _WaveStepper:
             "sup_v_h": nv,
             "sup_energy": nu1**2 + solver.mu_paths * nv**2,
             "int_u_h1_sq": np.zeros_like(nu),
-            "int_v_h_sq": np.zeros_like(nu),
         }
 
     def _shift(self) -> np.ndarray:
@@ -384,7 +382,6 @@ class _WaveStepper:
             n[key] = np.maximum(n[key], new)
         n["sup_energy"] = np.maximum(n["sup_energy"], nu1**2 + mu * nv**2)
         n["int_u_h1_sq"] = n["int_u_h1_sq"] + dt * nu1**2
-        n["int_v_h_sq"] = n["int_v_h_sq"] + dt * nv**2
         return step
 
     def record(self) -> tuple:

@@ -405,6 +405,17 @@ def test_step_bound_and_audit_sizes_fail_by_name(tmp_path, capsys):
         ({"resolvent": {"n_pairs": 0}}, "resolvent.n_pairs", "must be at least 1, got 0"),
         ({"resolvent": {"n_smooth": 0}}, "resolvent.n_smooth", "must be at least 1, got 0"),
         ({"resolvent": {"n_smooth": -2}}, "resolvent.n_smooth", "must be at least 1, got -2"),
+        # each of these ran the whole study and exited 1, or passed the monotone check vacuously
+        ({"converge": {"ratio_max": 0}}, "converge.ratio_max", "must be positive, got 0.0"),
+        ({"converge": {"ratio_max": -0.4}}, "converge.ratio_max", "must be positive, got -0.4"),
+        ({"converge": {"allowed_inversions": -1}}, "converge.allowed_inversions",
+         "must be at least 0, got -1"),
+        ({"resolvent": {"lam_ladder": []}}, "resolvent.lam_ladder",
+         "needs at least 2 distinct values, got []"),
+        ({"resolvent": {"lam_ladder": [0.05]}}, "resolvent.lam_ladder",
+         "needs at least 2 distinct values, got [0.05]"),
+        ({"resolvent": {"lam_ladder": [0.05, 0.05]}}, "resolvent.lam_ladder",
+         "needs at least 2 distinct values, got [0.05, 0.05]"),
         # non-positive sizes used to run on or fail unnamed, and fd_converge
         # took a ddof=1 standard error of one path into NaN z-scores
         ({"fd": {"paths": 1}}, "fd.paths", "must be at least 2, got 1"),
@@ -963,8 +974,11 @@ def test_wave_energy_column_is_the_running_sup_expression(tmp_path):
     assert np.array_equal(col["energy"], uh1**2 + 1e-4 * vh**2)
 
 
-def _spy_waves(monkeypatch) -> dict:
-    """mu -> the last mass batch a ladder study ran that mass in, with its dt and its folds."""
+def _spy_waves(monkeypatch, batches: list | None = None) -> dict:
+    """mu -> the last mass batch a ladder study ran that mass in, with its dt and its folds.
+
+    Each batch's masses are appended to batches, when given, as the study builds it.
+    """
     from smallmass import runner
 
     waves = {}
@@ -973,6 +987,8 @@ def _spy_waves(monkeypatch) -> dict:
     def spy(cfg, basis, models, mus, *args):
         group = real(cfg, basis, models, mus, *args)
         waves.update(dict.fromkeys(mus, group))
+        if batches is not None:
+            batches.append(list(mus))
         return group
 
     monkeypatch.setattr(runner, "_mass_group", spy)
@@ -1119,9 +1135,10 @@ def test_ladder_study_equals_its_masses_run_one_at_a_time(monkeypatch, scheme):
             "seed": 21,
         }
     )
-    waves = _spy_waves(monkeypatch)
+    batches = []
+    waves = _spy_waves(monkeypatch, batches)
     study = runner.run_ladder_study(cfg, ablate_drift=True)
-    assert [mu for mu in cfg["mu_ladder"] if len(waves[mu].mus) > 1] == [0.2, 0.05]
+    assert [mu for mus in batches if len(mus) > 1 for mu in mus] == [0.2, 0.05]
 
     basis = make_basis(cfg)
     models = make_models(cfg, basis)

@@ -8,6 +8,7 @@ from smallmass.finite_dim import (
     FD_N_OUTPUT,
     FDNoise,
     FDSystem,
+    LYAPUNOV_RTOL,
     LyapunovError,
     _drift_S_batch,
     compare_endpoints,
@@ -16,6 +17,7 @@ from smallmass.finite_dim import (
     drive_fd,
     fd_scalar_system,
     lyapunov_residual,
+    point_coefficients,
     simulate_fd,
     simulate_fd_limit,
     solve_lyapunov,
@@ -32,18 +34,24 @@ def test_scalar_lyapunov_closed_form():
 def test_diagonal_lyapunov_closed_form():
     j = solve_lyapunov(np.diag([1.0, 4.0]), np.eye(2))
     assert np.allclose(j, np.diag([0.5, 0.125]), atol=1e-13)
+    assert np.array_equal(solve_lyapunov(np.eye(9), np.eye(9)), np.eye(9) / 2)  # at any dimension
 
 
 def test_lyapunov_against_independent_solver():
-    # independent route: scipy's Bartels-Stewart solver for a X + X a^T = q
-    g = np.array([[2.0, 1.0], [0.0, 3.0]])
-    c = np.eye(2)
-    ours = solve_lyapunov(g, c)
-    ref = scipy_lyapunov(g, c)
-    assert np.allclose(ours, ref, atol=1e-12)
-    assert lyapunov_residual(g, ours, c) <= 1e-10
-    # symmetric PSD right-hand side gives a symmetric PSD solution
+    # independent route: scipy's Bartels-Stewart solver for a X + X a^T = q,
+    # on random elliptic gamma up to d = 32
     rng = np.random.default_rng(2)
+    for d in (1, 2, 8, 16, 32):
+        a = rng.normal(size=(d, d))
+        g = a @ a.T + np.eye(d) * (0.5 + rng.uniform())  # elliptic
+        s = rng.normal(size=(d, d))
+        c = s @ s.T
+        ours = solve_lyapunov(g, c)
+        assert np.allclose(ours, scipy_lyapunov(g, c), atol=1e-12)
+        assert np.allclose(ours, ours.T, atol=1e-9)
+        assert np.min(np.linalg.eigvalsh((ours + ours.T) / 2)) > -1e-9
+        assert lyapunov_residual(g, ours, c) <= LYAPUNOV_RTOL
+    # symmetric PSD right-hand side gives a symmetric PSD solution
     for _ in range(25):
         d = rng.integers(1, 6)
         a = rng.normal(size=(d, d))
@@ -56,11 +64,25 @@ def test_lyapunov_against_independent_solver():
         assert lyapunov_residual(g, j, c) <= 1e-10
 
 
+def test_lyapunov_rejects_a_non_symmetric_gamma():
+    with pytest.raises(ValueError, match="gamma must be symmetric"):
+        solve_lyapunov(np.array([[2.0, 1.0], [0.0, 3.0]]), np.eye(2))
+
+
 def test_lyapunov_rejects_bad_spectrum():
     with pytest.raises(LyapunovError):
         solve_lyapunov(np.array([[1.0, 0.0], [0.0, -1.0]]), np.eye(2))
-    with pytest.raises(ValueError):
-        solve_lyapunov(np.eye(9), np.eye(9))  # above the dense-solve cap
+
+
+@pytest.mark.parametrize("friction", ["two_plus_sin", "constant"])
+def test_scalar_lyapunov_is_rhs_over_twice_gamma_bit_for_bit(friction):
+    # The grids of `smallmass lyapunov` and of criterion 3: lyapunov.csv keeps its bits.
+    grid = np.concatenate([np.linspace(-3.0, 3.0, 25), np.linspace(-1.5, 1.5, 61)])
+    for sigma in (1.0, 1.3, 1.5):
+        system = fd_scalar_system(friction=friction, sigma_value=sigma)
+        for xv in grid:
+            g, rhs = point_coefficients(system, xv)
+            assert np.array_equal(solve_lyapunov(g, rhs), rhs / (g + g))
 
 
 def test_scalar_drift_closed_form():

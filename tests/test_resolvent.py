@@ -318,6 +318,10 @@ def test_audit_of_no_samples_is_rejected(op):
     for n_pairs, n_smooth, name in ((0, 5, "n_pairs"), (5, 0, "n_smooth"), (-1, 5, "n_pairs")):
         with pytest.raises(ValueError, match=f"{name} must be at least 1"):
             audit_operator(op, n_pairs=n_pairs, n_smooth=n_smooth)
+    # a ladder of fewer than 2 distinct values passes the monotone check comparing nothing
+    for ladder in ((), (0.05,), (0.05, 0.05)):
+        with pytest.raises(ValueError, match="lam_ladder needs at least 2 distinct values"):
+            audit_operator(op, n_pairs=2, lam_ladder=ladder, n_smooth=2)
 
 
 def test_implicit_step_matches_exponential_decay(basis):

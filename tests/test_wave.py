@@ -169,7 +169,7 @@ def test_batched_simulation_matches_per_path(basis):
             assert abs(tb.int_u_h1_sq[j] - tj.int_u_h1_sq) < 1e-12
             assert np.array_equal(tb.u[:, j], tj.u), scheme
             assert np.array_equal(tb.v[:, j], tj.v), scheme
-            for f in ("sup_u_h", "sup_u_h1", "sup_v_h", "sup_energy", "int_u_h1_sq", "int_v_h_sq"):
+            for f in ("sup_u_h", "sup_u_h1", "sup_v_h", "sup_energy", "int_u_h1_sq"):
                 assert getattr(tb, f)[j] == getattr(tj, f), (scheme, f)
     for form, with_drift in (("u", True), ("u", False), ("rho", True)):
         solver = LimitSolver(basis, m, form=form, with_drift=with_drift)
@@ -273,7 +273,7 @@ def test_mass_batch_rows_equal_their_own_scalar_runs(basis, scheme):
         tk = alone.simulate(bump(basis), np.zeros(16), batch, n_output=8)
         assert np.array_equal(tb.u[:, k], tk.u), (scheme, mu)
         assert np.array_equal(tb.v[:, k], tk.v), (scheme, mu)
-        for f in ("sup_u_h", "sup_u_h1", "sup_v_h", "sup_energy", "int_u_h1_sq", "int_v_h_sq"):
+        for f in ("sup_u_h", "sup_u_h1", "sup_v_h", "sup_energy", "int_u_h1_sq"):
             assert np.array_equal(getattr(tb, f)[k], getattr(tk, f)), (scheme, mu, f)
 
 
@@ -346,7 +346,7 @@ def test_sup_trackers_record_every_step(basis):
     # trackers run over every step, so they dominate the coarse output grid
     assert traj.sup_u_h >= np.max(np.sqrt((traj.u**2).sum(axis=-1))) - 1e-12
     assert traj.sup_v_h >= np.max(np.sqrt((traj.v**2).sum(axis=-1))) - 1e-12
-    assert traj.int_v_h_sq > 0.0
+    assert traj.int_u_h1_sq > 0.0
 
 
 def test_default_eta_step_takes_cos_once_per_nodal_state(basis, cos_per_state):

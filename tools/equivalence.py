@@ -41,7 +41,9 @@ iterations per friction model, every coefficient of each friction preset, a
 tabulated friction, each reaction and each diffusion factor on fixed nodal
 values (gamma, gamma', g, g^-1 on its closed, Newton and bisection branches,
 f, lambda_sigma, lambda_sigma', kappa and the limit's b_bar; the models.* routes),
-refinement of a path and a batch, fd coupled and single runs, a stacked resolvent solve with
+refinement of a path and a batch, fd coupled and single runs, the scalar Lyapunov solve, its
+residual and drift_S on criterion 3's grid for each fd friction, every selftest check's name,
+flag and detail, a stacked resolvent solve with
 its per-row info, two lone solves that raise ResolventError (one that stops contracting, one
 on a NaN row that never converges; each compared by its message, which names lam and the
 last residual), the resolvent audit at criterion 4's size, every
@@ -381,7 +383,37 @@ def _fd_routes() -> dict:
         return out
 
     routes["fd.single"] = single
+
+    for friction in ("two_plus_sin", "constant"):
+
+        def grid(friction=friction):
+            """J, its residual and drift_S on criterion 3's 61 states."""
+            system = fdm.fd_scalar_system(friction=friction)
+            out = {"J": [], "residual": [], "drift_S": []}
+            for xv in np.linspace(-1.5, 1.5, 61):
+                g, rhs = fdm.point_coefficients(system, xv)
+                j = fdm.solve_lyapunov(g, rhs)
+                out["J"].append(j[0, 0])
+                out["residual"].append(fdm.lyapunov_residual(g, j, rhs))
+                out["drift_S"].append(fdm.drift_S(system, xv)[0])
+            return {k: np.array(v) for k, v in out.items()}
+
+        routes[f"lyapunov.grid.{friction}"] = grid
     return routes
+
+
+def _selftest_routes() -> dict:
+    """Every selftest check, by its index and name: its flag and its detail text."""
+
+    def run():
+        from smallmass.selftest import run_selftest
+
+        out = {}
+        for k, (name, ok, detail) in enumerate(run_selftest()):
+            out[f"{k}.{name}.flag"], out[f"{k}.{name}.detail"] = np.asarray(ok), np.asarray(detail)
+        return out
+
+    return {"selftest": run}
 
 
 def _resolvent_routes() -> dict:
@@ -751,7 +783,7 @@ def catalogue() -> dict:
     routes = {}
     groups = (
         _wave_routes, _limit_routes, _model_routes, _coefficient_routes, _noise_routes, _fd_routes,
-        _resolvent_routes, _run_routes, _divergence_routes, _geometry_routes,
+        _resolvent_routes, _run_routes, _divergence_routes, _geometry_routes, _selftest_routes,
     )
     for group in groups + (_default_routes, _bench_routes):
         routes.update(group())
