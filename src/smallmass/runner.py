@@ -35,11 +35,13 @@ from .diagnostics import DriftNecessityReport
 # simulate_fd and simulate_fd_limit are not called here; bench/spans.py wraps them at this name.
 from .finite_dim import (
     FD_N_OUTPUT,
+    LYAPUNOV_RTOL,
     FDNoise,
     compare_endpoints,
     coupled_steppers,
     drive_fd,
     fd_scalar_system,
+    lyapunov_sweep,
     simulate_fd,
     simulate_fd_limit,
 )
@@ -364,22 +366,10 @@ def run_resolvent_audit(cfg: dict, out_dir) -> dict:
 
 def run_lyapunov(cfg: dict, out_dir) -> dict:
     """Solve the Lyapunov equation along sampled states of the fd preset."""
-    from .finite_dim import (
-        LYAPUNOV_RTOL, drift_S, lyapunov_residual, point_coefficients, solve_lyapunov,
-    )
-
     fd = cfg["fd"]
     system = fd_scalar_system(friction=fd["friction"], sigma_value=fd["sigma"])
-    xs = np.linspace(-3.0, 3.0, 25)
-    rows = {"x": xs, "J": [], "residual": [], "S": []}
-    for xv in xs:
-        g, rhs = point_coefficients(system, xv)
-        j = solve_lyapunov(g, rhs)
-        rows["J"].append(j[0, 0])
-        rows["residual"].append(lyapunov_residual(g, j, rhs))
-        rows["S"].append(drift_S(system, xv)[0])
+    rows = lyapunov_sweep(system, np.linspace(-3.0, 3.0, 25))
     h = config_hash(cfg)
-    rows = {k: np.asarray(v) for k, v in rows.items()}
     output.write_csv(os.path.join(out_dir, "lyapunov.csv"), rows, h, cfg["seed"])
     worst = float(np.max(rows["residual"]))
     return {"ok": worst <= LYAPUNOV_RTOL, "report": {"max_residual": worst}}

@@ -12,30 +12,13 @@ import pytest
 from conftest import record_criterion
 from smallmass import noise
 from smallmass.config import make_basis, make_initial, make_models, validate_config
-from smallmass.diagnostics import (
-    convergence_report,
-    distance_rows,
-    lambda_functional,
-    plain_parts,
-    scaling_audit,
-)
-from smallmass.finite_dim import (
-    drift_S,
-    fd_scalar_system,
-    lyapunov_residual,
-    point_coefficients,
-    solve_lyapunov,
-)
+from smallmass.diagnostics import convergence_report, distance_rows, plain_parts, scaling_audit
+from smallmass.finite_dim import fd_scalar_system, lyapunov_sweep
 from smallmass.limit import LimitSolver
-from smallmass.models import (
-    Nodal,
-    combined_drift,
-    noise_induced_drift,
-    stratonovich_correction,
-)
 from smallmass.resolvent import OperatorA, audit_operator
 from smallmass.runner import drift_necessity, run_fd_converge, run_ladder_study
-from smallmass.wave import WaveSolver
+from smallmass.selftest import run_selftest
+from smallmass.wave import WaveSolver, g_coeffs
 
 
 @pytest.fixture(scope="module")
@@ -219,14 +202,10 @@ def test_criterion_3_finite_dimensional_drift(tmp_path):
 
     # Lyapunov residual on every solve along the visited range, plus the
     # pipeline-vs-closed-form drift identity.
-    worst_resid = 0.0
-    worst_drift = 0.0
-    for xv in np.linspace(-1.5, 1.5, 61):
-        g, rhs = point_coefficients(system, xv)
-        j = solve_lyapunov(g, rhs)
-        worst_resid = max(worst_resid, lyapunov_residual(g, j, rhs))
-        closed = -np.cos(xv) / (2.0 * (2.0 + np.sin(xv)) ** 3)
-        worst_drift = max(worst_drift, abs(drift_S(system, xv)[0] - closed))
+    sweep = lyapunov_sweep(system, np.linspace(-1.5, 1.5, 61))
+    closed = -np.cos(sweep["x"]) / (2.0 * (2.0 + np.sin(sweep["x"])) ** 3)
+    worst_resid = float(np.max(sweep["residual"]))
+    worst_drift = float(np.max(np.abs(sweep["S"] - closed)))
 
     ok = z_with <= 3.0 and z_no > 3.0 and worst_resid <= 1e-10 and z_with_coupled <= 3.0
     detail = (
@@ -280,13 +259,13 @@ def test_criterion_5_scaling_audits(study):
 def test_criterion_6_dual_form_consistency(setup):
     basis, models, _, _ = setup
     u0 = 2.0 * make_initial(validate_config({}), basis)[0]
-    rho0 = basis.analyze(models.g_map.forward(basis.synthesize(u0)))
+    rho0 = g_coeffs(u0, basis, models)
     t_final, dt0, n_paths = 0.256, 4e-3, 12
 
     def sup_gap(batch):
         ut = LimitSolver(basis, models, form="u").simulate(u0, batch, n_output=50)
         rt = LimitSolver(basis, models, form="rho").simulate(rho0, batch, n_output=50)
-        gu = basis.analyze(models.g_map.forward(basis.synthesize(ut.coeffs)))
+        gu = g_coeffs(ut.coeffs, basis, models)
         return np.sqrt(((gu - rt.coeffs) ** 2).sum(axis=-1)).max(axis=0)
 
     coarse = noise.sample_batch(12345, n_paths, t_final, dt0, basis.n_modes)
@@ -300,66 +279,17 @@ def test_criterion_6_dual_form_consistency(setup):
     assert ok, detail
 
 
-def test_criterion_7_exact_identities(setup):
-    basis, models, _, _ = setup
-    checks = []
-
-    # Poincare equality on the first mode
-    e1 = np.zeros(basis.n_modes)
-    e1[0] = 1.7
-    poincare = abs(
-        basis.sobolev_norm(e1, 0.0) - basis.sobolev_norm(e1, 1.0) / np.sqrt(basis.alphas[0])
-    )
-    checks.append(("poincare", poincare < 1e-13))
-
-    # heat-kernel decay matched to 1e-3
-    from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
-
-    heat = build_model_set(
-        basis,
-        friction_preset("constant"),
-        reaction_preset("zero"),
-        build_diffusion(basis, factor="zero"),
-    )
-    u0 = np.zeros(basis.n_modes)
-    u0[0] = 1.0
-    traj = LimitSolver(basis, heat, form="u").simulate(
-        u0, noise.zero_path(0.1, 1e-4, basis.n_modes), n_output=4
-    )
-    heat_err = abs(traj.coeffs[-1][0] - np.exp(-basis.alphas[0] * 0.1))
-    checks.append(("heat_decay", heat_err < 1e-3))
-
-    # drift identity with analytic derivatives
-    rng = np.random.default_rng(0)
-    u_nodal = basis.synthesize(rng.normal(size=basis.n_modes) / np.arange(1, basis.n_modes + 1))
-    ident = np.max(
-        np.abs(
-            noise_induced_drift(
-                models.friction.gamma(Nodal(u_nodal)),
-                models.friction.gamma_prime(Nodal(u_nodal)),
-                models.diffusion.lambda_sigma(Nodal(u_nodal)),
-                models.diffusion.kappa,
-            )
-            + stratonovich_correction(u_nodal, models.friction, models.diffusion)
-            - combined_drift(u_nodal, models.friction, models.diffusion)
-        )
-    )
-    checks.append(("drift_identity", ident < 1e-6))
-
-    # friction-energy pinching on random fields
-    lam_ok = True
-    for _ in range(100):
-        u = rng.normal(size=basis.n_modes) * rng.uniform(0.1, 2.0)
-        lam = lambda_functional(basis, models.friction, u)
-        h2 = basis.sobolev_norm(u, 0.0) ** 2
-        lam_ok = lam_ok and (0.5 * 1.0 * h2 - 1e-8 <= lam <= 0.5 * 3.0 * h2 + 1e-8)
-    checks.append(("energy_pinching", lam_ok))
-
-    # scalar Lyapunov closed form to 1e-12
-    j = solve_lyapunov(np.array([[1.7]]), np.array([[0.81]]))
-    checks.append(("scalar_lyapunov", abs(j[0, 0] - 0.81 / 3.4) < 1e-12))
-
-    ok = all(flag for _, flag in checks)
-    detail = ", ".join(f"{name}={'ok' if flag else 'FAIL'}" for name, flag in checks)
+def test_criterion_7_exact_identities():
+    """Five closed-form facts the limit rests on, read by name from `smallmass selftest`."""
+    results = {name: ok for name, ok, _ in run_selftest()}
+    checks = {
+        "poincare": results["poincare equality on mode 1"],
+        "heat_decay": results["heat kernel decay to 1e-3"],
+        "drift_identity": results["combined drift identity (analytic)"],
+        "energy_pinching": results["friction energy pinching"],
+        "scalar_lyapunov": results["scalar Lyapunov closed form"],
+    }
+    ok = all(checks.values())
+    detail = ", ".join(f"{name}={'ok' if flag else 'FAIL'}" for name, flag in checks.items())
     record_criterion(7, "exact unit-scale identities", ok, detail)
     assert ok, detail

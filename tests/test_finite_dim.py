@@ -17,6 +17,7 @@ from smallmass.finite_dim import (
     drive_fd,
     fd_scalar_system,
     lyapunov_residual,
+    lyapunov_sweep,
     point_coefficients,
     simulate_fd,
     simulate_fd_limit,
@@ -113,6 +114,36 @@ def test_batched_scalar_S_matches_the_pointwise_solve(friction):
         assert np.array_equal(batched, np.zeros_like(x))
     else:
         assert np.min(np.abs(batched)) > 0.0
+
+
+@pytest.mark.parametrize("friction", ["two_plus_sin", "constant"])
+def test_lyapunov_sweep_equals_the_per_state_solve_with_one_solve_per_state(
+    friction, monkeypatch, tmp_path
+):
+    # Criterion 3's grid: the sweep's columns are the per-state solve, residual and drift_S.
+    import smallmass.finite_dim as fdm
+    from smallmass.config import validate_config
+    from smallmass.runner import run_lyapunov
+
+    system = fd_scalar_system(friction=friction)
+    xs = np.linspace(-1.5, 1.5, 61)
+    sweep = lyapunov_sweep(system, xs)
+    j, residual = [], []
+    for xv in xs:
+        g, rhs = point_coefficients(system, xv)
+        jx = solve_lyapunov(g, rhs)
+        j.append(jx[0, 0])
+        residual.append(lyapunov_residual(g, jx, rhs))
+    assert np.array_equal(sweep["x"], xs)
+    assert np.array_equal(sweep["J"], j)
+    assert np.array_equal(sweep["residual"], residual)
+    assert np.array_equal(sweep["S"], [drift_S(system, xv)[0] for xv in xs])
+
+    calls = []
+    real = fdm.solve_lyapunov
+    monkeypatch.setattr(fdm, "solve_lyapunov", lambda *a: calls.append(1) or real(*a))
+    assert run_lyapunov(validate_config({"fd": {"friction": friction}}), tmp_path)["ok"]
+    assert len(calls) == 25  # one per state of the lyapunov grid
 
 
 def test_scalar_preset_uses_the_friction_registry():
