@@ -58,8 +58,8 @@ from .finite_dim import (
     FDNoise,
     FDSystem,
     compare_endpoints,
-    drift_S,
     fd_scalar_system,
+    lyapunov_sweep,
     simulate_fd,
     simulate_fd_limit,
     solve_lyapunov,

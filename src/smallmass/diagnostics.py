@@ -34,7 +34,7 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .models import FrictionModel, ModelSet, Nodal, _gauss_legendre
-from .wave import WaveTrajectory
+from .wave import WaveTrajectory, wave_norms
 
 N_MAX_METRIC = 16  # terms of the d_X1 and d_X2 sums
 
@@ -45,6 +45,7 @@ MIN_PATHS_PAIRED = 2
 # Scaling audit: the ladder points and paths per point it needs, and its trend bounds.
 AUDIT_MIN_POINTS = 4
 AUDIT_MIN_PATHS = 8
+AUDIT_NORMS = ("sup_energy", "sup_v_h", "sup_u_h", "int_u_h1_sq")  # the running norms it reads
 SLOPE_ENERGY_MIN = -0.05
 SLOPE_VELOCITY_MIN = 0.2
 SPREAD_MAX = 0.25
@@ -68,17 +69,15 @@ def energy_records(basis: SpectralBasis, models: ModelSet, traj: WaveTrajectory)
     """Per-output-time energy diagnostics of a single-path trajectory, one array per column.
 
     The columns are t, energy (K_mu), lambda (Lambda(u)), u_h, u_h1 and v_h.
-    The norms are taken once on the (T, N) trajectory, whose rows reduce as
-    they would alone, and the energy from them as the running sup_energy
-    takes it; Lambda is taken output by output.
+    The norms and the energy are `wave.wave_norms` of the (T, N) trajectory,
+    whose rows reduce as they would alone; Lambda is taken output by output.
     """
     if traj.u.ndim != 2:
         raise ValueError("energy_records expects an unbatched trajectory")
-    norm = basis.sobolev_norm
-    uh, uh1, vh = norm(traj.u, 0.0), norm(traj.u, 1.0), norm(traj.v, 0.0)
+    uh, uh1, vh, energy = wave_norms(basis, traj.u, traj.v, traj.mu)
     return {
         "t": traj.times,
-        "energy": uh1**2 + traj.mu * vh**2,
+        "energy": energy,
         "lambda": np.array([lambda_functional(basis, models.friction, u) for u in traj.u]),
         "u_h": uh,
         "u_h1": uh1,
@@ -247,17 +246,15 @@ class ScalingAudit:
 def scaling_audit(ladder: list[float], norms: dict) -> ScalingAudit:
     """Trend tests across a mass ladder; diverged/non-finite input fails all flags.
 
-    norms maps the names of `WaveTrajectory`'s running norms to (n_mu,
-    n_paths) arrays, one row per mass; the ladder must be sorted from the
-    largest mass down.
+    norms maps the names in AUDIT_NORMS, running norms of `WaveTrajectory`,
+    to (n_mu, n_paths) arrays, one row per mass; the ladder must be sorted
+    from the largest mass down.
     """
     mus = np.array(ladder, dtype=float)
     if len(mus) < AUDIT_MIN_POINTS:
         raise ValueError(f"need at least {AUDIT_MIN_POINTS} ladder points, got {len(mus)}")
     _check_descending(ladder)
-    sup_e, sup_v, sup_u, int_u = (
-        np.asarray(norms[k], dtype=float) for k in ("sup_energy", "sup_v_h", "sup_u_h", "int_u_h1_sq")
-    )
+    sup_e, sup_v, sup_u, int_u = (np.asarray(norms[k], dtype=float) for k in AUDIT_NORMS)
     if sup_e.ndim != 2 or sup_e.shape[0] != len(mus):
         raise ValueError(f"norm rows {sup_e.shape} do not match a ladder of {len(mus)} masses")
     if (n_paths := sup_e.shape[1]) < AUDIT_MIN_PATHS:

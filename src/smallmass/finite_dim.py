@@ -17,12 +17,11 @@ The friction is a `models.FrictionModel`: it gives gamma, gamma' and, through
 `models.AntiderivativeMap`, the antiderivative G of gamma, all taken on one
 `models.Nodal` of the state per step.  The Lyapunov solve takes a symmetric
 positive definite gamma of any dimension through one eigendecomposition, with
-the residual checked on every call.  At a single point, drift_S runs it on the
-1x1 matrices and differences 1/gamma by a relative central difference with
-step 1e-5.  `lyapunov_sweep` runs a grid of states (`smallmass lyapunov`,
-criterion 3) with one solve per state, giving J, its residual and S from that
-J by the same difference.  The limit integrator's S is closed form in gamma
-and gamma'.
+the residual checked on every call.  `lyapunov_sweep` is the one route from
+it to S: it runs a grid of states (`smallmass lyapunov`, criterion 3; a single
+point is a one-state sweep) with one 1x1 solve per state, giving J, its
+residual and S from that J times a relative central difference of 1/gamma
+with step 1e-5.  The limit integrator's S is closed form in gamma and gamma'.
 
 Monte Carlo runs step a (P,) state, one value per path, with elementwise
 products, on (P,) increments from a counter-based generator keyed by (seed,
@@ -107,44 +106,25 @@ def lyapunov_residual(gamma_x: np.ndarray, j: np.ndarray, rhs: np.ndarray) -> fl
     )
 
 
-def point_coefficients(system: FDSystem, x) -> tuple[np.ndarray, np.ndarray]:
-    """gamma and sigma sigma^T at one state x, as the 1x1 matrices solve_lyapunov takes."""
-    x = np.asarray(x, dtype=float).reshape(1)
-    sig = system.sigma(x)
-    return np.reshape(system.friction.gamma(Nodal(x)), (1, 1)), np.reshape(sig * sig, (1, 1))
-
-
-def _inv_gamma_slope(system: FDSystem, x: np.ndarray) -> np.ndarray:
-    """d/dx[1/gamma] at the (1,) state x by a relative central difference, as a (1,) array."""
-    h = FD_STEP_REL * max(1.0, abs(float(x[0])))
-    gamma = system.friction.gamma
-    return (1.0 / gamma(Nodal(x + h)) - 1.0 / gamma(Nodal(x - h))) / (2.0 * h)
-
-
-def drift_S(system: FDSystem, x) -> np.ndarray:
-    """Noise-induced drift S = d/dx[1/gamma] J at a single point x, as a (1,) array.
-
-    J comes from the 1x1 Lyapunov solve, d/dx[1/gamma] from a relative
-    central difference.
-    """
-    x = np.asarray(x, dtype=float).reshape(1)
-    return _inv_gamma_slope(system, x) * solve_lyapunov(*point_coefficients(system, x))[0]
-
-
 def lyapunov_sweep(system: FDSystem, xs) -> dict[str, np.ndarray]:
     """The columns x, J, residual and S at the states xs, from one Lyapunov solve per state.
 
-    Each column holds what solve_lyapunov, lyapunov_residual and drift_S give
-    state by state; S takes the J already solved.
+    J solves J gamma + gamma J = sigma^2 on the 1x1 matrices at x, and S = d/dx[1/gamma] J
+    takes that J and a relative central difference of 1/gamma.  A point x is the one-state
+    sweep [x], whose S column is a (1,) array.
     """
     xs = np.asarray(xs, dtype=float)
+    gamma = system.friction.gamma
     cols = {"J": [], "residual": [], "S": []}
     for x in xs.reshape(-1, 1):
-        g, rhs = point_coefficients(system, x)
+        sig = system.sigma(x)
+        g, rhs = np.reshape(gamma(Nodal(x)), (1, 1)), np.reshape(sig * sig, (1, 1))
         j = solve_lyapunov(g, rhs)
+        h = FD_STEP_REL * max(1.0, abs(float(x[0])))
+        slope = (1.0 / gamma(Nodal(x + h)) - 1.0 / gamma(Nodal(x - h))) / (2.0 * h)
         cols["J"].append(j[0, 0])
         cols["residual"].append(lyapunov_residual(g, j, rhs))
-        cols["S"].append((_inv_gamma_slope(system, x) * j[0])[0])
+        cols["S"].append(slope[0] * j[0, 0])
     return {"x": xs, **{k: np.asarray(v) for k, v in cols.items()}}
 
 

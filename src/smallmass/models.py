@@ -333,6 +333,8 @@ def friction_from_table(r: np.ndarray, gamma_vals: np.ndarray) -> FrictionModel:
     gv = np.asarray(gamma_vals, dtype=float)
     if r.ndim != 1 or r.shape != gv.shape or r.size < 2:
         raise ValueError("need matching 1-d arrays with at least two samples")
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(gv))):
+        raise ValueError("tabulated r and gamma values must be finite")
     if np.any(np.diff(r) <= 0):
         raise ValueError("table abscissae must be strictly increasing")
     if np.any(gv <= 0):

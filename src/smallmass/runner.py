@@ -11,10 +11,10 @@ each batch is scored against the limit's current state at every output
 time; the distances are folded as they come (`diagnostics.DistanceFold`),
 so no trajectory of the waves or the limit is kept.  Results are identical
 to running paths and masses one at a time.
-Every per-path result of the study (distances and running norms) is an
-array with one row per mass and the path on the last axis, so a study split
-over jobs > 1 processes in path blocks is joined along that axis in one
-place, in block order.
+Every per-path result of the study (distances and the running norms the
+scaling audit reads) is an array with one row per mass and the path on the
+last axis, so a study split over jobs > 1 processes in path blocks is joined
+along that axis in one place, in block order.
 
 The finite-dimensional study of `fd-converge` likewise reduces as it runs:
 its three coupled integrators record only the path mean and its standard
@@ -56,7 +56,7 @@ class LadderStudy:
 
     ladder: list[float]
     per_path_distance: np.ndarray  # (n_mu, n_paths): sup_Hm1 + L2(0,T;H) to the limit with H
-    norms: dict  # the running norms of WaveTrajectory by name, (n_mu, n_paths) each
+    norms: dict  # the running norms scaling_audit reads by name (AUDIT_NORMS), (n_mu, n_paths) each
     d_no: np.ndarray | None = None  # (n_mu, n_paths): the same to the limit without H
     d_h: np.ndarray | None = None  # (n_paths,): between the limits with and without H
 
@@ -169,8 +169,8 @@ def _study_block(cfg: dict, seed0: int, n_paths: int, ablate_drift: bool) -> Lad
     norms: dict = {}
     for idx, wave in zip(groups.values(), waves):
         d[:, idx] = wave.distances()
-        for name, rows in wave.run.norms.items():
-            norms.setdefault(name, np.empty((len(ladder), n_paths)))[idx] = rows
+        for name in diagnostics.AUDIT_NORMS:
+            norms.setdefault(name, np.empty((len(ladder), n_paths)))[idx] = wave.run.norms[name]
     if not ablate_drift:
         return LadderStudy(ladder, d[0], norms)
     return LadderStudy(ladder, d[0], norms, d_no=d[1], d_h=limits[1].distances()[0])

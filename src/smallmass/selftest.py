@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import DomainSpec, build_basis
 from .diagnostics import lambda_functional, metric_distance
-from .finite_dim import drift_S, fd_scalar_system, solve_lyapunov
+from .finite_dim import fd_scalar_system, lyapunov_sweep, solve_lyapunov
 from .limit import LimitSolver
 from .models import (
     AntiderivativeMap,
@@ -293,7 +293,7 @@ def run_selftest() -> list[tuple[str, bool, str]]:
         np.allclose(j_diag, np.diag([0.5, 0.125]), atol=1e-12),
     )
     const_sys = fd_scalar_system(friction="constant")
-    check("constant friction has no drift", abs(drift_S(const_sys, 0.3)[0]) < 1e-10)
+    check("constant friction has no drift", abs(lyapunov_sweep(const_sys, [0.3])["S"][0]) < 1e-10)
 
     # diagnostics: metric conventions and energy bounds
     times = np.linspace(0, 0.5, 6)

@@ -331,6 +331,13 @@ class WaveSolver:
         return WaveTrajectory(times=times, u=u, v=v, mu=self.mu_paths, dt=path.dt, **run.norms)
 
 
+def wave_norms(basis: SpectralBasis, u: np.ndarray, v: np.ndarray, mu) -> tuple:
+    """||u||_H, ||u||_H1, ||v||_H and the energy K_mu = ||u||_H1^2 + mu ||v||_H^2."""
+    norm = basis.sobolev_norm
+    nu, nu1, nv = norm(u, 0.0), norm(u, 1.0), norm(v, 0.0)
+    return nu, nu1, nv, nu1**2 + mu * nv**2
+
+
 class _WaveStepper:
     """One wave run for drive(): the scheme state, its velocity and the running norms.
 
@@ -348,12 +355,12 @@ class _WaveStepper:
             self.v = self.second - shift
         else:
             self.second = self.v = v
-        nu, nu1, nv = self._norms()
+        nu, nu1, nv, energy = wave_norms(solver.basis, self.u, self.v, solver.mu_paths)
         self.norms = {  # the running sups and time integrals of WaveTrajectory
             "sup_u_h": nu,
             "sup_u_h1": nu1,
             "sup_v_h": nv,
-            "sup_energy": nu1**2 + solver.mu_paths * nv**2,
+            "sup_energy": energy,
             "int_u_h1_sq": np.zeros_like(nu),
         }
 
@@ -363,11 +370,6 @@ class _WaveStepper:
         self.nodal = _g_nodal(self.u, s.basis, s.models)
         return s.basis.analyze(self.nodal[1]) / s.mu
 
-    def _norms(self) -> tuple:
-        """||u||_H, ||u||_H1 and ||v||_H."""
-        norm = self.solver.basis.sobolev_norm
-        return norm(self.u, 0.0), norm(self.u, 1.0), norm(self.v, 0.0)
-
     def step(self, dbeta) -> tuple:
         if self.eta_mode:
             step = self.solver._advance(self.u, self.second, self.dt, dbeta, self.nodal)
@@ -376,12 +378,12 @@ class _WaveStepper:
             step = self.solver._advance(self.u, self.second, self.dt, dbeta)
         self.u, self.second = step
         self.v = self.second - self._shift() if self.eta_mode else self.second
-        nu, nu1, nv = self._norms()
-        n, mu, dt = self.norms, self.solver.mu_paths, self.dt
+        nu, nu1, nv, energy = wave_norms(self.solver.basis, self.u, self.v, self.solver.mu_paths)
+        n = self.norms
         for key, new in (("sup_u_h", nu), ("sup_u_h1", nu1), ("sup_v_h", nv)):
             n[key] = np.maximum(n[key], new)
-        n["sup_energy"] = np.maximum(n["sup_energy"], nu1**2 + mu * nv**2)
-        n["int_u_h1_sq"] = n["int_u_h1_sq"] + dt * nu1**2
+        n["sup_energy"] = np.maximum(n["sup_energy"], energy)
+        n["int_u_h1_sq"] = n["int_u_h1_sq"] + self.dt * nu1**2
         return step
 
     def record(self) -> tuple:

@@ -13,12 +13,10 @@ from smallmass.finite_dim import (
     _drift_S_batch,
     compare_endpoints,
     coupled_steppers,
-    drift_S,
     drive_fd,
     fd_scalar_system,
     lyapunov_residual,
     lyapunov_sweep,
-    point_coefficients,
     simulate_fd,
     simulate_fd_limit,
     solve_lyapunov,
@@ -82,32 +80,33 @@ def test_scalar_lyapunov_is_rhs_over_twice_gamma_bit_for_bit(friction):
     for sigma in (1.0, 1.3, 1.5):
         system = fd_scalar_system(friction=friction, sigma_value=sigma)
         for xv in grid:
-            g, rhs = point_coefficients(system, xv)
+            sig = system.sigma(xv)
+            g = np.reshape(system.friction.gamma(Nodal(np.array([xv]))), (1, 1))
+            rhs = np.reshape(sig * sig, (1, 1))
             assert np.array_equal(solve_lyapunov(g, rhs), rhs / (g + g))
 
 
 def test_scalar_drift_closed_form():
     # d = 1, gamma = 2 + sin x, sigma = s: S(x) = -gamma' s^2 / (2 gamma^3)
     system = fd_scalar_system(sigma_value=1.5)
-    for xv in (-1.2, 0.0, 0.7, 2.3):
-        s = drift_S(system, xv)[0]
-        exact = -np.cos(xv) * 1.5**2 / (2.0 * (2.0 + np.sin(xv)) ** 3)
-        assert abs(s - exact) < 1e-8
+    xs = np.array([-1.2, 0.0, 0.7, 2.3])
+    exact = -np.cos(xs) * 1.5**2 / (2.0 * (2.0 + np.sin(xs)) ** 3)
+    assert np.max(np.abs(lyapunov_sweep(system, xs)["S"] - exact)) < 1e-8
 
 
 def test_constant_friction_no_drift():
     system = fd_scalar_system(friction="constant")
-    assert abs(drift_S(system, 0.4)[0]) < 1e-10
+    assert abs(lyapunov_sweep(system, [0.4])["S"][0]) < 1e-10
 
 
 @pytest.mark.parametrize("friction", ["two_plus_sin", "constant"])
 def test_batched_scalar_S_matches_the_pointwise_solve(friction):
     # The limit step's closed form -gamma'/gamma^2 * sigma^2/(2 gamma) against
-    # drift_S's Lyapunov solve and central-difference Jacobian at every point.
+    # the sweep's Lyapunov solve and central-difference Jacobian at every point.
     system = fd_scalar_system(friction=friction, sigma_value=1.3)
     x = np.linspace(-3.0, 3.0, 61)
     batched = _drift_S_batch(system, x, system.friction.gamma(Nodal(x)))
-    pointwise = np.concatenate([drift_S(system, xi) for xi in x])
+    pointwise = lyapunov_sweep(system, x)["S"]
     assert batched.shape == (61,)
     assert np.max(np.abs(batched - pointwise)) <= 1e-8
     if friction == "constant":
@@ -120,24 +119,32 @@ def test_batched_scalar_S_matches_the_pointwise_solve(friction):
 def test_lyapunov_sweep_equals_the_per_state_solve_with_one_solve_per_state(
     friction, monkeypatch, tmp_path
 ):
-    # Criterion 3's grid: the sweep's columns are the per-state solve, residual and drift_S.
+    # Criterion 3's grid: the sweep's columns are the per-state 1x1 solve, its residual and
+    # the relative central difference of 1/gamma times that J; a point is a one-state sweep.
     import smallmass.finite_dim as fdm
     from smallmass.config import validate_config
     from smallmass.runner import run_lyapunov
 
     system = fd_scalar_system(friction=friction)
+    gamma = system.friction.gamma
     xs = np.linspace(-1.5, 1.5, 61)
     sweep = lyapunov_sweep(system, xs)
-    j, residual = [], []
+    j, residual, s = [], [], []
     for xv in xs:
-        g, rhs = point_coefficients(system, xv)
+        x, sig = np.array([xv]), system.sigma(xv)
+        g, rhs = np.reshape(gamma(Nodal(x)), (1, 1)), np.reshape(sig * sig, (1, 1))
         jx = solve_lyapunov(g, rhs)
+        h = fdm.FD_STEP_REL * max(1.0, abs(xv))
+        slope = (1.0 / gamma(Nodal(x + h)) - 1.0 / gamma(Nodal(x - h))) / (2.0 * h)
         j.append(jx[0, 0])
         residual.append(lyapunov_residual(g, jx, rhs))
+        s.append((slope * jx[0])[0])
+        point = lyapunov_sweep(system, [xv])["S"]
+        assert point.shape == (1,) and point[0] == s[-1]
     assert np.array_equal(sweep["x"], xs)
     assert np.array_equal(sweep["J"], j)
     assert np.array_equal(sweep["residual"], residual)
-    assert np.array_equal(sweep["S"], [drift_S(system, xv)[0] for xv in xs])
+    assert np.array_equal(sweep["S"], s)
 
     calls = []
     real = fdm.solve_lyapunov

@@ -241,6 +241,12 @@ def test_tabulated_friction():
     assert table.gamma(Nodal(99.0)) == table.gamma(Nodal(5.0))
     with pytest.raises(ValueError):
         friction_from_table(r[::-1], 2.0 + np.sin(r))
+    # unchecked, a NaN abscissa makes gamma NaN everywhere and an infinite gamma makes gamma1 inf
+    for bad_r, bad_g in (([0.0, np.nan, 1.0], [2.0, 2.0, 2.0]),
+                         ([0.0, 0.5, 1.0], [2.0, np.nan, 2.0]),
+                         ([0.0, 0.5, 1.0], [2.0, np.inf, 2.0])):
+        with pytest.raises(ValueError, match="tabulated r and gamma values must be finite"):
+            friction_from_table(bad_r, bad_g)
 
 
 def test_friction_csv_loader(tmp_path):

@@ -42,7 +42,7 @@ tabulated friction, each reaction and each diffusion factor on fixed nodal
 values (gamma, gamma', g, g^-1 on its closed, Newton and bisection branches,
 f, lambda_sigma, lambda_sigma', kappa and the limit's b_bar; the models.* routes),
 refinement of a path and a batch, fd coupled and single runs, the scalar Lyapunov solve, its
-residual and drift_S on criterion 3's grid for each fd friction, every selftest check's name,
+residual and the sweep's S on criterion 3's grid for each fd friction, every selftest check's name,
 flag and detail, a stacked resolvent solve with
 its per-row info, two lone solves that raise ResolventError (one that stops contracting, one
 on a NaN row that never converges; each compared by its message, which names lam and the
@@ -346,6 +346,7 @@ def _noise_routes() -> dict:
 
 def _fd_routes() -> dict:
     from smallmass import finite_dim as fdm
+    from smallmass.models import Nodal
 
     # Older commits draw (P, r_dim) increments and record (n_out, P, 1) trajectories.
     noise_fields = {f.name for f in dataclasses.fields(fdm.FDNoise)}
@@ -379,7 +380,7 @@ def _fd_routes() -> dict:
             out[f"{system.name}.limit_S={with_s}"] = x_of(
                 fdm.simulate_fd_limit(system, nz, 0.3, with_S=with_s, n_output=10)
             )
-        out[f"{system.name}.drift_S"] = fdm.drift_S(system, np.array([0.4]))
+        out[f"{system.name}.drift_S"] = fdm.lyapunov_sweep(system, np.array([0.4]))["S"]
         return out
 
     routes["fd.single"] = single
@@ -387,16 +388,19 @@ def _fd_routes() -> dict:
     for friction in ("two_plus_sin", "constant"):
 
         def grid(friction=friction):
-            """J, its residual and drift_S on criterion 3's 61 states."""
-            system = fdm.fd_scalar_system(friction=friction)
-            out = {"J": [], "residual": [], "drift_S": []}
-            for xv in np.linspace(-1.5, 1.5, 61):
-                g, rhs = fdm.point_coefficients(system, xv)
+            """J and its residual from the 1x1 solve at each of criterion 3's 61 states, and the
+            sweep's S there."""
+            system, xs = fdm.fd_scalar_system(friction=friction), np.linspace(-1.5, 1.5, 61)
+            out = {"J": [], "residual": []}
+            for xv in xs:
+                sig = system.sigma(xv)
+                g = np.reshape(system.friction.gamma(Nodal(np.array([xv]))), (1, 1))
+                rhs = np.reshape(sig * sig, (1, 1))
                 j = fdm.solve_lyapunov(g, rhs)
                 out["J"].append(j[0, 0])
                 out["residual"].append(fdm.lyapunov_residual(g, j, rhs))
-                out["drift_S"].append(fdm.drift_S(system, xv)[0])
-            return {k: np.array(v) for k, v in out.items()}
+            return {**{k: np.array(v) for k, v in out.items()},
+                    "drift_S": fdm.lyapunov_sweep(system, xs)["S"]}
 
         routes[f"lyapunov.grid.{friction}"] = grid
     return routes
