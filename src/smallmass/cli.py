@@ -1,9 +1,9 @@
 """Command line entry points.
 
-Every subcommand takes --config/--seed/--out/--paths/--jobs, validates the
-configuration strictly, and writes its artifacts under the output directory,
-which the first artifact written makes: a run that fails at set-up leaves
-none.  Failures exit nonzero with a machine-readable JSON error on stderr.
+Every subcommand but `selftest` takes --config/--seed/--out/--paths/--jobs,
+validates the configuration strictly (exit 2), and writes its artifacts under
+the output directory, which the first artifact written makes: a run that fails
+at set-up leaves none.  Failures exit nonzero with a JSON error on stderr.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Small-mass limit studies for damped stochastic wave equations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in list(_SUBCOMMANDS) + ["selftest"]:
+    sub.add_parser("selftest")
+    for name in _SUBCOMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")

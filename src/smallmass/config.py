@@ -234,12 +234,15 @@ def validate_config(raw: dict) -> dict:
 
 
 def load_config(path, overrides: dict | None = None) -> dict:
-    """Validate the JSON config file at path with the top-level keys of overrides set over it."""
-    with open(path) as fh:
-        try:
+    """Validate the JSON config file at path with the top-level keys of overrides set over it.
+
+    A file that cannot be read as UTF-8 JSON is a ConfigError naming it.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: UnicodeDecodeError and JSONDecodeError
+        raise ConfigError(f"config file {path} cannot be read as JSON: {exc}") from exc
     if overrides and isinstance(raw, dict):
         raw = {**raw, **overrides}
     return validate_config(raw)

@@ -21,7 +21,8 @@ the residual checked on every call.  `lyapunov_sweep` is the one route from
 it to S: it runs a grid of states (`smallmass lyapunov`, criterion 3; a single
 point is a one-state sweep) with one 1x1 solve per state, giving J, its
 residual and S from that J times a relative central difference of 1/gamma
-with step 1e-5.  The limit integrator's S is closed form in gamma and gamma'.
+with step 1e-5.  The limit integrator's S is the SPDE limit's H at kappa = 1,
+`models.noise_induced_drift` with sigma as lambda_sigma.
 
 Monte Carlo runs step a (P,) state, one value per path, with elementwise
 products, on (P,) increments from a counter-based generator keyed by (seed,
@@ -46,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import mean_se
-from .models import AntiderivativeMap, FrictionModel, Nodal, friction_preset, nodal
+from .models import AntiderivativeMap, FrictionModel, Nodal, friction_preset, noise_induced_drift
 from .noise import philox_stream
 from .wave import C_STAB, _initial_state, drive
 
@@ -126,17 +127,6 @@ def lyapunov_sweep(system: FDSystem, xs) -> dict[str, np.ndarray]:
         cols["residual"].append(lyapunov_residual(g, j, rhs))
         cols["S"].append(slope[0] * j[0, 0])
     return {"x": xs, **{k: np.asarray(v) for k, v in cols.items()}}
-
-
-def _drift_S_batch(system: FDSystem, x, g: np.ndarray) -> np.ndarray:
-    """S at the (P,) states x (a Nodal or its values), given g = gamma(x).
-
-    S = d(1/gamma)/dx * J with d(1/gamma)/dx = -gamma' / gamma^2 and the
-    scalar Lyapunov solution J = sigma^2 / (2 gamma).
-    """
-    s = nodal(x)
-    sig = system.sigma(s.u)
-    return (-system.friction.gamma_prime(s) / g**2) * ((sig * sig) / (2.0 * g))
 
 
 # -- noise ---------------------------------------------------------------------
@@ -228,12 +218,12 @@ class _LimitStepper(_FDStepper):
     def step(self, dw: np.ndarray) -> tuple:
         system, x = self.system, self.x
         s = Nodal(x)
-        g = system.friction.gamma(s)
+        g, sig = system.friction.gamma(s), system.sigma(x)
         ginv = 1.0 / g
         drift = ginv * system.b(x)
-        if self.with_S:
-            drift = drift + _drift_S_batch(system, s, g)
-        forcing = ginv * system.sigma(x) * dw
+        if self.with_S:  # S = -gamma'/gamma^2 * sigma^2/(2 gamma): H at kappa = 1
+            drift = drift + noise_induced_drift(g, system.friction.gamma_prime(s), sig, 1.0)
+        forcing = ginv * sig * dw
         self.x = x + self.dt * drift + forcing
         return (self.x,)
 

@@ -16,7 +16,7 @@ with Q diagonal in the sine basis: Qe_i = lam_i e_i, lam_i = |k_i|^-q on the
 basis's wavenumbers k_i, q > Q_MIN = d/2.  The mode sum sum_i (sigma(u) Q e_i)^2
 then collapses to lambda_sigma(u(x))^2 * kappa(x) with the precomputed kernel
 kappa(x) = sum_i lam_i^2 e_i(x)^2, which makes the noise-induced drift of
-the small-mass limit computable in closed form:
+the small-mass limit computable in closed form (at kappa = 1, finite_dim's S):
 
     H(u)(x) = -gamma'(u(x)) / (2 gamma(u(x))^3) * lambda_sigma(u(x))^2 * kappa(x).
 
@@ -225,12 +225,14 @@ def noise_induced_drift(
 ) -> np.ndarray:
     """Extra drift created by non-constant friction in the small-mass limit.
 
-    H(u)(x) = -gamma'(u)/(2 gamma(u)^3) * lambda_sigma(u)^2 * kappa(x), from
+    H(u)(x) = -gamma'(u)/gamma(u)^2 * lambda_sigma(u)^2 kappa(x) / (2 gamma(u)), from
     gamma, gamma' and lambda_sigma evaluated at one nodal state of u and the
     kernel kappa = diffusion.kappa.  The limit u-step evaluates each of them
-    once and shares gamma and lambda_sigma with its other terms.
+    once and shares gamma and lambda_sigma with its other terms.  At one mode
+    with a unit spectrum, kappa = 1 and sigma as ls, it is the scalar drift
+    S = d/dx[1/gamma] sigma^2 / (2 gamma) that the finite_dim limit steps.
     """
-    return -gam_prime / (2.0 * gam**3) * ls**2 * kappa
+    return (-gam_prime / gam**2) * ((ls * ls * kappa) / (2.0 * gam))
 
 
 def stratonovich_correction(

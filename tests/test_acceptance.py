@@ -221,6 +221,28 @@ def test_criterion_3_finite_dimensional_drift(tmp_path):
     assert worst_drift <= 1e-8, detail
 
 
+def test_criterion_3_fails_with_twice_the_drift(tmp_path, monkeypatch):
+    """Negative control: criterion 3's with-S rule says no to a scalar limit with 2 S.
+
+    The fd limit steps the SPDE drift H at kappa = 1 (models.noise_induced_drift); doubled
+    where the limit step takes it, the coupled endpoint gap to the inertial run must exceed
+    3 SE, on a run short enough to repeat: 2,000 paths to t = 0.1.
+    """
+    import smallmass.finite_dim
+
+    fd = {"t_final": 0.1, "paths": 2000, "dt": 5e-5, "eta_transform": True}
+    cfg = validate_config({"seed": 42, "fd": fd})
+    true_s = run_fd_converge(cfg, tmp_path / "true")
+    real = smallmass.finite_dim.noise_induced_drift
+    monkeypatch.setattr(smallmass.finite_dim, "noise_induced_drift", lambda *a: 2.0 * real(*a))
+    twice_s = run_fd_converge(cfg, tmp_path / "twice")
+    z_true, z_twice = true_s["report"]["with_S"]["z"], twice_s["report"]["with_S"]["z"]
+    detail = f"coupled z with S {z_true:.2f}, with 2 S {z_twice:.2f}"
+    assert z_true <= 3.0, detail
+    assert z_twice > 3.0, detail
+    assert not twice_s["ok"], detail
+
+
 def test_criterion_4_resolvent_suite(setup):
     basis, models, _, _ = setup
     op = OperatorA(basis, models)

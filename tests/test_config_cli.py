@@ -212,6 +212,36 @@ def test_cli_selftest_exits_zero(capsys):
     assert "checks passed" in out and "[FAIL]" not in out
 
 
+def test_cli_selftest_takes_no_run_flags(capsys):
+    # selftest reads no config and writes nothing; it used to accept and ignore all five flags.
+    for flags in (["--seed", "3"], ["--jobs", "0"], ["--config", "cfg.json"], ["--out", "o"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", *flags])
+        assert exc.value.code == 2, flags
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8", "not_json"])
+def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys, kind):
+    # The first three used to exit 1 with FileNotFoundError, IsADirectoryError or
+    # UnicodeDecodeError; a file that is not JSON exited 2 and still does.
+    path = tmp_path / "cfg.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b'{"seed": "\xff"}')
+    elif kind == "not_json":
+        path.write_text('{"seed": 1,}')
+    with pytest.raises(ConfigError, match=re.escape(f"config file {path} cannot be read as JSON")):
+        load_config(path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["lyapunov", "--config", str(path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and str(path) in err["message"]
+    assert not out.exists()
+
+
 def test_cli_invalid_config_key(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"tyme": {"dt": 0.1}}))

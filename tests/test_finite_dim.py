@@ -10,7 +10,6 @@ from smallmass.finite_dim import (
     FDSystem,
     LYAPUNOV_RTOL,
     LyapunovError,
-    _drift_S_batch,
     compare_endpoints,
     coupled_steppers,
     drive_fd,
@@ -21,7 +20,7 @@ from smallmass.finite_dim import (
     simulate_fd_limit,
     solve_lyapunov,
 )
-from smallmass.models import Nodal
+from smallmass.models import Nodal, noise_induced_drift
 from smallmass.wave import SimulationDiverged
 
 
@@ -99,13 +98,21 @@ def test_constant_friction_no_drift():
     assert abs(lyapunov_sweep(system, [0.4])["S"][0]) < 1e-10
 
 
+def _limit_S(system, x):
+    """The limit step's S at the (P,) states x: the SPDE drift H at kappa = 1, sigma as ls."""
+    s = Nodal(x)
+    return noise_induced_drift(
+        system.friction.gamma(s), system.friction.gamma_prime(s), system.sigma(x), 1.0
+    )
+
+
 @pytest.mark.parametrize("friction", ["two_plus_sin", "constant"])
 def test_batched_scalar_S_matches_the_pointwise_solve(friction):
     # The limit step's closed form -gamma'/gamma^2 * sigma^2/(2 gamma) against
     # the sweep's Lyapunov solve and central-difference Jacobian at every point.
     system = fd_scalar_system(friction=friction, sigma_value=1.3)
     x = np.linspace(-3.0, 3.0, 61)
-    batched = _drift_S_batch(system, x, system.friction.gamma(Nodal(x)))
+    batched = _limit_S(system, x)
     pointwise = lyapunov_sweep(system, x)["S"]
     assert batched.shape == (61,)
     assert np.max(np.abs(batched - pointwise)) <= 1e-8
@@ -419,7 +426,7 @@ def test_tabulated_friction_runs_the_coupled_route(eta_transform):
     assert friction.g_closed is None
     system = FDSystem(b=lambda x: 0.0, friction=friction, sigma=lambda x: 1.2, name="tabulated")
     x = np.linspace(-3.0, 3.0, 61)
-    S = _drift_S_batch(system, x, friction.gamma(Nodal(x)))
+    S = _limit_S(system, x)
     assert np.all(np.isfinite(S)) and np.max(np.abs(S)) > 0.01
     noise = FDNoise(seed=13, dt=1e-3, n_steps=120, n_paths=32)
     inertial, limit_S, limit_noS = _assert_coupled_equals_separate(

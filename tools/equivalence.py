@@ -41,6 +41,8 @@ iterations per friction model, every coefficient of each friction preset, a
 tabulated friction, each reaction and each diffusion factor on fixed nodal
 values (gamma, gamma', g, g^-1 on its closed, Newton and bisection branches,
 f, lambda_sigma, lambda_sigma', kappa and the limit's b_bar; the models.* routes),
+the noise-induced drift H alone (models.noise_induced_drift) from the default models on one
+nodal state and, at kappa = 1 as the fd limit steps it, on criterion 3's grid for each fd friction,
 refinement of a path and a batch, fd coupled and single runs, the scalar Lyapunov solve, its
 residual and the sweep's S on criterion 3's grid for each fd friction, every selftest check's name,
 flag and detail, a stacked resolvent solve with
@@ -324,6 +326,39 @@ def _coefficient_routes() -> dict:
     for factor in ("constant", "cosine", "zero"):
         for q in (1.0, 0.75):
             routes[f"models.diffusion.{factor}.q={q}"] = diffusion_route(factor, q)
+    return routes
+
+
+def _drift_routes() -> dict:
+    """H alone: the SPDE limit's from the default models, the fd limit's S at kappa = 1."""
+    from smallmass.config import make_basis, make_models, validate_config
+    from smallmass.finite_dim import fd_scalar_system
+    from smallmass.models import Nodal, noise_induced_drift
+
+    def default():
+        cfg = validate_config({})
+        basis = make_basis(cfg)
+        models = make_models(cfg, basis)
+        f, d = models.friction, models.diffusion
+        s = Nodal(basis.synthesize(np.linspace(1.0, -0.5, basis.n_modes)))
+        return {"H": noise_induced_drift(f.gamma(s), f.gamma_prime(s), d.lambda_sigma(s), d.kappa)}
+
+    def fd_grid(friction):
+        def run():
+            xs, out = np.linspace(-1.5, 1.5, 61), {}
+            for sigma in (1.0, 1.3):
+                system = fd_scalar_system(friction=friction, sigma_value=sigma)
+                s = Nodal(xs)
+                out[f"sigma={sigma}.S"] = noise_induced_drift(
+                    system.friction.gamma(s), system.friction.gamma_prime(s), system.sigma(xs), 1.0
+                )
+            return out
+
+        return run
+
+    routes = {"models.noise_induced_drift.default": default}
+    for friction in ("two_plus_sin", "constant"):
+        routes[f"models.noise_induced_drift.fd.{friction}"] = fd_grid(friction)
     return routes
 
 
@@ -786,8 +821,9 @@ def _bench_routes() -> dict:
 def catalogue() -> dict:
     routes = {}
     groups = (
-        _wave_routes, _limit_routes, _model_routes, _coefficient_routes, _noise_routes, _fd_routes,
-        _resolvent_routes, _run_routes, _divergence_routes, _geometry_routes, _selftest_routes,
+        _wave_routes, _limit_routes, _model_routes, _coefficient_routes, _drift_routes,
+        _noise_routes, _fd_routes, _resolvent_routes, _run_routes, _divergence_routes,
+        _geometry_routes, _selftest_routes,
     )
     for group in groups + (_default_routes, _bench_routes):
         routes.update(group())
