@@ -11,7 +11,7 @@ a mass ladder) to verify the convergence and the drift formulas, in both the
 infinite-dimensional and the classical finite-dimensional settings.
 """
 
-from .basis import DomainSpec, SpectralBasis, build_basis
+from .basis import SpectralBasis
 from .models import (
     AntiderivativeMap,
     DiffusionModel,
@@ -20,7 +20,6 @@ from .models import (
     Nodal,
     ReactionModel,
     build_diffusion,
-    build_model_set,
     combined_drift,
     friction_preset,
     load_friction_csv,

@@ -9,7 +9,8 @@ A field is represented by its first N sine coefficients.  The nodal grid is
 the uniform interior grid x_j = j*L/(M+1), j = 1..M, on which the
 eigenfunctions are exactly orthogonal under the quadrature rule with constant
 weight L/(M+1) (it reproduces the L2 inner product of band-limited fields to
-machine precision).
+machine precision).  `SpectralBasis(L, N, M)`, M = 2N by default, is the one
+constructor and checks its own domain.
 
 Transforms.  Synthesis and analysis are one matrix product each, against
 matrices built once per basis from E[j, i] = e_i(x_j) (`mode_matrix`):
@@ -42,41 +43,20 @@ and Q_MIN = d/2, above which sum_k |k|^-2q is finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 Q_MIN = 0.5  # d/2 in d = 1: a noise spectrum |k|^-q is square-summable only above it
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Interval (0, length) with n_modes retained modes and an interior nodal grid.
-
-    n_nodes defaults to 2*n_modes; it must be at least 2*n_modes so that
-    analysis of pointwise nonlinearities of band-limited fields is
-    alias-controlled.
-    """
-
-    length: float
-    n_modes: int
-    n_nodes: int | None = None
-
-    def __post_init__(self) -> None:
-        if not (self.length > 0.0 and np.isfinite(self.length)):
-            raise ValueError(f"domain length must be positive, got {self.length}")
-        if self.n_modes < 1:
-            raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
-        if self.n_nodes is None:
-            object.__setattr__(self, "n_nodes", 2 * self.n_modes)
-        if self.n_nodes < 2 * self.n_modes:
-            raise ValueError(
-                f"n_nodes must be >= 2*n_modes = {2 * self.n_modes}, got {self.n_nodes}"
-            )
-
-
 class SpectralBasis:
-    """Eigenpairs, nodal grid, quadrature and transforms for one DomainSpec.
+    """Eigenpairs, nodal grid, quadrature and transforms on (0, length).
+
+    n_modes modes are retained on n_nodes interior nodes.  n_nodes defaults
+    to 2*n_modes; it must be at least 2*n_modes so that analysis of
+    pointwise nonlinearities of band-limited fields is alias-controlled.
+    Bad input raises ValueError naming the argument.
 
     All array operations act along the last axis, so batched inputs of shape
     (..., N) coefficients or (..., M) nodal values are supported throughout.
@@ -84,12 +64,17 @@ class SpectralBasis:
     concurrent simulations.
     """
 
-    def __init__(self, spec: DomainSpec):
-        self.spec = spec
-        L, N, M = spec.length, spec.n_modes, spec.n_nodes
-        self.n_modes = N
-        self.n_nodes = M
-        self.length = L
+    def __init__(self, length: float, n_modes: int, n_nodes: int | None = None):
+        if not (length > 0.0 and np.isfinite(length)):
+            raise ValueError(f"domain length must be positive, got {length}")
+        N = _count("n_modes", n_modes)
+        if N < 1:
+            raise ValueError(f"n_modes must be >= 1, got {N}")
+        M = 2 * N if n_nodes is None else _count("n_nodes", n_nodes)
+        if M < 2 * N:
+            raise ValueError(f"n_nodes must be >= 2*n_modes = {2 * N}, got {M}")
+        L = length
+        self.length, self.n_modes, self.n_nodes = L, N, M
         self.wavenumbers = np.arange(1, N + 1, dtype=float)
         self.alphas = (self.wavenumbers * np.pi / L) ** 2
         self.x = L * np.arange(1, M + 1, dtype=float) / (M + 1)
@@ -142,6 +127,13 @@ class SpectralBasis:
         return self._modes
 
 
+def _count(name: str, value) -> int:
+    """value as an int; a bool or a non-integer raises ValueError naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _rows_times(x, matrix: np.ndarray, what: str) -> np.ndarray:
     """x (..., n) times matrix (n, m) as one product of contiguous rows, a lone row padded.
 
@@ -162,7 +154,3 @@ def _rows_times(x, matrix: np.ndarray, what: str) -> np.ndarray:
     out = rows.dot(matrix)
     return out if rows is a else out.reshape(a.shape[:-1] + (m,))
 
-
-def build_basis(spec: DomainSpec) -> SpectralBasis:
-    """Construct the sine eigenbasis for a validated domain specification."""
-    return SpectralBasis(spec)

@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .basis import Q_MIN, DomainSpec, SpectralBasis, build_basis
+from .basis import Q_MIN, SpectralBasis
 from .diagnostics import MIN_PATHS_PAIRED
 from .finite_dim import _FD_FRICTIONS
 from .limit import FORMS
@@ -26,7 +26,6 @@ from .models import (
     REACTIONS,
     ModelSet,
     build_diffusion,
-    build_model_set,
     friction_preset,
     load_friction_csv,
     reaction_preset,
@@ -259,7 +258,7 @@ def config_hash(cfg: dict) -> str:
 
 def make_basis(cfg: dict) -> SpectralBasis:
     d = cfg["domain"]
-    return build_basis(DomainSpec(length=d["length"], n_modes=d["n_modes"], n_nodes=d["n_nodes"]))
+    return SpectralBasis(d["length"], d["n_modes"], d["n_nodes"])
 
 
 _FRICTION_OPTIONS = {"friction_value": "value", "gamma0": "gamma0", "gamma1": "gamma1"}
@@ -288,7 +287,7 @@ def make_models(cfg: dict, basis: SpectralBasis) -> ModelSet:
         friction = _preset(m, "friction", friction_preset, _FRICTION_OPTIONS)
     reaction = _preset(m, "reaction", reaction_preset, _REACTION_OPTIONS)
     diffusion = build_diffusion(basis, factor=m["diffusion"], q=m["q_exponent"])
-    return build_model_set(basis, friction, reaction, diffusion, tol_inv=m["tol_inv"])
+    return ModelSet(friction, reaction, diffusion, tol_inv=m["tol_inv"])
 
 
 def make_initial(cfg: dict, basis: SpectralBasis) -> tuple[np.ndarray, np.ndarray]:

@@ -23,6 +23,9 @@ the small-mass limit computable in closed form (at kappa = 1, finite_dim's S):
 The Ito-to-Stratonovich correction G(u) is available for the consistency
 identity H + G = -(1 / (2 gamma^2)) sum_i (sigma(u)Qe_i) d/du (sigma(u)Qe_i).
 
+One problem's coefficients are one `ModelSet(friction, reaction, diffusion,
+tol_inv)`, which builds the g-map of its own friction (`ModelSet.g_map`).
+
 Nodal states.  Every coefficient, gamma, gamma', g (and g^-1 where closed),
 f, lambda_sigma and lambda_sigma', is a function of one `Nodal`: the nodal
 values u of a state, read as `s.u`, with `s.sin` and `s.cos`, the sin and cos
@@ -47,7 +50,7 @@ values and build the Nodal of every state they evaluate a coefficient at.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -203,18 +206,26 @@ class DiffusionModel:
     kappa: np.ndarray  # sum_i lam_i^2 e_i(x)^2 on the nodal grid
     sigma_sup: float  # sup_r |lambda_sigma(r)|
     sigma_inf: float  # Hilbert-Schmidt bound at the truncation
-    q: float = 1.0
     name: str = "custom"
 
 
 @dataclass(frozen=True)
 class ModelSet:
-    """Bundle of all coefficient models for one problem instance."""
+    """Bundle of all coefficient models for one problem instance.
+
+    g_map, the antiderivative of the set's own friction at tolerance tol_inv,
+    is built here and is not an argument, so it always belongs to friction,
+    also after dataclasses.replace.
+    """
 
     friction: FrictionModel
-    g_map: AntiderivativeMap
     reaction: ReactionModel
     diffusion: DiffusionModel
+    tol_inv: float = 1e-12
+    g_map: AntiderivativeMap = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "g_map", AntiderivativeMap(self.friction, self.tol_inv))
 
 
 # -- drift terms -------------------------------------------------------------
@@ -448,21 +459,6 @@ def build_diffusion(basis: SpectralBasis, factor: str = "constant", q: float = 1
         kappa=kappa,
         sigma_sup=sup,
         sigma_inf=sigma_inf,
-        q=q,
         name=factor,
     )
 
-
-def build_model_set(
-    basis: SpectralBasis,
-    friction: FrictionModel,
-    reaction: ReactionModel,
-    diffusion: DiffusionModel,
-    tol_inv: float = 1e-12,
-) -> ModelSet:
-    return ModelSet(
-        friction=friction,
-        g_map=AntiderivativeMap(friction, tol_inv=tol_inv),
-        reaction=reaction,
-        diffusion=diffusion,
-    )

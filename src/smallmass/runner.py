@@ -123,12 +123,6 @@ class _ScoredRun:
         return np.array([np.add(*fold.parts()) for fold in self.folds])
 
 
-def _mass_group(cfg: dict, basis, models, mus: list, u0, v0, path, limits: list):
-    """The masses mus as one batch on path, their refined batch, scored against each limit run."""
-    run = _wave_solver(cfg, basis, models, np.array(mus)).stepper(u0, v0, path)
-    return _ScoredRun(run, path, limits, basis)
-
-
 def _study_block(cfg: dict, seed0: int, n_paths: int, ablate_drift: bool) -> LadderStudy:
     """The ladder's waves against the u-form limit with H, all on one coupled batch.
 
@@ -159,10 +153,11 @@ def _study_block(cfg: dict, seed0: int, n_paths: int, ablate_drift: bool) -> Lad
         while path.level < level:
             path = noise.refine(path)
         paths[level] = path
-    waves = [
-        _mass_group(cfg, basis, models, [ladder[k] for k in idx], u0, v0, paths[level], limits)
-        for level, idx in groups.items()
-    ]
+    waves = []
+    for level, idx in groups.items():  # each batch on its refined path, scored against the limits
+        mus = np.array([ladder[k] for k in idx])
+        run = _wave_solver(cfg, basis, models, mus).stepper(u0, v0, paths[level])
+        waves.append(_ScoredRun(run, paths[level], limits, basis))
     drive(limits + waves, n_steps, t["dt"], lambda k: None, t["n_output"])
 
     d = np.empty((len(limits), len(ladder), n_paths))

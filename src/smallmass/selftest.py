@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import DomainSpec, build_basis
+from .basis import SpectralBasis
 from .diagnostics import lambda_functional, metric_distance
 from .finite_dim import fd_scalar_system, lyapunov_sweep, solve_lyapunov
 from .limit import LimitSolver
 from .models import (
     AntiderivativeMap,
+    ModelSet,
     Nodal,
     build_diffusion,
-    build_model_set,
     combined_drift,
     friction_preset,
     nodal,
@@ -35,8 +35,7 @@ from .wave import WaveSolver, g_coeffs
 
 
 def _models(basis, friction="two_plus_sin", reaction="linear_decay", diffusion="cosine", q=1.0):
-    return build_model_set(
-        basis,
+    return ModelSet(
         friction_preset(friction),
         reaction_preset(reaction),
         build_diffusion(basis, factor=diffusion, q=q),
@@ -74,18 +73,18 @@ def run_selftest() -> list[tuple[str, bool, str]]:
         checks.append((name, bool(ok), detail))
 
     # basis: closed-form Dirichlet spectrum
-    b1 = build_basis(DomainSpec(1.0, 3))
+    b1 = SpectralBasis(1.0, 3)
     check(
         "dirichlet spectrum L=1",
         np.allclose(b1.alphas, [np.pi**2, 4 * np.pi**2, 9 * np.pi**2], rtol=0, atol=1e-12),
     )
-    bpi = build_basis(DomainSpec(np.pi, 1))
+    bpi = SpectralBasis(np.pi, 1)
     check(
         "dirichlet spectrum L=pi",
         abs(bpi.alphas[0] - 1.0) < 1e-12
         and abs(bpi.eigenfunction(1, 1.0) - np.sqrt(2 / np.pi) * np.sin(1.0)) < 1e-12,
     )
-    b2 = build_basis(DomainSpec(2.0, 2))
+    b2 = SpectralBasis(2.0, 2)
     check(
         "dirichlet spectrum L=2",
         np.allclose(b2.alphas, [np.pi**2 / 4, np.pi**2], atol=1e-12),
@@ -106,8 +105,8 @@ def run_selftest() -> list[tuple[str, bool, str]]:
     )
 
     # basis: transforms
-    basis = build_basis(DomainSpec(1.0, 8))
-    bq = build_basis(DomainSpec(1.0, 3, 15))  # grid contains x = L/4 (j = 4 of 16)
+    basis = SpectralBasis(1.0, 8)
+    bq = SpectralBasis(1.0, 3, 15)  # grid contains x = L/4 (j = 4 of 16)
     at_quarter = bq.synthesize(np.array([0.0, 1.0, 0.0]))[3]
     check(
         "synthesize e2 at L/4",
@@ -156,7 +155,7 @@ def run_selftest() -> list[tuple[str, bool, str]]:
     )
     check("H+G = 0 for constant sigma factor", np.max(np.abs(hg)) < 1e-14)
     # the package defaults' basis and models, whose rough states come from their own generator
-    head = build_basis(DomainSpec(1.0, 32, 64))
+    head = SpectralBasis(1.0, 32, 64)
     head_models = _models(head)
     rng0 = np.random.default_rng(0)
     u_rough = head.synthesize(rng0.normal(size=head.n_modes) / head.wavenumbers)

@@ -1,35 +1,50 @@
+import re
+
 import numpy as np
 import pytest
 
-from smallmass.basis import DomainSpec, build_basis
+from smallmass.basis import SpectralBasis
 
 
 def test_domain_spec_validation():
-    with pytest.raises(ValueError):
-        DomainSpec(length=-1.0, n_modes=4)
-    with pytest.raises(ValueError):
-        DomainSpec(length=1.0, n_modes=0)
-    with pytest.raises(ValueError):
-        DomainSpec(length=1.0, n_modes=8, n_nodes=10)  # below 2*n_modes
-    spec = DomainSpec(length=1.0, n_modes=8)
-    assert spec.n_nodes == 16
+    with pytest.raises(ValueError, match="domain length must be positive, got -1.0"):
+        SpectralBasis(length=-1.0, n_modes=4)
+    with pytest.raises(ValueError, match="domain length must be positive, got inf"):
+        SpectralBasis(length=np.inf, n_modes=4)
+    with pytest.raises(ValueError, match="n_modes must be >= 1, got 0"):
+        SpectralBasis(length=1.0, n_modes=0)
+    with pytest.raises(ValueError, match=re.escape("n_nodes must be >= 2*n_modes = 16, got 10")):
+        SpectralBasis(length=1.0, n_modes=8, n_nodes=10)  # below 2*n_modes
+    # counts are integers, by name: a float or a bool is not read as one
+    with pytest.raises(ValueError, match="n_modes must be an integer, got 8.0"):
+        SpectralBasis(1.0, 8.0)
+    with pytest.raises(ValueError, match="n_modes must be an integer, got True"):
+        SpectralBasis(1.0, True)
+    with pytest.raises(ValueError, match="n_nodes must be an integer, got 64.5"):
+        SpectralBasis(1.0, 32, 64.5)
+    with pytest.raises(ValueError, match="n_nodes must be an integer, got False"):
+        SpectralBasis(1.0, 1, False)
+    b = SpectralBasis(length=1.0, n_modes=8)
+    assert b.n_nodes == 16
+    wide = SpectralBasis(1.0, np.int64(4), np.int64(9))
+    assert (wide.n_modes, wide.n_nodes) == (4, 9) and type(wide.n_modes) is int
 
 
 def test_closed_form_spectra():
-    b = build_basis(DomainSpec(1.0, 3))
+    b = SpectralBasis(1.0, 3)
     assert np.allclose(b.alphas, [np.pi**2, 4 * np.pi**2, 9 * np.pi**2], atol=1e-12)
     assert np.all(np.diff(b.alphas) > 0)
 
-    bpi = build_basis(DomainSpec(np.pi, 1))
+    bpi = SpectralBasis(np.pi, 1)
     assert abs(bpi.alphas[0] - 1.0) < 1e-13
     x = np.linspace(0.1, 3.0, 7)
     assert np.allclose(bpi.eigenfunction(1, x), np.sqrt(2 / np.pi) * np.sin(x), atol=1e-14)
 
-    b2 = build_basis(DomainSpec(2.0, 2))
+    b2 = SpectralBasis(2.0, 2)
     assert np.allclose(b2.alphas, [np.pi**2 / 4, np.pi**2], atol=1e-13)
 
     # the geometry each basis owns: mode index, eigenvalue range, mode matrix, bump
-    odd = build_basis(DomainSpec(np.pi, 5, 11))  # node 6 of 11 is the midpoint
+    odd = SpectralBasis(np.pi, 5, 11)  # node 6 of 11 is the midpoint
     for basis in (b, bpi, b2, odd):
         n = basis.n_modes
         assert np.array_equal(basis.wavenumbers, np.arange(1, n + 1, dtype=float))
@@ -48,14 +63,14 @@ def test_closed_form_spectra():
 
 
 def test_quadrature_orthonormality_machine_precision():
-    b = build_basis(DomainSpec(1.3, 12, 30))
+    b = SpectralBasis(1.3, 12, 30)
     emat = b.mode_matrix()
     gram = b.weight * emat.T @ emat
     assert np.max(np.abs(gram - np.eye(12))) < 1e-12
 
 
 def test_sobolev_norm_examples():
-    b = build_basis(DomainSpec(1.0, 4))
+    b = SpectralBasis(1.0, 4)
     e1 = np.array([1.0, 0, 0, 0])
     assert abs(b.sobolev_norm(e1, 0.0) - 1.0) < 1e-14
     assert abs(b.sobolev_norm(e1, 1.0) - np.pi) < 1e-12
@@ -70,7 +85,7 @@ def test_sobolev_norm_examples():
 
 
 def test_poincare_inequality_random_fields():
-    b = build_basis(DomainSpec(2.0, 16))
+    b = SpectralBasis(2.0, 16)
     rng = np.random.default_rng(3)
     inv_sqrt_a1 = 1.0 / np.sqrt(b.alphas[0])
     for _ in range(200):
@@ -84,7 +99,7 @@ def test_poincare_inequality_random_fields():
 
 
 def test_transform_round_trip_and_pointwise():
-    b = build_basis(DomainSpec(1.0, 8))
+    b = SpectralBasis(1.0, 8)
     rng = np.random.default_rng(11)
     f = rng.normal(size=8)
     assert np.max(np.abs(b.analyze(b.synthesize(f)) - f)) < 1e-10
@@ -94,7 +109,7 @@ def test_transform_round_trip_and_pointwise():
     direct = sum(f[i] * b.eigenfunction(i + 1, b.x) for i in range(8))
     assert np.max(np.abs(vals - direct)) < 1e-12
     # e2 at x = L/4 on a grid containing that point
-    bq = build_basis(DomainSpec(1.0, 3, 15))
+    bq = SpectralBasis(1.0, 3, 15)
     assert abs(bq.synthesize(np.array([0.0, 1.0, 0.0]))[3] - np.sqrt(2.0)) < 1e-12
 
 
@@ -106,7 +121,7 @@ def test_transforms_agree_with_the_type_one_sine_transform(n_modes, n_nodes):
     # so an entry itself carries up to ~N*pi eps beside the n-term sum.
     from scipy.fft import dst
 
-    b = build_basis(DomainSpec(1.3, n_modes, n_nodes))
+    b = SpectralBasis(1.3, n_modes, n_nodes)
     rng = np.random.default_rng(n_modes + n_nodes)
     coeffs = rng.normal(size=(5, n_modes))
     nodal = rng.normal(size=(5, n_nodes))
@@ -122,7 +137,7 @@ def test_transforms_agree_with_the_type_one_sine_transform(n_modes, n_nodes):
 
 
 def test_transform_batched_matches_loop():
-    b = build_basis(DomainSpec(1.0, 6))
+    b = SpectralBasis(1.0, 6)
     rng = np.random.default_rng(5)
     batch = rng.normal(size=(4, 6))
     stacked = b.synthesize(batch)
@@ -138,7 +153,7 @@ def test_transform_rows_alone_equal_rows_of_a_batch_at_production_shape():
     # tiny size (5 x 8); the limit and a lone mass take P = 64 rows.  Batched
     # runs equal per-path and per-mass runs bit for bit only if every row is
     # transformed alone exactly as inside any of these blocks.
-    b = build_basis(DomainSpec(1.0, 32, 64))
+    b = SpectralBasis(1.0, 32, 64)
     rng = np.random.default_rng(11)
     coeffs = rng.normal(size=(640, 32))
     nodal = rng.normal(size=(640, 64))
@@ -157,7 +172,7 @@ def test_transform_rows_equal_rows_of_a_batch_whatever_the_input_shape(n_modes, 
     # The shapes the tier-1 ladder and wave tests run, and the production one:
     # a row transforms to the same bits alone (1-D), in a block of rows, and
     # inside a (n_out, P, N) stack as the study's trajectories are.
-    b = build_basis(DomainSpec(1.0, n_modes, n_nodes))
+    b = SpectralBasis(1.0, n_modes, n_nodes)
     rng = np.random.default_rng(n_modes)
     coeffs = rng.normal(size=(21, 6, n_modes))
     nodal = rng.normal(size=(21, 6, n_nodes))
@@ -179,7 +194,7 @@ def test_transform_rows_equal_rows_of_a_batch_whatever_the_input_shape(n_modes, 
 
 
 def test_parseval_under_quadrature():
-    b = build_basis(DomainSpec(0.7, 10))
+    b = SpectralBasis(0.7, 10)
     rng = np.random.default_rng(13)
     u = rng.normal(size=10)
     v = rng.normal(size=10)
@@ -188,7 +203,7 @@ def test_parseval_under_quadrature():
 
 
 def test_laplacian():
-    b = build_basis(DomainSpec(1.0, 3))
+    b = SpectralBasis(1.0, 3)
     e12 = np.array([1.0, 1.0, 0.0])
     assert np.allclose(b.laplacian(e12), [-np.pi**2, -4 * np.pi**2, 0.0], atol=1e-9)
     assert np.all(b.laplacian(np.zeros(3)) == 0.0)
@@ -196,7 +211,7 @@ def test_laplacian():
 
 
 def test_size_mismatch_rejected():
-    b = build_basis(DomainSpec(1.0, 4))
+    b = SpectralBasis(1.0, 4)
     with pytest.raises(ValueError):
         b.synthesize(np.zeros(5))
     with pytest.raises(ValueError):

@@ -556,12 +556,12 @@ def test_step_bound_and_audit_sizes_fail_by_name(tmp_path, capsys):
     assert validate_config({"model": {"q_exponent": 0.75}})["model"]["q_exponent"] == 0.75
     assert validate_config({})["model"]["q_exponent"] == 1.0
     # the library routes a config does not reach fail by name too
-    from smallmass.basis import DomainSpec
+    from smallmass.basis import SpectralBasis
     from smallmass.models import build_diffusion, friction_preset, reaction_preset
     from smallmass.wave import WaveSolver
 
     with pytest.raises(ValueError, match=re.escape("n_nodes must be >= 2*n_modes = 16, got 10")):
-        DomainSpec(1.0, 8, 10)
+        SpectralBasis(1.0, 8, 10)
     with pytest.raises(ValueError, match="friction preset must be one of .*, got 'wobbly'"):
         friction_preset("wobbly")
     with pytest.raises(ValueError, match="reaction preset must be one of .*, got 'nope'"):
@@ -1016,16 +1016,18 @@ def _spy_waves(monkeypatch, batches: list | None = None) -> dict:
     from smallmass import runner
 
     waves = {}
-    real = runner._mass_group
+    real = runner._ScoredRun
 
-    def spy(cfg, basis, models, mus, *args):
-        group = real(cfg, basis, models, mus, *args)
-        waves.update(dict.fromkeys(mus, group))
-        if batches is not None:
-            batches.append(list(mus))
-        return group
+    def spy(run, *args):
+        scored = real(run, *args)
+        if hasattr(run, "solver"):  # a mass batch's wave run; a limit run holds no solver
+            mus = np.ravel(run.solver.mu).tolist()
+            waves.update(dict.fromkeys(mus, scored))
+            if batches is not None:
+                batches.append(mus)
+        return scored
 
-    monkeypatch.setattr(runner, "_mass_group", spy)
+    monkeypatch.setattr(runner, "_ScoredRun", spy)
     return waves
 
 

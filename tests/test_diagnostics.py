@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smallmass.basis import DomainSpec, build_basis
+from smallmass.basis import SpectralBasis
 from smallmass.diagnostics import (
     convergence_report,
     distance_rows,
@@ -14,20 +14,19 @@ from smallmass.diagnostics import (
     plain_parts,
     scaling_audit,
 )
-from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
+from smallmass.models import ModelSet, build_diffusion, friction_preset, reaction_preset
 from smallmass.noise import sample_path
 from smallmass.wave import WaveSolver
 
 
 @pytest.fixture(scope="module")
 def basis():
-    return build_basis(DomainSpec(1.0, 12))
+    return SpectralBasis(1.0, 12)
 
 
 @pytest.fixture(scope="module")
 def models(basis):
-    return build_model_set(
-        basis,
+    return ModelSet(
         friction_preset("two_plus_sin"),
         reaction_preset("linear_decay"),
         build_diffusion(basis, factor="cosine"),
@@ -81,7 +80,7 @@ def test_metric_rows_of_a_slice_equal_rows_of_the_batch(n_modes):
     # A split ladder study scores each block of paths on its own; every
     # per-path distance must be the same bits as in the one-block study,
     # also for a block of one path, which np.trapezoid would sum pairwise.
-    b = build_basis(DomainSpec(1.0, n_modes))
+    b = SpectralBasis(1.0, n_modes)
     rng = np.random.default_rng(5)
     times = np.linspace(0.0, 0.05, 21)
     a, c = rng.normal(size=(2, 21, 6, n_modes))

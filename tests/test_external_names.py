@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 
 from smallmass import resolvent
-from smallmass.basis import DomainSpec, build_basis
+from smallmass.basis import SpectralBasis
 from smallmass.config import DEFAULTS, NO_DEFAULT
-from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
+from smallmass.models import ModelSet, build_diffusion, friction_preset, reaction_preset
 from smallmass.noise import sample_path, zero_path
 from smallmass.wave import WaveSolver
 
@@ -28,9 +28,8 @@ def test_traced_names_exist_where_the_tracer_patches_them():
 
 
 def test_resolvent_scheme_calls_resolvent_apply_through_its_module(monkeypatch):
-    basis = build_basis(DomainSpec(1.0, 16))
-    models = build_model_set(
-        basis,
+    basis = SpectralBasis(1.0, 16)
+    models = ModelSet(
         friction_preset("two_plus_sin"),
         reaction_preset("linear_decay"),
         build_diffusion(basis, factor="cosine"),

@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
-from smallmass.basis import DomainSpec, build_basis
+from smallmass.basis import SpectralBasis
 from smallmass.limit import LimitSolver
-from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
+from smallmass.models import ModelSet, build_diffusion, friction_preset, reaction_preset
 from smallmass.noise import refine, sample_batch, sample_path, zero_path
 from smallmass.wave import g_coeffs
 
 
 @pytest.fixture(scope="module")
 def basis():
-    return build_basis(DomainSpec(1.0, 16))
+    return SpectralBasis(1.0, 16)
 
 
 def models_for(basis, friction="two_plus_sin", reaction="linear_decay", diffusion="cosine", q=1.0):
-    return build_model_set(
-        basis,
+    return ModelSet(
         friction_preset(friction),
         reaction_preset(reaction),
         build_diffusion(basis, factor=diffusion, q=q),

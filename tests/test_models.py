@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,17 +8,17 @@ import numpy as np
 import pytest
 
 import smallmass
-from smallmass.basis import DomainSpec, build_basis
+from smallmass.basis import SpectralBasis
 from smallmass.diagnostics import lambda_functional
 from smallmass.limit import LimitSolver
 from smallmass.models import (
     AntiderivativeMap,
     FrictionModel,
     InversionError,
+    ModelSet,
     Nodal,
     _gauss_legendre,
     build_diffusion,
-    build_model_set,
     combined_drift,
     friction_from_table,
     friction_preset,
@@ -29,12 +30,11 @@ from smallmass.models import (
 
 @pytest.fixture(scope="module")
 def basis():
-    return build_basis(DomainSpec(1.0, 16))
+    return SpectralBasis(1.0, 16)
 
 
 def models_for(basis, friction="two_plus_sin", reaction="linear_decay", diffusion="cosine", q=1.0):
-    return build_model_set(
-        basis,
+    return ModelSet(
         friction_preset(friction),
         reaction_preset(reaction),
         build_diffusion(basis, factor=diffusion, q=q),
@@ -164,6 +164,24 @@ def test_inverse_raises_instead_of_returning_a_truncated_value(closed_g):
         AntiderivativeMap(fr).inverse(np.array([0.3, np.nan, -1.2]))
     with pytest.raises(InversionError, match=r"<= 0\.0 " + cap):
         AntiderivativeMap(fr, tol_inv=0.0).inverse(np.linspace(-6, 6, 41))
+
+
+def test_model_set_builds_the_g_map_of_its_own_friction(basis):
+    # g_map is no argument: each set takes it from its own friction and
+    # tol_inv, also when dataclasses.replace swaps either of them.
+    models = models_for(basis)
+    assert models.tol_inv == 1e-12
+    assert models.g_map == AntiderivativeMap(models.friction, 1e-12)
+    bell = dataclasses.replace(models, friction=friction_preset("bell"), tol_inv=1e-9)
+    assert bell.g_map.friction is bell.friction and bell.g_map.tol_inv == 1e-9
+    r = np.linspace(-3.0, 3.0, 13)
+    assert np.array_equal(bell.g_map.forward(r), bell.friction.g_closed(Nodal(r)))
+    loose = dataclasses.replace(models, tol_inv=1e-6)
+    assert loose.g_map == AntiderivativeMap(models.friction, 1e-6)
+    with pytest.raises(TypeError, match="g_map"):
+        ModelSet(models.friction, models.reaction, models.diffusion, g_map=bell.g_map)
+    with pytest.raises(ValueError, match="g_map"):
+        dataclasses.replace(models, g_map=bell.g_map)
 
 
 # The quadrature rule: imports, a tiny ladder study and a tiny fd Monte Carlo on
@@ -439,4 +457,4 @@ def test_preset_validation_errors():
     with pytest.raises(ValueError):
         friction_preset("bell", gamma0=2.0, gamma1=1.0)
     with pytest.raises(ValueError):
-        build_diffusion(build_basis(DomainSpec(1.0, 2)), factor="unknown")
+        build_diffusion(SpectralBasis(1.0, 2), factor="unknown")

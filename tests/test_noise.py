@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from smallmass.basis import DomainSpec, build_basis
+from smallmass.basis import SpectralBasis
 from smallmass.models import Nodal, build_diffusion
 from smallmass.noise import (
     NoisePath,
@@ -149,7 +149,7 @@ def test_refine_to_a_step_bound_of_zero_or_less_fails():
 
 
 def test_apply_noise_single_mode_and_isometry():
-    basis = build_basis(DomainSpec(1.0, 8))
+    basis = SpectralBasis(1.0, 8)
     diff = build_diffusion(basis, factor="constant", q=1.0)
     db = np.zeros(8)
     db[0] = 0.5
@@ -224,7 +224,7 @@ def test_save_path_of_a_seed_past_64_bits_writes_no_file(tmp_path):
 
 
 def test_apply_noise_returns_zero_without_noise_and_takes_a_weight():
-    basis = build_basis(DomainSpec(1.0, 8))
+    basis = SpectralBasis(1.0, 8)
     diff = build_diffusion(basis, factor="cosine", q=1.0)
     u_nodal = np.sin(np.pi * basis.x)
     db = np.linspace(-0.3, 0.4, 8)

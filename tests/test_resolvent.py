@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from smallmass.basis import DomainSpec, build_basis
+from smallmass.basis import SpectralBasis
 from smallmass.models import (
     FrictionModel,
+    ModelSet,
     build_diffusion,
-    build_model_set,
     friction_preset,
     reaction_preset,
 )
@@ -24,12 +24,11 @@ from smallmass.wave import WaveSolver
 
 @pytest.fixture(scope="module")
 def basis():
-    return build_basis(DomainSpec(1.0, 16))
+    return SpectralBasis(1.0, 16)
 
 
 def models_for(basis, friction="two_plus_sin", reaction="linear_decay", diffusion="zero"):
-    return build_model_set(
-        basis,
+    return ModelSet(
         friction_preset(friction),
         reaction_preset(reaction),
         build_diffusion(basis, factor=diffusion),
@@ -89,7 +88,7 @@ def test_stacked_resolvent_solves_rows_alone_at_production_shape():
     # single_path's resolvent scheme: N = 32 on 64 nodes, mass 1e-4 and lam
     # 2.5e-5, where the contraction factor is about 0.75 and a solve takes about
     # 47 sweeps.  The lone rows iterate on floats, the stack in lock step.
-    basis = build_basis(DomainSpec(1.0, 32))
+    basis = SpectralBasis(1.0, 32)
     op = OperatorA(basis, models_for(basis), mass=1e-4)
     h1, h2 = sample_states(basis, 64, seed=1)
     infos = _solves_rows_alone(op, h1, h2, 2.5e-5)
@@ -131,8 +130,8 @@ def _lying_friction_models(basis):
         gamma1=0.01,
         g_closed=lambda s: 50.0 * s.u,
     )
-    return build_model_set(
-        basis, friction, reaction_preset("linear_decay"), build_diffusion(basis, factor="zero")
+    return ModelSet(
+        friction, reaction_preset("linear_decay"), build_diffusion(basis, factor="zero")
     )
 
 

@@ -106,6 +106,16 @@ def _setup(diffusion="cosine"):
     return basis, make_models(cfg, basis), *make_initial(cfg, basis)
 
 
+def _model_set(basis, friction, reaction, diffusion):
+    """A model set of a custom friction on either side: `models.build_model_set` where it
+    exists, else `ModelSet`, which builds its own g_map."""
+    from smallmass import models
+
+    if hasattr(models, "build_model_set"):
+        return models.build_model_set(basis, friction, reaction, diffusion)
+    return models.ModelSet(friction, reaction, diffusion)
+
+
 def _fields(obj) -> dict:
     return {k: v for k, v in vars(obj).items() if isinstance(v, (np.ndarray, float, int))}
 
@@ -196,7 +206,7 @@ def _model_routes() -> dict:
     from smallmass.config import make_basis, make_initial
     from smallmass.limit import LimitSolver
     from smallmass.models import (
-        build_diffusion, build_model_set, friction_from_table, friction_preset, reaction_preset,
+        build_diffusion, friction_from_table, friction_preset, reaction_preset,
     )
     from smallmass.wave import SCHEMES, WaveSolver, g_coeffs
 
@@ -212,7 +222,7 @@ def _model_routes() -> dict:
         cfg = _cfg()
         basis = make_basis(cfg)
         u0, _ = make_initial(cfg, basis)
-        models = build_model_set(
+        models = _model_set(
             basis, frictions[friction](), reaction_preset("linear_decay"),
             build_diffusion(basis, factor=diffusion),
         )
@@ -256,10 +266,10 @@ def _coefficient_routes() -> dict:
     its Newton iteration and (where a Newton step leaves the bracket) its
     bisection fallback.
     """
-    from smallmass.basis import DomainSpec, build_basis
+    from smallmass.config import make_basis
     from smallmass.limit import LimitSolver
     from smallmass.models import (
-        AntiderivativeMap, Nodal, build_diffusion, build_model_set, combined_drift,
+        AntiderivativeMap, Nodal, build_diffusion, combined_drift,
         friction_from_table, friction_preset, reaction_preset, stratonovich_correction,
     )
 
@@ -275,7 +285,7 @@ def _coefficient_routes() -> dict:
         "tabulated": (lambda: friction_from_table(table, 1.5 + np.cos(table) ** 2),
                       {"newton": [0.3, -2.0, 7.5, 40.0]}),
     }
-    basis = build_basis(DomainSpec(1.0, 16, 32))
+    basis = make_basis(_cfg())  # L = 1, N = 16, M = 32
 
     def friction_route(build, inverse_at):
         def run():
@@ -288,7 +298,7 @@ def _coefficient_routes() -> dict:
             }
             for branch, y in inverse_at.items():
                 out[f"g_inverse.{branch}"] = g_map.inverse(y)
-            models = build_model_set(
+            models = _model_set(
                 basis, friction, reaction_preset("zero"), build_diffusion(basis, factor="cosine")
             )
             out["b_bar"] = LimitSolver(basis, models, form="rho").b_bar
@@ -491,14 +501,14 @@ def _resolvent_routes() -> dict:
     def lone_not_contracting():
         # g(u) = 50 u under a friction that declares gamma in [0.01, 0.01], so lambda_bar
         # admits a lam at which the fixed point expands: mode 1 grows, mode 16 first shrinks
-        from smallmass.models import FrictionModel, build_diffusion, build_model_set, reaction_preset
+        from smallmass.models import FrictionModel, build_diffusion, reaction_preset
 
         basis, _, _, _ = _setup()
         lying = FrictionModel(
             gamma=lambda s: np.full_like(s.u, 50.0), gamma_prime=lambda s: np.zeros_like(s.u),
             gamma0=0.01, gamma1=0.01, g_closed=lambda s: 50.0 * s.u,
         )
-        models = build_model_set(
+        models = _model_set(
             basis, lying, reaction_preset("linear_decay"), build_diffusion(basis, factor="zero")
         )
         op = OperatorA(basis, models)
@@ -525,18 +535,15 @@ def _divergence_routes() -> dict:
     """Runs that raise SimulationDiverged: the same message on both sides means the same step
     and time."""
     from smallmass import finite_dim as fdm, runner
-    from smallmass.basis import DomainSpec, build_basis
-    from smallmass.models import build_diffusion, build_model_set, friction_preset, reaction_preset
+    from smallmass.config import make_basis, make_models
     from smallmass.noise import zero_path
     from smallmass.wave import WaveSolver
 
     def eta_form():
         # the highest mode far above the staggered scheme's CFL
-        basis = build_basis(DomainSpec(1.0, 16))
-        models = build_model_set(
-            basis, friction_preset("two_plus_sin"), reaction_preset("zero"),
-            build_diffusion(basis, factor="zero"),
-        )
+        cfg = _cfg({"model": {"friction": "two_plus_sin", "reaction": "zero", "diffusion": "zero"}})
+        basis = make_basis(cfg)
+        models = make_models(cfg, basis)
         u0 = np.zeros(16)
         u0[-1] = 1.0
         solver = WaveSolver(basis, models, 1e-8, scheme="eta_form", c_stab=1e12)
