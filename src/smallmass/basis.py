@@ -43,7 +43,7 @@ and Q_MIN = d/2, above which sum_k |k|^-2q is finite.
 
 from __future__ import annotations
 
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -65,6 +65,8 @@ class SpectralBasis:
     """
 
     def __init__(self, length: float, n_modes: int, n_nodes: int | None = None):
+        if isinstance(length, bool) or not isinstance(length, Real):
+            raise ValueError(f"domain length must be a real number, got {length!r}")
         if not (length > 0.0 and np.isfinite(length)):
             raise ValueError(f"domain length must be positive, got {length}")
         N = _count("n_modes", n_modes)

@@ -48,7 +48,7 @@ import numpy as np
 
 from .diagnostics import mean_se
 from .models import AntiderivativeMap, FrictionModel, Nodal, friction_preset, noise_induced_drift
-from .noise import philox_stream
+from .noise import check_fields, philox_stream
 from .wave import C_STAB, _initial_state, drive
 
 FD_STEP_REL = 1e-5
@@ -145,6 +145,9 @@ class FDNoise:
     dt: float
     n_steps: int
     n_paths: int
+
+    def __post_init__(self) -> None:
+        check_fields("invalid FDNoise", dt=self.dt, n_steps=self.n_steps, n_paths=self.n_paths)
 
     def increments(self, k: int, gen: np.random.Generator | None = None) -> np.ndarray:
         """Step k's draw; given gen, a Philox generator, re-keys it instead of building one.

@@ -28,13 +28,17 @@ coefficients, through its `stepper` only: `simulate` runs it on
 `wave.drive` and records the trajectory, and the coupled ladder study runs
 it in the same drive as the waves, scoring them against its current state
 (a single step is simulate on a one-step path).  `wave.g_coeffs(u, basis,
-models)` gives the rho0 that matches an initial u0.  Both forms run on the
-time loop `wave.drive` and take their noise forcing from
-`noise.apply_noise`, the u-form with the 1/gamma weight.  A u-form step
-evaluates gamma, gamma' and lambda_sigma once each on one nodal state of u
-(`models.Nodal`, so gamma' and lambda_sigma share a cos where the presets
-do) and hands the values to the drift H and the noise; a rho-form step
-takes f and lambda_sigma on the nodal state of g^-1(rho).
+models)` gives the rho0 that matches an initial u0.  Both forms take their
+noise forcing from `noise.apply_noise`, the u-form with the 1/gamma weight.
+A u-form step evaluates gamma, gamma' and lambda_sigma once each on one
+nodal state of u (`models.Nodal`, so gamma' and lambda_sigma share a cos
+where the presets do) and hands the values to the drift H and the noise; a
+rho-form step takes f and lambda_sigma on the nodal state of g^-1(rho).
+
+Drift rows.  with_drift is one bool, or a 1-D sequence of bools, one per
+row of a (k, P, N) state on a batch of paths (the study's limits with and
+without H), held as a (k, 1, 1) column as `wave.WaveSolver` holds masses;
+the u-step computes H once and selects it per row, bit for bit.
 """
 
 from __future__ import annotations
@@ -63,8 +67,8 @@ class LimitTrajectory:
 class LimitSolver:
     """Stepper for the limiting equation in either formulation.
 
-    with_drift=False drops the noise-induced drift H from the u-form; this is
-    an ablation switch only, there is nothing to drop in the rho-form.
+    with_drift=False (a False drift row) drops the noise-induced drift H from
+    the u-form; an ablation switch only, there is nothing to drop in the rho-form.
     """
 
     def __init__(
@@ -72,14 +76,18 @@ class LimitSolver:
         basis: SpectralBasis,
         models: ModelSet,
         form: str = "u",
-        with_drift: bool = True,
+        with_drift: bool | tuple[bool, ...] = True,
     ):
         if form not in FORMS:
             raise ValueError(f"form must be one of {FORMS}, got {form!r}")
+        rows = np.asarray(with_drift)
+        if rows.dtype != bool or rows.ndim > 1 or rows.size == 0:
+            raise ValueError(f"with_drift must be a bool or 1-D bools, got {with_drift!r}")
         self.basis = basis
         self.models = models
         self.form = form
         self.with_drift = with_drift
+        self._drift = rows if rows.ndim == 0 else rows.reshape(-1, 1, 1)  # against nodal arrays
         self.b_bar = 0.5 * (1.0 / models.friction.gamma1 + 1.0 / models.friction.gamma0)
         self._advance = self._advance_u if form == "u" else self._advance_rho
 
@@ -92,9 +100,9 @@ class LimitSolver:
         ls = m.diffusion.lambda_sigma(s)
         lap_nodal = b.synthesize(b.laplacian(u))
         explicit = (1.0 / gam - self.b_bar) * lap_nodal + m.reaction.f(s) / gam
-        if self.with_drift and m.diffusion.sigma_sup != 0.0:
-            gam_prime = m.friction.gamma_prime(s)
-            explicit = explicit + noise_induced_drift(gam, gam_prime, ls, m.diffusion.kappa)
+        if self._drift.any() and m.diffusion.sigma_sup != 0.0:
+            h = noise_induced_drift(gam, m.friction.gamma_prime(s), ls, m.diffusion.kappa)
+            explicit = np.where(self._drift, explicit + h, explicit)  # no-H rows keep their bits
         rhs = u + dt * b.analyze(explicit) + apply_noise(ls / gam, dbeta, m.diffusion, b)
         return rhs / (1.0 + dt * self.b_bar * b.alphas)
 
@@ -115,7 +123,9 @@ class LimitSolver:
 
     def stepper(self, initial: np.ndarray, path: NoisePath) -> _SpdeLimitStepper:
         """The run from `initial` (u0 or rho0 per the form) on path, for drive(): one row per path."""
-        shape = path.increments.shape[:-2] + (self.basis.n_modes,)
+        if self._drift.ndim and path.increments.ndim != 3:
+            raise ValueError("drift rows run on a batch of paths, one seed per row")
+        shape = self._drift.shape[:1] + path.increments.shape[:-2] + (self.basis.n_modes,)
         return _SpdeLimitStepper(self, _initial_state(initial, shape), path.dt)
 
     def simulate(

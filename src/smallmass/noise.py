@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,24 @@ def _mode_generator(
     return philox_stream(key, gen)
 
 
+def check_fields(what: str, **fields) -> None:
+    """Raise ValueError "{what} field {name} = {value}" for the first field that breaks its rule.
+
+    The one home of the noise types' field checks: dt must be positive and
+    finite, a refinement level a non-negative integer, and a count (n_steps,
+    n_modes, n_paths) at least 1.
+    """
+    for name, value in fields.items():
+        if name == "dt":
+            ok = np.isfinite(value) and value > 0.0
+        elif name == "level":
+            ok = isinstance(value, Integral) and not isinstance(value, bool) and value >= 0
+        else:
+            ok = value >= 1
+        if not ok:
+            raise ValueError(f"{what} field {name} = {value}")
+
+
 @dataclass(frozen=True)
 class NoisePath:
     """Increment table Delta beta_i(k) ~ N(0, dt) for modes i = 1..N.
@@ -99,7 +118,8 @@ class NoisePath:
     tuple of seeds, one per row of its (n_paths, n_modes, n_steps) table.
     The path keeps a read-only copy of a table it is given writeable, or as
     a view; a read-only table that owns its data, as every constructor of
-    this module hands over the one it just built, is kept as it is.
+    this module hands over the one it just built, is kept as it is.  A
+    field that breaks its rule (`check_fields`) raises ValueError naming it.
     """
 
     seed: int | tuple[int, ...]
@@ -110,6 +130,10 @@ class NoisePath:
     increments: np.ndarray  # np.shape(seed) + (n_modes, n_steps), read-only
 
     def __post_init__(self) -> None:
+        check_fields(
+            "invalid NoisePath",
+            dt=self.dt, n_steps=self.n_steps, n_modes=self.n_modes, level=self.level,
+        )
         if np.size(self.seed) == 0:
             raise ValueError("a batch of paths needs at least one seed")
         inc = np.asarray(self.increments, dtype=float)
@@ -295,8 +319,8 @@ def save_path(path: NoisePath, filename) -> None:
 def load_path(filename) -> NoisePath:
     """Read a dump written by save_path; any other, truncated or forged file raises ValueError.
 
-    A header whose dt is not positive and finite, whose counts are not
-    positive or whose level is negative is rejected by field name.
+    A header field that breaks its rule (`check_fields`, as in NoisePath) is
+    rejected by name.
     """
     with open(filename, "rb") as fh:
         raw, body = fh.read(_HEADER.size), fh.read()
@@ -307,14 +331,10 @@ def load_path(filename) -> NoisePath:
     _, version, seed, dt, n_steps, n_modes, level = _HEADER.unpack(raw)
     if version != _VERSION:
         raise ValueError(f"{filename} has noise dump version {version}, expected {_FORMAT}")
-    for field, value, ok in (
-        ("dt", dt, np.isfinite(dt) and dt > 0.0),
-        ("n_steps", n_steps, n_steps >= 1),
-        ("n_modes", n_modes, n_modes >= 1),
-        ("level", level, level >= 0),
-    ):
-        if not ok:
-            raise ValueError(f"{_FORMAT} {filename}: invalid header field {field} = {value}")
+    check_fields(
+        f"{_FORMAT} {filename}: invalid header",
+        dt=dt, n_steps=n_steps, n_modes=n_modes, level=level,
+    )
     if len(body) != 8 * n_modes * n_steps:
         raise ValueError(
             f"truncated or overlong {_FORMAT} {filename}: "

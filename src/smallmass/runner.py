@@ -4,13 +4,13 @@ The coupled convergence study drives every mass in the ladder and the limit
 integrator with the same Brownian paths (one seed per path, seeds
 base_seed, base_seed+1, ...).  Paths are advanced as a vectorized batch, and
 the masses that share a refined step as one (n_mu, P, N) batch, under every
-scheme.  The limit
-and every mass batch run in one `wave.drive` on the coarse clock, a batch
-refined L times taking 2**L steps of its refined path per coarse step, and
-each batch is scored against the limit's current state at every output
+scheme, and the limits with and without H as the (k, P, N) rows of one run.
+The limit and every mass batch run in one `wave.drive` on the coarse clock,
+a batch refined L times taking 2**L steps of its refined path per coarse
+step, and each batch is scored against every limit row at every output
 time; the distances are folded as they come (`diagnostics.DistanceFold`),
 so no trajectory of the waves or the limit is kept.  Results are identical
-to running paths and masses one at a time.
+to running paths, masses and limits one at a time.
 Every per-path result of the study (distances and the running norms the
 scaling audit reads) is an array with one row per mass and the path on the
 last axis, so a study split over jobs > 1 processes in path blocks is joined
@@ -94,16 +94,17 @@ class _ScoredRun:
     steps, each a whole step of the run, and raises SimulationDiverged with
     the fine step and time where the state stops being finite.  At each output
     index, record() folds the distance of the run's u (its first record) to
-    each target run's current u into a `diagnostics.DistanceFold`, at the
-    time k * dt of the fine steps taken, and returns nothing for drive() to
-    keep.  Halving dt doubles k, so every run of the study reads the same
+    target(), the current state of the run it is scored against, into a
+    `diagnostics.DistanceFold`, at the time k * dt of the fine steps taken,
+    and returns nothing for drive() to keep; a run without a target folds
+    nothing.  Halving dt doubles k, so every run of the study reads the same
     coarse output time, bit for bit.
     """
 
-    def __init__(self, run, path, targets: list, basis):
+    def __init__(self, run, path, basis, target=None):
         self.run, self.inc, self.dt, self.per_step = run, path.increments, path.dt, 1 << path.level
-        self.targets, self.basis = targets, basis
-        self.folds = [diagnostics.DistanceFold() for _ in targets]
+        self.basis, self.target = basis, target
+        self.fold = diagnostics.DistanceFold()
         self.k = 0
 
     def step(self, _dbeta) -> tuple:
@@ -113,14 +114,14 @@ class _ScoredRun:
         return ()
 
     def record(self) -> tuple:
-        u, t = self.run.record()[0], self.k * self.dt
-        for fold, target in zip(self.folds, self.targets):
-            fold.add(t, *diagnostics.distance_rows(u, target.run.record()[0], self.basis))
+        if self.target is not None:
+            rows = diagnostics.distance_rows(self.run.record()[0], self.target(), self.basis)
+            self.fold.add(self.k * self.dt, *rows)
         return ()
 
-    def distances(self) -> np.ndarray:
-        """sup_Hm1 + L2(0,T;H) to each target, one row per target."""
-        return np.array([np.add(*fold.parts()) for fold in self.folds])
+    def distance(self) -> np.ndarray:
+        """sup_Hm1 + L2(0,T;H) to the target, one element per row pair scored."""
+        return np.add(*self.fold.parts())
 
 
 def _study_block(cfg: dict, seed0: int, n_paths: int, ablate_drift: bool) -> LadderStudy:
@@ -131,8 +132,8 @@ def _study_block(cfg: dict, seed0: int, n_paths: int, ablate_drift: bool) -> Lad
     batch refined L times taking 2**L fine steps per coarse step, and each
     batch is scored against the limit's current state at every coarse
     output time, at any refinement level, so no trajectory is kept.  With
-    ablate_drift, the limit without H runs in the same drive, and the study
-    scores each wave (d_no) and the limit with H (d_h) against it.
+    ablate_drift, the limit without H is the limit run's second row, scored
+    against each wave (d_no) and against the row with H (d_h).
     """
     basis = make_basis(cfg)
     models = make_models(cfg, basis)
@@ -142,11 +143,10 @@ def _study_block(cfg: dict, seed0: int, n_paths: int, ablate_drift: bool) -> Lad
     n_steps = noise._n_steps(t["t_final"], t["dt"])
     groups = _mass_groups(cfg, basis, models)
     batch = noise.sample_batch(seed0, n_paths, t["t_final"], t["dt"], basis.n_modes)
-    limits = []
-    for h in (True, False) if ablate_drift else (True,):
-        run = LimitSolver(basis, models, with_drift=h).stepper(u0, batch)
-        # the limit without H is scored against the one with H: d_h
-        limits.append(_ScoredRun(run, batch, limits[:1], basis))
+    rows = (True, False) if ablate_drift else (True,)  # the limit with H, and the one without
+    lim = LimitSolver(basis, models, with_drift=rows).stepper(u0, batch)  # (k, P, N)
+    # the limit's rows scored against its row with H: d_h
+    limit = _ScoredRun(lim, batch, basis, (lambda: lim.y[0]) if ablate_drift else None)
     paths, path = {}, batch
     # each refinement taken once; every level's path runs at once
     for level in sorted(groups):
@@ -154,21 +154,21 @@ def _study_block(cfg: dict, seed0: int, n_paths: int, ablate_drift: bool) -> Lad
             path = noise.refine(path)
         paths[level] = path
     waves = []
-    for level, idx in groups.items():  # each batch on its refined path, scored against the limits
+    for level, idx in groups.items():  # each on its refined path: (k, n_mu, P) distance rows
         mus = np.array([ladder[k] for k in idx])
         run = _wave_solver(cfg, basis, models, mus).stepper(u0, v0, paths[level])
-        waves.append(_ScoredRun(run, paths[level], limits, basis))
-    drive(limits + waves, n_steps, t["dt"], lambda k: None, t["n_output"])
+        waves.append(_ScoredRun(run, paths[level], basis, lambda: lim.y[:, None]))
+    drive([limit] + waves, n_steps, t["dt"], lambda k: None, t["n_output"])
 
-    d = np.empty((len(limits), len(ladder), n_paths))
+    d = np.empty((len(rows), len(ladder), n_paths))
     norms: dict = {}
     for idx, wave in zip(groups.values(), waves):
-        d[:, idx] = wave.distances()
+        d[:, idx] = wave.distance()
         for name in diagnostics.AUDIT_NORMS:
             norms.setdefault(name, np.empty((len(ladder), n_paths)))[idx] = wave.run.norms[name]
     if not ablate_drift:
         return LadderStudy(ladder, d[0], norms)
-    return LadderStudy(ladder, d[0], norms, d_no=d[1], d_h=limits[1].distances()[0])
+    return LadderStudy(ladder, d[0], norms, d_no=d[1], d_h=limit.distance()[1])
 
 
 def drift_necessity(cfg: dict, study: LadderStudy) -> DriftNecessityReport:

@@ -24,6 +24,12 @@ def test_domain_spec_validation():
         SpectralBasis(1.0, 32, 64.5)
     with pytest.raises(ValueError, match="n_nodes must be an integer, got False"):
         SpectralBasis(1.0, 1, False)
+    # the length is a real number, by name: a bool or a string is not read as one
+    with pytest.raises(ValueError, match="domain length must be a real number, got True"):
+        SpectralBasis(True, 4)
+    with pytest.raises(ValueError, match="domain length must be a real number, got '1'"):
+        SpectralBasis("1", 4)
+    assert SpectralBasis(2, 4).length == SpectralBasis(np.float64(2.0), 4).length == 2.0
     b = SpectralBasis(length=1.0, n_modes=8)
     assert b.n_nodes == 16
     wide = SpectralBasis(1.0, np.int64(4), np.int64(9))

@@ -1075,7 +1075,7 @@ def test_resolvent_scheme_refines_below_lambda_bar(tmp_path, monkeypatch):
     # the refined and the unrefined batch both fold at the limit's 201 output times
     limit_times = np.arange(201) * 5e-4
     for mu in (0.2, 1e-3):
-        assert np.array_equal(waves[mu].folds[0].times, limit_times)
+        assert np.array_equal(waves[mu].fold.times, limit_times)
     assert np.all(np.isfinite(study.per_path_distance))
 
 
@@ -1148,6 +1148,34 @@ def test_eta_form_refines_to_the_wave_cfl(tmp_path, monkeypatch):
     study = runner.run_ladder_study(cfg)
     assert waves[0.1].dt == 1e-2
     assert np.all(np.isfinite(study.per_path_distance))
+
+
+@pytest.mark.parametrize("ablate_drift", [False, True])
+def test_study_block_runs_one_limit_stepper(monkeypatch, ablate_drift):
+    # The limits with and without H are the rows of one LimitSolver run, as the
+    # masses that share a step are the rows of one wave run.
+    from smallmass import runner
+
+    rows = []
+    real = runner.LimitSolver.stepper
+
+    def stepper(solver, initial, path):
+        rows.append(solver.with_drift)
+        return real(solver, initial, path)
+
+    monkeypatch.setattr(runner.LimitSolver, "stepper", stepper)
+    cfg = validate_config(
+        {
+            "domain": {"n_modes": 8, "n_nodes": 16},
+            "time": {"t_final": 0.01, "dt": 5e-4, "n_output": 10},
+            "mu_ladder": [0.2, 1e-3],
+            "paths": 2,
+        }
+    )
+    study = runner.run_ladder_study(cfg, ablate_drift=ablate_drift)
+    assert rows == [(True, False) if ablate_drift else (True,)]
+    assert study.per_path_distance.shape == (2, 2)
+    assert (study.d_h is None) != ablate_drift
 
 
 @pytest.mark.parametrize("scheme", ["eta_form", "semi_implicit", "resolvent_implicit"])

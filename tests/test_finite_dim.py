@@ -194,6 +194,17 @@ def test_noise_determinism_and_prefix_stability():
     assert np.allclose(wide.increments(1)[:6], a.increments(1))
 
 
+@pytest.mark.parametrize(
+    "bad, field",
+    [({"dt": 0.0}, "dt"), ({"dt": -0.01}, "dt"), ({"n_steps": 0}, "n_steps"),
+     ({"n_paths": 0}, "n_paths")],
+)
+def test_noise_rejects_its_fields_by_name(bad, field):
+    # a negative dt would draw NaN increments, an empty run nothing at all
+    with pytest.raises(ValueError, match=f"invalid FDNoise field {field} ="):
+        FDNoise(**{"seed": 5, "dt": 0.01, "n_steps": 3, "n_paths": 6, **bad})
+
+
 def test_noise_increments_equal_a_fresh_generator_per_step():
     # A run re-keys one generator per step; every step must still draw what a
     # Philox built on key (seed, k) draws, whatever steps were drawn before.

@@ -102,6 +102,14 @@ def test_single_steps_and_validation(basis):
         assert traj.coeffs.shape == (2, 16) and np.all(np.isfinite(traj.coeffs[-1]))
     with pytest.raises(ValueError):
         LimitSolver(basis, m, form="w")
+    # with_drift is one bool or a 1-D sequence of them, and rows run on a batch of paths
+    for bad in ((), [[True, False]], (1, 0), "yes"):
+        with pytest.raises(ValueError, match="with_drift must be a bool or 1-D bools"):
+            LimitSolver(basis, m, with_drift=bad)
+    rows = LimitSolver(basis, m, with_drift=(True, False))
+    with pytest.raises(ValueError, match="batch of paths"):
+        rows.stepper(bump(basis), one_step)
+    assert rows.stepper(bump(basis), sample_batch(5, 1, 1e-3, 1e-3, 16)).y.shape == (2, 1, 16)
 
 
 def test_dual_form_consistency_ratio(basis):

@@ -192,6 +192,26 @@ def test_a_table_whose_shape_disagrees_with_the_seed_is_rejected():
         NoisePath(seed=(1,), dt=0.01, n_steps=2, n_modes=4, level=0, increments=table[0])
 
 
+@pytest.mark.parametrize(
+    "bad, field",
+    [
+        ({"level": -1}, "level"),  # would refine from the level-0 streams: odd increments all 0
+        ({"level": 1.5}, "level"),
+        ({"level": True}, "level"),
+        ({"dt": -0.01}, "dt"),  # would refine to NaN increments
+        ({"dt": float("nan")}, "dt"),
+        ({"dt": 0.0}, "dt"),
+        ({"n_steps": 0}, "n_steps"),
+        ({"n_modes": 0}, "n_modes"),
+    ],
+)
+def test_a_path_rejects_its_fields_by_name(bad, field):
+    table = sample_path(3, 0.3, 0.01, 2).increments
+    fields = {"seed": 3, "dt": 0.01, "n_steps": 30, "n_modes": 2, "level": 0, **bad}
+    with pytest.raises(ValueError, match=f"invalid NoisePath field {field} ="):
+        NoisePath(**fields, increments=table)
+
+
 def test_an_empty_batch_is_rejected():
     for n in (0, -1):
         with pytest.raises(ValueError, match="at least one seed"):

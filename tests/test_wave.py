@@ -6,7 +6,7 @@ from smallmass.limit import LimitSolver
 from smallmass.models import (
     ModelSet, Nodal, build_diffusion, friction_preset, reaction_preset,
 )
-from smallmass.noise import refine, sample_batch, sample_path, zero_path
+from smallmass.noise import NoisePath, refine, sample_batch, sample_path, zero_path
 from smallmass.wave import SimulationDiverged, WaveSolver, _output_indices, g_coeffs
 
 
@@ -274,6 +274,30 @@ def test_mass_batch_rows_equal_their_own_scalar_runs(basis, scheme):
         assert np.array_equal(tb.v[:, k], tk.v), (scheme, mu)
         for f in ("sup_u_h", "sup_u_h1", "sup_v_h", "sup_energy", "int_u_h1_sq"):
             assert np.array_equal(getattr(tb, f)[k], getattr(tk, f)), (scheme, mu, f)
+
+
+@pytest.mark.parametrize("form", ["u", "rho"])
+def test_limit_drift_rows_equal_their_own_runs(basis, form):
+    # A u-step computes H once and selects it per row, and the transforms are
+    # row-stable, so row j of a drift-row run is LimitSolver(with_drift=rows[j])
+    # run alone, bit for bit; the rho-form has no H, so its rows are one run.
+    rows = (True, False, True)
+    noisy = sample_batch(310, 3, 0.01, 5e-4, 16)
+    lone = sample_batch(313, 1, 0.01, 5e-4, 16)
+    zero = NoisePath(seed=(0, 1), dt=5e-4, n_steps=20, n_modes=16, level=0,
+                     increments=np.zeros((2, 16, 20)))
+    for diffusion in ("cosine", "zero"):
+        m = models_for(basis, diffusion=diffusion)
+        u0 = bump(basis) if form == "u" else g_coeffs(bump(basis), basis, m)
+        for path in (noisy, lone, zero):
+            tb = LimitSolver(basis, m, form=form, with_drift=rows).simulate(u0, path, n_output=8)
+            n_paths = len(path.seed)
+            assert tb.coeffs.shape == (9, 3, n_paths, 16) and tb.sup_h.shape == (3, n_paths)
+            for j, drift in enumerate(rows):
+                alone = LimitSolver(basis, m, form=form, with_drift=drift)
+                tj = alone.simulate(u0, path, n_output=8)
+                assert np.array_equal(tb.coeffs[:, j], tj.coeffs), (diffusion, path.seed, drift)
+                assert np.array_equal(tb.sup_h[j], tj.sup_h), (diffusion, path.seed, drift)
 
 
 @pytest.mark.parametrize("newton_iters", [1, 3])

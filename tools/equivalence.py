@@ -106,16 +106,6 @@ def _setup(diffusion="cosine"):
     return basis, make_models(cfg, basis), *make_initial(cfg, basis)
 
 
-def _model_set(basis, friction, reaction, diffusion):
-    """A model set of a custom friction on either side: `models.build_model_set` where it
-    exists, else `ModelSet`, which builds its own g_map."""
-    from smallmass import models
-
-    if hasattr(models, "build_model_set"):
-        return models.build_model_set(basis, friction, reaction, diffusion)
-    return models.ModelSet(friction, reaction, diffusion)
-
-
 def _fields(obj) -> dict:
     return {k: v for k, v in vars(obj).items() if isinstance(v, (np.ndarray, float, int))}
 
@@ -206,7 +196,7 @@ def _model_routes() -> dict:
     from smallmass.config import make_basis, make_initial
     from smallmass.limit import LimitSolver
     from smallmass.models import (
-        build_diffusion, friction_from_table, friction_preset, reaction_preset,
+        ModelSet, build_diffusion, friction_from_table, friction_preset, reaction_preset,
     )
     from smallmass.wave import SCHEMES, WaveSolver, g_coeffs
 
@@ -222,8 +212,8 @@ def _model_routes() -> dict:
         cfg = _cfg()
         basis = make_basis(cfg)
         u0, _ = make_initial(cfg, basis)
-        models = _model_set(
-            basis, frictions[friction](), reaction_preset("linear_decay"),
+        models = ModelSet(
+            frictions[friction](), reaction_preset("linear_decay"),
             build_diffusion(basis, factor=diffusion),
         )
         return basis, models, u0, 0.3 * u0
@@ -269,7 +259,7 @@ def _coefficient_routes() -> dict:
     from smallmass.config import make_basis
     from smallmass.limit import LimitSolver
     from smallmass.models import (
-        AntiderivativeMap, Nodal, build_diffusion, combined_drift,
+        AntiderivativeMap, ModelSet, Nodal, build_diffusion, combined_drift,
         friction_from_table, friction_preset, reaction_preset, stratonovich_correction,
     )
 
@@ -298,8 +288,8 @@ def _coefficient_routes() -> dict:
             }
             for branch, y in inverse_at.items():
                 out[f"g_inverse.{branch}"] = g_map.inverse(y)
-            models = _model_set(
-                basis, friction, reaction_preset("zero"), build_diffusion(basis, factor="cosine")
+            models = ModelSet(
+                friction, reaction_preset("zero"), build_diffusion(basis, factor="cosine")
             )
             out["b_bar"] = LimitSolver(basis, models, form="rho").b_bar
             u = basis.synthesize(np.linspace(1.0, -0.5, 16))
@@ -501,15 +491,15 @@ def _resolvent_routes() -> dict:
     def lone_not_contracting():
         # g(u) = 50 u under a friction that declares gamma in [0.01, 0.01], so lambda_bar
         # admits a lam at which the fixed point expands: mode 1 grows, mode 16 first shrinks
-        from smallmass.models import FrictionModel, build_diffusion, reaction_preset
+        from smallmass.models import FrictionModel, ModelSet, build_diffusion, reaction_preset
 
         basis, _, _, _ = _setup()
         lying = FrictionModel(
             gamma=lambda s: np.full_like(s.u, 50.0), gamma_prime=lambda s: np.zeros_like(s.u),
             gamma0=0.01, gamma1=0.01, g_closed=lambda s: 50.0 * s.u,
         )
-        models = _model_set(
-            basis, lying, reaction_preset("linear_decay"), build_diffusion(basis, factor="zero")
+        models = ModelSet(
+            lying, reaction_preset("linear_decay"), build_diffusion(basis, factor="zero")
         )
         op = OperatorA(basis, models)
         h1 = np.zeros(basis.n_modes)
