@@ -113,12 +113,12 @@ class SpectralBasis:
     def sobolev_norm(self, f, s: float = 0.0):
         """H^s norm, (sum_i alpha_i^s b_i^2)^(1/2), for any real s; s = 0 skips its unit weights."""
         c = np.asarray(f, dtype=float)
-        return np.sqrt(np.sum(c * c if s == 0 else self.alphas**s * c * c, axis=-1))
+        return np.sqrt(np.add.reduce(c * c if s == 0 else self.alphas**s * c * c, axis=-1))
 
     def inner(self, f, g, s: float = 0.0):
         """H^s inner product of two coefficient vectors; s = 0 skips its unit weights."""
         f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
-        return np.sum(f * g if s == 0 else self.alphas**s * f * g, axis=-1)
+        return np.add.reduce(f * g if s == 0 else self.alphas**s * f * g, axis=-1)
 
     def integrate(self, values: np.ndarray):
         """Quadrature of nodal values over the domain."""

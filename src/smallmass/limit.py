@@ -38,7 +38,8 @@ rho-form step takes f and lambda_sigma on the nodal state of g^-1(rho).
 Drift rows.  with_drift is one bool, or a 1-D sequence of bools, one per
 row of a (k, P, N) state on a batch of paths (the study's limits with and
 without H), held as a (k, 1, 1) column as `wave.WaveSolver` holds masses;
-the u-step computes H once and selects it per row, bit for bit.
+the u-step computes H once and adds it in place to the rows with H only, so
+a row without H keeps the bits of its other terms.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class LimitSolver:
         explicit = (1.0 / gam - self.b_bar) * lap_nodal + m.reaction.f(s) / gam
         if self._drift.any() and m.diffusion.sigma_sup != 0.0:
             h = noise_induced_drift(gam, m.friction.gamma_prime(s), ls, m.diffusion.kappa)
-            explicit = np.where(self._drift, explicit + h, explicit)  # no-H rows keep their bits
+            np.add(explicit, h, out=explicit, where=self._drift)  # no-H rows keep their bits
         rhs = u + dt * b.analyze(explicit) + apply_noise(ls / gam, dbeta, m.diffusion, b)
         return rhs / (1.0 + dt * self.b_bar * b.alphas)
 

@@ -27,17 +27,20 @@ A^lam(z) = (J_lam(z) - z)/lam, which is Lipschitz, quasi-dissipative with
 constant kappa_d/(1 - lam kappa_d), and converges to A(z) as lam -> 0.
 
 Every sweep of the fixed point is one synthesis of u and one analysis of
-the g(u), f(u) pair.  The loop around it depends on the input's shape.  A
-lone h (N,) iterates on 1-D arrays and keeps its residuals, stall test and
-polish flag as Python floats, so a sweep costs little beyond its arithmetic.
-A stacked h (the rows of a path or mass batch) iterates in lock step, and
-each row stops on its own residual and leaves the batch with its sweep
-coefficients, which hold its own mass when the mass of `OperatorA` is the
-(n_mu, 1, 1) column of a mass batch.  Both loops take the same steps, and
+g(u) and f(u), written as the two rows of one array (one array for all the
+sweeps of a lone solve).  The loop around it depends on the input's shape.
+A lone h (N,) iterates on 1-D arrays and keeps its residuals, stall test
+and polish flag as Python floats.  A stacked h (the rows of a path or mass
+batch) iterates in lock step, and each row stops on its own residual and
+leaves the batch with its sweep coefficients, which hold its own mass when
+the mass of `OperatorA` is the (n_mu, 1, 1) column of a mass batch.  Both loops take the same steps, and
 the transforms round every row as they would alone, so every row gets the
 bits, iteration count and residuals it gets solved alone.  lambda_bar is
-that of the smallest mass.  The sampled audit solves its states one at a
-time and keeps running maxima of its margins.
+that of the smallest mass.  The sampled audit applies and solves its states
+one at a time, one row per call, and folds its margins with array
+reductions over blocks of AUDIT_BLOCK pairs: each block's maxima, seeded
+with the running ones, are the running maxima of a pair-by-pair loop, bit
+for bit.
 
 The calibrated constants (kappa_d, lambda0) are implementation choices and
 are flagged as calibrated in audit reports.
@@ -60,6 +63,7 @@ from .models import ModelSet, Nodal
 
 TOL = 1e-10  # the fixed point stops when its H-norm update drops below TOL
 MAX_ITER = 200  # iteration cap of the fixed point
+AUDIT_BLOCK = 32  # pairs whose margins the sampled audit folds at once
 
 
 class ResolventError(RuntimeError):
@@ -74,9 +78,16 @@ class SolveInfo:
 
 
 class OperatorA:
-    """The drift operator with its dissipativity and resolvent-range constants."""
+    """The drift operator with its dissipativity and resolvent-range constants.
+
+    mass is a number or an array that broadcasts against the state; an entry
+    that is not positive and finite raises ValueError.
+    """
 
     def __init__(self, basis: SpectralBasis, models: ModelSet, mass: float | np.ndarray = 1.0):
+        masses = np.asarray(mass, dtype=float)
+        if masses.size == 0 or not np.all(np.isfinite(masses) & (masses > 0)):
+            raise ValueError(f"mass must be positive, got {mass}")
         self.basis = basis
         self.models = models
         self.mass = mass
@@ -154,23 +165,32 @@ def _fixed_point(op: OperatorA, mu, h1: np.ndarray, h2: np.ndarray, lam: float, 
 
     info is None unless with_info: then the SolveInfo of a lone row, or a
     list with one per row.  Each sweep takes g(u) and f(u) on one nodal
-    state and analyses them as one two-row (lone) or stacked product, whose
+    state, writes them into the rows of one (2, ..., M) array (the same one
+    for every sweep of a lone row) and analyses it as one product, whose
     rows round as they would alone.  A lone row iterates on 1-D arrays and
     keeps its residuals, stall test and polish flag as Python floats.  Rows
     iterate in lock step: the rows still iterating and their coef rows are
     kept contiguous and compacted only on a sweep where some finish and others go on.
     """
     b, g, f = op.basis, op.models.g_map.forward, op.models.reaction.f
+    lone = h1.ndim == 1
+    lone_g_f = np.empty((2, b.n_nodes)) if lone else None  # every sweep of a lone row writes here
 
     def sweep(u, coef):  # Gamma_lam(u)
         const, c_g, c_f, denom = coef
         s = Nodal(b.synthesize(u))
-        g_u, f_u = b.analyze(np.concatenate((g(s), f(s))).reshape((2,) + s.u.shape))
-        return (c_g * g_u + c_f * f_u + const) / denom
+        g_f = lone_g_f if lone else np.empty((2,) + s.u.shape)  # g(u) and f(u) as rows
+        g_f[0], g_f[1] = g(s), f(s)
+        coeffs = b.analyze(g_f)
+        u_next = c_g * coeffs[0]  # (c_g g_u + c_f f_u + const) / denom, in place
+        u_next += c_f * coeffs[1]
+        u_next += const
+        u_next /= denom
+        return u_next
 
     c_f = lam * lam / mu
     coef = (h1 + lam * h2, -(lam / mu), c_f, 1.0 + c_f * b.alphas)  # per row of stacked h1
-    if h1.ndim == 1:
+    if lone:
         u, info = _lone_sweeps(sweep, h1, coef, lam, with_info)
     else:
         u, info = _lock_step_sweeps(sweep, h1, coef, lam, with_info)
@@ -303,8 +323,9 @@ def audit_operator(
       * the Yosida norm bound ||A^lam(z)|| <= (1 - lam kappa_d)^-1 ||A(z)||,
     plus the exact identity ||J_lam(z) - z|| = lam ||A^lam(z)|| and the
     monotone decrease of ||A^lam(z) - A(z)|| along the lam ladder for smooth
-    samples.  Pair j is states 2j and 2j + 1; every state is solved alone,
-    and the margins are running maxima over the pairs.  n_pairs and n_smooth
+    samples.  Pair j is states 2j and 2j + 1; every state is applied and
+    solved alone, and the margins are running maxima over the pairs, folded
+    over blocks of AUDIT_BLOCK pairs.  n_pairs and n_smooth
     must be at least 1, and lam_ladder hold 2 distinct values: an audit of no
     samples passes with every margin at -inf, and a ladder of one value
     passes the monotone check comparing nothing.
@@ -326,26 +347,32 @@ def audit_operator(
     def yosida(jz, z):  # A^lam(z) from J_lam(z)
         return ((jz[0] - z[0]) / lam, (jz[1] - z[1]) / lam)
 
+    def pairs(w):  # the first and the second states of the pairs of stacked states w = (u, eta)
+        return (w[0][0::2], w[1][0::2]), (w[0][1::2], w[1][1::2])
+
     worst = dict.fromkeys(("diss_A", "diss_yosida", "lipschitz", "yosida_norm"), -np.inf)
     identity_error = 0.0
-    for j in range(n_pairs):
-        z1, z2 = (u[2 * j], eta[2 * j]), (u[2 * j + 1], eta[2 * j + 1])
+    for start in range(0, 2 * n_pairs, 2 * AUDIT_BLOCK):
+        z = (u[start : start + 2 * AUDIT_BLOCK], eta[start : start + 2 * AUDIT_BLOCK])
+        az, jz = np.empty((2,) + z[0].shape), np.empty((2,) + z[0].shape)
+        for i, state in enumerate(zip(*z)):  # every state alone: one row per call
+            az[0, i], az[1, i] = op.apply(state)
+            jz[0, i], jz[1, i] = resolvent_apply(op, state, lam)
+        (z1, z2), (a1, a2), (j1, j2) = pairs(z), pairs(az), pairs(jz)
+        y1, y2 = yosida(j1, z1), yosida(j2, z2)
         dz = diff(z1, z2)
-        nd2 = float(op.h_inner(dz, dz))
-        a1 = op.apply(z1)
-        j1, j2 = resolvent_apply(op, z1, lam), resolvent_apply(op, z2, lam)
-        y1 = yosida(j1, z1)
-        y1_norm = float(op.h_norm(y1))
+        nd2 = op.h_inner(dz, dz)
+        y1_norm = op.h_norm(y1)
         margins = {
-            "diss_A": float(op.h_inner(diff(a1, op.apply(z2)), dz)) - kd * nd2,
-            "diss_yosida": (
-                float(op.h_inner(diff(y1, yosida(j2, z2)), dz)) - yosida_kd * nd2 - tol_pad
-            ),
-            "lipschitz": float(op.h_norm(diff(j1, j2))) - lip_bound * np.sqrt(nd2) - tol_pad,
-            "yosida_norm": y1_norm - lip_bound * float(op.h_norm(a1)) - tol_pad,
+            "diss_A": op.h_inner(diff(a1, a2), dz) - kd * nd2,
+            "diss_yosida": op.h_inner(diff(y1, y2), dz) - yosida_kd * nd2 - tol_pad,
+            "lipschitz": op.h_norm(diff(j1, j2)) - lip_bound * np.sqrt(nd2) - tol_pad,
+            "yosida_norm": y1_norm - lip_bound * op.h_norm(a1) - tol_pad,
         }
-        worst = {name: max(worst[name], m) for name, m in margins.items()}
-        identity_error = max(identity_error, abs(float(op.h_norm(diff(j1, z1))) - lam * y1_norm))
+        # fmax seeded with the running value is Python's running max: it skips a NaN margin
+        worst = {name: np.fmax.reduce(m, initial=worst[name]) for name, m in margins.items()}
+        identity = np.abs(op.h_norm(diff(j1, z1)) - lam * y1_norm)
+        identity_error = float(np.fmax.reduce(identity, initial=identity_error))
 
     ladder = sorted(lam_ladder, reverse=True)
     errors = np.empty((n_smooth, len(ladder)))

@@ -5,12 +5,16 @@ from smallmass.basis import SpectralBasis
 from smallmass.models import (
     FrictionModel,
     ModelSet,
+    Nodal,
+    ReactionModel,
     build_diffusion,
     friction_preset,
     reaction_preset,
 )
+from smallmass import resolvent
 from smallmass.noise import zero_path
 from smallmass.resolvent import (
+    MAX_ITER,
     TOL,
     OperatorA,
     ResolventError,
@@ -52,6 +56,59 @@ def test_linear_resolvent_closed_form(basis):
     assert abs(z[0][0] - expected) < 1e-9
     # eta = h2 + lam (Lap u + f(u))
     assert abs(z[1][0] - lam * (-basis.alphas[0]) * expected) < 1e-8
+
+
+def test_operator_rejects_a_mass_that_is_not_positive(basis):
+    # Such a mass gave a lambda_bar of 0, -0.344, NaN or -0.0003, and every
+    # solve then failed on its lam; the operator names the mass as WaveSolver does.
+    m = models_for(basis)
+    for mass in (0.0, -1.0, np.nan, [0.01, -0.001]):
+        with pytest.raises(ValueError, match="mass must be positive"):
+            OperatorA(basis, m, mass=mass)
+
+
+def _lone_reference(op, h1, h2, lam):
+    """A lone solve that stacks g(u) and f(u) into a fresh array every sweep.
+
+    Returns (u, eta, iterations, residual); the rows it solves contract.
+    """
+    b, g, f, mu = op.basis, op.models.g_map.forward, op.models.reaction.f, op.mass
+    c_f = lam * lam / mu
+    const, c_g, denom = h1 + lam * h2, -(lam / mu), 1.0 + c_f * b.alphas
+    u, polish = h1, False
+    for it in range(1, MAX_ITER + 1):
+        s = Nodal(b.synthesize(u))
+        g_u, f_u = b.analyze(np.stack((g(s), f(s))))
+        u_next = (c_g * g_u + c_f * f_u + const) / denom
+        res = float(b.sobolev_norm(u_next - u, 0.0))
+        u = u_next
+        if polish:
+            break
+        polish = res <= TOL
+    eta = h2 + (lam / mu) * (b.laplacian(u) + b.analyze(f(Nodal(b.synthesize(u)))))
+    return u, eta, it, res
+
+
+def test_lone_solves_give_the_bits_of_a_fresh_sweep(basis):
+    # A lone solve writes g(u) and f(u) into one array for all its sweeps.
+    # Solves on two operators at two lams, interleaved, and a reaction whose
+    # f returns its own nodal array, each give the bits of the same solve
+    # with a fresh g/f stack per sweep.
+    m = models_for(basis)
+    echo = ModelSet(
+        m.friction,
+        ReactionModel(f=lambda s: s.u, lipschitz_const=1.0),
+        build_diffusion(basis, factor="zero"),
+    )
+    ops = (OperatorA(basis, m), OperatorA(basis, m, mass=0.5), OperatorA(basis, echo))
+    h1, h2 = sample_states(basis, 2, seed=9)
+    for k in range(2):
+        for op in ops:
+            for lam in (0.05, 0.02):
+                (u, eta), info = resolvent_apply(op, (h1[k], h2[k]), lam, return_info=True)
+                ref = _lone_reference(op, h1[k], h2[k], lam)
+                assert np.array_equal(u, ref[0]) and np.array_equal(eta, ref[1])
+                assert (info.iterations, info.residual) == ref[2:]
 
 
 def _solves_rows_alone(op, h1, h2, lam):
@@ -297,13 +354,26 @@ def _audit_reference(op, n_pairs, lam, ladder, n_smooth, seed):
     return worst, ident, errors, monotone
 
 
-@pytest.mark.parametrize("n_pairs, n_smooth, seed", [(1, 1, 0), (7, 3, 3), (25, 5, 2024)])
-def test_audit_equals_a_pair_by_pair_reference(op, n_pairs, n_smooth, seed):
-    # The audit draws its states as one block; it must give the bits of the
-    # states drawn one at a time and audited pair by pair on lone solves.
+@pytest.mark.parametrize(
+    "n_pairs, n_smooth, seed", [(1, 1, 0), (7, 3, 3), (25, 5, 2024), (70, 2, 11)]
+)
+def test_audit_equals_a_pair_by_pair_reference(op, monkeypatch, n_pairs, n_smooth, seed):
+    # The audit draws its states as one block and folds its margins over
+    # blocks of pairs; it must give the bits of the states drawn one at a time
+    # and audited pair by pair on lone solves.  70 pairs cross two block
+    # boundaries and end on a part block.  The worst margins show only the
+    # worst pair, so the states the audit applies and solves are checked too.
     ladder = (0.1, 0.05, 0.02, 0.01)
-    result = audit_operator(op, n_pairs=n_pairs, lam=0.05, lam_ladder=ladder, n_smooth=n_smooth, seed=seed)
     worst, ident, errors, monotone = _audit_reference(op, n_pairs, 0.05, ladder, n_smooth, seed)
+    applied, solved, apply = [], [], op.apply
+    monkeypatch.setattr(op, "apply", lambda z: applied.append(z[0]) or apply(z))
+    monkeypatch.setattr(
+        resolvent, "resolvent_apply", lambda o, h, lam: solved.append(h[0]) or resolvent_apply(o, h, lam)
+    )
+    result = audit_operator(op, n_pairs=n_pairs, lam=0.05, lam_ladder=ladder, n_smooth=n_smooth, seed=seed)
+    states = sample_states(op.basis, 2 * n_pairs, seed=seed)[0]
+    for called in (applied, solved):  # each state once, one row per call, in order
+        assert np.array_equal(called[: 2 * n_pairs], states)
     assert result["worst_margins"] == worst
     assert result["identity_error"] == ident
     assert result["ladder_errors"] == errors

@@ -46,9 +46,10 @@ nodal state and, at kappa = 1 as the fd limit steps it, on criterion 3's grid fo
 refinement of a path and a batch, fd coupled and single runs, the scalar Lyapunov solve, its
 residual and the sweep's S on criterion 3's grid for each fd friction, every selftest check's name,
 flag and detail, a stacked resolvent solve with
-its per-row info, two lone solves that raise ResolventError (one that stops contracting, one
+its per-row info, lone solves with their info at single_path's wave mass and step and at the
+audit's mass and lam, two lone solves that raise ResolventError (one that stops contracting, one
 on a NaN row that never converges; each compared by its message, which names lam and the
-last residual), the resolvent audit at criterion 4's size, every
+last residual), the resolvent audit at criterion 4's size and at 33 and 70 pairs, every
 `run_*` work function on small configs, the ladder study also with masses on three refinement
 levels (converge with n_output below the step count, and the drift ablation), resolvent_implicit
 ladders run one batch per level (the drift ablation on those levels, converge on the default
@@ -457,7 +458,7 @@ def _selftest_routes() -> dict:
 
 def _resolvent_routes() -> dict:
     from smallmass.config import make_basis, make_models, validate_config
-    from smallmass.resolvent import OperatorA, audit_operator, resolvent_apply
+    from smallmass.resolvent import OperatorA, audit_operator, resolvent_apply, sample_states
 
     def default_op():
         cfg = validate_config({})
@@ -480,13 +481,27 @@ def _resolvent_routes() -> dict:
             out[f"{k}.contraction_ratios"] = info.contraction_ratios
         return out
 
-    def audit():
-        # criterion 4 of the acceptance suite
-        result = audit_operator(default_op(), n_pairs=1000, lam=0.05,
-                                lam_ladder=(0.1, 0.05, 0.02, 0.01), n_smooth=20, seed=2024)
+    def audit(n_pairs=1000, n_smooth=20, seed=2024):
+        # criterion 4 of the acceptance suite by default
+        result = audit_operator(default_op(), n_pairs=n_pairs, lam=0.05,
+                                lam_ladder=(0.1, 0.05, 0.02, 0.01), n_smooth=n_smooth, seed=seed)
         items = {}
         _flatten("audit", result, items)
         return items
+
+    def lone_info(mass, lam):
+        # lone solves with their info on the default model: at mass 1e-4 and lam 2.5e-5
+        # as single_path's resolvent_implicit route steps, at mass 1 and lam 0.05 as the audit
+        cfg = validate_config({})
+        basis = make_basis(cfg)
+        op = OperatorA(basis, make_models(cfg, basis), mass=mass)
+        out = {}
+        for k, h in enumerate(zip(*sample_states(basis, 3, seed=31))):
+            (u, eta), info = resolvent_apply(op, h, lam, return_info=True)
+            out[f"{k}.u"], out[f"{k}.eta"] = u, eta
+            out[f"{k}.iterations"], out[f"{k}.residual"] = info.iterations, info.residual
+            out[f"{k}.contraction_ratios"] = info.contraction_ratios
+        return out
 
     def lone_not_contracting():
         # g(u) = 50 u under a friction that declares gamma in [0.01, 0.01], so lambda_bar
@@ -515,6 +530,11 @@ def _resolvent_routes() -> dict:
     return {
         "resolvent.stacked_info": stacked,
         "resolvent.audit.criterion_4": audit,
+        # pair counts that end one pair past a block of 32 pairs, and on a part block
+        "resolvent.audit.33_pairs": lambda: audit(n_pairs=33, n_smooth=3, seed=5),
+        "resolvent.audit.70_pairs": lambda: audit(n_pairs=70, n_smooth=3, seed=6),
+        "resolvent.lone_info.single_path": lambda: lone_info(1e-4, 2.5e-5),
+        "resolvent.lone_info.audit": lambda: lone_info(1.0, 0.05),
         # each raises ResolventError: the same message on both sides means the same sweep
         "resolvent.lone.not_contracting": lone_not_contracting,
         "resolvent.lone.not_converging": lone_not_converging,
